@@ -37,26 +37,6 @@ class ConfigError(Exception):
     """Configuration rejected; the message carries the offending path."""
 
 
-CONFIG_SCHEMA = {
-    "grid": {"n": "int (power of two >= 8)", "dk": "float > 0"},
-    "modes": [
-        {
-            "kind": "plane | gaussian | vortex",
-            "k0": "[kx, ky, kz]",
-            "sigma_k": "float > 0 (gaussian, vortex)",
-            "helicity": "+1 | -1 (omit for linear)",
-            "polarization": "[x, y, z] (linear)",
-            "vortex_charge": "int (vortex)",
-            "ring_radius": "float >= 0 (vortex)",
-            "amplitude": "number or [re, im]",
-        }
-    ],
-    "checks": "list of suite names (optional)",
-    "times": "list of floats (optional; conservation suite)",
-    "tolerances": "name -> value overrides (optional)",
-    "output": "directory path (optional)",
-}
-
 _MODE_KEYS = {"kind", "k0", "sigma_k", "helicity", "polarization",
               "vortex_charge", "ring_radius", "amplitude"}
 _TOP_KEYS = {"grid", "modes", "checks", "times", "tolerances", "output"}

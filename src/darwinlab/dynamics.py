@@ -3,8 +3,10 @@
 Free evolution is diagonal in momentum space, so it is applied as an exact
 per-bin phase exp(-i c |k| t); no time stepping is ever performed.  The
 Maxwell-form residual deliberately goes the other way -- a centered
-finite-difference time stencil against spectral curls in position space -- to
-provide an error signal that is independent of the evolution path.
+finite-difference time stencil of the exactly evolved position field against
+the spectral curl, taken as i k x f on the momentum blocks and transformed to
+position space -- to provide an error signal that is independent of the
+evolution path.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kgrid, observables
-from .kgrid import Field, spectral_curl, spectral_divergence, to_position
+from .kgrid import Field, to_position
+from .kgrid import spectral_curl  # noqa: F401  (re-export; perfbench/tests inspects it)
 from .state import PhotonState, transversality_residual
 from .units import NATURAL, Units
 
@@ -26,12 +29,16 @@ def default_maxwell_dt(grid: kgrid.KGrid, units: Units = NATURAL) -> float:
     return DEFAULT_DT_FRACTION / (units.c * grid.k_max)
 
 
+def _phased_psi(psi: Field, t: float, units: Units) -> Field:
+    g = psi.grid
+    phase = np.exp(-1j * units.c * g.kmag * t)
+    return Field(psi.values * phase[..., None], kgrid.MOMENTUM, g, psi.time + t)
+
+
 def _phase_evolved(state: PhotonState, t: float, units: Units) -> PhotonState:
     if t == 0.0:
         return state
-    g = state.grid
-    phase = np.exp(-1j * units.c * g.kmag * t)
-    psi = Field(state.psi.values * phase[..., None], kgrid.MOMENTUM, g, state.time + t)
+    psi = _phased_psi(state.psi, t, units)
     return PhotonState(
         psi=psi,
         norm=kgrid.norm_squared(psi),
@@ -91,7 +98,7 @@ def four_current(state: PhotonState, units: Units = NATURAL) -> CurrentField:
     On the block split the spatial part reduces to cross products:
     j = 2 c Re(Psi_u* x Psi_l), with Psi_u, Psi_l the (1/sqrt 2)-scaled blocks.
     """
-    pos = to_position(state.psi)
+    pos = state.psi_position
     upper = pos.values[..., :3]
     lower = pos.values[..., 3:]
     j0 = units.c * np.sum(np.abs(pos.values) ** 2, axis=-1)
@@ -141,48 +148,48 @@ def maxwell_residual(state: PhotonState, dt: float | None = None, units: Units =
     """Check d(F_u)/dt = c curl F_l and d(F_l)/dt = -c curl F_u.
 
     The time derivative is a centered finite difference of the exactly
-    evolved state at t +- dt, so the residual is O(dt^2) and must shrink
-    fourfold when dt is halved; the divergence of both blocks is reported
-    alongside, normalized by the same curl scale.
+    evolved position field at t +- dt, so the residual is O(dt^2) and must
+    shrink fourfold when dt is halved.  As the transform is linear, the
+    difference is formed once, on the evolved momentum amplitudes, and then
+    transformed.  The curl and the divergence are exact spectral derivatives:
+    i k x f and i k . f on the momentum blocks, transformed to position
+    space.  The divergence of both blocks is reported alongside, normalized
+    by the same curl scale.
     """
     g = state.grid
     if dt is None:
         dt = default_maxwell_dt(g, units)
+    f_u = state.psi.values[..., :3]
+    f_l = state.psi.values[..., 3:]
+    block_scale = np.sqrt(2.0)
 
-    def blocks_at(offset: float) -> tuple[np.ndarray, np.ndarray]:
-        st = _phase_evolved(state, offset, units)
-        pos = to_position(st.psi)
-        return (
-            np.sqrt(2.0) * pos.values[..., :3],
-            np.sqrt(2.0) * pos.values[..., 3:],
-        )
+    # both blocks at once: (dF_u/dt, dF_l/dt), compared with c (curl F_l, -curl F_u)
+    stencil = _phased_psi(state.psi, +dt, units).values
+    stencil -= _phased_psi(state.psi, -dt, units).values
+    stencil *= block_scale / (2.0 * dt)
+    d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time)).values
+    del stencil
 
-    u_minus, l_minus = blocks_at(-dt)
-    u_plus, l_plus = blocks_at(+dt)
-    u_now, l_now = blocks_at(0.0)
+    curls = np.concatenate([np.cross(g.kvec, f_l), -np.cross(g.kvec, f_u)], axis=-1)
+    curls *= 1j * block_scale * units.c
+    curls = to_position(Field(curls, kgrid.MOMENTUM, g, state.time)).values
 
-    du_dt = (u_plus - u_minus) / (2.0 * dt)
-    dl_dt = (l_plus - l_minus) / (2.0 * dt)
-
-    field_u = kgrid.position_field(u_now, g, state.time)
-    field_l = kgrid.position_field(l_now, g, state.time)
-    curl_u = spectral_curl(field_u).values
-    curl_l = spectral_curl(field_l).values
-
-    scale = max(float(np.abs(units.c * curl_l).max()), float(np.abs(units.c * curl_u).max()))
+    scale = float(np.abs(curls).max())
     if scale == 0.0:
         return MaxwellReport(0.0, 0.0, dt)
+    d_dt -= curls
+    curl_res = float(np.abs(d_dt).max()) / scale
+    del d_dt, curls
 
-    res_u = float(np.abs(du_dt - units.c * curl_l).max()) / scale
-    res_l = float(np.abs(dl_dt + units.c * curl_u).max()) / scale
-
-    div_u = float(np.abs(spectral_divergence(field_u).values).max())
-    div_l = float(np.abs(spectral_divergence(field_l).values).max())
-    div_res = units.c * max(div_u, div_l) / scale
+    div = 0.0
+    for f in (f_u, f_l):
+        div_k = 1j * block_scale * np.sum(g.kvec * f, axis=-1)
+        div_x = to_position(Field(div_k[..., None], kgrid.MOMENTUM, g, state.time))
+        div = max(div, float(np.abs(div_x.values).max()))
 
     return MaxwellReport(
-        curl_residual=max(res_u, res_l),
-        divergence_residual=div_res,
+        curl_residual=curl_res,
+        divergence_residual=units.c * div / scale,
         dt=dt,
     )
 
@@ -215,7 +222,9 @@ class ConservationReport:
     spin: list[np.ndarray]
     oam: list[np.ndarray]
     total_angular_momentum: list[np.ndarray]
+    norm: list[float]
     probability_drift: float
+    norm_drift: float
     spin_drift: float
     oam_drift: float
     total_drift: float
@@ -223,13 +232,15 @@ class ConservationReport:
 
 
 def continuity_and_conservation(state: PhotonState, times, units: Units = NATURAL) -> ConservationReport:
-    """Track P, <spin>, <L> and <L> + <spin> across a list of times.
+    """Track P, the momentum-space norm, <spin>, <L> and <L> + <spin> across
+    a list of times.
 
-    All four are exact constants for positive-energy states; the report
+    All five are exact constants for positive-energy states; the report
     returns the maximum drift of each relative to the first sampled time.
     """
     times = tuple(float(t) for t in times)
     probs: list[float] = []
+    norms: list[float] = []
     spins: list[np.ndarray] = []
     oams: list[np.ndarray] = []
     totals: list[np.ndarray] = []
@@ -240,6 +251,7 @@ def continuity_and_conservation(state: PhotonState, times, units: Units = NATURA
         s = observables.spin_canonical(st)
         l = observables.oam_momentum(st, "upper", c=units.c)
         probs.append(p_psi)
+        norms.append(st.norm)
         spins.append(s)
         oams.append(l)
         totals.append(l + s)
@@ -254,10 +266,12 @@ def continuity_and_conservation(state: PhotonState, times, units: Units = NATURA
     return ConservationReport(
         times=times,
         probability=probs,
+        norm=norms,
         spin=spins,
         oam=oams,
         total_angular_momentum=totals,
         probability_drift=drift_scalar(probs),
+        norm_drift=drift_scalar(norms),
         spin_drift=drift_vector(spins),
         oam_drift=drift_vector(oams),
         total_drift=drift_vector(totals),

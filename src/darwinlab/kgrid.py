@@ -171,7 +171,8 @@ def to_position(field: Field) -> Field:
     _require(field, MOMENTUM)
     g = field.grid
     scale = g.n**3 * g.dk**3 / _FT_NORM
-    values = np.fft.ifftn(field.values, axes=(0, 1, 2)) * scale
+    values = np.fft.ifftn(field.values, axes=(0, 1, 2))
+    values *= scale
     return Field(values, POSITION, g, field.time)
 
 
@@ -180,7 +181,8 @@ def to_momentum(field: Field) -> Field:
     _require(field, POSITION)
     g = field.grid
     scale = g.dx**3 / _FT_NORM
-    values = np.fft.fftn(field.values, axes=(0, 1, 2)) * scale
+    values = np.fft.fftn(field.values, axes=(0, 1, 2))
+    values *= scale
     return Field(values, MOMENTUM, g, field.time)
 
 

@@ -13,6 +13,8 @@ Spin and orbital angular momentum are reported in units of hbar.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -22,6 +24,38 @@ from .kgrid import k_gradient, momentum_field, to_position
 from .state import PhotonState
 
 IMAG_RESIDUE_LIMIT = 1e-8
+
+
+def _per_state(fn):
+    """Evaluate fn(state, ...) once per state and set of argument values.
+
+    The value is stored on the state itself, so it lives exactly as long as
+    the state; states are immutable, so it never goes stale.  Every caller
+    shares it, so its arrays are made read-only.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoized(state: PhotonState, *args, **kwargs):
+        bound = signature.bind(state, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__, *bound.args[1:])
+        memo = vars(state).setdefault("_observables_memo", {})
+        if key not in memo:
+            value = fn(state, *args, **kwargs)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
+    return memoized
+
+
+def _position_block(state: PhotonState, block: str) -> np.ndarray:
+    """Block F_u or F_l in position space, from the state's shared transform."""
+    values = state.psi_position.values
+    return np.sqrt(2.0) * (values[..., :3] if block == "upper" else values[..., 3:])
 
 
 def _cross_density(f: np.ndarray) -> np.ndarray:
@@ -71,9 +105,8 @@ def _spin_cross(state: PhotonState, block: str) -> tuple[np.ndarray, float]:
 
 
 def _spin_position(state: PhotonState, block: str) -> tuple[np.ndarray, float]:
-    f = state.f_upper() if block == "upper" else state.f_lower()
-    F = to_position(momentum_field(f, state.grid, state.time))
-    return _integrate_vector(_cross_density(F.values), F.measure)
+    F = _position_block(state, block)
+    return _integrate_vector(_cross_density(F), state.psi_position.measure)
 
 
 def spin_canonical(state: PhotonState) -> np.ndarray:
@@ -110,6 +143,7 @@ def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
     return np.concatenate([chi_u, chi_l], axis=-1)
 
 
+@_per_state
 def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     """Spin density built from the nonlocal momentum-projected operator.
 
@@ -120,7 +154,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     the canonical density, and the diagnostics quantify the gap.
     """
     g = state.grid
-    psi_pos = to_position(state.psi)
+    psi_pos = state.psi_position
     chi = projected_spin_momentum_density(state)
     s = np.empty(g.shape + (3,), dtype=np.float64)
     integral = np.empty(3)
@@ -154,12 +188,12 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
 
 def canonical_spin_density(state: PhotonState) -> np.ndarray:
     """Psi^dag spin Psi in position space (the would-be local density)."""
-    psi_pos = to_position(state.psi)
-    F_u = np.sqrt(2.0) * psi_pos.values[..., :3]
-    F_l = np.sqrt(2.0) * psi_pos.values[..., 3:]
+    F_u = _position_block(state, "upper")
+    F_l = _position_block(state, "lower")
     return 0.5 * (_cross_density(F_u) + _cross_density(F_l)).real
 
 
+@_per_state
 def oam_momentum(state: PhotonState, block: str = "upper", c: float = 1.0) -> np.ndarray:
     """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar."""
     g = state.grid
@@ -179,24 +213,32 @@ def oam_boundary_ratio(state: PhotonState, block: str = "upper", c: float = 1.0)
     return kgrid.boundary_amplitude_ratio(momentum_field(f, state.grid, 0.0))
 
 
+@_per_state
 def oam_position(state: PhotonState, block: str = "upper") -> np.ndarray:
-    """<L> = -i integral F^dag (x x grad) F d3x with an exact spectral gradient."""
+    """<L> = -i integral F^dag (x x grad) F d3x with an exact spectral gradient.
+
+    The gradient component d_a F is the position transform of i k_a f, taken
+    straight from the momentum block.
+    """
     g = state.grid
     f = state.f_upper() if block == "upper" else state.f_lower()
-    F = to_position(momentum_field(f, g, state.time))
-    grads = kgrid.spectral_gradient(F)
+    F = _position_block(state, block)
+    grads = [
+        to_position(momentum_field(1j * g.kvec[..., a, None] * f, g, state.time)).values
+        for a in range(3)
+    ]
     acc = np.zeros(3, dtype=np.complex128)
     for comp in range(3):
-        gradvec = np.stack([grads[a].values[..., comp] for a in range(3)], axis=-1)
+        gradvec = np.stack([grads[a][..., comp] for a in range(3)], axis=-1)
         xg = np.cross(g.xvec, gradvec)
-        acc += np.sum(np.conj(F.values[..., comp, None]) * xg, axis=(0, 1, 2))
+        acc += np.sum(np.conj(F[..., comp, None]) * xg, axis=(0, 1, 2))
     total = -1j * acc * g.dx**3
     return total.real
 
 
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""
-    psi_pos = to_position(state.psi)
+    psi_pos = state.psi_position
     dens_u = np.sum(np.abs(psi_pos.values[..., :3]) ** 2, axis=-1)
     dens_l = np.sum(np.abs(psi_pos.values[..., 3:]) ** 2, axis=-1)
     m = psi_pos.measure
@@ -240,9 +282,6 @@ class ObservableReport:
     def imag_flagged(self) -> bool:
         """Hermitian expectation values should be real to round-off."""
         return self.max_imag_residue > IMAG_RESIDUE_LIMIT
-
-    def spin_value(self, name: str) -> np.ndarray:
-        return self.spin[name]
 
 
 def observable_report(state: PhotonState, c: float = 1.0) -> ObservableReport:
@@ -317,11 +356,9 @@ class DensityCandidates:
 
 
 def density_candidates(state: PhotonState) -> DensityCandidates:
-    g = state.grid
-    psi_pos = to_position(state.psi)
-    F_u = np.sqrt(2.0) * psi_pos.values[..., :3]
-    F_l = np.sqrt(2.0) * psi_pos.values[..., 3:]
-    m = psi_pos.measure
+    F_u = _position_block(state, "upper")
+    F_l = _position_block(state, "lower")
+    m = state.psi_position.measure
 
     cross_u = _cross_density(F_u)
     cross_l = _cross_density(F_l)

@@ -10,6 +10,7 @@ the transversality constraint hold by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,18 @@ class PhotonState:
     def time(self) -> float:
         return self.psi.time
 
+    @cached_property
+    def psi_position(self) -> Field:
+        """Position transform of the six-component psi, computed on first use.
+
+        It is kept (read-only) for as long as the state lives, so every
+        position-space observable of one state shares a single transform; the
+        sqrt(2)-scaled slices [..., :3] and [..., 3:] are the block transforms.
+        """
+        pos = kgrid.to_position(self.psi)
+        pos.values.flags.writeable = False
+        return pos
+
     def f_upper(self) -> np.ndarray:
         """Upper 3-block amplitude (the sqrt(2) block split is undone)."""
         return np.sqrt(2.0) * self.psi.values[..., :3]
@@ -99,8 +112,8 @@ class PhotonState:
         return np.sqrt(2.0) * self.psi.values[..., 3:]
 
 
-def _occupied_mask(f_u: np.ndarray, f_l: np.ndarray) -> np.ndarray:
-    amp = np.linalg.norm(f_u, axis=-1) + np.linalg.norm(f_l, axis=-1)
+def _occupied_mask(amp: np.ndarray) -> np.ndarray:
+    """Bins whose summed block amplitude is above round-off of the peak."""
     peak = amp.max()
     if peak == 0.0:
         return np.zeros(amp.shape, dtype=bool)
@@ -110,14 +123,13 @@ def _occupied_mask(f_u: np.ndarray, f_l: np.ndarray) -> np.ndarray:
 def transversality_residual(psi: Field) -> float:
     """max over occupied bins of |k.f| / (|k| |f|), both blocks."""
     g = psi.grid
-    f_u = psi.values[..., :3]
-    f_l = psi.values[..., 3:]
-    mask = _occupied_mask(f_u, f_l) & (g.kmag > 0.0)
+    blocks = (psi.values[..., :3], psi.values[..., 3:])
+    amps = [np.linalg.norm(f, axis=-1) for f in blocks]
+    mask = _occupied_mask(amps[0] + amps[1]) & (g.kmag > 0.0)
     if not mask.any():
         return 0.0
     worst = 0.0
-    for f in (f_u, f_l):
-        amp = np.linalg.norm(f, axis=-1)
+    for f, amp in zip(blocks, amps):
         sub = mask & (amp > 0.0)
         if not sub.any():
             continue
@@ -131,10 +143,10 @@ def branch_residual(state: PhotonState) -> float:
     g = state.grid
     f_u = state.f_upper()
     f_l = state.f_lower()
-    mask = _occupied_mask(f_u, f_l) & (g.kmag > 0.0)
+    scale = np.linalg.norm(f_u, axis=-1) + np.linalg.norm(f_l, axis=-1)
+    mask = _occupied_mask(scale) & (g.kmag > 0.0)
     if not mask.any():
         return 0.0
-    scale = np.linalg.norm(f_u, axis=-1) + np.linalg.norm(f_l, axis=-1)
     r1 = np.linalg.norm(np.cross(g.khat, f_u) - f_l, axis=-1)
     r2 = np.linalg.norm(np.cross(g.khat, f_l) + f_u, axis=-1)
     return float(((r1 + r2)[mask] / scale[mask]).max())

@@ -107,10 +107,13 @@ def read_state(path) -> tuple[PhotonState, dict]:
     values = np.moveaxis(values, (0, 1, 2), (2, 1, 0)).copy()
     grid = KGrid(n=n, dk=dk)
     psi = kgrid.momentum_field(values, grid, float(header.get("time", 0.0)))
+    # not header.get(key, default): that would compute each default on every read
+    norm = header["norm"] if "norm" in header else kgrid.norm_squared(psi)
+    rqc = header["rqc_residual"] if "rqc_residual" in header else transversality_residual(psi)
     state = PhotonState(
         psi=psi,
-        norm=float(header.get("norm", kgrid.norm_squared(psi))),
-        rqc_residual=float(header.get("rqc_residual", transversality_residual(psi))),
+        norm=float(norm),
+        rqc_residual=float(rqc),
         energy_sign=int(header.get("energy_sign", 1)),
         scale_factor=float(header.get("scale_factor", 1.0)),
     )

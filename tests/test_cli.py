@@ -6,6 +6,8 @@ import pytest
 
 from darwinlab.cli import main
 from darwinlab.stateio import read_state, write_state
+from test_state import longitudinal_state
+from test_stateio import rewrite_header
 
 BASE_CONFIG = {
     "grid": {"n": 16, "dk": 1.0},
@@ -198,6 +200,20 @@ class TestDensities:
         out = tmp_path / "slices"
         assert main(["densities", str(path), "--out", str(out)]) == 0
         assert "zero norm" in capsys.readouterr().err
+
+
+class TestHeaderTrust:
+    def test_transversality_is_computed_from_the_payload(self, built_state, tmp_path, capsys):
+        state, _ = read_state(built_state)
+        path = tmp_path / "longitudinal.dpst"
+        write_state(path, longitudinal_state(state, 0.3))
+        rewrite_header(path, rqc_residual=0)
+        capsys.readouterr()
+        code = main(["check", str(path), "--suites", "constraint"])
+        report = json.loads(capsys.readouterr().out)
+        row = next(c for c in report["suites"][0]["checks"] if c["name"] == "transversality")
+        assert code == 1
+        assert not row["passed"] and row["value"] > 0.1
 
 
 class TestEvolve:

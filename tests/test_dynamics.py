@@ -11,9 +11,16 @@ from darwinlab.dynamics import (
     four_current,
     maxwell_residual,
 )
-from darwinlab.kgrid import momentum_field, norm_squared
+from darwinlab.kgrid import (
+    momentum_field,
+    norm_squared,
+    position_field,
+    spectral_curl,
+    spectral_divergence,
+    to_position,
+)
 from darwinlab.state import PhotonState, transversality_residual
-from test_state import branch_state
+from test_state import branch_state, longitudinal_state
 
 
 class TestEvolve:
@@ -85,6 +92,39 @@ class TestMaxwellResidual:
     def test_residual_at_later_time(self, helicity_state):
         evolved = evolve(helicity_state, 2.0)
         assert evolved.maxwell_residual.curl_residual < 1e-6
+
+    def test_matches_position_space_route(self, two_direction_state):
+        """Reference: transform each block at t and t +- dt, then take the
+        curl and divergence by kgrid's position -> momentum -> position route."""
+        st = two_direction_state
+        g = st.grid
+        dt = default_maxwell_dt(g)
+
+        def blocks(t):
+            phase = np.exp(-1j * g.kmag * t)[..., None]
+            pos = np.sqrt(2.0) * to_position(momentum_field(st.psi.values * phase, g)).values
+            return pos[..., :3], pos[..., 3:]
+
+        (u_minus, l_minus), (u_plus, l_plus), (u, l) = blocks(-dt), blocks(dt), blocks(0.0)
+        curl_u = spectral_curl(position_field(u, g)).values
+        curl_l = spectral_curl(position_field(l, g)).values
+        scale = max(np.abs(curl_u).max(), np.abs(curl_l).max())
+        curl_res = max(
+            np.abs((u_plus - u_minus) / (2 * dt) - curl_l).max(),
+            np.abs((l_plus - l_minus) / (2 * dt) + curl_u).max(),
+        ) / scale
+        div_res = max(
+            np.abs(spectral_divergence(position_field(f, g)).values).max() for f in (u, l)
+        ) / scale
+
+        report = maxwell_residual(st)
+        # round-off only; the 1/dt stencil amplifies it: 1% of each tolerance
+        assert abs(report.curl_residual - curl_res) < 1e-8
+        assert abs(report.divergence_residual - div_res) < 1e-14
+
+    def test_divergence_detects_longitudinal_part(self, two_direction_state):
+        assert maxwell_residual(two_direction_state).divergence_residual < 1e-12
+        assert maxwell_residual(longitudinal_state(two_direction_state)).divergence_residual > 1e-12
 
 
 class TestFourCurrent:

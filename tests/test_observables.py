@@ -2,7 +2,7 @@ import numpy as np
 
 from darwinlab import ModeSpec, synthesize
 from darwinlab.algebra import build_gamma_set
-from darwinlab.kgrid import momentum_field, norm_squared
+from darwinlab.kgrid import momentum_field, norm_squared, spectral_gradient, to_position
 from darwinlab.observables import (
     canonical_spin_density,
     density_candidates,
@@ -165,6 +165,28 @@ class TestOam:
         st = self.ring(g32, 2)
         gap = abs(oam_momentum(st)[2] - oam_position(st)[2])
         assert gap < 0.12
+
+    def test_position_route_matches_position_space_gradient(self, g32):
+        """Reference: transform each block, then differentiate it by kgrid's
+        position -> momentum -> position spectral gradient."""
+        st = self.ring(g32, 2)
+        for block, f in (("upper", st.f_upper()), ("lower", st.f_lower())):
+            F = to_position(momentum_field(f, g32))
+            grad = np.stack([d.values for d in spectral_gradient(F)], axis=-1)
+            xg = np.cross(g32.xvec[..., None, :], grad)  # (x, y, z, component, axis)
+            ref = (-1j * np.sum(np.conj(F.values)[..., None] * xg, axis=(0, 1, 2, 3))
+                   * g32.dx**3).real
+            assert np.abs(oam_position(st, block) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_repeated_evaluation_is_shared_and_read_only(self, g32):
+        st = self.ring(g32, 1)
+        assert st.psi_position is st.psi_position
+        assert oam_position(st) is oam_position(st, "upper")
+        assert oam_momentum(st) is oam_momentum(st, c=1.0)
+        assert oam_momentum(st, c=2.0) is not oam_momentum(st)
+        assert nonlocal_spin_density(st) is nonlocal_spin_density(st)
+        for shared in (st.psi_position.values, oam_position(st), nonlocal_spin_density(st)[0]):
+            assert not shared.flags.writeable
 
 
 class TestProbability:

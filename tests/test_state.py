@@ -36,6 +36,16 @@ def branch_state(grid, sign, k0=(0, 0, 8), sigma=1.2):
     return manual_state(grid, f_u, f_l, energy_sign=sign)
 
 
+def longitudinal_state(state, fraction=0.3):
+    """Copy of state whose upper block gains a longitudinal part, per bin
+    ``fraction`` of the block's amplitude along the momentum direction."""
+    g = state.grid
+    values = state.psi.values.copy()
+    values[..., :3] += fraction * np.linalg.norm(values[..., :3], axis=-1)[..., None] * g.khat
+    psi = momentum_field(values, g, state.time)
+    return PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=transversality_residual(psi))
+
+
 class TestModeSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from darwinlab import ModeSpec, synthesize
+from darwinlab import ModeSpec, kgrid, stateio, synthesize
+from darwinlab.state import transversality_residual
 from darwinlab.stateio import MAGIC, StateFileError, read_state, write_state
 
 
@@ -78,3 +82,36 @@ class TestLayout:
         linear = (iz * n + iy) * n + ix
         assert np.abs(flat[linear]).max() > 0.0
         assert np.count_nonzero(np.abs(flat).sum(axis=1)) == 1
+
+
+def rewrite_header(path, **changes):
+    """Set (or, with value None, drop) header keys of a state file in place.
+
+    The CRC covers only the payload, so the file stays valid."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    header = json.loads(raw[start : start + hlen])
+    for key, value in changes.items():
+        if value is None:
+            header.pop(key)
+        else:
+            header[key] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + hlen :])
+
+
+class TestHeaderValues:
+    def test_present_values_are_not_recomputed(self, state_file, monkeypatch):
+        def recomputed(*args):
+            raise AssertionError("read_state recomputed a value the header carries")
+
+        monkeypatch.setattr(stateio, "transversality_residual", recomputed)
+        monkeypatch.setattr(kgrid, "norm_squared", recomputed)
+        read_state(state_file)
+
+    def test_missing_values_are_computed(self, state_file, helicity_state):
+        rewrite_header(state_file, norm=None, rqc_residual=None)
+        state, _ = read_state(state_file)
+        assert state.norm == kgrid.norm_squared(helicity_state.psi)
+        assert state.rqc_residual == transversality_residual(helicity_state.psi)

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from darwinlab import suites
+from darwinlab import KGrid, ModeSpec, dynamics, observables, suites, synthesize
+from darwinlab.state import transversality_residual
 
 
 class TestSuiteMachinery:
@@ -35,3 +37,93 @@ class TestSuiteMachinery:
         rep = suites.suite_densities(two_direction_state)
         gaps = [c for c in rep.checks if c.tolerance is None]
         assert gaps and all(c.passed for c in gaps)
+
+
+def _two_mode_state():
+    """A freshly built n=32 two-mode state; nothing has been evaluated on it yet."""
+    return synthesize(
+        [
+            ModeSpec(kind="gaussian", k0=(0, 0, 8), sigma_k=1.5, helicity=1),
+            ModeSpec(kind="vortex", k0=(0, 0, 7), sigma_k=1.5, polarization=(1, 0, 0),
+                     vortex_charge=1, ring_radius=7.0, amplitude=0.5),
+        ],
+        KGrid(32, 1.0),
+    )
+
+
+class TestPerStateEvaluation:
+    def test_full_check_fft_budget(self, monkeypatch):
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
+        assert all(r.passed for r in reports)
+        assert len(calls) <= 25
+
+    def test_shared_values_equal_standalone_functions(self):
+        reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
+        rows = {(r.suite, c.name): c for r in reports for c in r.checks}
+
+        # each standalone call gets its own state, so no value is shared
+        fresh = _two_mode_state
+        spins = [
+            observables.spin_canonical(fresh()),
+            observables.spin_projected(fresh()),
+            observables.spin_cross(fresh(), "upper"),
+            observables.spin_cross(fresh(), "lower"),
+            observables.spin_position(fresh(), "upper"),
+            observables.spin_position(fresh(), "lower"),
+            observables.nonlocal_spin_density(fresh())[1]["integral"],
+        ]
+        l_mom = observables.oam_momentum(fresh())
+        l_pos = observables.oam_position(fresh())
+        probs = observables.probability(fresh())
+        dc = observables.density_candidates(fresh())
+        mr = dynamics.maxwell_residual(fresh())
+        cons = dynamics.continuity_and_conservation(fresh(), (0.0, 1.0, 10.0))
+        expected = {
+            ("constraint", "transversality"): transversality_residual(fresh().psi),
+            ("spin-equalities", "spin_equalities"):
+                max(float(np.abs(a - b).max()) for a in spins for b in spins),
+            ("oam", "oam_formula_gap"):
+                float(np.abs(l_mom - l_pos).max()) / max(1.0, float(np.abs(l_mom).max())),
+            ("oam", "oam_boundary_ratio"): observables.oam_boundary_ratio(fresh()),
+            ("probability", "probability_equality"):
+                max(abs(a - b) for a in probs for b in probs),
+            ("densities", "density_integral_spread"):
+                max(dc.max_spin_integral_spread, dc.max_prob_integral_spread),
+            ("densities", "kernel_density_integral"):
+                observables.nonlocal_spin_density(fresh())[1]["integral_vs_projected"],
+            ("densities", "spin_density_gap_upper"): dc.spin_gap_upper,
+            ("densities", "spin_density_gap_lower"): dc.spin_gap_lower,
+            ("densities", "spin_density_gap_kernel"): dc.spin_gap_kernel,
+            ("densities", "prob_density_gap_upper"): dc.prob_gap_upper,
+            ("densities", "prob_density_gap_lower"): dc.prob_gap_lower,
+            ("maxwell", "dirac_residual"): dynamics.dirac_residual(fresh()),
+            ("maxwell", "maxwell_residual"): mr.curl_residual,
+            ("maxwell", "maxwell_divergence"): mr.divergence_residual,
+            ("conservation", "probability_drift"): cons.probability_drift,
+            ("conservation", "norm_drift"): cons.norm_drift,
+            ("conservation", "spin_drift"): cons.spin_drift,
+            ("conservation", "oam_drift"): cons.oam_drift,
+            ("conservation", "total_angular_momentum_drift"): cons.total_drift,
+        }
+        for key, value in expected.items():
+            row = rows[key]
+            if row.tolerance is not None and abs(value) <= 1e-6:
+                # a checked round-off level value: 1% of its tolerance
+                assert abs(row.value - value) < 0.01 * row.tolerance, key
+            else:
+                assert row.value == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+        # a suite run alone on a fresh state computes the same numbers
+        for name in suites.SUITE_NAMES:
+            (alone,) = suites.run_suites([name], fresh())
+            for c in alone.checks:
+                assert rows[(name, c.name)].value == c.value, (name, c.name)
