@@ -18,7 +18,7 @@ import numpy as np
 from . import kgrid, observables
 from .kgrid import Field, to_position
 from .kgrid import spectral_curl  # noqa: F401  (re-export; perfbench/tests inspects it)
-from .state import PhotonState, transversality_residual
+from .state import PhotonState
 from .units import NATURAL, Units
 
 DEFAULT_DT_FRACTION = 1e-3
@@ -29,23 +29,13 @@ def default_maxwell_dt(grid: kgrid.KGrid, units: Units = NATURAL) -> float:
     return DEFAULT_DT_FRACTION / (units.c * grid.k_max)
 
 
-def _phased_psi(psi: Field, t: float, units: Units) -> Field:
-    g = psi.grid
-    phase = np.exp(-1j * units.c * g.kmag * t)
-    return Field(psi.values * phase[..., None], kgrid.MOMENTUM, g, psi.time + t)
-
-
 def _phase_evolved(state: PhotonState, t: float, units: Units) -> PhotonState:
     if t == 0.0:
         return state
-    psi = _phased_psi(state.psi, t, units)
-    return PhotonState(
-        psi=psi,
-        norm=kgrid.norm_squared(psi),
-        rqc_residual=transversality_residual(psi),
-        energy_sign=state.energy_sign,
-        scale_factor=state.scale_factor,
-    )
+    g = state.grid
+    phase = np.exp(-1j * units.c * g.kmag * t)
+    psi = Field(state.psi.values * phase[..., None], kgrid.MOMENTUM, g, state.time + t)
+    return PhotonState(psi, scale_factor=state.scale_factor)
 
 
 def dirac_residual(state: PhotonState, units: Units = NATURAL) -> float:
@@ -159,13 +149,16 @@ def maxwell_residual(state: PhotonState, dt: float | None = None, units: Units =
     g = state.grid
     if dt is None:
         dt = default_maxwell_dt(g, units)
+    elif dt == 0.0:
+        # _phase_evolved(state, 0) is the state itself, which the stencil must not overwrite
+        raise ValueError("maxwell_residual needs a nonzero dt")
     f_u = state.psi.values[..., :3]
     f_l = state.psi.values[..., 3:]
     block_scale = np.sqrt(2.0)
 
     # both blocks at once: (dF_u/dt, dF_l/dt), compared with c (curl F_l, -curl F_u)
-    stencil = _phased_psi(state.psi, +dt, units).values
-    stencil -= _phased_psi(state.psi, -dt, units).values
+    stencil = _phase_evolved(state, +dt, units).psi.values
+    stencil -= _phase_evolved(state, -dt, units).psi.values
     stencil *= block_scale / (2.0 * dt)
     d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time)).values
     del stencil

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kgrid
 from .kgrid import Field, KGrid, momentum_field, position_field, reverse_bins, to_momentum, to_position
-from .state import PhotonState, transversality_residual
+from .state import PhotonState
 from .units import NATURAL, Units
 
 HERMITIAN_TOLERANCE = 1e-8
@@ -187,13 +186,7 @@ def state_from_classical(
     # relative residual at faintly occupied bins
     for f in (f_u, f_l):
         f -= np.sum(g.khat * f, axis=-1)[..., None] * g.khat
-    psi = momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), g, cf.time)
-    return PhotonState(
-        psi=psi,
-        norm=kgrid.norm_squared(psi),
-        rqc_residual=transversality_residual(psi),
-        energy_sign=1,
-    )
+    return PhotonState(momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), g, cf.time))
 
 
 def landau_peierls_transform(pair: ComplexFieldPair, units: Units = NATURAL) -> tuple[Field, Field]:

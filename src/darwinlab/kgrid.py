@@ -43,8 +43,8 @@ class KGrid:
     def __post_init__(self) -> None:
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
-        if not (self.dk > 0.0):
-            raise ValueError(f"grid spacing must be positive, got {self.dk}")
+        if not (0.0 < self.dk < np.inf):
+            raise ValueError(f"grid spacing must be positive and finite, got {self.dk}")
 
     @property
     def box_length(self) -> float:

@@ -72,12 +72,16 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class PhotonState:
-    """Normalized (or deliberately unnormalized) positive-energy photon state."""
+    """Normalized (or deliberately unnormalized) positive-energy photon state.
+
+    A state holds only what the amplitudes cannot give back: ``psi`` and the
+    ``scale_factor`` that normalization divided out.  ``norm``,
+    ``rqc_residual`` and ``psi_position`` are derived from ``psi`` on first
+    use and cached for as long as the state lives, so building a state
+    computes nothing and no stored copy can disagree with the payload.
+    """
 
     psi: Field
-    norm: float
-    rqc_residual: float
-    energy_sign: int = 1
     scale_factor: float = 1.0
 
     def __post_init__(self) -> None:
@@ -91,6 +95,16 @@ class PhotonState:
     @property
     def time(self) -> float:
         return self.psi.time
+
+    @cached_property
+    def norm(self) -> float:
+        """Total probability of the payload, sum |psi|^2 dk^3."""
+        return kgrid.norm_squared(self.psi)
+
+    @cached_property
+    def rqc_residual(self) -> float:
+        """Transversality residual of the payload; see transversality_residual."""
+        return transversality_residual(self.psi)
 
     @cached_property
     def psi_position(self) -> Field:
@@ -234,18 +248,12 @@ def synthesize(specs, grid: KGrid, time: float = 0.0) -> PhotonState:
     f_l = np.cross(grid.khat, f_u)
 
     psi = momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), grid, time)
-    raw_norm = kgrid.norm_squared(psi)
-    if raw_norm <= 0.0:
+    state = PhotonState(psi)
+    if state.norm <= 0.0:
         raise ValueError(
             "synthesized state is identically zero: mode spectrum falls outside "
             "the grid band or the polarization is purely longitudinal"
         )
-    state = PhotonState(
-        psi=psi,
-        norm=raw_norm,
-        rqc_residual=transversality_residual(psi),
-        energy_sign=1,
-    )
     return normalize(state)
 
 
@@ -268,14 +276,7 @@ def project_transverse(state: PhotonState) -> PhotonState:
         projected = block - np.sum(g.khat * block, axis=-1)[..., None] * g.khat
         v[..., sl] = _snap_debris(projected, block)
     v[g.dc_index] = 0.0
-    psi = Field(v, kgrid.MOMENTUM, g, state.time)
-    return PhotonState(
-        psi=psi,
-        norm=kgrid.norm_squared(psi),
-        rqc_residual=transversality_residual(psi),
-        energy_sign=state.energy_sign,
-        scale_factor=state.scale_factor,
-    )
+    return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)
 
 
 def project_positive_energy(state: PhotonState) -> PhotonState:
@@ -297,27 +298,13 @@ def project_positive_energy(state: PhotonState) -> PhotonState:
     new_l = 0.5 * (transverse(f_l) + np.cross(w, f_u))
     v = _snap_debris(np.concatenate([new_u, new_l], axis=-1), state.psi.values)
     v[g.dc_index] = 0.0
-    psi = Field(v, kgrid.MOMENTUM, g, state.time)
-    return PhotonState(
-        psi=psi,
-        norm=kgrid.norm_squared(psi),
-        rqc_residual=transversality_residual(psi),
-        energy_sign=1,
-        scale_factor=state.scale_factor,
-    )
+    return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)
 
 
 def normalize(state: PhotonState) -> PhotonState:
     """Rescale to unit total probability; the removed scale is recorded."""
-    raw = kgrid.norm_squared(state.psi)
-    if raw <= 0.0:
+    if state.norm <= 0.0:
         raise ValueError("cannot normalize a zero-norm state")
-    scale = np.sqrt(raw)
+    scale = np.sqrt(state.norm)
     psi = Field(state.psi.values / scale, kgrid.MOMENTUM, state.grid, state.time)
-    return PhotonState(
-        psi=psi,
-        norm=kgrid.norm_squared(psi),
-        rqc_residual=state.rqc_residual,
-        energy_sign=state.energy_sign,
-        scale_factor=state.scale_factor * scale,
-    )
+    return PhotonState(psi, scale_factor=state.scale_factor * scale)

@@ -3,9 +3,13 @@
 Layout: 5-byte magic ``DPST1``, little-endian uint32 header length, UTF-8
 JSON header, then the payload: one little-endian complex128 (interleaved
 re, im float64) per component, six components per bin, bins ordered with the
-x index fastest.  The header carries the grid, norm, constraint residual,
-time stamp, unit record and a CRC32 of the payload, so corruption is detected
-before any physics runs.  Writes go through a temp file and rename.
+x index fastest.  The header carries only what the payload cannot give back:
+the grid, time stamp, scale factor, unit record, a CRC32 of the payload (so
+corruption is detected before any physics runs) and free metadata.  Physics
+values such as the norm or the constraint residual are derived from the
+payload when needed; older files that still carry them in the header load
+unchanged and those keys are ignored.  Writes go through a temp file and
+rename.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import kgrid
 from .kgrid import KGrid
-from .state import PhotonState, transversality_residual
+from .state import PhotonState
 from .units import NATURAL, Units
 
 MAGIC = b"DPST1"
@@ -37,22 +41,14 @@ def _payload_bytes(state: PhotonState) -> bytes:
     return np.ascontiguousarray(arr).astype("<c16").tobytes()
 
 
-def write_state(
-    path,
-    state: PhotonState,
-    units: Units = NATURAL,
-    metadata: dict | None = None,
-) -> None:
+def write_state(path, state: PhotonState, metadata: dict | None = None) -> None:
     payload = _payload_bytes(state)
     header = {
         "format": FORMAT_VERSION,
         "grid": {"n": state.grid.n, "dk": state.grid.dk},
-        "norm": state.norm,
-        "rqc_residual": state.rqc_residual,
-        "energy_sign": state.energy_sign,
         "time": state.time,
         "scale_factor": state.scale_factor,
-        "units": units.to_dict(),
+        "units": NATURAL.to_dict(),
         "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
         "metadata": metadata or {},
     }
@@ -73,7 +69,11 @@ def write_state(
 
 
 def read_state(path) -> tuple[PhotonState, dict]:
-    """Read a state file; returns the state and its full header."""
+    """Read a state file; returns the state and its full header.
+
+    Raises StateFileError for every malformed, truncated or corrupted file,
+    for invalid header values and for a unit record other than natural units.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
@@ -86,35 +86,27 @@ def read_state(path) -> tuple[PhotonState, dict]:
         header = json.loads(raw[hstart : hstart + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StateFileError(f"{path}: unreadable header ({exc})") from exc
-
-    try:
-        n = int(header["grid"]["n"])
-        dk = float(header["grid"]["dk"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFileError(f"{path}: header missing grid description") from exc
+    if not isinstance(header, dict):
+        raise StateFileError(f"{path}: header is not a JSON object")
 
     payload = raw[hstart + hlen :]
-    expect = n**3 * 6 * 16
-    if len(payload) != expect:
-        raise StateFileError(
-            f"{path}: payload length {len(payload)} != expected {expect} for n={n}"
-        )
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    if crc != int(header.get("payload_crc32", -1)):
-        raise StateFileError(f"{path}: payload checksum mismatch")
-
-    values = np.frombuffer(payload, dtype="<c16").reshape(n, n, n, 6)
-    values = np.moveaxis(values, (0, 1, 2), (2, 1, 0)).copy()
-    grid = KGrid(n=n, dk=dk)
-    psi = kgrid.momentum_field(values, grid, float(header.get("time", 0.0)))
-    # not header.get(key, default): that would compute each default on every read
-    norm = header["norm"] if "norm" in header else kgrid.norm_squared(psi)
-    rqc = header["rqc_residual"] if "rqc_residual" in header else transversality_residual(psi)
-    state = PhotonState(
-        psi=psi,
-        norm=float(norm),
-        rqc_residual=float(rqc),
-        energy_sign=int(header.get("energy_sign", 1)),
-        scale_factor=float(header.get("scale_factor", 1.0)),
-    )
+    try:
+        grid = KGrid(n=int(header["grid"]["n"]), dk=float(header["grid"]["dk"]))
+        expect = grid.n**3 * 6 * 16
+        if len(payload) != expect:
+            raise StateFileError(
+                f"{path}: payload length {len(payload)} != expected {expect} for n={grid.n}"
+            )
+        if zlib.crc32(payload) & 0xFFFFFFFF != int(header["payload_crc32"]):
+            raise StateFileError(f"{path}: payload checksum mismatch")
+        if Units.from_dict(header["units"]) != NATURAL:
+            raise StateFileError(f"{path}: units {header['units']} are not natural units")
+        values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape + (6,))
+        values = np.moveaxis(values, (0, 1, 2), (2, 1, 0)).copy()
+        psi = kgrid.momentum_field(values, grid, float(header.get("time", 0.0)))
+        state = PhotonState(psi, scale_factor=float(header.get("scale_factor", 1.0)))
+    except KeyError as exc:
+        raise StateFileError(f"{path}: header lacks {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateFileError(f"{path}: invalid header or payload ({exc})") from exc
     return state, header

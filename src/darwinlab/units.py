@@ -28,12 +28,8 @@ class Units:
 
     @staticmethod
     def from_dict(d: dict) -> "Units":
-        return Units(
-            hbar=float(d.get("hbar", 1.0)),
-            c=float(d.get("c", 1.0)),
-            eps0=float(d.get("eps0", 1.0)),
-            label=str(d.get("label", "natural")),
-        )
+        return Units(hbar=float(d["hbar"]), c=float(d["c"]), eps0=float(d["eps0"]),
+                     label=str(d["label"]))
 
 
 NATURAL = Units()

@@ -6,8 +6,9 @@ import pytest
 
 from darwinlab.cli import main
 from darwinlab.stateio import read_state, write_state
+from darwinlab.units import NATURAL, SI
 from test_state import longitudinal_state
-from test_stateio import rewrite_header
+from test_stateio import OLD_HEADER_CLAIMS, rewrite_header, rewrite_payload
 
 BASE_CONFIG = {
     "grid": {"n": 16, "dk": 1.0},
@@ -190,11 +191,7 @@ class TestDensities:
         from darwinlab.kgrid import momentum_field
         from darwinlab.state import PhotonState
 
-        zero = PhotonState(
-            psi=momentum_field(np.zeros(g16.shape + (6,), dtype=complex), g16),
-            norm=0.0,
-            rqc_residual=0.0,
-        )
+        zero = PhotonState(momentum_field(np.zeros(g16.shape + (6,), dtype=complex), g16))
         path = tmp_path / "zero.dpst"
         write_state(path, zero)
         out = tmp_path / "slices"
@@ -214,6 +211,45 @@ class TestHeaderTrust:
         row = next(c for c in report["suites"][0]["checks"] if c["name"] == "transversality")
         assert code == 1
         assert not row["passed"] and row["value"] > 0.1
+
+    def test_claimed_norm_does_not_reach_evolve(self, built_state, tmp_path, capsys):
+        rewrite_header(built_state, **OLD_HEADER_CLAIMS)
+        capsys.readouterr()
+        assert main(["evolve", str(built_state), "2.5", "--out", str(tmp_path / "t.dpst")]) == 0
+        drift = float(capsys.readouterr().out.split("norm_drift=")[1].split()[0])
+        assert drift < 1e-13
+
+
+def _nan_payload(path):
+    values = read_state(path)[0].psi.values.copy()
+    values[1, 2, 3, 4] = complex("nan")
+    rewrite_payload(path, values.astype("<c16").tobytes())
+
+
+INVALID_FILES = {
+    "grid_n_4": lambda p: (rewrite_header(p, grid={"n": 4, "dk": 1.0}),
+                           rewrite_payload(p, bytes(4**3 * 6 * 16))),
+    "negative_dk": lambda p: rewrite_header(p, grid={"n": 16, "dk": -1}),
+    "infinite_dk": lambda p: rewrite_header(p, grid={"n": 16, "dk": float("inf")}),
+    "nan_in_payload": _nan_payload,
+    "time_not_a_number": lambda p: rewrite_header(p, time="abc"),
+    "crc_not_a_number": lambda p: rewrite_header(p, payload_crc32="x"),
+    "scale_factor_not_a_number": lambda p: rewrite_header(p, scale_factor="big"),
+    "si_units": lambda p: rewrite_header(p, units=SI.to_dict()),
+    "units_without_values": lambda p: rewrite_header(p, units={"label": "natural"}),
+    "units_wrong_type": lambda p: rewrite_header(p, units=dict(NATURAL.to_dict(), c="fast")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_FILES))
+def test_invalid_file_exits_3(built_state, capsys, case):
+    INVALID_FILES[case](built_state)
+    capsys.readouterr()
+    assert main(["check", str(built_state), "--suites", "constraint"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 class TestEvolve:

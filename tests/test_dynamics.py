@@ -13,13 +13,12 @@ from darwinlab.dynamics import (
 )
 from darwinlab.kgrid import (
     momentum_field,
-    norm_squared,
     position_field,
     spectral_curl,
     spectral_divergence,
     to_position,
 )
-from darwinlab.state import PhotonState, transversality_residual
+from darwinlab.state import PhotonState
 from test_state import branch_state, longitudinal_state
 
 
@@ -70,8 +69,7 @@ class TestDiracResidual:
         vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
         vals[0, 0, 0] = 0.0
         psi = momentum_field(vals, g16)
-        st = PhotonState(psi=psi, norm=norm_squared(psi),
-                         rqc_residual=transversality_residual(psi))
+        st = PhotonState(psi)
         assert dirac_residual(st) > 0.1
 
 
@@ -88,6 +86,12 @@ class TestMaxwellResidual:
         fine = maxwell_residual(two_direction_state, dt=dt / 2)
         factor = coarse.curl_residual / fine.curl_residual
         assert 3.5 < factor < 4.5
+
+    def test_zero_dt_rejected_and_state_untouched(self, helicity_state):
+        before = helicity_state.psi.values.copy()
+        with pytest.raises(ValueError):
+            maxwell_residual(helicity_state, dt=0.0)
+        assert np.array_equal(helicity_state.psi.values, before)
 
     def test_residual_at_later_time(self, helicity_state):
         evolved = evolve(helicity_state, 2.0)

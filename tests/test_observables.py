@@ -16,7 +16,7 @@ from darwinlab.observables import (
     spin_position,
     spin_projected,
 )
-from darwinlab.state import PhotonState, transversality_residual
+from darwinlab.state import PhotonState
 
 GAMMA = build_gamma_set()
 
@@ -72,7 +72,7 @@ class TestSpinFormulas:
         vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
         vals[0, 0, 0] = 0.0
         psi = momentum_field(vals / np.sqrt(norm_squared(momentum_field(vals, g16))), g16)
-        st = PhotonState(psi=psi, norm=1.0, rqc_residual=transversality_residual(psi))
+        st = PhotonState(psi)
         gap = np.abs(spin_projected(st) - spin_canonical(st)).max()
         assert gap > 1e-3
 
@@ -97,7 +97,7 @@ class TestSpinFormulas:
         vals = np.zeros(g16.shape + (6,), dtype=complex)
         vals[2, 3, 4, 1] = 0.7  # single real entry
         psi = momentum_field(vals, g16)
-        st = PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=0.0)
+        st = PhotonState(psi)
         assert np.abs(spin_cross(st, "upper")).max() == 0.0
 
     def test_position_space_formulas(self, two_direction_state):
@@ -202,7 +202,7 @@ class TestProbability:
 
     def test_quadratic_scaling(self, helicity_state):
         psi = momentum_field(2.0 * helicity_state.psi.values, helicity_state.grid)
-        st = PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=0.0)
+        st = PhotonState(psi)
         p = probability(st)
         assert np.abs(np.array(p) - 4.0).max() < 1e-9
 

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from darwinlab import ModeSpec, synthesize
+from darwinlab import ModeSpec, kgrid, synthesize
+from darwinlab import state as state_module
 from darwinlab.algebra import helicity_vectors
 from darwinlab.kgrid import momentum_field, norm_squared, to_position
 from darwinlab.state import (
@@ -14,14 +17,9 @@ from darwinlab.state import (
 )
 
 
-def manual_state(grid, f_upper, f_lower, energy_sign=1):
+def manual_state(grid, f_upper, f_lower):
     psi = momentum_field(np.concatenate([f_upper, f_lower], axis=-1) / np.sqrt(2.0), grid)
-    return PhotonState(
-        psi=psi,
-        norm=norm_squared(psi),
-        rqc_residual=transversality_residual(psi),
-        energy_sign=energy_sign,
-    )
+    return PhotonState(psi)
 
 
 def branch_state(grid, sign, k0=(0, 0, 8), sigma=1.2):
@@ -33,7 +31,7 @@ def branch_state(grid, sign, k0=(0, 0, 8), sigma=1.2):
     f_u -= np.sum(grid.khat * f_u, axis=-1)[..., None] * grid.khat
     f_u[grid.dc_index] = 0.0
     f_l = sign * np.cross(grid.khat, f_u)
-    return manual_state(grid, f_u, f_l, energy_sign=sign)
+    return manual_state(grid, f_u, f_l)
 
 
 def longitudinal_state(state, fraction=0.3):
@@ -43,7 +41,40 @@ def longitudinal_state(state, fraction=0.3):
     values = state.psi.values.copy()
     values[..., :3] += fraction * np.linalg.norm(values[..., :3], axis=-1)[..., None] * g.khat
     psi = momentum_field(values, g, state.time)
-    return PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=transversality_residual(psi))
+    return PhotonState(psi)
+
+
+class TestDerivedValues:
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Call counts of the two derivations a state may make."""
+        calls = {"norm_squared": 0, "transversality_residual": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(kgrid, "norm_squared")
+        counting(state_module, "transversality_residual")
+        return calls
+
+    def test_construction_computes_nothing(self, counted, helicity_state):
+        st = PhotonState(helicity_state.psi)
+        assert counted == {"norm_squared": 0, "transversality_residual": 0}
+        assert [f.name for f in dataclasses.fields(st)] == ["psi", "scale_factor"]
+
+    def test_each_value_computed_once(self, counted, helicity_state):
+        st = PhotonState(helicity_state.psi)
+        for _ in range(3):
+            assert st.norm == norm_squared(helicity_state.psi)
+            assert st.rqc_residual == transversality_residual(helicity_state.psi)
+        # the reference values above come from this module's unpatched bindings
+        assert counted == {"norm_squared": 1, "transversality_residual": 1}
 
 
 class TestModeSpec:
@@ -122,7 +153,7 @@ class TestProjectTransverse:
     def test_removes_longitudinal(self, g16, rng):
         vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
         psi = momentum_field(vals, g16)
-        st = PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=transversality_residual(psi))
+        st = PhotonState(psi)
         assert st.rqc_residual > 0.1  # random data is far from transverse
         projected = project_transverse(st)
         assert projected.rqc_residual < 1e-13
@@ -153,14 +184,14 @@ class TestProjectPositiveEnergy:
         neg = branch_state(g32, -1)
         mix_vals = (pos.psi.values + neg.psi.values) / np.sqrt(2.0)
         psi = momentum_field(mix_vals, g32)
-        mix = PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=0.0)
+        mix = PhotonState(psi)
         proj = project_positive_energy(mix)
         assert proj.norm == pytest.approx(mix.norm / 2.0, rel=1e-12)
 
     def test_commutes_with_transverse_projection(self, g16, rng):
         vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
         psi = momentum_field(vals, g16)
-        st = PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=transversality_residual(psi))
+        st = PhotonState(psi)
         a = project_transverse(project_positive_energy(st))
         b = project_positive_energy(project_transverse(st))
         assert np.abs(a.psi.values - b.psi.values).max() < 1e-12 * np.abs(a.psi.values).max()
@@ -168,7 +199,7 @@ class TestProjectPositiveEnergy:
     def test_projected_state_satisfies_coupling(self, g16, rng):
         vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
         psi = momentum_field(vals, g16)
-        st = PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=transversality_residual(psi))
+        st = PhotonState(psi)
         proj = project_positive_energy(st)
         assert branch_residual(proj) < 1e-12
         assert proj.rqc_residual < 1e-12
@@ -178,7 +209,7 @@ class TestNormalize:
     def test_scaling_invariance(self, helicity_state):
         scaled_vals = 3.0 * helicity_state.psi.values
         psi = momentum_field(scaled_vals, helicity_state.grid)
-        st = PhotonState(psi=psi, norm=norm_squared(psi), rqc_residual=helicity_state.rqc_residual)
+        st = PhotonState(psi)
         back = normalize(st)
         assert np.abs(back.psi.values - helicity_state.psi.values).max() < 1e-14
         assert back.scale_factor == pytest.approx(3.0, rel=1e-12)

@@ -1,12 +1,16 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darwinlab import ModeSpec, kgrid, stateio, synthesize
+from darwinlab import ModeSpec, kgrid, synthesize
 from darwinlab.state import transversality_residual
 from darwinlab.stateio import MAGIC, StateFileError, read_state, write_state
+from test_state import longitudinal_state
 
 
 @pytest.fixture()
@@ -84,34 +88,108 @@ class TestLayout:
         assert np.count_nonzero(np.abs(flat).sum(axis=1)) == 1
 
 
+def _split(raw: bytes) -> tuple[dict, bytes]:
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    return json.loads(raw[start : start + hlen]), raw[start + hlen :]
+
+
+def _join(header: dict, payload: bytes) -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
 def rewrite_header(path, **changes):
     """Set (or, with value None, drop) header keys of a state file in place.
 
     The CRC covers only the payload, so the file stays valid."""
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    header = json.loads(raw[start : start + hlen])
+    header, payload = _split(path.read_bytes())
     for key, value in changes.items():
         if value is None:
             header.pop(key)
         else:
             header[key] = value
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + hlen :])
+    path.write_bytes(_join(header, payload))
+
+
+def rewrite_payload(path, payload: bytes):
+    """Replace the payload of a state file and update its checksum to match."""
+    header, _ = _split(path.read_bytes())
+    header["payload_crc32"] = zlib.crc32(payload)
+    path.write_bytes(_join(header, payload))
+
+
+# physics keys that files written before they were derived still carry
+OLD_HEADER_CLAIMS = {"norm": 7, "rqc_residual": 0, "energy_sign": -1}
 
 
 class TestHeaderValues:
-    def test_present_values_are_not_recomputed(self, state_file, monkeypatch):
-        def recomputed(*args):
-            raise AssertionError("read_state recomputed a value the header carries")
+    def test_header_carries_no_physics_values(self, state_file):
+        _, header = read_state(state_file)
+        assert set(header) == {"format", "grid", "time", "scale_factor", "units",
+                               "payload_crc32", "metadata"}
 
-        monkeypatch.setattr(stateio, "transversality_residual", recomputed)
-        monkeypatch.setattr(kgrid, "norm_squared", recomputed)
-        read_state(state_file)
+    def test_claimed_values_are_ignored(self, tmp_path, helicity_state):
+        # a 30% longitudinal payload under a header that claims a perfect state
+        payload_state = longitudinal_state(helicity_state, 0.3)
+        path = tmp_path / "claims.dpst"
+        write_state(path, payload_state)
+        rewrite_header(path, **OLD_HEADER_CLAIMS)
+        state, _ = read_state(path)
+        assert state.norm == kgrid.norm_squared(payload_state.psi)
+        assert state.rqc_residual == transversality_residual(payload_state.psi) > 0.1
 
-    def test_missing_values_are_computed(self, state_file, helicity_state):
-        rewrite_header(state_file, norm=None, rqc_residual=None)
-        state, _ = read_state(state_file)
-        assert state.norm == kgrid.norm_squared(helicity_state.psi)
-        assert state.rqc_residual == transversality_residual(helicity_state.psi)
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "n8.dpst"
+    spec = ModeSpec(kind="gaussian", k0=(0, 0, 2), sigma_k=1.0)
+    write_state(path, synthesize([spec], kgrid.KGrid(8, 1.0)))
+    return path
+
+
+def read_mutated(original, data: bytes):
+    """read_state on the given bytes returns or raises StateFileError, nothing else."""
+    path = original.with_name("mutated.dpst")
+    path.write_bytes(data)
+    try:
+        read_state(path)
+    except StateFileError:
+        pass
+
+
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+HEADER_KEYS = [("format",), ("grid",), ("grid", "n"), ("grid", "dk"), ("time",),
+               ("scale_factor",), ("units",), ("units", "hbar"), ("units", "c"),
+               ("units", "eps0"), ("units", "label"), ("payload_crc32",), ("metadata",)]
+FUZZ = settings(max_examples=100, deadline=None)
+
+
+class TestReadStateFuzz:
+    """Whatever is done to a valid file, only StateFileError escapes read_state."""
+
+    @FUZZ
+    @given(bits=st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+    def test_bit_flips(self, small_file, bits):
+        data = bytearray(small_file.read_bytes())
+        for bit in bits:
+            bit %= 8 * len(data)
+            data[bit // 8] ^= 1 << (bit % 8)
+        read_mutated(small_file, bytes(data))
+
+    @FUZZ
+    @given(cut=st.integers(min_value=0))
+    def test_truncation(self, small_file, cut):
+        data = small_file.read_bytes()
+        read_mutated(small_file, data[: cut % len(data)])
+
+    @FUZZ
+    @given(key=st.sampled_from(HEADER_KEYS), value=WRONG_VALUES)
+    def test_wrong_typed_header_values(self, small_file, key, value):
+        header, payload = _split(small_file.read_bytes())
+        (header if len(key) == 1 else header[key[0]])[key[-1]] = value
+        read_mutated(small_file, _join(header, payload))
