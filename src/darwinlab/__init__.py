@@ -74,6 +74,5 @@ from .state import (
     synthesize,
     transversality_residual,
 )
-from .units import NATURAL, SI, Units
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Builds the spin-1 generators, the 6x6 block matrices (beta-like ``gamma0``,
 the three off-diagonal ``gamma`` matrices and the block-diagonal spin
 matrices), the Hamiltonian matrix at a given wavevector, and the projectors
 onto the transverse and positive-energy subspaces.  Everything in this module
-is plain finite-dimensional linear algebra; no grids are involved.
+is plain finite-dimensional linear algebra in natural units
+(hbar = c = eps0 = 1); no grids are involved.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-
-from .units import NATURAL, Units
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
@@ -129,12 +128,12 @@ def _check_wavevector(k: np.ndarray) -> tuple[np.ndarray, float]:
     return k, kmag
 
 
-def hamiltonian_matrix(k, units: Units = NATURAL, g: GammaSet | None = None) -> ArrayC:
-    """Hamiltonian matrix i*hbar*c*gamma0*(gamma . k) at wavevector k."""
+def hamiltonian_matrix(k, g: GammaSet | None = None) -> ArrayC:
+    """Hamiltonian matrix i*gamma0*(gamma . k) at wavevector k."""
     k, _ = _check_wavevector(k)
     g = g or _DEFAULT
     gk = np.einsum("a,aij->ij", k, g.gamma)
-    return 1j * units.hbar * units.c * (g.gamma0 @ gk)
+    return 1j * (g.gamma0 @ gk)
 
 
 def transverse_projector(k) -> ArrayC:
@@ -186,7 +185,7 @@ def _energy_eigenvectors(k, sign: int) -> ArrayC:
 
 
 def positive_energy_projector(k) -> ArrayC:
-    """Rank-2 Hermitian projector onto the +hbar*c*|k| eigenspace of H(k).
+    """Rank-2 Hermitian projector onto the +|k| eigenspace of H(k).
 
     Built analytically from the helicity vectors: the eigenspace is spanned by
     (e_pm, w x e_pm)/sqrt(2), which keeps the projector reproducible and free
@@ -197,7 +196,7 @@ def positive_energy_projector(k) -> ArrayC:
 
 
 def negative_energy_projector(k) -> ArrayC:
-    """Rank-2 projector onto the -hbar*c*|k| eigenspace (lower block w x f negated)."""
+    """Rank-2 projector onto the -|k| eigenspace (lower block w x f negated)."""
     u = _energy_eigenvectors(k, -1)
     return u @ u.conj().T
 
@@ -226,18 +225,17 @@ def spin_direction_spectrum(n) -> ArrayR:
     return np.linalg.eigvalsh(spin_n)
 
 
-def commutator_h_spin_residual(k, units: Units = NATURAL, g: GammaSet | None = None) -> float:
-    """Residual of [H(k), spin_i] = -hbar*c*(gamma0 gamma x k)_i, max over i."""
+def commutator_h_spin_residual(k, g: GammaSet | None = None) -> float:
+    """Residual of [H(k), spin_i] = -(gamma0 gamma x k)_i, max over i."""
     k, _ = _check_wavevector(k)
     g = g or _DEFAULT
-    h = hamiltonian_matrix(k, units=units, g=g)
+    h = hamiltonian_matrix(k, g=g)
     worst = 0.0
     for i in range(3):
         rhs = np.zeros((6, 6), dtype=np.complex128)
         for a in range(3):
             for b in range(3):
                 if LEVI_CIVITA[i, a, b] != 0.0:
-                    rhs += LEVI_CIVITA[i, a, b] * (g.gamma0 @ g.gamma[a]) * k[b]
-        rhs *= -units.hbar * units.c
+                    rhs -= LEVI_CIVITA[i, a, b] * (g.gamma0 @ g.gamma[a]) * k[b]
         worst = max(worst, float(np.abs(_commutator(h, g.spin[i]) - rhs).max()))
     return worst

@@ -123,33 +123,18 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    import tempfile
-
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_build(args) -> int:
     from . import stateio
     from .state import synthesize
 
-    grid, modes, _, _, _, _ = parse_config(_load_config(args.config))
+    cfg = _load_config(args.config)
+    grid, modes, _, _, _, _ = parse_config(cfg)
     try:
         state = synthesize(modes, grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    meta = {"modes": _load_config(args.config)["modes"]}
-    stateio.write_state(args.out, state, metadata=meta)
+    stateio.write_state(args.out, state, metadata={"modes": cfg["modes"]})
     print(f"wrote {args.out}: n={grid.n} dk={grid.dk} norm={state.norm:.12f} "
           f"rqc_residual={state.rqc_residual:.3e}")
     return EXIT_OK
@@ -158,11 +143,7 @@ def cmd_build(args) -> int:
 def cmd_check(args) -> int:
     from . import stateio, suites
 
-    try:
-        state, header = stateio.read_state(args.statefile)
-    except stateio.StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
+    state, header = stateio.read_state(args.statefile)
 
     # config supplies defaults; explicit flags win
     cfg_checks, cfg_times, cfg_tols = [], None, {}
@@ -209,7 +190,7 @@ def cmd_check(args) -> int:
     }
     text = json.dumps(payload, indent=2)
     if args.out:
-        _write_text_atomic(args.out, text + "\n")
+        stateio.write_atomic(args.out, (text + "\n").encode("utf-8"))
     print(text)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
@@ -217,12 +198,7 @@ def cmd_check(args) -> int:
 def cmd_observe(args) -> int:
     from . import observables, stateio
 
-    try:
-        state, _ = stateio.read_state(args.statefile)
-    except stateio.StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-
+    state, _ = stateio.read_state(args.statefile)
     rep = observables.observable_report(state)
     p = args.precision
     rows = [("name", "x", "y", "z")]
@@ -240,7 +216,7 @@ def cmd_observe(args) -> int:
 
     text = "\n".join(",".join(r) for r in rows) + "\n"
     if args.out:
-        _write_text_atomic(args.out, text)
+        stateio.write_atomic(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -251,12 +227,7 @@ def cmd_densities(args) -> int:
 
     from . import observables, stateio
 
-    try:
-        state, _ = stateio.read_state(args.statefile)
-    except stateio.StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-
+    state, _ = stateio.read_state(args.statefile)
     grid = state.grid
     axis = {"x": 0, "y": 1, "z": 2}[args.axis]
     offsets = grid.x1d
@@ -293,7 +264,7 @@ def cmd_densities(args) -> int:
         for i in range(grid.n):
             for j in range(grid.n):
                 lines.append(f"{_fmt(coords[i], p)},{_fmt(coords[j], p)},{_fmt(sl[i, j], p)}")
-        _write_text_atomic(path, "\n".join(lines) + "\n")
+        stateio.write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {len(fields)} slice files to {args.out} "
           f"(plane {args.axis}={offsets[idx]:.6g}, component {args.component})")
     return EXIT_OK
@@ -302,12 +273,7 @@ def cmd_densities(args) -> int:
 def cmd_evolve(args) -> int:
     from . import dynamics, stateio
 
-    try:
-        state, header = stateio.read_state(args.statefile)
-    except stateio.StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-
+    state, header = stateio.read_state(args.statefile)
     result = dynamics.evolve(state, args.t)
     stateio.write_state(args.out, result.state_t, metadata=header.get("metadata", {}))
     print(f"wrote {args.out}: time={result.state_t.time:.6g} "
@@ -372,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _apply_thread_cap()
+    from .stateio import StateFileError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -379,6 +347,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except StateFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

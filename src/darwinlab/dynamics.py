@@ -1,8 +1,9 @@
 """Time evolution and the residual/conservation suite.
 
-Free evolution is diagonal in momentum space, so it is applied as an exact
-per-bin phase exp(-i c |k| t); no time stepping is ever performed.  The
-Maxwell-form residual deliberately goes the other way -- a centered
+Everything is in natural units (hbar = c = eps0 = 1).  Free evolution is
+diagonal in momentum space, so it is applied as an exact per-bin phase
+exp(-i |k| t); no time stepping is ever performed.  The Maxwell-form
+residual deliberately goes the other way -- a centered
 finite-difference time stencil of the exactly evolved position field against
 the spectral curl, taken as i k x f on the momentum blocks and transformed to
 position space -- to provide an error signal that is independent of the
@@ -19,39 +20,38 @@ from . import kgrid, observables
 from .kgrid import Field, to_position
 from .kgrid import spectral_curl  # noqa: F401  (re-export; perfbench/tests inspects it)
 from .state import PhotonState
-from .units import NATURAL, Units
 
 DEFAULT_DT_FRACTION = 1e-3
 
 
-def default_maxwell_dt(grid: kgrid.KGrid, units: Units = NATURAL) -> float:
+def default_maxwell_dt(grid: kgrid.KGrid) -> float:
     """Stencil step small against the fastest representable oscillation."""
-    return DEFAULT_DT_FRACTION / (units.c * grid.k_max)
+    return DEFAULT_DT_FRACTION / grid.k_max
 
 
-def _phase_evolved(state: PhotonState, t: float, units: Units) -> PhotonState:
+def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
     if t == 0.0:
         return state
     g = state.grid
-    phase = np.exp(-1j * units.c * g.kmag * t)
+    phase = np.exp(-1j * g.kmag * t)
     psi = Field(state.psi.values * phase[..., None], kgrid.MOMENTUM, g, state.time + t)
     return PhotonState(psi, scale_factor=state.scale_factor)
 
 
-def dirac_residual(state: PhotonState, units: Units = NATURAL) -> float:
+def dirac_residual(state: PhotonState) -> float:
     """Relative eigenvalue-equation residual, max over occupied bins.
 
-    Per bin: |i c gamma0 (gamma . k) psi - omega psi| / (omega |psi|) with
-    omega = c |k|.  Zero for exact positive-energy states, about 2 for the
+    Per bin: |i gamma0 (gamma . k) psi - omega psi| / (omega |psi|) with
+    omega = |k|.  Zero for exact positive-energy states, about 2 for the
     negative branch.
     """
     g = state.grid
     f_u = state.psi.values[..., :3]
     f_l = state.psi.values[..., 3:]
-    # H psi = hbar c (-k x f_l, k x f_u) on the block split
-    h_u = -units.c * np.cross(g.kvec, f_l)
-    h_l = units.c * np.cross(g.kvec, f_u)
-    omega = units.c * g.kmag
+    # H psi = (-k x f_l, k x f_u) on the block split
+    h_u = -np.cross(g.kvec, f_l)
+    h_l = np.cross(g.kvec, f_u)
+    omega = g.kmag
     residual = np.linalg.norm(
         np.concatenate([h_u, h_l], axis=-1) - omega[..., None] * state.psi.values,
         axis=-1,
@@ -70,9 +70,9 @@ def dirac_residual(state: PhotonState, units: Units = NATURAL) -> float:
 class CurrentField:
     """Four-current of the wave equation in position space.
 
-    j0 is the pointwise-positive candidate probability density |Psi|^2 times
-    c; the spatial components come out real for any state because the
-    sandwiched matrices are anti-Hermitian.  No interpretation beyond the
+    j0 is the pointwise-positive candidate probability density |Psi|^2; the
+    spatial components come out real for any state because the sandwiched
+    matrices are anti-Hermitian.  No interpretation beyond the
     continuity equation is attached to the spatial part.
     """
 
@@ -82,22 +82,22 @@ class CurrentField:
     time: float
 
 
-def four_current(state: PhotonState, units: Units = NATURAL) -> CurrentField:
-    """j0 = c Psi^dag Psi and j_a = i c (Psi^dag gamma0 gamma_a Psi).
+def four_current(state: PhotonState) -> CurrentField:
+    """j0 = Psi^dag Psi and j_a = i (Psi^dag gamma0 gamma_a Psi).
 
     On the block split the spatial part reduces to cross products:
-    j = 2 c Re(Psi_u* x Psi_l), with Psi_u, Psi_l the (1/sqrt 2)-scaled blocks.
+    j = 2 Re(Psi_u* x Psi_l), with Psi_u, Psi_l the (1/sqrt 2)-scaled blocks.
     """
     pos = state.psi_position
     upper = pos.values[..., :3]
     lower = pos.values[..., 3:]
-    j0 = units.c * np.sum(np.abs(pos.values) ** 2, axis=-1)
-    j = 2.0 * units.c * np.real(np.cross(np.conj(upper), lower))
+    j0 = np.sum(np.abs(pos.values) ** 2, axis=-1)
+    j = 2.0 * np.real(np.cross(np.conj(upper), lower))
     return CurrentField(j0=j0, j=j, grid=state.grid, time=state.time)
 
 
-def continuity_residual(state: PhotonState, dt: float | None = None, units: Units = NATURAL) -> float:
-    """Pointwise residual of d(j0/c)/dt + div j = 0, via a centered stencil.
+def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
+    """Pointwise residual of d(j0)/dt + div j = 0, via a centered stencil.
 
     The time derivative uses the exactly evolved state at t +- dt; the
     divergence is spectral.  O(dt^2), like the Maxwell-form check, provided
@@ -107,11 +107,11 @@ def continuity_residual(state: PhotonState, dt: float | None = None, units: Unit
     """
     g = state.grid
     if dt is None:
-        dt = default_maxwell_dt(g, units)
-    before = four_current(_phase_evolved(state, -dt, units), units)
-    after = four_current(_phase_evolved(state, +dt, units), units)
-    now = four_current(state, units)
-    drho_dt = (after.j0 - before.j0) / (2.0 * dt * units.c)
+        dt = default_maxwell_dt(g)
+    before = four_current(_phase_evolved(state, -dt))
+    after = four_current(_phase_evolved(state, +dt))
+    now = four_current(state)
+    drho_dt = (after.j0 - before.j0) / (2.0 * dt)
     div_j = kgrid.spectral_divergence(
         kgrid.position_field(now.j.astype(np.complex128), g, state.time)
     ).values[..., 0].real
@@ -134,8 +134,8 @@ class MaxwellReport:
         return max(self.curl_residual, self.divergence_residual)
 
 
-def maxwell_residual(state: PhotonState, dt: float | None = None, units: Units = NATURAL) -> MaxwellReport:
-    """Check d(F_u)/dt = c curl F_l and d(F_l)/dt = -c curl F_u.
+def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellReport:
+    """Check d(F_u)/dt = curl F_l and d(F_l)/dt = -curl F_u.
 
     The time derivative is a centered finite difference of the exactly
     evolved position field at t +- dt, so the residual is O(dt^2) and must
@@ -148,7 +148,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None, units: Units =
     """
     g = state.grid
     if dt is None:
-        dt = default_maxwell_dt(g, units)
+        dt = default_maxwell_dt(g)
     elif dt == 0.0:
         # _phase_evolved(state, 0) is the state itself, which the stencil must not overwrite
         raise ValueError("maxwell_residual needs a nonzero dt")
@@ -156,15 +156,15 @@ def maxwell_residual(state: PhotonState, dt: float | None = None, units: Units =
     f_l = state.psi.values[..., 3:]
     block_scale = np.sqrt(2.0)
 
-    # both blocks at once: (dF_u/dt, dF_l/dt), compared with c (curl F_l, -curl F_u)
-    stencil = _phase_evolved(state, +dt, units).psi.values
-    stencil -= _phase_evolved(state, -dt, units).psi.values
+    # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u)
+    stencil = _phase_evolved(state, +dt).psi.values
+    stencil -= _phase_evolved(state, -dt).psi.values
     stencil *= block_scale / (2.0 * dt)
     d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time)).values
     del stencil
 
     curls = np.concatenate([np.cross(g.kvec, f_l), -np.cross(g.kvec, f_u)], axis=-1)
-    curls *= 1j * block_scale * units.c
+    curls *= 1j * block_scale
     curls = to_position(Field(curls, kgrid.MOMENTUM, g, state.time)).values
 
     scale = float(np.abs(curls).max())
@@ -182,7 +182,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None, units: Units =
 
     return MaxwellReport(
         curl_residual=curl_res,
-        divergence_residual=units.c * div / scale,
+        divergence_residual=div / scale,
         dt=dt,
     )
 
@@ -195,13 +195,13 @@ class EvolutionResult:
     norm_drift: float
 
 
-def evolve(state: PhotonState, t: float, units: Units = NATURAL, dt: float | None = None) -> EvolutionResult:
+def evolve(state: PhotonState, t: float, dt: float | None = None) -> EvolutionResult:
     """Evolve by a time increment t and re-certify the evolved state."""
-    evolved = _phase_evolved(state, t, units)
+    evolved = _phase_evolved(state, t)
     return EvolutionResult(
         state_t=evolved,
-        dirac_residual=dirac_residual(evolved, units),
-        maxwell_residual=maxwell_residual(evolved, dt=dt, units=units),
+        dirac_residual=dirac_residual(evolved),
+        maxwell_residual=maxwell_residual(evolved, dt=dt),
         norm_drift=abs(evolved.norm - state.norm),
     )
 
@@ -224,7 +224,7 @@ class ConservationReport:
     transversality_drift: float
 
 
-def continuity_and_conservation(state: PhotonState, times, units: Units = NATURAL) -> ConservationReport:
+def continuity_and_conservation(state: PhotonState, times) -> ConservationReport:
     """Track P, the momentum-space norm, <spin>, <L> and <L> + <spin> across
     a list of times.
 
@@ -239,10 +239,10 @@ def continuity_and_conservation(state: PhotonState, times, units: Units = NATURA
     totals: list[np.ndarray] = []
     trans: list[float] = []
     for t in times:
-        st = _phase_evolved(state, t - state.time, units)
+        st = _phase_evolved(state, t - state.time)
         p_psi, _, _ = observables.probability(st)
         s = observables.spin_canonical(st)
-        l = observables.oam_momentum(st, "upper", c=units.c)
+        l = observables.oam_momentum(st, "upper")
         probs.append(p_psi)
         norms.append(st.norm)
         spins.append(s)

@@ -1,13 +1,14 @@
 """Bridge between the quantum amplitudes and classical field data.
 
-Three layers of the same free field are kept distinct here:
+Three layers of the same free field are kept distinct here, in natural
+units (hbar = c = eps0 = mu0 = 1):
 
 * the real fields (E_real, H_real) and their Fourier data (eps_k, eta_k),
   which carry Hermitian bin symmetry;
 * the complex positive-frequency pair (E, H) with momentum amplitudes
-  (e, h), coupled per bin by h = (1/mu0 c) w x e;
-* the wavefunction blocks, which weight (e, h) by 1/sqrt(hbar c k) --
-  a nonlocal (fractional-kernel) relation in position space.
+  (e, h), coupled per bin by h = w x e;
+* the wavefunction blocks, which weight (e, h) by 1/sqrt(k) -- a nonlocal
+  (fractional-kernel) relation in position space.
 
 All nonlocal kernels (1/sqrt(k), 1/k) act as momentum-space multipliers;
 their claimed position-space forms are validated separately by
@@ -23,7 +24,6 @@ import numpy as np
 
 from .kgrid import Field, KGrid, momentum_field, position_field, reverse_bins, to_momentum, to_position
 from .state import PhotonState
-from .units import NATURAL, Units
 
 HERMITIAN_TOLERANCE = 1e-8
 DC_TOLERANCE = 1e-10
@@ -86,18 +86,11 @@ def _validate_classical(eps_k: np.ndarray, eta_k: np.ndarray, grid: KGrid) -> No
             raise ValueError(f"{name} is not solenoidal (residual {sol:.2e})")
 
 
-def classical_from_kspace(
-    eps_k,
-    eta_k,
-    grid: KGrid,
-    time: float = 0.0,
-    validate: bool = True,
-) -> ClassicalField:
+def classical_from_kspace(eps_k, eta_k, grid: KGrid, time: float = 0.0) -> ClassicalField:
     """Assemble a ClassicalField from Fourier data, checking its invariants."""
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    if validate:
-        _validate_classical(eps_k, eta_k, grid)
+    _validate_classical(eps_k, eta_k, grid)
     E_real = to_position(momentum_field(eps_k, grid, time)).values.real
     H_real = to_position(momentum_field(eta_k, grid, time)).values.real
     return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
@@ -108,21 +101,16 @@ def _safe_inverse(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, 1.0 / np.where(values > 0.0, values, 1.0), 0.0)
 
 
-def _cr_weight(grid: KGrid, units: Units) -> np.ndarray:
-    """sqrt(hbar c k) per bin, zero at DC."""
-    return np.sqrt(units.hbar * units.c * grid.kmag)
-
-
-def classical_from_state(state: PhotonState, units: Units = NATURAL) -> tuple[ComplexFieldPair, ClassicalField]:
-    """Invert the amplitude weighting: e = sqrt(hbar c k / eps0) f_u, etc.
+def classical_from_state(state: PhotonState) -> tuple[ComplexFieldPair, ClassicalField]:
+    """Invert the amplitude weighting: e = sqrt(k) f_u and h = sqrt(k) f_l.
 
     Returns the complex positive-frequency pair and the real classical
     snapshot (E_real = (E + E*)/sqrt(2) and its magnetic twin).
     """
     g = state.grid
-    w = _cr_weight(g, units)[..., None]
-    e = w / np.sqrt(units.eps0) * state.f_upper()
-    h = w / np.sqrt(units.mu0) * state.f_lower()
+    sqrt_k = np.sqrt(g.kmag)[..., None]
+    e = sqrt_k * state.f_upper()
+    h = sqrt_k * state.f_lower()
     E = to_position(momentum_field(e, g, state.time)).values
     H = to_position(momentum_field(h, g, state.time)).values
     pair = ComplexFieldPair(e=e, h=h, E=E, H=H, grid=g, time=state.time)
@@ -140,47 +128,39 @@ def classical_from_state(state: PhotonState, units: Units = NATURAL) -> tuple[Co
     return pair, cf
 
 
-def extract_positive_frequency(eps_k, eta_k, grid: KGrid, units: Units = NATURAL) -> tuple[np.ndarray, np.ndarray]:
+def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> tuple[np.ndarray, np.ndarray]:
     """Positive-frequency amplitudes from real-field Fourier data.
 
-    e = (eps - (mu0 c / k) k x eta) / sqrt(2)
-    h = (eta + (eps0 c / k) k x eps) / sqrt(2)
+    e = (eps - (1 / k) k x eta) / sqrt(2)
+    h = (eta + (1 / k) k x eps) / sqrt(2)
 
     The map is a projector onto the forward-frequency pairing: amplitudes
-    already coupled as h = (1/mu0 c) w x e pass through (up to the sqrt(2)
+    already coupled as h = w x e pass through (up to the sqrt(2)
     bookkeeping), while the reversed pairing is annihilated.
     """
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
     inv_k = _safe_inverse(grid.kmag)[..., None]
-    e = (eps_k - units.mu0 * units.c * inv_k * np.cross(grid.kvec, eta_k)) / np.sqrt(2.0)
-    h = (eta_k + units.eps0 * units.c * inv_k * np.cross(grid.kvec, eps_k)) / np.sqrt(2.0)
+    e = (eps_k - inv_k * np.cross(grid.kvec, eta_k)) / np.sqrt(2.0)
+    h = (eta_k + inv_k * np.cross(grid.kvec, eps_k)) / np.sqrt(2.0)
     e[grid.dc_index] = 0.0
     h[grid.dc_index] = 0.0
     return e, h
 
 
-def state_from_classical(
-    cf: ClassicalField,
-    units: Units = NATURAL,
-    require_hermitian: bool = True,
-) -> PhotonState:
+def state_from_classical(cf: ClassicalField) -> PhotonState:
     """Extract the positive-frequency content and weight it into a state.
 
     The returned state keeps the physical scale of the classical input (its
     norm records the conversion); callers wanting unit probability normalize
-    explicitly.  ``require_hermitian=False`` skips the real-field validation,
-    which is how deliberately single-frequency-sign data can be pushed
-    through the extraction to observe its annihilation.
+    explicitly.
     """
-    if require_hermitian:
-        _validate_classical(cf.eps_k, cf.eta_k, cf.grid)
+    _validate_classical(cf.eps_k, cf.eta_k, cf.grid)
     g = cf.grid
-    e, h = extract_positive_frequency(cf.eps_k, cf.eta_k, g, units)
-    w = _cr_weight(g, units)
-    inv_w = _safe_inverse(w)[..., None]
-    f_u = np.sqrt(units.eps0) * inv_w * e
-    f_l = np.sqrt(units.mu0) * inv_w * h
+    e, h = extract_positive_frequency(cf.eps_k, cf.eta_k, g)
+    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))[..., None]
+    f_u = inv_sqrt_k * e
+    f_l = inv_sqrt_k * h
     # extraction preserves transversality analytically; enforcing it per bin
     # removes the absolute round-off debris that would otherwise dominate the
     # relative residual at faintly occupied bins
@@ -189,20 +169,17 @@ def state_from_classical(
     return PhotonState(momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), g, cf.time))
 
 
-def landau_peierls_transform(pair: ComplexFieldPair, units: Units = NATURAL) -> tuple[Field, Field]:
+def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
     """Position-space wavefunction blocks from the complex field pair.
 
-    The 1/sqrt(hbar c k) weighting is the spectral realization of the
+    The 1/sqrt(k) weighting is the spectral realization of the
     fractional |x - x'|^(-5/2) convolution; applying it to (e, h) and
     transforming yields (F_u, F_l).
     """
     g = pair.grid
-    w = _cr_weight(g, units)
-    inv_w = _safe_inverse(w)[..., None]
-    f_u = np.sqrt(units.eps0) * inv_w * pair.e
-    f_l = np.sqrt(units.mu0) * inv_w * pair.h
-    F_u = to_position(momentum_field(f_u, g, pair.time))
-    F_l = to_position(momentum_field(f_l, g, pair.time))
+    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))[..., None]
+    F_u = to_position(momentum_field(inv_sqrt_k * pair.e, g, pair.time))
+    F_l = to_position(momentum_field(inv_sqrt_k * pair.h, g, pair.time))
     return F_u, F_l
 
 
@@ -220,7 +197,7 @@ class NonlocalRelationReport:
         return max(self.e_route_gap, self.h_route_gap)
 
 
-def nonlocal_relation_check(cf: ClassicalField, units: Units = NATURAL) -> NonlocalRelationReport:
+def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
     """Compare spectral extraction against the real-part + nonlocal-imaginary-part route.
 
     Route one builds E from the Fourier-space extraction; route two assembles
@@ -232,18 +209,14 @@ def nonlocal_relation_check(cf: ClassicalField, units: Units = NATURAL) -> Nonlo
     E_real exactly.
     """
     g = cf.grid
-    e, h = extract_positive_frequency(cf.eps_k, cf.eta_k, g, units)
+    e, h = extract_positive_frequency(cf.eps_k, cf.eta_k, g)
     E1 = to_position(momentum_field(e, g, cf.time)).values
     H1 = to_position(momentum_field(h, g, cf.time)).values
 
     inv_k = _safe_inverse(g.kmag)[..., None]
-    # (1/(c k)) d(eps)/dt with d(eps)/dt = (i/eps0) k x eta; times i
-    imag_e = to_position(
-        momentum_field(-units.mu0 * units.c * inv_k * np.cross(g.kvec, cf.eta_k), g, cf.time)
-    ).values
-    imag_h = to_position(
-        momentum_field(units.eps0 * units.c * inv_k * np.cross(g.kvec, cf.eps_k), g, cf.time)
-    ).values
+    # (1/k) d(eps)/dt with d(eps)/dt = i k x eta; times i
+    imag_e = to_position(momentum_field(-inv_k * np.cross(g.kvec, cf.eta_k), g, cf.time)).values
+    imag_h = to_position(momentum_field(inv_k * np.cross(g.kvec, cf.eps_k), g, cf.time)).values
     E2 = (cf.E_real + imag_e) / np.sqrt(2.0)
     H2 = (cf.H_real + imag_h) / np.sqrt(2.0)
 

@@ -8,7 +8,8 @@ satisfying the transversality constraint all of them must agree; the local
 *densities* behind them do not, and the candidates are computed side by side
 so the disagreement can be quantified.
 
-Spin and orbital angular momentum are reported in units of hbar.
+Everything is in natural units (hbar = c = eps0 = 1), so spin and orbital
+angular momentum come out in units of hbar.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import numpy as np
 from . import kgrid
 from .kgrid import k_gradient, momentum_field, to_position
 from .state import PhotonState
-
-IMAG_RESIDUE_LIMIT = 1e-8
 
 
 def _per_state(fn):
@@ -63,11 +62,11 @@ def _cross_density(f: np.ndarray) -> np.ndarray:
     return -1j * np.cross(np.conj(f), f)
 
 
-def _peeled_block(state: PhotonState, block: str, c: float = 1.0) -> np.ndarray:
+def _peeled_block(state: PhotonState, block: str) -> np.ndarray:
     """Block amplitude with the free-evolution phase removed.
 
     Finite differences in k assume a slowly varying amplitude; the dynamical
-    phase exp(-i c |k| t) oscillates arbitrarily fast at late times while
+    phase exp(-i |k| t) oscillates arbitrarily fast at late times while
     contributing nothing to k x grad_k (its gradient is parallel to k).  It is
     therefore peeled off analytically before any k-derivative is taken.
     """
@@ -78,7 +77,7 @@ def _peeled_block(state: PhotonState, block: str, c: float = 1.0) -> np.ndarray:
     else:
         raise ValueError(f"block must be 'upper' or 'lower', got {block!r}")
     if state.time != 0.0:
-        f = f * np.exp(1j * c * state.grid.kmag * state.time)[..., None]
+        f = f * np.exp(1j * state.grid.kmag * state.time)[..., None]
     return f
 
 
@@ -194,10 +193,10 @@ def canonical_spin_density(state: PhotonState) -> np.ndarray:
 
 
 @_per_state
-def oam_momentum(state: PhotonState, block: str = "upper", c: float = 1.0) -> np.ndarray:
+def oam_momentum(state: PhotonState, block: str = "upper") -> np.ndarray:
     """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar."""
     g = state.grid
-    f = _peeled_block(state, block, c)
+    f = _peeled_block(state, block)
     grad = k_gradient(momentum_field(f, g, 0.0))
     acc = np.zeros(3, dtype=np.complex128)
     for comp in range(3):
@@ -208,8 +207,8 @@ def oam_momentum(state: PhotonState, block: str = "upper", c: float = 1.0) -> np
     return total.real
 
 
-def oam_boundary_ratio(state: PhotonState, block: str = "upper", c: float = 1.0) -> float:
-    f = _peeled_block(state, block, c)
+def oam_boundary_ratio(state: PhotonState, block: str = "upper") -> float:
+    f = _peeled_block(state, block)
     return kgrid.boundary_amplitude_ratio(momentum_field(f, state.grid, 0.0))
 
 
@@ -278,13 +277,8 @@ class ObservableReport:
     max_imag_residue: float
     nonlocal_diagnostics: dict = dc_field(default_factory=dict)
 
-    @property
-    def imag_flagged(self) -> bool:
-        """Hermitian expectation values should be real to round-off."""
-        return self.max_imag_residue > IMAG_RESIDUE_LIMIT
 
-
-def observable_report(state: PhotonState, c: float = 1.0) -> ObservableReport:
+def observable_report(state: PhotonState) -> ObservableReport:
     s_nl, nl_diag = nonlocal_spin_density(state)
     pairs = {
         "canonical": _spin_canonical(state),
@@ -302,7 +296,7 @@ def observable_report(state: PhotonState, c: float = 1.0) -> ObservableReport:
         for b in _SPIN_FORMULAS[i + 1:]:
             discrepancies[f"{a}|{b}"] = float(np.abs(spin[a] - spin[b]).max())
 
-    L_mom = oam_momentum(state, "upper", c)
+    L_mom = oam_momentum(state, "upper")
     L_pos = oam_position(state, "upper")
     p_psi, p_up, p_low = probability(state)
     probs = (p_psi, p_up, p_low)
@@ -320,7 +314,7 @@ def observable_report(state: PhotonState, c: float = 1.0) -> ObservableReport:
         max_spin_discrepancy=max(discrepancies.values()),
         max_probability_discrepancy=prob_gap,
         oam_formula_gap=float(np.abs(L_mom - L_pos).max()),
-        boundary_ratio=oam_boundary_ratio(state, "upper", c),
+        boundary_ratio=oam_boundary_ratio(state, "upper"),
         max_imag_residue=imag_residue,
         nonlocal_diagnostics=nl_diag,
     )

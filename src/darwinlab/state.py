@@ -282,7 +282,7 @@ def project_transverse(state: PhotonState) -> PhotonState:
 def project_positive_energy(state: PhotonState) -> PhotonState:
     """Project onto the positive-energy branch, bin by bin.
 
-    Acts as P+ = P_transverse (1 + H/(hbar c k)) / 2, written with cross
+    Acts as P+ = P_transverse (1 + H/k) / 2, written with cross
     products so no per-bin matrix is ever formed:
         upper -> (P_t f_u - w x f_l) / 2,   lower -> (P_t f_l + w x f_u) / 2.
     """

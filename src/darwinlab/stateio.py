@@ -5,16 +5,18 @@ JSON header, then the payload: one little-endian complex128 (interleaved
 re, im float64) per component, six components per bin, bins ordered with the
 x index fastest.  The header carries only what the payload cannot give back:
 the grid, time stamp, scale factor, unit record, a CRC32 of the payload (so
-corruption is detected before any physics runs) and free metadata.  Physics
-values such as the norm or the constraint residual are derived from the
-payload when needed; older files that still carry them in the header load
-unchanged and those keys are ignored.  Writes go through a temp file and
-rename.
+corruption is detected before any physics runs) and free metadata.  The code
+computes in natural units only, so the unit record is always
+:data:`NATURAL_UNITS` and any other record is rejected.  Physics values such
+as the norm or the constraint residual are derived from the payload when
+needed; older files that still carry them in the header load unchanged and
+those keys are ignored.  Writes go through a temp file and rename.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -25,10 +27,10 @@ import numpy as np
 from . import kgrid
 from .kgrid import KGrid
 from .state import PhotonState
-from .units import NATURAL, Units
 
 MAGIC = b"DPST1"
 FORMAT_VERSION = 1
+NATURAL_UNITS = {"hbar": 1.0, "c": 1.0, "eps0": 1.0, "label": "natural"}
 
 
 class StateFileError(Exception):
@@ -41,26 +43,14 @@ def _payload_bytes(state: PhotonState) -> bytes:
     return np.ascontiguousarray(arr).astype("<c16").tobytes()
 
 
-def write_state(path, state: PhotonState, metadata: dict | None = None) -> None:
-    payload = _payload_bytes(state)
-    header = {
-        "format": FORMAT_VERSION,
-        "grid": {"n": state.grid.n, "dk": state.grid.dk},
-        "time": state.time,
-        "scale_factor": state.scale_factor,
-        "units": NATURAL.to_dict(),
-        "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
-        "metadata": metadata or {},
-    }
-    blob = json.dumps(header).encode("utf-8")
-    out = MAGIC + struct.pack("<I", len(blob)) + blob + payload
-
+def write_atomic(path, data: bytes) -> None:
+    """Write data to path through a temp file in the same directory and a rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(out)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,11 +58,27 @@ def write_state(path, state: PhotonState, metadata: dict | None = None) -> None:
         raise
 
 
+def write_state(path, state: PhotonState, metadata: dict | None = None) -> None:
+    payload = _payload_bytes(state)
+    header = {
+        "format": FORMAT_VERSION,
+        "grid": {"n": state.grid.n, "dk": state.grid.dk},
+        "time": state.time,
+        "scale_factor": state.scale_factor,
+        "units": NATURAL_UNITS,
+        "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
+        "metadata": metadata or {},
+    }
+    blob = json.dumps(header).encode("utf-8")
+    write_atomic(path, MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+
+
 def read_state(path) -> tuple[PhotonState, dict]:
     """Read a state file; returns the state and its full header.
 
     Raises StateFileError for every malformed, truncated or corrupted file,
-    for invalid header values and for a unit record other than natural units.
+    for invalid or non-finite header values and for a unit record other than
+    natural units.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -99,12 +105,15 @@ def read_state(path) -> tuple[PhotonState, dict]:
             )
         if zlib.crc32(payload) & 0xFFFFFFFF != int(header["payload_crc32"]):
             raise StateFileError(f"{path}: payload checksum mismatch")
-        if Units.from_dict(header["units"]) != NATURAL:
+        if header["units"] != NATURAL_UNITS:
             raise StateFileError(f"{path}: units {header['units']} are not natural units")
+        time = float(header.get("time", 0.0))
+        scale_factor = float(header.get("scale_factor", 1.0))
+        if not (math.isfinite(time) and math.isfinite(scale_factor)):
+            raise StateFileError(f"{path}: non-finite time {time} or scale factor {scale_factor}")
         values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape + (6,))
         values = np.moveaxis(values, (0, 1, 2), (2, 1, 0)).copy()
-        psi = kgrid.momentum_field(values, grid, float(header.get("time", 0.0)))
-        state = PhotonState(psi, scale_factor=float(header.get("scale_factor", 1.0)))
+        state = PhotonState(kgrid.momentum_field(values, grid, time), scale_factor=scale_factor)
     except KeyError as exc:
         raise StateFileError(f"{path}: header lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -15,7 +15,6 @@ import numpy as np
 from . import algebra, dynamics, fieldbridge, observables
 from .kgrid import KGrid
 from .state import PhotonState, branch_residual
-from .units import NATURAL, Units
 
 DEFAULT_SEED = 20320
 N_RANDOM_WAVEVECTORS = 100
@@ -150,23 +149,23 @@ def suite_constraint(state: PhotonState, tolerances=None, seed: int = DEFAULT_SE
     return rep
 
 
-def suite_spin_equalities(state: PhotonState, tolerances=None, units: Units = NATURAL) -> SuiteReport:
+def suite_spin_equalities(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("spin-equalities")
-    report = observables.observable_report(state, c=units.c)
+    report = observables.observable_report(state)
     rep.add("spin_equalities", report.max_spin_discrepancy, _tol(tolerances, "spin_equalities"),
             info="; ".join(f"{k}={np.array2string(v, precision=6)}" for k, v in report.spin.items()))
     rep.add("spin_imag_residue", report.max_imag_residue, _tol(tolerances, "spin_imag_residue"))
     return rep
 
 
-def suite_oam(state: PhotonState, tolerances=None, units: Units = NATURAL) -> SuiteReport:
+def suite_oam(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("oam")
-    l_mom = observables.oam_momentum(state, c=units.c)
+    l_mom = observables.oam_momentum(state)
     l_pos = observables.oam_position(state)
     gap = float(np.abs(l_mom - l_pos).max()) / max(1.0, float(np.abs(l_mom).max()))
     rep.add("oam_formula_gap", gap, _tol(tolerances, "oam_formula_gap"),
             info=f"momentum={np.array2string(l_mom, precision=6)} position={np.array2string(l_pos, precision=6)}")
-    ratio = observables.oam_boundary_ratio(state, c=units.c)
+    ratio = observables.oam_boundary_ratio(state)
     rep.add("oam_boundary_ratio", ratio, None, info="warning only; gradients unreliable above 1e-8")
     return rep
 
@@ -198,20 +197,19 @@ def suite_densities(state: PhotonState, tolerances=None) -> SuiteReport:
     return rep
 
 
-def suite_maxwell(state: PhotonState, tolerances=None, units: Units = NATURAL) -> SuiteReport:
+def suite_maxwell(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("maxwell")
-    rep.add("dirac_residual", dynamics.dirac_residual(state, units), _tol(tolerances, "dirac_residual"))
-    mr = dynamics.maxwell_residual(state, units=units)
+    rep.add("dirac_residual", dynamics.dirac_residual(state), _tol(tolerances, "dirac_residual"))
+    mr = dynamics.maxwell_residual(state)
     rep.add("maxwell_residual", mr.curl_residual, _tol(tolerances, "maxwell_residual"),
             info=f"dt={mr.dt:.3e}")
     rep.add("maxwell_divergence", mr.divergence_residual, _tol(tolerances, "maxwell_divergence"))
     return rep
 
 
-def suite_conservation(state: PhotonState, times=(0.0, 1.0, 10.0), tolerances=None,
-                       units: Units = NATURAL) -> SuiteReport:
+def suite_conservation(state: PhotonState, times=(0.0, 1.0, 10.0), tolerances=None) -> SuiteReport:
     rep = SuiteReport("conservation")
-    cons = dynamics.continuity_and_conservation(state, times, units)
+    cons = dynamics.continuity_and_conservation(state, times)
     rep.add("probability_drift", cons.probability_drift, _tol(tolerances, "probability_drift"),
             info=f"times={list(cons.times)}")
     rep.add("spin_drift", cons.spin_drift, _tol(tolerances, "spin_drift"))
@@ -222,10 +220,10 @@ def suite_conservation(state: PhotonState, times=(0.0, 1.0, 10.0), tolerances=No
     return rep
 
 
-def suite_fieldbridge(state: PhotonState, tolerances=None, units: Units = NATURAL) -> SuiteReport:
+def suite_fieldbridge(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("fieldbridge")
-    pair, cf = fieldbridge.classical_from_state(state, units)
-    back = fieldbridge.state_from_classical(cf, units)
+    _, cf = fieldbridge.classical_from_state(state)
+    back = fieldbridge.state_from_classical(cf)
     peak = float(np.abs(state.psi.values).max())
     roundtrip = float(np.abs(back.psi.values - state.psi.values).max()) / peak
     rep.add("classical_roundtrip", roundtrip, _tol(tolerances, "classical_roundtrip"))
@@ -236,7 +234,7 @@ def suite_fieldbridge(state: PhotonState, tolerances=None, units: Units = NATURA
     )
     rep.add("hermitian_symmetry", herm, _tol(tolerances, "hermitian_symmetry"))
 
-    nl = fieldbridge.nonlocal_relation_check(cf, units)
+    nl = fieldbridge.nonlocal_relation_check(cf)
     rep.add("real_part_identity", max(nl.e_real_part_residual, nl.h_real_part_residual),
             _tol(tolerances, "real_part_identity"))
     rep.add("nonlocal_route_gap", nl.combined, _tol(tolerances, "nonlocal_route_gap"))
@@ -257,18 +255,17 @@ def suite_kernels(grid: KGrid, tolerances=None) -> SuiteReport:
     return rep
 
 
-def run_suites(names, state: PhotonState, tolerances=None, times=(0.0, 1.0, 10.0),
-               units: Units = NATURAL, seed: int = DEFAULT_SEED) -> list[SuiteReport]:
+def run_suites(names, state: PhotonState, tolerances=None, times=(0.0, 1.0, 10.0)) -> list[SuiteReport]:
     runners = {
-        "algebra": lambda: suite_algebra(tolerances, seed),
-        "constraint": lambda: suite_constraint(state, tolerances, seed),
-        "spin-equalities": lambda: suite_spin_equalities(state, tolerances, units),
-        "oam": lambda: suite_oam(state, tolerances, units),
+        "algebra": lambda: suite_algebra(tolerances),
+        "constraint": lambda: suite_constraint(state, tolerances),
+        "spin-equalities": lambda: suite_spin_equalities(state, tolerances),
+        "oam": lambda: suite_oam(state, tolerances),
         "probability": lambda: suite_probability(state, tolerances),
         "densities": lambda: suite_densities(state, tolerances),
-        "maxwell": lambda: suite_maxwell(state, tolerances, units),
-        "conservation": lambda: suite_conservation(state, times, tolerances, units),
-        "fieldbridge": lambda: suite_fieldbridge(state, tolerances, units),
+        "maxwell": lambda: suite_maxwell(state, tolerances),
+        "conservation": lambda: suite_conservation(state, times, tolerances),
+        "fieldbridge": lambda: suite_fieldbridge(state, tolerances),
         "kernels": lambda: suite_kernels(state.grid, tolerances),
     }
     unknown = [n for n in names if n not in runners]

@@ -6,7 +6,6 @@ import pytest
 
 from darwinlab.cli import main
 from darwinlab.stateio import read_state, write_state
-from darwinlab.units import NATURAL, SI
 from test_state import longitudinal_state
 from test_stateio import OLD_HEADER_CLAIMS, rewrite_header, rewrite_payload
 
@@ -220,6 +219,10 @@ class TestHeaderTrust:
         assert drift < 1e-13
 
 
+NATURAL_UNITS = {"hbar": 1.0, "c": 1.0, "eps0": 1.0, "label": "natural"}
+SI_UNITS = {"hbar": 1.054571817e-34, "c": 2.99792458e8, "eps0": 8.8541878128e-12, "label": "si"}
+
+
 def _nan_payload(path):
     values = read_state(path)[0].psi.values.copy()
     values[1, 2, 3, 4] = complex("nan")
@@ -235,9 +238,12 @@ INVALID_FILES = {
     "time_not_a_number": lambda p: rewrite_header(p, time="abc"),
     "crc_not_a_number": lambda p: rewrite_header(p, payload_crc32="x"),
     "scale_factor_not_a_number": lambda p: rewrite_header(p, scale_factor="big"),
-    "si_units": lambda p: rewrite_header(p, units=SI.to_dict()),
+    "time_nan": lambda p: rewrite_header(p, time=float("nan")),
+    "time_inf": lambda p: rewrite_header(p, time=float("inf")),
+    "scale_factor_nan": lambda p: rewrite_header(p, scale_factor=float("nan")),
+    "si_units": lambda p: rewrite_header(p, units=SI_UNITS),
     "units_without_values": lambda p: rewrite_header(p, units={"label": "natural"}),
-    "units_wrong_type": lambda p: rewrite_header(p, units=dict(NATURAL.to_dict(), c="fast")),
+    "units_wrong_type": lambda p: rewrite_header(p, units=dict(NATURAL_UNITS, c="fast")),
 }
 
 

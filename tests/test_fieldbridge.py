@@ -20,7 +20,7 @@ from darwinlab.kgrid import to_position
 
 class TestClassicalFromState:
     def test_coupling_relation(self, two_direction_state):
-        # h = (1/mu0 c) w x e per bin, natural units
+        # h = w x e per bin (natural units)
         pair, _ = classical_from_state(two_direction_state)
         g = two_direction_state.grid
         dev = np.abs(pair.h - np.cross(g.khat, pair.e)).max()

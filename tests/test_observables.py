@@ -182,8 +182,8 @@ class TestOam:
         st = self.ring(g32, 1)
         assert st.psi_position is st.psi_position
         assert oam_position(st) is oam_position(st, "upper")
-        assert oam_momentum(st) is oam_momentum(st, c=1.0)
-        assert oam_momentum(st, c=2.0) is not oam_momentum(st)
+        assert oam_momentum(st) is oam_momentum(st, "upper")
+        assert oam_momentum(st, "lower") is not oam_momentum(st)
         assert nonlocal_spin_density(st) is nonlocal_spin_density(st)
         for shared in (st.psi_position.values, oam_position(st), nonlocal_spin_density(st)[0]):
             assert not shared.flags.writeable

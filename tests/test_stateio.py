@@ -129,6 +129,11 @@ class TestHeaderValues:
         assert set(header) == {"format", "grid", "time", "scale_factor", "units",
                                "payload_crc32", "metadata"}
 
+    def test_integer_unit_record_loads(self, state_file, helicity_state):
+        rewrite_header(state_file, units={"hbar": 1, "c": 1, "eps0": 1, "label": "natural"})
+        state, _ = read_state(state_file)
+        assert np.array_equal(state.psi.values, helicity_state.psi.values)
+
     def test_claimed_values_are_ignored(self, tmp_path, helicity_state):
         # a 30% longitudinal payload under a header that claims a perfect state
         payload_state = longitudinal_state(helicity_state, 0.3)
