@@ -42,11 +42,24 @@ _MODE_KEYS = {"kind", "k0", "sigma_k", "helicity", "polarization",
 _TOP_KEYS = {"grid", "modes", "checks", "times", "tolerances", "output"}
 
 
+def _number(value, path) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: must be a number") from None
+
+
+def _numbers(value, path) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list of numbers")
+    return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(value))
+
+
 def _parse_amplitude(value, path):
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_number(value, path))
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(*_numbers(value, path))
     raise ConfigError(f"{path}: amplitude must be a number or [re, im]")
 
 
@@ -69,7 +82,7 @@ def parse_config(cfg: dict):
         raise ConfigError("$.grid: must contain exactly n and dk")
     try:
         grid = KGrid(n=int(grid_cfg["n"]), dk=float(grid_cfg["dk"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"$.grid: {exc}") from exc
 
     if not isinstance(cfg["modes"], list) or not cfg["modes"]:
@@ -86,10 +99,12 @@ def parse_config(cfg: dict):
         if "amplitude" in kwargs:
             kwargs["amplitude"] = _parse_amplitude(kwargs["amplitude"], f"{path}.amplitude")
         if "k0" in kwargs:
-            kwargs["k0"] = tuple(float(x) for x in kwargs["k0"])
+            kwargs["k0"] = _numbers(kwargs["k0"], f"{path}.k0")
         if "polarization" in kwargs and kwargs["polarization"] is not None:
-            kwargs["polarization"] = tuple(float(x) for x in kwargs["polarization"])
+            kwargs["polarization"] = _numbers(kwargs["polarization"], f"{path}.polarization")
             kwargs.setdefault("helicity", None)
+        if not isinstance(kwargs.get("vortex_charge", 0), int):
+            raise ConfigError(f"{path}.vortex_charge: must be an integer")
         try:
             modes.append(ModeSpec(**kwargs))
         except (TypeError, ValueError) as exc:
@@ -98,15 +113,13 @@ def parse_config(cfg: dict):
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("$.checks: must be a list of suite names")
-    times = cfg.get("times", [0.0, 1.0, 10.0])
-    if not isinstance(times, list):
-        raise ConfigError("$.times: must be a list of numbers")
+    times = _numbers(cfg.get("times", [0.0, 1.0, 10.0]), "$.times")
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("$.tolerances: must be an object")
-    tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    tolerances = {str(k): _number(v, f"$.tolerances.{k}") for k, v in tolerances.items()}
     output = cfg.get("output", ".")
-    return grid, modes, checks, [float(t) for t in times], tolerances, str(output)
+    return grid, modes, checks, list(times), tolerances, str(output)
 
 
 def _load_config(path):

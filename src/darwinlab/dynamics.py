@@ -49,8 +49,8 @@ def dirac_residual(state: PhotonState) -> float:
     f_u = state.psi.values[..., :3]
     f_l = state.psi.values[..., 3:]
     # H psi = (-k x f_l, k x f_u) on the block split
-    h_u = -np.cross(g.kvec, f_l)
-    h_l = np.cross(g.kvec, f_u)
+    h_u = -kgrid.cross(g.kvec, f_l)
+    h_l = kgrid.cross(g.kvec, f_u)
     omega = g.kmag
     residual = np.linalg.norm(
         np.concatenate([h_u, h_l], axis=-1) - omega[..., None] * state.psi.values,
@@ -92,7 +92,7 @@ def four_current(state: PhotonState) -> CurrentField:
     upper = pos.values[..., :3]
     lower = pos.values[..., 3:]
     j0 = np.sum(np.abs(pos.values) ** 2, axis=-1)
-    j = 2.0 * np.real(np.cross(np.conj(upper), lower))
+    j = 2.0 * np.real(kgrid.cross(np.conj(upper), lower))
     return CurrentField(j0=j0, j=j, grid=state.grid, time=state.time)
 
 
@@ -163,7 +163,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time)).values
     del stencil
 
-    curls = np.concatenate([np.cross(g.kvec, f_l), -np.cross(g.kvec, f_u)], axis=-1)
+    curls = np.concatenate([kgrid.cross(g.kvec, f_l), -kgrid.cross(g.kvec, f_u)], axis=-1)
     curls *= 1j * block_scale
     curls = to_position(Field(curls, kgrid.MOMENTUM, g, state.time)).values
 
@@ -176,7 +176,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
 
     div = 0.0
     for f in (f_u, f_l):
-        div_k = 1j * block_scale * np.sum(g.kvec * f, axis=-1)
+        div_k = 1j * block_scale * kgrid.dot(g.kvec, f)
         div_x = to_position(Field(div_k[..., None], kgrid.MOMENTUM, g, state.time))
         div = max(div, float(np.abs(div_x.values).max()))
 

@@ -22,7 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kgrid import Field, KGrid, momentum_field, position_field, reverse_bins, to_momentum, to_position
+from .kgrid import (
+    Field,
+    KGrid,
+    cross,
+    dot,
+    momentum_field,
+    norm,
+    position_field,
+    reverse_bins,
+    to_momentum,
+    to_position,
+)
 from .state import PhotonState
 
 HERMITIAN_TOLERANCE = 1e-8
@@ -63,10 +74,10 @@ def hermitian_symmetry_residual(values: np.ndarray) -> float:
 
 def solenoidal_residual(values: np.ndarray, grid: KGrid) -> float:
     """Relative residual of k . a = 0 over the grid."""
-    peak = float((grid.kmag * np.linalg.norm(values, axis=-1)).max())
+    peak = float((grid.kmag * norm(values)).max())
     if peak == 0.0:
         return 0.0
-    longi = np.abs(np.sum(grid.kvec * values, axis=-1))
+    longi = np.abs(dot(grid.kvec, values))
     return float(longi.max() / peak)
 
 
@@ -141,8 +152,8 @@ def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> tuple[np.ndarray, n
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
     inv_k = _safe_inverse(grid.kmag)[..., None]
-    e = (eps_k - inv_k * np.cross(grid.kvec, eta_k)) / np.sqrt(2.0)
-    h = (eta_k + inv_k * np.cross(grid.kvec, eps_k)) / np.sqrt(2.0)
+    e = (eps_k - inv_k * cross(grid.kvec, eta_k)) / np.sqrt(2.0)
+    h = (eta_k + inv_k * cross(grid.kvec, eps_k)) / np.sqrt(2.0)
     e[grid.dc_index] = 0.0
     h[grid.dc_index] = 0.0
     return e, h
@@ -165,7 +176,7 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
     # removes the absolute round-off debris that would otherwise dominate the
     # relative residual at faintly occupied bins
     for f in (f_u, f_l):
-        f -= np.sum(g.khat * f, axis=-1)[..., None] * g.khat
+        f -= dot(g.khat, f)[..., None] * g.khat
     return PhotonState(momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), g, cf.time))
 
 
@@ -215,8 +226,8 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
 
     inv_k = _safe_inverse(g.kmag)[..., None]
     # (1/k) d(eps)/dt with d(eps)/dt = i k x eta; times i
-    imag_e = to_position(momentum_field(-inv_k * np.cross(g.kvec, cf.eta_k), g, cf.time)).values
-    imag_h = to_position(momentum_field(inv_k * np.cross(g.kvec, cf.eps_k), g, cf.time)).values
+    imag_e = to_position(momentum_field(-inv_k * cross(g.kvec, cf.eta_k), g, cf.time)).values
+    imag_h = to_position(momentum_field(inv_k * cross(g.kvec, cf.eps_k), g, cf.time)).values
     E2 = (cf.E_real + imag_e) / np.sqrt(2.0)
     H2 = (cf.H_real + imag_h) / np.sqrt(2.0)
 
@@ -282,7 +293,7 @@ def _regularized_kernel(kind: str, grid: KGrid) -> np.ndarray:
         sub = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3)
         centers = grid.x1d[core]  # (ncore, 3)
         pts = centers[:, None, :] + sub[None, :, :]
-        rr = np.linalg.norm(pts, axis=-1)
+        rr = norm(pts)
         vals = np.where(rr >= dx, _kernel_values(kind, np.maximum(rr, dx / 2.0)), 0.0)
         vals *= _kernel_window(rr, grid.box_length)
         kern[core[:, 0], core[:, 1], core[:, 2]] = vals.mean(axis=1)

@@ -14,6 +14,9 @@ Conventions (fixed once, everything downstream depends on them):
 Gradients with respect to k are centered finite differences (the amplitudes
 are not periodic in k, so an FFT-based derivative would alias); spatial
 derivatives are exact spectral multiplications by i k.
+
+Per-bin 3-vector algebra goes through :func:`cross`, :func:`dot` and
+:func:`norm`, which work component by component on a last axis of length 3.
 """
 
 from __future__ import annotations
@@ -31,6 +34,36 @@ MOMENTUM = "momentum"
 POSITION = "position"
 
 _FT_NORM = (2.0 * np.pi) ** 1.5
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b per bin over a last axis of length 3; either side may be one (3,) vector.
+
+    Bitwise equal to ``np.cross(a, b)``, which copies and promotes both inputs
+    as a whole; here only the per-component products are allocated.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b per bin (no conjugation); bitwise equal to ``np.sum(a * b, axis=-1)``."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def norm(a: np.ndarray) -> np.ndarray:
+    """|a| per bin; bitwise equal to ``np.linalg.norm(a, axis=-1)``.
+
+    Each square is the real part of conj(a_i) a_i, the complex product numpy's
+    norm uses (with FMA it can differ from re^2 + im^2 in the last bit).
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    return np.sqrt((a0.conj() * a0).real + (a1.conj() * a1).real + (a2.conj() * a2).real)
 
 
 @dataclass(frozen=True)
@@ -91,7 +124,7 @@ class KGrid:
 
     @cached_property
     def kmag(self) -> ArrayR:
-        return np.linalg.norm(self.kvec, axis=-1)
+        return norm(self.kvec)
 
     @cached_property
     def khat(self) -> ArrayR:
@@ -103,7 +136,7 @@ class KGrid:
 
     @cached_property
     def rmag(self) -> ArrayR:
-        return np.linalg.norm(self.xvec, axis=-1)
+        return norm(self.xvec)
 
     @property
     def dc_index(self) -> tuple[int, int, int]:
@@ -171,7 +204,10 @@ def to_position(field: Field) -> Field:
     _require(field, MOMENTUM)
     g = field.grid
     scale = g.n**3 * g.dk**3 / _FT_NORM
-    values = np.fft.ifftn(field.values, axes=(0, 1, 2))
+    # all three axes write into one output; without out= numpy allocates one
+    # per axis, which costs time and a third field-sized array at the peak
+    values = np.fft.ifftn(field.values, axes=(0, 1, 2),
+                          out=np.empty(field.values.shape, dtype=np.complex128))
     values *= scale
     return Field(values, POSITION, g, field.time)
 
@@ -181,7 +217,8 @@ def to_momentum(field: Field) -> Field:
     _require(field, POSITION)
     g = field.grid
     scale = g.dx**3 / _FT_NORM
-    values = np.fft.fftn(field.values, axes=(0, 1, 2))
+    values = np.fft.fftn(field.values, axes=(0, 1, 2),
+                         out=np.empty(field.values.shape, dtype=np.complex128))
     values *= scale
     return Field(values, MOMENTUM, g, field.time)
 
@@ -266,7 +303,7 @@ def spectral_curl(field: Field) -> Field:
     if field.ncomp != 3:
         raise ValueError("curl requires a 3-component field")
     f = to_momentum(field)
-    curled = 1j * np.cross(field.grid.kvec, f.values)
+    curled = 1j * cross(field.grid.kvec, f.values)
     return to_position(Field(curled, MOMENTUM, field.grid, field.time))
 
 
@@ -276,5 +313,5 @@ def spectral_divergence(field: Field) -> Field:
     if field.ncomp != 3:
         raise ValueError("divergence requires a 3-component field")
     f = to_momentum(field)
-    div = 1j * np.sum(field.grid.kvec * f.values, axis=-1)
+    div = 1j * dot(field.grid.kvec, f.values)
     return to_position(Field(div[..., None], MOMENTUM, field.grid, field.time))

@@ -59,7 +59,18 @@ def _position_block(state: PhotonState, block: str) -> np.ndarray:
 
 def _cross_density(f: np.ndarray) -> np.ndarray:
     """-i f* x f per bin; Hermitian form, real up to round-off."""
-    return -1j * np.cross(np.conj(f), f)
+    return -1j * kgrid.cross(np.conj(f), f)
+
+
+def _momentum_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
+    """Cross densities -i f* x f of the upper and lower momentum blocks."""
+    return _cross_density(state.f_upper()), _cross_density(state.f_lower())
+
+
+def _position_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
+    """Cross densities -i F* x F of the upper and lower position blocks."""
+    return (_cross_density(_position_block(state, "upper")),
+            _cross_density(_position_block(state, "lower")))
 
 
 def _peeled_block(state: PhotonState, block: str) -> np.ndarray:
@@ -86,46 +97,38 @@ def _integrate_vector(density: np.ndarray, measure: float) -> tuple[np.ndarray, 
     return total.real, float(np.abs(total.imag).max())
 
 
-def _spin_canonical(state: PhotonState) -> tuple[np.ndarray, float]:
-    d = 0.5 * (_cross_density(state.f_upper()) + _cross_density(state.f_lower()))
+def _spin_canonical(state: PhotonState, d_u, d_l) -> tuple[np.ndarray, float]:
+    d = 0.5 * (d_u + d_l)
     return _integrate_vector(d, state.psi.measure)
 
 
-def _spin_projected(state: PhotonState) -> tuple[np.ndarray, float]:
+def _spin_projected(state: PhotonState, d_u, d_l) -> tuple[np.ndarray, float]:
     g = state.grid
-    d = 0.5 * (_cross_density(state.f_upper()) + _cross_density(state.f_lower()))
-    helicity_density = np.sum(g.khat * d, axis=-1)
+    d = 0.5 * (d_u + d_l)
+    helicity_density = kgrid.dot(g.khat, d)
     return _integrate_vector(helicity_density[..., None] * g.khat, state.psi.measure)
-
-
-def _spin_cross(state: PhotonState, block: str) -> tuple[np.ndarray, float]:
-    f = state.f_upper() if block == "upper" else state.f_lower()
-    return _integrate_vector(_cross_density(f), state.psi.measure)
-
-
-def _spin_position(state: PhotonState, block: str) -> tuple[np.ndarray, float]:
-    F = _position_block(state, block)
-    return _integrate_vector(_cross_density(F), state.psi_position.measure)
 
 
 def spin_canonical(state: PhotonState) -> np.ndarray:
     """<spin> from the constant block-diagonal spin matrices, momentum space."""
-    return _spin_canonical(state)[0]
+    return _spin_canonical(state, *_momentum_densities(state))[0]
 
 
 def spin_projected(state: PhotonState) -> np.ndarray:
     """<spin> from the momentum-projected operator (spin . w) w."""
-    return _spin_projected(state)[0]
+    return _spin_projected(state, *_momentum_densities(state))[0]
 
 
 def spin_cross(state: PhotonState, block: str = "upper") -> np.ndarray:
     """<spin> = -i integral f* x f d3k over a single block."""
-    return _spin_cross(state, block)[0]
+    f = state.f_upper() if block == "upper" else state.f_lower()
+    return _integrate_vector(_cross_density(f), state.psi.measure)[0]
 
 
 def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
     """<spin> = -i integral F* x F d3x over a single block, position space."""
-    return _spin_position(state, block)[0]
+    F = _position_block(state, block)
+    return _integrate_vector(_cross_density(F), state.psi_position.measure)[0]
 
 
 def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
@@ -137,8 +140,8 @@ def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
     f_u = state.psi.values[..., :3]
     f_l = state.psi.values[..., 3:]
     # (sigma . w) f = i w x f
-    chi_u = 1j * np.cross(g.khat, f_u)
-    chi_l = 1j * np.cross(g.khat, f_l)
+    chi_u = 1j * kgrid.cross(g.khat, f_u)
+    chi_l = 1j * kgrid.cross(g.khat, f_l)
     return np.concatenate([chi_u, chi_l], axis=-1)
 
 
@@ -154,6 +157,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     """
     g = state.grid
     psi_pos = state.psi_position
+    psi_conj = np.conj(psi_pos.values)
     chi = projected_spin_momentum_density(state)
     s = np.empty(g.shape + (3,), dtype=np.float64)
     integral = np.empty(3)
@@ -161,7 +165,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     pointwise_imag = 0.0
     for i in range(3):
         phi = to_position(momentum_field(g.khat[..., i, None] * chi, g, state.time))
-        dens = np.sum(np.conj(psi_pos.values) * phi.values, axis=-1)
+        dens = np.sum(psi_conj * phi.values, axis=-1)
         s[..., i] = dens.real
         total = np.sum(dens) * psi_pos.measure
         integral[i] = total.real
@@ -169,6 +173,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
         # the density itself is complex away from the single-mode limit; only
         # its integral is a Hermitian form, so only that must be real
         pointwise_imag = max(pointwise_imag, float(np.abs(dens.imag).max()))
+    del psi_conj, chi, phi  # free them before the canonical and projected densities
 
     canonical = canonical_spin_density(state)
     peak = float(np.abs(canonical).max())
@@ -187,23 +192,23 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
 
 def canonical_spin_density(state: PhotonState) -> np.ndarray:
     """Psi^dag spin Psi in position space (the would-be local density)."""
-    F_u = _position_block(state, "upper")
-    F_l = _position_block(state, "lower")
-    return 0.5 * (_cross_density(F_u) + _cross_density(F_l)).real
+    D_u, D_l = _position_densities(state)
+    return 0.5 * (D_u + D_l).real
 
 
 @_per_state
 def oam_momentum(state: PhotonState, block: str = "upper") -> np.ndarray:
-    """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar."""
+    """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar.
+
+    k is real, so the sum over components is taken first: with
+    h_a = sum_c f_c* d(f_c)/d(k_a) per bin, <L> = -i integral k x h d3k.
+    """
     g = state.grid
     f = _peeled_block(state, block)
     grad = k_gradient(momentum_field(f, g, 0.0))
-    acc = np.zeros(3, dtype=np.complex128)
-    for comp in range(3):
-        gradvec = np.stack([grad.components[a].values[..., comp] for a in range(3)], axis=-1)
-        kx = np.cross(g.kvec, gradvec)
-        acc += np.sum(np.conj(f[..., comp, None]) * kx, axis=(0, 1, 2))
-    total = -1j * acc * g.dk**3
+    f_conj = np.conj(f)
+    h = np.stack([kgrid.dot(f_conj, d.values) for d in grad.components], axis=-1)
+    total = -1j * np.sum(kgrid.cross(g.kvec, h), axis=(0, 1, 2)) * g.dk**3
     return total.real
 
 
@@ -217,21 +222,19 @@ def oam_position(state: PhotonState, block: str = "upper") -> np.ndarray:
     """<L> = -i integral F^dag (x x grad) F d3x with an exact spectral gradient.
 
     The gradient component d_a F is the position transform of i k_a f, taken
-    straight from the momentum block.
+    straight from the momentum block.  x is real, so the sum over components
+    is taken first: with h_a = sum_c F_c* d_a F_c per bin,
+    <L> = -i integral x x h d3x.
     """
     g = state.grid
     f = state.f_upper() if block == "upper" else state.f_lower()
-    F = _position_block(state, block)
-    grads = [
-        to_position(momentum_field(1j * g.kvec[..., a, None] * f, g, state.time)).values
+    F_conj = np.conj(_position_block(state, block))
+    h = np.stack([
+        kgrid.dot(F_conj, to_position(
+            momentum_field(1j * g.kvec[..., a, None] * f, g, state.time)).values)
         for a in range(3)
-    ]
-    acc = np.zeros(3, dtype=np.complex128)
-    for comp in range(3):
-        gradvec = np.stack([grads[a][..., comp] for a in range(3)], axis=-1)
-        xg = np.cross(g.xvec, gradvec)
-        acc += np.sum(np.conj(F[..., comp, None]) * xg, axis=(0, 1, 2))
-    total = -1j * acc * g.dx**3
+    ], axis=-1)
+    total = -1j * np.sum(kgrid.cross(g.xvec, h), axis=(0, 1, 2)) * g.dx**3
     return total.real
 
 
@@ -279,16 +282,26 @@ class ObservableReport:
 
 
 def observable_report(state: PhotonState) -> ObservableReport:
+    """Every spin, OAM and probability route of one state, side by side.
+
+    The four block cross densities (f_u, f_l in momentum space, F_u, F_l in
+    position space) are computed once here and handed to the spin routes
+    that integrate them; each route still applies its own formula.
+    """
     s_nl, nl_diag = nonlocal_spin_density(state)
+    d_u, d_l = _momentum_densities(state)
+    D_u, D_l = _position_densities(state)
+    m_k, m_x = state.psi.measure, state.psi_position.measure
     pairs = {
-        "canonical": _spin_canonical(state),
-        "projected": _spin_projected(state),
-        "cross_upper": _spin_cross(state, "upper"),
-        "cross_lower": _spin_cross(state, "lower"),
-        "position_upper": _spin_position(state, "upper"),
-        "position_lower": _spin_position(state, "lower"),
+        "canonical": _spin_canonical(state, d_u, d_l),
+        "projected": _spin_projected(state, d_u, d_l),
+        "cross_upper": _integrate_vector(d_u, m_k),
+        "cross_lower": _integrate_vector(d_l, m_k),
+        "position_upper": _integrate_vector(D_u, m_x),
+        "position_lower": _integrate_vector(D_l, m_x),
         "kernel_integral": (nl_diag["integral"], nl_diag["imag_residue"]),
     }
+    del d_u, d_l, D_u, D_l  # free them before the OAM routes allocate theirs
     spin = {name: value for name, (value, _) in pairs.items()}
     imag_residue = max(res for _, res in pairs.values())
     discrepancies: dict[str, float] = {}
@@ -364,9 +377,9 @@ def density_candidates(state: PhotonState) -> DensityCandidates:
     spin_kernel, nl_diag = nonlocal_spin_density(state)
     imag_residue = max(imag_residue, nl_diag["imag_residue"])
 
-    prob_psi = 0.5 * (np.sum(np.abs(F_u) ** 2, axis=-1) + np.sum(np.abs(F_l) ** 2, axis=-1))
     prob_upper = np.sum(np.abs(F_u) ** 2, axis=-1)
     prob_lower = np.sum(np.abs(F_l) ** 2, axis=-1)
+    prob_psi = 0.5 * (prob_upper + prob_lower)
 
     spin_integrals = {
         "full": np.sum(spin_full, axis=(0, 1, 2)) * m,

@@ -138,7 +138,7 @@ def transversality_residual(psi: Field) -> float:
     """max over occupied bins of |k.f| / (|k| |f|), both blocks."""
     g = psi.grid
     blocks = (psi.values[..., :3], psi.values[..., 3:])
-    amps = [np.linalg.norm(f, axis=-1) for f in blocks]
+    amps = [kgrid.norm(f) for f in blocks]
     mask = _occupied_mask(amps[0] + amps[1]) & (g.kmag > 0.0)
     if not mask.any():
         return 0.0
@@ -147,7 +147,7 @@ def transversality_residual(psi: Field) -> float:
         sub = mask & (amp > 0.0)
         if not sub.any():
             continue
-        longi = np.abs(np.sum(g.khat * f, axis=-1))
+        longi = np.abs(kgrid.dot(g.khat, f))
         worst = max(worst, float((longi[sub] / amp[sub]).max()))
     return worst
 
@@ -157,12 +157,12 @@ def branch_residual(state: PhotonState) -> float:
     g = state.grid
     f_u = state.f_upper()
     f_l = state.f_lower()
-    scale = np.linalg.norm(f_u, axis=-1) + np.linalg.norm(f_l, axis=-1)
+    scale = kgrid.norm(f_u) + kgrid.norm(f_l)
     mask = _occupied_mask(scale) & (g.kmag > 0.0)
     if not mask.any():
         return 0.0
-    r1 = np.linalg.norm(np.cross(g.khat, f_u) - f_l, axis=-1)
-    r2 = np.linalg.norm(np.cross(g.khat, f_l) + f_u, axis=-1)
+    r1 = kgrid.norm(kgrid.cross(g.khat, f_u) - f_l)
+    r2 = kgrid.norm(kgrid.cross(g.khat, f_l) + f_u)
     return float(((r1 + r2)[mask] / scale[mask]).max())
 
 
@@ -185,7 +185,8 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
         env[idx] = 1.0
         return env
     if spec.kind == "gaussian" or (spec.kind == "vortex" and spec.ring_radius == 0.0):
-        dist2 = np.sum((grid.kvec - k0) ** 2, axis=-1)
+        offset = grid.kvec - k0
+        dist2 = kgrid.dot(offset, offset)
         env = np.exp(-dist2 / (2.0 * spec.sigma_k**2)).astype(np.complex128)
         if spec.kind == "vortex" and spec.vortex_charge != 0:
             # azimuthal winding about the k0 axis, carried by the analytic
@@ -196,7 +197,7 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
             e1, e2 = helicity_frame(w0)
             sign = 1.0 if spec.vortex_charge > 0 else -1.0
             winding = (
-                np.sum(grid.kvec * e1, axis=-1) + 1j * sign * np.sum(grid.kvec * e2, axis=-1)
+                kgrid.dot(grid.kvec, e1) + 1j * sign * kgrid.dot(grid.kvec, e2)
             ) / spec.sigma_k
             env = env * winding ** abs(spec.vortex_charge)
         return env
@@ -209,9 +210,9 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
     # a negligible weighted contribution to finite-difference errors.
     w0 = k0 / np.linalg.norm(k0)
     e1, e2 = helicity_frame(w0)
-    height = np.sum(grid.kvec * w0, axis=-1) - np.linalg.norm(k0)
-    c1 = np.sum(grid.kvec * e1, axis=-1)
-    c2 = np.sum(grid.kvec * e2, axis=-1)
+    height = kgrid.dot(grid.kvec, w0) - np.linalg.norm(k0)
+    c1 = kgrid.dot(grid.kvec, e1)
+    c2 = kgrid.dot(grid.kvec, e2)
     rho = np.hypot(c1, c2)
     dist = np.hypot(rho - spec.ring_radius, height)
     env = np.exp(-(dist**2) / (2.0 * spec.sigma_k**2)).astype(np.complex128)
@@ -243,9 +244,9 @@ def synthesize(specs, grid: KGrid, time: float = 0.0) -> PhotonState:
         f_u += complex(spec.amplitude) * env[..., None] * pol
 
     # transverse projection of the upper block; the lower block inherits it
-    f_u -= np.sum(grid.khat * f_u, axis=-1)[..., None] * grid.khat
+    f_u -= kgrid.dot(grid.khat, f_u)[..., None] * grid.khat
     f_u[grid.dc_index] = 0.0
-    f_l = np.cross(grid.khat, f_u)
+    f_l = kgrid.cross(grid.khat, f_u)
 
     psi = momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), grid, time)
     state = PhotonState(psi)
@@ -273,7 +274,7 @@ def project_transverse(state: PhotonState) -> PhotonState:
     v = state.psi.values.copy()
     for sl in (slice(0, 3), slice(3, 6)):
         block = v[..., sl]
-        projected = block - np.sum(g.khat * block, axis=-1)[..., None] * g.khat
+        projected = block - kgrid.dot(g.khat, block)[..., None] * g.khat
         v[..., sl] = _snap_debris(projected, block)
     v[g.dc_index] = 0.0
     return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)
@@ -292,10 +293,10 @@ def project_positive_energy(state: PhotonState) -> PhotonState:
     w = g.khat
 
     def transverse(f):
-        return f - np.sum(w * f, axis=-1)[..., None] * w
+        return f - kgrid.dot(w, f)[..., None] * w
 
-    new_u = 0.5 * (transverse(f_u) - np.cross(w, f_l))
-    new_l = 0.5 * (transverse(f_l) + np.cross(w, f_u))
+    new_u = 0.5 * (transverse(f_u) - kgrid.cross(w, f_l))
+    new_l = 0.5 * (transverse(f_l) + kgrid.cross(w, f_u))
     v = _snap_debris(np.concatenate([new_u, new_l], axis=-1), state.psi.values)
     v[g.dc_index] = 0.0
     return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)

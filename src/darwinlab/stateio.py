@@ -4,8 +4,10 @@ Layout: 5-byte magic ``DPST1``, little-endian uint32 header length, UTF-8
 JSON header, then the payload: one little-endian complex128 (interleaved
 re, im float64) per component, six components per bin, bins ordered with the
 x index fastest.  The header carries only what the payload cannot give back:
-the grid, time stamp, scale factor, unit record, a CRC32 of the payload (so
-corruption is detected before any physics runs) and free metadata.  The code
+the format version (:data:`FORMAT_VERSION`; a file of any other version, or
+of none, is rejected), the grid, time stamp, scale factor, unit record, a
+CRC32 of the payload (so corruption is detected before any physics runs) and
+free metadata.  The code
 computes in natural units only, so the unit record is always
 :data:`NATURAL_UNITS` and any other record is rejected.  Physics values such
 as the norm or the constraint residual are derived from the payload when
@@ -77,8 +79,8 @@ def read_state(path) -> tuple[PhotonState, dict]:
     """Read a state file; returns the state and its full header.
 
     Raises StateFileError for every malformed, truncated or corrupted file,
-    for invalid or non-finite header values and for a unit record other than
-    natural units.
+    for a format other than FORMAT_VERSION, for invalid or non-finite header
+    values and for a unit record other than natural units.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -95,6 +97,8 @@ def read_state(path) -> tuple[PhotonState, dict]:
     if not isinstance(header, dict):
         raise StateFileError(f"{path}: header is not a JSON object")
 
+    if header.get("format") != FORMAT_VERSION:
+        raise StateFileError(f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION}")
     payload = raw[hstart + hlen :]
     try:
         grid = KGrid(n=int(header["grid"]["n"]), dk=float(header["grid"]["dk"]))

@@ -222,7 +222,7 @@ def suite_conservation(state: PhotonState, times=(0.0, 1.0, 10.0), tolerances=No
 
 def suite_fieldbridge(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("fieldbridge")
-    _, cf = fieldbridge.classical_from_state(state)
+    cf = fieldbridge.classical_from_state(state)[1]
     back = fieldbridge.state_from_classical(cf)
     peak = float(np.abs(state.psi.values).max())
     roundtrip = float(np.abs(back.psi.values - state.psi.values).max()) / peak

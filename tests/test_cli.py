@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darwinlab.cli import main
+from darwinlab.cli import ConfigError, main, parse_config
 from darwinlab.stateio import read_state, write_state
 from test_state import longitudinal_state
 from test_stateio import OLD_HEADER_CLAIMS, rewrite_header, rewrite_payload
@@ -64,6 +66,26 @@ class TestBuild:
         path.write_text(json.dumps(cfg))
         code = main(["build", "--config", str(path), "--out", str(tmp_path / "x.dpst")])
         assert code == 2
+
+    @pytest.mark.parametrize("change, path", [
+        pytest.param({"times": ["abc"]}, "$.times[0]", id="times_abc"),
+        pytest.param({"modes": [dict(BASE_CONFIG["modes"][0], k0=["a", 0, 4])]},
+                     "$.modes[0].k0[0]", id="k0_string"),
+        pytest.param({"modes": [dict(BASE_CONFIG["modes"][0], k0=5)]}, "$.modes[0].k0",
+                     id="k0_scalar"),
+        pytest.param({"tolerances": {"oam_formula_gap": "x"}}, "$.tolerances.oam_formula_gap",
+                     id="tolerance_string"),
+        pytest.param({"modes": [dict(BASE_CONFIG["modes"][0], kind="vortex", vortex_charge="2")]},
+                     "$.modes[0].vortex_charge", id="vortex_charge_string"),
+    ])
+    def test_value_that_is_not_a_number_exits_2(self, tmp_path, capsys, change, path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, **change)))
+        code = main(["build", "--config", str(config), "--out", str(tmp_path / "x.dpst")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {path}:") and err.count("\n") == 1
+        assert not (tmp_path / "x.dpst").exists()
 
     def test_roundtrip_read_back(self, built_state, tmp_path, config_path):
         from darwinlab.cli import parse_config
@@ -219,6 +241,35 @@ class TestHeaderTrust:
         assert drift < 1e-13
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_PATHS = [(), ("grid",), ("grid", "n"), ("grid", "dk"), ("modes",), ("checks",),
+                ("times",), ("tolerances",), ("tolerances", "oam_formula_gap"), ("output",),
+                *(("modes", 0, key) for key in ("kind", "k0", "sigma_k", "helicity", "polarization",
+                                               "vortex_charge", "ring_radius", "amplitude"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
+def test_parse_config_raises_only_config_error(path, value):
+    """Whatever JSON value sits at any place of a valid config, only ConfigError escapes."""
+    cfg = json.loads(json.dumps(dict(BASE_CONFIG, times=[0.0], tolerances={})))
+    if not path:
+        cfg = value
+    else:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        parse_config(cfg)
+    except ConfigError:
+        pass
+
+
 NATURAL_UNITS = {"hbar": 1.0, "c": 1.0, "eps0": 1.0, "label": "natural"}
 SI_UNITS = {"hbar": 1.054571817e-34, "c": 2.99792458e8, "eps0": 8.8541878128e-12, "label": "si"}
 
@@ -241,6 +292,9 @@ INVALID_FILES = {
     "time_nan": lambda p: rewrite_header(p, time=float("nan")),
     "time_inf": lambda p: rewrite_header(p, time=float("inf")),
     "scale_factor_nan": lambda p: rewrite_header(p, scale_factor=float("nan")),
+    "format_99": lambda p: rewrite_header(p, format=99),
+    "format_string": lambda p: rewrite_header(p, format="1"),
+    "format_missing": lambda p: rewrite_header(p, format=None),
     "si_units": lambda p: rewrite_header(p, units=SI_UNITS),
     "units_without_values": lambda p: rewrite_header(p, units={"label": "natural"}),
     "units_wrong_type": lambda p: rewrite_header(p, units=dict(NATURAL_UNITS, c="fast")),

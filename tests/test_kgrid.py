@@ -1,12 +1,29 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darwinlab import KGrid, k_gradient, momentum_field, position_field
+import darwinlab
+from darwinlab import (
+    KGrid,
+    ModeSpec,
+    PhotonState,
+    k_gradient,
+    momentum_field,
+    observables,
+    position_field,
+    synthesize,
+)
 from darwinlab.kgrid import (
     boundary_amplitude_ratio,
+    cross,
+    dot,
     inner,
+    norm,
     norm_squared,
     reverse_bins,
     spectral_curl,
@@ -212,3 +229,96 @@ class TestInnerProduct:
         f = np.exp(-np.sum((g32.kvec - np.array([0, 0, 5.0])) ** 2, axis=-1) / 2.0)
         ratio = boundary_amplitude_ratio(momentum_field(f[..., None], g32))
         assert ratio < 1e-8
+
+
+class TestVectorKernels:
+    """cross, dot and norm reproduce numpy's forms bit for bit."""
+
+    @pytest.fixture()
+    def operands(self, rng):
+        shape = (8, 8, 8)
+        real = rng.normal(size=shape + (3,))
+        six = rng.normal(size=shape + (6,)) + 1j * rng.normal(size=shape + (6,))
+        block = six[..., 3:]  # a strided view, as the state blocks are
+        vec = np.array([0.3, -1.2, 2.0])
+        return {
+            "float_complex": (real, block),
+            "complex_float": (block, real),
+            "complex_complex": (np.conj(block), block),
+            "real_real": (real, rng.normal(size=shape + (3,))),
+            "vector_grid": (vec, block),
+            "grid_vector": (real, vec),
+            "complex_vector_grid": (vec * (1 - 2j), real),
+        }
+
+    @staticmethod
+    def same(ours, numpy_form):
+        return ours.dtype == numpy_form.dtype and np.array_equal(ours, numpy_form)
+
+    def test_cross_and_dot(self, operands):
+        for name, (a, b) in operands.items():
+            assert self.same(cross(a, b), np.cross(a, b)), name
+            assert self.same(dot(a, b), np.sum(a * b, axis=-1)), name
+
+    def test_norm(self, operands):
+        for name, (a, b) in operands.items():
+            for x in (a, b):
+                assert self.same(norm(x), np.linalg.norm(x, axis=-1)), name
+
+    def test_np_cross_only_in_algebra(self):
+        # grid-sized cross products go through kgrid.cross; np.cross copies
+        # and promotes both inputs, so only algebra's single vectors use it
+        offenders = []
+        for path in sorted(Path(darwinlab.__file__).parent.glob("*.py")):
+            if path.name == "algebra.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                uses_attr = (isinstance(node, ast.Attribute) and node.attr == "cross"
+                             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+                imports_it = (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                              and any(alias.name == "cross" for alias in node.names))
+                if uses_attr or imports_it:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+
+def _spin_and_oam(state):
+    rep = observables.observable_report(state)
+    routes = dict(rep.spin)
+    routes["oam_momentum"] = rep.oam_momentum
+    routes["oam_position"] = rep.oam_position
+    return routes
+
+
+class TestMetamorphic:
+    """Symmetries of the grid that every route must respect exactly."""
+
+    def test_cyclic_axis_permutation_permutes_every_route(self, g16):
+        # rotate by R: (x, y, z) -> (y, z, x), psi'(k) = R psi(R^-1 k); on the
+        # cubic grid this is a relabelling of bins and components, so every
+        # vector route must come out as R applied to the original vector
+        state = synthesize([
+            ModeSpec(kind="gaussian", k0=(1.0, 2.0, 3.0), sigma_k=1.0, helicity=1),
+            ModeSpec(kind="gaussian", k0=(-3.0, 1.0, 1.0), sigma_k=1.0, helicity=-1, amplitude=0.6),
+            ModeSpec(kind="vortex", k0=(2.0, -1.0, 2.0), sigma_k=1.0, helicity=1, vortex_charge=1,
+                     amplitude=0.5j),
+        ], g16)
+        values = np.transpose(state.psi.values, (2, 0, 1, 3))[..., [2, 0, 1, 5, 3, 4]]
+        rotated = PhotonState(momentum_field(values, g16))
+        before, after = _spin_and_oam(state), _spin_and_oam(rotated)
+        assert set(after) == set(observables._SPIN_FORMULAS) | {"oam_momentum", "oam_position"}
+        for name, vec in before.items():
+            assert np.abs(vec).max() > 0.01, name  # every route carries a signal
+            assert np.abs(after[name] - vec[[2, 0, 1]]).max() < 1e-12, name
+
+    def test_helicity_flip_negates_projected_spin(self, g16):
+        gaussians = [
+            ModeSpec(kind="gaussian", k0=(0.0, 0.0, 3.0), sigma_k=1.0, helicity=1),
+            ModeSpec(kind="gaussian", k0=(3.0, 0.0, 0.0), sigma_k=1.0, helicity=-1, amplitude=0.7),
+            ModeSpec(kind="gaussian", k0=(1.0, 2.0, -2.0), sigma_k=1.0, helicity=1, amplitude=0.5),
+        ]
+        flipped = [dataclasses.replace(m, helicity=-m.helicity) for m in gaussians]
+        s = observables.spin_projected(synthesize(gaussians, g16))
+        s_flipped = observables.spin_projected(synthesize(flipped, g16))
+        assert np.abs(s).max() > 0.1
+        assert np.abs(s_flipped + s).max() < 1e-12
