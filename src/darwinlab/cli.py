@@ -174,7 +174,7 @@ def cmd_check(args) -> int:
     tolerances.update(dict(args.tolerance or []))
     try:
         reports = suites.run_suites(names, state, tolerances=tolerances, times=times)
-    except ValueError as exc:
+    except suites.UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -260,10 +260,10 @@ def cmd_densities(args) -> int:
         "prob_psi": dc.prob_density_psi,
         "prob_upper": dc.prob_density_upper,
         "prob_lower": dc.prob_density_lower,
-        f"spin_full_{args.component}": dc.spin_density_full[..., comp],
-        f"spin_upper_{args.component}": dc.spin_density_upper[..., comp],
-        f"spin_lower_{args.component}": dc.spin_density_lower[..., comp],
-        f"spin_kernel_{args.component}": dc.spin_density_kernel[..., comp],
+        f"spin_full_{args.component}": dc.spin_density_full[comp],
+        f"spin_upper_{args.component}": dc.spin_density_upper[comp],
+        f"spin_lower_{args.component}": dc.spin_density_lower[comp],
+        f"spin_kernel_{args.component}": dc.spin_density_kernel[comp],
     }
 
     os.makedirs(args.out, exist_ok=True)

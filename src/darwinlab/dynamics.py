@@ -34,7 +34,7 @@ def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
         return state
     g = state.grid
     phase = np.exp(-1j * g.kmag * t)
-    psi = Field(state.psi.values * phase[..., None], kgrid.MOMENTUM, g, state.time + t)
+    psi = Field(state.psi.values * phase, kgrid.MOMENTUM, g, state.time + t)
     return PhotonState(psi, scale_factor=state.scale_factor)
 
 
@@ -46,17 +46,14 @@ def dirac_residual(state: PhotonState) -> float:
     negative branch.
     """
     g = state.grid
-    f_u = state.psi.values[..., :3]
-    f_l = state.psi.values[..., 3:]
+    f_u = state.psi.values[:3]
+    f_l = state.psi.values[3:]
     # H psi = (-k x f_l, k x f_u) on the block split
     h_u = -kgrid.cross(g.kvec, f_l)
     h_l = kgrid.cross(g.kvec, f_u)
     omega = g.kmag
-    residual = np.linalg.norm(
-        np.concatenate([h_u, h_l], axis=-1) - omega[..., None] * state.psi.values,
-        axis=-1,
-    )
-    amp = np.linalg.norm(state.psi.values, axis=-1)
+    residual = np.linalg.norm(np.concatenate([h_u, h_l]) - omega * state.psi.values, axis=0)
+    amp = np.linalg.norm(state.psi.values, axis=0)
     peak = float(amp.max())
     if peak == 0.0:
         return 0.0
@@ -77,7 +74,7 @@ class CurrentField:
     """
 
     j0: np.ndarray   # (n, n, n) real, >= 0
-    j: np.ndarray    # (n, n, n, 3) real
+    j: np.ndarray    # (3, n, n, n) real
     grid: kgrid.KGrid
     time: float
 
@@ -89,9 +86,9 @@ def four_current(state: PhotonState) -> CurrentField:
     j = 2 Re(Psi_u* x Psi_l), with Psi_u, Psi_l the (1/sqrt 2)-scaled blocks.
     """
     pos = state.psi_position
-    upper = pos.values[..., :3]
-    lower = pos.values[..., 3:]
-    j0 = np.sum(np.abs(pos.values) ** 2, axis=-1)
+    upper = pos.values[:3]
+    lower = pos.values[3:]
+    j0 = np.sum(np.abs(pos.values) ** 2, axis=0)
     j = 2.0 * np.real(kgrid.cross(np.conj(upper), lower))
     return CurrentField(j0=j0, j=j, grid=state.grid, time=state.time)
 
@@ -114,7 +111,7 @@ def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
     drho_dt = (after.j0 - before.j0) / (2.0 * dt)
     div_j = kgrid.spectral_divergence(
         kgrid.position_field(now.j.astype(np.complex128), g, state.time)
-    ).values[..., 0].real
+    ).values[0].real
     scale = float(np.abs(div_j).max())
     if scale == 0.0:
         return 0.0
@@ -152,8 +149,8 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     elif dt == 0.0:
         # _phase_evolved(state, 0) is the state itself, which the stencil must not overwrite
         raise ValueError("maxwell_residual needs a nonzero dt")
-    f_u = state.psi.values[..., :3]
-    f_l = state.psi.values[..., 3:]
+    f_u = state.psi.values[:3]
+    f_l = state.psi.values[3:]
     block_scale = np.sqrt(2.0)
 
     # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u)
@@ -163,7 +160,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time)).values
     del stencil
 
-    curls = np.concatenate([kgrid.cross(g.kvec, f_l), -kgrid.cross(g.kvec, f_u)], axis=-1)
+    curls = np.concatenate([kgrid.cross(g.kvec, f_l), -kgrid.cross(g.kvec, f_u)])
     curls *= 1j * block_scale
     curls = to_position(Field(curls, kgrid.MOMENTUM, g, state.time)).values
 
@@ -177,7 +174,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     div = 0.0
     for f in (f_u, f_l):
         div_k = 1j * block_scale * kgrid.dot(g.kvec, f)
-        div_x = to_position(Field(div_k[..., None], kgrid.MOMENTUM, g, state.time))
+        div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g, state.time))
         div = max(div, float(np.abs(div_x.values).max()))
 
     return MaxwellReport(

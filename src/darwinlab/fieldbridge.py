@@ -44,8 +44,8 @@ DC_TOLERANCE = 1e-10
 class ComplexFieldPair:
     """Positive-frequency complex field pair in both representations."""
 
-    e: np.ndarray  # (n, n, n, 3) momentum amplitudes of E
-    h: np.ndarray  # (n, n, n, 3) momentum amplitudes of H
+    e: np.ndarray  # (3, n, n, n) momentum amplitudes of E
+    h: np.ndarray  # (3, n, n, n) momentum amplitudes of H
     E: np.ndarray  # position-space complex E
     H: np.ndarray  # position-space complex H
     grid: KGrid
@@ -56,10 +56,10 @@ class ComplexFieldPair:
 class ClassicalField:
     """Real free-field snapshot with its Fourier data."""
 
-    eps_k: np.ndarray   # (n, n, n, 3) Fourier data of E_real
-    eta_k: np.ndarray   # (n, n, n, 3) Fourier data of H_real
-    E_real: np.ndarray  # (n, n, n, 3) real
-    H_real: np.ndarray  # (n, n, n, 3) real
+    eps_k: np.ndarray   # (3, n, n, n) Fourier data of E_real
+    eta_k: np.ndarray   # (3, n, n, n) Fourier data of H_real
+    E_real: np.ndarray  # (3, n, n, n) real
+    H_real: np.ndarray  # (3, n, n, n) real
     grid: KGrid
     time: float = 0.0
 
@@ -90,7 +90,7 @@ def _validate_classical(eps_k: np.ndarray, eta_k: np.ndarray, grid: KGrid) -> No
                 "the corresponding position-space field would not be real"
             )
         peak = float(np.abs(a).max())
-        if peak > 0.0 and float(np.abs(a[grid.dc_index]).max()) > DC_TOLERANCE * peak:
+        if peak > 0.0 and float(np.abs(a[:, 0, 0, 0]).max()) > DC_TOLERANCE * peak:
             raise ValueError(f"{name} carries a nonzero DC (k = 0) component")
         sol = solenoidal_residual(a, grid)
         if sol > HERMITIAN_TOLERANCE:
@@ -119,7 +119,7 @@ def classical_from_state(state: PhotonState) -> tuple[ComplexFieldPair, Classica
     snapshot (E_real = (E + E*)/sqrt(2) and its magnetic twin).
     """
     g = state.grid
-    sqrt_k = np.sqrt(g.kmag)[..., None]
+    sqrt_k = np.sqrt(g.kmag)
     e = sqrt_k * state.f_upper()
     h = sqrt_k * state.f_lower()
     E = to_position(momentum_field(e, g, state.time)).values
@@ -151,11 +151,11 @@ def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> tuple[np.ndarray, n
     """
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    inv_k = _safe_inverse(grid.kmag)[..., None]
+    inv_k = _safe_inverse(grid.kmag)
     e = (eps_k - inv_k * cross(grid.kvec, eta_k)) / np.sqrt(2.0)
     h = (eta_k + inv_k * cross(grid.kvec, eps_k)) / np.sqrt(2.0)
-    e[grid.dc_index] = 0.0
-    h[grid.dc_index] = 0.0
+    e[:, 0, 0, 0] = 0.0  # the DC bin
+    h[:, 0, 0, 0] = 0.0
     return e, h
 
 
@@ -169,15 +169,15 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
     _validate_classical(cf.eps_k, cf.eta_k, cf.grid)
     g = cf.grid
     e, h = extract_positive_frequency(cf.eps_k, cf.eta_k, g)
-    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))[..., None]
+    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
     f_u = inv_sqrt_k * e
     f_l = inv_sqrt_k * h
     # extraction preserves transversality analytically; enforcing it per bin
     # removes the absolute round-off debris that would otherwise dominate the
     # relative residual at faintly occupied bins
     for f in (f_u, f_l):
-        f -= dot(g.khat, f)[..., None] * g.khat
-    return PhotonState(momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), g, cf.time))
+        f -= dot(g.khat, f) * g.khat
+    return PhotonState(momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), g, cf.time))
 
 
 def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
@@ -188,7 +188,7 @@ def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
     transforming yields (F_u, F_l).
     """
     g = pair.grid
-    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))[..., None]
+    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
     F_u = to_position(momentum_field(inv_sqrt_k * pair.e, g, pair.time))
     F_l = to_position(momentum_field(inv_sqrt_k * pair.h, g, pair.time))
     return F_u, F_l
@@ -224,7 +224,7 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
     E1 = to_position(momentum_field(e, g, cf.time)).values
     H1 = to_position(momentum_field(h, g, cf.time)).values
 
-    inv_k = _safe_inverse(g.kmag)[..., None]
+    inv_k = _safe_inverse(g.kmag)
     # (1/k) d(eps)/dt with d(eps)/dt = i k x eta; times i
     imag_e = to_position(momentum_field(-inv_k * cross(g.kvec, cf.eta_k), g, cf.time)).values
     imag_h = to_position(momentum_field(inv_k * cross(g.kvec, cf.eps_k), g, cf.time)).values
@@ -290,9 +290,9 @@ def _regularized_kernel(kind: str, grid: KGrid) -> np.ndarray:
         m = _CORE_SUBSAMPLES
         offs = ((np.arange(m) + 0.5) / m - 0.5) * dx
         ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-        sub = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3)
-        centers = grid.x1d[core]  # (ncore, 3)
-        pts = centers[:, None, :] + sub[None, :, :]
+        sub = np.stack([ox, oy, oz]).reshape(3, -1)
+        centers = grid.x1d[core.T]  # (3, ncore)
+        pts = centers[:, :, None] + sub[:, None, :]
         rr = norm(pts)
         vals = np.where(rr >= dx, _kernel_values(kind, np.maximum(rr, dx / 2.0)), 0.0)
         vals *= _kernel_window(rr, grid.box_length)
@@ -360,7 +360,7 @@ def kernel_pair_check(kind: str, grid: KGrid, shell: tuple[float, float] | None 
         raise ValueError("kernel check needs n >= 32 (n >= 64 recommended)")
 
     kern = _regularized_kernel(kind, grid)
-    transformed = to_momentum(position_field(kern[..., None], grid)).values[..., 0].real
+    transformed = to_momentum(position_field(kern[None], grid)).values[0].real
 
     k_low, k_high = shell if shell is not None else (4.0 * grid.dk, grid.k_nyquist / 4.0)
     mask = (grid.kmag >= k_low) & (grid.kmag <= k_high)

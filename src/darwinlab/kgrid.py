@@ -15,8 +15,10 @@ Gradients with respect to k are centered finite differences (the amplitudes
 are not periodic in k, so an FFT-based derivative would alias); spatial
 derivatives are exact spectral multiplications by i k.
 
-Per-bin 3-vector algebra goes through :func:`cross`, :func:`dot` and
-:func:`norm`, which work component by component on a last axis of length 3.
+Every grid array is component-first: a c-component field is (c, n, n, n),
+so each component is one contiguous block of bins.  Per-bin 3-vector algebra
+goes through :func:`cross`, :func:`dot` and :func:`norm`, which work
+component by component on a first axis of length 3.
 """
 
 from __future__ import annotations
@@ -37,32 +39,34 @@ _FT_NORM = (2.0 * np.pi) ** 1.5
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b per bin over a last axis of length 3; either side may be one (3,) vector.
+    """a x b per bin over a first axis of length 3; either side may be one (3,) vector.
 
-    Bitwise equal to ``np.cross(a, b)``, which copies and promotes both inputs
-    as a whole; here only the per-component products are allocated.
+    Bitwise equal to ``np.cross(a, b, axis=0)``, which copies and promotes
+    both inputs as a whole; here only the per-component products are
+    allocated.  A (3,) vector is taken as constant over the bins.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    bins = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.empty((3,) + bins, dtype=np.result_type(a, b))
+    np.subtract(a1 * b2, a2 * b1, out=out[0])
+    np.subtract(a2 * b0, a0 * b2, out=out[1])
+    np.subtract(a0 * b1, a1 * b0, out=out[2])
     return out
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b per bin (no conjugation); bitwise equal to ``np.sum(a * b, axis=-1)``."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    """a . b per bin (no conjugation); bitwise equal to ``np.sum(a * b, axis=0)``."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def norm(a: np.ndarray) -> np.ndarray:
-    """|a| per bin; bitwise equal to ``np.linalg.norm(a, axis=-1)``.
+    """|a| per bin; bitwise equal to ``np.linalg.norm(a, axis=0)``.
 
     Each square is the real part of conj(a_i) a_i, the complex product numpy's
     norm uses (with FMA it can differ from re^2 + im^2 in the last bit).
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    a0, a1, a2 = a
     return np.sqrt((a0.conj() * a0).real + (a1.conj() * a1).real + (a2.conj() * a2).real)
 
 
@@ -114,13 +118,11 @@ class KGrid:
 
     @cached_property
     def kvec(self) -> ArrayR:
-        kx, ky, kz = np.meshgrid(self.k1d, self.k1d, self.k1d, indexing="ij")
-        return np.stack([kx, ky, kz], axis=-1)
+        return np.stack(np.meshgrid(self.k1d, self.k1d, self.k1d, indexing="ij"))
 
     @cached_property
     def xvec(self) -> ArrayR:
-        x, y, z = np.meshgrid(self.x1d, self.x1d, self.x1d, indexing="ij")
-        return np.stack([x, y, z], axis=-1)
+        return np.stack(np.meshgrid(self.x1d, self.x1d, self.x1d, indexing="ij"))
 
     @cached_property
     def kmag(self) -> ArrayR:
@@ -130,8 +132,8 @@ class KGrid:
     def khat(self) -> ArrayR:
         """Unit momentum direction per bin; zero at the DC bin."""
         safe = np.where(self.kmag > 0.0, self.kmag, 1.0)
-        w = self.kvec / safe[..., None]
-        w[0, 0, 0, :] = 0.0
+        w = self.kvec / safe
+        w[:, 0, 0, 0] = 0.0
         return w
 
     @cached_property
@@ -144,9 +146,9 @@ class KGrid:
 
 
 def reverse_bins(values: np.ndarray) -> np.ndarray:
-    """Map bin (i, j, l) to (-i, -j, -l) mod n over the first three axes."""
+    """Map bin (i, j, l) to (-i, -j, -l) mod n over the three grid axes (1, 2, 3)."""
     out = values
-    for axis in range(3):
+    for axis in (1, 2, 3):
         out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
     return out
 
@@ -155,7 +157,9 @@ def reverse_bins(values: np.ndarray) -> np.ndarray:
 class Field:
     """Complex multi-component amplitude field over a grid.
 
-    ``values`` has shape (n, n, n, c) with c in {1, 3, 6}; ``rep`` tags the
+    ``values`` has shape (c, n, n, n) with c in {1, 3, 6}: component first,
+    so each component (and each 3-block of a six-component field, ``[:3]``
+    and ``[3:]``) is contiguous over the bins.  ``rep`` tags the
     representation the bins live in.  Fields are immutable values: every
     operation returns a new Field.
     """
@@ -170,16 +174,16 @@ class Field:
             raise ValueError(f"unknown representation {self.rep!r}")
         expect = self.grid.shape
         v = self.values
-        if v.ndim != 4 or v.shape[:3] != expect or v.shape[3] not in (1, 3, 6):
+        if v.ndim != 4 or v.shape[1:] != expect or v.shape[0] not in (1, 3, 6):
             raise ValueError(
-                f"field values must have shape (n, n, n, c) with c in (1, 3, 6); got {v.shape}"
+                f"field values must have shape (c, n, n, n) with c in (1, 3, 6); got {v.shape}"
             )
         if not np.isfinite(v).all():
             raise ValueError("field contains non-finite entries")
 
     @property
     def ncomp(self) -> int:
-        return self.values.shape[3]
+        return self.values.shape[0]
 
     @property
     def measure(self) -> float:
@@ -206,7 +210,7 @@ def to_position(field: Field) -> Field:
     scale = g.n**3 * g.dk**3 / _FT_NORM
     # all three axes write into one output; without out= numpy allocates one
     # per axis, which costs time and a third field-sized array at the peak
-    values = np.fft.ifftn(field.values, axes=(0, 1, 2),
+    values = np.fft.ifftn(field.values, axes=(1, 2, 3),
                           out=np.empty(field.values.shape, dtype=np.complex128))
     values *= scale
     return Field(values, POSITION, g, field.time)
@@ -217,14 +221,18 @@ def to_momentum(field: Field) -> Field:
     _require(field, POSITION)
     g = field.grid
     scale = g.dx**3 / _FT_NORM
-    values = np.fft.fftn(field.values, axes=(0, 1, 2),
+    values = np.fft.fftn(field.values, axes=(1, 2, 3),
                          out=np.empty(field.values.shape, dtype=np.complex128))
     values *= scale
     return Field(values, MOMENTUM, g, field.time)
 
 
 def norm_squared(field: Field) -> float:
-    return float(np.sum(np.abs(field.values) ** 2)) * field.measure
+    # summed bin by bin with the components innermost, the order of the former
+    # (n, n, n, c) layout: normalization divides by this sum, so a built state
+    # stays bit-identical to one built before the component-first layout
+    density = np.moveaxis(np.abs(field.values) ** 2, 0, -1).copy()
+    return float(np.sum(density)) * field.measure
 
 
 def inner(a: Field, b: Field) -> complex:
@@ -236,7 +244,7 @@ def inner(a: Field, b: Field) -> complex:
 
 def boundary_amplitude_ratio(field: Field) -> float:
     """Max |field| on the outermost bin shell divided by the global max."""
-    mags = np.linalg.norm(field.values, axis=-1)
+    mags = np.linalg.norm(field.values, axis=0)
     peak = float(mags.max())
     if peak == 0.0:
         return 0.0
@@ -277,11 +285,11 @@ def k_gradient(field: Field) -> KGradient:
     _require(field, MOMENTUM)
     g = field.grid
     ratio = boundary_amplitude_ratio(field)
-    shifted = np.fft.fftshift(field.values, axes=(0, 1, 2))
+    shifted = np.fft.fftshift(field.values, axes=(1, 2, 3))
     comps = []
-    for axis in range(3):
+    for axis in (1, 2, 3):
         d = np.gradient(shifted, g.dk, axis=axis, edge_order=2)
-        comps.append(Field(np.fft.ifftshift(d, axes=(0, 1, 2)), MOMENTUM, g, field.time))
+        comps.append(Field(np.fft.ifftshift(d, axes=(1, 2, 3)), MOMENTUM, g, field.time))
     return KGradient(components=(comps[0], comps[1], comps[2]), boundary_ratio=ratio)
 
 
@@ -292,7 +300,7 @@ def spectral_gradient(field: Field) -> tuple[Field, Field, Field]:
     g = field.grid
     out = []
     for axis in range(3):
-        mult = 1j * g.kvec[..., axis, None]
+        mult = 1j * g.kvec[axis]
         out.append(to_position(Field(mult * f.values, MOMENTUM, g, field.time)))
     return out[0], out[1], out[2]
 
@@ -314,4 +322,4 @@ def spectral_divergence(field: Field) -> Field:
         raise ValueError("divergence requires a 3-component field")
     f = to_momentum(field)
     div = 1j * dot(field.grid.kvec, f.values)
-    return to_position(Field(div[..., None], MOMENTUM, field.grid, field.time))
+    return to_position(Field(div[None], MOMENTUM, field.grid, field.time))

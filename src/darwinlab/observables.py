@@ -30,9 +30,19 @@ def _per_state(fn):
 
     The value is stored on the state itself, so it lives exactly as long as
     the state; states are immutable, so it never goes stale.  Every caller
-    shares it, so its arrays are made read-only.
+    shares it, so its arrays (also inside tuples and dict values) are made
+    read-only.  Keyword-only arguments are not part of the key: they carry
+    intermediates the caller already holds, which save work but do not change
+    the value.
     """
     signature = inspect.signature(fn)
+
+    def freeze(value) -> None:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif isinstance(value, (tuple, dict)):
+            for part in value.values() if isinstance(value, dict) else value:
+                freeze(part)
 
     @functools.wraps(fn)
     def memoized(state: PhotonState, *args, **kwargs):
@@ -42,9 +52,7 @@ def _per_state(fn):
         memo = vars(state).setdefault("_observables_memo", {})
         if key not in memo:
             value = fn(state, *args, **kwargs)
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
+            freeze(value)
             memo[key] = value
         return memo[key]
 
@@ -54,7 +62,7 @@ def _per_state(fn):
 def _position_block(state: PhotonState, block: str) -> np.ndarray:
     """Block F_u or F_l in position space, from the state's shared transform."""
     values = state.psi_position.values
-    return np.sqrt(2.0) * (values[..., :3] if block == "upper" else values[..., 3:])
+    return np.sqrt(2.0) * (values[:3] if block == "upper" else values[3:])
 
 
 def _cross_density(f: np.ndarray) -> np.ndarray:
@@ -67,8 +75,14 @@ def _momentum_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
     return _cross_density(state.f_upper()), _cross_density(state.f_lower())
 
 
-def _position_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
-    """Cross densities -i F* x F of the upper and lower position blocks."""
+def position_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
+    """Cross densities -i F* x F of the upper and lower position blocks.
+
+    The spin routes, the nonlocal-density comparison and the density
+    candidates all use this pair.  It is 25 MB at n = 64, so it is never kept
+    on the state: a caller that evaluates several of them computes it once and
+    passes it as ``densities``.
+    """
     return (_cross_density(_position_block(state, "upper")),
             _cross_density(_position_block(state, "lower")))
 
@@ -88,12 +102,12 @@ def _peeled_block(state: PhotonState, block: str) -> np.ndarray:
     else:
         raise ValueError(f"block must be 'upper' or 'lower', got {block!r}")
     if state.time != 0.0:
-        f = f * np.exp(1j * state.grid.kmag * state.time)[..., None]
+        f = f * np.exp(1j * state.grid.kmag * state.time)
     return f
 
 
 def _integrate_vector(density: np.ndarray, measure: float) -> tuple[np.ndarray, float]:
-    total = np.sum(density, axis=(0, 1, 2)) * measure
+    total = np.sum(density, axis=(1, 2, 3)) * measure
     return total.real, float(np.abs(total.imag).max())
 
 
@@ -106,17 +120,34 @@ def _spin_projected(state: PhotonState, d_u, d_l) -> tuple[np.ndarray, float]:
     g = state.grid
     d = 0.5 * (d_u + d_l)
     helicity_density = kgrid.dot(g.khat, d)
-    return _integrate_vector(helicity_density[..., None] * g.khat, state.psi.measure)
+    return _integrate_vector(helicity_density * g.khat, state.psi.measure)
+
+
+@_per_state
+def _momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, float]]:
+    """(value, imaginary residue) of the four momentum-space spin routes.
+
+    They integrate the same two block densities, computed here once; only the
+    3-vectors are kept on the state.
+    """
+    d_u, d_l = _momentum_densities(state)
+    m = state.psi.measure
+    return {
+        "canonical": _spin_canonical(state, d_u, d_l),
+        "projected": _spin_projected(state, d_u, d_l),
+        "cross_upper": _integrate_vector(d_u, m),
+        "cross_lower": _integrate_vector(d_l, m),
+    }
 
 
 def spin_canonical(state: PhotonState) -> np.ndarray:
     """<spin> from the constant block-diagonal spin matrices, momentum space."""
-    return _spin_canonical(state, *_momentum_densities(state))[0]
+    return _momentum_spin_routes(state)["canonical"][0]
 
 
 def spin_projected(state: PhotonState) -> np.ndarray:
     """<spin> from the momentum-projected operator (spin . w) w."""
-    return _spin_projected(state, *_momentum_densities(state))[0]
+    return _momentum_spin_routes(state)["projected"][0]
 
 
 def spin_cross(state: PhotonState, block: str = "upper") -> np.ndarray:
@@ -137,16 +168,16 @@ def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
     Multiplying by the direction components w_i and transforming gives the
     three fields entering the nonlocal kernel density."""
     g = state.grid
-    f_u = state.psi.values[..., :3]
-    f_l = state.psi.values[..., 3:]
+    f_u = state.psi.values[:3]
+    f_l = state.psi.values[3:]
     # (sigma . w) f = i w x f
     chi_u = 1j * kgrid.cross(g.khat, f_u)
     chi_l = 1j * kgrid.cross(g.khat, f_l)
-    return np.concatenate([chi_u, chi_l], axis=-1)
+    return np.concatenate([chi_u, chi_l])
 
 
 @_per_state
-def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
+def nonlocal_spin_density(state: PhotonState, *, densities=None) -> tuple[np.ndarray, dict]:
     """Spin density built from the nonlocal momentum-projected operator.
 
     s_i(x) = Re[ Psi(x)^dag  Phi_i(x) ] with Phi_i the position transform of
@@ -154,28 +185,30 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     direction-dyadic kernel spectrally, which is exact on the grid.  Its
     integral reproduces the projected-spin expectation; pointwise it is not
     the canonical density, and the diagnostics quantify the gap.
+    ``densities`` is the pair from :func:`position_densities` when the caller
+    already holds it.
     """
     g = state.grid
     psi_pos = state.psi_position
     psi_conj = np.conj(psi_pos.values)
     chi = projected_spin_momentum_density(state)
-    s = np.empty(g.shape + (3,), dtype=np.float64)
+    s = np.empty((3,) + g.shape, dtype=np.float64)
     integral = np.empty(3)
     integral_imag = 0.0
     pointwise_imag = 0.0
     for i in range(3):
-        phi = to_position(momentum_field(g.khat[..., i, None] * chi, g, state.time))
-        dens = np.sum(psi_conj * phi.values, axis=-1)
-        s[..., i] = dens.real
+        phi = to_position(momentum_field(g.khat[i] * chi, g, state.time))
+        dens = np.sum(psi_conj * phi.values, axis=0)
+        s[i] = dens.real
         total = np.sum(dens) * psi_pos.measure
         integral[i] = total.real
         integral_imag = max(integral_imag, abs(total.imag))
         # the density itself is complex away from the single-mode limit; only
         # its integral is a Hermitian form, so only that must be real
         pointwise_imag = max(pointwise_imag, float(np.abs(dens.imag).max()))
-    del psi_conj, chi, phi  # free them before the canonical and projected densities
+    del psi_conj, chi, phi  # free them before the canonical density
 
-    canonical = canonical_spin_density(state)
+    canonical = canonical_spin_density(state, densities=densities)
     peak = float(np.abs(canonical).max())
     gap = float(np.abs(s - canonical).max() / peak) if peak > 0.0 else 0.0
     diagnostics = {
@@ -190,31 +223,41 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     return s, diagnostics
 
 
-def canonical_spin_density(state: PhotonState) -> np.ndarray:
-    """Psi^dag spin Psi in position space (the would-be local density)."""
-    D_u, D_l = _position_densities(state)
+def canonical_spin_density(state: PhotonState, *, densities=None) -> np.ndarray:
+    """Psi^dag spin Psi in position space (the would-be local density).
+
+    ``densities`` is the pair from :func:`position_densities` when the caller
+    already holds it.
+    """
+    D_u, D_l = position_densities(state) if densities is None else densities
     return 0.5 * (D_u + D_l).real
 
 
 @_per_state
+def _oam_momentum_route(state: PhotonState, block: str = "upper") -> tuple[np.ndarray, float]:
+    """<L> by the momentum route, and the boundary ratio of its k-gradient."""
+    g = state.grid
+    f = _peeled_block(state, block)
+    grad = k_gradient(momentum_field(f, g, 0.0))
+    f_conj = np.conj(f)
+    h = np.stack([kgrid.dot(f_conj, d.values) for d in grad.components])
+    total = -1j * np.sum(kgrid.cross(g.kvec, h), axis=(1, 2, 3)) * g.dk**3
+    return total.real, grad.boundary_ratio
+
+
 def oam_momentum(state: PhotonState, block: str = "upper") -> np.ndarray:
     """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar.
 
     k is real, so the sum over components is taken first: with
     h_a = sum_c f_c* d(f_c)/d(k_a) per bin, <L> = -i integral k x h d3k.
     """
-    g = state.grid
-    f = _peeled_block(state, block)
-    grad = k_gradient(momentum_field(f, g, 0.0))
-    f_conj = np.conj(f)
-    h = np.stack([kgrid.dot(f_conj, d.values) for d in grad.components], axis=-1)
-    total = -1j * np.sum(kgrid.cross(g.kvec, h), axis=(0, 1, 2)) * g.dk**3
-    return total.real
+    return _oam_momentum_route(state, block)[0]
 
 
 def oam_boundary_ratio(state: PhotonState, block: str = "upper") -> float:
-    f = _peeled_block(state, block)
-    return kgrid.boundary_amplitude_ratio(momentum_field(f, state.grid, 0.0))
+    """Boundary amplitude ratio of the phase-peeled block that oam_momentum
+    differentiates; above 1e-8 its k-gradient is unreliable."""
+    return _oam_momentum_route(state, block)[1]
 
 
 @_per_state
@@ -231,18 +274,18 @@ def oam_position(state: PhotonState, block: str = "upper") -> np.ndarray:
     F_conj = np.conj(_position_block(state, block))
     h = np.stack([
         kgrid.dot(F_conj, to_position(
-            momentum_field(1j * g.kvec[..., a, None] * f, g, state.time)).values)
+            momentum_field(1j * g.kvec[a] * f, g, state.time)).values)
         for a in range(3)
-    ], axis=-1)
-    total = -1j * np.sum(kgrid.cross(g.xvec, h), axis=(0, 1, 2)) * g.dx**3
+    ])
+    total = -1j * np.sum(kgrid.cross(g.xvec, h), axis=(1, 2, 3)) * g.dx**3
     return total.real
 
 
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""
     psi_pos = state.psi_position
-    dens_u = np.sum(np.abs(psi_pos.values[..., :3]) ** 2, axis=-1)
-    dens_l = np.sum(np.abs(psi_pos.values[..., 3:]) ** 2, axis=-1)
+    dens_u = np.sum(np.abs(psi_pos.values[:3]) ** 2, axis=0)
+    dens_l = np.sum(np.abs(psi_pos.values[3:]) ** 2, axis=0)
     m = psi_pos.measure
     p_upper = 2.0 * float(np.sum(dens_u)) * m
     p_lower = 2.0 * float(np.sum(dens_l)) * m
@@ -281,27 +324,27 @@ class ObservableReport:
     nonlocal_diagnostics: dict = dc_field(default_factory=dict)
 
 
-def observable_report(state: PhotonState) -> ObservableReport:
+def observable_report(state: PhotonState, *, densities=None) -> ObservableReport:
     """Every spin, OAM and probability route of one state, side by side.
 
-    The four block cross densities (f_u, f_l in momentum space, F_u, F_l in
-    position space) are computed once here and handed to the spin routes
-    that integrate them; each route still applies its own formula.
+    The block cross densities (f_u, f_l in momentum space, F_u, F_l in
+    position space) are shared by the spin routes that integrate them; each
+    route still applies its own formula.  ``densities`` is the position pair
+    from :func:`position_densities` when the caller already holds it, as a
+    full check does.  Without it the nonlocal route makes its own pair after
+    its transforms are freed and this call makes the pair again, so the pair
+    never sits under that route's peak memory.
     """
-    s_nl, nl_diag = nonlocal_spin_density(state)
-    d_u, d_l = _momentum_densities(state)
-    D_u, D_l = _position_densities(state)
-    m_k, m_x = state.psi.measure, state.psi_position.measure
+    _, nl_diag = nonlocal_spin_density(state, densities=densities)
+    D_u, D_l = position_densities(state) if densities is None else densities
+    m_x = state.psi_position.measure
     pairs = {
-        "canonical": _spin_canonical(state, d_u, d_l),
-        "projected": _spin_projected(state, d_u, d_l),
-        "cross_upper": _integrate_vector(d_u, m_k),
-        "cross_lower": _integrate_vector(d_l, m_k),
+        **_momentum_spin_routes(state),
         "position_upper": _integrate_vector(D_u, m_x),
         "position_lower": _integrate_vector(D_l, m_x),
         "kernel_integral": (nl_diag["integral"], nl_diag["imag_residue"]),
     }
-    del d_u, d_l, D_u, D_l  # free them before the OAM routes allocate theirs
+    del densities, D_u, D_l  # free them, if made here, before the OAM routes allocate theirs
     spin = {name: value for name, (value, _) in pairs.items()}
     imag_residue = max(res for _, res in pairs.values())
     discrepancies: dict[str, float] = {}
@@ -362,30 +405,33 @@ class DensityCandidates:
     imag_residue: float
 
 
-def density_candidates(state: PhotonState) -> DensityCandidates:
+def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidates:
+    """The competing densities of one state; ``densities`` is the pair from
+    :func:`position_densities` when the caller already holds it."""
     F_u = _position_block(state, "upper")
     F_l = _position_block(state, "lower")
     m = state.psi_position.measure
 
-    cross_u = _cross_density(F_u)
-    cross_l = _cross_density(F_l)
+    if densities is None:
+        densities = position_densities(state)
+    cross_u, cross_l = densities
     imag_residue = float(max(np.abs(cross_u.imag).max(), np.abs(cross_l.imag).max()))
 
-    spin_full = 0.5 * (cross_u + cross_l).real
+    spin_full = canonical_spin_density(state, densities=densities)
     spin_upper = cross_u.real
     spin_lower = cross_l.real
-    spin_kernel, nl_diag = nonlocal_spin_density(state)
+    spin_kernel, nl_diag = nonlocal_spin_density(state, densities=densities)
     imag_residue = max(imag_residue, nl_diag["imag_residue"])
 
-    prob_upper = np.sum(np.abs(F_u) ** 2, axis=-1)
-    prob_lower = np.sum(np.abs(F_l) ** 2, axis=-1)
+    prob_upper = np.sum(np.abs(F_u) ** 2, axis=0)
+    prob_lower = np.sum(np.abs(F_l) ** 2, axis=0)
     prob_psi = 0.5 * (prob_upper + prob_lower)
 
     spin_integrals = {
-        "full": np.sum(spin_full, axis=(0, 1, 2)) * m,
-        "upper": np.sum(spin_upper, axis=(0, 1, 2)) * m,
-        "lower": np.sum(spin_lower, axis=(0, 1, 2)) * m,
-        "kernel": np.sum(spin_kernel, axis=(0, 1, 2)) * m,
+        "full": np.sum(spin_full, axis=(1, 2, 3)) * m,
+        "upper": np.sum(spin_upper, axis=(1, 2, 3)) * m,
+        "lower": np.sum(spin_lower, axis=(1, 2, 3)) * m,
+        "kernel": np.sum(spin_kernel, axis=(1, 2, 3)) * m,
     }
     prob_integrals = {
         "psi": float(np.sum(prob_psi)) * m,

@@ -112,7 +112,7 @@ class PhotonState:
 
         It is kept (read-only) for as long as the state lives, so every
         position-space observable of one state shares a single transform; the
-        sqrt(2)-scaled slices [..., :3] and [..., 3:] are the block transforms.
+        sqrt(2)-scaled slices [:3] and [3:] are the block transforms.
         """
         pos = kgrid.to_position(self.psi)
         pos.values.flags.writeable = False
@@ -120,10 +120,10 @@ class PhotonState:
 
     def f_upper(self) -> np.ndarray:
         """Upper 3-block amplitude (the sqrt(2) block split is undone)."""
-        return np.sqrt(2.0) * self.psi.values[..., :3]
+        return np.sqrt(2.0) * self.psi.values[:3]
 
     def f_lower(self) -> np.ndarray:
-        return np.sqrt(2.0) * self.psi.values[..., 3:]
+        return np.sqrt(2.0) * self.psi.values[3:]
 
 
 def _occupied_mask(amp: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ def _occupied_mask(amp: np.ndarray) -> np.ndarray:
 def transversality_residual(psi: Field) -> float:
     """max over occupied bins of |k.f| / (|k| |f|), both blocks."""
     g = psi.grid
-    blocks = (psi.values[..., :3], psi.values[..., 3:])
+    blocks = (psi.values[:3], psi.values[3:])
     amps = [kgrid.norm(f) for f in blocks]
     mask = _occupied_mask(amps[0] + amps[1]) & (g.kmag > 0.0)
     if not mask.any():
@@ -185,7 +185,7 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
         env[idx] = 1.0
         return env
     if spec.kind == "gaussian" or (spec.kind == "vortex" and spec.ring_radius == 0.0):
-        offset = grid.kvec - k0
+        offset = grid.kvec - k0[:, None, None, None]
         dist2 = kgrid.dot(offset, offset)
         env = np.exp(-dist2 / (2.0 * spec.sigma_k**2)).astype(np.complex128)
         if spec.kind == "vortex" and spec.vortex_charge != 0:
@@ -237,18 +237,18 @@ def synthesize(specs, grid: KGrid, time: float = 0.0) -> PhotonState:
     if not specs:
         raise ValueError("need at least one mode spec")
 
-    f_u = np.zeros(grid.shape + (3,), dtype=np.complex128)
+    f_u = np.zeros((3,) + grid.shape, dtype=np.complex128)
     for spec in specs:
         env = _mode_envelope(spec, grid)
         pol = _mode_polarization(spec, grid)
-        f_u += complex(spec.amplitude) * env[..., None] * pol
+        f_u += complex(spec.amplitude) * env * pol[:, None, None, None]
 
     # transverse projection of the upper block; the lower block inherits it
-    f_u -= kgrid.dot(grid.khat, f_u)[..., None] * grid.khat
-    f_u[grid.dc_index] = 0.0
+    f_u -= kgrid.dot(grid.khat, f_u) * grid.khat
+    f_u[:, 0, 0, 0] = 0.0  # the DC bin
     f_l = kgrid.cross(grid.khat, f_u)
 
-    psi = momentum_field(np.concatenate([f_u, f_l], axis=-1) / np.sqrt(2.0), grid, time)
+    psi = momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), grid, time)
     state = PhotonState(psi)
     if state.norm <= 0.0:
         raise ValueError(
@@ -263,9 +263,9 @@ _DEBRIS_CUT = 1e-14
 
 def _snap_debris(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Zero bins whose projected amplitude is pure cancellation round-off."""
-    new_amp = np.linalg.norm(new, axis=-1)
-    old_amp = np.linalg.norm(old, axis=-1)
-    return np.where((new_amp < _DEBRIS_CUT * old_amp)[..., None], 0.0, new)
+    new_amp = np.linalg.norm(new, axis=0)
+    old_amp = np.linalg.norm(old, axis=0)
+    return np.where(new_amp < _DEBRIS_CUT * old_amp, 0.0, new)
 
 
 def project_transverse(state: PhotonState) -> PhotonState:
@@ -273,10 +273,10 @@ def project_transverse(state: PhotonState) -> PhotonState:
     g = state.grid
     v = state.psi.values.copy()
     for sl in (slice(0, 3), slice(3, 6)):
-        block = v[..., sl]
-        projected = block - kgrid.dot(g.khat, block)[..., None] * g.khat
-        v[..., sl] = _snap_debris(projected, block)
-    v[g.dc_index] = 0.0
+        block = v[sl]
+        projected = block - kgrid.dot(g.khat, block) * g.khat
+        v[sl] = _snap_debris(projected, block)
+    v[:, 0, 0, 0] = 0.0  # the DC bin
     return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)
 
 
@@ -288,17 +288,17 @@ def project_positive_energy(state: PhotonState) -> PhotonState:
         upper -> (P_t f_u - w x f_l) / 2,   lower -> (P_t f_l + w x f_u) / 2.
     """
     g = state.grid
-    f_u = state.psi.values[..., :3]
-    f_l = state.psi.values[..., 3:]
+    f_u = state.psi.values[:3]
+    f_l = state.psi.values[3:]
     w = g.khat
 
     def transverse(f):
-        return f - kgrid.dot(w, f)[..., None] * w
+        return f - kgrid.dot(w, f) * w
 
     new_u = 0.5 * (transverse(f_u) - kgrid.cross(w, f_l))
     new_l = 0.5 * (transverse(f_l) + kgrid.cross(w, f_u))
-    v = _snap_debris(np.concatenate([new_u, new_l], axis=-1), state.psi.values)
-    v[g.dc_index] = 0.0
+    v = _snap_debris(np.concatenate([new_u, new_l]), state.psi.values)
+    v[:, 0, 0, 0] = 0.0  # the DC bin
     return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)
 
 

@@ -3,16 +3,18 @@
 Layout: 5-byte magic ``DPST1``, little-endian uint32 header length, UTF-8
 JSON header, then the payload: one little-endian complex128 (interleaved
 re, im float64) per component, six components per bin, bins ordered with the
-x index fastest.  The header carries only what the payload cannot give back:
-the format version (:data:`FORMAT_VERSION`; a file of any other version, or
-of none, is rejected), the grid, time stamp, scale factor, unit record, a
-CRC32 of the payload (so corruption is detected before any physics runs) and
-free metadata.  The code
-computes in natural units only, so the unit record is always
-:data:`NATURAL_UNITS` and any other record is rejected.  Physics values such
-as the norm or the constraint residual are derived from the payload when
-needed; older files that still carry them in the header load unchanged and
-those keys are ignored.  Writes go through a temp file and rename.
+x index fastest.  Payload element ((z n + y) n + x) 6 + c is component c of
+bin (x, y, z), i.e. ``psi.values[c, x, y, z]``: the payload is the Fortran
+order of the component-first (6, n, n, n) array, so reading and writing
+transpose only here, at the file boundary.  The header carries only what the
+payload cannot give back: the format version (:data:`FORMAT_VERSION`; a file
+of any other version, or of none, is rejected), the grid, time stamp, scale
+factor, unit record, a CRC32 of the payload (so corruption is detected before
+any physics runs) and free metadata.  The code computes in natural units
+only, so the unit record is always :data:`NATURAL_UNITS` and any other record
+is rejected.  Physics values such as the norm or the constraint residual are
+derived from the payload when needed; older files that still carry them in
+the header load unchanged and those keys are ignored.  Writes go through a temp file and rename.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ class StateFileError(Exception):
 
 
 def _payload_bytes(state: PhotonState) -> bytes:
-    # (x, y, z, c) -> (z, y, x, c) so that a C-order ravel is x-fastest
-    arr = np.moveaxis(state.psi.values, (0, 1, 2), (2, 1, 0))
-    return np.ascontiguousarray(arr).astype("<c16").tobytes()
+    # (c, x, y, z) in Fortran order is component fastest, then x, y, z
+    return state.psi.values.astype("<c16", copy=False).tobytes(order="F")
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -115,8 +116,8 @@ def read_state(path) -> tuple[PhotonState, dict]:
         scale_factor = float(header.get("scale_factor", 1.0))
         if not (math.isfinite(time) and math.isfinite(scale_factor)):
             raise StateFileError(f"{path}: non-finite time {time} or scale factor {scale_factor}")
-        values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape + (6,))
-        values = np.moveaxis(values, (0, 1, 2), (2, 1, 0)).copy()
+        values = np.frombuffer(payload, dtype="<c16").reshape((6,) + grid.shape, order="F")
+        values = values.copy()  # C order, and writable
         state = PhotonState(kgrid.momentum_field(values, grid, time), scale_factor=scale_factor)
     except KeyError as exc:
         raise StateFileError(f"{path}: header lacks {exc}") from exc

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from darwinlab.cli import ConfigError, main, parse_config
 from darwinlab.stateio import read_state, write_state
+from darwinlab.suites import SUITE_NAMES
 from test_state import longitudinal_state
 from test_stateio import OLD_HEADER_CLAIMS, rewrite_header, rewrite_payload
 
@@ -131,6 +132,22 @@ class TestCheck:
         code = main(["check", str(built_state)])
         assert code == 3
 
+    def test_longitudinal_file_fails_with_a_full_report(self, built_state, capsys):
+        # its classical data is not solenoidal, which the field bridge rejects;
+        # that is a failed row, not a config error and not a lost report
+        state, _ = read_state(built_state)
+        write_state(built_state, longitudinal_state(state, 0.3))
+        capsys.readouterr()
+        code = main(["check", str(built_state)])
+        out = capsys.readouterr().out
+        assert code == 1
+        report = json.loads(out)
+        assert [s["suite"] for s in report["suites"]] == list(SUITE_NAMES)
+        bridge = next(s for s in report["suites"] if s["suite"] == "fieldbridge")
+        row = next(c for c in bridge["checks"] if c["name"] == "classical_roundtrip")
+        assert not row["passed"] and row["value"] is None
+        assert "not solenoidal" in row["info"]
+
     def test_tolerance_override_can_fail(self, built_state, capsys):
         code = main(["check", str(built_state), "--suites", "maxwell",
                      "--tolerance", "maxwell_residual=1e-30"])
@@ -212,7 +229,7 @@ class TestDensities:
         from darwinlab.kgrid import momentum_field
         from darwinlab.state import PhotonState
 
-        zero = PhotonState(momentum_field(np.zeros(g16.shape + (6,), dtype=complex), g16))
+        zero = PhotonState(momentum_field(np.zeros((6,) + g16.shape, dtype=complex), g16))
         path = tmp_path / "zero.dpst"
         write_state(path, zero)
         out = tmp_path / "slices"

@@ -66,8 +66,8 @@ class TestDiracResidual:
         assert dirac_residual(neg) == pytest.approx(2.0, abs=1e-10)
 
     def test_non_transverse_flagged(self, g16, rng):
-        vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
-        vals[0, 0, 0] = 0.0
+        vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
+        vals[:, 0, 0, 0] = 0.0
         psi = momentum_field(vals, g16)
         st = PhotonState(psi)
         assert dirac_residual(st) > 0.1
@@ -105,9 +105,9 @@ class TestMaxwellResidual:
         dt = default_maxwell_dt(g)
 
         def blocks(t):
-            phase = np.exp(-1j * g.kmag * t)[..., None]
+            phase = np.exp(-1j * g.kmag * t)
             pos = np.sqrt(2.0) * to_position(momentum_field(st.psi.values * phase, g)).values
-            return pos[..., :3], pos[..., 3:]
+            return pos[:3], pos[3:]
 
         (u_minus, l_minus), (u_plus, l_plus), (u, l) = blocks(-dt), blocks(dt), blocks(0.0)
         curl_u = spectral_curl(position_field(u, g)).values
@@ -146,7 +146,7 @@ class TestFourCurrent:
         gam = build_gamma_set()
         pos = to_position(two_direction_state.psi)
         sandwich = np.einsum(
-            "xyzc,acd,xyzd->xyza", np.conj(pos.values),
+            "cxyz,acd,dxyz->axyz", np.conj(pos.values),
             np.stack([gam.gamma0 @ gam.gamma[a] for a in range(3)]), pos.values,
         )
         oracle = 1j * sandwich

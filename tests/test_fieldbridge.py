@@ -23,7 +23,7 @@ class TestClassicalFromState:
         # h = w x e per bin (natural units)
         pair, _ = classical_from_state(two_direction_state)
         g = two_direction_state.grid
-        dev = np.abs(pair.h - np.cross(g.khat, pair.e)).max()
+        dev = np.abs(pair.h - np.cross(g.khat, pair.e, axis=0)).max()
         assert dev < 1e-12 * np.abs(pair.h).max()
 
     def test_real_fields_are_real(self, two_direction_state):
@@ -79,19 +79,19 @@ class TestStateFromClassical:
         # +/- 8 z with no magnetic data; extraction keeps the forward halves
         k0 = np.array([0.0, 0.0, 8.0])
         env = (
-            np.exp(-np.sum((g32.kvec - k0) ** 2, axis=-1) / 2.0)
-            + np.exp(-np.sum((g32.kvec + k0) ** 2, axis=-1) / 2.0)
+            np.exp(-np.sum((g32.kvec - k0[:, None, None, None]) ** 2, axis=0) / 2.0)
+            + np.exp(-np.sum((g32.kvec + k0[:, None, None, None]) ** 2, axis=0) / 2.0)
         )
-        eps = env[..., None] * np.array([1.0, 0, 0])
-        eps -= np.sum(g32.khat * eps, axis=-1)[..., None] * g32.khat
-        eps[g32.dc_index] = 0.0
+        eps = env * np.array([1.0, 0, 0])[:, None, None, None]
+        eps -= np.sum(g32.khat * eps, axis=0) * g32.khat
+        eps[:, 0, 0, 0] = 0.0
         cf = classical_from_kspace(eps, np.zeros_like(eps), g32)
         st = state_from_classical(cf)
         assert st.norm > 0.0
         assert st.rqc_residual < 1e-12
         # the forward-z and backward-z halves carry equal weight
-        weight_fwd = np.sum(np.abs(st.psi.values[:, :, 8]) ** 2)
-        weight_bwd = np.sum(np.abs(st.psi.values[:, :, -8]) ** 2)
+        weight_fwd = np.sum(np.abs(st.psi.values[:, :, :, 8]) ** 2)
+        weight_bwd = np.sum(np.abs(st.psi.values[:, :, :, -8]) ** 2)
         assert weight_fwd == pytest.approx(weight_bwd, rel=1e-10)
 
     def test_rejects_non_hermitian(self, g32, helicity_state):
@@ -100,7 +100,7 @@ class TestStateFromClassical:
             classical_from_kspace(pair.e, pair.h, g32)
 
     def test_rejects_dc_component(self, g16):
-        eps = np.zeros(g16.shape + (3,), dtype=complex)
+        eps = np.zeros((3,) + g16.shape, dtype=complex)
         eps[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="DC"):
             classical_from_kspace(eps, np.zeros_like(eps), g16)
@@ -139,8 +139,8 @@ class TestLandauPeierls:
         pair, _ = classical_from_state(two_direction_state)
         F_u, F_l = landau_peierls_transform(pair)
         pos = to_position(two_direction_state.psi)
-        dev_u = np.abs(F_u.values - np.sqrt(2.0) * pos.values[..., :3]).max()
-        dev_l = np.abs(F_l.values - np.sqrt(2.0) * pos.values[..., 3:]).max()
+        dev_u = np.abs(F_u.values - np.sqrt(2.0) * pos.values[:3]).max()
+        dev_l = np.abs(F_l.values - np.sqrt(2.0) * pos.values[3:]).max()
         scale = np.abs(pos.values).max()
         assert dev_u < 1e-12 * scale and dev_l < 1e-12 * scale
 
@@ -151,7 +151,7 @@ class TestLandauPeierls:
         F_u, _ = landau_peierls_transform(pair)
 
         def second_moment(values):
-            dens = np.sum(np.abs(values) ** 2, axis=-1)
+            dens = np.sum(np.abs(values) ** 2, axis=0)
             return float(np.sum(dens * g32.rmag**2) / np.sum(dens))
 
         assert second_moment(F_u.values) / second_moment(pair.E) > 1.0

@@ -35,7 +35,7 @@ from darwinlab.kgrid import (
 
 
 def random_field(grid, rng, ncomp=3):
-    vals = rng.normal(size=grid.shape + (ncomp,)) + 1j * rng.normal(size=grid.shape + (ncomp,))
+    vals = rng.normal(size=(ncomp,) + grid.shape) + 1j * rng.normal(size=(ncomp,) + grid.shape)
     return momentum_field(vals, grid)
 
 
@@ -47,7 +47,7 @@ class TestGridGeometry:
 
     def test_dc_bin_is_origin(self, g16):
         assert g16.dc_index == (0, 0, 0)
-        assert np.abs(g16.kvec[0, 0, 0]).max() == 0.0
+        assert np.abs(g16.kvec[:, 0, 0, 0]).max() == 0.0
         assert np.count_nonzero(g16.kmag == 0.0) == 1
 
     def test_index_negation_symmetry(self, g16):
@@ -68,13 +68,13 @@ class TestGridGeometry:
             KGrid(16, 0.0)
 
     def test_reverse_bins_involution(self, g16, rng):
-        arr = rng.normal(size=g16.shape + (3,))
+        arr = rng.normal(size=(3,) + g16.shape)
         assert np.array_equal(reverse_bins(reverse_bins(arr)), arr)
         # reversal maps the k vector to its negative away from the Nyquist row
         keep = np.ones(g16.n, dtype=bool)
         keep[g16.n // 2] = False
         idx = np.flatnonzero(keep)
-        sub = np.ix_(idx, idx, idx)
+        sub = np.ix_(range(3), idx, idx, idx)
         assert np.abs((reverse_bins(g16.kvec) + g16.kvec)[sub]).max() == 0.0
 
 
@@ -91,14 +91,14 @@ class TestTransforms:
         assert abs(a - b) < 1e-12 * a
 
     def test_single_bin_plane_wave(self, g16):
-        vals = np.zeros(g16.shape + (1,), dtype=complex)
+        vals = np.zeros((1,) + g16.shape, dtype=complex)
         idx = (1, 0, 2)
-        vals[idx] = 1.0
+        vals[0][idx] = 1.0
         F = to_position(momentum_field(vals, g16))
-        k0 = g16.kvec[idx]
-        phase = np.exp(1j * np.einsum("xyza,a->xyz", g16.xvec, k0))
+        k0 = g16.kvec[:, 1, 0, 2]
+        phase = np.exp(1j * np.einsum("axyz,a->xyz", g16.xvec, k0))
         expect = phase * g16.dk**3 / (2 * np.pi) ** 1.5
-        assert np.abs(F.values[..., 0] - expect).max() < 1e-13
+        assert np.abs(F.values[0] - expect).max() < 1e-13
 
     def test_gaussian_pair_closed_form(self):
         # oracle: analytic transform of a gaussian, exp(-|k-k0|^2/(2 s^2))
@@ -108,13 +108,13 @@ class TestTransforms:
         g = KGrid(64, 0.5)
         s = 1.6
         k0 = np.array([0.0, 0.0, 3.0])
-        f = np.exp(-np.sum((g.kvec - k0) ** 2, axis=-1) / (2 * s**2)).astype(complex)
-        F = to_position(momentum_field(f[..., None], g))
-        expect = s**3 * np.exp(1j * g.xvec @ k0) * np.exp(-s**2 * g.rmag**2 / 2)
-        assert np.abs(F.values[..., 0] - expect).max() < 1e-10
+        f = np.exp(-np.sum((g.kvec - k0[:, None, None, None]) ** 2, axis=0) / (2 * s**2)).astype(complex)
+        F = to_position(momentum_field(f[None], g))
+        expect = s**3 * np.exp(1j * np.einsum("axyz,a->xyz", g.xvec, k0)) * np.exp(-s**2 * g.rmag**2 / 2)
+        assert np.abs(F.values[0] - expect).max() < 1e-10
 
     def test_hermitian_symmetry_of_real_field(self, g16, rng):
-        real_vals = rng.normal(size=g16.shape + (3,)).astype(complex)
+        real_vals = rng.normal(size=(3,) + g16.shape).astype(complex)
         f = to_momentum(position_field(real_vals, g16))
         assert np.abs(f.values - np.conj(reverse_bins(f.values))).max() < 1e-13
 
@@ -129,6 +129,11 @@ class TestTransforms:
         rhs = 2.0 * to_position(a).values - 1j * to_position(b).values
         assert np.abs(lhs - rhs).max() < 1e-12
 
+    def test_component_last_values_rejected(self, g16, rng):
+        values = rng.normal(size=g16.shape + (6,)).astype(complex)
+        with pytest.raises(ValueError, match=r"\(c, n, n, n\)"):
+            momentum_field(values, g16)
+
     def test_representation_guard(self, g16, rng):
         f = random_field(g16, rng)
         with pytest.raises(ValueError, match="position"):
@@ -140,18 +145,18 @@ class TestTransforms:
 class TestKGradient:
     def gaussian(self, g, s=1.5, k0=(0.0, 0.0, 5.0)):
         k0 = np.asarray(k0)
-        f = np.exp(-np.sum((g.kvec - k0) ** 2, axis=-1) / (2 * s**2))
+        f = np.exp(-np.sum((g.kvec - k0[:, None, None, None]) ** 2, axis=0) / (2 * s**2))
         return f.astype(complex), k0, s
 
     def test_gaussian_derivative(self, g32):
         # oracle: analytic gradient -(k - k0)/s^2 * f
         f, k0, s = self.gaussian(g32)
-        grad = k_gradient(momentum_field(f[..., None], g32))
+        grad = k_gradient(momentum_field(f[None], g32))
         assert grad.boundary_decayed
         scale = np.abs(f).max() / s
         for a in range(3):
-            exact = -(g32.kvec[..., a] - k0[a]) / s**2 * f
-            err = np.abs(grad.components[a].values[..., 0] - exact).max()
+            exact = -(g32.kvec[a] - k0[a]) / s**2 * f
+            err = np.abs(grad.components[a].values[0] - exact).max()
             assert err < 0.2 * scale
 
     def test_convergence_factor(self):
@@ -159,31 +164,31 @@ class TestKGradient:
         def err(n, dk):
             g = KGrid(n, dk)
             f, k0, s = self.gaussian(g)
-            grad = k_gradient(momentum_field(f[..., None], g))
+            grad = k_gradient(momentum_field(f[None], g))
             worst = 0.0
             for a in range(3):
-                exact = -(g.kvec[..., a] - k0[a]) / s**2 * f
-                worst = max(worst, np.abs(grad.components[a].values[..., 0] - exact).max())
+                exact = -(g.kvec[a] - k0[a]) / s**2 * f
+                worst = max(worst, np.abs(grad.components[a].values[0] - exact).max())
             return worst
 
         factor = err(32, 1.0) / err(64, 0.5)
         assert 3.5 < factor < 4.5
 
     def test_constant_field(self, g16):
-        f = momentum_field(np.ones(g16.shape + (1,), dtype=complex), g16)
+        f = momentum_field(np.ones((1,) + g16.shape, dtype=complex), g16)
         grad = k_gradient(f)
-        interior = np.fft.fftshift(grad.components[0].values[..., 0])[1:-1, 1:-1, 1:-1]
+        interior = np.fft.fftshift(grad.components[0].values[0])[1:-1, 1:-1, 1:-1]
         assert np.abs(interior).max() < 1e-14
 
     def test_linear_field_exact(self, g16):
-        f = momentum_field(g16.kvec[..., 0:1].astype(complex), g16)
+        f = momentum_field(g16.kvec[0:1].astype(complex), g16)
         grad = k_gradient(f)
         assert np.abs(grad.components[0].values - 1.0).max() < 1e-13
         assert np.abs(grad.components[1].values).max() < 1e-13
         assert np.abs(grad.components[2].values).max() < 1e-13
 
     def test_boundary_warning(self, g16):
-        f = momentum_field(np.ones(g16.shape + (1,), dtype=complex), g16)
+        f = momentum_field(np.ones((1,) + g16.shape, dtype=complex), g16)
         grad = k_gradient(f)
         assert grad.boundary_ratio == 1.0
         assert not grad.boundary_decayed
@@ -194,19 +199,19 @@ class TestSpectralDerivatives:
         # oracle: curl of (sin k0 z, 0, 0) is (0, k0 cos k0 z, 0)
         g = KGrid(32, 1.0)
         k0 = 3.0  # multiple of dk so the mode is exactly on-grid
-        z = g.xvec[..., 2]
-        F = np.zeros(g.shape + (3,), dtype=complex)
-        F[..., 0] = np.sin(k0 * z)
+        z = g.xvec[2]
+        F = np.zeros((3,) + g.shape, dtype=complex)
+        F[0] = np.sin(k0 * z)
         curl = spectral_curl(position_field(F, g))
         expect = np.zeros_like(F)
-        expect[..., 1] = k0 * np.cos(k0 * z)
+        expect[1] = k0 * np.cos(k0 * z)
         assert np.abs(curl.values - expect).max() < 1e-11
 
     def test_gradient_field_is_curl_free(self):
         g = KGrid(32, 1.0)
         scalar = np.exp(-2.0 * g.rmag**2).astype(complex)
-        grads = spectral_gradient(position_field(scalar[..., None], g))
-        F = np.concatenate([c.values for c in grads], axis=-1)
+        grads = spectral_gradient(position_field(scalar[None], g))
+        F = np.concatenate([c.values for c in grads])
         curl = spectral_curl(position_field(F, g))
         assert np.abs(curl.values).max() < 1e-10
 
@@ -226,8 +231,8 @@ class TestInnerProduct:
         assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
     def test_boundary_ratio_of_centered_packet(self, g32):
-        f = np.exp(-np.sum((g32.kvec - np.array([0, 0, 5.0])) ** 2, axis=-1) / 2.0)
-        ratio = boundary_amplitude_ratio(momentum_field(f[..., None], g32))
+        f = np.exp(-np.sum((g32.kvec - np.array([0, 0, 5.0])[:, None, None, None]) ** 2, axis=0) / 2.0)
+        ratio = boundary_amplitude_ratio(momentum_field(f[None], g32))
         assert ratio < 1e-8
 
 
@@ -237,15 +242,15 @@ class TestVectorKernels:
     @pytest.fixture()
     def operands(self, rng):
         shape = (8, 8, 8)
-        real = rng.normal(size=shape + (3,))
-        six = rng.normal(size=shape + (6,)) + 1j * rng.normal(size=shape + (6,))
-        block = six[..., 3:]  # a strided view, as the state blocks are
+        real = rng.normal(size=(3,) + shape)
+        six = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+        block = six[3:]  # a view into a six-component array, as the state blocks are
         vec = np.array([0.3, -1.2, 2.0])
         return {
             "float_complex": (real, block),
             "complex_float": (block, real),
             "complex_complex": (np.conj(block), block),
-            "real_real": (real, rng.normal(size=shape + (3,))),
+            "real_real": (real, rng.normal(size=(3,) + shape)),
             "vector_grid": (vec, block),
             "grid_vector": (real, vec),
             "complex_vector_grid": (vec * (1 - 2j), real),
@@ -255,15 +260,21 @@ class TestVectorKernels:
     def same(ours, numpy_form):
         return ours.dtype == numpy_form.dtype and np.array_equal(ours, numpy_form)
 
+    @staticmethod
+    def over_bins(v):
+        """A single (3,) vector as (3, 1, 1, 1), so numpy broadcasts it over the bins."""
+        return v.reshape(3, 1, 1, 1) if v.ndim == 1 else v
+
     def test_cross_and_dot(self, operands):
         for name, (a, b) in operands.items():
-            assert self.same(cross(a, b), np.cross(a, b)), name
-            assert self.same(dot(a, b), np.sum(a * b, axis=-1)), name
+            assert self.same(cross(a, b), np.cross(a, b, axis=0)), name
+            numpy_dot = np.sum(self.over_bins(a) * self.over_bins(b), axis=0)
+            assert self.same(dot(a, b), numpy_dot), name
 
     def test_norm(self, operands):
         for name, (a, b) in operands.items():
             for x in (a, b):
-                assert self.same(norm(x), np.linalg.norm(x, axis=-1)), name
+                assert self.same(norm(x), np.linalg.norm(x, axis=0)), name
 
     def test_np_cross_only_in_algebra(self):
         # grid-sized cross products go through kgrid.cross; np.cross copies
@@ -278,6 +289,21 @@ class TestVectorKernels:
                 imports_it = (isinstance(node, ast.ImportFrom) and node.module == "numpy"
                               and any(alias.name == "cross" for alias in node.names))
                 if uses_attr or imports_it:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    def test_no_component_last_indexing(self):
+        # grid arrays are component-first, (c, n, n, n); an index that starts
+        # with an ellipsis addresses a trailing component axis that no longer
+        # exists.  No file is exempt.
+        offenders = []
+        for path in sorted(Path(darwinlab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Subscript):
+                    continue
+                index = node.slice
+                first = index.elts[0] if isinstance(index, ast.Tuple) and index.elts else index
+                if isinstance(first, ast.Constant) and first.value is Ellipsis:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
@@ -303,7 +329,7 @@ class TestMetamorphic:
             ModeSpec(kind="vortex", k0=(2.0, -1.0, 2.0), sigma_k=1.0, helicity=1, vortex_charge=1,
                      amplitude=0.5j),
         ], g16)
-        values = np.transpose(state.psi.values, (2, 0, 1, 3))[..., [2, 0, 1, 5, 3, 4]]
+        values = np.transpose(state.psi.values, (0, 3, 1, 2))[[2, 0, 1, 5, 3, 4]]
         rotated = PhotonState(momentum_field(values, g16))
         before, after = _spin_and_oam(state), _spin_and_oam(rotated)
         assert set(after) == set(observables._SPIN_FORMULAS) | {"oam_momentum", "oam_position"}

@@ -1,12 +1,21 @@
 import numpy as np
 
-from darwinlab import ModeSpec, synthesize
+from darwinlab import ModeSpec, kgrid, synthesize
 from darwinlab.algebra import build_gamma_set
-from darwinlab.kgrid import momentum_field, norm_squared, spectral_gradient, to_position
+from darwinlab.dynamics import evolve
+from darwinlab.kgrid import (
+    boundary_amplitude_ratio,
+    momentum_field,
+    norm_squared,
+    spectral_gradient,
+    to_position,
+)
 from darwinlab.observables import (
+    _peeled_block,
     canonical_spin_density,
     density_candidates,
     nonlocal_spin_density,
+    oam_boundary_ratio,
     oam_momentum,
     oam_position,
     observable_report,
@@ -24,7 +33,7 @@ GAMMA = build_gamma_set()
 def matrix_spin_oracle(state):
     """Independent route: sandwich the dense 6x6 spin matrices per bin."""
     psi = state.psi.values
-    out = np.einsum("xyzc,icd,xyzd->i", np.conj(psi), GAMMA.spin, psi) * state.psi.measure
+    out = np.einsum("cxyz,icd,dxyz->i", np.conj(psi), GAMMA.spin, psi) * state.psi.measure
     assert np.abs(out.imag).max() < 1e-12
     return out.real
 
@@ -33,9 +42,9 @@ def matrix_projected_oracle(state):
     """Independent route for the momentum-projected operator (spin . w) w_i."""
     psi = state.psi.values
     g = state.grid
-    spin_w = np.einsum("xyza,acd->xyzcd", g.khat, GAMMA.spin)
-    scalar = np.einsum("xyzc,xyzcd,xyzd->xyz", np.conj(psi), spin_w, psi)
-    out = np.einsum("xyz,xyza->a", scalar, g.khat) * state.psi.measure
+    spin_w = np.einsum("axyz,acd->xyzcd", g.khat, GAMMA.spin)
+    scalar = np.einsum("cxyz,xyzcd,dxyz->xyz", np.conj(psi), spin_w, psi)
+    out = np.einsum("xyz,axyz->a", scalar, g.khat) * state.psi.measure
     assert np.abs(out.imag).max() < 1e-12
     return out.real
 
@@ -69,8 +78,8 @@ class TestSpinFormulas:
         assert gap.max() < 1e-10
 
     def test_unprojected_state_shows_discrepancy(self, g16, rng):
-        vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
-        vals[0, 0, 0] = 0.0
+        vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
+        vals[:, 0, 0, 0] = 0.0
         psi = momentum_field(vals / np.sqrt(norm_squared(momentum_field(vals, g16))), g16)
         st = PhotonState(psi)
         gap = np.abs(spin_projected(st) - spin_canonical(st)).max()
@@ -94,8 +103,8 @@ class TestSpinFormulas:
         assert np.abs(up - spin_canonical(two_direction_state)).max() < 1e-10
 
     def test_real_amplitudes_have_no_spin(self, g16):
-        vals = np.zeros(g16.shape + (6,), dtype=complex)
-        vals[2, 3, 4, 1] = 0.7  # single real entry
+        vals = np.zeros((6,) + g16.shape, dtype=complex)
+        vals[1, 2, 3, 4] = 0.7  # single real entry
         psi = momentum_field(vals, g16)
         st = PhotonState(psi)
         assert np.abs(spin_cross(st, "upper")).max() == 0.0
@@ -172,11 +181,28 @@ class TestOam:
         st = self.ring(g32, 2)
         for block, f in (("upper", st.f_upper()), ("lower", st.f_lower())):
             F = to_position(momentum_field(f, g32))
-            grad = np.stack([d.values for d in spectral_gradient(F)], axis=-1)
-            xg = np.cross(g32.xvec[..., None, :], grad)  # (x, y, z, component, axis)
-            ref = (-1j * np.sum(np.conj(F.values)[..., None] * xg, axis=(0, 1, 2, 3))
+            grad = np.stack([d.values for d in spectral_gradient(F)])  # (axis, component, x, y, z)
+            xg = np.cross(g32.xvec[:, None], grad, axis=0)
+            ref = (-1j * np.sum(np.conj(F.values) * xg, axis=(1, 2, 3, 4))
                    * g32.dx**3).real
             assert np.abs(oam_position(st, block) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_boundary_ratio_comes_from_the_oam_gradient(self, g32, monkeypatch):
+        # the phase-peeled block of an evolved state is differentiated once,
+        # and its boundary ratio is the one that differentiation measured
+        st = evolve(self.ring(g32, 1), 2.0).state_t
+        expect = boundary_amplitude_ratio(momentum_field(_peeled_block(st, "upper"), g32))
+        calls = []
+        original = kgrid.boundary_amplitude_ratio
+
+        def counted(field):
+            calls.append(1)
+            return original(field)
+
+        monkeypatch.setattr(kgrid, "boundary_amplitude_ratio", counted)
+        oam_momentum(st)
+        assert oam_boundary_ratio(st) == expect
+        assert len(calls) == 1
 
     def test_repeated_evaluation_is_shared_and_read_only(self, g32):
         st = self.ring(g32, 1)
@@ -249,4 +275,4 @@ class TestNonlocalDensity:
         assert diag["pointwise_gap_vs_canonical"] < 0.05
         dens = canonical_spin_density(st)
         prob = density_candidates(st).prob_density_psi
-        assert np.abs(dens[..., 2] - prob).max() < 0.05 * prob.max()
+        assert np.abs(dens[2] - prob).max() < 0.05 * prob.max()

@@ -18,19 +18,19 @@ from darwinlab.state import (
 
 
 def manual_state(grid, f_upper, f_lower):
-    psi = momentum_field(np.concatenate([f_upper, f_lower], axis=-1) / np.sqrt(2.0), grid)
+    psi = momentum_field(np.concatenate([f_upper, f_lower]) / np.sqrt(2.0), grid)
     return PhotonState(psi)
 
 
 def branch_state(grid, sign, k0=(0, 0, 8), sigma=1.2):
     """Gaussian helicity state placed by hand on either energy branch."""
     k0 = np.asarray(k0, dtype=float)
-    env = np.exp(-np.sum((grid.kvec - k0) ** 2, axis=-1) / (2 * sigma**2))
+    env = np.exp(-np.sum((grid.kvec - k0[:, None, None, None]) ** 2, axis=0) / (2 * sigma**2))
     pol = helicity_vectors(k0 / np.linalg.norm(k0))[0]
-    f_u = env[..., None] * pol
-    f_u -= np.sum(grid.khat * f_u, axis=-1)[..., None] * grid.khat
-    f_u[grid.dc_index] = 0.0
-    f_l = sign * np.cross(grid.khat, f_u)
+    f_u = env * pol[:, None, None, None]
+    f_u -= np.sum(grid.khat * f_u, axis=0) * grid.khat
+    f_u[:, 0, 0, 0] = 0.0
+    f_l = sign * np.cross(grid.khat, f_u, axis=0)
     return manual_state(grid, f_u, f_l)
 
 
@@ -39,7 +39,7 @@ def longitudinal_state(state, fraction=0.3):
     ``fraction`` of the block's amplitude along the momentum direction."""
     g = state.grid
     values = state.psi.values.copy()
-    values[..., :3] += fraction * np.linalg.norm(values[..., :3], axis=-1)[..., None] * g.khat
+    values[:3] += fraction * np.linalg.norm(values[:3], axis=0) * g.khat
     psi = momentum_field(values, g, state.time)
     return PhotonState(psi)
 
@@ -103,9 +103,8 @@ class TestSynthesize:
     def test_helicity_coupling_on_axis(self, g32):
         # hand evaluation: at the center bin w = z and f_l = z x e+ = -i e+
         st = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 8), sigma_k=1.2, helicity=1)], g32)
-        idx = (0, 0, 8)
-        fu = st.f_upper()[idx]
-        fl = st.f_lower()[idx]
+        fu = st.f_upper()[:, 0, 0, 8]
+        fl = st.f_lower()[:, 0, 0, 8]
         assert np.abs(fl + 1j * fu).max() < 1e-13 * np.abs(fu).max()
 
     def test_normalized_and_constrained(self, helicity_state):
@@ -125,7 +124,7 @@ class TestSynthesize:
 
     def test_plane_mode_single_bin(self, g16):
         st = synthesize([ModeSpec(kind="plane", k0=(0, 0, 3), helicity=1)], g16)
-        amp = np.linalg.norm(st.psi.values, axis=-1)
+        amp = np.linalg.norm(st.psi.values, axis=0)
         assert np.count_nonzero(amp) == 1
         assert amp[0, 0, 3] > 0.0
 
@@ -135,12 +134,12 @@ class TestSynthesize:
             synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 500.0), sigma_k=1.0, helicity=1)], g16)
 
     def test_dc_bin_zero(self, two_direction_state):
-        assert np.abs(two_direction_state.psi.values[0, 0, 0]).max() == 0.0
+        assert np.abs(two_direction_state.psi.values[:, 0, 0, 0]).max() == 0.0
 
     def test_block_moduli_match(self, two_direction_state):
         # |f_u| = |f_l| per bin follows from the unit-norm coupling direction
-        fu = np.linalg.norm(two_direction_state.f_upper(), axis=-1)
-        fl = np.linalg.norm(two_direction_state.f_lower(), axis=-1)
+        fu = np.linalg.norm(two_direction_state.f_upper(), axis=0)
+        fl = np.linalg.norm(two_direction_state.f_lower(), axis=0)
         assert np.abs(fu - fl).max() < 1e-12 * fu.max()
 
 
@@ -151,7 +150,7 @@ class TestProjectTransverse:
         assert dev < 1e-14
 
     def test_removes_longitudinal(self, g16, rng):
-        vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
+        vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
         psi = momentum_field(vals, g16)
         st = PhotonState(psi)
         assert st.rqc_residual > 0.1  # random data is far from transverse
@@ -189,7 +188,7 @@ class TestProjectPositiveEnergy:
         assert proj.norm == pytest.approx(mix.norm / 2.0, rel=1e-12)
 
     def test_commutes_with_transverse_projection(self, g16, rng):
-        vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
+        vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
         psi = momentum_field(vals, g16)
         st = PhotonState(psi)
         a = project_transverse(project_positive_energy(st))
@@ -197,7 +196,7 @@ class TestProjectPositiveEnergy:
         assert np.abs(a.psi.values - b.psi.values).max() < 1e-12 * np.abs(a.psi.values).max()
 
     def test_projected_state_satisfies_coupling(self, g16, rng):
-        vals = rng.normal(size=g16.shape + (6,)) + 1j * rng.normal(size=g16.shape + (6,))
+        vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
         psi = momentum_field(vals, g16)
         st = PhotonState(psi)
         proj = project_positive_energy(st)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab import ModeSpec, kgrid, synthesize
-from darwinlab.state import transversality_residual
+from darwinlab.state import PhotonState, transversality_residual
 from darwinlab.stateio import MAGIC, StateFileError, read_state, write_state
 from test_state import longitudinal_state
 
@@ -86,6 +86,27 @@ class TestLayout:
         linear = (iz * n + iy) * n + ix
         assert np.abs(flat[linear]).max() > 0.0
         assert np.count_nonzero(np.abs(flat).sum(axis=1)) == 1
+
+    def test_payload_element_is_component_of_bin(self, tmp_path, rng):
+        # element ((z n + y) n + x) 6 + c of the payload is psi.values[c, x, y, z]
+        g = kgrid.KGrid(8, 1.0)
+        values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
+        path = tmp_path / "random.dpst"
+        write_state(path, PhotonState(kgrid.momentum_field(values, g)))
+        _, payload = _split(path.read_bytes())
+        flat = np.frombuffer(payload, dtype="<c16")
+        n = g.n
+        for c in range(6):
+            for x in range(n):
+                for y in range(n):
+                    for z in range(n):
+                        assert flat[((z * n + y) * n + x) * 6 + c] == values[c, x, y, z]
+
+    def test_write_read_write_is_byte_identical(self, state_file, tmp_path):
+        state, header = read_state(state_file)
+        again = tmp_path / "again.dpst"
+        write_state(again, state, metadata=header["metadata"])
+        assert again.read_bytes() == state_file.read_bytes()
 
 
 def _split(raw: bytes) -> tuple[dict, bytes]:

@@ -66,6 +66,22 @@ class TestPerStateEvaluation:
         assert all(r.passed for r in reports)
         assert len(calls) <= 25
 
+    def test_block_cross_densities_once_per_state(self, monkeypatch):
+        # the checked state's two momentum- and two position-block densities,
+        # and the two momentum-block densities of each of the other two
+        # sampled times (t = 1, 10); nothing is computed twice
+        calls = []
+        original = observables._cross_density
+
+        def counted(f):
+            calls.append(1)
+            return original(f)
+
+        monkeypatch.setattr(observables, "_cross_density", counted)
+        reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
+        assert all(r.passed for r in reports)
+        assert len(calls) == 8
+
     def test_shared_values_equal_standalone_functions(self):
         reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
         rows = {(r.suite, c.name): c for r in reports for c in r.checks}
