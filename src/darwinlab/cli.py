@@ -6,9 +6,12 @@ verification report), ``observe`` (state file -> observable CSV),
 state file at a later time).
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 configuration or
-usage error, 3 state-file integrity error.  ``DPL_THREADS`` caps the BLAS/
-OpenMP thread pools; it is applied before the numerical modules load, so it
-only takes effect when this module is the entry point.
+usage error, 3 state-file integrity error.
+
+``DPL_THREADS`` (a positive integer, default 1) caps the BLAS/OpenMP thread
+pools; a ``*_NUM_THREADS`` variable that is already set wins.  The cap is
+applied before the numerical modules load, so this module imports nothing
+outside the standard library at module level.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ EXIT_INTEGRITY = 3
 
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("DPL_THREADS")
-    if not cap:
-        return
+    # One thread by default: the largest BLAS operand is a 6x6 matrix, which
+    # no pool splits across threads, so a larger pool only costs start-up.
+    raw = os.environ.get("DPL_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(f"DPL_THREADS={raw!r}: must be a positive integer")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ.setdefault(var, str(int(raw)))
 
 
 class ConfigError(Exception):
@@ -350,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
+    try:
+        _apply_thread_cap()
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     from .stateio import StateFileError
 
     parser = build_parser()

@@ -140,10 +140,6 @@ class KGrid:
     def rmag(self) -> ArrayR:
         return norm(self.xvec)
 
-    @property
-    def dc_index(self) -> tuple[int, int, int]:
-        return (0, 0, 0)
-
 
 def reverse_bins(values: np.ndarray) -> np.ndarray:
     """Map bin (i, j, l) to (-i, -j, -l) mod n over the three grid axes (1, 2, 3)."""

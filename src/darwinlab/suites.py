@@ -139,9 +139,10 @@ def suite_constraint(state: PhotonState, tolerances=None, seed: int = DEFAULT_SE
     rep.add("transversality", state.rqc_residual, _tol(tolerances, "transversality"))
     rep.add("branch_coupling", branch_residual(state), _tol(tolerances, "branch_coupling"))
 
+    gamma = algebra.build_gamma_set().gamma
     worst = 0.0
     for k in _random_wavevectors(rng, N_RANDOM_WAVEVECTORS):
-        gk = np.einsum("a,aij->ij", k, algebra.build_gamma_set().gamma)
+        gk = np.einsum("a,aij->ij", k, gamma)
         proj = algebra.transverse_projector(k)
         k2 = float(k @ k)
         worst = max(worst, float(np.abs((gk @ gk - k2 * np.eye(6)) @ proj).max()) / k2)

@@ -46,7 +46,6 @@ class TestGridGeometry:
         assert g.dx == pytest.approx(np.pi / 2)
 
     def test_dc_bin_is_origin(self, g16):
-        assert g16.dc_index == (0, 0, 0)
         assert np.abs(g16.kvec[:, 0, 0, 0]).max() == 0.0
         assert np.count_nonzero(g16.kmag == 0.0) == 1
 

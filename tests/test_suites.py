@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darwinlab import KGrid, ModeSpec, dynamics, observables, suites, synthesize
+from darwinlab import KGrid, ModeSpec, algebra, dynamics, observables, suites, synthesize
 from darwinlab.state import transversality_residual
 
 
@@ -26,6 +26,23 @@ class TestSuiteMachinery:
         assert not rep.passed
         failing = [c for c in rep.checks if not c.passed]
         assert failing[0].name == "transversality"
+
+    def test_constraint_builds_one_gamma_set(self, helicity_state, monkeypatch):
+        # reference: a fresh gamma set for every random wavevector
+        build = algebra.build_gamma_set
+        rng = np.random.default_rng(suites.DEFAULT_SEED)
+        worst = 0.0
+        for k in suites._random_wavevectors(rng, suites.N_RANDOM_WAVEVECTORS):
+            gk = np.einsum("a,aij->ij", k, build().gamma)
+            k2 = float(k @ k)
+            residual = (gk @ gk - k2 * np.eye(6)) @ algebra.transverse_projector(k)
+            worst = max(worst, float(np.abs(residual).max()) / k2)
+
+        calls = []
+        monkeypatch.setattr(algebra, "build_gamma_set", lambda: calls.append(1) or build())
+        rep = suites.suite_constraint(helicity_state)
+        assert len(calls) <= 1
+        assert {c.name: c.value for c in rep.checks}["rqc_projector_identity"] == worst
 
     def test_full_run_on_state(self, two_direction_state):
         names = ["constraint", "spin-equalities", "probability", "densities"]
