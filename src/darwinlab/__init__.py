@@ -17,8 +17,6 @@ _EXPORTS = {
         "hamiltonian_matrix",
         "helicity_frame",
         "helicity_vectors",
-        "negative_energy_projector",
-        "positive_energy_projector",
         "projected_spin_matrices",
         "spin_direction_spectrum",
         "transverse_projector",
@@ -26,25 +24,20 @@ _EXPORTS = {
     ),
     "dynamics": (
         "ConservationReport",
-        "CurrentField",
         "EvolutionResult",
         "MaxwellReport",
         "continuity_and_conservation",
-        "continuity_residual",
         "dirac_residual",
         "evolve",
-        "four_current",
         "maxwell_residual",
     ),
     "fieldbridge": (
         "ClassicalField",
         "ComplexFieldPair",
         "KernelCheckReport",
-        "classical_from_kspace",
         "classical_from_state",
         "extract_positive_frequency",
         "kernel_pair_check",
-        "landau_peierls_transform",
         "nonlocal_relation_check",
         "state_from_classical",
     ),
@@ -55,7 +48,6 @@ _EXPORTS = {
         "momentum_field",
         "position_field",
         "spectral_curl",
-        "spectral_divergence",
         "to_momentum",
         "to_position",
     ),
@@ -69,8 +61,6 @@ _EXPORTS = {
         "observable_report",
         "probability",
         "spin_canonical",
-        "spin_cross",
-        "spin_position",
         "spin_projected",
     ),
     "state": (
@@ -78,8 +68,6 @@ _EXPORTS = {
         "PhotonState",
         "branch_residual",
         "normalize",
-        "project_positive_energy",
-        "project_transverse",
         "synthesize",
         "transversality_residual",
     ),

@@ -2,10 +2,10 @@
 
 Builds the spin-1 generators, the 6x6 block matrices (beta-like ``gamma0``,
 the three off-diagonal ``gamma`` matrices and the block-diagonal spin
-matrices), the Hamiltonian matrix at a given wavevector, and the projectors
-onto the transverse and positive-energy subspaces.  Everything in this module
-is plain finite-dimensional linear algebra in natural units
-(hbar = c = eps0 = 1); no grids are involved.
+matrices), the Hamiltonian matrix at a given wavevector, the projector onto
+the transverse subspace and the momentum-projected spin matrices.
+Everything in this module is plain finite-dimensional linear algebra in
+natural units (hbar = c = eps0 = 1); no grids are involved.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def _commutator(a: ArrayC, b: ArrayC) -> ArrayC:
     return a @ b - b @ a
 
 
-def verify_matrix_identities(g: GammaSet | None = None) -> dict[str, float]:
+def verify_matrix_identities() -> dict[str, float]:
     """Max absolute entry of the residual for each constant-matrix identity."""
-    g = g or _DEFAULT
+    g = _DEFAULT
     res: dict[str, float] = {}
 
     res["gamma0_squared"] = float(np.abs(g.gamma0 @ g.gamma0 - I6).max())
@@ -128,12 +128,11 @@ def _check_wavevector(k: np.ndarray) -> tuple[np.ndarray, float]:
     return k, kmag
 
 
-def hamiltonian_matrix(k, g: GammaSet | None = None) -> ArrayC:
+def hamiltonian_matrix(k) -> ArrayC:
     """Hamiltonian matrix i*gamma0*(gamma . k) at wavevector k."""
     k, _ = _check_wavevector(k)
-    g = g or _DEFAULT
-    gk = np.einsum("a,aij->ij", k, g.gamma)
-    return 1j * (g.gamma0 @ gk)
+    gk = np.einsum("a,aij->ij", k, _DEFAULT.gamma)
+    return 1j * (_DEFAULT.gamma0 @ gk)
 
 
 def transverse_projector(k) -> ArrayC:
@@ -173,44 +172,15 @@ def helicity_vectors(w) -> tuple[ArrayC, ArrayC]:
     return eplus, eminus
 
 
-def _energy_eigenvectors(k, sign: int) -> ArrayC:
-    """Two orthonormal 6-vectors spanning the energy-`sign` eigenspace."""
-    k, kmag = _check_wavevector(k)
-    w = k / kmag
-    vecs = []
-    for pol in helicity_vectors(w):
-        lower = sign * np.cross(w, pol)
-        vecs.append(np.concatenate([pol, lower]) / np.sqrt(2.0))
-    return np.stack(vecs, axis=1)  # (6, 2)
-
-
-def positive_energy_projector(k) -> ArrayC:
-    """Rank-2 Hermitian projector onto the +|k| eigenspace of H(k).
-
-    Built analytically from the helicity vectors: the eigenspace is spanned by
-    (e_pm, w x e_pm)/sqrt(2), which keeps the projector reproducible and free
-    of eigensolver phase ambiguity.
-    """
-    u = _energy_eigenvectors(k, +1)
-    return u @ u.conj().T
-
-
-def negative_energy_projector(k) -> ArrayC:
-    """Rank-2 projector onto the -|k| eigenspace (lower block w x f negated)."""
-    u = _energy_eigenvectors(k, -1)
-    return u @ u.conj().T
-
-
-def projected_spin_matrices(k, g: GammaSet | None = None) -> ArrayC:
+def projected_spin_matrices(k) -> ArrayC:
     """Momentum-projected spin matrices S_i(k) = (spin . w) w_i.
 
     All three components are proportional to the same matrix, hence mutually
     commuting, and each commutes with the Hamiltonian at the same k.
     """
     k, kmag = _check_wavevector(k)
-    g = g or _DEFAULT
     w = k / kmag
-    spin_w = np.einsum("a,aij->ij", w, g.spin)
+    spin_w = np.einsum("a,aij->ij", w, _DEFAULT.spin)
     return np.stack([spin_w * w[i] for i in range(3)])
 
 
@@ -225,11 +195,11 @@ def spin_direction_spectrum(n) -> ArrayR:
     return np.linalg.eigvalsh(spin_n)
 
 
-def commutator_h_spin_residual(k, g: GammaSet | None = None) -> float:
+def commutator_h_spin_residual(k) -> float:
     """Residual of [H(k), spin_i] = -(gamma0 gamma x k)_i, max over i."""
     k, _ = _check_wavevector(k)
-    g = g or _DEFAULT
-    h = hamiltonian_matrix(k, g=g)
+    g = _DEFAULT
+    h = hamiltonian_matrix(k)
     worst = 0.0
     for i in range(3):
         rhs = np.zeros((6, 6), dtype=np.complex128)

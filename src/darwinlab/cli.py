@@ -11,7 +11,9 @@ usage error, 3 state-file integrity error.
 ``DPL_THREADS`` (a positive integer, default 1) caps the BLAS/OpenMP thread
 pools; a ``*_NUM_THREADS`` variable that is already set wins.  The cap is
 applied before the numerical modules load, so this module imports nothing
-outside the standard library at module level.
+outside the standard library at module level.  Once numpy has loaded the
+pools are sized, so an in-process call of :func:`main` leaves the
+environment as it found it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ def _apply_thread_cap() -> None:
     raw = os.environ.get("DPL_THREADS") or "1"
     if not raw.isdecimal() or int(raw) < 1:
         raise ConfigError(f"DPL_THREADS={raw!r}: must be a positive integer")
+    if "numpy" in sys.modules:
+        # the pools are sized when numpy loads; set now, the variables would
+        # size nothing and only leak into the caller and its subprocesses
+        return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, str(int(raw)))
@@ -170,13 +176,21 @@ def cmd_check(args) -> int:
 
     if args.suites:
         names = [n.strip() for n in args.suites.split(",") if n.strip()]
+        if not names:
+            raise ConfigError(f"--suites {args.suites!r}: names no suite; "
+                              f"available: {', '.join(suites.SUITE_NAMES)}")
     elif cfg_checks:
         names = cfg_checks
     else:
         names = list(suites.SUITE_NAMES)
     times = args.times if args.times is not None else (cfg_times or [0.0, 1.0, 10.0])
-    tolerances = dict(cfg_tols)
-    tolerances.update(dict(args.tolerance or []))
+    flag_tols = dict(args.tolerance or [])
+    unknown = ([f"$.tolerances.{key}" for key in cfg_tols if key not in suites.DEFAULT_TOLERANCES]
+               + [f"--tolerance {key}" for key in flag_tols if key not in suites.DEFAULT_TOLERANCES])
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown tolerance key; "
+                          f"known: {', '.join(suites.DEFAULT_TOLERANCES)}")
+    tolerances = {**cfg_tols, **flag_tols}
     try:
         reports = suites.run_suites(names, state, tolerances=tolerances, times=times)
     except suites.UnknownSuiteError as exc:

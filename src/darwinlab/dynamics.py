@@ -64,71 +64,12 @@ def dirac_residual(state: PhotonState) -> float:
 
 
 @dataclass(frozen=True)
-class CurrentField:
-    """Four-current of the wave equation in position space.
-
-    j0 is the pointwise-positive candidate probability density |Psi|^2; the
-    spatial components come out real for any state because the sandwiched
-    matrices are anti-Hermitian.  No interpretation beyond the
-    continuity equation is attached to the spatial part.
-    """
-
-    j0: np.ndarray   # (n, n, n) real, >= 0
-    j: np.ndarray    # (3, n, n, n) real
-    grid: kgrid.KGrid
-    time: float
-
-
-def four_current(state: PhotonState) -> CurrentField:
-    """j0 = Psi^dag Psi and j_a = i (Psi^dag gamma0 gamma_a Psi).
-
-    On the block split the spatial part reduces to cross products:
-    j = 2 Re(Psi_u* x Psi_l), with Psi_u, Psi_l the (1/sqrt 2)-scaled blocks.
-    """
-    pos = state.psi_position
-    upper = pos.values[:3]
-    lower = pos.values[3:]
-    j0 = np.sum(np.abs(pos.values) ** 2, axis=0)
-    j = 2.0 * np.real(kgrid.cross(np.conj(upper), lower))
-    return CurrentField(j0=j0, j=j, grid=state.grid, time=state.time)
-
-
-def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
-    """Pointwise residual of d(j0)/dt + div j = 0, via a centered stencil.
-
-    The time derivative uses the exactly evolved state at t +- dt; the
-    divergence is spectral.  O(dt^2), like the Maxwell-form check, provided
-    the current's spectrum fits the band: the current is quadratic in the
-    amplitudes, so its bandwidth doubles, and states occupying more than half
-    the band alias into a dt-independent floor.
-    """
-    g = state.grid
-    if dt is None:
-        dt = default_maxwell_dt(g)
-    before = four_current(_phase_evolved(state, -dt))
-    after = four_current(_phase_evolved(state, +dt))
-    now = four_current(state)
-    drho_dt = (after.j0 - before.j0) / (2.0 * dt)
-    div_j = kgrid.spectral_divergence(
-        kgrid.position_field(now.j.astype(np.complex128), g, state.time)
-    ).values[0].real
-    scale = float(np.abs(div_j).max())
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(drho_dt + div_j).max()) / scale
-
-
-@dataclass(frozen=True)
 class MaxwellReport:
     """Residuals of the curl-coupled first-order form in position space."""
 
     curl_residual: float
     divergence_residual: float
     dt: float
-
-    @property
-    def combined(self) -> float:
-        return max(self.curl_residual, self.divergence_residual)
 
 
 def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellReport:
@@ -192,13 +133,13 @@ class EvolutionResult:
     norm_drift: float
 
 
-def evolve(state: PhotonState, t: float, dt: float | None = None) -> EvolutionResult:
+def evolve(state: PhotonState, t: float) -> EvolutionResult:
     """Evolve by a time increment t and re-certify the evolved state."""
     evolved = _phase_evolved(state, t)
     return EvolutionResult(
         state_t=evolved,
         dirac_residual=dirac_residual(evolved),
-        maxwell_residual=maxwell_residual(evolved, dt=dt),
+        maxwell_residual=maxwell_residual(evolved),
         norm_drift=abs(evolved.norm - state.norm),
     )
 
@@ -218,7 +159,6 @@ class ConservationReport:
     spin_drift: float
     oam_drift: float
     total_drift: float
-    transversality_drift: float
 
 
 def continuity_and_conservation(state: PhotonState, times) -> ConservationReport:
@@ -234,18 +174,16 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
     spins: list[np.ndarray] = []
     oams: list[np.ndarray] = []
     totals: list[np.ndarray] = []
-    trans: list[float] = []
     for t in times:
         st = _phase_evolved(state, t - state.time)
         p_psi, _, _ = observables.probability(st)
         s = observables.spin_canonical(st)
-        l = observables.oam_momentum(st, "upper")
+        l = observables.oam_momentum(st)
         probs.append(p_psi)
         norms.append(st.norm)
         spins.append(s)
         oams.append(l)
         totals.append(l + s)
-        trans.append(st.rqc_residual)
 
     def drift_scalar(values: list[float]) -> float:
         return max(abs(v - values[0]) for v in values)
@@ -265,5 +203,4 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
         spin_drift=drift_vector(spins),
         oam_drift=drift_vector(oams),
         total_drift=drift_vector(totals),
-        transversality_drift=drift_scalar(trans),
     )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kgrid import (
-    Field,
     KGrid,
     cross,
     dot,
@@ -97,16 +96,6 @@ def _validate_classical(eps_k: np.ndarray, eta_k: np.ndarray, grid: KGrid) -> No
             raise ValueError(f"{name} is not solenoidal (residual {sol:.2e})")
 
 
-def classical_from_kspace(eps_k, eta_k, grid: KGrid, time: float = 0.0) -> ClassicalField:
-    """Assemble a ClassicalField from Fourier data, checking its invariants."""
-    eps_k = np.asarray(eps_k, dtype=np.complex128)
-    eta_k = np.asarray(eta_k, dtype=np.complex128)
-    _validate_classical(eps_k, eta_k, grid)
-    E_real = to_position(momentum_field(eps_k, grid, time)).values.real
-    H_real = to_position(momentum_field(eta_k, grid, time)).values.real
-    return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
-
-
 def _safe_inverse(values: np.ndarray) -> np.ndarray:
     """1/x with zeros mapped to zero (the DC bin never carries amplitude)."""
     return np.where(values > 0.0, 1.0 / np.where(values > 0.0, values, 1.0), 0.0)
@@ -178,20 +167,6 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
     for f in (f_u, f_l):
         f -= dot(g.khat, f) * g.khat
     return PhotonState(momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), g, cf.time))
-
-
-def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
-    """Position-space wavefunction blocks from the complex field pair.
-
-    The 1/sqrt(k) weighting is the spectral realization of the
-    fractional |x - x'|^(-5/2) convolution; applying it to (e, h) and
-    transforming yields (F_u, F_l).
-    """
-    g = pair.grid
-    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
-    F_u = to_position(momentum_field(inv_sqrt_k * pair.e, g, pair.time))
-    F_l = to_position(momentum_field(inv_sqrt_k * pair.h, g, pair.time))
-    return F_u, F_l
 
 
 @dataclass(frozen=True)

@@ -231,13 +231,6 @@ def norm_squared(field: Field) -> float:
     return float(np.sum(density)) * field.measure
 
 
-def inner(a: Field, b: Field) -> complex:
-    """Grid inner product <a|b> including the bin-volume measure."""
-    if a.rep != b.rep or a.grid is not b.grid and a.grid != b.grid:
-        raise ValueError("inner product requires matching grids and representations")
-    return complex(np.sum(np.conj(a.values) * b.values) * a.measure)
-
-
 def boundary_amplitude_ratio(field: Field) -> float:
     """Max |field| on the outermost bin shell divided by the global max."""
     mags = np.linalg.norm(field.values, axis=0)
@@ -253,19 +246,12 @@ def boundary_amplitude_ratio(field: Field) -> float:
     return edge / peak
 
 
-BOUNDARY_DECAY_LIMIT = 1e-8
-
-
 @dataclass(frozen=True)
 class KGradient:
     """Result of a finite-difference k-gradient."""
 
     components: tuple[Field, Field, Field]
     boundary_ratio: float
-
-    @property
-    def boundary_decayed(self) -> bool:
-        return self.boundary_ratio <= BOUNDARY_DECAY_LIMIT
 
 
 def k_gradient(field: Field) -> KGradient:
@@ -289,18 +275,6 @@ def k_gradient(field: Field) -> KGradient:
     return KGradient(components=(comps[0], comps[1], comps[2]), boundary_ratio=ratio)
 
 
-def spectral_gradient(field: Field) -> tuple[Field, Field, Field]:
-    """Exact spatial gradient of a position field, one Field per axis."""
-    _require(field, POSITION)
-    f = to_momentum(field)
-    g = field.grid
-    out = []
-    for axis in range(3):
-        mult = 1j * g.kvec[axis]
-        out.append(to_position(Field(mult * f.values, MOMENTUM, g, field.time)))
-    return out[0], out[1], out[2]
-
-
 def spectral_curl(field: Field) -> Field:
     """Curl of a 3-component position field via i k x (.) in momentum space."""
     _require(field, POSITION)
@@ -309,13 +283,3 @@ def spectral_curl(field: Field) -> Field:
     f = to_momentum(field)
     curled = 1j * cross(field.grid.kvec, f.values)
     return to_position(Field(curled, MOMENTUM, field.grid, field.time))
-
-
-def spectral_divergence(field: Field) -> Field:
-    """Divergence of a 3-component position field, returned as a scalar field."""
-    _require(field, POSITION)
-    if field.ncomp != 3:
-        raise ValueError("divergence requires a 3-component field")
-    f = to_momentum(field)
-    div = 1j * dot(field.grid.kvec, f.values)
-    return to_position(Field(div[None], MOMENTUM, field.grid, field.time))

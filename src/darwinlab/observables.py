@@ -87,20 +87,15 @@ def position_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
             _cross_density(_position_block(state, "lower")))
 
 
-def _peeled_block(state: PhotonState, block: str) -> np.ndarray:
-    """Block amplitude with the free-evolution phase removed.
+def _peeled_block(state: PhotonState) -> np.ndarray:
+    """Upper block amplitude with the free-evolution phase removed.
 
     Finite differences in k assume a slowly varying amplitude; the dynamical
     phase exp(-i |k| t) oscillates arbitrarily fast at late times while
     contributing nothing to k x grad_k (its gradient is parallel to k).  It is
     therefore peeled off analytically before any k-derivative is taken.
     """
-    if block == "upper":
-        f = state.f_upper()
-    elif block == "lower":
-        f = state.f_lower()
-    else:
-        raise ValueError(f"block must be 'upper' or 'lower', got {block!r}")
+    f = state.f_upper()
     if state.time != 0.0:
         f = f * np.exp(1j * state.grid.kmag * state.time)
     return f
@@ -148,18 +143,6 @@ def spin_canonical(state: PhotonState) -> np.ndarray:
 def spin_projected(state: PhotonState) -> np.ndarray:
     """<spin> from the momentum-projected operator (spin . w) w."""
     return _momentum_spin_routes(state)["projected"][0]
-
-
-def spin_cross(state: PhotonState, block: str = "upper") -> np.ndarray:
-    """<spin> = -i integral f* x f d3k over a single block."""
-    f = state.f_upper() if block == "upper" else state.f_lower()
-    return _integrate_vector(_cross_density(f), state.psi.measure)[0]
-
-
-def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
-    """<spin> = -i integral F* x F d3x over a single block, position space."""
-    F = _position_block(state, block)
-    return _integrate_vector(_cross_density(F), state.psi_position.measure)[0]
 
 
 def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
@@ -234,10 +217,10 @@ def canonical_spin_density(state: PhotonState, *, densities=None) -> np.ndarray:
 
 
 @_per_state
-def _oam_momentum_route(state: PhotonState, block: str = "upper") -> tuple[np.ndarray, float]:
+def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
     """<L> by the momentum route, and the boundary ratio of its k-gradient."""
     g = state.grid
-    f = _peeled_block(state, block)
+    f = _peeled_block(state)
     grad = k_gradient(momentum_field(f, g, 0.0))
     f_conj = np.conj(f)
     h = np.stack([kgrid.dot(f_conj, d.values) for d in grad.components])
@@ -245,33 +228,34 @@ def _oam_momentum_route(state: PhotonState, block: str = "upper") -> tuple[np.nd
     return total.real, grad.boundary_ratio
 
 
-def oam_momentum(state: PhotonState, block: str = "upper") -> np.ndarray:
+def oam_momentum(state: PhotonState) -> np.ndarray:
     """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar.
 
-    k is real, so the sum over components is taken first: with
-    h_a = sum_c f_c* d(f_c)/d(k_a) per bin, <L> = -i integral k x h d3k.
+    f is the upper block.  k is real, so the sum over components is taken
+    first: with h_a = sum_c f_c* d(f_c)/d(k_a) per bin,
+    <L> = -i integral k x h d3k.
     """
-    return _oam_momentum_route(state, block)[0]
+    return _oam_momentum_route(state)[0]
 
 
-def oam_boundary_ratio(state: PhotonState, block: str = "upper") -> float:
+def oam_boundary_ratio(state: PhotonState) -> float:
     """Boundary amplitude ratio of the phase-peeled block that oam_momentum
     differentiates; above 1e-8 its k-gradient is unreliable."""
-    return _oam_momentum_route(state, block)[1]
+    return _oam_momentum_route(state)[1]
 
 
 @_per_state
-def oam_position(state: PhotonState, block: str = "upper") -> np.ndarray:
+def oam_position(state: PhotonState) -> np.ndarray:
     """<L> = -i integral F^dag (x x grad) F d3x with an exact spectral gradient.
 
-    The gradient component d_a F is the position transform of i k_a f, taken
-    straight from the momentum block.  x is real, so the sum over components
-    is taken first: with h_a = sum_c F_c* d_a F_c per bin,
-    <L> = -i integral x x h d3x.
+    F is the upper block.  The gradient component d_a F is the position
+    transform of i k_a f, taken straight from the momentum block.  x is real,
+    so the sum over components is taken first: with h_a = sum_c F_c* d_a F_c
+    per bin, <L> = -i integral x x h d3x.
     """
     g = state.grid
-    f = state.f_upper() if block == "upper" else state.f_lower()
-    F_conj = np.conj(_position_block(state, block))
+    f = state.f_upper()
+    F_conj = np.conj(_position_block(state, "upper"))
     h = np.stack([
         kgrid.dot(F_conj, to_position(
             momentum_field(1j * g.kvec[a] * f, g, state.time)).values)
@@ -352,8 +336,8 @@ def observable_report(state: PhotonState, *, densities=None) -> ObservableReport
         for b in _SPIN_FORMULAS[i + 1:]:
             discrepancies[f"{a}|{b}"] = float(np.abs(spin[a] - spin[b]).max())
 
-    L_mom = oam_momentum(state, "upper")
-    L_pos = oam_position(state, "upper")
+    L_mom = oam_momentum(state)
+    L_pos = oam_position(state)
     p_psi, p_up, p_low = probability(state)
     probs = (p_psi, p_up, p_low)
     prob_gap = max(abs(x - y) for x in probs for y in probs)
@@ -370,7 +354,7 @@ def observable_report(state: PhotonState, *, densities=None) -> ObservableReport
         max_spin_discrepancy=max(discrepancies.values()),
         max_probability_discrepancy=prob_gap,
         oam_formula_gap=float(np.abs(L_mom - L_pos).max()),
-        boundary_ratio=oam_boundary_ratio(state, "upper"),
+        boundary_ratio=oam_boundary_ratio(state),
         max_imag_residue=imag_residue,
         nonlocal_diagnostics=nl_diag,
     )

@@ -166,7 +166,7 @@ def branch_residual(state: PhotonState) -> float:
     return float(((r1 + r2)[mask] / scale[mask]).max())
 
 
-def _mode_polarization(spec: ModeSpec, grid: KGrid) -> np.ndarray:
+def _mode_polarization(spec: ModeSpec) -> np.ndarray:
     """Base polarization of the mode; a single vector, prior to projection."""
     w0 = np.asarray(spec.k0, dtype=float)
     w0 = w0 / np.linalg.norm(w0)
@@ -224,7 +224,7 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
     return env
 
 
-def synthesize(specs, grid: KGrid, time: float = 0.0) -> PhotonState:
+def synthesize(specs, grid: KGrid) -> PhotonState:
     """Build a normalized positive-energy state from a list of mode specs.
 
     Per bin: accumulate envelope x polarization into the upper block, project
@@ -240,7 +240,7 @@ def synthesize(specs, grid: KGrid, time: float = 0.0) -> PhotonState:
     f_u = np.zeros((3,) + grid.shape, dtype=np.complex128)
     for spec in specs:
         env = _mode_envelope(spec, grid)
-        pol = _mode_polarization(spec, grid)
+        pol = _mode_polarization(spec)
         f_u += complex(spec.amplitude) * env * pol[:, None, None, None]
 
     # transverse projection of the upper block; the lower block inherits it
@@ -248,7 +248,7 @@ def synthesize(specs, grid: KGrid, time: float = 0.0) -> PhotonState:
     f_u[:, 0, 0, 0] = 0.0  # the DC bin
     f_l = kgrid.cross(grid.khat, f_u)
 
-    psi = momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), grid, time)
+    psi = momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), grid)
     state = PhotonState(psi)
     if state.norm <= 0.0:
         raise ValueError(
@@ -256,50 +256,6 @@ def synthesize(specs, grid: KGrid, time: float = 0.0) -> PhotonState:
             "the grid band or the polarization is purely longitudinal"
         )
     return normalize(state)
-
-
-_DEBRIS_CUT = 1e-14
-
-
-def _snap_debris(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Zero bins whose projected amplitude is pure cancellation round-off."""
-    new_amp = np.linalg.norm(new, axis=0)
-    old_amp = np.linalg.norm(old, axis=0)
-    return np.where(new_amp < _DEBRIS_CUT * old_amp, 0.0, new)
-
-
-def project_transverse(state: PhotonState) -> PhotonState:
-    """Remove the longitudinal component of both blocks, bin by bin."""
-    g = state.grid
-    v = state.psi.values.copy()
-    for sl in (slice(0, 3), slice(3, 6)):
-        block = v[sl]
-        projected = block - kgrid.dot(g.khat, block) * g.khat
-        v[sl] = _snap_debris(projected, block)
-    v[:, 0, 0, 0] = 0.0  # the DC bin
-    return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)
-
-
-def project_positive_energy(state: PhotonState) -> PhotonState:
-    """Project onto the positive-energy branch, bin by bin.
-
-    Acts as P+ = P_transverse (1 + H/k) / 2, written with cross
-    products so no per-bin matrix is ever formed:
-        upper -> (P_t f_u - w x f_l) / 2,   lower -> (P_t f_l + w x f_u) / 2.
-    """
-    g = state.grid
-    f_u = state.psi.values[:3]
-    f_l = state.psi.values[3:]
-    w = g.khat
-
-    def transverse(f):
-        return f - kgrid.dot(w, f) * w
-
-    new_u = 0.5 * (transverse(f_u) - kgrid.cross(w, f_l))
-    new_l = 0.5 * (transverse(f_l) + kgrid.cross(w, f_u))
-    v = _snap_debris(np.concatenate([new_u, new_l]), state.psi.values)
-    v[:, 0, 0, 0] = 0.0  # the DC bin
-    return PhotonState(Field(v, kgrid.MOMENTUM, g, state.time), scale_factor=state.scale_factor)
 
 
 def normalize(state: PhotonState) -> PhotonState:

@@ -100,9 +100,9 @@ def _random_wavevectors(rng: np.random.Generator, count: int) -> np.ndarray:
     return k
 
 
-def suite_algebra(tolerances=None, seed: int = DEFAULT_SEED) -> SuiteReport:
+def suite_algebra(tolerances=None) -> SuiteReport:
     rep = SuiteReport("algebra")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
 
     identities = algebra.verify_matrix_identities()
     rep.add("matrix_identities", max(identities.values()), _tol(tolerances, "matrix_identities"),
@@ -132,9 +132,9 @@ def suite_algebra(tolerances=None, seed: int = DEFAULT_SEED) -> SuiteReport:
     return rep
 
 
-def suite_constraint(state: PhotonState, tolerances=None, seed: int = DEFAULT_SEED) -> SuiteReport:
+def suite_constraint(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("constraint")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
 
     rep.add("transversality", state.rqc_residual, _tol(tolerances, "transversality"))
     rep.add("branch_coupling", branch_residual(state), _tol(tolerances, "branch_coupling"))

