@@ -33,7 +33,6 @@ _EXPORTS = {
     ),
     "fieldbridge": (
         "ClassicalField",
-        "ComplexFieldPair",
         "KernelCheckReport",
         "classical_from_state",
         "extract_positive_frequency",

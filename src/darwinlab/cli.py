@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -50,14 +51,21 @@ class ConfigError(Exception):
 
 _MODE_KEYS = {"kind", "k0", "sigma_k", "helicity", "polarization",
               "vortex_charge", "ring_radius", "amplitude"}
-_TOP_KEYS = {"grid", "modes", "checks", "times", "tolerances", "output"}
+_TOP_KEYS = {"grid", "modes", "checks", "times", "tolerances"}
+
+
+def _finite(value: float, where: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number")
+    return value
 
 
 def _number(value, path) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: must be a number") from None
+    return _finite(number, path)
 
 
 def _numbers(value, path) -> tuple[float, ...]:
@@ -124,13 +132,12 @@ def parse_config(cfg: dict):
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("$.checks: must be a list of suite names")
-    times = _numbers(cfg.get("times", [0.0, 1.0, 10.0]), "$.times")
+    times = list(_numbers(cfg["times"], "$.times")) if "times" in cfg else None
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("$.tolerances: must be an object")
     tolerances = {str(k): _number(v, f"$.tolerances.{k}") for k, v in tolerances.items()}
-    output = cfg.get("output", ".")
-    return grid, modes, checks, list(times), tolerances, str(output)
+    return grid, modes, checks, times, tolerances
 
 
 def _load_config(path):
@@ -147,12 +154,18 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
+def _precision(value: int) -> int:
+    if value < 0:
+        raise ConfigError(f"--precision {value}: must be a non-negative integer")
+    return value
+
+
 def cmd_build(args) -> int:
     from . import stateio
     from .state import synthesize
 
     cfg = _load_config(args.config)
-    grid, modes, _, _, _, _ = parse_config(cfg)
+    grid, modes, _, _, _ = parse_config(cfg)
     try:
         state = synthesize(modes, grid)
     except ValueError as exc:
@@ -172,7 +185,7 @@ def cmd_check(args) -> int:
     # config supplies defaults; explicit flags win
     cfg_checks, cfg_times, cfg_tols = [], None, {}
     if args.config:
-        _, _, cfg_checks, cfg_times, cfg_tols, _ = parse_config(_load_config(args.config))
+        _, _, cfg_checks, cfg_times, cfg_tols = parse_config(_load_config(args.config))
 
     if args.suites:
         names = [n.strip() for n in args.suites.split(",") if n.strip()]
@@ -183,8 +196,12 @@ def cmd_check(args) -> int:
         names = cfg_checks
     else:
         names = list(suites.SUITE_NAMES)
-    times = args.times if args.times is not None else (cfg_times or [0.0, 1.0, 10.0])
-    flag_tols = dict(args.tolerance or [])
+    if args.times is not None:
+        times = [_finite(t, f"--times {t}") for t in args.times]
+    else:
+        times = cfg_times or suites.DEFAULT_TIMES
+    flag_tols = {key: _finite(value, f"--tolerance {key}={value}")
+                 for key, value in args.tolerance or []}
     unknown = ([f"$.tolerances.{key}" for key in cfg_tols if key not in suites.DEFAULT_TOLERANCES]
                + [f"--tolerance {key}" for key in flag_tols if key not in suites.DEFAULT_TOLERANCES])
     if unknown:
@@ -230,9 +247,9 @@ def cmd_check(args) -> int:
 def cmd_observe(args) -> int:
     from . import observables, stateio
 
+    p = _precision(args.precision)
     state, _ = stateio.read_state(args.statefile)
     rep = observables.observable_report(state)
-    p = args.precision
     rows = [("name", "x", "y", "z")]
     for name, vec in rep.spin.items():
         rows.append((f"spin_{name}",) + tuple(_fmt(v, p) for v in vec))
@@ -259,12 +276,13 @@ def cmd_densities(args) -> int:
 
     from . import observables, stateio
 
+    p = _precision(args.precision)
     state, _ = stateio.read_state(args.statefile)
     grid = state.grid
     axis = {"x": 0, "y": 1, "z": 2}[args.axis]
     offsets = grid.x1d
     idx = int(np.argmin(np.abs(offsets - args.offset)))
-    if abs(offsets[idx] - args.offset) > grid.dx:
+    if not abs(offsets[idx] - args.offset) <= grid.dx:  # also rejects a NaN offset
         print(f"error: plane {args.axis}={args.offset} outside the box "
               f"[{offsets.min():.6g}, {offsets.max():.6g}]", file=sys.stderr)
         return EXIT_CONFIG
@@ -286,9 +304,7 @@ def cmd_densities(args) -> int:
     }
 
     os.makedirs(args.out, exist_ok=True)
-    in_plane = [a for a in range(3) if a != axis]
     coords = grid.x1d
-    p = args.precision
     for name, data in fields.items():
         sl = np.take(data, idx, axis=axis)
         path = os.path.join(args.out, f"{name}_{args.axis}{idx}.csv")
@@ -305,8 +321,9 @@ def cmd_densities(args) -> int:
 def cmd_evolve(args) -> int:
     from . import dynamics, stateio
 
+    t = _finite(args.t, f"t={args.t}")
     state, header = stateio.read_state(args.statefile)
-    result = dynamics.evolve(state, args.t)
+    result = dynamics.evolve(state, t)
     stateio.write_state(args.out, result.state_t, metadata=header.get("metadata", {}))
     print(f"wrote {args.out}: time={result.state_t.time:.6g} "
           f"norm_drift={result.norm_drift:.3e} "

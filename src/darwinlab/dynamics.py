@@ -146,14 +146,9 @@ def evolve(state: PhotonState, t: float) -> EvolutionResult:
 
 @dataclass(frozen=True)
 class ConservationReport:
-    """Constants of motion sampled at the requested times."""
+    """Drifts of the constants of motion across the sampled times."""
 
     times: tuple[float, ...]
-    probability: list[float]
-    spin: list[np.ndarray]
-    oam: list[np.ndarray]
-    total_angular_momentum: list[np.ndarray]
-    norm: list[float]
     probability_drift: float
     norm_drift: float
     spin_drift: float
@@ -193,11 +188,6 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
 
     return ConservationReport(
         times=times,
-        probability=probs,
-        norm=norms,
-        spin=spins,
-        oam=oams,
-        total_angular_momentum=totals,
         probability_drift=drift_scalar(probs),
         norm_drift=drift_scalar(norms),
         spin_drift=drift_vector(spins),

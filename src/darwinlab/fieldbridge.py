@@ -40,18 +40,6 @@ DC_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
-class ComplexFieldPair:
-    """Positive-frequency complex field pair in both representations."""
-
-    e: np.ndarray  # (3, n, n, n) momentum amplitudes of E
-    h: np.ndarray  # (3, n, n, n) momentum amplitudes of H
-    E: np.ndarray  # position-space complex E
-    H: np.ndarray  # position-space complex H
-    grid: KGrid
-    time: float = 0.0
-
-
-@dataclass(frozen=True)
 class ClassicalField:
     """Real free-field snapshot with its Fourier data."""
 
@@ -101,11 +89,11 @@ def _safe_inverse(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, 1.0 / np.where(values > 0.0, values, 1.0), 0.0)
 
 
-def classical_from_state(state: PhotonState) -> tuple[ComplexFieldPair, ClassicalField]:
+def classical_from_state(state: PhotonState) -> ClassicalField:
     """Invert the amplitude weighting: e = sqrt(k) f_u and h = sqrt(k) f_l.
 
-    Returns the complex positive-frequency pair and the real classical
-    snapshot (E_real = (E + E*)/sqrt(2) and its magnetic twin).
+    Returns the real classical snapshot of the complex positive-frequency pair
+    (E, H): E_real = (E + E*)/sqrt(2) and its magnetic twin.
     """
     g = state.grid
     sqrt_k = np.sqrt(g.kmag)
@@ -113,19 +101,14 @@ def classical_from_state(state: PhotonState) -> tuple[ComplexFieldPair, Classica
     h = sqrt_k * state.f_lower()
     E = to_position(momentum_field(e, g, state.time)).values
     H = to_position(momentum_field(h, g, state.time)).values
-    pair = ComplexFieldPair(e=e, h=h, E=E, H=H, grid=g, time=state.time)
-
-    eps_k = (e + np.conj(reverse_bins(e))) / np.sqrt(2.0)
-    eta_k = (h + np.conj(reverse_bins(h))) / np.sqrt(2.0)
-    cf = ClassicalField(
-        eps_k=eps_k,
-        eta_k=eta_k,
+    return ClassicalField(
+        eps_k=(e + np.conj(reverse_bins(e))) / np.sqrt(2.0),
+        eta_k=(h + np.conj(reverse_bins(h))) / np.sqrt(2.0),
         E_real=((E + np.conj(E)) / np.sqrt(2.0)).real,
         H_real=((H + np.conj(H)) / np.sqrt(2.0)).real,
         grid=g,
         time=state.time,
     )
-    return pair, cf
 
 
 def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -310,11 +293,8 @@ class KernelCheckReport:
     not by resolution.
     """
 
-    kind: str
-    n: int
     max_rel_error: float
     max_rel_error_analytic: float
-    shell_bins: int
     k_low: float
     k_high: float
 
@@ -347,11 +327,8 @@ def kernel_pair_check(kind: str, grid: KGrid, shell: tuple[float, float] | None 
     analytic = 1.0 / np.sqrt(kmag) if kind == "half_power" else 1.0 / kmag
 
     return KernelCheckReport(
-        kind=kind,
-        n=grid.n,
         max_rel_error=float((np.abs(values - reference) / np.abs(reference)).max()),
         max_rel_error_analytic=float((np.abs(values - analytic) / np.abs(analytic)).max()),
-        shell_bins=int(mask.sum()),
         k_low=float(kmag.min()),
         k_high=float(kmag.max()),
     )

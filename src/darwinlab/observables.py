@@ -15,8 +15,7 @@ angular momentum come out in units of hbar.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +25,13 @@ from .state import PhotonState
 
 
 def _per_state(fn):
-    """Evaluate fn(state, ...) once per state and set of argument values.
+    """Evaluate fn(state) once per state.
 
-    The value is stored on the state itself, so it lives exactly as long as
-    the state; states are immutable, so it never goes stale.  Every caller
-    shares it, so its arrays (also inside tuples and dict values) are made
-    read-only.  Keyword-only arguments are not part of the key: they carry
-    intermediates the caller already holds, which save work but do not change
-    the value.
+    The value is stored on the state itself, keyed by the function, so it
+    lives exactly as long as the state; states are immutable, so it never
+    goes stale.  Every caller shares it, so its arrays (also inside tuples and
+    dict values) are made read-only.
     """
-    signature = inspect.signature(fn)
 
     def freeze(value) -> None:
         if isinstance(value, np.ndarray):
@@ -45,16 +41,13 @@ def _per_state(fn):
                 freeze(part)
 
     @functools.wraps(fn)
-    def memoized(state: PhotonState, *args, **kwargs):
-        bound = signature.bind(state, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn.__name__, *bound.args[1:])
+    def memoized(state: PhotonState):
         memo = vars(state).setdefault("_observables_memo", {})
-        if key not in memo:
-            value = fn(state, *args, **kwargs)
+        if fn not in memo:
+            value = fn(state)
             freeze(value)
-            memo[key] = value
-        return memo[key]
+            memo[fn] = value
+        return memo[fn]
 
     return memoized
 
@@ -78,10 +71,9 @@ def _momentum_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
 def position_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
     """Cross densities -i F* x F of the upper and lower position blocks.
 
-    The spin routes, the nonlocal-density comparison and the density
-    candidates all use this pair.  It is 25 MB at n = 64, so it is never kept
-    on the state: a caller that evaluates several of them computes it once and
-    passes it as ``densities``.
+    The spin routes and the density candidates both use this pair.  It is
+    25 MB at n = 64, so it is never kept on the state: a caller that evaluates
+    both computes it once and passes it as ``densities``.
     """
     return (_cross_density(_position_block(state, "upper")),
             _cross_density(_position_block(state, "lower")))
@@ -160,16 +152,14 @@ def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
 
 
 @_per_state
-def nonlocal_spin_density(state: PhotonState, *, densities=None) -> tuple[np.ndarray, dict]:
+def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     """Spin density built from the nonlocal momentum-projected operator.
 
     s_i(x) = Re[ Psi(x)^dag  Phi_i(x) ] with Phi_i the position transform of
     (spin . w) w_i psi.  This realizes the convolution with the singular
     direction-dyadic kernel spectrally, which is exact on the grid.  Its
     integral reproduces the projected-spin expectation; pointwise it is not
-    the canonical density, and the diagnostics quantify the gap.
-    ``densities`` is the pair from :func:`position_densities` when the caller
-    already holds it.
+    the canonical density (:func:`density_candidates` measures the gap).
     """
     g = state.grid
     psi_pos = state.psi_position
@@ -178,42 +168,24 @@ def nonlocal_spin_density(state: PhotonState, *, densities=None) -> tuple[np.nda
     s = np.empty((3,) + g.shape, dtype=np.float64)
     integral = np.empty(3)
     integral_imag = 0.0
-    pointwise_imag = 0.0
     for i in range(3):
         phi = to_position(momentum_field(g.khat[i] * chi, g, state.time))
+        # the density itself is complex away from the single-mode limit; only
+        # its integral is a Hermitian form, so only that must be real
         dens = np.sum(psi_conj * phi.values, axis=0)
         s[i] = dens.real
         total = np.sum(dens) * psi_pos.measure
         integral[i] = total.real
         integral_imag = max(integral_imag, abs(total.imag))
-        # the density itself is complex away from the single-mode limit; only
-        # its integral is a Hermitian form, so only that must be real
-        pointwise_imag = max(pointwise_imag, float(np.abs(dens.imag).max()))
-    del psi_conj, chi, phi  # free them before the canonical density
 
-    canonical = canonical_spin_density(state, densities=densities)
-    peak = float(np.abs(canonical).max())
-    gap = float(np.abs(s - canonical).max() / peak) if peak > 0.0 else 0.0
     diagnostics = {
         "integral": integral,
         "integral_vs_projected": float(
             np.abs(integral - spin_projected(state)).max()
         ),
-        "pointwise_gap_vs_canonical": gap,
         "imag_residue": integral_imag,
-        "pointwise_imag": pointwise_imag,
     }
     return s, diagnostics
-
-
-def canonical_spin_density(state: PhotonState, *, densities=None) -> np.ndarray:
-    """Psi^dag spin Psi in position space (the would-be local density).
-
-    ``densities`` is the pair from :func:`position_densities` when the caller
-    already holds it.
-    """
-    D_u, D_l = position_densities(state) if densities is None else densities
-    return 0.5 * (D_u + D_l).real
 
 
 @_per_state
@@ -302,10 +274,8 @@ class ObservableReport:
     spin_discrepancies: dict[str, float]
     max_spin_discrepancy: float
     max_probability_discrepancy: float
-    oam_formula_gap: float
     boundary_ratio: float
     max_imag_residue: float
-    nonlocal_diagnostics: dict = dc_field(default_factory=dict)
 
 
 def observable_report(state: PhotonState, *, densities=None) -> ObservableReport:
@@ -315,11 +285,11 @@ def observable_report(state: PhotonState, *, densities=None) -> ObservableReport
     position space) are shared by the spin routes that integrate them; each
     route still applies its own formula.  ``densities`` is the position pair
     from :func:`position_densities` when the caller already holds it, as a
-    full check does.  Without it the nonlocal route makes its own pair after
-    its transforms are freed and this call makes the pair again, so the pair
-    never sits under that route's peak memory.
+    full check does.  Without it the pair is made here, after the nonlocal
+    route has freed its transforms, so the pair never sits under that route's
+    peak memory.
     """
-    _, nl_diag = nonlocal_spin_density(state, densities=densities)
+    _, nl_diag = nonlocal_spin_density(state)
     D_u, D_l = position_densities(state) if densities is None else densities
     m_x = state.psi_position.measure
     pairs = {
@@ -353,10 +323,8 @@ def observable_report(state: PhotonState, *, densities=None) -> ObservableReport
         spin_discrepancies=discrepancies,
         max_spin_discrepancy=max(discrepancies.values()),
         max_probability_discrepancy=prob_gap,
-        oam_formula_gap=float(np.abs(L_mom - L_pos).max()),
         boundary_ratio=oam_boundary_ratio(state),
         max_imag_residue=imag_residue,
-        nonlocal_diagnostics=nl_diag,
     )
 
 
@@ -377,8 +345,6 @@ class DensityCandidates:
     prob_density_psi: np.ndarray
     prob_density_upper: np.ndarray
     prob_density_lower: np.ndarray
-    spin_integrals: dict[str, np.ndarray]
-    prob_integrals: dict[str, float]
     max_spin_integral_spread: float
     max_prob_integral_spread: float
     spin_gap_upper: float
@@ -386,49 +352,31 @@ class DensityCandidates:
     spin_gap_kernel: float
     prob_gap_upper: float
     prob_gap_lower: float
-    imag_residue: float
 
 
 def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidates:
     """The competing densities of one state; ``densities`` is the pair from
     :func:`position_densities` when the caller already holds it."""
-    F_u = _position_block(state, "upper")
-    F_l = _position_block(state, "lower")
-    m = state.psi_position.measure
-
+    spin_kernel, _ = nonlocal_spin_density(state)
     if densities is None:
         densities = position_densities(state)
     cross_u, cross_l = densities
-    imag_residue = float(max(np.abs(cross_u.imag).max(), np.abs(cross_l.imag).max()))
-
-    spin_full = canonical_spin_density(state, densities=densities)
+    spin_full = 0.5 * (cross_u + cross_l).real
     spin_upper = cross_u.real
     spin_lower = cross_l.real
-    spin_kernel, nl_diag = nonlocal_spin_density(state, densities=densities)
-    imag_residue = max(imag_residue, nl_diag["imag_residue"])
 
-    prob_upper = np.sum(np.abs(F_u) ** 2, axis=0)
-    prob_lower = np.sum(np.abs(F_l) ** 2, axis=0)
+    prob_upper = np.sum(np.abs(_position_block(state, "upper")) ** 2, axis=0)
+    prob_lower = np.sum(np.abs(_position_block(state, "lower")) ** 2, axis=0)
     prob_psi = 0.5 * (prob_upper + prob_lower)
 
-    spin_integrals = {
-        "full": np.sum(spin_full, axis=(1, 2, 3)) * m,
-        "upper": np.sum(spin_upper, axis=(1, 2, 3)) * m,
-        "lower": np.sum(spin_lower, axis=(1, 2, 3)) * m,
-        "kernel": np.sum(spin_kernel, axis=(1, 2, 3)) * m,
-    }
-    prob_integrals = {
-        "psi": float(np.sum(prob_psi)) * m,
-        "upper": float(np.sum(prob_upper)) * m,
-        "lower": float(np.sum(prob_lower)) * m,
-    }
-
-    svals = list(spin_integrals.values())
+    m = state.psi_position.measure
+    spin_integrals = [np.sum(d, axis=(1, 2, 3)) * m
+                      for d in (spin_full, spin_upper, spin_lower, spin_kernel)]
+    prob_integrals = [float(np.sum(d)) * m for d in (prob_psi, prob_upper, prob_lower)]
     spin_spread = max(
-        float(np.abs(a - b).max()) for a in svals for b in svals
+        float(np.abs(a - b).max()) for a in spin_integrals for b in spin_integrals
     )
-    pvals = list(prob_integrals.values())
-    prob_spread = max(abs(a - b) for a in pvals for b in pvals)
+    prob_spread = max(abs(a - b) for a in prob_integrals for b in prob_integrals)
 
     def gap(candidate: np.ndarray, reference: np.ndarray) -> float:
         peak = float(np.abs(reference).max())
@@ -444,8 +392,6 @@ def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidat
         prob_density_psi=prob_psi,
         prob_density_upper=prob_upper,
         prob_density_lower=prob_lower,
-        spin_integrals=spin_integrals,
-        prob_integrals=prob_integrals,
         max_spin_integral_spread=spin_spread,
         max_prob_integral_spread=prob_spread,
         spin_gap_upper=gap(spin_upper, spin_full),
@@ -453,5 +399,4 @@ def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidat
         spin_gap_kernel=gap(spin_kernel, spin_full),
         prob_gap_upper=gap(prob_upper, prob_psi),
         prob_gap_lower=gap(prob_lower, prob_psi),
-        imag_residue=imag_residue,
     )

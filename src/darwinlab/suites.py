@@ -18,6 +18,7 @@ from .state import PhotonState, branch_residual
 
 DEFAULT_SEED = 20320
 N_RANDOM_WAVEVECTORS = 100
+DEFAULT_TIMES = (0.0, 1.0, 10.0)  # conservation sample times
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "matrix_identities": 1e-13,
@@ -208,7 +209,7 @@ def suite_maxwell(state: PhotonState, tolerances=None) -> SuiteReport:
     return rep
 
 
-def suite_conservation(state: PhotonState, times=(0.0, 1.0, 10.0), tolerances=None) -> SuiteReport:
+def suite_conservation(state: PhotonState, times=DEFAULT_TIMES, tolerances=None) -> SuiteReport:
     rep = SuiteReport("conservation")
     cons = dynamics.continuity_and_conservation(state, times)
     rep.add("probability_drift", cons.probability_drift, _tol(tolerances, "probability_drift"),
@@ -223,7 +224,7 @@ def suite_conservation(state: PhotonState, times=(0.0, 1.0, 10.0), tolerances=No
 
 def suite_fieldbridge(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("fieldbridge")
-    cf = fieldbridge.classical_from_state(state)[1]
+    cf = fieldbridge.classical_from_state(state)
     try:
         back = fieldbridge.state_from_classical(cf)
     except ValueError as exc:
@@ -270,7 +271,7 @@ class UnknownSuiteError(ValueError):
 _DENSITY_SUITES = ("spin-equalities", "densities")
 
 
-def run_suites(names, state: PhotonState, tolerances=None, times=(0.0, 1.0, 10.0)) -> list[SuiteReport]:
+def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) -> list[SuiteReport]:
     """Run the named suites in order.
 
     The position-block cross densities that spin-equalities and densities

@@ -4,10 +4,10 @@ Each function here is an independent way to compute something the library
 computes, or a way to build an input for one of its checks: the
 positive-energy projectors from the helicity basis, the single-block spin
 integrals, the spectral gradient and divergence of position fields, the
-Landau-Peierls weighting and a classical field assembled from Fourier data,
-and the four-current with its continuity residual.  ``dpl`` runs none of
-them, so they live with the tests; nothing under ``src/`` imports this
-module.
+complex positive-frequency field pair with its Landau-Peierls weighting, a
+classical field assembled from Fourier data, and the four-current with its
+continuity residual.  ``dpl`` runs none of them, so they live with the tests;
+nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import numpy as np
 from darwinlab import kgrid
 from darwinlab.algebra import _check_wavevector, helicity_vectors
 from darwinlab.dynamics import default_maxwell_dt
-from darwinlab.fieldbridge import (
-    ClassicalField,
-    ComplexFieldPair,
-    _safe_inverse,
-    _validate_classical,
-)
+from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical
 from darwinlab.kgrid import (
     MOMENTUM,
     POSITION,
@@ -123,6 +118,30 @@ def classical_from_kspace(eps_k, eta_k, grid: KGrid, time: float = 0.0) -> Class
     E_real = to_position(momentum_field(eps_k, grid, time)).values.real
     H_real = to_position(momentum_field(eta_k, grid, time)).values.real
     return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
+
+
+@dataclass(frozen=True)
+class ComplexFieldPair:
+    """Positive-frequency complex field pair in both representations."""
+
+    e: np.ndarray  # (3, n, n, n) momentum amplitudes of E
+    h: np.ndarray  # (3, n, n, n) momentum amplitudes of H
+    E: np.ndarray  # position-space complex E
+    H: np.ndarray  # position-space complex H
+    grid: KGrid
+    time: float = 0.0
+
+
+def complex_pair(state: PhotonState) -> ComplexFieldPair:
+    """e = sqrt(k) f_u and h = sqrt(k) f_l, with their position transforms;
+    the pair whose real part ``fieldbridge.classical_from_state`` returns."""
+    g = state.grid
+    sqrt_k = np.sqrt(g.kmag)
+    e = sqrt_k * state.f_upper()
+    h = sqrt_k * state.f_lower()
+    E = to_position(momentum_field(e, g, state.time)).values
+    H = to_position(momentum_field(h, g, state.time)).values
+    return ComplexFieldPair(e=e, h=h, E=E, H=H, grid=g, time=state.time)
 
 
 def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:

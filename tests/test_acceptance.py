@@ -248,7 +248,7 @@ def test_criterion_7_conservation(two_direction):
 
 def test_criterion_8_field_bridge(two_direction):
     failures = []
-    _, cf = classical_from_state(two_direction)
+    cf = classical_from_state(two_direction)
     back = state_from_classical(cf)
     peak = np.abs(two_direction.psi.values).max()
     roundtrip = np.abs(back.psi.values - two_direction.psi.values).max() / peak

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from darwinlab.cli import ConfigError, main, parse_config
 from darwinlab.stateio import read_state, write_state
-from darwinlab.suites import SUITE_NAMES
+from darwinlab.suites import DEFAULT_TIMES, SUITE_NAMES
 from test_state import longitudinal_state
 from test_stateio import OLD_HEADER_CLAIMS, rewrite_header, rewrite_payload
 
@@ -57,6 +57,11 @@ class TestBuild:
         code = main(["build", "--config", str(path), "--out", str(tmp_path / "x.dpst")])
         assert code == 2
         assert "$.modes[0]" in capsys.readouterr().err
+        # `output` was once a key; nothing read it
+        path.write_text(json.dumps(dict(BASE_CONFIG, output="out")))
+        code = main(["build", "--config", str(path), "--out", str(tmp_path / "x.dpst")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: $: unknown key(s) ['output']")
 
     def test_empty_synthesis_rejected(self, tmp_path, capsys):
         cfg = {
@@ -118,6 +123,17 @@ class TestCheck:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert [s["suite"] for s in report["suites"]] == ["probability"]
+
+    @pytest.mark.parametrize("times", [None, []], ids=["absent", "empty"])
+    def test_config_without_times_uses_default_times(self, built_state, tmp_path, capsys, times):
+        cfg = dict(BASE_CONFIG, checks=["conservation"])
+        if times is not None:
+            cfg["times"] = times
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check", str(built_state), "--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["suites"][0]["checks"][0]["info"] == f"times={list(DEFAULT_TIMES)}"
 
     def test_unknown_suite_lists_available(self, built_state, capsys):
         code = main(["check", str(built_state), "--suites", "spectral"])
@@ -289,7 +305,7 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 CONFIG_PATHS = [(), ("grid",), ("grid", "n"), ("grid", "dk"), ("modes",), ("checks",),
-                ("times",), ("tolerances",), ("tolerances", "oam_formula_gap"), ("output",),
+                ("times",), ("tolerances",), ("tolerances", "oam_formula_gap"),
                 *(("modes", 0, key) for key in ("kind", "k0", "sigma_k", "helicity", "polarization",
                                                "vortex_charge", "ring_radius", "amplitude"))]
 
@@ -352,6 +368,72 @@ def test_invalid_file_exits_3(built_state, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def _config_file(directory, **change):
+    path = directory / "cfg.json"
+    # json writes NaN and Infinity as bare literals, which json.load reads back
+    path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
+    return str(path)
+
+
+NON_FINITE = {
+    "times_flag_nan": (lambda s, d: ["check", s, "--suites", "conservation", "--times", "nan"],
+                       "--times nan"),
+    "times_flag_inf": (lambda s, d: ["check", s, "--suites", "conservation", "--times", "0", "inf"],
+                       "--times inf"),
+    "tolerance_flag_nan": (lambda s, d: ["check", s, "--suites", "maxwell",
+                                         "--tolerance", "maxwell_residual=nan"],
+                           "--tolerance maxwell_residual=nan"),
+    "tolerance_flag_inf": (lambda s, d: ["check", s, "--suites", "maxwell",
+                                         "--tolerance", "maxwell_residual=inf"],
+                           "--tolerance maxwell_residual=inf"),
+    "config_times_nan": (lambda s, d: ["check", s, "--config",
+                                       _config_file(d, times=[0.0, float("nan")])],
+                         "$.times[1]"),
+    "config_tolerance_inf": (lambda s, d: ["check", s, "--config",
+                                           _config_file(d, tolerances={"spin_equalities": float("inf")})],
+                             "$.tolerances.spin_equalities"),
+    "config_k0_inf": (lambda s, d: ["build", "--config",
+                                    _config_file(d, modes=[dict(BASE_CONFIG["modes"][0],
+                                                                k0=[0, 0, float("inf")])]),
+                                    "--out", str(d / "x.dpst")],
+                      "$.modes[0].k0[2]"),
+    "evolve_nan": (lambda s, d: ["evolve", s, "nan", "--out", str(d / "x.dpst")], "t=nan"),
+    "evolve_inf": (lambda s, d: ["evolve", s, "inf", "--out", str(d / "x.dpst")], "t=inf"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_exits_2(built_state, tmp_path, capsys, case):
+    make_args, where = NON_FINITE[case]
+    capsys.readouterr()
+    assert main(make_args(str(built_state), tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {where}: must be a finite number\n"
+    assert not (tmp_path / "x.dpst").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["densities", "--offset", "nan"], "error: plane z=nan outside the box",
+                 id="densities_offset_nan"),
+    pytest.param(["densities", "--precision", "-1"], "config error: --precision -1:",
+                 id="densities_precision_negative"),
+    pytest.param(["observe", "--precision", "-1"], "config error: --precision -1:",
+                 id="observe_precision_negative"),
+])
+def test_offset_or_precision_it_cannot_honour_exits_2(built_state, tmp_path, capsys, args, message):
+    out = tmp_path / "slices"
+    command, *flags = args
+    extra = ["--out", str(out)] if command == "densities" else []
+    capsys.readouterr()
+    assert main([command, str(built_state), *extra, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestEvolve:

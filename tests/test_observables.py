@@ -11,7 +11,6 @@ from darwinlab.kgrid import (
 )
 from darwinlab.observables import (
     _peeled_block,
-    canonical_spin_density,
     density_candidates,
     nonlocal_spin_density,
     oam_boundary_ratio,
@@ -238,7 +237,6 @@ class TestDensities:
         assert dc.prob_gap_lower > 0.05
         assert dc.max_spin_integral_spread < 1e-10
         assert dc.max_prob_integral_spread < 1e-10
-        assert dc.imag_residue < 1e-10
 
     def test_single_mode_candidates_nearly_agree(self, helicity_state):
         # single-beam limit: upper and lower densities become proportional
@@ -261,14 +259,13 @@ class TestNonlocalDensity:
         assert diag["imag_residue"] < 1e-10
 
     def test_two_mode_kernel_density_deviates(self, two_direction_state):
-        _, diag = nonlocal_spin_density(two_direction_state)
-        assert diag["pointwise_gap_vs_canonical"] > 0.05
+        assert density_candidates(two_direction_state).spin_gap_kernel > 0.05
 
     def test_single_mode_kernel_density_close(self, g32):
         # narrow single mode: kernel density approaches helicity * |Psi|^2
         st = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 8), sigma_k=0.5, helicity=1)], g32)
-        s, diag = nonlocal_spin_density(st)
-        assert diag["pointwise_gap_vs_canonical"] < 0.05
-        dens = canonical_spin_density(st)
-        prob = density_candidates(st).prob_density_psi
+        dc = density_candidates(st)
+        assert dc.spin_gap_kernel < 0.05
+        dens = dc.spin_density_full
+        prob = dc.prob_density_psi
         assert np.abs(dens[2] - prob).max() < 0.05 * prob.max()

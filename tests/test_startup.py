@@ -31,9 +31,9 @@ EXPORTS = {
     "dynamics": ["ConservationReport", "EvolutionResult", "MaxwellReport",
                  "continuity_and_conservation", "dirac_residual", "evolve",
                  "maxwell_residual"],
-    "fieldbridge": ["ClassicalField", "ComplexFieldPair", "KernelCheckReport",
-                    "classical_from_state", "extract_positive_frequency", "kernel_pair_check",
-                    "nonlocal_relation_check", "state_from_classical"],
+    "fieldbridge": ["ClassicalField", "KernelCheckReport", "classical_from_state",
+                    "extract_positive_frequency", "kernel_pair_check", "nonlocal_relation_check",
+                    "state_from_classical"],
     "kgrid": ["Field", "KGrid", "k_gradient", "momentum_field", "position_field",
               "spectral_curl", "to_momentum", "to_position"],
     "observables": ["DensityCandidates", "ObservableReport", "density_candidates",

@@ -2,7 +2,9 @@
 
 Every public function, class, method and property under ``src/darwinlab``
 must be reachable from ``cli.main``.  A route that only tests use belongs in
-``tests/reference.py``; code that nothing uses is deleted.
+``tests/reference.py``; code that nothing uses is deleted.  Likewise every
+field of a report dataclass must be read by some code under ``src/``: a
+report carries only what ``dpl`` prints or a suite row reads.
 """
 
 import ast
@@ -109,3 +111,37 @@ def test_every_public_definition_is_reached_from_dpl():
 def test_allowlist_entries_exist():
     names = {qualname.split(".")[-1] for _, qualname, _ in _definitions()}
     assert set(ALLOWED_UNREACHED) <= names
+
+
+def _dataclass_fields():
+    """(module, class, field) of every annotated field of a @dataclass."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield path.stem, node.name, item.target.id
+
+
+def _attribute_reads():
+    """Every attribute name that code under src/ reads (``x.name`` in a load)."""
+    return {
+        node.attr
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    """A field is matched by its bare name, like a definition above: a read of
+    ``.name`` on any object anywhere in src/ counts as reading every field of
+    that name, so the check errs toward passing."""
+    reads = _attribute_reads()
+    unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in _dataclass_fields()
+                    if name not in reads)
+    assert unread == [], "read nowhere under src/, delete: " + ", ".join(unread)
