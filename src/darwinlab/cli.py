@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -61,10 +62,13 @@ def _finite(value: float, where: str) -> float:
 
 
 def _number(value, path) -> float:
+    # a JSON string or boolean is not a number, though float() would take it
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: must be a number")
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: must be a number") from None
+    except OverflowError:
+        raise ConfigError(f"{path}: must be a finite number") from None
     return _finite(number, path)
 
 
@@ -119,10 +123,16 @@ def parse_config(cfg: dict):
             kwargs["amplitude"] = _parse_amplitude(kwargs["amplitude"], f"{path}.amplitude")
         if "k0" in kwargs:
             kwargs["k0"] = _numbers(kwargs["k0"], f"{path}.k0")
+        for key in ("sigma_k", "ring_radius"):
+            if key in kwargs:
+                kwargs[key] = _number(kwargs[key], f"{path}.{key}")
+        if isinstance(kwargs.get("helicity"), bool):
+            raise ConfigError(f"{path}.helicity: must be 1, -1 or null")
         if "polarization" in kwargs and kwargs["polarization"] is not None:
             kwargs["polarization"] = _numbers(kwargs["polarization"], f"{path}.polarization")
             kwargs.setdefault("helicity", None)
-        if not isinstance(kwargs.get("vortex_charge", 0), int):
+        charge = kwargs.get("vortex_charge", 0)
+        if isinstance(charge, bool) or not isinstance(charge, int):
             raise ConfigError(f"{path}.vortex_charge: must be an integer")
         try:
             modes.append(ModeSpec(**kwargs))

@@ -29,12 +29,16 @@ def default_maxwell_dt(grid: kgrid.KGrid) -> float:
     return DEFAULT_DT_FRACTION / grid.k_max
 
 
+def _phase(grid: kgrid.KGrid, t: float) -> np.ndarray:
+    """The free-evolution phase exp(-i |k| t) per bin."""
+    return np.exp(-1j * grid.kmag * t)
+
+
 def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
     if t == 0.0:
         return state
     g = state.grid
-    phase = np.exp(-1j * g.kmag * t)
-    psi = Field(state.psi.values * phase, kgrid.MOMENTUM, g, state.time + t)
+    psi = Field(state.psi.values * _phase(g, t), kgrid.MOMENTUM, g, state.time + t)
     return PhotonState(psi, scale_factor=state.scale_factor)
 
 
@@ -46,14 +50,21 @@ def dirac_residual(state: PhotonState) -> float:
     negative branch.
     """
     g = state.grid
-    f_u = state.psi.values[:3]
-    f_l = state.psi.values[3:]
-    # H psi = (-k x f_l, k x f_u) on the block split
-    h_u = -kgrid.cross(g.kvec, f_l)
-    h_l = kgrid.cross(g.kvec, f_u)
+    psi = state.psi.values
     omega = g.kmag
-    residual = np.linalg.norm(np.concatenate([h_u, h_l]) - omega * state.psi.values, axis=0)
-    amp = np.linalg.norm(state.psi.values, axis=0)
+
+    def rows():
+        # H psi = (-k x f_l, k x f_u) on the block split, one block at a time
+        h = np.empty((3,) + g.shape, dtype=np.complex128)
+        for block, partner, sign in ((psi[:3], psi[3:], -1), (psi[3:], psi[:3], 1)):
+            kgrid.cross(g.kvec, partner, out=h)
+            if sign < 0:
+                np.negative(h, out=h)
+            for c in range(3):
+                yield h[c] - omega * block[c]
+
+    residual = kgrid.norm(rows())
+    amp = kgrid.norm(psi)
     peak = float(amp.max())
     if peak == 0.0:
         return 0.0
@@ -88,34 +99,43 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     if dt is None:
         dt = default_maxwell_dt(g)
     elif dt == 0.0:
-        # _phase_evolved(state, 0) is the state itself, which the stencil must not overwrite
         raise ValueError("maxwell_residual needs a nonzero dt")
-    f_u = state.psi.values[:3]
-    f_l = state.psi.values[3:]
+    psi = state.psi.values
+    f_u = psi[:3]
+    f_l = psi[3:]
     block_scale = np.sqrt(2.0)
 
-    # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u)
-    stencil = _phase_evolved(state, +dt).psi.values
-    stencil -= _phase_evolved(state, -dt).psi.values
+    # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u);
+    # the -dt copy is subtracted one component at a time, and each array is
+    # built only to be transformed, so it is transformed in place
+    stencil = psi * _phase(g, +dt)
+    backward = _phase(g, -dt)
+    for c in range(6):
+        stencil[c] -= psi[c] * backward
+    del backward
     stencil *= block_scale / (2.0 * dt)
-    d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time)).values
+    d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time), overwrite=True).values
     del stencil
 
-    curls = np.concatenate([kgrid.cross(g.kvec, f_l), -kgrid.cross(g.kvec, f_u)])
+    curls = np.empty_like(d_dt)
+    kgrid.cross(g.kvec, f_l, out=curls[:3])
+    kgrid.cross(g.kvec, f_u, out=curls[3:])
+    np.negative(curls[3:], out=curls[3:])
     curls *= 1j * block_scale
-    curls = to_position(Field(curls, kgrid.MOMENTUM, g, state.time)).values
+    to_position(Field(curls, kgrid.MOMENTUM, g, state.time), overwrite=True)
 
-    scale = float(np.abs(curls).max())
+    # maxima component by component, without a field-sized |.| array
+    scale = max(float(np.abs(c).max()) for c in curls)
     if scale == 0.0:
         return MaxwellReport(0.0, 0.0, dt)
     d_dt -= curls
-    curl_res = float(np.abs(d_dt).max()) / scale
+    curl_res = max(float(np.abs(c).max()) for c in d_dt) / scale
     del d_dt, curls
 
     div = 0.0
     for f in (f_u, f_l):
         div_k = 1j * block_scale * kgrid.dot(g.kvec, f)
-        div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g, state.time))
+        div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g, state.time), overwrite=True)
         div = max(div, float(np.abs(div_x.values).max()))
 
     return MaxwellReport(
@@ -171,14 +191,17 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
     totals: list[np.ndarray] = []
     for t in times:
         st = _phase_evolved(state, t - state.time)
-        p_psi, _, _ = observables.probability(st)
-        s = observables.spin_canonical(st)
+        # the OAM route first, so its peak does not sit on st's position transform
         l = observables.oam_momentum(st)
+        s = observables.spin_canonical(st)
+        p_psi, _, _ = observables.probability(st)
         probs.append(p_psi)
         norms.append(st.norm)
         spins.append(s)
         oams.append(l)
         totals.append(l + s)
+        # free st and its cached position transform before the next one is built
+        del st
 
     def drift_scalar(values: list[float]) -> float:
         return max(abs(v - values[0]) for v in values)

@@ -18,7 +18,9 @@ continuum statements are distributional.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +52,22 @@ class ClassicalField:
     grid: KGrid
     time: float = 0.0
 
+    @cached_property
+    def hermitian_residuals(self) -> tuple[float, float]:
+        """hermitian_symmetry_residual of eps_k and of eta_k, computed once:
+        the bridge's validation and the fieldbridge suite both report them."""
+        return hermitian_symmetry_residual(self.eps_k), hermitian_symmetry_residual(self.eta_k)
+
 
 def hermitian_symmetry_residual(values: np.ndarray) -> float:
     """Relative residual of conj(a(-k)) = a(k) at bin level."""
     peak = float(np.abs(values).max())
     if peak == 0.0:
         return 0.0
-    return float(np.abs(values - np.conj(reverse_bins(values))).max() / peak)
+    gap = reverse_bins(values)
+    np.conj(gap, out=gap)
+    np.subtract(values, gap, out=gap)
+    return float(np.abs(gap).max() / peak)
 
 
 def solenoidal_residual(values: np.ndarray, grid: KGrid) -> float:
@@ -68,9 +79,9 @@ def solenoidal_residual(values: np.ndarray, grid: KGrid) -> float:
     return float(longi.max() / peak)
 
 
-def _validate_classical(eps_k: np.ndarray, eta_k: np.ndarray, grid: KGrid) -> None:
-    for name, a in (("eps_k", eps_k), ("eta_k", eta_k)):
-        res = hermitian_symmetry_residual(a)
+def _validate_classical(cf: ClassicalField) -> None:
+    for name, a, res in (("eps_k", cf.eps_k, cf.hermitian_residuals[0]),
+                         ("eta_k", cf.eta_k, cf.hermitian_residuals[1])):
         if res > HERMITIAN_TOLERANCE:
             raise ValueError(
                 f"{name} violates Hermitian bin symmetry (residual {res:.2e}); "
@@ -79,7 +90,7 @@ def _validate_classical(eps_k: np.ndarray, eta_k: np.ndarray, grid: KGrid) -> No
         peak = float(np.abs(a).max())
         if peak > 0.0 and float(np.abs(a[:, 0, 0, 0]).max()) > DC_TOLERANCE * peak:
             raise ValueError(f"{name} carries a nonzero DC (k = 0) component")
-        sol = solenoidal_residual(a, grid)
+        sol = solenoidal_residual(a, cf.grid)
         if sol > HERMITIAN_TOLERANCE:
             raise ValueError(f"{name} is not solenoidal (residual {sol:.2e})")
 
@@ -93,25 +104,49 @@ def classical_from_state(state: PhotonState) -> ClassicalField:
     """Invert the amplitude weighting: e = sqrt(k) f_u and h = sqrt(k) f_l.
 
     Returns the real classical snapshot of the complex positive-frequency pair
-    (E, H): E_real = (E + E*)/sqrt(2) and its magnetic twin.
+    (E, H): E_real = (E + E*)/sqrt(2) and its magnetic twin.  The E chain runs
+    to the end before the H chain starts, and e is transformed in place once
+    its Fourier data is formed.
     """
     g = state.grid
     sqrt_k = np.sqrt(g.kmag)
-    e = sqrt_k * state.f_upper()
-    h = sqrt_k * state.f_lower()
-    E = to_position(momentum_field(e, g, state.time)).values
-    H = to_position(momentum_field(h, g, state.time)).values
-    return ClassicalField(
-        eps_k=(e + np.conj(reverse_bins(e))) / np.sqrt(2.0),
-        eta_k=(h + np.conj(reverse_bins(h))) / np.sqrt(2.0),
-        E_real=((E + np.conj(E)) / np.sqrt(2.0)).real,
-        H_real=((H + np.conj(H)) / np.sqrt(2.0)).real,
-        grid=g,
-        time=state.time,
-    )
+
+    def chain(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = np.multiply(sqrt_k, block, out=block)  # e (or h); block is a fresh copy
+        a_k = reverse_bins(a)
+        np.conj(a_k, out=a_k)
+        np.add(a, a_k, out=a_k)
+        a_k /= np.sqrt(2.0)
+        A = to_position(momentum_field(a, g, state.time), overwrite=True).values
+        A_real = np.empty(A.shape)
+        for c in range(3):
+            A_real[c] = ((A[c] + np.conj(A[c])) / np.sqrt(2.0)).real
+        return a_k, A_real
+
+    eps_k, E_real = chain(state.f_upper())
+    eta_k, H_real = chain(state.f_lower())
+    return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real,
+                          grid=g, time=state.time)
 
 
-def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> tuple[np.ndarray, np.ndarray]:
+def _over_k_cross(partner: np.ndarray, grid: KGrid) -> np.ndarray:
+    """(1/k) k x partner per bin, zero at the DC bin: the partner's share of a
+    positive-frequency amplitude."""
+    out = cross(grid.kvec, partner)
+    out *= _safe_inverse(grid.kmag)
+    return out
+
+
+def _positive_frequency(own: np.ndarray, term: np.ndarray, sign: int, out=None) -> np.ndarray:
+    """(own + sign * term) / sqrt(2) with the DC bin zeroed, written into out
+    (which may be term itself) or into a new array."""
+    a = np.add(own, term, out=out) if sign > 0 else np.subtract(own, term, out=out)
+    a /= np.sqrt(2.0)
+    a[:, 0, 0, 0] = 0.0  # the DC bin
+    return a
+
+
+def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> Iterator[np.ndarray]:
     """Positive-frequency amplitudes from real-field Fourier data.
 
     e = (eps - (1 / k) k x eta) / sqrt(2)
@@ -119,16 +154,16 @@ def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> tuple[np.ndarray, n
 
     The map is a projector onto the forward-frequency pairing: amplitudes
     already coupled as h = w x e pass through (up to the sqrt(2)
-    bookkeeping), while the reversed pairing is annihilated.
+    bookkeeping), while the reversed pairing is annihilated.  The blocks are
+    handed out one at a time, e and then h (``e, h = ...`` takes both); h is
+    computed only when asked for.
     """
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    inv_k = _safe_inverse(grid.kmag)
-    e = (eps_k - inv_k * cross(grid.kvec, eta_k)) / np.sqrt(2.0)
-    h = (eta_k + inv_k * cross(grid.kvec, eps_k)) / np.sqrt(2.0)
-    e[:, 0, 0, 0] = 0.0  # the DC bin
-    h[:, 0, 0, 0] = 0.0
-    return e, h
+    for own, partner, sign in ((eps_k, eta_k, -1), (eta_k, eps_k, +1)):
+        cross_term = _over_k_cross(partner, grid)
+        yield _positive_frequency(own, cross_term, sign, out=cross_term)
+        del cross_term  # the block handed out, released before the next one is made
 
 
 def state_from_classical(cf: ClassicalField) -> PhotonState:
@@ -136,20 +171,24 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
 
     The returned state keeps the physical scale of the classical input (its
     norm records the conversion); callers wanting unit probability normalize
-    explicitly.
+    explicitly.  The six components are built in one array, one extracted
+    block at a time.
     """
-    _validate_classical(cf.eps_k, cf.eta_k, cf.grid)
+    _validate_classical(cf)
     g = cf.grid
-    e, h = extract_positive_frequency(cf.eps_k, cf.eta_k, g)
     inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
-    f_u = inv_sqrt_k * e
-    f_l = inv_sqrt_k * h
-    # extraction preserves transversality analytically; enforcing it per bin
-    # removes the absolute round-off debris that would otherwise dominate the
-    # relative residual at faintly occupied bins
-    for f in (f_u, f_l):
-        f -= dot(g.khat, f) * g.khat
-    return PhotonState(momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), g, cf.time))
+    psi = np.empty((6,) + g.shape, dtype=np.complex128)
+    for f, a in zip((psi[:3], psi[3:]), extract_positive_frequency(cf.eps_k, cf.eta_k, g)):
+        np.multiply(inv_sqrt_k, a, out=f)
+        del a  # e is freed before h is extracted
+        # extraction preserves transversality analytically; enforcing it per
+        # bin removes the absolute round-off debris that would otherwise
+        # dominate the relative residual at faintly occupied bins
+        longitudinal = dot(g.khat, f)
+        for c in range(3):
+            f[c] -= longitudinal * g.khat[c]
+    psi /= np.sqrt(2.0)
+    return PhotonState(momentum_field(psi, g, cf.time))
 
 
 @dataclass(frozen=True)
@@ -178,26 +217,33 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
     E_real exactly.
     """
     g = cf.grid
-    e, h = extract_positive_frequency(cf.eps_k, cf.eta_k, g)
-    E1 = to_position(momentum_field(e, g, cf.time)).values
-    H1 = to_position(momentum_field(h, g, cf.time)).values
 
-    inv_k = _safe_inverse(g.kmag)
-    # (1/k) d(eps)/dt with d(eps)/dt = i k x eta; times i
-    imag_e = to_position(momentum_field(-inv_k * cross(g.kvec, cf.eta_k), g, cf.time)).values
-    imag_h = to_position(momentum_field(inv_k * cross(g.kvec, cf.eps_k), g, cf.time)).values
-    E2 = (cf.E_real + imag_e) / np.sqrt(2.0)
-    H2 = (cf.H_real + imag_h) / np.sqrt(2.0)
+    def gaps(own, partner, real, sign) -> tuple[float, float]:
+        # (1/k) k x partner enters the extraction, and sign times it is the
+        # imaginary part i (1/k) d(own)/dt, as d(eps)/dt = i k x eta and
+        # d(eta)/dt = -i k x eps: one cross product serves both routes
+        cross_term = _over_k_cross(partner, g)
+        a = _positive_frequency(own, cross_term, sign)
+        route_one = to_position(momentum_field(a, g, cf.time), overwrite=True).values
+        if sign < 0:
+            np.negative(cross_term, out=cross_term)
+        route_two = to_position(momentum_field(cross_term, g, cf.time), overwrite=True).values
+        route_two += real
+        route_two /= np.sqrt(2.0)
+        return gap(route_one, route_two), gap(real, np.sqrt(2.0) * route_one.real)
 
     def gap(a, b):
         peak = float(np.abs(a).max())
         return float(np.abs(a - b).max() / peak) if peak > 0.0 else 0.0
 
+    # one chain's arrays at a time: the E chain runs to the end, then the H chain
+    e_gap, e_real = gaps(cf.eps_k, cf.eta_k, cf.E_real, -1)
+    h_gap, h_real = gaps(cf.eta_k, cf.eps_k, cf.H_real, +1)
     return NonlocalRelationReport(
-        e_route_gap=gap(E1, E2),
-        h_route_gap=gap(H1, H2),
-        e_real_part_residual=gap(cf.E_real, np.sqrt(2.0) * E1.real),
-        h_real_part_residual=gap(cf.H_real, np.sqrt(2.0) * H1.real),
+        e_route_gap=e_gap,
+        h_route_gap=h_gap,
+        e_real_part_residual=e_real,
+        h_real_part_residual=h_real,
     )
 
 
@@ -315,7 +361,7 @@ def kernel_pair_check(kind: str, grid: KGrid, shell: tuple[float, float] | None 
         raise ValueError("kernel check needs n >= 32 (n >= 64 recommended)")
 
     kern = _regularized_kernel(kind, grid)
-    transformed = to_momentum(position_field(kern[None], grid)).values[0].real
+    transformed = to_momentum(position_field(kern[None], grid), overwrite=True).values[0].real
 
     k_low, k_high = shell if shell is not None else (4.0 * grid.dk, grid.k_nyquist / 4.0)
     mask = (grid.kmag >= k_low) & (grid.kmag <= k_high)

@@ -38,36 +38,64 @@ POSITION = "position"
 _FT_NORM = (2.0 * np.pi) ** 1.5
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a x b per bin over a first axis of length 3; either side may be one (3,) vector.
 
     Bitwise equal to ``np.cross(a, b, axis=0)``, which copies and promotes
-    both inputs as a whole; here only the per-component products are
-    allocated.  A (3,) vector is taken as constant over the bins.
+    both inputs as a whole; here each component is written into ``out``
+    (allocated when not given; it must not overlap a or b) with one bins-sized
+    scratch array for the second product.  A (3,) vector is taken as
+    constant over the bins.
     """
     a0, a1, a2 = a
     b0, b1, b2 = b
     bins = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.empty((3,) + bins, dtype=np.result_type(a, b))
-    np.subtract(a1 * b2, a2 * b1, out=out[0])
-    np.subtract(a2 * b0, a0 * b2, out=out[1])
-    np.subtract(a0 * b1, a1 * b0, out=out[2])
+    dtype = np.result_type(a, b)
+    if out is None:
+        out = np.empty((3,) + bins, dtype=dtype)
+    scratch = np.empty(bins, dtype=dtype)
+    for row, (p, q, r, s) in zip(out, ((a1, b2, a2, b1), (a2, b0, a0, b2), (a0, b1, a1, b0))):
+        np.multiply(p, q, out=row)
+        np.multiply(r, s, out=scratch)
+        np.subtract(row, scratch, out=row)
     return out
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b per bin (no conjugation); bitwise equal to ``np.sum(a * b, axis=0)``."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a . b per bin (no conjugation); bitwise equal to ``np.sum(a * b, axis=0)``.
+
+    The products are summed in order into ``out`` (allocated when not given)
+    through one bins-sized scratch array.
+    """
+    bins = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+    dtype = np.result_type(a, b)
+    if out is None:
+        out = np.empty(bins, dtype=dtype)
+    scratch = np.empty(bins, dtype=dtype)
+    np.multiply(a[0], b[0], out=out)
+    for i in (1, 2):
+        np.multiply(a[i], b[i], out=scratch)
+        np.add(out, scratch, out=out)
+    return out
 
 
-def norm(a: np.ndarray) -> np.ndarray:
-    """|a| per bin; bitwise equal to ``np.linalg.norm(a, axis=0)``.
+def norm(a) -> np.ndarray:
+    """|a| per bin over the components a[0], a[1], ... of a first axis of any
+    length (or of any sequence of equally shaped component arrays); bitwise
+    equal to ``np.linalg.norm(a, axis=0)``.
 
     Each square is the real part of conj(a_i) a_i, the complex product numpy's
-    norm uses (with FMA it can differ from re^2 + im^2 in the last bit).
+    norm uses (with FMA it can differ from re^2 + im^2 in the last bit); the
+    squares are summed in component order, one component at a time.
     """
-    a0, a1, a2 = a
-    return np.sqrt((a0.conj() * a0).real + (a1.conj() * a1).real + (a2.conj() * a2).real)
+    total = None
+    for component in a:
+        square = (component.conj() * component).real
+        if total is None:
+            total = np.array(square, dtype=np.float64)
+        else:
+            total += square
+    return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)
@@ -142,11 +170,12 @@ class KGrid:
 
 
 def reverse_bins(values: np.ndarray) -> np.ndarray:
-    """Map bin (i, j, l) to (-i, -j, -l) mod n over the three grid axes (1, 2, 3)."""
-    out = values
-    for axis in (1, 2, 3):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
+    """Map bin (i, j, l) to (-i, -j, -l) mod n over the three grid axes (1, 2, 3).
+
+    One flip view and one roll over all three axes: a single copy.
+    """
+    axes = (1, 2, 3)
+    return np.roll(np.flip(values, axis=axes), 1, axis=axes)
 
 
 @dataclass(frozen=True)
@@ -199,28 +228,31 @@ def _require(field: Field, rep: str) -> None:
         raise ValueError(f"expected a {rep}-representation field, got {field.rep}")
 
 
-def to_position(field: Field) -> Field:
-    """Transform momentum amplitudes to the position representation."""
-    _require(field, MOMENTUM)
-    g = field.grid
-    scale = g.n**3 * g.dk**3 / _FT_NORM
+def _transform(field: Field, fft, rep: str, scale: float, overwrite: bool) -> Field:
     # all three axes write into one output; without out= numpy allocates one
     # per axis, which costs time and a third field-sized array at the peak
-    values = np.fft.ifftn(field.values, axes=(1, 2, 3),
-                          out=np.empty(field.values.shape, dtype=np.complex128))
+    out = field.values if overwrite else np.empty(field.values.shape, dtype=np.complex128)
+    values = fft(field.values, axes=(1, 2, 3), out=out)
     values *= scale
-    return Field(values, POSITION, g, field.time)
+    return Field(values, rep, field.grid, field.time)
 
 
-def to_momentum(field: Field) -> Field:
-    """Inverse of :func:`to_position` (the -i k.x kernel)."""
-    _require(field, POSITION)
+def to_position(field: Field, *, overwrite: bool = False) -> Field:
+    """Transform momentum amplitudes to the position representation.
+
+    With ``overwrite`` the transform runs in place on ``field.values``: a
+    caller that built the array only to transform it hands it over and must
+    not use ``field`` afterwards.  The result is bitwise the same either way.
+    """
+    _require(field, MOMENTUM)
     g = field.grid
-    scale = g.dx**3 / _FT_NORM
-    values = np.fft.fftn(field.values, axes=(1, 2, 3),
-                         out=np.empty(field.values.shape, dtype=np.complex128))
-    values *= scale
-    return Field(values, MOMENTUM, g, field.time)
+    return _transform(field, np.fft.ifftn, POSITION, g.n**3 * g.dk**3 / _FT_NORM, overwrite)
+
+
+def to_momentum(field: Field, *, overwrite: bool = False) -> Field:
+    """Inverse of :func:`to_position` (the -i k.x kernel); ``overwrite`` as there."""
+    _require(field, POSITION)
+    return _transform(field, np.fft.fftn, MOMENTUM, field.grid.dx**3 / _FT_NORM, overwrite)
 
 
 def norm_squared(field: Field) -> float:
@@ -233,7 +265,7 @@ def norm_squared(field: Field) -> float:
 
 def boundary_amplitude_ratio(field: Field) -> float:
     """Max |field| on the outermost bin shell divided by the global max."""
-    mags = np.linalg.norm(field.values, axis=0)
+    mags = norm(field.values)
     peak = float(mags.max())
     if peak == 0.0:
         return 0.0
@@ -248,31 +280,66 @@ def boundary_amplitude_ratio(field: Field) -> float:
 
 @dataclass(frozen=True)
 class KGradient:
-    """Result of a finite-difference k-gradient."""
+    """Finite-difference k-gradient of a field, handed out one axis at a time.
 
-    components: tuple[Field, Field, Field]
+    Only the field itself is held, not a copy; :meth:`along` differences it
+    along one k-axis when asked, so a caller that contracts each derivative
+    before asking for the next holds one derivative at a time.  The field's
+    values must not change while the gradient is in use.
+    """
+
+    field: Field
     boundary_ratio: float
+
+    def along(self, axis: int) -> Field:
+        """d(field)/d(k_axis) for axis in (0, 1, 2), in standard FFT bin order.
+
+        The stencils follow the signed frequencies, not the array index: a
+        centered difference pairs each bin with its frequency neighbours
+        (across the FFT wrap between index n - 1 and 0), and the one-sided
+        second-order stencils sit at the most negative (index n/2) and most
+        positive (index n/2 - 1) frequency.  The values are bitwise those of
+        ``np.gradient(..., edge_order=2)`` on the fftshifted array, shifted
+        back, without either shifted copy.
+        """
+        f = self.field.values
+        dk = self.field.grid.dk
+        n = f.shape[axis + 1]
+        h = n // 2
+
+        def at(array: np.ndarray, index) -> np.ndarray:
+            where = [slice(None)] * 4
+            where[axis + 1] = index
+            return array[tuple(where)]
+
+        out = np.empty_like(f)
+        # (f(k + dk) - f(k - dk)) / (2 dk): two runs of index neighbours, and
+        # the two bins whose frequency neighbour sits across the wrap
+        for target, ahead, behind in ((slice(1, h - 1), slice(2, h), slice(0, h - 2)),
+                                      (slice(h + 1, n - 1), slice(h + 2, n), slice(h, n - 2)),
+                                      (0, 1, n - 1),
+                                      (n - 1, 0, n - 2)):
+            d = np.subtract(at(f, ahead), at(f, behind), out=at(out, target))
+            d /= 2.0 * dk
+        # one-sided second-order stencils at the most negative and most positive frequency
+        at(out, h)[:] = ((-1.5 / dk) * at(f, h) + (2.0 / dk) * at(f, h + 1)
+                         + (-0.5 / dk) * at(f, h + 2))
+        at(out, h - 1)[:] = ((0.5 / dk) * at(f, h - 3) + (-2.0 / dk) * at(f, h - 2)
+                             + (1.5 / dk) * at(f, h - 1))
+        return Field(out, MOMENTUM, self.field.grid, self.field.time)
 
 
 def k_gradient(field: Field) -> KGradient:
     """Centered finite-difference gradient along the three k-axes.
 
-    The array is unwrapped to monotonically ordered frequencies before
-    differencing, so stencils never straddle the Nyquist wrap; the boundary
-    bins use one-sided second-order differences.  The result records how well
-    the amplitude has decayed at the grid boundary, where the one-sided
-    stencils (and the non-periodicity of the data) make the derivative
-    unreliable.
+    The stencils run in monotonic frequency order, so they never straddle
+    the Nyquist wrap; the boundary bins use one-sided second-order
+    differences.  The result records how well the amplitude has decayed at
+    the grid boundary, where the one-sided stencils (and the
+    non-periodicity of the data) make the derivative unreliable.
     """
     _require(field, MOMENTUM)
-    g = field.grid
-    ratio = boundary_amplitude_ratio(field)
-    shifted = np.fft.fftshift(field.values, axes=(1, 2, 3))
-    comps = []
-    for axis in (1, 2, 3):
-        d = np.gradient(shifted, g.dk, axis=axis, edge_order=2)
-        comps.append(Field(np.fft.ifftshift(d, axes=(1, 2, 3)), MOMENTUM, g, field.time))
-    return KGradient(components=(comps[0], comps[1], comps[2]), boundary_ratio=ratio)
+    return KGradient(field=field, boundary_ratio=boundary_amplitude_ratio(field))
 
 
 def spectral_curl(field: Field) -> Field:
@@ -282,4 +349,4 @@ def spectral_curl(field: Field) -> Field:
         raise ValueError("curl requires a 3-component field")
     f = to_momentum(field)
     curled = 1j * cross(field.grid.kvec, f.values)
-    return to_position(Field(curled, MOMENTUM, field.grid, field.time))
+    return to_position(Field(curled, MOMENTUM, field.grid, field.time), overwrite=True)

@@ -60,7 +60,9 @@ def _position_block(state: PhotonState, block: str) -> np.ndarray:
 
 def _cross_density(f: np.ndarray) -> np.ndarray:
     """-i f* x f per bin; Hermitian form, real up to round-off."""
-    return -1j * kgrid.cross(np.conj(f), f)
+    density = kgrid.cross(np.conj(f), f)
+    density *= -1j
+    return density
 
 
 def _momentum_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +91,7 @@ def _peeled_block(state: PhotonState) -> np.ndarray:
     """
     f = state.f_upper()
     if state.time != 0.0:
-        f = f * np.exp(1j * state.grid.kmag * state.time)
+        f *= np.exp(1j * state.grid.kmag * state.time)
     return f
 
 
@@ -98,32 +100,27 @@ def _integrate_vector(density: np.ndarray, measure: float) -> tuple[np.ndarray, 
     return total.real, float(np.abs(total.imag).max())
 
 
-def _spin_canonical(state: PhotonState, d_u, d_l) -> tuple[np.ndarray, float]:
-    d = 0.5 * (d_u + d_l)
-    return _integrate_vector(d, state.psi.measure)
-
-
-def _spin_projected(state: PhotonState, d_u, d_l) -> tuple[np.ndarray, float]:
-    g = state.grid
-    d = 0.5 * (d_u + d_l)
-    helicity_density = kgrid.dot(g.khat, d)
-    return _integrate_vector(helicity_density * g.khat, state.psi.measure)
-
-
 @_per_state
 def _momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, float]]:
     """(value, imaginary residue) of the four momentum-space spin routes.
 
-    They integrate the same two block densities, computed here once; only the
+    They integrate the same two block densities, computed here once, and the
+    canonical density 0.5 (d_u + d_l) formed once from them; only the
     3-vectors are kept on the state.
     """
-    d_u, d_l = _momentum_densities(state)
+    g = state.grid
     m = state.psi.measure
+    d_u, d_l = _momentum_densities(state)
+    cross_upper, cross_lower = _integrate_vector(d_u, m), _integrate_vector(d_l, m)
+    canonical = np.add(d_u, d_l, out=d_u)
+    del d_l
+    canonical *= 0.5
+    helicity_density = kgrid.dot(g.khat, canonical)
     return {
-        "canonical": _spin_canonical(state, d_u, d_l),
-        "projected": _spin_projected(state, d_u, d_l),
-        "cross_upper": _integrate_vector(d_u, m),
-        "cross_lower": _integrate_vector(d_l, m),
+        "canonical": _integrate_vector(canonical, m),
+        "projected": _integrate_vector(helicity_density * g.khat, m),
+        "cross_upper": cross_upper,
+        "cross_lower": cross_lower,
     }
 
 
@@ -143,12 +140,12 @@ def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
     Multiplying by the direction components w_i and transforming gives the
     three fields entering the nonlocal kernel density."""
     g = state.grid
-    f_u = state.psi.values[:3]
-    f_l = state.psi.values[3:]
-    # (sigma . w) f = i w x f
-    chi_u = 1j * kgrid.cross(g.khat, f_u)
-    chi_l = 1j * kgrid.cross(g.khat, f_l)
-    return np.concatenate([chi_u, chi_l])
+    chi = np.empty_like(state.psi.values)
+    # (sigma . w) f = i w x f, block by block
+    kgrid.cross(g.khat, state.psi.values[:3], out=chi[:3])
+    kgrid.cross(g.khat, state.psi.values[3:], out=chi[3:])
+    chi *= 1j
+    return chi
 
 
 @_per_state
@@ -160,19 +157,30 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     direction-dyadic kernel spectrally, which is exact on the grid.  Its
     integral reproduces the projected-spin expectation; pointwise it is not
     the canonical density (:func:`density_candidates` measures the gap).
+
+    The three w_i chi fields are formed and transformed in one reused
+    six-component buffer, and Psi^dag Phi_i is summed one component at a time.
     """
     g = state.grid
+    # before the buffers below exist: the projected spin makes its own densities
+    projected = spin_projected(state)
     psi_pos = state.psi_position
-    psi_conj = np.conj(psi_pos.values)
     chi = projected_spin_momentum_density(state)
+    phi = np.empty_like(chi)
+    dens = np.empty(g.shape, dtype=np.complex128)
+    psi_conj, term = np.empty_like(dens), np.empty_like(dens)
     s = np.empty((3,) + g.shape, dtype=np.float64)
     integral = np.empty(3)
     integral_imag = 0.0
     for i in range(3):
-        phi = to_position(momentum_field(g.khat[i] * chi, g, state.time))
+        np.multiply(g.khat[i], chi, out=phi)
+        to_position(momentum_field(phi, g, state.time), overwrite=True)
         # the density itself is complex away from the single-mode limit; only
         # its integral is a Hermitian form, so only that must be real
-        dens = np.sum(psi_conj * phi.values, axis=0)
+        np.multiply(np.conj(psi_pos.values[0], out=psi_conj), phi[0], out=dens)
+        for c in range(1, 6):
+            np.conj(psi_pos.values[c], out=psi_conj)
+            dens += np.multiply(psi_conj, phi[c], out=term)
         s[i] = dens.real
         total = np.sum(dens) * psi_pos.measure
         integral[i] = total.real
@@ -180,9 +188,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
 
     diagnostics = {
         "integral": integral,
-        "integral_vs_projected": float(
-            np.abs(integral - spin_projected(state)).max()
-        ),
+        "integral_vs_projected": float(np.abs(integral - projected).max()),
         "imag_residue": integral_imag,
     }
     return s, diagnostics
@@ -190,14 +196,22 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
 
 @_per_state
 def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
-    """<L> by the momentum route, and the boundary ratio of its k-gradient."""
+    """<L> by the momentum route, and the boundary ratio of its k-gradient.
+
+    The k-gradient is taken one axis at a time and contracted at once, so a
+    single derivative is alive at any moment.
+    """
     g = state.grid
     f = _peeled_block(state)
     grad = k_gradient(momentum_field(f, g, 0.0))
     f_conj = np.conj(f)
-    h = np.stack([kgrid.dot(f_conj, d.values) for d in grad.components])
+    h = np.empty_like(f)
+    for a in range(3):
+        kgrid.dot(f_conj, grad.along(a).values, out=h[a])
+    ratio = grad.boundary_ratio
+    del f, f_conj, grad
     total = -1j * np.sum(kgrid.cross(g.kvec, h), axis=(1, 2, 3)) * g.dk**3
-    return total.real, grad.boundary_ratio
+    return total.real, ratio
 
 
 def oam_momentum(state: PhotonState) -> np.ndarray:
@@ -227,12 +241,15 @@ def oam_position(state: PhotonState) -> np.ndarray:
     """
     g = state.grid
     f = state.f_upper()
-    F_conj = np.conj(_position_block(state, "upper"))
-    h = np.stack([
-        kgrid.dot(F_conj, to_position(
-            momentum_field(1j * g.kvec[a] * f, g, state.time)).values)
-        for a in range(3)
-    ])
+    F_conj = _position_block(state, "upper")
+    np.conj(F_conj, out=F_conj)
+    d_F = np.empty_like(f)
+    h = np.empty_like(f)
+    for a in range(3):
+        np.multiply(1j * g.kvec[a], f, out=d_F)
+        to_position(momentum_field(d_F, g, state.time), overwrite=True)
+        kgrid.dot(F_conj, d_F, out=h[a])
+    del f, F_conj, d_F
     total = -1j * np.sum(kgrid.cross(g.xvec, h), axis=(1, 2, 3)) * g.dx**3
     return total.real
 

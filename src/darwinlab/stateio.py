@@ -46,14 +46,16 @@ def _payload_bytes(state: PhotonState) -> bytes:
     return state.psi.values.astype("<c16", copy=False).tobytes(order="F")
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write data to path through a temp file in the same directory and a rename."""
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write the chunks, in order, to path through a temp file in the same
+    directory and a rename; the chunks are never joined in memory."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,7 +75,7 @@ def write_state(path, state: PhotonState, metadata: dict | None = None) -> None:
         "metadata": metadata or {},
     }
     blob = json.dumps(header).encode("utf-8")
-    write_atomic(path, MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+    write_atomic(path, MAGIC + struct.pack("<I", len(blob)) + blob, payload)
 
 
 def read_state(path) -> tuple[PhotonState, dict]:
@@ -81,10 +83,13 @@ def read_state(path) -> tuple[PhotonState, dict]:
 
     Raises StateFileError for every malformed, truncated or corrupted file,
     for a format other than FORMAT_VERSION, for invalid or non-finite header
-    values and for a unit record other than natural units.
+    values, for a unit record other than natural units and for a payload
+    whose total probability is not finite (finite amplitudes can overflow it).
+    The payload is read through a view of the file's bytes, never sliced out
+    as a copy.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = memoryview(fh.read())
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
         raise StateFileError(f"{path}: not a state file (bad magic)")
     (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
@@ -92,7 +97,7 @@ def read_state(path) -> tuple[PhotonState, dict]:
     if len(raw) < hstart + hlen:
         raise StateFileError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[hstart : hstart + hlen].decode("utf-8"))
+        header = json.loads(bytes(raw[hstart : hstart + hlen]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StateFileError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
@@ -123,4 +128,9 @@ def read_state(path) -> tuple[PhotonState, dict]:
         raise StateFileError(f"{path}: header lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"{path}: invalid header or payload ({exc})") from exc
+    del raw, payload  # the file's bytes go before the norm's temporaries come
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = state.norm
+    if not math.isfinite(norm):
+        raise StateFileError(f"{path}: payload norm {norm} is not finite")
     return state, header

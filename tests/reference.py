@@ -114,10 +114,11 @@ def classical_from_kspace(eps_k, eta_k, grid: KGrid, time: float = 0.0) -> Class
     """Assemble a ClassicalField from Fourier data, checking its invariants."""
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    _validate_classical(eps_k, eta_k, grid)
     E_real = to_position(momentum_field(eps_k, grid, time)).values.real
     H_real = to_position(momentum_field(eta_k, grid, time)).values.real
-    return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
+    cf = ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
+    _validate_classical(cf)
+    return cf
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.cli import ConfigError, main, parse_config
+from darwinlab.kgrid import momentum_field
+from darwinlab.state import PhotonState
 from darwinlab.stateio import read_state, write_state
 from darwinlab.suites import DEFAULT_TIMES, SUITE_NAMES
 from test_state import longitudinal_state
@@ -414,6 +416,49 @@ def test_non_finite_number_exits_2(built_state, tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err == f"config error: {where}: must be a finite number\n"
     assert not (tmp_path / "x.dpst").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("change, path", [
+    pytest.param({"sigma_k": float("inf")}, "$.modes[0].sigma_k", id="sigma_k_infinite"),
+    pytest.param({"kind": "vortex", "vortex_charge": 1, "ring_radius": float("nan")},
+                 "$.modes[0].ring_radius", id="ring_radius_nan"),
+    pytest.param({"sigma_k": "1.5"}, "$.modes[0].sigma_k", id="sigma_k_string"),
+    pytest.param({"helicity": True}, "$.modes[0].helicity", id="helicity_boolean"),
+    pytest.param({"kind": "vortex", "vortex_charge": True}, "$.modes[0].vortex_charge",
+                 id="vortex_charge_boolean"),
+    pytest.param({"k0": [True, 0, 8]}, "$.modes[0].k0[0]", id="k0_boolean"),
+])
+def test_mode_number_of_the_wrong_kind_exits_2(tmp_path, capsys, change, path):
+    # each of these once built a state (exit 0) or failed without naming the key
+    config = _config_file(tmp_path, modes=[dict(BASE_CONFIG["modes"][0], **change)])
+    assert main(["build", "--config", config, "--out", str(tmp_path / "x.dpst")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {path}: must be") and captured.err.count("\n") == 1
+    assert not (tmp_path / "x.dpst").exists()
+
+
+@pytest.fixture()
+def overflowing_file(tmp_path, helicity_state):
+    """The n=32 fixture state times 1e300: every amplitude is finite, but the
+    total probability overflows."""
+    path = tmp_path / "huge.dpst"
+    write_state(path, PhotonState(momentum_field(1e300 * helicity_state.psi.values,
+                                                 helicity_state.grid)))
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["check", "observe", "evolve", "densities"])
+def test_overflowing_payload_exits_3(overflowing_file, tmp_path, capsys, command):
+    extra = {"evolve": ["1.0", "--out", str(tmp_path / "x.dpst")],
+             "densities": ["--out", str(tmp_path / "slices")]}.get(command, [])
+    assert main([command, str(overflowing_file), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "norm" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args, message", [

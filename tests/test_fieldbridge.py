@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from darwinlab import KGrid, ModeSpec, synthesize
+from darwinlab import KGrid, ModeSpec, fieldbridge, synthesize
 from darwinlab.fieldbridge import (
     classical_from_state,
     extract_positive_frequency,
@@ -14,6 +14,7 @@ from darwinlab.fieldbridge import (
 )
 from darwinlab.dynamics import maxwell_residual
 from darwinlab.kgrid import to_position
+from darwinlab.suites import suite_fieldbridge
 from reference import classical_from_kspace, complex_pair, landau_peierls_transform
 
 
@@ -221,3 +222,34 @@ class TestKernelPairs:
     def test_rejects_unknown_kind(self, g32):
         with pytest.raises(ValueError, match="kind"):
             kernel_pair_check("cauchy", g32)
+
+
+class TestComputedOnce:
+    """The fieldbridge suite reuses what the bridge has already computed."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        original = getattr(fieldbridge, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fieldbridge, name, wrapper)
+        return calls
+
+    def test_each_hermitian_residual_once_per_suite(self, two_direction_state, monkeypatch):
+        calls = self.counted(monkeypatch, "hermitian_symmetry_residual")
+        rows = {c.name: c for c in suite_fieldbridge(two_direction_state).checks}
+        assert len(calls) == 2  # eps_k and eta_k, shared by the validation and the row
+        assert rows["hermitian_symmetry"].passed and rows["classical_roundtrip"].passed
+
+    def test_relation_check_makes_one_cross_product_per_block(self, two_direction_state,
+                                                              monkeypatch):
+        cf = classical_from_state(two_direction_state)
+        calls = self.counted(monkeypatch, "cross")
+        report = nonlocal_relation_check(cf)
+        # (1/k) k x partner serves both the extraction and the imaginary part
+        assert len(calls) == 2
+        assert report.combined < 1e-10

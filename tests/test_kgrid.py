@@ -64,6 +64,13 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             KGrid(16, 0.0)
 
+    def test_reverse_bins_is_the_per_axis_loop(self, g16, rng):
+        arr = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
+        expect = arr
+        for axis in (1, 2, 3):
+            expect = np.roll(np.flip(expect, axis=axis), 1, axis=axis)
+        assert reverse_bins(arr).tobytes() == expect.tobytes()
+
     def test_reverse_bins_involution(self, g16, rng):
         arr = rng.normal(size=(3,) + g16.shape)
         assert np.array_equal(reverse_bins(reverse_bins(arr)), arr)
@@ -126,6 +133,19 @@ class TestTransforms:
         rhs = 2.0 * to_position(a).values - 1j * to_position(b).values
         assert np.abs(lhs - rhs).max() < 1e-12
 
+    @pytest.mark.parametrize("ncomp", [1, 3, 6])
+    def test_in_place_transform_is_bitwise_the_copying_one(self, g16, rng, ncomp):
+        f = random_field(g16, rng, ncomp)
+        expect = to_position(f).values
+        handed_over = f.values.copy()
+        out = to_position(momentum_field(handed_over, g16), overwrite=True)
+        assert out.values is handed_over and out.values.tobytes() == expect.tobytes()
+        x = position_field(expect, g16)
+        handed_over = expect.copy()
+        out = to_momentum(position_field(handed_over, g16), overwrite=True)
+        assert out.values is handed_over
+        assert out.values.tobytes() == to_momentum(x).values.tobytes()
+
     def test_component_last_values_rejected(self, g16, rng):
         values = rng.normal(size=g16.shape + (6,)).astype(complex)
         with pytest.raises(ValueError, match=r"\(c, n, n, n\)"):
@@ -153,7 +173,7 @@ class TestKGradient:
         scale = np.abs(f).max() / s
         for a in range(3):
             exact = -(g32.kvec[a] - k0[a]) / s**2 * f
-            err = np.abs(grad.components[a].values[0] - exact).max()
+            err = np.abs(grad.along(a).values[0] - exact).max()
             assert err < 0.2 * scale
 
     def test_convergence_factor(self):
@@ -165,24 +185,37 @@ class TestKGradient:
             worst = 0.0
             for a in range(3):
                 exact = -(g.kvec[a] - k0[a]) / s**2 * f
-                worst = max(worst, np.abs(grad.components[a].values[0] - exact).max())
+                worst = max(worst, np.abs(grad.along(a).values[0] - exact).max())
             return worst
 
         factor = err(32, 1.0) / err(64, 0.5)
         assert 3.5 < factor < 4.5
 
+    @pytest.mark.parametrize("n, dk, ncomp", [(8, 1.0, 1), (16, 0.37, 3), (32, 1.0, 3)])
+    def test_bitwise_np_gradient_of_the_unwrapped_field(self, rng, n, dk, ncomp):
+        # the stencils run across the FFT wrap instead of on an fftshifted copy
+        g = KGrid(n, dk)
+        f = random_field(g, rng, ncomp)
+        unwrapped = np.fft.fftshift(f.values, axes=(1, 2, 3))
+        grad = k_gradient(f)
+        for a in range(3):
+            d = np.gradient(unwrapped, dk, axis=a + 1, edge_order=2)
+            expect = np.fft.ifftshift(d, axes=(1, 2, 3))
+            assert grad.along(a).values.tobytes() == expect.tobytes(), a
+        assert grad.field is f  # no copy of the field is held
+
     def test_constant_field(self, g16):
         f = momentum_field(np.ones((1,) + g16.shape, dtype=complex), g16)
         grad = k_gradient(f)
-        interior = np.fft.fftshift(grad.components[0].values[0])[1:-1, 1:-1, 1:-1]
+        interior = np.fft.fftshift(grad.along(0).values[0])[1:-1, 1:-1, 1:-1]
         assert np.abs(interior).max() < 1e-14
 
     def test_linear_field_exact(self, g16):
         f = momentum_field(g16.kvec[0:1].astype(complex), g16)
         grad = k_gradient(f)
-        assert np.abs(grad.components[0].values - 1.0).max() < 1e-13
-        assert np.abs(grad.components[1].values).max() < 1e-13
-        assert np.abs(grad.components[2].values).max() < 1e-13
+        assert np.abs(grad.along(0).values - 1.0).max() < 1e-13
+        assert np.abs(grad.along(1).values).max() < 1e-13
+        assert np.abs(grad.along(2).values).max() < 1e-13
 
     def test_boundary_warning(self, g16):
         f = momentum_field(np.ones((1,) + g16.shape, dtype=complex), g16)
@@ -269,14 +302,26 @@ class TestVectorKernels:
 
     def test_cross_and_dot(self, operands):
         for name, (a, b) in operands.items():
-            assert self.same(cross(a, b), np.cross(a, b, axis=0)), name
+            numpy_cross = np.cross(a, b, axis=0)
+            assert self.same(cross(a, b), numpy_cross), name
+            out = np.empty_like(numpy_cross)
+            assert cross(a, b, out=out) is out and self.same(out, numpy_cross), name
             numpy_dot = np.sum(self.over_bins(a) * self.over_bins(b), axis=0)
             assert self.same(dot(a, b), numpy_dot), name
+            out = np.empty_like(numpy_dot)
+            assert dot(a, b, out=out) is out and self.same(out, numpy_dot), name
 
     def test_norm(self, operands):
         for name, (a, b) in operands.items():
             for x in (a, b):
                 assert self.same(norm(x), np.linalg.norm(x, axis=0)), name
+
+    @pytest.mark.parametrize("ncomp", [1, 6])
+    def test_norm_over_any_component_count(self, rng, ncomp):
+        x = rng.normal(size=(ncomp, 8, 8, 8)) + 1j * rng.normal(size=(ncomp, 8, 8, 8))
+        expect = np.linalg.norm(x, axis=0)
+        assert self.same(norm(x), expect)
+        assert self.same(norm(c for c in x), expect)  # components handed out one at a time
 
     def test_np_cross_only_in_algebra(self):
         # grid-sized cross products go through kgrid.cross; np.cross copies

@@ -166,6 +166,17 @@ class TestHeaderValues:
         assert state.rqc_residual == transversality_residual(payload_state.psi) > 0.1
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_norm_is_an_integrity_error(tmp_path, helicity_state):
+    # finite amplitudes, but sum |psi|^2 dk^3 overflows: nothing downstream
+    # can normalize or compare such a state
+    path = tmp_path / "huge.dpst"
+    write_state(path, PhotonState(kgrid.momentum_field(1e300 * helicity_state.psi.values,
+                                                       helicity_state.grid)))
+    with pytest.raises(StateFileError, match="norm inf is not finite"):
+        read_state(path)
+
+
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "n8.dpst"
