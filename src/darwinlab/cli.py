@@ -8,6 +8,10 @@ state file at a later time).
 Exit codes: 0 success, 1 check failure or runtime error, 2 configuration or
 usage error, 3 state-file integrity error.
 
+``check`` runs its two suite groups (``suites.MEMO_SUITES`` and
+``suites.OWN_TRANSFORM_SUITES``) in two processes when it may use two CPUs;
+the report is the same either way.
+
 ``DPL_THREADS`` (a positive integer, default 1) caps the BLAS/OpenMP thread
 pools; a ``*_NUM_THREADS`` variable that is already set wins.  The cap is
 applied before the numerical modules load, so this module imports nothing
@@ -172,15 +176,16 @@ def _precision(value: int) -> int:
 
 def cmd_build(args) -> int:
     from . import stateio
-    from .state import synthesize
+    from .state import ModeOverflow, synthesize
 
     cfg = _load_config(args.config)
     grid, modes, _, _, _ = parse_config(cfg)
     try:
         state = synthesize(modes, grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ModeOverflow as exc:
+        raise ConfigError(f"$.modes[{exc.mode}].{exc.key}: {exc}") from exc
+    except ValueError as exc:  # nothing left after the transverse projection
+        raise ConfigError(f"$.modes: {exc}") from exc
     stateio.write_state(args.out, state, metadata={"modes": cfg["modes"]})
     print(f"wrote {args.out}: n={grid.n} dk={grid.dk} norm={state.norm:.12f} "
           f"rqc_residual={state.rqc_residual:.3e}")
@@ -219,10 +224,15 @@ def cmd_check(args) -> int:
                           f"known: {', '.join(suites.DEFAULT_TOLERANCES)}")
     tolerances = {**cfg_tols, **flag_tols}
     try:
-        reports = suites.run_suites(names, state, tolerances=tolerances, times=times)
+        suites.check_suite_names(names)
     except suites.UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        reports = _run_suite_groups(names, state, tolerances, times)
+    except SuiteWorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
     payload = {
         "statefile": args.statefile,
@@ -252,6 +262,113 @@ def cmd_check(args) -> int:
         stateio.write_atomic(args.out, (text + "\n").encode("utf-8"))
     print(text)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
+
+
+class SuiteWorkerLost(Exception):
+    """The worker process of a split check ended without sending its reports."""
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _run_suite_groups(names, state, tolerances, times):
+    """The reports of ``suites.run_suites(names, ...)``, from up to two processes.
+
+    When the names hold suites of both ``suites.MEMO_SUITES`` and
+    ``suites.OWN_TRANSFORM_SUITES`` and this process may use two CPUs, a
+    forked worker runs the own-transform suites while this process runs the
+    memo suites, each with one ``run_suites`` call, and the reports are
+    merged back into the requested order.  Every value is computed as the
+    serial run computes it, so the reports are the same.  Otherwise the one
+    serial call runs here.
+    """
+    from . import suites
+
+    memo = [n for n in names if n in suites.MEMO_SUITES]
+    own = [n for n in names if n in suites.OWN_TRANSFORM_SUITES]
+    if memo and own and hasattr(os, "fork") and _cpu_count() >= 2:
+        state.grid.khat  # with kvec and kmag: both groups use them, so both share one copy
+        split = _run_split(memo, own, state, tolerances, times)
+        if split is not None:
+            memo_reports, own_reports = (iter(r) for r in split)
+            return [next(memo_reports if n in suites.MEMO_SUITES else own_reports) for n in names]
+    return suites.run_suites(names, state, tolerances=tolerances, times=times)
+
+
+def _run_split(memo, own, state, tolerances, times):
+    """(run_suites over memo here, run_suites over own in a forked worker),
+    or None if no process can be forked.
+
+    A suite that raises in the worker raises here, as in the serial run.  If
+    this process raises, the worker is killed and this error wins.
+    """
+    import pickle
+    import signal
+
+    from . import suites
+
+    sys.stdout.flush()
+    sys.stderr.flush()  # so the worker inherits no unwritten output
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        os.close(read_fd)
+        _suite_worker(write_fd, own, state, tolerances, times)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            memo_reports = suites.run_suites(memo, state, tolerances=tolerances, times=times)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)  # reaped, so its rusage counts toward this process
+    try:
+        outcome = pickle.loads(data)
+    except Exception:  # nothing, or a cut-off pickle: the worker died before it was done
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise SuiteWorkerLost(f"the worker running {', '.join(own)} {how} "
+                              f"before sending its reports") from None
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return memo_reports, outcome
+
+
+def _suite_worker(write_fd, names, state, tolerances, times):
+    """Body of the forked worker: it sends run_suites' reports, or the
+    exception a suite raised, pickled through write_fd.  It never returns: it
+    ends in os._exit, so no atexit handler runs and no inherited buffer is
+    flushed a second time."""
+    import pickle
+
+    from . import suites
+
+    try:
+        try:
+            outcome = suites.run_suites(names, state, tolerances=tolerances, times=times)
+        except BaseException as exc:
+            outcome = exc
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)
+        except Exception:  # an exception that does not survive pickling goes as text
+            data = pickle.dumps(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 def cmd_observe(args) -> int:

@@ -254,6 +254,7 @@ def oam_position(state: PhotonState) -> np.ndarray:
     return total.real
 
 
+@_per_state
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""
     psi_pos = state.psi_position

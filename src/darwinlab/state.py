@@ -9,6 +9,8 @@ the transversality constraint hold by construction.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,8 +56,8 @@ class ModeSpec:
         if self.kind not in ("plane", "gaussian", "vortex"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
         k0 = np.asarray(self.k0, dtype=float)
-        if k0.shape != (3,) or np.linalg.norm(k0) == 0.0:
-            raise ValueError("mode center k0 must be a nonzero 3-vector")
+        if k0.shape != (3,) or not 0.0 < _length(k0) < np.inf:
+            raise ValueError("mode center k0 must be a nonzero 3-vector of finite length")
         if self.kind in ("gaussian", "vortex") and not (self.sigma_k > 0.0):
             raise ValueError(f"{self.kind} mode requires sigma_k > 0")
         if self.ring_radius < 0.0:
@@ -64,10 +66,36 @@ class ModeSpec:
             if self.polarization is None:
                 raise ValueError("mode needs either a helicity or a polarization vector")
             pol = np.asarray(self.polarization, dtype=float)
-            if pol.shape != (3,) or np.linalg.norm(pol) == 0.0:
-                raise ValueError("polarization must be a nonzero 3-vector")
+            if pol.shape != (3,) or not 0.0 < _length(pol) < np.inf:
+                raise ValueError("polarization must be a nonzero 3-vector of finite length")
         elif self.helicity not in (1, -1):
             raise ValueError(f"helicity must be +1 or -1, got {self.helicity}")
+
+
+def _length(v: np.ndarray) -> float:
+    """|v| as synthesis computes it; inf where its square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
+class ModeOverflow(ValueError):
+    """A mode value drives the synthesized amplitudes out of floating-point
+    range; ``key`` names the value and ``mode`` is the mode's index."""
+
+    def __init__(self, key: str):
+        super().__init__("drives the synthesized amplitudes out of floating-point range")
+        self.key = key
+        self.mode = -1  # set by synthesize
+
+
+@contextmanager
+def _blame(key: str):
+    """Raise an overflow, invalid value or division by zero in the block as
+    a ModeOverflow naming ``key``; synthesize runs with those raising."""
+    try:
+        yield
+    except (FloatingPointError, OverflowError):
+        raise ModeOverflow(key) from None
 
 
 @dataclass(frozen=True)
@@ -78,7 +106,9 @@ class PhotonState:
     ``scale_factor`` that normalization divided out.  ``norm``,
     ``rqc_residual`` and ``psi_position`` are derived from ``psi`` on first
     use and cached for as long as the state lives, so building a state
-    computes nothing and no stored copy can disagree with the payload.
+    computes nothing and no stored copy can disagree with the payload.  The
+    payload is made read-only here, so no in-place operation can change it
+    under those cached values.
     """
 
     psi: Field
@@ -87,6 +117,7 @@ class PhotonState:
     def __post_init__(self) -> None:
         if self.psi.rep != kgrid.MOMENTUM or self.psi.ncomp != 6:
             raise ValueError("state wavefunction must be a 6-component momentum field")
+        self.psi.values.flags.writeable = False
 
     @property
     def grid(self) -> KGrid:
@@ -178,16 +209,21 @@ def _mode_polarization(spec: ModeSpec) -> np.ndarray:
 
 
 def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
+    """The mode's scalar envelope; each step that can leave floating-point
+    range names the mode value that drove it there (see synthesize)."""
     k0 = np.asarray(spec.k0, dtype=float)
     if spec.kind == "plane":
         env = np.zeros(grid.shape, dtype=np.complex128)
-        idx = tuple(int(np.rint(c / grid.dk)) % grid.n for c in k0)
+        with _blame("k0"):
+            idx = tuple(int(np.rint(c / grid.dk)) % grid.n for c in k0)
         env[idx] = 1.0
         return env
     if spec.kind == "gaussian" or (spec.kind == "vortex" and spec.ring_radius == 0.0):
         offset = grid.kvec - k0[:, None, None, None]
-        dist2 = kgrid.dot(offset, offset)
-        env = np.exp(-dist2 / (2.0 * spec.sigma_k**2)).astype(np.complex128)
+        with _blame("k0"):
+            dist2 = kgrid.dot(offset, offset)
+        with _blame("sigma_k"):
+            env = np.exp(-dist2 / (2.0 * spec.sigma_k**2)).astype(np.complex128)
         if spec.kind == "vortex" and spec.vortex_charge != 0:
             # azimuthal winding about the k0 axis, carried by the analytic
             # factor ((k.e1 +- i k.e2)/sigma)^|l| = (rho/sigma)^|l| exp(i l phi);
@@ -196,10 +232,12 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
             w0 = k0 / np.linalg.norm(k0)
             e1, e2 = helicity_frame(w0)
             sign = 1.0 if spec.vortex_charge > 0 else -1.0
-            winding = (
-                kgrid.dot(grid.kvec, e1) + 1j * sign * kgrid.dot(grid.kvec, e2)
-            ) / spec.sigma_k
-            env = env * winding ** abs(spec.vortex_charge)
+            with _blame("sigma_k"):
+                winding = (
+                    kgrid.dot(grid.kvec, e1) + 1j * sign * kgrid.dot(grid.kvec, e2)
+                ) / spec.sigma_k
+            with _blame("vortex_charge"):
+                env = env * winding ** abs(spec.vortex_charge)
         return env
 
     # annular vortex: gaussian torus of radius ring_radius about the k0 axis,
@@ -215,12 +253,16 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
     c2 = kgrid.dot(grid.kvec, e2)
     rho = np.hypot(c1, c2)
     dist = np.hypot(rho - spec.ring_radius, height)
-    env = np.exp(-(dist**2) / (2.0 * spec.sigma_k**2)).astype(np.complex128)
-    lo, hi = 2.5 * spec.sigma_k, 5.0 * spec.sigma_k
-    taper = np.clip((dist - lo) / (hi - lo), 0.0, 1.0)
+    with _blame("ring_radius"):
+        dist2 = dist**2
+    with _blame("sigma_k"):
+        env = np.exp(-dist2 / (2.0 * spec.sigma_k**2)).astype(np.complex128)
+        lo, hi = 2.5 * spec.sigma_k, 5.0 * spec.sigma_k
+        taper = np.clip((dist - lo) / (hi - lo), 0.0, 1.0)
     env = env * (0.5 * (1.0 + np.cos(np.pi * taper)))
     if spec.vortex_charge != 0:
-        env = env * np.exp(1j * spec.vortex_charge * np.arctan2(c2, c1))
+        with _blame("vortex_charge"):
+            env = env * np.exp(1j * spec.vortex_charge * np.arctan2(c2, c1))
     return env
 
 
@@ -230,7 +272,11 @@ def synthesize(specs, grid: KGrid) -> PhotonState:
     Per bin: accumulate envelope x polarization into the upper block, project
     out the longitudinal part, couple the lower block as w x f_u, zero the DC
     bin, then normalize.  Raises if the synthesis lands entirely outside the
-    resolvable band (zero norm).
+    resolvable band (zero norm), and raises ModeOverflow, naming the mode
+    and its value, where a mode would leave floating-point range: an
+    envelope or a mode's sum |amplitude x envelope|^2 that overflows, or a
+    total norm that does (named by the mode of the largest sum).  So no
+    state it returns holds a non-finite value or a norm that is not finite.
     """
     if isinstance(specs, ModeSpec):
         specs = [specs]
@@ -238,18 +284,34 @@ def synthesize(specs, grid: KGrid) -> PhotonState:
         raise ValueError("need at least one mode spec")
 
     f_u = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    for spec in specs:
-        env = _mode_envelope(spec, grid)
-        pol = _mode_polarization(spec)
-        f_u += complex(spec.amplitude) * env * pol[:, None, None, None]
+    powers = []
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for mode, spec in enumerate(specs):
+                env = _mode_envelope(spec, grid)
+                with _blame("vortex_charge"):  # only its winding lifts an envelope above 1
+                    if not math.isfinite(np.vdot(env, env).real):
+                        raise OverflowError
+                with _blame("amplitude"):
+                    term = complex(spec.amplitude) * env
+                    powers.append(np.vdot(term, term).real)  # the polarization is a unit vector
+                    if not math.isfinite(powers[-1]):
+                        raise OverflowError
+                    f_u += term * _mode_polarization(spec)[:, None, None, None]
 
-    # transverse projection of the upper block; the lower block inherits it
-    f_u -= kgrid.dot(grid.khat, f_u) * grid.khat
-    f_u[:, 0, 0, 0] = 0.0  # the DC bin
-    f_l = kgrid.cross(grid.khat, f_u)
-
-    psi = momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), grid)
-    state = PhotonState(psi)
+            mode = int(np.argmax(powers))  # a sum that overflows names its largest mode
+            with _blame("amplitude"):
+                # transverse projection of the upper block; the lower block inherits it
+                f_u -= kgrid.dot(grid.khat, f_u) * grid.khat
+                f_u[:, 0, 0, 0] = 0.0  # the DC bin
+                f_l = kgrid.cross(grid.khat, f_u)
+                psi = momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), grid)
+                state = PhotonState(psi)
+                if not math.isfinite(state.norm):  # the bin volume is applied in Python floats
+                    raise OverflowError
+    except ModeOverflow as exc:
+        exc.mode = mode
+        raise
     if state.norm <= 0.0:
         raise ValueError(
             "synthesized state is identically zero: mode spectrum falls outside "

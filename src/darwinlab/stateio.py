@@ -122,7 +122,7 @@ def read_state(path) -> tuple[PhotonState, dict]:
         if not (math.isfinite(time) and math.isfinite(scale_factor)):
             raise StateFileError(f"{path}: non-finite time {time} or scale factor {scale_factor}")
         values = np.frombuffer(payload, dtype="<c16").reshape((6,) + grid.shape, order="F")
-        values = values.copy()  # C order, and writable
+        values = values.copy()  # C order, and no view of the file's bytes
         state = PhotonState(kgrid.momentum_field(values, grid, time), scale_factor=scale_factor)
     except KeyError as exc:
         raise StateFileError(f"{path}: header lacks {exc}") from exc

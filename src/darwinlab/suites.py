@@ -64,6 +64,16 @@ SUITE_NAMES = (
     "kernels",
 )
 
+# `dpl check` runs these two groups in two processes (cli._run_suite_groups).
+# The split follows what one state caches: the memo suites share
+# PhotonState.psi_position, the observables memo and the position
+# cross-density pair that run_suites hands from spin-equalities to densities,
+# so they stay together and compute each of those once.  The other suites
+# read none of them; each makes its own transforms, so running them apart
+# computes nothing twice.
+MEMO_SUITES = ("spin-equalities", "oam", "probability", "densities", "conservation")
+OWN_TRANSFORM_SUITES = ("algebra", "constraint", "maxwell", "fieldbridge", "kernels")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -267,6 +277,15 @@ class UnknownSuiteError(ValueError):
     """A requested suite name is not one of SUITE_NAMES."""
 
 
+def check_suite_names(names) -> None:
+    """Raise UnknownSuiteError unless every name is one of SUITE_NAMES."""
+    unknown = [n for n in names if n not in SUITE_NAMES]
+    if unknown:
+        raise UnknownSuiteError(
+            f"unknown suite(s) {unknown}; available: {', '.join(SUITE_NAMES)}"
+        )
+
+
 # suites that integrate the position-block cross densities
 _DENSITY_SUITES = ("spin-equalities", "densities")
 
@@ -298,11 +317,7 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
         "fieldbridge": lambda: suite_fieldbridge(state, tolerances),
         "kernels": lambda: suite_kernels(state.grid, tolerances),
     }
-    unknown = [n for n in names if n not in runners]
-    if unknown:
-        raise UnknownSuiteError(
-            f"unknown suite(s) {unknown}; available: {', '.join(SUITE_NAMES)}"
-        )
+    check_suite_names(names)
     last_density_suite = max((i for i, n in enumerate(names) if n in _DENSITY_SUITES), default=-1)
     reports = []
     for i, name in enumerate(names):

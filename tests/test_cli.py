@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
@@ -437,6 +439,71 @@ def test_mode_number_of_the_wrong_kind_exits_2(tmp_path, capsys, change, path):
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {path}: must be") and captured.err.count("\n") == 1
     assert not (tmp_path / "x.dpst").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("change, path", [
+    pytest.param({"amplitude": [1e300, 0]}, "$.modes[0].amplitude", id="amplitude_1e300"),
+    pytest.param({"kind": "vortex", "vortex_charge": 400}, "$.modes[0].vortex_charge",
+                 id="vortex_charge_400"),
+    pytest.param({"sigma_k": 1e-300}, "$.modes[0].sigma_k", id="sigma_k_1e-300"),
+    pytest.param({"kind": "vortex", "vortex_charge": 1, "ring_radius": 1e300},
+                 "$.modes[1].ring_radius", id="second_mode_ring_radius_1e300"),
+])
+def test_synthesis_out_of_floating_point_range_exits_2(tmp_path, capsys, change, path):
+    # the first once wrote an all-zero state and exited 0; the others failed
+    # after numpy warnings without naming the mode or its key
+    modes = [dict(BASE_CONFIG["modes"][0], **change)]
+    if path.startswith("$.modes[1]"):
+        modes.insert(0, BASE_CONFIG["modes"][1])
+    config = _config_file(tmp_path, modes=modes)
+    assert main(["build", "--config", config, "--out", str(tmp_path / "x.dpst")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {path}: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "x.dpst").exists()
+
+
+def _extreme(sign):
+    """A magnitude anywhere from 1e-300 to 1e300, with the given sign."""
+    return st.integers(-300, 300).map(lambda e: sign * 10.0**e)
+
+
+SIGNED = st.one_of(st.floats(-20.0, 20.0), _extreme(1.0), _extreme(-1.0))
+POSITIVE = st.one_of(st.floats(0.2, 5.0), _extreme(1.0))
+MODES = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["plane", "gaussian", "vortex"]),
+     "k0": st.lists(SIGNED, min_size=3, max_size=3),
+     "sigma_k": POSITIVE,
+     "helicity": st.sampled_from([1, -1, None]),
+     "polarization": st.lists(SIGNED, min_size=3, max_size=3),
+     "vortex_charge": st.integers(-500, 500),
+     "ring_radius": st.one_of(st.just(0.0), POSITIVE),
+     "amplitude": st.lists(SIGNED, min_size=2, max_size=2)},
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([8, 16]), dk=st.sampled_from([0.5, 1.0, 2.0]),
+       modes=st.lists(MODES, min_size=1, max_size=3))
+def test_build_writes_a_finite_state_or_names_a_path(tmp_path_factory, n, dk, modes):
+    """Every config at n=8 or 16 either builds a state whose norm is finite
+    and positive, or exits 2 with one `$.` line and writes nothing; numpy
+    warnings are errors."""
+    work = tmp_path_factory.mktemp("build")
+    config, out = work / "cfg.json", work / "x.dpst"
+    config.write_text(json.dumps({"grid": {"n": n, "dk": dk}, "modes": modes}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["build", "--config", str(config), "--out", str(out)])
+    if code == 0:
+        state, _ = read_state(out)
+        assert 0.0 < state.norm < float("inf")
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("config error: $.") and err.getvalue().count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.fixture()

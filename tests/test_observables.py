@@ -206,6 +206,7 @@ class TestOam:
         assert oam_position(st) is oam_position(st)
         assert oam_momentum(st) is oam_momentum(st)
         assert nonlocal_spin_density(st) is nonlocal_spin_density(st)
+        assert probability(st) is probability(st)  # observable_report, its suite, conservation at t=0
         for shared in (st.psi_position.values, oam_position(st), nonlocal_spin_density(st)[0]):
             assert not shared.flags.writeable
 

@@ -74,6 +74,19 @@ class TestDerivedValues:
         # the reference values above come from this module's unpatched bindings
         assert counted == {"norm_squared": 1, "transversality_residual": 1}
 
+    def test_payload_is_read_only(self, g16):
+        # an in-place transform handed the payload would leave every cached
+        # value describing amplitudes the state no longer holds
+        st = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=1.0, helicity=1)], g16)
+        norm, pos = st.norm, st.psi_position
+        before = st.psi.values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            to_position(st.psi, overwrite=True)
+        assert np.array_equal(st.psi.values, before)
+        assert norm_squared(st.psi) == norm == st.norm
+        assert st.psi_position is pos
+        assert np.array_equal(pos.values, to_position(st.psi).values)
+
 
 class TestModeSpec:
     def test_rejects_unknown_kind(self):
