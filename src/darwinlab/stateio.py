@@ -130,7 +130,10 @@ def read_state(path) -> tuple[PhotonState, dict]:
         raise StateFileError(f"{path}: invalid header or payload ({exc})") from exc
     del raw, payload  # the file's bytes go before the norm's temporaries come
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = state.norm
+        try:
+            norm = state.norm
+        except OverflowError:  # the bin volume dk**3 is a Python float
+            norm = math.inf
     if not math.isfinite(norm):
         raise StateFileError(f"{path}: payload norm {norm} is not finite")
     return state, header

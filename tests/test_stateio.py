@@ -177,6 +177,17 @@ def test_overflowing_norm_is_an_integrity_error(tmp_path, helicity_state):
         read_state(path)
 
 
+def test_overflowing_bin_volume_is_an_integrity_error(tmp_path, helicity_state):
+    # a finite spacing whose cube overflows: the norm's bin volume is out of range
+    path = tmp_path / "wide.dpst"
+    write_state(path, helicity_state)
+    header, payload = _split(path.read_bytes())
+    header["grid"]["dk"] = 1e103
+    path.write_bytes(_join(header, payload))
+    with pytest.raises(StateFileError, match="norm inf is not finite"):
+        read_state(path)
+
+
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "n8.dpst"
