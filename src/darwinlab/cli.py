@@ -9,15 +9,15 @@ Exit codes: 0 success, 1 check failure or runtime error, 2 configuration or
 usage error, 3 state-file integrity error.
 
 ``check`` runs its two suite groups (``suites.MEMO_SUITES`` and
-``suites.OWN_TRANSFORM_SUITES``) in two processes when it may use two CPUs;
-the report is the same either way.
+``suites.OWN_TRANSFORM_SUITES``) in two processes when it may use two CPUs.
+Whenever the worker hands back no complete reports, its suites run here as
+on one CPU, so the report, exit code and error are the same either way.
 
-``DPL_THREADS`` (a positive integer, default 1) caps the BLAS/OpenMP thread
-pools; a ``*_NUM_THREADS`` variable that is already set wins.  The cap is
-applied before the numerical modules load, so this module imports nothing
-outside the standard library at module level.  Once numpy has loaded the
-pools are sized, so an in-process call of :func:`main` leaves the
-environment as it found it.
+The BLAS/OpenMP thread pools get one thread unless a ``*_NUM_THREADS``
+variable is set.  The cap is applied before the numerical modules load, so
+this module imports nothing outside the standard library at module level.
+Once numpy has loaded the pools are sized, so an in-process call of
+:func:`main` leaves the environment as it found it.
 """
 
 from __future__ import annotations
@@ -38,16 +38,13 @@ EXIT_INTEGRITY = 3
 def _apply_thread_cap() -> None:
     # One thread by default: the largest BLAS operand is a 6x6 matrix, which
     # no pool splits across threads, so a larger pool only costs start-up.
-    raw = os.environ.get("DPL_THREADS") or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ConfigError(f"DPL_THREADS={raw!r}: must be a positive integer")
     if "numpy" in sys.modules:
         # the pools are sized when numpy loads; set now, the variables would
         # size nothing and only leak into the caller and its subprocesses
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(int(raw)))
+        os.environ.setdefault(var, "1")
 
 
 class ConfigError(Exception):
@@ -63,6 +60,12 @@ def _finite(value: float, where: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{where}: must be a finite number")
     return value
+
+
+def _check_time_range(state, where: str, *times: float) -> None:
+    if not all(state.grid.time_in_range(t) for t in times):
+        raise ConfigError(f"{where}: out of range: k_max |t| is not finite on this grid "
+                          f"(k_max={state.grid.k_max:.6g}, state time {state.time:.6g})")
 
 
 def _number(value, path) -> float:
@@ -212,9 +215,12 @@ def cmd_check(args) -> int:
     else:
         names = list(suites.SUITE_NAMES)
     if args.times is not None:
-        times = [_finite(t, f"--times {t}") for t in args.times]
+        given = [(f"--times {t}", _finite(t, f"--times {t}")) for t in args.times]
     else:
-        times = cfg_times or suites.DEFAULT_TIMES
+        given = [(f"$.times[{i}]", t) for i, t in enumerate(cfg_times or [])]
+    for where, t in given:  # the conservation suite evolves by t - state.time
+        _check_time_range(state, where, t, t - state.time)
+    times = [t for _, t in given] or suites.DEFAULT_TIMES
     flag_tols = {key: _finite(value, f"--tolerance {key}={value}")
                  for key, value in args.tolerance or []}
     unknown = ([f"$.tolerances.{key}" for key in cfg_tols if key not in suites.DEFAULT_TOLERANCES]
@@ -228,11 +234,7 @@ def cmd_check(args) -> int:
     except suites.UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        reports = _run_suite_groups(names, state, tolerances, times)
-    except SuiteWorkerLost as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    reports = _run_suite_groups(names, state, tolerances, times)
 
     payload = {
         "statefile": args.statefile,
@@ -264,10 +266,6 @@ def cmd_check(args) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-class SuiteWorkerLost(Exception):
-    """The worker process of a split check ended without sending its reports."""
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on; 1 where the platform cannot tell."""
     try:
@@ -283,92 +281,59 @@ def _run_suite_groups(names, state, tolerances, times):
     ``suites.OWN_TRANSFORM_SUITES`` and this process may use two CPUs, a
     forked worker runs the own-transform suites while this process runs the
     memo suites, each with one ``run_suites`` call, and the reports are
-    merged back into the requested order.  Every value is computed as the
-    serial run computes it, so the reports are the same.  Otherwise the one
-    serial call runs here.
+    merged back into the requested order.  Whenever no complete pickle of
+    the worker's reports comes back (the fork failed, a suite raised there,
+    the worker died or its pickle was cut off), the own-transform suites run
+    here as on one CPU, so a suite that raised there raises again here.
+    Every value is computed as the serial run computes it, so the reports
+    are the same.  Otherwise the one serial call runs here.
     """
     from . import suites
 
     memo = [n for n in names if n in suites.MEMO_SUITES]
     own = [n for n in names if n in suites.OWN_TRANSFORM_SUITES]
-    if memo and own and hasattr(os, "fork") and _cpu_count() >= 2:
-        state.grid.khat  # with kvec and kmag: both groups use them, so both share one copy
-        split = _run_split(memo, own, state, tolerances, times)
-        if split is not None:
-            memo_reports, own_reports = (iter(r) for r in split)
-            return [next(memo_reports if n in suites.MEMO_SUITES else own_reports) for n in names]
-    return suites.run_suites(names, state, tolerances=tolerances, times=times)
-
-
-def _run_split(memo, own, state, tolerances, times):
-    """(run_suites over memo here, run_suites over own in a forked worker),
-    or None if no process can be forked.
-
-    A suite that raises in the worker raises here, as in the serial run.  If
-    this process raises, the worker is killed and this error wins.
-    """
+    if not (memo and own and hasattr(os, "fork") and _cpu_count() >= 2):
+        return suites.run_suites(names, state, tolerances=tolerances, times=times)
     import pickle
     import signal
 
-    from . import suites
-
+    state.grid.khat  # with kvec and kmag: both groups use them, so both share one copy
     sys.stdout.flush()
     sys.stderr.flush()  # so the worker inherits no unwritten output
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
+        pid = None  # no worker: once write_fd is closed the pipe reads empty
     if pid == 0:
-        os.close(read_fd)
-        _suite_worker(write_fd, own, state, tolerances, times)
+        # the worker ends in os._exit: no atexit handler runs, no inherited
+        # buffer is flushed a second time, no traceback is printed
+        try:
+            os.close(read_fd)
+            data = pickle.dumps(suites.run_suites(own, state, tolerances=tolerances, times=times))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
     os.close(write_fd)
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            memo_reports = suites.run_suites(memo, state, tolerances=tolerances, times=times)
+            memo_reports = iter(suites.run_suites(memo, state, tolerances=tolerances, times=times))
             data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
+        except BaseException:  # the worker is killed and this error wins
+            if pid:
+                os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            _, status = os.waitpid(pid, 0)  # reaped, so its rusage counts toward this process
+            if pid:
+                os.waitpid(pid, 0)  # reaped, so its rusage counts toward this process
     try:
-        outcome = pickle.loads(data)
-    except Exception:  # nothing, or a cut-off pickle: the worker died before it was done
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise SuiteWorkerLost(f"the worker running {', '.join(own)} {how} "
-                              f"before sending its reports") from None
-    if isinstance(outcome, BaseException):
-        raise outcome
-    return memo_reports, outcome
-
-
-def _suite_worker(write_fd, names, state, tolerances, times):
-    """Body of the forked worker: it sends run_suites' reports, or the
-    exception a suite raised, pickled through write_fd.  It never returns: it
-    ends in os._exit, so no atexit handler runs and no inherited buffer is
-    flushed a second time."""
-    import pickle
-
-    from . import suites
-
-    try:
-        try:
-            outcome = suites.run_suites(names, state, tolerances=tolerances, times=times)
-        except BaseException as exc:
-            outcome = exc
-        try:
-            data = pickle.dumps(outcome)
-            pickle.loads(data)
-        except Exception:  # an exception that does not survive pickling goes as text
-            data = pickle.dumps(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-    finally:
-        os._exit(0)
+        own_reports = iter(pickle.loads(data))
+    except Exception:  # nothing, or a cut-off pickle
+        own_reports = None
+    if own_reports is None:  # run after the handler, so a raising suite leaves one traceback
+        own_reports = iter(suites.run_suites(own, state, tolerances=tolerances, times=times))
+    return [next(memo_reports if n in suites.MEMO_SUITES else own_reports) for n in names]
 
 
 def cmd_observe(args) -> int:
@@ -450,6 +415,7 @@ def cmd_evolve(args) -> int:
 
     t = _finite(args.t, f"t={args.t}")
     state, header = stateio.read_state(args.statefile)
+    _check_time_range(state, f"t={args.t}", t, state.time + t)
     result = dynamics.evolve(state, t)
     stateio.write_state(args.out, result.state_t, metadata=header.get("metadata", {}))
     print(f"wrote {args.out}: time={result.state_t.time:.6g} "
@@ -513,11 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    _apply_thread_cap()
     from .stateio import StateFileError
 
     parser = build_parser()

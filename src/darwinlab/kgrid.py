@@ -23,6 +23,7 @@ component by component on a first axis of length 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,6 +128,10 @@ class KGrid:
     def k_max(self) -> float:
         """Largest |k| representable on the grid (box corner)."""
         return np.sqrt(3.0) * self.k_nyquist
+
+    def time_in_range(self, t: float) -> bool:
+        """Whether the phase exp(-i |k| t) is finite on every bin: k_max |t| is."""
+        return math.isfinite(float(self.k_max) * abs(float(t)))
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -83,7 +83,8 @@ def read_state(path) -> tuple[PhotonState, dict]:
 
     Raises StateFileError for every malformed, truncated or corrupted file,
     for a format other than FORMAT_VERSION, for invalid or non-finite header
-    values, for a unit record other than natural units and for a payload
+    values, for a time t with k_max |t| not finite (KGrid.time_in_range),
+    for a unit record other than natural units and for a payload
     whose total probability is not finite (finite amplitudes can overflow it).
     The payload is read through a view of the file's bytes, never sliced out
     as a copy.
@@ -119,8 +120,11 @@ def read_state(path) -> tuple[PhotonState, dict]:
             raise StateFileError(f"{path}: units {header['units']} are not natural units")
         time = float(header.get("time", 0.0))
         scale_factor = float(header.get("scale_factor", 1.0))
-        if not (math.isfinite(time) and math.isfinite(scale_factor)):
-            raise StateFileError(f"{path}: non-finite time {time} or scale factor {scale_factor}")
+        if not math.isfinite(scale_factor):
+            raise StateFileError(f"{path}: non-finite scale factor {scale_factor}")
+        if not grid.time_in_range(time):
+            raise StateFileError(f"{path}: time {time} out of range: k_max |t| is not finite "
+                                 f"on this grid (k_max={grid.k_max:.6g})")
         values = np.frombuffer(payload, dtype="<c16").reshape((6,) + grid.shape, order="F")
         values = values.copy()  # C order, and no view of the file's bytes
         state = PhotonState(kgrid.momentum_field(values, grid, time), scale_factor=scale_factor)

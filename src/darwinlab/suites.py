@@ -94,8 +94,10 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, value: float, tolerance: float | None, info: str = "") -> None:
-        ok = True if tolerance is None else bool(value <= tolerance)
-        self.checks.append(CheckResult(name, float(value), tolerance, ok, info))
+        """Append a row; a NaN value fails whatever its tolerance."""
+        value = float(value)
+        ok = value == value and (tolerance is None or value <= tolerance)
+        self.checks.append(CheckResult(name, value, tolerance, ok, info))
 
 
 def _tol(overrides: dict[str, float] | None, key: str) -> float:
@@ -240,7 +242,7 @@ def suite_fieldbridge(state: PhotonState, tolerances=None) -> SuiteReport:
     except ValueError as exc:
         # a state off the constraint has classical data the bridge rejects
         # (not solenoidal, or a DC part): the roundtrip has no value and fails
-        rep.checks.append(CheckResult("classical_roundtrip", float("nan"), None, False, str(exc)))
+        rep.add("classical_roundtrip", float("nan"), None, info=str(exc))
     else:
         # component by component: the maxima of the whole arrays, without their copies
         peak = max(float(np.abs(c).max()) for c in state.psi.values)
@@ -265,7 +267,7 @@ def suite_kernels(grid: KGrid, tolerances=None) -> SuiteReport:
         try:
             result = fieldbridge.kernel_pair_check(kind, grid)
         except ValueError as exc:
-            rep.checks.append(CheckResult(f"kernel_{kind}", float("nan"), None, False, str(exc)))
+            rep.add(f"kernel_{kind}", float("nan"), None, info=str(exc))
             continue
         rep.add(f"kernel_{kind}", result.max_rel_error, _tol(tolerances, "kernel_transform"),
                 info=f"shell=[{result.k_low:.3g},{result.k_high:.3g}] "

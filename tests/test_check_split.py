@@ -5,6 +5,7 @@ serial run writes."""
 import errno
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -105,21 +106,42 @@ def test_failed_fork_runs_the_suites_here(readme_state, monkeypatch, capsys, tmp
     assert [s["suite"] for s in json.loads(report)["suites"]] == ["probability", "constraint"]
 
 
-def test_killed_worker_exits_1_naming_its_suites(readme_state, monkeypatch, capsys, tmp_path):
-    parent = os.getpid()
+def count_kernels_here(monkeypatch, in_worker=lambda: None):
+    """Counts the kernels suites run in the test process; in the worker the
+    suite first calls `in_worker`."""
+    parent, real, ran_here = os.getpid(), suites.suite_kernels, []
 
-    def killed(*args, **kwargs):
+    def suite_kernels(*args, **kwargs):
         if os.getpid() == parent:
-            raise AssertionError("the kernels suite ran in the test process")
-        os.kill(os.getpid(), signal.SIGKILL)
+            ran_here.append(1)
+        else:
+            in_worker()
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(suites, "suite_kernels", killed)
-    code, captured, report = run_check(monkeypatch, capsys, tmp_path, 2,
-                                       [str(readme_state), "--suites", "probability,kernels"])
-    assert code == 1
-    assert captured.out == "" and report is None
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: the worker running kernels was killed by signal 9")
+    monkeypatch.setattr(suites, "suite_kernels", suite_kernels)
+    return ran_here
+
+
+def test_killed_worker_gives_the_serial_report(readme_state, monkeypatch, capsys, tmp_path, forks):
+    ran_here = count_kernels_here(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    args = [str(readme_state), "--suites", "probability,kernels"]
+    split = run_check(monkeypatch, capsys, tmp_path, 2, args)
+    assert (len(forks), len(ran_here)) == (1, 1)  # the worker died; its suites ran here
+    serial = run_check(monkeypatch, capsys, tmp_path, 1, args)
+    assert split[0] == 0 and split[1].err == ""
+    assert split == serial
+
+
+def test_cut_off_pickle_gives_the_serial_report(readme_state, monkeypatch, capsys, tmp_path, forks):
+    ran_here = count_kernels_here(monkeypatch)
+    whole = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda obj: whole(obj)[:-7])
+    args = [str(readme_state), "--suites", "kernels,probability,constraint"]
+    split = run_check(monkeypatch, capsys, tmp_path, 2, args)
+    assert (len(forks), len(ran_here)) == (1, 1)  # the pickle was cut off; its suites ran here
+    serial = run_check(monkeypatch, capsys, tmp_path, 1, args)
+    assert split[0] == 0 and split[1].err == ""
+    assert split == serial
 
 
 RAISING = """
@@ -146,3 +168,4 @@ def test_suite_raising_in_the_worker_fails_as_in_the_serial_run(readme_state):
     first_and_last = [(r.stderr.splitlines()[0], r.stderr.splitlines()[-1]) for r in runs]
     assert first_and_last[0] == first_and_last[1] == (
         "Traceback (most recent call last):", "RuntimeError: maxwell failed")
+    assert [r.stderr.count("Traceback") for r in runs] == [1, 1]

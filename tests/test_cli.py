@@ -573,3 +573,60 @@ class TestEvolve:
         assert main(["evolve", str(built_state), "4.2", "--out", str(out)]) == 0
         state, _ = read_state(out)
         assert state.norm == pytest.approx(1.0, abs=1e-13)
+
+
+# Finite times whose phase exp(-i |k| t) overflows: on the n=16 grid,
+# k_max = 13.9, so k_max |t| is infinite from |t| = 1.3e307 on.  Each once
+# ended in a ValueError traceback ("field contains non-finite entries").
+TIME_RANGE = {
+    "evolve_t": (["evolve", "{state}", "5e307", "--out", "{out}"], 2,
+                 "config error: t=5e+307: out of range"),
+    "evolve_to_2e307": (["evolve", "{late}", "1e307", "--out", "{out}"], 2,
+                        "config error: t=1e+307: out of range"),
+    "check_times_flag": (["check", "{state}", "--suites", "conservation", "--times", "0", "1e308"],
+                         2, "config error: --times 1e+308: out of range"),
+    "check_times_from_late_state": (["check", "{late}", "--suites", "conservation",
+                                     "--times=-1e307"],
+                                    2, "config error: --times -1e+307: out of range"),
+    "check_config_times": (["check", "{state}", "--config", "{config}"], 2,
+                           "config error: $.times[1]: out of range"),
+    "observe_header_time_2e307": (["observe", "{far}"], 3, "error: "),
+    "check_header_time_2e307": (["check", "{far}"], 3, "error: "),
+}
+
+
+@pytest.fixture()
+def time_range_files(built_state, tmp_path):
+    late, far = tmp_path / "late.dpst", tmp_path / "far.dpst"
+    assert main(["evolve", str(built_state), "1e307", "--out", str(late)]) == 0
+    far.write_bytes(built_state.read_bytes())
+    rewrite_header(far, time=2e307)
+    return {"state": built_state, "late": late, "far": far, "out": tmp_path / "x.dpst",
+            "config": _config_file(tmp_path, times=[0.0, 1e308])}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(TIME_RANGE))
+def test_time_whose_phase_overflows_is_rejected(time_range_files, capsys, case):
+    args, code, start = TIME_RANGE[case]
+    capsys.readouterr()
+    assert main([arg.format(**time_range_files) for arg in args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(start) and captured.err.count("\n") == 1
+    assert code == 2 or "time 2e+307 out of range" in captured.err
+    assert not time_range_files["out"].exists()
+
+
+def test_time_within_range_still_runs(time_range_files, capsys):
+    # 1e307 after a state at 1e307 would overflow; -1e307 brings it back to 0
+    out = time_range_files["out"]
+    assert main(["evolve", str(time_range_files["late"]), "--out", str(out), "--", "-1e307"]) == 0
+    assert read_state(out)[0].time == 0.0
+    capsys.readouterr()
+    # a verdict, not an error: at these times the phase keeps no significant digits
+    assert main(["check", str(time_range_files["late"]), "--suites", "conservation",
+                 "--times", "1e307", "1.2e307"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [s["suite"] for s in json.loads(captured.out)["suites"]] == ["conservation"]

@@ -43,6 +43,14 @@ class TestGridGeometry:
         assert g.box_length == pytest.approx(8 * np.pi)
         assert g.dx == pytest.approx(np.pi / 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_time_in_range_iff_the_phase_is_finite(self, g16):
+        limit = np.finfo(float).max / g16.k_max
+        for t in (0.0, 0.99 * limit, -0.99 * limit):
+            assert g16.time_in_range(t) and np.isfinite(g16.kmag * t).all()
+        for t in (1.01 * limit, -1.01 * limit, np.inf, np.nan):
+            assert not g16.time_in_range(t)
+
     def test_dc_bin_is_origin(self, g16):
         assert np.abs(g16.kvec[:, 0, 0, 0]).max() == 0.0
         assert np.count_nonzero(g16.kmag == 0.0) == 1

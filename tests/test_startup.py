@@ -19,8 +19,7 @@ from darwinlab.cli import main
 from darwinlab.stateio import write_state
 
 SRC = Path(darwinlab.__file__).parent
-THREAD_VARS = ("DPL_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 # the package's public names, module by module; adding or dropping one is an API change
 EXPORTS = {
@@ -109,7 +108,7 @@ class TestThreadCap:
         assert self.threads(statefile) == 1
 
     @pytest.mark.skipif(CPUS < 2, reason="a pool of 2 threads needs 2 CPUs")
-    @pytest.mark.parametrize("var", ["DPL_THREADS", "OPENBLAS_NUM_THREADS"])
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS"])
     def test_explicit_count_is_honoured(self, statefile, var):
         assert self.threads(statefile, **{var: "2"}) == 2
 
@@ -126,29 +125,6 @@ class TestInProcessCall:
         before = dict(os.environ)
         assert main(["check", str(path), "--suites", "algebra"]) == 0
         assert dict(os.environ) == before
-
-
-class TestThreadCapValidation:
-    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
-    def test_not_a_positive_integer_exits_2(self, value, monkeypatch, capsys, tmp_path):
-        for var in THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("DPL_THREADS", value)
-        assert main(["check", str(tmp_path / "missing.dpst")]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "DPL_THREADS" in err
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
-
-    def test_rejected_before_numpy_loads(self):
-        res = run_python("import sys\n"
-                         "from darwinlab.cli import main\n"
-                         "rc = main(['check', 'missing.dpst'])\n"
-                         "print('numpy' in sys.modules)\n"
-                         "sys.exit(rc)\n", DPL_THREADS="abc")
-        assert res.returncode == 2
-        assert res.stdout.strip() == "False"
-        assert len(res.stderr.splitlines()) == 1
 
 
 def _import_time_imports(tree):

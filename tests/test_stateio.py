@@ -188,6 +188,19 @@ def test_overflowing_bin_volume_is_an_integrity_error(tmp_path, helicity_state):
         read_state(path)
 
 
+@pytest.mark.parametrize("time, loads", [(1e306, True), (2e307, False)])
+def test_time_whose_phase_overflows_is_an_integrity_error(tmp_path, helicity_state, time, loads):
+    # n=32: k_max = 27.7, so k_max |t| overflows from |t| = 6.5e306 on
+    path = tmp_path / "late.dpst"
+    write_state(path, helicity_state)
+    rewrite_header(path, time=time)
+    if loads:
+        assert read_state(path)[0].time == time
+    else:
+        with pytest.raises(StateFileError, match="time 2e\\+307 out of range"):
+            read_state(path)
+
+
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "n8.dpst"

@@ -22,6 +22,13 @@ class TestSuiteMachinery:
         with pytest.raises(ValueError, match="available"):
             suites.run_suites(["algebra", "spectra"], helicity_state)
 
+    def test_nan_row_fails_whatever_its_tolerance(self):
+        rep = suites.SuiteReport("rows")
+        rep.add("nan_checked", float("nan"), 1.0)
+        rep.add("nan_info_only", np.float64("nan"), None)
+        rep.add("info_only", 0.5, None)
+        assert [c.passed for c in rep.checks] == [False, False, True]
+
     def test_tolerance_override(self, helicity_state):
         rep = suites.suite_constraint(helicity_state, tolerances={"transversality": 1e-30})
         assert not rep.passed
