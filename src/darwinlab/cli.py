@@ -297,7 +297,7 @@ def _run_suite_groups(names, state, tolerances, times):
     import pickle
     import signal
 
-    state.grid.khat  # with kvec and kmag: both groups use them, so both share one copy
+    state.grid.khat  # with kmag: both groups use them, so both share one copy
     sys.stdout.flush()
     sys.stderr.flush()  # so the worker inherits no unwritten output
     read_fd, write_fd = os.pipe()

@@ -57,7 +57,7 @@ def dirac_residual(state: PhotonState) -> float:
         # H psi = (-k x f_l, k x f_u) on the block split, one block at a time
         h = np.empty((3,) + g.shape, dtype=np.complex128)
         for block, partner, sign in ((psi[:3], psi[3:], -1), (psi[3:], psi[:3], 1)):
-            kgrid.cross(g.kvec, partner, out=h)
+            kgrid.cross(g.k_axes, partner, out=h)
             if sign < 0:
                 np.negative(h, out=h)
             for c in range(3):
@@ -118,8 +118,8 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     del stencil
 
     curls = np.empty_like(d_dt)
-    kgrid.cross(g.kvec, f_l, out=curls[:3])
-    kgrid.cross(g.kvec, f_u, out=curls[3:])
+    kgrid.cross(g.k_axes, f_l, out=curls[:3])
+    kgrid.cross(g.k_axes, f_u, out=curls[3:])
     np.negative(curls[3:], out=curls[3:])
     curls *= 1j * block_scale
     to_position(Field(curls, kgrid.MOMENTUM, g, state.time), overwrite=True)
@@ -134,7 +134,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
 
     div = 0.0
     for f in (f_u, f_l):
-        div_k = 1j * block_scale * kgrid.dot(g.kvec, f)
+        div_k = 1j * block_scale * kgrid.dot(g.k_axes, f)
         div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g, state.time), overwrite=True)
         div = max(div, float(np.abs(div_x.values).max()))
 
@@ -182,6 +182,12 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
 
     All five are exact constants for positive-energy states; the report
     returns the maximum drift of each relative to the first sampled time.
+
+    At a time other than the state's own, the evolved copy is read by nothing
+    else, so only the routes read here are computed on it: the canonical
+    spin without the other momentum routes, and the norm and the momentum
+    routes before the probability makes its position transform, so their
+    temporaries never sit on that transform.
     """
     times = tuple(float(t) for t in times)
     probs: list[float] = []
@@ -191,12 +197,11 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
     totals: list[np.ndarray] = []
     for t in times:
         st = _phase_evolved(state, t - state.time)
-        # the OAM route first, so its peak does not sit on st's position transform
+        norms.append(st.norm)
         l = observables.oam_momentum(st)
-        s = observables.spin_canonical(st)
+        s = observables.spin_canonical(st) if st is state else observables.spin_canonical_alone(st)
         p_psi, _, _ = observables.probability(st)
         probs.append(p_psi)
-        norms.append(st.norm)
         spins.append(s)
         oams.append(l)
         totals.append(l + s)

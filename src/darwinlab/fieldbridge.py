@@ -59,15 +59,20 @@ class ClassicalField:
         return hermitian_symmetry_residual(self.eps_k), hermitian_symmetry_residual(self.eta_k)
 
 
+def _max_abs(values: np.ndarray) -> float:
+    """max |values|, one component at a time: no array of all the moduli."""
+    return max(float(np.abs(c).max()) for c in values)
+
+
 def hermitian_symmetry_residual(values: np.ndarray) -> float:
     """Relative residual of conj(a(-k)) = a(k) at bin level."""
-    peak = float(np.abs(values).max())
+    peak = _max_abs(values)
     if peak == 0.0:
         return 0.0
     gap = reverse_bins(values)
     np.conj(gap, out=gap)
     np.subtract(values, gap, out=gap)
-    return float(np.abs(gap).max() / peak)
+    return _max_abs(gap) / peak
 
 
 def solenoidal_residual(values: np.ndarray, grid: KGrid) -> float:
@@ -75,7 +80,7 @@ def solenoidal_residual(values: np.ndarray, grid: KGrid) -> float:
     peak = float((grid.kmag * norm(values)).max())
     if peak == 0.0:
         return 0.0
-    longi = np.abs(dot(grid.kvec, values))
+    longi = np.abs(dot(grid.k_axes, values))
     return float(longi.max() / peak)
 
 
@@ -87,7 +92,7 @@ def _validate_classical(cf: ClassicalField) -> None:
                 f"{name} violates Hermitian bin symmetry (residual {res:.2e}); "
                 "the corresponding position-space field would not be real"
             )
-        peak = float(np.abs(a).max())
+        peak = _max_abs(a)
         if peak > 0.0 and float(np.abs(a[:, 0, 0, 0]).max()) > DC_TOLERANCE * peak:
             raise ValueError(f"{name} carries a nonzero DC (k = 0) component")
         sol = solenoidal_residual(a, cf.grid)
@@ -96,8 +101,13 @@ def _validate_classical(cf: ClassicalField) -> None:
 
 
 def _safe_inverse(values: np.ndarray) -> np.ndarray:
-    """1/x with zeros mapped to zero (the DC bin never carries amplitude)."""
-    return np.where(values > 0.0, 1.0 / np.where(values > 0.0, values, 1.0), 0.0)
+    """1/x with zeros mapped to zero (the DC bin never carries amplitude),
+    formed in one array."""
+    positive = values > 0.0
+    inverse = np.where(positive, values, 1.0)
+    np.divide(1.0, inverse, out=inverse)
+    inverse[~positive] = 0.0
+    return inverse
 
 
 def classical_from_state(state: PhotonState) -> ClassicalField:
@@ -119,8 +129,11 @@ def classical_from_state(state: PhotonState) -> ClassicalField:
         a_k /= np.sqrt(2.0)
         A = to_position(momentum_field(a, g, state.time), overwrite=True).values
         A_real = np.empty(A.shape)
+        term = np.empty(g.shape, dtype=np.complex128)
         for c in range(3):
-            A_real[c] = ((A[c] + np.conj(A[c])) / np.sqrt(2.0)).real
+            np.add(A[c], np.conj(A[c], out=term), out=term)
+            term /= np.sqrt(2.0)
+            A_real[c] = term.real
         return a_k, A_real
 
     eps_k, E_real = chain(state.f_upper())
@@ -129,10 +142,10 @@ def classical_from_state(state: PhotonState) -> ClassicalField:
                           grid=g, time=state.time)
 
 
-def _over_k_cross(partner: np.ndarray, grid: KGrid) -> np.ndarray:
+def _over_k_cross(partner: np.ndarray, grid: KGrid, out=None) -> np.ndarray:
     """(1/k) k x partner per bin, zero at the DC bin: the partner's share of a
-    positive-frequency amplitude."""
-    out = cross(grid.kvec, partner)
+    positive-frequency amplitude; written into out when given."""
+    out = cross(grid.k_axes, partner, out=out)
     out *= _safe_inverse(grid.kmag)
     return out
 
@@ -146,7 +159,7 @@ def _positive_frequency(own: np.ndarray, term: np.ndarray, sign: int, out=None) 
     return a
 
 
-def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> Iterator[np.ndarray]:
+def extract_positive_frequency(eps_k, eta_k, grid: KGrid, out=None) -> Iterator[np.ndarray]:
     """Positive-frequency amplitudes from real-field Fourier data.
 
     e = (eps - (1 / k) k x eta) / sqrt(2)
@@ -156,12 +169,14 @@ def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> Iterator[np.ndarray
     already coupled as h = w x e pass through (up to the sqrt(2)
     bookkeeping), while the reversed pairing is annihilated.  The blocks are
     handed out one at a time, e and then h (``e, h = ...`` takes both); h is
-    computed only when asked for.
+    computed only when asked for.  Each block is a new array, or the block
+    ``out[:3]`` or ``out[3:]`` of a given six-component array.
     """
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    for own, partner, sign in ((eps_k, eta_k, -1), (eta_k, eps_k, +1)):
-        cross_term = _over_k_cross(partner, grid)
+    blocks = (None, None) if out is None else (out[:3], out[3:])
+    for own, partner, sign, block in ((eps_k, eta_k, -1, blocks[0]), (eta_k, eps_k, +1, blocks[1])):
+        cross_term = _over_k_cross(partner, grid, out=block)
         yield _positive_frequency(own, cross_term, sign, out=cross_term)
         del cross_term  # the block handed out, released before the next one is made
 
@@ -172,21 +187,21 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
     The returned state keeps the physical scale of the classical input (its
     norm records the conversion); callers wanting unit probability normalize
     explicitly.  The six components are built in one array, one extracted
-    block at a time.
+    block at a time, each extracted and weighted in place in its block.
     """
     _validate_classical(cf)
     g = cf.grid
     inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
     psi = np.empty((6,) + g.shape, dtype=np.complex128)
-    for f, a in zip((psi[:3], psi[3:]), extract_positive_frequency(cf.eps_k, cf.eta_k, g)):
-        np.multiply(inv_sqrt_k, a, out=f)
-        del a  # e is freed before h is extracted
+    for f in extract_positive_frequency(cf.eps_k, cf.eta_k, g, out=psi):
+        np.multiply(inv_sqrt_k, f, out=f)
         # extraction preserves transversality analytically; enforcing it per
         # bin removes the absolute round-off debris that would otherwise
         # dominate the relative residual at faintly occupied bins
         longitudinal = dot(g.khat, f)
         for c in range(3):
             f[c] -= longitudinal * g.khat[c]
+        del longitudinal
     psi /= np.sqrt(2.0)
     return PhotonState(momentum_field(psi, g, cf.time))
 
@@ -233,8 +248,11 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
         return gap(route_one, route_two), gap(real, np.sqrt(2.0) * route_one.real)
 
     def gap(a, b):
-        peak = float(np.abs(a).max())
-        return float(np.abs(a - b).max() / peak) if peak > 0.0 else 0.0
+        """max |a - b| / max |a|, one component at a time."""
+        peak = _max_abs(a)
+        if peak == 0.0:
+            return 0.0
+        return max(float(np.abs(a_c - b_c).max()) for a_c, b_c in zip(a, b)) / peak
 
     # one chain's arrays at a time: the E chain runs to the end, then the H chain
     e_gap, e_real = gaps(cf.eps_k, cf.eta_k, cf.E_real, -1)

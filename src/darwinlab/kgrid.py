@@ -39,19 +39,25 @@ POSITION = "position"
 _FT_NORM = (2.0 * np.pi) ** 1.5
 
 
-def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a x b per bin over a first axis of length 3; either side may be one (3,) vector.
+def _bins_and_dtype(a, b) -> tuple[tuple[int, ...], np.dtype]:
+    """Bin shape and dtype of a per-bin product of a and b, from their components."""
+    parts = (*a, *b)
+    return np.broadcast_shapes(*(np.shape(p) for p in parts)), np.result_type(*parts)
 
-    Bitwise equal to ``np.cross(a, b, axis=0)``, which copies and promotes
-    both inputs as a whole; here each component is written into ``out``
-    (allocated when not given; it must not overlap a or b) with one bins-sized
-    scratch array for the second product.  A (3,) vector is taken as
-    constant over the bins.
+
+def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a x b per bin over a first axis of length 3.
+
+    Either side may also be one (3,) vector, taken as constant over the
+    bins, or three components that broadcast against the bins (such as
+    :attr:`KGrid.k_axes`).  Bitwise equal to ``np.cross(a, b, axis=0)``,
+    which copies and promotes both inputs as a whole; here each component is
+    written into ``out`` (allocated when not given; it must not overlap a or
+    b) with one bins-sized scratch array for the second product.
     """
     a0, a1, a2 = a
     b0, b1, b2 = b
-    bins = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    dtype = np.result_type(a, b)
+    bins, dtype = _bins_and_dtype(a, b)
     if out is None:
         out = np.empty((3,) + bins, dtype=dtype)
     scratch = np.empty(bins, dtype=dtype)
@@ -66,10 +72,11 @@ def dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     """a . b per bin (no conjugation); bitwise equal to ``np.sum(a * b, axis=0)``.
 
     The products are summed in order into ``out`` (allocated when not given)
-    through one bins-sized scratch array.
+    through one bins-sized scratch array.  Either side may also be a sequence
+    of three component arrays, which is never stacked into one, or components
+    that broadcast against the bins, as in :func:`cross`.
     """
-    bins = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
-    dtype = np.result_type(a, b)
+    bins, dtype = _bins_and_dtype(a, b)
     if out is None:
         out = np.empty(bins, dtype=dtype)
     scratch = np.empty(bins, dtype=dtype)
@@ -158,14 +165,29 @@ class KGrid:
         return np.stack(np.meshgrid(self.x1d, self.x1d, self.x1d, indexing="ij"))
 
     @cached_property
+    def k_axes(self) -> tuple[ArrayR, ArrayR, ArrayR]:
+        """The components of kvec as the axes (n, 1, 1), (1, n, 1) and (1, 1, n),
+        which broadcast to kvec's values without its (3, n, n, n) array."""
+        k = self.k1d
+        return k[:, None, None], k[None, :, None], k[None, None, :]
+
+    @cached_property
+    def x_axes(self) -> tuple[ArrayR, ArrayR, ArrayR]:
+        """The components of xvec as broadcasting axes, as :attr:`k_axes`."""
+        x = self.x1d
+        return x[:, None, None], x[None, :, None], x[None, None, :]
+
+    @cached_property
     def kmag(self) -> ArrayR:
-        return norm(self.kvec)
+        return norm(np.broadcast_arrays(*self.k_axes))
 
     @cached_property
     def khat(self) -> ArrayR:
         """Unit momentum direction per bin; zero at the DC bin."""
         safe = np.where(self.kmag > 0.0, self.kmag, 1.0)
-        w = self.kvec / safe
+        w = np.empty((3,) + self.shape)
+        for k, w_a in zip(self.k_axes, w):
+            np.divide(k, safe, out=w_a)
         w[:, 0, 0, 0] = 0.0
         return w
 
@@ -296,8 +318,10 @@ class KGradient:
     field: Field
     boundary_ratio: float
 
-    def along(self, axis: int) -> Field:
-        """d(field)/d(k_axis) for axis in (0, 1, 2), in standard FFT bin order.
+    def along(self, axis: int, component: int | None = None) -> Field:
+        """d(field)/d(k_axis) for axis in (0, 1, 2), in standard FFT bin order;
+        with ``component``, of that one component only (a one-component field,
+        bitwise that component of the whole derivative).
 
         The stencils follow the signed frequencies, not the array index: a
         centered difference pairs each bin with its frequency neighbours
@@ -308,6 +332,8 @@ class KGradient:
         back, without either shifted copy.
         """
         f = self.field.values
+        if component is not None:
+            f = f[component:component + 1]
         dk = self.field.grid.dk
         n = f.shape[axis + 1]
         h = n // 2

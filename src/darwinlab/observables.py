@@ -58,27 +58,88 @@ def _position_block(state: PhotonState, block: str) -> np.ndarray:
     return np.sqrt(2.0) * (values[:3] if block == "upper" else values[3:])
 
 
-def _cross_density(f: np.ndarray) -> np.ndarray:
-    """-i f* x f per bin; Hermitian form, real up to round-off."""
-    density = kgrid.cross(np.conj(f), f)
-    density *= -1j
+def _cross_density(f: np.ndarray):
+    """The rows of -i f* x f per bin (Hermitian form, real up to round-off),
+    handed out one at a time.
+
+    Each row is a new array, bitwise the row of
+    ``-1j * kgrid.cross(np.conj(f), f)``.  A caller that drops each row
+    before asking for the next holds one row at a time (``enumerate`` and
+    ``zip`` keep the previous row while the next is made).  Each conjugate
+    component is taken once, and two are held: conj f_1 throughout, and
+    conj f_2 until the row that last reads it makes way for conj f_0.
+    """
+    conj = {1: np.conj(f[1]), 2: np.conj(f[2])}
+    scratch = np.empty_like(conj[1])
+    for p, q in ((1, 2), (2, 0), (0, 1)):
+        row = np.multiply(conj[p], f[q])
+        if q not in conj:
+            conj[q] = np.conj(f[q], out=conj.pop(p))
+        np.multiply(conj[q], f[p], out=scratch)
+        np.subtract(row, scratch, out=row)
+        row *= -1j
+        yield row
+        del row  # the caller's reference is the only one while the next row is made
+
+
+def _row_sums(rows) -> np.ndarray:
+    """The sum over the bins of each row; bitwise ``np.sum(rows, axis=(1, 2, 3))``."""
+    sums = []
+    for row in rows:
+        sums.append(np.sum(row))
+        del row  # a handed-out row is freed before the next one is made
+    return np.array(sums)
+
+
+def _integrated(sums: np.ndarray, measure: float) -> tuple[np.ndarray, float]:
+    """(value, imaginary residue) of a density's integral from its row sums."""
+    total = sums * measure
+    return total.real, float(np.abs(total.imag).max())
+
+
+def _canonical_density(state: PhotonState, block_sums: list | None = None) -> list[np.ndarray]:
+    """Rows of the canonical spin density 0.5 (d_u + d_l) in momentum space,
+    with d_u and d_l the cross densities of the two blocks.
+
+    d_u is kept and d_l is added into it one row at a time, so one block copy
+    and three rows are alive at once.  ``block_sums``, when given, receives
+    the row sums of d_u and of d_l, which the cross routes integrate.
+    """
+    density = list(_cross_density(state.f_upper()))
+    upper = _row_sums(density)
+    lower = []
+    for extra in _cross_density(state.f_lower()):
+        row = density[len(lower)]
+        lower.append(np.sum(extra))
+        np.add(row, extra, out=row)
+        row *= 0.5
+        del extra
+    if block_sums is not None:
+        block_sums.extend((upper, np.array(lower)))
     return density
 
 
-def _momentum_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
-    """Cross densities -i f* x f of the upper and lower momentum blocks."""
-    return _cross_density(state.f_upper()), _cross_density(state.f_lower())
+def position_densities(state: PhotonState) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The cross densities -i F* x F of the upper and lower position blocks,
+    as ``((real_u, sums_u), (real_l, sums_l))``.
 
-
-def position_densities(state: PhotonState) -> tuple[np.ndarray, np.ndarray]:
-    """Cross densities -i F* x F of the upper and lower position blocks.
-
-    The spin routes and the density candidates both use this pair.  It is
-    25 MB at n = 64, so it is never kept on the state: a caller that evaluates
-    both computes it once and passes it as ``densities``.
+    The densities enter the candidates through their real parts only, and the
+    spin routes through their integrals, so each row is summed (complex) and
+    its real part kept: the pair holds 12.6 MB at n = 64, not the 25 MB of
+    the complex densities.  It is never kept on the state: a caller that
+    evaluates both the spin routes and the candidates makes it once and
+    passes a function returning it as ``densities``.
     """
-    return (_cross_density(_position_block(state, "upper")),
-            _cross_density(_position_block(state, "lower")))
+    pair = []
+    for block in ("upper", "lower"):
+        real = np.empty((3,) + state.grid.shape)
+        sums = []
+        for row in _cross_density(_position_block(state, block)):
+            real[len(sums)] = row.real
+            sums.append(np.sum(row))
+            del row
+        pair.append((real, np.array(sums)))
+    return tuple(pair)
 
 
 def _peeled_block(state: PhotonState) -> np.ndarray:
@@ -95,9 +156,17 @@ def _peeled_block(state: PhotonState) -> np.ndarray:
     return f
 
 
-def _integrate_vector(density: np.ndarray, measure: float) -> tuple[np.ndarray, float]:
-    total = np.sum(density, axis=(1, 2, 3)) * measure
-    return total.real, float(np.abs(total.imag).max())
+def _summed_squares(components) -> np.ndarray:
+    """sum_c |v_c|^2 per bin, one component at a time; bitwise
+    ``np.sum(np.abs(v) ** 2, axis=0)``."""
+    total = None
+    for v in components:
+        square = np.abs(v) ** 2
+        if total is None:
+            total = square
+        else:
+            total += square
+    return total
 
 
 @_per_state
@@ -110,17 +179,14 @@ def _momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, flo
     """
     g = state.grid
     m = state.psi.measure
-    d_u, d_l = _momentum_densities(state)
-    cross_upper, cross_lower = _integrate_vector(d_u, m), _integrate_vector(d_l, m)
-    canonical = np.add(d_u, d_l, out=d_u)
-    del d_l
-    canonical *= 0.5
+    block_sums = []
+    canonical = _canonical_density(state, block_sums)
     helicity_density = kgrid.dot(g.khat, canonical)
     return {
-        "canonical": _integrate_vector(canonical, m),
-        "projected": _integrate_vector(helicity_density * g.khat, m),
-        "cross_upper": cross_upper,
-        "cross_lower": cross_lower,
+        "canonical": _integrated(_row_sums(canonical), m),
+        "projected": _integrated(_row_sums(helicity_density * w for w in g.khat), m),
+        "cross_upper": _integrated(block_sums[0], m),
+        "cross_lower": _integrated(block_sums[1], m),
     }
 
 
@@ -129,23 +195,15 @@ def spin_canonical(state: PhotonState) -> np.ndarray:
     return _momentum_spin_routes(state)["canonical"][0]
 
 
+def spin_canonical_alone(state: PhotonState) -> np.ndarray:
+    """:func:`spin_canonical`, bitwise, without the other three momentum
+    routes: for a state that no other route is evaluated on."""
+    return _integrated(_row_sums(_canonical_density(state)), state.psi.measure)[0]
+
+
 def spin_projected(state: PhotonState) -> np.ndarray:
     """<spin> from the momentum-projected operator (spin . w) w."""
     return _momentum_spin_routes(state)["projected"][0]
-
-
-def projected_spin_momentum_density(state: PhotonState) -> np.ndarray:
-    """(spin . w) applied to psi, bin by bin.
-
-    Multiplying by the direction components w_i and transforming gives the
-    three fields entering the nonlocal kernel density."""
-    g = state.grid
-    chi = np.empty_like(state.psi.values)
-    # (sigma . w) f = i w x f, block by block
-    kgrid.cross(g.khat, state.psi.values[:3], out=chi[:3])
-    kgrid.cross(g.khat, state.psi.values[3:], out=chi[3:])
-    chi *= 1j
-    return chi
 
 
 @_per_state
@@ -158,31 +216,40 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     integral reproduces the projected-spin expectation; pointwise it is not
     the canonical density (:func:`density_candidates` measures the gap).
 
-    The three w_i chi fields are formed and transformed in one reused
-    six-component buffer, and Psi^dag Phi_i is summed one component at a time.
+    One block at a time: the block's chi = (spin . w) f is formed once, each
+    w_i chi is transformed in one reused three-component buffer, and
+    Psi^dag Phi_i gains the block's components, in component order, in its
+    own accumulator.  So six three-component transforms replace three of six
+    components, and the sums run in the same order.
     """
     g = state.grid
     # before the buffers below exist: the projected spin makes its own densities
     projected = spin_projected(state)
-    psi_pos = state.psi_position
-    chi = projected_spin_momentum_density(state)
-    phi = np.empty_like(chi)
-    dens = np.empty(g.shape, dtype=np.complex128)
-    psi_conj, term = np.empty_like(dens), np.empty_like(dens)
-    s = np.empty((3,) + g.shape, dtype=np.float64)
+    psi, psi_pos = state.psi.values, state.psi_position.values
+    # the density itself is complex away from the single-mode limit; only
+    # its integral is a Hermitian form, so only that must be real
+    dens = np.empty((3,) + g.shape, dtype=np.complex128)
+    chi, phi = np.empty_like(dens), np.empty_like(dens)
+    psi_conj = np.empty(g.shape, dtype=np.complex128)
+    for start in (0, 3):
+        # (sigma . w) f = i w x f
+        kgrid.cross(g.khat, psi[start:start + 3], out=chi)
+        chi *= 1j
+        for i in range(3):
+            np.multiply(g.khat[i], chi, out=phi)
+            to_position(momentum_field(phi, g, state.time), overwrite=True)
+            for c in range(3):
+                np.conj(psi_pos[start + c], out=psi_conj)
+                if start + c == 0:
+                    np.multiply(psi_conj, phi[c], out=dens[i])
+                else:
+                    dens[i] += np.multiply(psi_conj, phi[c], out=phi[c])
+    del chi, phi, psi_conj
+    s = np.ascontiguousarray(dens.real)
     integral = np.empty(3)
     integral_imag = 0.0
     for i in range(3):
-        np.multiply(g.khat[i], chi, out=phi)
-        to_position(momentum_field(phi, g, state.time), overwrite=True)
-        # the density itself is complex away from the single-mode limit; only
-        # its integral is a Hermitian form, so only that must be real
-        np.multiply(np.conj(psi_pos.values[0], out=psi_conj), phi[0], out=dens)
-        for c in range(1, 6):
-            np.conj(psi_pos.values[c], out=psi_conj)
-            dens += np.multiply(psi_conj, phi[c], out=term)
-        s[i] = dens.real
-        total = np.sum(dens) * psi_pos.measure
+        total = np.sum(dens[i]) * state.grid.dx**3
         integral[i] = total.real
         integral_imag = max(integral_imag, abs(total.imag))
 
@@ -198,19 +265,27 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
 def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
     """<L> by the momentum route, and the boundary ratio of its k-gradient.
 
-    The k-gradient is taken one axis at a time and contracted at once, so a
-    single derivative is alive at any moment.
+    The k-gradient is taken one component and one axis at a time and
+    contracted at once, so a single derivative component and a single
+    conjugate component are alive at any moment; each h_a still sums its
+    components in order.
     """
     g = state.grid
     f = _peeled_block(state)
     grad = k_gradient(momentum_field(f, g, 0.0))
-    f_conj = np.conj(f)
+    f_conj = np.empty(g.shape, dtype=np.complex128)
     h = np.empty_like(f)
-    for a in range(3):
-        kgrid.dot(f_conj, grad.along(a).values, out=h[a])
+    for c in range(3):
+        np.conj(f[c], out=f_conj)
+        for a in range(3):
+            d = grad.along(a, component=c).values[0]
+            if c == 0:
+                np.multiply(f_conj, d, out=h[a])
+            else:
+                h[a] += np.multiply(f_conj, d, out=d)
     ratio = grad.boundary_ratio
-    del f, f_conj, grad
-    total = -1j * np.sum(kgrid.cross(g.kvec, h), axis=(1, 2, 3)) * g.dk**3
+    del f, f_conj, grad, d
+    total = -1j * np.sum(kgrid.cross(g.k_axes, h), axis=(1, 2, 3)) * g.dk**3
     return total.real, ratio
 
 
@@ -238,29 +313,42 @@ def oam_position(state: PhotonState) -> np.ndarray:
     transform of i k_a f, taken straight from the momentum block.  x is real,
     so the sum over components is taken first: with h_a = sum_c F_c* d_a F_c
     per bin, <L> = -i integral x x h d3x.
+
+    One component at a time: the three derivatives (d_0 F_c, d_1 F_c,
+    d_2 F_c) are one three-component transform, and F_c* is formed once and
+    added into each h_a, so each h_a sums its components in order and no
+    whole copy of f or of F* is made.
     """
     g = state.grid
-    f = state.f_upper()
-    F_conj = _position_block(state, "upper")
-    np.conj(F_conj, out=F_conj)
-    d_F = np.empty_like(f)
-    h = np.empty_like(f)
-    for a in range(3):
-        np.multiply(1j * g.kvec[a], f, out=d_F)
+    psi = state.psi.values
+    F = state.psi_position.values
+    ik = [1j * k for k in g.k_axes]
+    d_F = np.empty((3,) + g.shape, dtype=np.complex128)
+    h = np.empty_like(d_F)
+    F_conj = np.empty(g.shape, dtype=np.complex128)
+    for c in range(3):
+        f_c = np.multiply(np.sqrt(2.0), psi[c], out=d_F[2])  # d_F[2] is its last use
+        for a in range(3):
+            np.multiply(ik[a], f_c, out=d_F[a])
         to_position(momentum_field(d_F, g, state.time), overwrite=True)
-        kgrid.dot(F_conj, d_F, out=h[a])
-    del f, F_conj, d_F
-    total = -1j * np.sum(kgrid.cross(g.xvec, h), axis=(1, 2, 3)) * g.dx**3
+        np.conj(np.multiply(np.sqrt(2.0), F[c], out=F_conj), out=F_conj)
+        for a in range(3):
+            if c == 0:
+                np.multiply(F_conj, d_F[a], out=h[a])
+            else:
+                h[a] += np.multiply(F_conj, d_F[a], out=d_F[a])
+    del ik, d_F, F_conj
+    total = -1j * np.sum(kgrid.cross(g.x_axes, h), axis=(1, 2, 3)) * g.dx**3
     return total.real
 
 
 @_per_state
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""
-    psi_pos = state.psi_position
-    dens_u = np.sum(np.abs(psi_pos.values[:3]) ** 2, axis=0)
-    dens_l = np.sum(np.abs(psi_pos.values[3:]) ** 2, axis=0)
-    m = psi_pos.measure
+    values = state.psi_position.values
+    dens_u = _summed_squares(values[:3])
+    dens_l = _summed_squares(values[3:])
+    m = state.grid.dx**3
     p_upper = 2.0 * float(np.sum(dens_u)) * m
     p_lower = 2.0 * float(np.sum(dens_l)) * m
     p_psi = float(np.sum(dens_u + dens_l)) * m
@@ -301,22 +389,26 @@ def observable_report(state: PhotonState, *, densities=None) -> ObservableReport
 
     The block cross densities (f_u, f_l in momentum space, F_u, F_l in
     position space) are shared by the spin routes that integrate them; each
-    route still applies its own formula.  ``densities`` is the position pair
-    from :func:`position_densities` when the caller already holds it, as a
-    full check does.  Without it the pair is made here, after the nonlocal
-    route has freed its transforms, so the pair never sits under that route's
-    peak memory.
+    route still applies its own formula.  ``densities`` returns the position
+    pair of :func:`position_densities` when the caller shares one pair with
+    :func:`density_candidates`, as a full check does; without it the pair is
+    made here.  Either way the pair comes last, after the OAM and nonlocal
+    routes have freed their buffers, so it never sits under their peak
+    memory; and the OAM routes run before the nonlocal one, so theirs never
+    sits over its kept density.
     """
+    L_mom = oam_momentum(state)
+    L_pos = oam_position(state)
     _, nl_diag = nonlocal_spin_density(state)
-    D_u, D_l = position_densities(state) if densities is None else densities
-    m_x = state.psi_position.measure
+    p_psi, p_up, p_low = probability(state)
+    (_, sums_u), (_, sums_l) = position_densities(state) if densities is None else densities()
+    m_x = state.grid.dx**3
     pairs = {
         **_momentum_spin_routes(state),
-        "position_upper": _integrate_vector(D_u, m_x),
-        "position_lower": _integrate_vector(D_l, m_x),
+        "position_upper": _integrated(sums_u, m_x),
+        "position_lower": _integrated(sums_l, m_x),
         "kernel_integral": (nl_diag["integral"], nl_diag["imag_residue"]),
     }
-    del densities, D_u, D_l  # free them, if made here, before the OAM routes allocate theirs
     spin = {name: value for name, (value, _) in pairs.items()}
     imag_residue = max(res for _, res in pairs.values())
     discrepancies: dict[str, float] = {}
@@ -324,9 +416,6 @@ def observable_report(state: PhotonState, *, densities=None) -> ObservableReport
         for b in _SPIN_FORMULAS[i + 1:]:
             discrepancies[f"{a}|{b}"] = float(np.abs(spin[a] - spin[b]).max())
 
-    L_mom = oam_momentum(state)
-    L_pos = oam_position(state)
-    p_psi, p_up, p_low = probability(state)
     probs = (p_psi, p_up, p_low)
     prob_gap = max(abs(x - y) for x in probs for y in probs)
 
@@ -373,21 +462,21 @@ class DensityCandidates:
 
 
 def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidates:
-    """The competing densities of one state; ``densities`` is the pair from
-    :func:`position_densities` when the caller already holds it."""
+    """The competing densities of one state; ``densities`` returns the pair of
+    :func:`position_densities` when the caller shares one, and is called
+    after the nonlocal route has freed its buffers."""
     spin_kernel, _ = nonlocal_spin_density(state)
-    if densities is None:
-        densities = position_densities(state)
-    cross_u, cross_l = densities
-    spin_full = 0.5 * (cross_u + cross_l).real
-    spin_upper = cross_u.real
-    spin_lower = cross_l.real
+    (spin_upper, _), (spin_lower, _) = (position_densities(state) if densities is None
+                                        else densities())
+    # the real part of a complex sum is the sum of the real parts
+    spin_full = 0.5 * (spin_upper + spin_lower)
 
-    prob_upper = np.sum(np.abs(_position_block(state, "upper")) ** 2, axis=0)
-    prob_lower = np.sum(np.abs(_position_block(state, "lower")) ** 2, axis=0)
+    values = state.psi_position.values
+    prob_upper = _summed_squares(np.sqrt(2.0) * v for v in values[:3])
+    prob_lower = _summed_squares(np.sqrt(2.0) * v for v in values[3:])
     prob_psi = 0.5 * (prob_upper + prob_lower)
 
-    m = state.psi_position.measure
+    m = state.grid.dx**3
     spin_integrals = [np.sum(d, axis=(1, 2, 3)) * m
                       for d in (spin_full, spin_upper, spin_lower, spin_kernel)]
     prob_integrals = [float(np.sum(d)) * m for d in (prob_psi, prob_upper, prob_lower)]
@@ -397,10 +486,13 @@ def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidat
     prob_spread = max(abs(a - b) for a in prob_integrals for b in prob_integrals)
 
     def gap(candidate: np.ndarray, reference: np.ndarray) -> float:
-        peak = float(np.abs(reference).max())
+        # component by component: the maxima of the whole arrays, without their copies
+        pairs = list(zip(candidate.reshape((-1,) + state.grid.shape),
+                         reference.reshape((-1,) + state.grid.shape)))
+        peak = max(float(np.abs(r).max()) for _, r in pairs)
         if peak == 0.0:
             return 0.0
-        return float(np.abs(candidate - reference).max() / peak)
+        return max(float(np.abs(c - r).max()) for c, r in pairs) / peak
 
     return DensityCandidates(
         spin_density_full=spin_full,

@@ -141,13 +141,19 @@ class PhotonState:
     def psi_position(self) -> Field:
         """Position transform of the six-component psi, computed on first use.
 
-        It is kept (read-only) for as long as the state lives, so every
-        position-space observable of one state shares a single transform; the
-        sqrt(2)-scaled slices [:3] and [3:] are the block transforms.
+        It is kept (read-only) for as long as the state lives, or until
+        :meth:`drop_position`, so every position-space observable of one state
+        shares a single transform; the sqrt(2)-scaled slices [:3] and [3:] are
+        the block transforms.
         """
         pos = kgrid.to_position(self.psi)
         pos.values.flags.writeable = False
         return pos
+
+    def drop_position(self) -> None:
+        """Free the cached position transform (25 MB at n = 64) once nothing
+        more reads it; a later use would compute it again."""
+        vars(self).pop("psi_position", None)
 
     def f_upper(self) -> np.ndarray:
         """Upper 3-block amplitude (the sqrt(2) block split is undone)."""

@@ -19,6 +19,9 @@ from .state import PhotonState, branch_residual
 DEFAULT_SEED = 20320
 N_RANDOM_WAVEVECTORS = 100
 DEFAULT_TIMES = (0.0, 1.0, 10.0)  # conservation sample times
+# from k_max |t| = 2^53 on, doubles around |k| t are 2 apart or more, so the
+# phase exp(-i |k| t) keeps no correct digit on the outer bins
+PHASE_PRECISION_LIMIT = 2.0**53
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "matrix_identities": 1e-13,
@@ -227,9 +230,15 @@ def suite_conservation(state: PhotonState, times=DEFAULT_TIMES, tolerances=None)
     rep.add("probability_drift", cons.probability_drift, _tol(tolerances, "probability_drift"),
             info=f"times={list(cons.times)}")
     rep.add("spin_drift", cons.spin_drift, _tol(tolerances, "spin_drift"))
-    rep.add("oam_drift", cons.oam_drift, _tol(tolerances, "oam_drift"))
+    # the OAM route peels the phase off before its k-gradient, which fails
+    # where the phase has lost its precision: those rows name the times
+    k_max = float(state.grid.k_max)
+    lost = "; ".join(
+        f"t={t:.6g}: k_max|t|={k_max * abs(t):.3g} >= 2^53, so the phase exp(-i|k|t) "
+        "has lost its precision" for t in cons.times if k_max * abs(t) >= PHASE_PRECISION_LIMIT)
+    rep.add("oam_drift", cons.oam_drift, _tol(tolerances, "oam_drift"), info=lost)
     rep.add("total_angular_momentum_drift", cons.total_drift,
-            _tol(tolerances, "total_angular_momentum_drift"))
+            _tol(tolerances, "total_angular_momentum_drift"), info=lost)
     rep.add("norm_drift", cons.norm_drift, _tol(tolerances, "norm_drift"))
     return rep
 
@@ -246,8 +255,10 @@ def suite_fieldbridge(state: PhotonState, tolerances=None) -> SuiteReport:
     else:
         # component by component: the maxima of the whole arrays, without their copies
         peak = max(float(np.abs(c).max()) for c in state.psi.values)
-        roundtrip = max(float(np.abs(b - c).max())
-                        for b, c in zip(back.psi.values, state.psi.values)) / peak
+        error = max(float(np.abs(b - c).max()) for b, c in zip(back.psi.values, state.psi.values))
+        # an all-zero payload comes back as zeros: no error, the zero-peak rule
+        # of dirac_residual and maxwell_residual
+        roundtrip = error / peak if peak > 0.0 else 0.0
         rep.add("classical_roundtrip", roundtrip, _tol(tolerances, "classical_roundtrip"))
         del back  # freed before the nonlocal relation check allocates its routes
 
@@ -288,17 +299,19 @@ def check_suite_names(names) -> None:
         )
 
 
-# suites that integrate the position-block cross densities
-_DENSITY_SUITES = ("spin-equalities", "densities")
+# suites that read the state's position transform, directly or through the
+# position-block cross densities
+_POSITION_SUITES = ("spin-equalities", "oam", "probability", "densities")
 
 
 def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) -> list[SuiteReport]:
     """Run the named suites in order.
 
     The position-block cross densities that spin-equalities and densities
-    both integrate are computed once and dropped after the last of those two
-    suites; in the default order they are held across oam and probability
-    only, whose peaks are far below the check's (fieldbridge).
+    both integrate are made once, when the first of them asks for them after
+    its other routes are done.  After the last suite that reads position
+    space they are dropped, and so is the state's position transform, so the
+    suites after it (conservation, in the default order) never hold them.
     """
     shared: dict[str, tuple] = {}
 
@@ -310,20 +323,24 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     runners = {
         "algebra": lambda: suite_algebra(tolerances),
         "constraint": lambda: suite_constraint(state, tolerances),
-        "spin-equalities": lambda: suite_spin_equalities(state, tolerances, densities()),
+        "spin-equalities": lambda: suite_spin_equalities(state, tolerances, densities),
         "oam": lambda: suite_oam(state, tolerances),
         "probability": lambda: suite_probability(state, tolerances),
-        "densities": lambda: suite_densities(state, tolerances, densities()),
+        "densities": lambda: suite_densities(state, tolerances, densities),
         "maxwell": lambda: suite_maxwell(state, tolerances),
         "conservation": lambda: suite_conservation(state, times, tolerances),
         "fieldbridge": lambda: suite_fieldbridge(state, tolerances),
         "kernels": lambda: suite_kernels(state.grid, tolerances),
     }
     check_suite_names(names)
-    last_density_suite = max((i for i, n in enumerate(names) if n in _DENSITY_SUITES), default=-1)
+    last_position_suite = max((i for i, n in enumerate(names) if n in _POSITION_SUITES),
+                              default=-1)
     reports = []
     for i, name in enumerate(names):
         reports.append(runners[name]())
-        if i == last_density_suite:
+        if i == last_position_suite:
             shared.clear()
+            if "conservation" in names[i + 1:] and any(float(t) == state.time for t in times):
+                observables.probability(state)  # read by its sample at the state's own time
+            state.drop_position()
     return reports

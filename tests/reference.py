@@ -84,6 +84,46 @@ def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
     return _block_spin(F, pos.measure)
 
 
+# -- observables: the routes on whole arrays, as they were before they worked
+# one block or one component at a time; the library must match them bitwise
+
+def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
+    """The nonlocal density (three six-component transforms), both OAM routes
+    (whole conjugate and derivative blocks), the canonical momentum density
+    and the position-block cross densities, each over whole arrays."""
+    g = state.grid
+    psi, pos = state.psi.values, state.psi_position.values
+    out = {}
+
+    chi = np.empty_like(psi)
+    kgrid.cross(g.khat, psi[:3], out=chi[:3])
+    kgrid.cross(g.khat, psi[3:], out=chi[3:])
+    chi *= 1j
+    s = np.empty((3,) + g.shape)
+    for i in range(3):
+        phi = to_position(Field(g.khat[i] * chi, MOMENTUM, g, state.time), overwrite=True).values
+        s[i] = np.sum(np.conj(pos) * phi, axis=0).real
+    out["nonlocal"] = s
+
+    f = np.sqrt(2.0) * psi[:3]
+    peeled = f * np.exp(1j * g.kmag * state.time) if state.time != 0.0 else f
+    grad = kgrid.k_gradient(Field(peeled, MOMENTUM, g))
+    h = np.stack([kgrid.dot(np.conj(peeled), grad.along(a).values) for a in range(3)])
+    out["oam_momentum"] = (-1j * np.sum(kgrid.cross(g.kvec, h), axis=(1, 2, 3)) * g.dk**3).real
+    F_conj = np.conj(np.sqrt(2.0) * pos[:3])
+    h = np.stack([kgrid.dot(F_conj, to_position(Field(1j * g.kvec[a] * f, MOMENTUM, g,
+                                                      state.time)).values) for a in range(3)])
+    out["oam_position"] = (-1j * np.sum(kgrid.cross(g.xvec, h), axis=(1, 2, 3)) * g.dx**3).real
+
+    def cross_density(f):
+        return -1j * kgrid.cross(np.conj(f), f)
+
+    out["canonical"] = 0.5 * (cross_density(f) + cross_density(np.sqrt(2.0) * psi[3:]))
+    out["position_upper"] = cross_density(np.sqrt(2.0) * pos[:3])
+    out["position_lower"] = cross_density(np.sqrt(2.0) * pos[3:])
+    return out
+
+
 # -- kgrid: spatial derivatives of position fields, through momentum space
 
 def spectral_gradient(field: Field) -> tuple[Field, Field, Field]:

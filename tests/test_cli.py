@@ -630,3 +630,39 @@ def test_time_within_range_still_runs(time_range_files, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert [s["suite"] for s in json.loads(captured.out)["suites"]] == ["conservation"]
+
+
+def test_lost_phase_precision_is_named(time_range_files, capsys):
+    # k_max = 8 sqrt(3) on this grid, so k_max |t| passes 2^53 from |t| = 6.5e14
+    capsys.readouterr()
+    main(["check", str(time_range_files["late"]), "--suites", "conservation",
+          "--times", "1e307", "1.2e307"])
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["suites"][0]["checks"]}
+    for name in ("oam_drift", "total_angular_momentum_drift"):
+        info = rows[name]["info"]
+        assert "t=1e+307: k_max|t|=1.39e+308 >= 2^53" in info, info
+        assert "t=1.2e+307: k_max|t|=1.66e+308 >= 2^53" in info, info
+        assert info.count("the phase exp(-i|k|t) has lost its precision") == 2
+    assert rows["oam_drift"]["passed"] is False
+    assert rows["spin_drift"]["info"] == rows["norm_drift"]["info"] == ""
+
+    # below 2^53 the rows carry no such note
+    main(["check", str(time_range_files["state"]), "--suites", "conservation",
+          "--times", "0", "6e14"])
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["suites"][0]["checks"]}
+    assert rows["oam_drift"]["info"] == rows["total_angular_momentum_drift"]["info"] == ""
+
+
+def test_all_zero_payload_gets_a_full_report(tmp_path, capsys, g32):
+    # norm 0 is finite, so the file is valid; every suite reports on it
+    path = tmp_path / "zero.dpst"
+    write_state(path, PhotonState(momentum_field(np.zeros((6,) + g32.shape), g32)))
+    capsys.readouterr()
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert [s["suite"] for s in report["suites"]] == list(SUITE_NAMES)
+    rows = {c["name"]: c for s in report["suites"] for c in s["checks"]}
+    assert rows["classical_roundtrip"]["value"] == 0.0 and rows["classical_roundtrip"]["passed"]
+    assert code == (0 if report["passed"] else 1)

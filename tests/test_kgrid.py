@@ -43,6 +43,17 @@ class TestGridGeometry:
         assert g.box_length == pytest.approx(8 * np.pi)
         assert g.dx == pytest.approx(np.pi / 2)
 
+    @pytest.mark.parametrize("n, dk", [(8, 0.7), (16, 1.0)])
+    def test_axes_are_the_full_grids(self, n, dk):
+        g = KGrid(n, dk)
+        for axes, full in ((g.k_axes, g.kvec), (g.x_axes, g.xvec)):
+            assert np.array_equal(np.stack(np.broadcast_arrays(*axes)), full)
+        # kmag and khat come from the axes, bitwise as from kvec
+        kmag = norm(g.kvec)
+        khat = g.kvec / np.where(kmag > 0.0, kmag, 1.0)
+        khat[:, 0, 0, 0] = 0.0
+        assert g.kmag.tobytes() == kmag.tobytes() and g.khat.tobytes() == khat.tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_time_in_range_iff_the_phase_is_finite(self, g16):
         limit = np.finfo(float).max / g16.k_max
@@ -210,6 +221,8 @@ class TestKGradient:
             d = np.gradient(unwrapped, dk, axis=a + 1, edge_order=2)
             expect = np.fft.ifftshift(d, axes=(1, 2, 3))
             assert grad.along(a).values.tobytes() == expect.tobytes(), a
+            for c in range(ncomp):
+                assert grad.along(a, component=c).values.tobytes() == expect[c:c + 1].tobytes()
         assert grad.field is f  # no copy of the field is held
 
     def test_constant_field(self, g16):
@@ -318,6 +331,16 @@ class TestVectorKernels:
             assert self.same(dot(a, b), numpy_dot), name
             out = np.empty_like(numpy_dot)
             assert dot(a, b, out=out) is out and self.same(out, numpy_dot), name
+
+    def test_axes_and_component_sequences(self, rng):
+        # broadcasting axes in place of kvec or xvec, a list of components in
+        # place of a (3, n, n, n) array: bitwise the whole-array results
+        g = KGrid(8, 0.7)
+        block = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(size=(3,) + g.shape)
+        assert self.same(cross(g.k_axes, block), cross(g.kvec, block))
+        assert self.same(cross(block, g.x_axes), cross(block, g.xvec))
+        assert self.same(dot(g.k_axes, block), dot(g.kvec, block))
+        assert self.same(dot(g.khat, list(block)), dot(g.khat, block))
 
     def test_norm(self, operands):
         for name, (a, b) in operands.items():

@@ -3,16 +3,19 @@
 The peaks are measured with ``tracemalloc`` (numpy reports its array buffers
 to it) on a freshly synthesized n=32 state shaped like the README example,
 above what the state already holds, and expressed in units of one
-six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  The ratio
-depends little on n: on the README state at n=64 the same two calls peak at
-6.0 and 4.4 fields.
+six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
+check runs first, so caches that the process fills once are not counted.
 
-Measured at n=32: ``run_suites`` over all ten suites peaks at 5.69 fields and
-``observable_report`` at 3.81.  Before the in-place transforms, the
-one-axis-at-a-time gradient and the one-block-at-a-time field bridge they
-were 9.58 and 6.75.  ``dpl check`` runs the two suite groups of
-``suites.MEMO_SUITES`` and ``suites.OWN_TRANSFORM_SUITES`` in two processes,
-one ``run_suites`` call each; those calls peak at 4.82 and 4.11 fields.
+Measured at n=32: ``run_suites`` over all ten suites peaks at 4.36 fields,
+``observable_report`` at 2.92 and the fieldbridge suite at 2.96 (they were
+5.47, 3.81 and 3.96 before the routes worked one block or one component at
+a time; 9.58 and 6.75 for the first two before the in-place transforms).
+``dpl check`` runs the two suite groups of ``suites.MEMO_SUITES`` and
+``suites.OWN_TRANSFORM_SUITES`` in two processes, one ``run_suites`` call
+each; those calls peak at 2.92 and 4.11 fields (4.82 and 4.11 before).  At
+n=32 the kernels suite sets the own-transforms peak and the full
+``run_suites``; at n=64 the fieldbridge suite does, and the same calls peak
+at 3.17, 2.92, 2.92, 2.92 and 2.92 fields.
 """
 
 import tracemalloc
@@ -29,11 +32,20 @@ README_MODES = [
 
 # budgets in six-component fields: the measured peaks above, plus about 5%
 BUDGETS = {
-    "run_suites": (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 6.0),
-    "observable_report": (observables.observable_report, 4.0),
-    "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 5.05),
+    "run_suites": (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 4.58),
+    "observable_report": (observables.observable_report, 3.07),
+    "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 3.07),
     "own_transform_group": (lambda state: suites.run_suites(suites.OWN_TRANSFORM_SUITES, state), 4.3),
+    "fieldbridge": (lambda state: suites.run_suites(["fieldbridge"], state), 3.1),
 }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def warm_caches():
+    """One full check first, so that the process-wide caches it fills once
+    (the gamma matrices, numpy's FFT plans) count in no measured peak, and a
+    budget reads the same whether its test runs alone or after others."""
+    suites.run_suites(suites.SUITE_NAMES, synthesize(README_MODES, KGrid(32, 1.0)))
 
 
 def peak_in_fields(run) -> float:

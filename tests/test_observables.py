@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from darwinlab import ModeSpec, kgrid, synthesize
 from darwinlab.algebra import build_gamma_set
@@ -10,6 +11,7 @@ from darwinlab.kgrid import (
     to_position,
 )
 from darwinlab.observables import (
+    _canonical_density,
     _peeled_block,
     density_candidates,
     nonlocal_spin_density,
@@ -17,12 +19,14 @@ from darwinlab.observables import (
     oam_momentum,
     oam_position,
     observable_report,
+    position_densities,
     probability,
     spin_canonical,
+    spin_canonical_alone,
     spin_projected,
 )
 from darwinlab.state import PhotonState
-from reference import spectral_gradient, spin_cross, spin_position
+from reference import spectral_gradient, spin_cross, spin_position, whole_array_routes
 
 GAMMA = build_gamma_set()
 
@@ -209,6 +213,24 @@ class TestOam:
         assert probability(st) is probability(st)  # observable_report, its suite, conservation at t=0
         for shared in (st.psi_position.values, oam_position(st), nonlocal_spin_density(st)[0]):
             assert not shared.flags.writeable
+
+
+@pytest.mark.parametrize("time", [0.0, 7.25])
+def test_routes_are_bitwise_their_whole_array_forms(two_direction_state, time):
+    # the routes work one block, one row or one component at a time; every
+    # sum runs in the same order, so every value is the whole-array value
+    st = evolve(two_direction_state, time).state_t if time else two_direction_state
+    ref = whole_array_routes(st)
+    s, diag = nonlocal_spin_density(st)
+    assert s.tobytes() == ref["nonlocal"].tobytes()
+    assert oam_momentum(st).tobytes() == ref["oam_momentum"].tobytes()
+    assert oam_position(st).tobytes() == ref["oam_position"].tobytes()
+    assert np.stack(_canonical_density(st)).tobytes() == ref["canonical"].tobytes()
+    (real_u, sums_u), (real_l, sums_l) = position_densities(st)
+    for real, sums, name in ((real_u, sums_u, "position_upper"), (real_l, sums_l, "position_lower")):
+        assert real.tobytes() == ref[name].real.tobytes()
+        assert sums.tobytes() == np.sum(ref[name], axis=(1, 2, 3)).tobytes()
+    assert spin_canonical_alone(st).tobytes() == spin_canonical(st).tobytes()
 
 
 class TestProbability:
