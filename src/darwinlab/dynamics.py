@@ -124,12 +124,11 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     curls *= 1j * block_scale
     to_position(Field(curls, kgrid.MOMENTUM, g, state.time), overwrite=True)
 
-    # maxima component by component, without a field-sized |.| array
-    scale = max(float(np.abs(c).max()) for c in curls)
+    scale = kgrid.max_abs(curls)
     if scale == 0.0:
         return MaxwellReport(0.0, 0.0, dt)
     d_dt -= curls
-    curl_res = max(float(np.abs(c).max()) for c in d_dt) / scale
+    curl_res = kgrid.max_abs(d_dt) / scale
     del d_dt, curls
 
     div = 0.0
@@ -183,11 +182,11 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
     All five are exact constants for positive-energy states; the report
     returns the maximum drift of each relative to the first sampled time.
 
-    At a time other than the state's own, the evolved copy is read by nothing
-    else, so only the routes read here are computed on it: the canonical
-    spin without the other momentum routes, and the norm and the momentum
-    routes before the probability makes its position transform, so their
-    temporaries never sit on that transform.
+    Each sampled state reads the same memoized routes: the norm and the
+    momentum routes come before the probability makes its position
+    transform, so their temporaries never sit on that transform, and an
+    evolved copy is freed, with everything its memo holds, before the next
+    one is built.
     """
     times = tuple(float(t) for t in times)
     probs: list[float] = []
@@ -199,7 +198,7 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
         st = _phase_evolved(state, t - state.time)
         norms.append(st.norm)
         l = observables.oam_momentum(st)
-        s = observables.spin_canonical(st) if st is state else observables.spin_canonical_alone(st)
+        s = observables.spin_canonical(st)
         p_psi, _, _ = observables.probability(st)
         probs.append(p_psi)
         spins.append(s)

@@ -28,9 +28,11 @@ from .kgrid import (
     KGrid,
     cross,
     dot,
+    max_abs,
     momentum_field,
     norm,
     position_field,
+    relative_gap,
     reverse_bins,
     to_momentum,
     to_position,
@@ -59,20 +61,15 @@ class ClassicalField:
         return hermitian_symmetry_residual(self.eps_k), hermitian_symmetry_residual(self.eta_k)
 
 
-def _max_abs(values: np.ndarray) -> float:
-    """max |values|, one component at a time: no array of all the moduli."""
-    return max(float(np.abs(c).max()) for c in values)
-
-
 def hermitian_symmetry_residual(values: np.ndarray) -> float:
     """Relative residual of conj(a(-k)) = a(k) at bin level."""
-    peak = _max_abs(values)
+    peak = max_abs(values)
     if peak == 0.0:
         return 0.0
     gap = reverse_bins(values)
     np.conj(gap, out=gap)
     np.subtract(values, gap, out=gap)
-    return _max_abs(gap) / peak
+    return max_abs(gap) / peak
 
 
 def solenoidal_residual(values: np.ndarray, grid: KGrid) -> float:
@@ -92,7 +89,7 @@ def _validate_classical(cf: ClassicalField) -> None:
                 f"{name} violates Hermitian bin symmetry (residual {res:.2e}); "
                 "the corresponding position-space field would not be real"
             )
-        peak = _max_abs(a)
+        peak = max_abs(a)
         if peak > 0.0 and float(np.abs(a[:, 0, 0, 0]).max()) > DC_TOLERANCE * peak:
             raise ValueError(f"{name} carries a nonzero DC (k = 0) component")
         sol = solenoidal_residual(a, cf.grid)
@@ -245,14 +242,7 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
         route_two = to_position(momentum_field(cross_term, g, cf.time), overwrite=True).values
         route_two += real
         route_two /= np.sqrt(2.0)
-        return gap(route_one, route_two), gap(real, np.sqrt(2.0) * route_one.real)
-
-    def gap(a, b):
-        """max |a - b| / max |a|, one component at a time."""
-        peak = _max_abs(a)
-        if peak == 0.0:
-            return 0.0
-        return max(float(np.abs(a_c - b_c).max()) for a_c, b_c in zip(a, b)) / peak
+        return relative_gap(route_two, route_one), relative_gap(np.sqrt(2.0) * route_one.real, real)
 
     # one chain's arrays at a time: the E chain runs to the end, then the H chain
     e_gap, e_real = gaps(cf.eps_k, cf.eta_k, cf.E_real, -1)
@@ -269,6 +259,7 @@ KERNEL_KINDS = ("half_power", "inverse_k")
 
 _CORE_CELLS = 6          # cells within this radius get full 3D sub-sampling
 _CORE_SUBSAMPLES = 6     # sub-samples per axis in a core cell
+_CORE_BLOCK = 64         # core cells sub-sampled at once
 
 
 def _kernel_values(kind: str, r: np.ndarray) -> np.ndarray:
@@ -308,17 +299,18 @@ def _regularized_kernel(kind: str, grid: KGrid) -> np.ndarray:
     kern = np.where(r < dx, 0.0, kern) * _kernel_window(r, grid.box_length)
 
     core = np.argwhere(r < _CORE_CELLS * dx)
-    if core.size:
-        m = _CORE_SUBSAMPLES
-        offs = ((np.arange(m) + 0.5) / m - 0.5) * dx
-        ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-        sub = np.stack([ox, oy, oz]).reshape(3, -1)
-        centers = grid.x1d[core.T]  # (3, ncore)
-        pts = centers[:, :, None] + sub[:, None, :]
+    m = _CORE_SUBSAMPLES
+    offs = ((np.arange(m) + 0.5) / m - 0.5) * dx
+    ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
+    sub = np.stack([ox, oy, oz]).reshape(3, -1)
+    # a block of cells at a time: each cell's mean is over its own sub-samples
+    for start in range(0, len(core), _CORE_BLOCK):
+        cells = core[start:start + _CORE_BLOCK]
+        pts = grid.x1d[cells.T][:, :, None] + sub[:, None, :]  # (3, cells, m^3)
         rr = norm(pts)
         vals = np.where(rr >= dx, _kernel_values(kind, np.maximum(rr, dx / 2.0)), 0.0)
         vals *= _kernel_window(rr, grid.box_length)
-        kern[core[:, 0], core[:, 1], core[:, 2]] = vals.mean(axis=1)
+        kern[cells[:, 0], cells[:, 1], cells[:, 2]] = vals.mean(axis=1)
     return kern
 
 

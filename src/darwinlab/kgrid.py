@@ -106,6 +106,22 @@ def norm(a) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def max_abs(a) -> float:
+    """max |a| over the components a[0], a[1], ... (or any sequence of
+    arrays), one component at a time: no array of all the moduli.  Maxima
+    are exact, so this is bitwise ``np.abs(a).max()``."""
+    return max(float(np.abs(component).max()) for component in a)
+
+
+def relative_gap(a, reference) -> float:
+    """max |a - reference| / max |reference| over paired components, as in
+    :func:`max_abs`; 0 when the reference is zero everywhere."""
+    peak = max_abs(reference)
+    if peak == 0.0:
+        return 0.0
+    return max(float(np.abs(x - r).max()) for x, r in zip(a, reference)) / peak
+
+
 @dataclass(frozen=True)
 class KGrid:
     """Uniform Cartesian momentum grid, n bins per axis with spacing dk."""

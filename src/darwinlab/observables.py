@@ -27,10 +27,12 @@ from .state import PhotonState
 def _per_state(fn):
     """Evaluate fn(state) once per state.
 
-    The value is stored on the state itself, keyed by the function, so it
-    lives exactly as long as the state; states are immutable, so it never
-    goes stale.  Every caller shares it, so its arrays (also inside tuples and
-    dict values) are made read-only.
+    The value is stored on the state itself, keyed by the route's name, so it
+    lives as long as the state or until :func:`drop_position` releases it;
+    states are immutable, so it never goes stale.  The key is the name, not
+    the function, so a release finds the entry whatever a module binding now
+    refers to (a tracing wrapper, say).  Every caller shares the value, so
+    its arrays (also inside tuples and dict values) are made read-only.
     """
 
     def freeze(value) -> None:
@@ -40,21 +42,43 @@ def _per_state(fn):
             for part in value.values() if isinstance(value, dict) else value:
                 freeze(part)
 
+    name = fn.__name__
+
     @functools.wraps(fn)
     def memoized(state: PhotonState):
         memo = vars(state).setdefault("_observables_memo", {})
-        if fn not in memo:
+        if name not in memo:
             value = fn(state)
             freeze(value)
-            memo[fn] = value
-        return memo[fn]
+            memo[name] = value
+        return memo[name]
 
     return memoized
 
 
+@_per_state
+def psi_position(state: PhotonState) -> np.ndarray:
+    """The (6, n, n, n) position transform of the six-component psi, read-only.
+
+    Every position-space route of one state shares this one transform; its
+    sqrt(2)-scaled slices [:3] and [3:] are the block transforms.  It is
+    kept until :func:`drop_position`.
+    """
+    return to_position(state.psi).values
+
+
+def drop_position(state: PhotonState) -> None:
+    """Release the state's position transform (25 MB at n = 64) and its
+    position cross-density pair once nothing more reads them; a later use
+    computes them again.  The routes that integrate them keep their values."""
+    memo = vars(state).get("_observables_memo", {})
+    for name in ("psi_position", "position_densities"):
+        memo.pop(name, None)
+
+
 def _position_block(state: PhotonState, block: str) -> np.ndarray:
     """Block F_u or F_l in position space, from the state's shared transform."""
-    values = state.psi_position.values
+    values = psi_position(state)
     return np.sqrt(2.0) * (values[:3] if block == "upper" else values[3:])
 
 
@@ -97,13 +121,13 @@ def _integrated(sums: np.ndarray, measure: float) -> tuple[np.ndarray, float]:
     return total.real, float(np.abs(total.imag).max())
 
 
-def _canonical_density(state: PhotonState, block_sums: list | None = None) -> list[np.ndarray]:
+def _canonical_density(state: PhotonState) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Rows of the canonical spin density 0.5 (d_u + d_l) in momentum space,
-    with d_u and d_l the cross densities of the two blocks.
+    with d_u and d_l the cross densities of the two blocks, and the row sums
+    of d_u and of d_l, which the cross routes integrate.
 
     d_u is kept and d_l is added into it one row at a time, so one block copy
-    and three rows are alive at once.  ``block_sums``, when given, receives
-    the row sums of d_u and of d_l, which the cross routes integrate.
+    and three rows are alive at once.
     """
     density = list(_cross_density(state.f_upper()))
     upper = _row_sums(density)
@@ -114,11 +138,10 @@ def _canonical_density(state: PhotonState, block_sums: list | None = None) -> li
         np.add(row, extra, out=row)
         row *= 0.5
         del extra
-    if block_sums is not None:
-        block_sums.extend((upper, np.array(lower)))
-    return density
+    return density, upper, np.array(lower)
 
 
+@_per_state
 def position_densities(state: PhotonState) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The cross densities -i F* x F of the upper and lower position blocks,
     as ``((real_u, sums_u), (real_l, sums_l))``.
@@ -126,9 +149,8 @@ def position_densities(state: PhotonState) -> tuple[tuple[np.ndarray, np.ndarray
     The densities enter the candidates through their real parts only, and the
     spin routes through their integrals, so each row is summed (complex) and
     its real part kept: the pair holds 12.6 MB at n = 64, not the 25 MB of
-    the complex densities.  It is never kept on the state: a caller that
-    evaluates both the spin routes and the candidates makes it once and
-    passes a function returning it as ``densities``.
+    the complex densities.  The spin routes and the candidates share it
+    until :func:`drop_position`.
     """
     pair = []
     for block in ("upper", "lower"):
@@ -179,26 +201,19 @@ def _momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, flo
     """
     g = state.grid
     m = state.psi.measure
-    block_sums = []
-    canonical = _canonical_density(state, block_sums)
+    canonical, sums_u, sums_l = _canonical_density(state)
     helicity_density = kgrid.dot(g.khat, canonical)
     return {
         "canonical": _integrated(_row_sums(canonical), m),
         "projected": _integrated(_row_sums(helicity_density * w for w in g.khat), m),
-        "cross_upper": _integrated(block_sums[0], m),
-        "cross_lower": _integrated(block_sums[1], m),
+        "cross_upper": _integrated(sums_u, m),
+        "cross_lower": _integrated(sums_l, m),
     }
 
 
 def spin_canonical(state: PhotonState) -> np.ndarray:
     """<spin> from the constant block-diagonal spin matrices, momentum space."""
     return _momentum_spin_routes(state)["canonical"][0]
-
-
-def spin_canonical_alone(state: PhotonState) -> np.ndarray:
-    """:func:`spin_canonical`, bitwise, without the other three momentum
-    routes: for a state that no other route is evaluated on."""
-    return _integrated(_row_sums(_canonical_density(state)), state.psi.measure)[0]
 
 
 def spin_projected(state: PhotonState) -> np.ndarray:
@@ -225,7 +240,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     g = state.grid
     # before the buffers below exist: the projected spin makes its own densities
     projected = spin_projected(state)
-    psi, psi_pos = state.psi.values, state.psi_position.values
+    psi, psi_pos = state.psi.values, psi_position(state)
     # the density itself is complex away from the single-mode limit; only
     # its integral is a Hermitian form, so only that must be real
     dens = np.empty((3,) + g.shape, dtype=np.complex128)
@@ -321,7 +336,7 @@ def oam_position(state: PhotonState) -> np.ndarray:
     """
     g = state.grid
     psi = state.psi.values
-    F = state.psi_position.values
+    F = psi_position(state)
     ik = [1j * k for k in g.k_axes]
     d_F = np.empty((3,) + g.shape, dtype=np.complex128)
     h = np.empty_like(d_F)
@@ -345,7 +360,7 @@ def oam_position(state: PhotonState) -> np.ndarray:
 @_per_state
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""
-    values = state.psi_position.values
+    values = psi_position(state)
     dens_u = _summed_squares(values[:3])
     dens_l = _summed_squares(values[3:])
     m = state.grid.dx**3
@@ -384,15 +399,14 @@ class ObservableReport:
     max_imag_residue: float
 
 
-def observable_report(state: PhotonState, *, densities=None) -> ObservableReport:
+def observable_report(state: PhotonState) -> ObservableReport:
     """Every spin, OAM and probability route of one state, side by side.
 
     The block cross densities (f_u, f_l in momentum space, F_u, F_l in
     position space) are shared by the spin routes that integrate them; each
-    route still applies its own formula.  ``densities`` returns the position
-    pair of :func:`position_densities` when the caller shares one pair with
-    :func:`density_candidates`, as a full check does; without it the pair is
-    made here.  Either way the pair comes last, after the OAM and nonlocal
+    route still applies its own formula.  The position pair of
+    :func:`position_densities` is memoized, so :func:`density_candidates`
+    on the same state reuses it.  It comes last, after the OAM and nonlocal
     routes have freed their buffers, so it never sits under their peak
     memory; and the OAM routes run before the nonlocal one, so theirs never
     sits over its kept density.
@@ -401,7 +415,7 @@ def observable_report(state: PhotonState, *, densities=None) -> ObservableReport
     L_pos = oam_position(state)
     _, nl_diag = nonlocal_spin_density(state)
     p_psi, p_up, p_low = probability(state)
-    (_, sums_u), (_, sums_l) = position_densities(state) if densities is None else densities()
+    (_, sums_u), (_, sums_l) = position_densities(state)
     m_x = state.grid.dx**3
     pairs = {
         **_momentum_spin_routes(state),
@@ -461,17 +475,15 @@ class DensityCandidates:
     prob_gap_lower: float
 
 
-def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidates:
-    """The competing densities of one state; ``densities`` returns the pair of
-    :func:`position_densities` when the caller shares one, and is called
-    after the nonlocal route has freed its buffers."""
+def density_candidates(state: PhotonState) -> DensityCandidates:
+    """The competing densities of one state; the position pair comes after
+    the nonlocal route has freed its buffers."""
     spin_kernel, _ = nonlocal_spin_density(state)
-    (spin_upper, _), (spin_lower, _) = (position_densities(state) if densities is None
-                                        else densities())
+    (spin_upper, _), (spin_lower, _) = position_densities(state)
     # the real part of a complex sum is the sum of the real parts
     spin_full = 0.5 * (spin_upper + spin_lower)
 
-    values = state.psi_position.values
+    values = psi_position(state)
     prob_upper = _summed_squares(np.sqrt(2.0) * v for v in values[:3])
     prob_lower = _summed_squares(np.sqrt(2.0) * v for v in values[3:])
     prob_psi = 0.5 * (prob_upper + prob_lower)
@@ -485,15 +497,6 @@ def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidat
     )
     prob_spread = max(abs(a - b) for a in prob_integrals for b in prob_integrals)
 
-    def gap(candidate: np.ndarray, reference: np.ndarray) -> float:
-        # component by component: the maxima of the whole arrays, without their copies
-        pairs = list(zip(candidate.reshape((-1,) + state.grid.shape),
-                         reference.reshape((-1,) + state.grid.shape)))
-        peak = max(float(np.abs(r).max()) for _, r in pairs)
-        if peak == 0.0:
-            return 0.0
-        return max(float(np.abs(c - r).max()) for c, r in pairs) / peak
-
     return DensityCandidates(
         spin_density_full=spin_full,
         spin_density_upper=spin_upper,
@@ -504,9 +507,9 @@ def density_candidates(state: PhotonState, *, densities=None) -> DensityCandidat
         prob_density_lower=prob_lower,
         max_spin_integral_spread=spin_spread,
         max_prob_integral_spread=prob_spread,
-        spin_gap_upper=gap(spin_upper, spin_full),
-        spin_gap_lower=gap(spin_lower, spin_full),
-        spin_gap_kernel=gap(spin_kernel, spin_full),
-        prob_gap_upper=gap(prob_upper, prob_psi),
-        prob_gap_lower=gap(prob_lower, prob_psi),
+        spin_gap_upper=kgrid.relative_gap(spin_upper, spin_full),
+        spin_gap_lower=kgrid.relative_gap(spin_lower, spin_full),
+        spin_gap_kernel=kgrid.relative_gap(spin_kernel, spin_full),
+        prob_gap_upper=kgrid.relative_gap([prob_upper], [prob_psi]),
+        prob_gap_lower=kgrid.relative_gap([prob_lower], [prob_psi]),
     )

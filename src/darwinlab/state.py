@@ -103,12 +103,14 @@ class PhotonState:
     """Normalized (or deliberately unnormalized) positive-energy photon state.
 
     A state holds only what the amplitudes cannot give back: ``psi`` and the
-    ``scale_factor`` that normalization divided out.  ``norm``,
-    ``rqc_residual`` and ``psi_position`` are derived from ``psi`` on first
-    use and cached for as long as the state lives, so building a state
-    computes nothing and no stored copy can disagree with the payload.  The
-    payload is made read-only here, so no in-place operation can change it
-    under those cached values.
+    ``scale_factor`` that normalization divided out.  The payload scalars
+    ``norm`` and ``rqc_residual`` are derived from ``psi`` on first use and
+    cached for as long as the state lives, so building a state computes
+    nothing and no stored copy can disagree with the payload.  Arrays derived
+    from it, such as the position transform, are kept by the memo of
+    :mod:`darwinlab.observables`, which also decides when they are released.
+    The payload is made read-only here, so no in-place operation can change
+    it under those cached values.
     """
 
     psi: Field
@@ -136,24 +138,6 @@ class PhotonState:
     def rqc_residual(self) -> float:
         """Transversality residual of the payload; see transversality_residual."""
         return transversality_residual(self.psi)
-
-    @cached_property
-    def psi_position(self) -> Field:
-        """Position transform of the six-component psi, computed on first use.
-
-        It is kept (read-only) for as long as the state lives, or until
-        :meth:`drop_position`, so every position-space observable of one state
-        shares a single transform; the sqrt(2)-scaled slices [:3] and [3:] are
-        the block transforms.
-        """
-        pos = kgrid.to_position(self.psi)
-        pos.values.flags.writeable = False
-        return pos
-
-    def drop_position(self) -> None:
-        """Free the cached position transform (25 MB at n = 64) once nothing
-        more reads it; a later use would compute it again."""
-        vars(self).pop("psi_position", None)
 
     def f_upper(self) -> np.ndarray:
         """Upper 3-block amplitude (the sqrt(2) block split is undone)."""

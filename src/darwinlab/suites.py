@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, dynamics, fieldbridge, observables
+from . import algebra, dynamics, fieldbridge, kgrid, observables
 from .kgrid import KGrid
 from .state import PhotonState, branch_residual
 
@@ -68,12 +68,11 @@ SUITE_NAMES = (
 )
 
 # `dpl check` runs these two groups in two processes (cli._run_suite_groups).
-# The split follows what one state caches: the memo suites share
-# PhotonState.psi_position, the observables memo and the position
-# cross-density pair that run_suites hands from spin-equalities to densities,
-# so they stay together and compute each of those once.  The other suites
-# read none of them; each makes its own transforms, so running them apart
-# computes nothing twice.
+# The split follows what one state caches: the memo suites share the
+# observables memo (the position transform, the position cross-density pair
+# and the routes built on them), so they stay together and compute each of
+# those once.  The other suites read none of them; each makes its own
+# transforms, so running them apart computes nothing twice.
 MEMO_SUITES = ("spin-equalities", "oam", "probability", "densities", "conservation")
 OWN_TRANSFORM_SUITES = ("algebra", "constraint", "maxwell", "fieldbridge", "kernels")
 
@@ -166,9 +165,9 @@ def suite_constraint(state: PhotonState, tolerances=None) -> SuiteReport:
     return rep
 
 
-def suite_spin_equalities(state: PhotonState, tolerances=None, densities=None) -> SuiteReport:
+def suite_spin_equalities(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("spin-equalities")
-    report = observables.observable_report(state, densities=densities)
+    report = observables.observable_report(state)
     rep.add("spin_equalities", report.max_spin_discrepancy, _tol(tolerances, "spin_equalities"),
             info="; ".join(f"{k}={np.array2string(v, precision=6)}" for k, v in report.spin.items()))
     rep.add("spin_imag_residue", report.max_imag_residue, _tol(tolerances, "spin_imag_residue"))
@@ -196,9 +195,9 @@ def suite_probability(state: PhotonState, tolerances=None) -> SuiteReport:
     return rep
 
 
-def suite_densities(state: PhotonState, tolerances=None, densities=None) -> SuiteReport:
+def suite_densities(state: PhotonState, tolerances=None) -> SuiteReport:
     rep = SuiteReport("densities")
-    dc = observables.density_candidates(state, densities=densities)
+    dc = observables.density_candidates(state)
     rep.add("density_integral_spread",
             max(dc.max_spin_integral_spread, dc.max_prob_integral_spread),
             _tol(tolerances, "density_integral_spread"))
@@ -253,12 +252,9 @@ def suite_fieldbridge(state: PhotonState, tolerances=None) -> SuiteReport:
         # (not solenoidal, or a DC part): the roundtrip has no value and fails
         rep.add("classical_roundtrip", float("nan"), None, info=str(exc))
     else:
-        # component by component: the maxima of the whole arrays, without their copies
-        peak = max(float(np.abs(c).max()) for c in state.psi.values)
-        error = max(float(np.abs(b - c).max()) for b, c in zip(back.psi.values, state.psi.values))
         # an all-zero payload comes back as zeros: no error, the zero-peak rule
         # of dirac_residual and maxwell_residual
-        roundtrip = error / peak if peak > 0.0 else 0.0
+        roundtrip = kgrid.relative_gap(back.psi.values, state.psi.values)
         rep.add("classical_roundtrip", roundtrip, _tol(tolerances, "classical_roundtrip"))
         del back  # freed before the nonlocal relation check allocates its routes
 
@@ -307,26 +303,22 @@ _POSITION_SUITES = ("spin-equalities", "oam", "probability", "densities")
 def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) -> list[SuiteReport]:
     """Run the named suites in order.
 
-    The position-block cross densities that spin-equalities and densities
-    both integrate are made once, when the first of them asks for them after
-    its other routes are done.  After the last suite that reads position
-    space they are dropped, and so is the state's position transform, so the
-    suites after it (conservation, in the default order) never hold them.
+    The position transform and the position cross-density pair live in the
+    observables memo, so each is made once, when a suite first reads it.
+    After the last suite that reads position space (or before the first
+    suite, when none is requested) both are released, having first taken
+    the probability that conservation reads at the state's own time, so
+    the suites after it (conservation, in the default order) never hold
+    them.  An order with a position suite after conservation keeps the
+    transform through conservation, as one transform serves both.
     """
-    shared: dict[str, tuple] = {}
-
-    def densities():
-        if "position" not in shared:
-            shared["position"] = observables.position_densities(state)
-        return shared["position"]
-
     runners = {
         "algebra": lambda: suite_algebra(tolerances),
         "constraint": lambda: suite_constraint(state, tolerances),
-        "spin-equalities": lambda: suite_spin_equalities(state, tolerances, densities),
+        "spin-equalities": lambda: suite_spin_equalities(state, tolerances),
         "oam": lambda: suite_oam(state, tolerances),
         "probability": lambda: suite_probability(state, tolerances),
-        "densities": lambda: suite_densities(state, tolerances, densities),
+        "densities": lambda: suite_densities(state, tolerances),
         "maxwell": lambda: suite_maxwell(state, tolerances),
         "conservation": lambda: suite_conservation(state, times, tolerances),
         "fieldbridge": lambda: suite_fieldbridge(state, tolerances),
@@ -336,11 +328,11 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     last_position_suite = max((i for i, n in enumerate(names) if n in _POSITION_SUITES),
                               default=-1)
     reports = []
-    for i, name in enumerate(names):
-        reports.append(runners[name]())
+    for i in range(-1, len(names)):  # -1: before the first suite
+        if i >= 0:
+            reports.append(runners[names[i]]())
         if i == last_position_suite:
-            shared.clear()
             if "conservation" in names[i + 1:] and any(float(t) == state.time for t in times):
                 observables.probability(state)  # read by its sample at the state's own time
-            state.drop_position()
+            observables.drop_position(state)
     return reports

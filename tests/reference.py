@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from darwinlab import kgrid
+from darwinlab import kgrid, observables
 from darwinlab.algebra import _check_wavevector, helicity_vectors
 from darwinlab.dynamics import default_maxwell_dt
 from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical
@@ -79,9 +79,9 @@ def spin_cross(state: PhotonState, block: str = "upper") -> np.ndarray:
 
 def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
     """<spin> = -i integral F* x F d3x over a single block, position space."""
-    pos = state.psi_position
-    F = np.sqrt(2.0) * (pos.values[:3] if block == "upper" else pos.values[3:])
-    return _block_spin(F, pos.measure)
+    pos = observables.psi_position(state)
+    F = np.sqrt(2.0) * (pos[:3] if block == "upper" else pos[3:])
+    return _block_spin(F, state.grid.dx**3)
 
 
 # -- observables: the routes on whole arrays, as they were before they worked
@@ -92,7 +92,7 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     (whole conjugate and derivative blocks), the canonical momentum density
     and the position-block cross densities, each over whole arrays."""
     g = state.grid
-    psi, pos = state.psi.values, state.psi_position.values
+    psi, pos = state.psi.values, observables.psi_position(state)
     out = {}
 
     chi = np.empty_like(psi)
@@ -223,10 +223,10 @@ def four_current(state: PhotonState) -> CurrentField:
     On the block split the spatial part reduces to cross products:
     j = 2 Re(Psi_u* x Psi_l), with Psi_u, Psi_l the (1/sqrt 2)-scaled blocks.
     """
-    pos = state.psi_position
-    upper = pos.values[:3]
-    lower = pos.values[3:]
-    j0 = np.sum(np.abs(pos.values) ** 2, axis=0)
+    pos = observables.psi_position(state)
+    upper = pos[:3]
+    lower = pos[3:]
+    j0 = np.sum(np.abs(pos) ** 2, axis=0)
     j = 2.0 * np.real(kgrid.cross(np.conj(upper), lower))
     return CurrentField(j0=j0, j=j, grid=state.grid, time=state.time)
 

@@ -1,7 +1,10 @@
+import functools
+import inspect
+
 import numpy as np
 import pytest
 
-from darwinlab import ModeSpec, kgrid, synthesize
+from darwinlab import ModeSpec, kgrid, observables, synthesize
 from darwinlab.algebra import build_gamma_set
 from darwinlab.dynamics import evolve
 from darwinlab.kgrid import (
@@ -21,8 +24,8 @@ from darwinlab.observables import (
     observable_report,
     position_densities,
     probability,
+    psi_position,
     spin_canonical,
-    spin_canonical_alone,
     spin_projected,
 )
 from darwinlab.state import PhotonState
@@ -206,12 +209,12 @@ class TestOam:
 
     def test_repeated_evaluation_is_shared_and_read_only(self, g32):
         st = self.ring(g32, 1)
-        assert st.psi_position is st.psi_position
+        assert psi_position(st) is psi_position(st)
         assert oam_position(st) is oam_position(st)
         assert oam_momentum(st) is oam_momentum(st)
         assert nonlocal_spin_density(st) is nonlocal_spin_density(st)
         assert probability(st) is probability(st)  # observable_report, its suite, conservation at t=0
-        for shared in (st.psi_position.values, oam_position(st), nonlocal_spin_density(st)[0]):
+        for shared in (psi_position(st), oam_position(st), nonlocal_spin_density(st)[0]):
             assert not shared.flags.writeable
 
 
@@ -225,12 +228,46 @@ def test_routes_are_bitwise_their_whole_array_forms(two_direction_state, time):
     assert s.tobytes() == ref["nonlocal"].tobytes()
     assert oam_momentum(st).tobytes() == ref["oam_momentum"].tobytes()
     assert oam_position(st).tobytes() == ref["oam_position"].tobytes()
-    assert np.stack(_canonical_density(st)).tobytes() == ref["canonical"].tobytes()
+    assert np.stack(_canonical_density(st)[0]).tobytes() == ref["canonical"].tobytes()
     (real_u, sums_u), (real_l, sums_l) = position_densities(st)
     for real, sums, name in ((real_u, sums_u, "position_upper"), (real_l, sums_l, "position_lower")):
         assert real.tobytes() == ref[name].real.tobytes()
         assert sums.tobytes() == np.sum(ref[name], axis=(1, 2, 3)).tobytes()
-    assert spin_canonical_alone(st).tobytes() == spin_canonical(st).tobytes()
+
+
+class TestPositionOwnership:
+    def test_report_and_candidates_share_one_position_pair(self, two_direction_state, monkeypatch):
+        # two momentum- and two position-block densities; the candidates reuse
+        # the report's position pair instead of making their own
+        calls = []
+        original = observables._cross_density
+
+        def counted(f):
+            calls.append(1)
+            return original(f)
+
+        monkeypatch.setattr(observables, "_cross_density", counted)
+        st = PhotonState(two_direction_state.psi)  # a fresh memo
+        observable_report(st)
+        density_candidates(st)
+        assert len(calls) == 4
+
+    def test_release_survives_rebound_routes(self, two_direction_state, monkeypatch):
+        # a tracer rebinds every public route of the module with a
+        # functools.wraps wrapper; the release must find the entries anyway
+        for name, fn in list(vars(observables).items()):
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == observables.__name__):
+                wrapper = functools.wraps(fn)(lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
+                monkeypatch.setattr(observables, name, wrapper)
+        st = PhotonState(two_direction_state.psi)
+        observables.observable_report(st)
+        pos, pair = observables.psi_position(st), observables.position_densities(st)
+        observables.drop_position(st)
+        kept = vars(st)["_observables_memo"].values()
+        assert not any(value is pos or value is pair for value in kept)
+        assert observables.psi_position(st) is not pos
+        assert observables.position_densities(st) is not pair
 
 
 class TestProbability:

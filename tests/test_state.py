@@ -1,9 +1,10 @@
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from darwinlab import ModeSpec, kgrid, synthesize
+from darwinlab import ModeSpec, kgrid, observables, synthesize
 from darwinlab import state as state_module
 from darwinlab.algebra import helicity_vectors
 from darwinlab.kgrid import momentum_field, norm_squared, to_position
@@ -66,6 +67,12 @@ class TestDerivedValues:
         assert counted == {"norm_squared": 0, "transversality_residual": 0}
         assert [f.name for f in dataclasses.fields(st)] == ["psi", "scale_factor"]
 
+    def test_only_payload_scalars_are_cached(self):
+        # arrays derived from the payload belong to the observables memo
+        cached = [name for name, attr in vars(PhotonState).items()
+                  if isinstance(attr, cached_property)]
+        assert cached == ["norm", "rqc_residual"]
+
     def test_each_value_computed_once(self, counted, helicity_state):
         st = PhotonState(helicity_state.psi)
         for _ in range(3):
@@ -78,14 +85,14 @@ class TestDerivedValues:
         # an in-place transform handed the payload would leave every cached
         # value describing amplitudes the state no longer holds
         st = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=1.0, helicity=1)], g16)
-        norm, pos = st.norm, st.psi_position
+        norm, pos = st.norm, observables.psi_position(st)
         before = st.psi.values.copy()
         with pytest.raises(ValueError, match="read-only"):
             to_position(st.psi, overwrite=True)
         assert np.array_equal(st.psi.values, before)
         assert norm_squared(st.psi) == norm == st.norm
-        assert st.psi_position is pos
-        assert np.array_equal(pos.values, to_position(st.psi).values)
+        assert observables.psi_position(st) is pos
+        assert np.array_equal(pos, to_position(st.psi).values)
 
 
 class TestModeSpec:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darwinlab import KGrid, ModeSpec, algebra, dynamics, kgrid, observables, suites, synthesize
+from darwinlab import KGrid, ModeSpec, algebra, dynamics, observables, suites, synthesize
 from darwinlab.state import transversality_residual
 from reference import spin_cross, spin_position
 
@@ -112,37 +112,26 @@ class TestPerStateEvaluation:
         ["oam", "conservation"],
         ["densities", "conservation", "probability"],
         ["conservation", "spin-equalities"],
+        ["conservation"],
     ])
     def test_position_transform_once_and_dropped_after_use(self, monkeypatch, names):
         # conservation's sample at the state's own time reads the probability,
         # so it is taken before the transform is dropped, never after
         state = _two_mode_state()
         calls = []
-        original = kgrid.to_position
+        original = observables.to_position
 
         def counted(field, **kwargs):
             calls.append(field is state.psi)
             return original(field, **kwargs)
 
-        monkeypatch.setattr(kgrid, "to_position", counted)
+        monkeypatch.setattr(observables, "to_position", counted)
         suites.run_suites(names, state)
         assert calls.count(True) == 1
-        assert "psi_position" not in vars(state)
-
-    def test_evolved_samples_compute_only_the_canonical_spin(self, monkeypatch):
-        # the four momentum spin routes run once, on the checked state; at the
-        # other two sampled times conservation reads the canonical route alone
-        calls = []
-        original = observables._canonical_density
-
-        def counted(state, block_sums=None):
-            calls.append("all routes" if block_sums is not None else "canonical alone")
-            return original(state, block_sums)
-
-        monkeypatch.setattr(observables, "_canonical_density", counted)
-        reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
-        assert all(r.passed for r in reports)
-        assert sorted(calls) == ["all routes", "canonical alone", "canonical alone"]
+        memo = vars(state).get("_observables_memo", {})
+        assert not {"psi_position", "position_densities"} & set(memo)
+        observables.psi_position(state)  # released: a later use transforms again
+        assert calls.count(True) == 2
 
     def test_shared_values_equal_standalone_functions(self):
         reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
