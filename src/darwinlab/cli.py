@@ -110,9 +110,12 @@ def parse_config(cfg: dict):
     grid_cfg = cfg["grid"]
     if not isinstance(grid_cfg, dict) or set(grid_cfg) - {"n", "dk"}:
         raise ConfigError("$.grid: must contain exactly n and dk")
+    n = grid_cfg.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigError("$.grid.n: must be an integer")
     try:
-        grid = KGrid(n=int(grid_cfg["n"]), dk=float(grid_cfg["dk"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        grid = KGrid(n=n, dk=_number(grid_cfg.get("dk"), "$.grid.dk"))
+    except ValueError as exc:
         raise ConfigError(f"$.grid: {exc}") from exc
 
     if not isinstance(cfg["modes"], list) or not cfg["modes"]:

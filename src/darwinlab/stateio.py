@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 import tempfile
@@ -44,6 +45,19 @@ class StateFileError(Exception):
 def _payload_bytes(state: PhotonState) -> bytes:
     # (c, x, y, z) in Fortran order is component fastest, then x, y, z
     return state.psi.values.astype("<c16", copy=False).tobytes(order="F")
+
+
+def _header_int(value, key: str, path) -> int:
+    # equality alone lets True and 16.0 through: True == 1, 16.0 == 16
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StateFileError(f"{path}: header {key} {value!r} is not an integer")
+    return value
+
+
+def _header_real(value, key: str, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise StateFileError(f"{path}: header {key} {value!r} is not a number")
+    return float(value)
 
 
 def write_atomic(path, *chunks: bytes) -> None:
@@ -83,7 +97,9 @@ def read_state(path) -> tuple[PhotonState, dict]:
 
     Raises StateFileError for every malformed, truncated or corrupted file,
     for a format other than FORMAT_VERSION, for invalid or non-finite header
-    values, for a time t with k_max |t| not finite (KGrid.time_in_range),
+    values (the format, grid size and checksum must be integers, the grid
+    spacing, time and scale factor numbers, and none of them a boolean), for
+    a time t with k_max |t| not finite (KGrid.time_in_range),
     for a unit record other than natural units and for a payload
     whose total probability is not finite (finite amplitudes can overflow it).
     The payload is read through a view of the file's bytes, never sliced out
@@ -104,22 +120,25 @@ def read_state(path) -> tuple[PhotonState, dict]:
     if not isinstance(header, dict):
         raise StateFileError(f"{path}: header is not a JSON object")
 
-    if header.get("format") != FORMAT_VERSION:
-        raise StateFileError(f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION}")
+    fmt = header.get("format")
+    if isinstance(fmt, bool) or not isinstance(fmt, int) or fmt != FORMAT_VERSION:
+        raise StateFileError(f"{path}: format {fmt!r} is not {FORMAT_VERSION}")
     payload = raw[hstart + hlen :]
     try:
-        grid = KGrid(n=int(header["grid"]["n"]), dk=float(header["grid"]["dk"]))
+        grid = KGrid(n=_header_int(header["grid"]["n"], "grid.n", path),
+                     dk=_header_real(header["grid"]["dk"], "grid.dk", path))
         expect = grid.n**3 * 6 * 16
         if len(payload) != expect:
             raise StateFileError(
                 f"{path}: payload length {len(payload)} != expected {expect} for n={grid.n}"
             )
-        if zlib.crc32(payload) & 0xFFFFFFFF != int(header["payload_crc32"]):
+        crc = _header_int(header["payload_crc32"], "payload_crc32", path)
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise StateFileError(f"{path}: payload checksum mismatch")
         if header["units"] != NATURAL_UNITS:
             raise StateFileError(f"{path}: units {header['units']} are not natural units")
-        time = float(header.get("time", 0.0))
-        scale_factor = float(header.get("scale_factor", 1.0))
+        time = _header_real(header.get("time", 0.0), "time", path)
+        scale_factor = _header_real(header.get("scale_factor", 1.0), "scale_factor", path)
         if not math.isfinite(scale_factor):
             raise StateFileError(f"{path}: non-finite scale factor {scale_factor}")
         if not grid.time_in_range(time):

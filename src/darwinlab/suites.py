@@ -1,19 +1,19 @@
 """Named verification suites run by the command-line ``check`` command.
 
-Each suite is a list of CheckResult rows: a measured number, the tolerance it
-was held to, and the verdict.  Matrix-level suites draw their random
-wavevectors from a seeded generator so reports are reproducible; the seed is
-recorded in the report.
+Each suite returns its rows as (name, value) or (name, value, info) tuples,
+and `run_suites` holds every row to its tolerance (`_check`), giving a
+CheckResult: the measured number, its tolerance and the verdict.  Matrix-level
+suites draw their random wavevectors from a seeded generator so reports are
+reproducible; the seed is recorded in the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, dynamics, fieldbridge, kgrid, observables
-from .kgrid import KGrid
 from .state import PhotonState, branch_residual
 
 DEFAULT_SEED = 20320
@@ -54,18 +54,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "kernel_transform": 0.05,
 }
 
-SUITE_NAMES = (
-    "algebra",
-    "constraint",
-    "spin-equalities",
-    "oam",
-    "probability",
-    "densities",
-    "maxwell",
-    "conservation",
-    "fieldbridge",
-    "kernels",
-)
+SUITE_NAMES = ("algebra", "constraint", "spin-equalities", "oam", "probability", "densities",
+               "maxwell", "conservation", "fieldbridge", "kernels")
 
 # `dpl check` runs these two groups in two processes (cli._run_suite_groups).
 # The split follows what one state caches: the memo suites share the
@@ -89,23 +79,33 @@ class CheckResult:
 @dataclass
 class SuiteReport:
     suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, value: float, tolerance: float | None, info: str = "") -> None:
-        """Append a row; a NaN value fails whatever its tolerance."""
-        value = float(value)
-        ok = value == value and (tolerance is None or value <= tolerance)
-        self.checks.append(CheckResult(name, value, tolerance, ok, info))
+
+# rows whose tolerance key is not their own name
+_ROW_KEYS = {"kernel_half_power": "kernel_transform", "kernel_inverse_k": "kernel_transform"}
 
 
-def _tol(overrides: dict[str, float] | None, key: str) -> float:
-    if overrides and key in overrides:
-        return float(overrides[key])
-    return DEFAULT_TOLERANCES[key]
+def _check(tolerances, name: str, value, info: str = "") -> CheckResult:
+    """A suite's row (name, value[, info]) with its tolerance and verdict.
+
+    The row's tolerance key is its name, or its `_ROW_KEYS` entry, and its
+    tolerance is the override for that key, else the key's default.  A name
+    with no key is an info-only row.  A value of None, which the suite could
+    not compute, is NaN with no tolerance.  A NaN fails whatever its tolerance.
+    """
+    key = _ROW_KEYS.get(name, name)
+    if value is None or key not in DEFAULT_TOLERANCES:
+        tolerance = None
+    else:
+        tolerance = float((tolerances or {}).get(key, DEFAULT_TOLERANCES[key]))
+    value = float("nan") if value is None else float(value)
+    passed = value == value and (tolerance is None or value <= tolerance)
+    return CheckResult(name, value, tolerance, passed, info)
 
 
 def _random_wavevectors(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -115,13 +115,12 @@ def _random_wavevectors(rng: np.random.Generator, count: int) -> np.ndarray:
     return k
 
 
-def suite_algebra(tolerances=None) -> SuiteReport:
-    rep = SuiteReport("algebra")
+def suite_algebra(state: PhotonState, times) -> list:
     rng = np.random.default_rng(DEFAULT_SEED)
 
     identities = algebra.verify_matrix_identities()
-    rep.add("matrix_identities", max(identities.values()), _tol(tolerances, "matrix_identities"),
-            info=", ".join(f"{k}={v:.1e}" for k, v in identities.items()))
+    rows = [("matrix_identities", max(identities.values()),
+             ", ".join(f"{k}={v:.1e}" for k, v in identities.items()))]
 
     worst_spec = 0.0
     for _ in range(16):
@@ -129,11 +128,10 @@ def suite_algebra(tolerances=None) -> SuiteReport:
         n /= np.linalg.norm(n)
         spec = algebra.spin_direction_spectrum(n)
         worst_spec = max(worst_spec, float(np.abs(spec - [-1, -1, 0, 0, 1, 1]).max()))
-    rep.add("spin_spectrum", worst_spec, _tol(tolerances, "spin_spectrum"))
+    rows.append(("spin_spectrum", worst_spec))
 
     ks = _random_wavevectors(rng, N_RANDOM_WAVEVECTORS)
-    worst_comm = max(algebra.commutator_h_spin_residual(k) for k in ks)
-    rep.add("h_spin_commutator", worst_comm, _tol(tolerances, "h_spin_commutator"))
+    rows.append(("h_spin_commutator", max(algebra.commutator_h_spin_residual(k) for k in ks)))
 
     worst_proj = 0.0
     for k in ks:
@@ -143,17 +141,12 @@ def suite_algebra(tolerances=None) -> SuiteReport:
             worst_proj = max(worst_proj, float(np.abs(h @ s[i] - s[i] @ h).max()))
             for j in range(i + 1, 3):
                 worst_proj = max(worst_proj, float(np.abs(s[i] @ s[j] - s[j] @ s[i]).max()))
-    rep.add("projected_spin_commutators", worst_proj, _tol(tolerances, "projected_spin_commutators"))
-    return rep
+    rows.append(("projected_spin_commutators", worst_proj))
+    return rows
 
 
-def suite_constraint(state: PhotonState, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("constraint")
+def suite_constraint(state: PhotonState, times) -> list:
     rng = np.random.default_rng(DEFAULT_SEED)
-
-    rep.add("transversality", state.rqc_residual, _tol(tolerances, "transversality"))
-    rep.add("branch_coupling", branch_residual(state), _tol(tolerances, "branch_coupling"))
-
     gamma = algebra.build_gamma_set().gamma
     worst = 0.0
     for k in _random_wavevectors(rng, N_RANDOM_WAVEVECTORS):
@@ -161,125 +154,104 @@ def suite_constraint(state: PhotonState, tolerances=None) -> SuiteReport:
         proj = algebra.transverse_projector(k)
         k2 = float(k @ k)
         worst = max(worst, float(np.abs((gk @ gk - k2 * np.eye(6)) @ proj).max()) / k2)
-    rep.add("rqc_projector_identity", worst, _tol(tolerances, "rqc_projector_identity"))
-    return rep
+    return [("transversality", state.rqc_residual),
+            ("branch_coupling", branch_residual(state)),
+            ("rqc_projector_identity", worst)]
 
 
-def suite_spin_equalities(state: PhotonState, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("spin-equalities")
+def suite_spin_equalities(state: PhotonState, times) -> list:
     report = observables.observable_report(state)
-    rep.add("spin_equalities", report.max_spin_discrepancy, _tol(tolerances, "spin_equalities"),
-            info="; ".join(f"{k}={np.array2string(v, precision=6)}" for k, v in report.spin.items()))
-    rep.add("spin_imag_residue", report.max_imag_residue, _tol(tolerances, "spin_imag_residue"))
-    return rep
+    return [("spin_equalities", report.max_spin_discrepancy,
+             "; ".join(f"{k}={np.array2string(v, precision=6)}" for k, v in report.spin.items())),
+            ("spin_imag_residue", report.max_imag_residue)]
 
 
-def suite_oam(state: PhotonState, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("oam")
+def suite_oam(state: PhotonState, times) -> list:
     l_mom = observables.oam_momentum(state)
     l_pos = observables.oam_position(state)
     gap = float(np.abs(l_mom - l_pos).max()) / max(1.0, float(np.abs(l_mom).max()))
-    rep.add("oam_formula_gap", gap, _tol(tolerances, "oam_formula_gap"),
-            info=f"momentum={np.array2string(l_mom, precision=6)} position={np.array2string(l_pos, precision=6)}")
-    ratio = observables.oam_boundary_ratio(state)
-    rep.add("oam_boundary_ratio", ratio, None, info="warning only; gradients unreliable above 1e-8")
-    return rep
+    return [("oam_formula_gap", gap, f"momentum={np.array2string(l_mom, precision=6)} "
+                                     f"position={np.array2string(l_pos, precision=6)}"),
+            ("oam_boundary_ratio", observables.oam_boundary_ratio(state),
+             "warning only; gradients unreliable above 1e-8")]
 
 
-def suite_probability(state: PhotonState, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("probability")
+def suite_probability(state: PhotonState, times) -> list:
     p_psi, p_up, p_low = observables.probability(state)
     spread = max(abs(p_psi - p_up), abs(p_psi - p_low), abs(p_up - p_low))
-    rep.add("probability_equality", spread, _tol(tolerances, "probability_equality"),
-            info=f"psi={p_psi:.12f} upper={p_up:.12f} lower={p_low:.12f}")
-    return rep
+    return [("probability_equality", spread,
+             f"psi={p_psi:.12f} upper={p_up:.12f} lower={p_low:.12f}")]
 
 
-def suite_densities(state: PhotonState, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("densities")
+def suite_densities(state: PhotonState, times) -> list:
     dc = observables.density_candidates(state)
-    rep.add("density_integral_spread",
-            max(dc.max_spin_integral_spread, dc.max_prob_integral_spread),
-            _tol(tolerances, "density_integral_spread"))
     _, nl = observables.nonlocal_spin_density(state)
-    rep.add("kernel_density_integral", nl["integral_vs_projected"],
-            _tol(tolerances, "kernel_density_integral"))
-    rep.add("spin_density_gap_upper", dc.spin_gap_upper, None,
-            info="normalized pointwise gap; nonzero certifies candidate inequality")
-    rep.add("spin_density_gap_lower", dc.spin_gap_lower, None)
-    rep.add("spin_density_gap_kernel", dc.spin_gap_kernel, None)
-    rep.add("prob_density_gap_upper", dc.prob_gap_upper, None)
-    rep.add("prob_density_gap_lower", dc.prob_gap_lower, None)
-    return rep
+    return [("density_integral_spread", max(dc.max_spin_integral_spread, dc.max_prob_integral_spread)),
+            ("kernel_density_integral", nl["integral_vs_projected"]),
+            ("spin_density_gap_upper", dc.spin_gap_upper,
+             "normalized pointwise gap; nonzero certifies candidate inequality"),
+            ("spin_density_gap_lower", dc.spin_gap_lower),
+            ("spin_density_gap_kernel", dc.spin_gap_kernel),
+            ("prob_density_gap_upper", dc.prob_gap_upper),
+            ("prob_density_gap_lower", dc.prob_gap_lower)]
 
 
-def suite_maxwell(state: PhotonState, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("maxwell")
-    rep.add("dirac_residual", dynamics.dirac_residual(state), _tol(tolerances, "dirac_residual"))
+def suite_maxwell(state: PhotonState, times) -> list:
+    rows = [("dirac_residual", dynamics.dirac_residual(state))]
     mr = dynamics.maxwell_residual(state)
-    rep.add("maxwell_residual", mr.curl_residual, _tol(tolerances, "maxwell_residual"),
-            info=f"dt={mr.dt:.3e}")
-    rep.add("maxwell_divergence", mr.divergence_residual, _tol(tolerances, "maxwell_divergence"))
-    return rep
+    return rows + [("maxwell_residual", mr.curl_residual, f"dt={mr.dt:.3e}"),
+                   ("maxwell_divergence", mr.divergence_residual)]
 
 
-def suite_conservation(state: PhotonState, times=DEFAULT_TIMES, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("conservation")
+def suite_conservation(state: PhotonState, times) -> list:
     cons = dynamics.continuity_and_conservation(state, times)
-    rep.add("probability_drift", cons.probability_drift, _tol(tolerances, "probability_drift"),
-            info=f"times={list(cons.times)}")
-    rep.add("spin_drift", cons.spin_drift, _tol(tolerances, "spin_drift"))
     # the OAM route peels the phase off before its k-gradient, which fails
     # where the phase has lost its precision: those rows name the times
     k_max = float(state.grid.k_max)
     lost = "; ".join(
         f"t={t:.6g}: k_max|t|={k_max * abs(t):.3g} >= 2^53, so the phase exp(-i|k|t) "
         "has lost its precision" for t in cons.times if k_max * abs(t) >= PHASE_PRECISION_LIMIT)
-    rep.add("oam_drift", cons.oam_drift, _tol(tolerances, "oam_drift"), info=lost)
-    rep.add("total_angular_momentum_drift", cons.total_drift,
-            _tol(tolerances, "total_angular_momentum_drift"), info=lost)
-    rep.add("norm_drift", cons.norm_drift, _tol(tolerances, "norm_drift"))
-    return rep
+    return [("probability_drift", cons.probability_drift, f"times={list(cons.times)}"),
+            ("spin_drift", cons.spin_drift),
+            ("oam_drift", cons.oam_drift, lost),
+            ("total_angular_momentum_drift", cons.total_drift, lost),
+            ("norm_drift", cons.norm_drift)]
 
 
-def suite_fieldbridge(state: PhotonState, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("fieldbridge")
+def suite_fieldbridge(state: PhotonState, times) -> list:
     cf = fieldbridge.classical_from_state(state)
     try:
         back = fieldbridge.state_from_classical(cf)
     except ValueError as exc:
         # a state off the constraint has classical data the bridge rejects
         # (not solenoidal, or a DC part): the roundtrip has no value and fails
-        rep.add("classical_roundtrip", float("nan"), None, info=str(exc))
+        rows = [("classical_roundtrip", None, str(exc))]
     else:
         # an all-zero payload comes back as zeros: no error, the zero-peak rule
         # of dirac_residual and maxwell_residual
-        roundtrip = kgrid.relative_gap(back.psi.values, state.psi.values)
-        rep.add("classical_roundtrip", roundtrip, _tol(tolerances, "classical_roundtrip"))
+        rows = [("classical_roundtrip", kgrid.relative_gap(back.psi.values, state.psi.values))]
         del back  # freed before the nonlocal relation check allocates its routes
 
     # computed once, by the bridge's validation
-    rep.add("hermitian_symmetry", max(cf.hermitian_residuals), _tol(tolerances, "hermitian_symmetry"))
+    rows.append(("hermitian_symmetry", max(cf.hermitian_residuals)))
 
     nl = fieldbridge.nonlocal_relation_check(cf)
-    rep.add("real_part_identity", max(nl.e_real_part_residual, nl.h_real_part_residual),
-            _tol(tolerances, "real_part_identity"))
-    rep.add("nonlocal_route_gap", nl.combined, _tol(tolerances, "nonlocal_route_gap"))
-    return rep
+    return rows + [("real_part_identity", max(nl.e_real_part_residual, nl.h_real_part_residual)),
+                   ("nonlocal_route_gap", nl.combined)]
 
 
-def suite_kernels(grid: KGrid, tolerances=None) -> SuiteReport:
-    rep = SuiteReport("kernels")
+def suite_kernels(state: PhotonState, times) -> list:
+    rows = []
     for kind in fieldbridge.KERNEL_KINDS:
         try:
-            result = fieldbridge.kernel_pair_check(kind, grid)
+            result = fieldbridge.kernel_pair_check(kind, state.grid)
         except ValueError as exc:
-            rep.add(f"kernel_{kind}", float("nan"), None, info=str(exc))
+            rows.append((f"kernel_{kind}", None, str(exc)))
             continue
-        rep.add(f"kernel_{kind}", result.max_rel_error, _tol(tolerances, "kernel_transform"),
-                info=f"shell=[{result.k_low:.3g},{result.k_high:.3g}] "
-                     f"vs_analytic={result.max_rel_error_analytic:.3g} (window-truncation limited)")
-    return rep
+        rows.append((f"kernel_{kind}", result.max_rel_error,
+                     f"shell=[{result.k_low:.3g},{result.k_high:.3g}] "
+                     f"vs_analytic={result.max_rel_error_analytic:.3g} (window-truncation limited)"))
+    return rows
 
 
 class UnknownSuiteError(ValueError):
@@ -312,25 +284,20 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     them.  An order with a position suite after conservation keeps the
     transform through conservation, as one transform serves both.
     """
-    runners = {
-        "algebra": lambda: suite_algebra(tolerances),
-        "constraint": lambda: suite_constraint(state, tolerances),
-        "spin-equalities": lambda: suite_spin_equalities(state, tolerances),
-        "oam": lambda: suite_oam(state, tolerances),
-        "probability": lambda: suite_probability(state, tolerances),
-        "densities": lambda: suite_densities(state, tolerances),
-        "maxwell": lambda: suite_maxwell(state, tolerances),
-        "conservation": lambda: suite_conservation(state, times, tolerances),
-        "fieldbridge": lambda: suite_fieldbridge(state, tolerances),
-        "kernels": lambda: suite_kernels(state.grid, tolerances),
-    }
+    # the module's bindings at call time, so a rebound suite_<name> runs
+    runners = {"algebra": suite_algebra, "constraint": suite_constraint,
+               "spin-equalities": suite_spin_equalities, "oam": suite_oam,
+               "probability": suite_probability, "densities": suite_densities,
+               "maxwell": suite_maxwell, "conservation": suite_conservation,
+               "fieldbridge": suite_fieldbridge, "kernels": suite_kernels}
     check_suite_names(names)
     last_position_suite = max((i for i, n in enumerate(names) if n in _POSITION_SUITES),
                               default=-1)
     reports = []
     for i in range(-1, len(names)):  # -1: before the first suite
         if i >= 0:
-            reports.append(runners[names[i]]())
+            rows = runners[names[i]](state, times)
+            reports.append(SuiteReport(names[i], [_check(tolerances, *row) for row in rows]))
         if i == last_position_suite:
             if "conservation" in names[i + 1:] and any(float(t) == state.time for t in times):
                 observables.probability(state)  # read by its sample at the state's own time

@@ -87,6 +87,12 @@ class TestBuild:
                      id="tolerance_string"),
         pytest.param({"modes": [dict(BASE_CONFIG["modes"][0], kind="vortex", vortex_charge="2")]},
                      "$.modes[0].vortex_charge", id="vortex_charge_string"),
+        # each grid case once built a state, the first at n=16
+        pytest.param({"grid": {"n": 16.9, "dk": 1.0}}, "$.grid.n", id="grid_n_fraction"),
+        pytest.param({"grid": {"n": "16", "dk": 1.0}}, "$.grid.n", id="grid_n_string"),
+        pytest.param({"grid": {"n": True, "dk": 1.0}}, "$.grid.n", id="grid_n_boolean"),
+        pytest.param({"grid": {"n": 16, "dk": "1.0"}}, "$.grid.dk", id="grid_dk_string"),
+        pytest.param({"grid": {"n": 16, "dk": True}}, "$.grid.dk", id="grid_dk_boolean"),
     ])
     def test_value_that_is_not_a_number_exits_2(self, tmp_path, capsys, change, path):
         config = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from darwinlab.fieldbridge import (
 )
 from darwinlab.dynamics import maxwell_residual
 from darwinlab.kgrid import to_position
-from darwinlab.suites import suite_fieldbridge
+from darwinlab.suites import run_suites
 from reference import classical_from_kspace, complex_pair, landau_peierls_transform
 
 
@@ -241,7 +241,8 @@ class TestComputedOnce:
 
     def test_each_hermitian_residual_once_per_suite(self, two_direction_state, monkeypatch):
         calls = self.counted(monkeypatch, "hermitian_symmetry_residual")
-        rows = {c.name: c for c in suite_fieldbridge(two_direction_state).checks}
+        (rep,) = run_suites(["fieldbridge"], two_direction_state)
+        rows = {c.name: c for c in rep.checks}
         assert len(calls) == 2  # eps_k and eta_k, shared by the validation and the row
         assert rows["hermitian_symmetry"].passed and rows["classical_roundtrip"].passed
 

@@ -140,6 +140,32 @@ def rewrite_payload(path, payload: bytes):
     path.write_bytes(_join(header, payload))
 
 
+# header numbers of the wrong type that equal or convert to the right
+# value: True == 1, int(32.5) == 32, float("0.5") == 0.5
+WRONG_TYPED_HEADERS = {
+    "format_true": lambda h: {"format": True},
+    "format_float": lambda h: {"format": 1.0},
+    "crc_string": lambda h: {"payload_crc32": str(h["payload_crc32"])},
+    "crc_fraction": lambda h: {"payload_crc32": h["payload_crc32"] + 0.5},
+    "grid_n_fraction": lambda h: {"grid": dict(h["grid"], n=h["grid"]["n"] + 0.5)},
+    "grid_n_string": lambda h: {"grid": dict(h["grid"], n=str(h["grid"]["n"]))},
+    "grid_dk_string": lambda h: {"grid": dict(h["grid"], dk="1.0")},
+    "grid_dk_true": lambda h: {"grid": dict(h["grid"], dk=True)},
+    "time_true": lambda h: {"time": True},
+    "time_string": lambda h: {"time": "0.5"},
+    "scale_factor_string": lambda h: {"scale_factor": "2"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_HEADERS))
+def test_header_number_of_the_wrong_type_is_an_integrity_error(state_file, case):
+    # each of these files once loaded
+    header, _ = _split(state_file.read_bytes())
+    rewrite_header(state_file, **WRONG_TYPED_HEADERS[case](header))
+    with pytest.raises(StateFileError, match="header|format"):
+        read_state(state_file)
+
+
 # physics keys that files written before they were derived still carry
 OLD_HEADER_CLAIMS = {"norm": 7, "rqc_residual": 0, "energy_sign": -1}
 

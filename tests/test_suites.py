@@ -1,21 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from darwinlab import KGrid, ModeSpec, algebra, dynamics, observables, suites, synthesize
 from darwinlab.state import transversality_residual
+from make_golden import golden_path
 from reference import spin_cross, spin_position
 
 
 class TestSuiteMachinery:
-    def test_algebra_suite_passes(self):
-        rep = suites.suite_algebra()
+    def test_algebra_suite_passes(self, helicity_state):
+        (rep,) = suites.run_suites(["algebra"], helicity_state)
         assert rep.passed
         names = [c.name for c in rep.checks]
         assert "matrix_identities" in names and "projected_spin_commutators" in names
 
-    def test_algebra_suite_deterministic(self):
-        a = suites.suite_algebra()
-        b = suites.suite_algebra()
+    def test_algebra_suite_deterministic(self, helicity_state):
+        (a,) = suites.run_suites(["algebra"], helicity_state)
+        (b,) = suites.run_suites(["algebra"], helicity_state)
         assert [c.value for c in a.checks] == [c.value for c in b.checks]
 
     def test_run_suites_rejects_unknown(self, helicity_state):
@@ -23,14 +26,17 @@ class TestSuiteMachinery:
             suites.run_suites(["algebra", "spectra"], helicity_state)
 
     def test_nan_row_fails_whatever_its_tolerance(self):
-        rep = suites.SuiteReport("rows")
-        rep.add("nan_checked", float("nan"), 1.0)
-        rep.add("nan_info_only", np.float64("nan"), None)
-        rep.add("info_only", 0.5, None)
-        assert [c.passed for c in rep.checks] == [False, False, True]
+        rows = [suites._check({"transversality": 1.0}, "transversality", float("nan")),
+                suites._check(None, "classical_roundtrip", None, "no value"),
+                suites._check(None, "oam_boundary_ratio", np.float64("nan")),
+                suites._check(None, "oam_boundary_ratio", 0.5)]
+        assert [c.passed for c in rows] == [False, False, False, True]
+        assert [c.tolerance for c in rows] == [1.0, None, None, None]
+        assert np.isnan(rows[1].value) and rows[1].info == "no value"
 
     def test_tolerance_override(self, helicity_state):
-        rep = suites.suite_constraint(helicity_state, tolerances={"transversality": 1e-30})
+        (rep,) = suites.run_suites(["constraint"], helicity_state,
+                                   tolerances={"transversality": 1e-30})
         assert not rep.passed
         failing = [c for c in rep.checks if not c.passed]
         assert failing[0].name == "transversality"
@@ -48,7 +54,7 @@ class TestSuiteMachinery:
 
         calls = []
         monkeypatch.setattr(algebra, "build_gamma_set", lambda: calls.append(1) or build())
-        rep = suites.suite_constraint(helicity_state)
+        (rep,) = suites.run_suites(["constraint"], helicity_state)
         assert len(calls) <= 1
         assert {c.name: c.value for c in rep.checks}["rqc_projector_identity"] == worst
 
@@ -59,9 +65,45 @@ class TestSuiteMachinery:
         assert all(r.passed for r in reports)
 
     def test_informational_checks_never_fail(self, two_direction_state):
-        rep = suites.suite_densities(two_direction_state)
+        (rep,) = suites.run_suites(["densities"], two_direction_state)
         gaps = [c for c in rep.checks if c.tolerance is None]
         assert gaps and all(c.passed for c in gaps)
+
+
+def test_every_tolerance_key_governs_a_pinned_row():
+    # the README n=32 pins: each checked row holds its key's default
+    governing = set()
+    for _, name, _, tolerance, _ in json.loads(golden_path("readme_n32").read_text())["check"]:
+        if tolerance is not None:
+            key = suites._ROW_KEYS.get(name, name)
+            assert tolerance == suites.DEFAULT_TOLERANCES[key], name
+            governing.add(key)
+    assert governing == set(suites.DEFAULT_TOLERANCES)
+
+
+def test_run_suites_runs_the_module_bindings(g16, monkeypatch):
+    # the per-suite timings of the benchmark tracer wrap these bindings
+    state = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8, helicity=1)], g16)
+    returned = []
+    for name in suites.SUITE_NAMES:
+        real = getattr(suites, f"suite_{name.replace('-', '_')}")
+
+        def recorded(*args, _real=real):
+            rows = _real(*args)
+            returned.append(rows)
+            return rows
+
+        monkeypatch.setattr(suites, real.__name__, recorded)
+    suites.run_suites(suites.SUITE_NAMES, state)
+    assert len(returned) == len(suites.SUITE_NAMES)
+    assert all(isinstance(rows, list) for rows in returned)
+
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setattr(suites, f"suite_{name.replace('-', '_')}",
+                            lambda state, times, _name=name: [(_name, 0.5)])
+    reports = suites.run_suites(suites.SUITE_NAMES, state)
+    assert [[(c.name, c.value) for c in r.checks] for r in reports] == [
+        [(name, 0.5)] for name in suites.SUITE_NAMES]
 
 
 def _two_mode_state():
