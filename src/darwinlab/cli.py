@@ -420,6 +420,7 @@ def cmd_evolve(args) -> int:
     state, header = stateio.read_state(args.statefile)
     _check_time_range(state, f"t={args.t}", t, state.time + t)
     result = dynamics.evolve(state, t)
+    del state  # the certificate, computed on first read below, reads only the evolved state
     stateio.write_state(args.out, result.state_t, metadata=header.get("metadata", {}))
     print(f"wrote {args.out}: time={result.state_t.time:.6g} "
           f"norm_drift={result.norm_drift:.3e} "

@@ -13,6 +13,7 @@ evolution path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,19 +118,23 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time), overwrite=True).values
     del stencil
 
-    curls = np.empty_like(d_dt)
-    kgrid.cross(g.k_axes, f_l, out=curls[:3])
-    kgrid.cross(g.k_axes, f_u, out=curls[3:])
-    np.negative(curls[3:], out=curls[3:])
-    curls *= 1j * block_scale
-    to_position(Field(curls, kgrid.MOMENTUM, g, state.time), overwrite=True)
-
-    scale = kgrid.max_abs(curls)
+    # the curls (curl F_l, -curl F_u) one block at a time, each compared with
+    # its half of d_dt; maxima are exact, so the residual is the whole-array one
+    scale = curl_res = 0.0
+    curl = np.empty((3,) + g.shape, dtype=np.complex128)
+    for half, partner, sign in ((d_dt[:3], f_l, 1), (d_dt[3:], f_u, -1)):
+        kgrid.cross(g.k_axes, partner, out=curl)
+        if sign < 0:
+            np.negative(curl, out=curl)
+        curl *= 1j * block_scale
+        to_position(Field(curl, kgrid.MOMENTUM, g, state.time), overwrite=True)
+        scale = max(scale, kgrid.max_abs(curl))
+        half -= curl
+        curl_res = max(curl_res, kgrid.max_abs(half))
+    del d_dt, half, curl  # half is a view of d_dt
     if scale == 0.0:
         return MaxwellReport(0.0, 0.0, dt)
-    d_dt -= curls
-    curl_res = kgrid.max_abs(d_dt) / scale
-    del d_dt, curls
+    curl_res /= scale
 
     div = 0.0
     for f in (f_u, f_l):
@@ -146,21 +151,30 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
 
 @dataclass(frozen=True)
 class EvolutionResult:
+    """An evolved state and its certificate.
+
+    ``norm_drift`` compares the evolved norm with the input's and is taken
+    by :func:`evolve`.  ``dirac_residual`` and ``maxwell_residual`` read the
+    evolved state only and are computed on first read (and then kept), so a
+    caller can release the input state before their temporaries exist.
+    """
+
     state_t: PhotonState
-    dirac_residual: float
-    maxwell_residual: MaxwellReport
     norm_drift: float
+
+    @cached_property
+    def dirac_residual(self) -> float:
+        return dirac_residual(self.state_t)
+
+    @cached_property
+    def maxwell_residual(self) -> MaxwellReport:
+        return maxwell_residual(self.state_t)
 
 
 def evolve(state: PhotonState, t: float) -> EvolutionResult:
-    """Evolve by a time increment t and re-certify the evolved state."""
+    """Evolve by a time increment t; the result certifies the evolved state."""
     evolved = _phase_evolved(state, t)
-    return EvolutionResult(
-        state_t=evolved,
-        dirac_residual=dirac_residual(evolved),
-        maxwell_residual=maxwell_residual(evolved),
-        norm_drift=abs(evolved.norm - state.norm),
-    )
+    return EvolutionResult(state_t=evolved, norm_drift=abs(evolved.norm - state.norm))
 
 
 @dataclass(frozen=True)

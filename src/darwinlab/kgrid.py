@@ -301,8 +301,12 @@ def to_momentum(field: Field, *, overwrite: bool = False) -> Field:
 def norm_squared(field: Field) -> float:
     # summed bin by bin with the components innermost, the order of the former
     # (n, n, n, c) layout: normalization divides by this sum, so a built state
-    # stays bit-identical to one built before the component-first layout
-    density = np.moveaxis(np.abs(field.values) ** 2, 0, -1).copy()
+    # stays bit-identical to one built before the component-first layout; the
+    # moduli are written straight into that order and squared in place
+    values = field.values
+    density = np.empty(values.shape[1:] + values.shape[:1])
+    np.abs(values, out=np.moveaxis(density, -1, 0))
+    np.square(density, out=density)
     return float(np.sum(density)) * field.measure
 
 

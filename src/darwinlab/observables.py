@@ -76,31 +76,27 @@ def drop_position(state: PhotonState) -> None:
         memo.pop(name, None)
 
 
-def _position_block(state: PhotonState, block: str) -> np.ndarray:
-    """Block F_u or F_l in position space, from the state's shared transform."""
-    values = psi_position(state)
-    return np.sqrt(2.0) * (values[:3] if block == "upper" else values[3:])
-
-
-def _cross_density(f: np.ndarray):
-    """The rows of -i f* x f per bin (Hermitian form, real up to round-off),
-    handed out one at a time.
+def _cross_density(block: np.ndarray):
+    """The rows of -i f* x f per bin for f = sqrt(2) block (Hermitian form,
+    real up to round-off), handed out one at a time.
 
     Each row is a new array, bitwise the row of
     ``-1j * kgrid.cross(np.conj(f), f)``.  A caller that drops each row
     before asking for the next holds one row at a time (``enumerate`` and
-    ``zip`` keep the previous row while the next is made).  Each conjugate
-    component is taken once, and two are held: conj f_1 throughout, and
-    conj f_2 until the row that last reads it makes way for conj f_0.
+    ``zip`` keep the previous row while the next is made).  No scaled copy
+    of the block is made: each factor sqrt(2) block_c is formed where a
+    product reads it, in one of two component buffers, so one conjugate is
+    alive at a time.
     """
-    conj = {1: np.conj(f[1]), 2: np.conj(f[2])}
-    scratch = np.empty_like(conj[1])
+    scale = np.sqrt(2.0)
+    f_conj = np.empty(block.shape[1:], dtype=np.complex128)
+    f = np.empty_like(f_conj)
     for p, q in ((1, 2), (2, 0), (0, 1)):
-        row = np.multiply(conj[p], f[q])
-        if q not in conj:
-            conj[q] = np.conj(f[q], out=conj.pop(p))
-        np.multiply(conj[q], f[p], out=scratch)
-        np.subtract(row, scratch, out=row)
+        np.conj(np.multiply(scale, block[p], out=f_conj), out=f_conj)
+        row = np.multiply(f_conj, np.multiply(scale, block[q], out=f))
+        np.conj(np.multiply(scale, block[q], out=f_conj), out=f_conj)
+        np.multiply(f_conj, np.multiply(scale, block[p], out=f), out=f_conj)
+        np.subtract(row, f_conj, out=row)
         row *= -1j
         yield row
         del row  # the caller's reference is the only one while the next row is made
@@ -126,13 +122,14 @@ def _canonical_density(state: PhotonState) -> tuple[list[np.ndarray], np.ndarray
     with d_u and d_l the cross densities of the two blocks, and the row sums
     of d_u and of d_l, which the cross routes integrate.
 
-    d_u is kept and d_l is added into it one row at a time, so one block copy
-    and three rows are alive at once.
+    d_u is kept and d_l is added into it one row at a time, so four rows
+    are alive at once.
     """
-    density = list(_cross_density(state.f_upper()))
+    psi = state.psi.values
+    density = list(_cross_density(psi[:3]))
     upper = _row_sums(density)
     lower = []
-    for extra in _cross_density(state.f_lower()):
+    for extra in _cross_density(psi[3:]):
         row = density[len(lower)]
         lower.append(np.sum(extra))
         np.add(row, extra, out=row)
@@ -153,10 +150,11 @@ def position_densities(state: PhotonState) -> tuple[tuple[np.ndarray, np.ndarray
     until :func:`drop_position`.
     """
     pair = []
-    for block in ("upper", "lower"):
+    values = psi_position(state)
+    for block in (values[:3], values[3:]):
         real = np.empty((3,) + state.grid.shape)
         sums = []
-        for row in _cross_density(_position_block(state, block)):
+        for row in _cross_density(block):
             real[len(sums)] = row.real
             sums.append(np.sum(row))
             del row
@@ -231,11 +229,12 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     integral reproduces the projected-spin expectation; pointwise it is not
     the canonical density (:func:`density_candidates` measures the gap).
 
-    One block at a time: the block's chi = (spin . w) f is formed once, each
-    w_i chi is transformed in one reused three-component buffer, and
-    Psi^dag Phi_i gains the block's components, in component order, in its
-    own accumulator.  So six three-component transforms replace three of six
-    components, and the sums run in the same order.
+    One density row at a time: for each i, each block's w_i chi, with
+    chi = (spin . w) f, is formed in one reused three-component buffer and
+    transformed there, and Psi^dag Phi_i gains the block's components, in
+    component order, in one complex row.  So six three-component transforms
+    replace three of six components, the sums run in the same order, and
+    of the complex density only one row is held.
     """
     g = state.grid
     # before the buffers below exist: the projected spin makes its own densities
@@ -243,28 +242,26 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
     psi, psi_pos = state.psi.values, psi_position(state)
     # the density itself is complex away from the single-mode limit; only
     # its integral is a Hermitian form, so only that must be real
-    dens = np.empty((3,) + g.shape, dtype=np.complex128)
-    chi, phi = np.empty_like(dens), np.empty_like(dens)
-    psi_conj = np.empty(g.shape, dtype=np.complex128)
-    for start in (0, 3):
-        # (sigma . w) f = i w x f
-        kgrid.cross(g.khat, psi[start:start + 3], out=chi)
-        chi *= 1j
-        for i in range(3):
-            np.multiply(g.khat[i], chi, out=phi)
+    s = np.empty((3,) + g.shape)
+    integral = np.empty(3)
+    integral_imag = 0.0
+    phi = np.empty((3,) + g.shape, dtype=np.complex128)
+    dens, psi_conj = np.empty((2,) + g.shape, dtype=np.complex128)
+    for i in range(3):
+        for start in (0, 3):
+            # w_i (sigma . w) f = w_i (i w x f)
+            kgrid.cross(g.khat, psi[start:start + 3], out=phi)
+            phi *= 1j
+            phi *= g.khat[i]
             to_position(momentum_field(phi, g, state.time), overwrite=True)
             for c in range(3):
                 np.conj(psi_pos[start + c], out=psi_conj)
                 if start + c == 0:
-                    np.multiply(psi_conj, phi[c], out=dens[i])
+                    np.multiply(psi_conj, phi[c], out=dens)
                 else:
-                    dens[i] += np.multiply(psi_conj, phi[c], out=phi[c])
-    del chi, phi, psi_conj
-    s = np.ascontiguousarray(dens.real)
-    integral = np.empty(3)
-    integral_imag = 0.0
-    for i in range(3):
-        total = np.sum(dens[i]) * state.grid.dx**3
+                    dens += np.multiply(psi_conj, phi[c], out=phi[c])
+        s[i] = dens.real
+        total = np.sum(dens) * state.grid.dx**3
         integral[i] = total.real
         integral_imag = max(integral_imag, abs(total.imag))
 
@@ -352,7 +349,7 @@ def oam_position(state: PhotonState) -> np.ndarray:
                 np.multiply(F_conj, d_F[a], out=h[a])
             else:
                 h[a] += np.multiply(F_conj, d_F[a], out=d_F[a])
-    del ik, d_F, F_conj
+    del ik, f_c, d_F, F_conj  # f_c is a view of d_F: both go, or neither
     total = -1j * np.sum(kgrid.cross(g.x_axes, h), axis=(1, 2, 3)) * g.dx**3
     return total.real
 
@@ -409,8 +406,10 @@ def observable_report(state: PhotonState) -> ObservableReport:
     on the same state reuses it.  It comes last, after the OAM and nonlocal
     routes have freed their buffers, so it never sits under their peak
     memory; and the OAM routes run before the nonlocal one, so theirs never
-    sits over its kept density.
+    sits over its kept density.  The momentum routes (spin and OAM) come
+    first, before the position transform exists.
     """
+    momentum_spin = _momentum_spin_routes(state)
     L_mom = oam_momentum(state)
     L_pos = oam_position(state)
     _, nl_diag = nonlocal_spin_density(state)
@@ -418,7 +417,7 @@ def observable_report(state: PhotonState) -> ObservableReport:
     (_, sums_u), (_, sums_l) = position_densities(state)
     m_x = state.grid.dx**3
     pairs = {
-        **_momentum_spin_routes(state),
+        **momentum_spin,
         "position_upper": _integrated(sums_u, m_x),
         "position_lower": _integrated(sums_l, m_x),
         "kernel_integral": (nl_diag["integral"], nl_diag["imag_residue"]),

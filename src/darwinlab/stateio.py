@@ -60,6 +60,19 @@ def _header_real(value, key: str, path) -> float:
     return float(value)
 
 
+def _check_units(units, path) -> None:
+    """Refuse a unit record other than natural units: exactly the keys of
+    NATURAL_UNITS, the label "natural", and hbar, c and eps0 real numbers
+    equal to 1 but no booleans, which equality alone lets through (True == 1.0)."""
+    def is_one(value) -> bool:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) and value == 1.0
+
+    if not (isinstance(units, dict) and units.keys() == NATURAL_UNITS.keys()
+            and units["label"] == NATURAL_UNITS["label"]
+            and all(is_one(units[key]) for key in ("hbar", "c", "eps0"))):
+        raise StateFileError(f"{path}: header units {units!r} are not natural units")
+
+
 def write_atomic(path, *chunks: bytes) -> None:
     """Write the chunks, in order, to path through a temp file in the same
     directory and a rename; the chunks are never joined in memory."""
@@ -135,8 +148,7 @@ def read_state(path) -> tuple[PhotonState, dict]:
         crc = _header_int(header["payload_crc32"], "payload_crc32", path)
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise StateFileError(f"{path}: payload checksum mismatch")
-        if header["units"] != NATURAL_UNITS:
-            raise StateFileError(f"{path}: units {header['units']} are not natural units")
+        _check_units(header["units"], path)
         time = _header_real(header.get("time", 0.0), "time", path)
         scale_factor = _header_real(header.get("scale_factor", 1.0), "scale_factor", path)
         if not math.isfinite(scale_factor):

@@ -124,6 +124,34 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     return out
 
 
+# -- dynamics: the curl form on whole arrays, as it was before the curls were
+# transformed one block at a time; the library must match it bitwise
+
+def whole_array_maxwell(state: PhotonState) -> tuple[float, float]:
+    """(curl residual, divergence residual) of ``dynamics.maxwell_residual``
+    at its default dt, with one six-component stencil transform and one
+    six-component transform of both curls, compared as whole arrays."""
+    g = state.grid
+    dt = default_maxwell_dt(g)
+    psi = state.psi.values
+    block_scale = np.sqrt(2.0)
+    stencil = psi * np.exp(-1j * g.kmag * dt) - psi * np.exp(1j * g.kmag * dt)
+    stencil *= block_scale / (2.0 * dt)
+    d_dt = to_position(Field(stencil, MOMENTUM, g, state.time)).values
+
+    curls = np.empty_like(d_dt)
+    kgrid.cross(g.k_axes, psi[3:], out=curls[:3])
+    kgrid.cross(g.k_axes, psi[:3], out=curls[3:])
+    np.negative(curls[3:], out=curls[3:])
+    curls *= 1j * block_scale
+    curls = to_position(Field(curls, MOMENTUM, g, state.time)).values
+    scale = float(np.abs(curls).max())
+    div = max(float(np.abs(to_position(Field(1j * block_scale * kgrid.dot(g.k_axes, f)[None],
+                                                   MOMENTUM, g, state.time)).values).max())
+              for f in (psi[:3], psi[3:]))
+    return float(np.abs(d_dt - curls).max()) / scale, div / scale
+
+
 # -- kgrid: spatial derivatives of position fields, through momentum space
 
 def spectral_gradient(field: Field) -> tuple[Field, Field, Field]:

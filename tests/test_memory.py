@@ -7,27 +7,35 @@ six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
 check runs first, so caches that the process fills once are not counted.
 
 Measured at n=32: ``run_suites`` over all ten suites peaks at 3.22 fields,
-``observable_report`` at 2.92 and the fieldbridge suite at 2.96 (they were
+``observable_report`` at 2.29 and the fieldbridge suite at 2.96 (they were
 5.47, 3.81 and 3.96 before the routes worked one block or one component at
 a time; 9.58 and 6.75 for the first two before the in-place transforms).
-``dpl check`` runs the two suite groups of ``suites.MEMO_SUITES`` and
+``observable_report`` peaked at 2.92 while its momentum spin routes ran on
+top of the position transform, the block cross densities took a scaled
+copy of each block, and the nonlocal density kept all three of its complex
+rows.  ``dpl check`` runs the two suite groups of ``suites.MEMO_SUITES`` and
 ``suites.OWN_TRANSFORM_SUITES`` in two processes, one ``run_suites`` call
-each; those calls peak at 2.92 and 2.96 fields (4.82 and 4.11 before; the
+each; those calls peak at 2.88 and 2.96 fields (4.82 and 4.11 before; the
 kernels suite set the own-transforms peak and the full ``run_suites`` at
 4.11 and 4.36 before it sub-sampled its singular core a block of cells at a
-time).  Conservation alone peaks at 2.67 fields: with no position suite
+time).  Conservation alone peaks at 2.63 fields: with no position suite
 requested, the position transform is released before it runs (3.67 when
 it was kept through the evolved samples).  An order with a position suite
 after conservation still keeps the one transform through it, so its peak is
-unchanged.  At n=64 the fieldbridge suite sets the peak of a full check,
-and the same calls peak at 3.17, 2.92, 2.92, 2.92, 2.92 and 2.67 fields.
+unchanged.  ``evolve`` by 7.25 with both values of its certificate peaks at
+2.71 fields and ``maxwell_residual`` alone at 1.71 (3.21 and 2.21 while the
+certificate held both curls at once).  At n=64 the fieldbridge suite sets
+the peak of a full check, and the same calls peak at 3.17 fields (all
+suites), 2.26 (``observable_report``), 2.77 and 2.92 (the two groups), 2.92
+(fieldbridge), 2.52 (conservation), 2.67 (``evolve``) and 1.67
+(``maxwell_residual``).
 """
 
 import tracemalloc
 
 import pytest
 
-from darwinlab import KGrid, ModeSpec, observables, suites, synthesize
+from darwinlab import KGrid, ModeSpec, dynamics, observables, suites, synthesize
 
 README_MODES = [
     ModeSpec(kind="gaussian", k0=(0, 0, 8), sigma_k=1.5, helicity=1),
@@ -35,14 +43,22 @@ README_MODES = [
              vortex_charge=2, ring_radius=7.0, amplitude=0.5),
 ]
 
+
+def _certified(result):
+    """Read both values of an evolution's certificate, which it computes on first read."""
+    return result.dirac_residual, result.maxwell_residual
+
+
 # budgets in six-component fields: the measured peaks above, plus about 5%
 BUDGETS = {
     "run_suites": (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 3.38),
-    "observable_report": (observables.observable_report, 3.07),
-    "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 3.07),
+    "observable_report": (observables.observable_report, 2.41),
+    "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 3.02),
     "own_transform_group": (lambda state: suites.run_suites(suites.OWN_TRANSFORM_SUITES, state), 3.11),
     "fieldbridge": (lambda state: suites.run_suites(["fieldbridge"], state), 3.1),
-    "conservation": (lambda state: suites.run_suites(["conservation"], state), 2.8),
+    "conservation": (lambda state: suites.run_suites(["conservation"], state), 2.76),
+    "evolve": (lambda state: _certified(dynamics.evolve(state, 7.25)), 2.85),
+    "maxwell": (dynamics.maxwell_residual, 1.8),
 }
 
 

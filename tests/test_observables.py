@@ -6,7 +6,7 @@ import pytest
 
 from darwinlab import ModeSpec, kgrid, observables, synthesize
 from darwinlab.algebra import build_gamma_set
-from darwinlab.dynamics import evolve
+from darwinlab.dynamics import evolve, maxwell_residual
 from darwinlab.kgrid import (
     boundary_amplitude_ratio,
     momentum_field,
@@ -29,7 +29,13 @@ from darwinlab.observables import (
     spin_projected,
 )
 from darwinlab.state import PhotonState
-from reference import spectral_gradient, spin_cross, spin_position, whole_array_routes
+from reference import (
+    spectral_gradient,
+    spin_cross,
+    spin_position,
+    whole_array_maxwell,
+    whole_array_routes,
+)
 
 GAMMA = build_gamma_set()
 
@@ -234,6 +240,16 @@ def test_routes_are_bitwise_their_whole_array_forms(two_direction_state, time):
         assert real.tobytes() == ref[name].real.tobytes()
         assert sums.tobytes() == np.sum(ref[name], axis=(1, 2, 3)).tobytes()
 
+
+@pytest.mark.parametrize("time", [0.0, 7.25])
+def test_maxwell_residual_is_bitwise_its_whole_array_form(two_direction_state, time):
+    # the curls are formed, transformed and compared one block at a time;
+    # maxima are exact, so both residuals are the whole-array ones
+    st = evolve(two_direction_state, time).state_t if time else two_direction_state
+    report = maxwell_residual(st)
+    curl, div = whole_array_maxwell(st)
+    assert report.curl_residual.hex() == curl.hex()
+    assert report.divergence_residual.hex() == div.hex()
 
 class TestPositionOwnership:
     def test_report_and_candidates_share_one_position_pair(self, two_direction_state, monkeypatch):

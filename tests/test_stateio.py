@@ -154,6 +154,8 @@ WRONG_TYPED_HEADERS = {
     "time_true": lambda h: {"time": True},
     "time_string": lambda h: {"time": "0.5"},
     "scale_factor_string": lambda h: {"scale_factor": "2"},
+    "units_true": lambda h: {"units": {"hbar": True, "c": True, "eps0": True, "label": "natural"}},
+    "units_string": lambda h: {"units": dict(h["units"], hbar="1")},
 }
 
 

@@ -133,6 +133,29 @@ class TestPerStateEvaluation:
         assert all(r.passed for r in reports)
         assert len(calls) <= 25
 
+    @pytest.mark.parametrize("path, budget", [("observable_report", 10), ("evolve", 5)])
+    def test_observe_and_evolve_fft_budgets(self, monkeypatch, path, budget):
+        # counted as for the full check: the report makes one six-component
+        # transform, three for the position OAM and six for the nonlocal
+        # density; evolve makes none, its certificate one for the stencil,
+        # one per block for the curls and one per block for the divergence
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        state = _two_mode_state()
+        if path == "observable_report":
+            observables.observable_report(state)
+        else:
+            result = dynamics.evolve(state, 7.25)
+            assert result.dirac_residual < 1e-12 and result.maxwell_residual.curl_residual < 1e-6
+        assert len(calls) <= budget
+
     def test_block_cross_densities_once_per_state(self, monkeypatch):
         # the checked state's two momentum- and two position-block densities,
         # and the two momentum-block densities of each of the other two
