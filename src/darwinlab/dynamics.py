@@ -39,8 +39,8 @@ def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
     if t == 0.0:
         return state
     g = state.grid
-    psi = Field(state.psi.values * _phase(g, t), kgrid.MOMENTUM, g, state.time + t)
-    return PhotonState(psi, scale_factor=state.scale_factor)
+    psi = Field(state.psi.values * _phase(g, t), kgrid.MOMENTUM, g)
+    return PhotonState(psi, state.time + t, state.scale_factor)
 
 
 def dirac_residual(state: PhotonState) -> float:
@@ -115,7 +115,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
         stencil[c] -= psi[c] * backward
     del backward
     stencil *= block_scale / (2.0 * dt)
-    d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g, state.time), overwrite=True).values
+    d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g), overwrite=True).values
     del stencil
 
     # the curls (curl F_l, -curl F_u) one block at a time, each compared with
@@ -127,7 +127,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
         if sign < 0:
             np.negative(curl, out=curl)
         curl *= 1j * block_scale
-        to_position(Field(curl, kgrid.MOMENTUM, g, state.time), overwrite=True)
+        to_position(Field(curl, kgrid.MOMENTUM, g), overwrite=True)
         scale = max(scale, kgrid.max_abs(curl))
         half -= curl
         curl_res = max(curl_res, kgrid.max_abs(half))
@@ -139,7 +139,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     div = 0.0
     for f in (f_u, f_l):
         div_k = 1j * block_scale * kgrid.dot(g.k_axes, f)
-        div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g, state.time), overwrite=True)
+        div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g), overwrite=True)
         div = max(div, float(np.abs(div_x.values).max()))
 
     return MaxwellReport(

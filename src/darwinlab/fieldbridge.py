@@ -124,7 +124,7 @@ def classical_from_state(state: PhotonState) -> ClassicalField:
         np.conj(a_k, out=a_k)
         np.add(a, a_k, out=a_k)
         a_k /= np.sqrt(2.0)
-        A = to_position(momentum_field(a, g, state.time), overwrite=True).values
+        A = to_position(momentum_field(a, g), overwrite=True).values
         A_real = np.empty(A.shape)
         term = np.empty(g.shape, dtype=np.complex128)
         for c in range(3):
@@ -200,7 +200,7 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
             f[c] -= longitudinal * g.khat[c]
         del longitudinal
     psi /= np.sqrt(2.0)
-    return PhotonState(momentum_field(psi, g, cf.time))
+    return PhotonState(momentum_field(psi, g), cf.time)
 
 
 @dataclass(frozen=True)
@@ -236,10 +236,10 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
         # d(eta)/dt = -i k x eps: one cross product serves both routes
         cross_term = _over_k_cross(partner, g)
         a = _positive_frequency(own, cross_term, sign)
-        route_one = to_position(momentum_field(a, g, cf.time), overwrite=True).values
+        route_one = to_position(momentum_field(a, g), overwrite=True).values
         if sign < 0:
             np.negative(cross_term, out=cross_term)
-        route_two = to_position(momentum_field(cross_term, g, cf.time), overwrite=True).values
+        route_two = to_position(momentum_field(cross_term, g), overwrite=True).values
         route_two += real
         route_two /= np.sqrt(2.0)
         return relative_gap(route_two, route_one), relative_gap(np.sqrt(2.0) * route_one.real, real)

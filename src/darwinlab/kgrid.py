@@ -18,7 +18,10 @@ derivatives are exact spectral multiplications by i k.
 Every grid array is component-first: a c-component field is (c, n, n, n),
 so each component is one contiguous block of bins.  Per-bin 3-vector algebra
 goes through :func:`cross`, :func:`dot` and :func:`norm`, which work
-component by component on a first axis of length 3.
+component by component on a first axis of length 3, or on the coordinate
+axes :attr:`KGrid.k_axes` and :attr:`KGrid.x_axes`, the grid's one coordinate
+form.  A :class:`Field` is values, representation and grid: the time and the
+finiteness check live on :class:`darwinlab.state.PhotonState`.
 """
 
 from __future__ import annotations
@@ -134,6 +137,13 @@ class KGrid:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
         if not (0.0 < self.dk < np.inf):
             raise ValueError(f"grid spacing must be positive and finite, got {self.dk}")
+        try:  # the cube of a Python float raises where it overflows
+            in_range = 0.0 < self.dk**3 < math.inf and 0.0 < self.dx**3 < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"grid spacing {self.dk} puts a bin volume out of "
+                             "floating-point range")
 
     @property
     def box_length(self) -> float:
@@ -173,23 +183,15 @@ class KGrid:
         return self.signed_index * self.dx
 
     @cached_property
-    def kvec(self) -> ArrayR:
-        return np.stack(np.meshgrid(self.k1d, self.k1d, self.k1d, indexing="ij"))
-
-    @cached_property
-    def xvec(self) -> ArrayR:
-        return np.stack(np.meshgrid(self.x1d, self.x1d, self.x1d, indexing="ij"))
-
-    @cached_property
     def k_axes(self) -> tuple[ArrayR, ArrayR, ArrayR]:
-        """The components of kvec as the axes (n, 1, 1), (1, n, 1) and (1, 1, n),
-        which broadcast to kvec's values without its (3, n, n, n) array."""
+        """The momentum components k_x, k_y, k_z as the axes (n, 1, 1),
+        (1, n, 1) and (1, 1, n), which broadcast against the bins."""
         k = self.k1d
         return k[:, None, None], k[None, :, None], k[None, None, :]
 
     @cached_property
     def x_axes(self) -> tuple[ArrayR, ArrayR, ArrayR]:
-        """The components of xvec as broadcasting axes, as :attr:`k_axes`."""
+        """The position components as broadcasting axes, as :attr:`k_axes`."""
         x = self.x1d
         return x[:, None, None], x[None, :, None], x[None, None, :]
 
@@ -209,7 +211,7 @@ class KGrid:
 
     @cached_property
     def rmag(self) -> ArrayR:
-        return norm(self.xvec)
+        return norm(np.broadcast_arrays(*self.x_axes))
 
 
 def reverse_bins(values: np.ndarray) -> np.ndarray:
@@ -229,13 +231,14 @@ class Field:
     so each component (and each 3-block of a six-component field, ``[:3]``
     and ``[3:]``) is contiguous over the bins.  ``rep`` tags the
     representation the bins live in.  Fields are immutable values: every
-    operation returns a new Field.
+    operation returns a new Field.  The time and the finiteness check
+    belong to :class:`darwinlab.state.PhotonState`, from which every other
+    field is computed.
     """
 
     values: ArrayC
     rep: str
     grid: KGrid
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rep not in (MOMENTUM, POSITION):
@@ -246,8 +249,6 @@ class Field:
             raise ValueError(
                 f"field values must have shape (c, n, n, n) with c in (1, 3, 6); got {v.shape}"
             )
-        if not np.isfinite(v).all():
-            raise ValueError("field contains non-finite entries")
 
     @property
     def ncomp(self) -> int:
@@ -258,12 +259,12 @@ class Field:
         return self.grid.dk**3 if self.rep == MOMENTUM else self.grid.dx**3
 
 
-def momentum_field(values, grid: KGrid, time: float = 0.0) -> Field:
-    return Field(np.asarray(values, dtype=np.complex128), MOMENTUM, grid, time)
+def momentum_field(values, grid: KGrid) -> Field:
+    return Field(np.asarray(values, dtype=np.complex128), MOMENTUM, grid)
 
 
-def position_field(values, grid: KGrid, time: float = 0.0) -> Field:
-    return Field(np.asarray(values, dtype=np.complex128), POSITION, grid, time)
+def position_field(values, grid: KGrid) -> Field:
+    return Field(np.asarray(values, dtype=np.complex128), POSITION, grid)
 
 
 def _require(field: Field, rep: str) -> None:
@@ -277,7 +278,7 @@ def _transform(field: Field, fft, rep: str, scale: float, overwrite: bool) -> Fi
     out = field.values if overwrite else np.empty(field.values.shape, dtype=np.complex128)
     values = fft(field.values, axes=(1, 2, 3), out=out)
     values *= scale
-    return Field(values, rep, field.grid, field.time)
+    return Field(values, rep, field.grid)
 
 
 def to_position(field: Field, *, overwrite: bool = False) -> Field:
@@ -377,7 +378,7 @@ class KGradient:
                          + (-0.5 / dk) * at(f, h + 2))
         at(out, h - 1)[:] = ((0.5 / dk) * at(f, h - 3) + (-2.0 / dk) * at(f, h - 2)
                              + (1.5 / dk) * at(f, h - 1))
-        return Field(out, MOMENTUM, self.field.grid, self.field.time)
+        return Field(out, MOMENTUM, self.field.grid)
 
 
 def k_gradient(field: Field) -> KGradient:
@@ -399,5 +400,5 @@ def spectral_curl(field: Field) -> Field:
     if field.ncomp != 3:
         raise ValueError("curl requires a 3-component field")
     f = to_momentum(field)
-    curled = 1j * cross(field.grid.kvec, f.values)
-    return to_position(Field(curled, MOMENTUM, field.grid, field.time), overwrite=True)
+    curled = 1j * cross(field.grid.k_axes, f.values)
+    return to_position(Field(curled, MOMENTUM, field.grid), overwrite=True)

@@ -253,7 +253,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
             kgrid.cross(g.khat, psi[start:start + 3], out=phi)
             phi *= 1j
             phi *= g.khat[i]
-            to_position(momentum_field(phi, g, state.time), overwrite=True)
+            to_position(momentum_field(phi, g), overwrite=True)
             for c in range(3):
                 np.conj(psi_pos[start + c], out=psi_conj)
                 if start + c == 0:
@@ -284,7 +284,7 @@ def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
     """
     g = state.grid
     f = _peeled_block(state)
-    grad = k_gradient(momentum_field(f, g, 0.0))
+    grad = k_gradient(momentum_field(f, g))
     f_conj = np.empty(g.shape, dtype=np.complex128)
     h = np.empty_like(f)
     for c in range(3):
@@ -342,7 +342,7 @@ def oam_position(state: PhotonState) -> np.ndarray:
         f_c = np.multiply(np.sqrt(2.0), psi[c], out=d_F[2])  # d_F[2] is its last use
         for a in range(3):
             np.multiply(ik[a], f_c, out=d_F[a])
-        to_position(momentum_field(d_F, g, state.time), overwrite=True)
+        to_position(momentum_field(d_F, g), overwrite=True)
         np.conj(np.multiply(np.sqrt(2.0), F[c], out=F_conj), out=F_conj)
         for a in range(3):
             if c == 0:

@@ -102,8 +102,10 @@ def _blame(key: str):
 class PhotonState:
     """Normalized (or deliberately unnormalized) positive-energy photon state.
 
-    A state holds only what the amplitudes cannot give back: ``psi`` and the
-    ``scale_factor`` that normalization divided out.  The payload scalars
+    A state holds only what the amplitudes cannot give back: ``psi``, the
+    ``time`` it stands at and the ``scale_factor`` that normalization divided
+    out.  The payload is checked finite here, once per state, and the fields
+    computed from it are not scanned again.  The payload scalars
     ``norm`` and ``rqc_residual`` are derived from ``psi`` on first use and
     cached for as long as the state lives, so building a state computes
     nothing and no stored copy can disagree with the payload.  Arrays derived
@@ -114,20 +116,19 @@ class PhotonState:
     """
 
     psi: Field
+    time: float = 0.0
     scale_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.psi.rep != kgrid.MOMENTUM or self.psi.ncomp != 6:
             raise ValueError("state wavefunction must be a 6-component momentum field")
+        if not np.isfinite(self.psi.values).all():
+            raise ValueError("field contains non-finite entries")
         self.psi.values.flags.writeable = False
 
     @property
     def grid(self) -> KGrid:
         return self.psi.grid
-
-    @property
-    def time(self) -> float:
-        return self.psi.time
 
     @cached_property
     def norm(self) -> float:
@@ -209,7 +210,7 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
         env[idx] = 1.0
         return env
     if spec.kind == "gaussian" or (spec.kind == "vortex" and spec.ring_radius == 0.0):
-        offset = grid.kvec - k0[:, None, None, None]
+        offset = [k - c for k, c in zip(grid.k_axes, k0)]
         with _blame("k0"):
             dist2 = kgrid.dot(offset, offset)
         with _blame("sigma_k"):
@@ -224,7 +225,7 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
             sign = 1.0 if spec.vortex_charge > 0 else -1.0
             with _blame("sigma_k"):
                 winding = (
-                    kgrid.dot(grid.kvec, e1) + 1j * sign * kgrid.dot(grid.kvec, e2)
+                    kgrid.dot(grid.k_axes, e1) + 1j * sign * kgrid.dot(grid.k_axes, e2)
                 ) / spec.sigma_k
             with _blame("vortex_charge"):
                 env = env * winding ** abs(spec.vortex_charge)
@@ -238,9 +239,9 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
     # a negligible weighted contribution to finite-difference errors.
     w0 = k0 / np.linalg.norm(k0)
     e1, e2 = helicity_frame(w0)
-    height = kgrid.dot(grid.kvec, w0) - np.linalg.norm(k0)
-    c1 = kgrid.dot(grid.kvec, e1)
-    c2 = kgrid.dot(grid.kvec, e2)
+    height = kgrid.dot(grid.k_axes, w0) - np.linalg.norm(k0)
+    c1 = kgrid.dot(grid.k_axes, e1)
+    c2 = kgrid.dot(grid.k_axes, e2)
     rho = np.hypot(c1, c2)
     dist = np.hypot(rho - spec.ring_radius, height)
     with _blame("ring_radius"):
@@ -315,5 +316,5 @@ def normalize(state: PhotonState) -> PhotonState:
     if state.norm <= 0.0:
         raise ValueError("cannot normalize a zero-norm state")
     scale = np.sqrt(state.norm)
-    psi = Field(state.psi.values / scale, kgrid.MOMENTUM, state.grid, state.time)
-    return PhotonState(psi, scale_factor=state.scale_factor * scale)
+    psi = Field(state.psi.values / scale, kgrid.MOMENTUM, state.grid)
+    return PhotonState(psi, state.time, state.scale_factor * scale)

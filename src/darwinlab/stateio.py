@@ -158,17 +158,14 @@ def read_state(path) -> tuple[PhotonState, dict]:
                                  f"on this grid (k_max={grid.k_max:.6g})")
         values = np.frombuffer(payload, dtype="<c16").reshape((6,) + grid.shape, order="F")
         values = values.copy()  # C order, and no view of the file's bytes
-        state = PhotonState(kgrid.momentum_field(values, grid, time), scale_factor=scale_factor)
+        state = PhotonState(kgrid.momentum_field(values, grid), time, scale_factor)
     except KeyError as exc:
         raise StateFileError(f"{path}: header lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"{path}: invalid header or payload ({exc})") from exc
     del raw, payload  # the file's bytes go before the norm's temporaries come
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            norm = state.norm
-        except OverflowError:  # the bin volume dk**3 is a Python float
-            norm = math.inf
+        norm = state.norm
     if not math.isfinite(norm):
         raise StateFileError(f"{path}: payload norm {norm} is not finite")
     return state, header

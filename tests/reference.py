@@ -5,8 +5,9 @@ computes, or a way to build an input for one of its checks: the
 positive-energy projectors from the helicity basis, the single-block spin
 integrals, the spectral gradient and divergence of position fields, the
 complex positive-frequency field pair with its Landau-Peierls weighting, a
-classical field assembled from Fourier data, and the four-current with its
-continuity residual.  ``dpl`` runs none of them, so they live with the tests;
+classical field assembled from Fourier data, the four-current with its
+continuity residual, the full (3, n, n, n) coordinate grids and the README
+example's modes.  ``dpl`` runs none of them, so they live with the tests;
 nothing under ``src/`` imports this module.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from darwinlab import kgrid, observables
+from darwinlab import ModeSpec, kgrid, observables
 from darwinlab.algebra import _check_wavevector, helicity_vectors
 from darwinlab.dynamics import default_maxwell_dt
 from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical
@@ -31,6 +32,20 @@ from darwinlab.kgrid import (
     to_position,
 )
 from darwinlab.state import PhotonState
+
+
+# the modes of the README example config
+README_MODES = [
+    ModeSpec(kind="gaussian", k0=(0, 0, 8), sigma_k=1.5, helicity=1),
+    ModeSpec(kind="vortex", k0=(0, 0, 7), sigma_k=1.5, helicity=None, polarization=(1, 0, 0),
+             vortex_charge=2, ring_radius=7.0, amplitude=0.5),
+]
+
+
+def full_grid(axes) -> np.ndarray:
+    """The (3, n, n, n) array of a grid's coordinates, from its broadcasting
+    axes ``KGrid.k_axes`` or ``KGrid.x_axes``; ``dpl`` never builds one."""
+    return np.stack(np.broadcast_arrays(*axes))
 
 
 # -- algebra: positive- and negative-energy projectors at one wavevector
@@ -101,7 +116,7 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     chi *= 1j
     s = np.empty((3,) + g.shape)
     for i in range(3):
-        phi = to_position(Field(g.khat[i] * chi, MOMENTUM, g, state.time), overwrite=True).values
+        phi = to_position(Field(g.khat[i] * chi, MOMENTUM, g), overwrite=True).values
         s[i] = np.sum(np.conj(pos) * phi, axis=0).real
     out["nonlocal"] = s
 
@@ -109,11 +124,13 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     peeled = f * np.exp(1j * g.kmag * state.time) if state.time != 0.0 else f
     grad = kgrid.k_gradient(Field(peeled, MOMENTUM, g))
     h = np.stack([kgrid.dot(np.conj(peeled), grad.along(a).values) for a in range(3)])
-    out["oam_momentum"] = (-1j * np.sum(kgrid.cross(g.kvec, h), axis=(1, 2, 3)) * g.dk**3).real
+    kvec = full_grid(g.k_axes)
+    out["oam_momentum"] = (-1j * np.sum(kgrid.cross(kvec, h), axis=(1, 2, 3)) * g.dk**3).real
     F_conj = np.conj(np.sqrt(2.0) * pos[:3])
-    h = np.stack([kgrid.dot(F_conj, to_position(Field(1j * g.kvec[a] * f, MOMENTUM, g,
-                                                      state.time)).values) for a in range(3)])
-    out["oam_position"] = (-1j * np.sum(kgrid.cross(g.xvec, h), axis=(1, 2, 3)) * g.dx**3).real
+    h = np.stack([kgrid.dot(F_conj, to_position(Field(1j * kvec[a] * f, MOMENTUM, g)).values)
+                  for a in range(3)])
+    out["oam_position"] = (-1j * np.sum(kgrid.cross(full_grid(g.x_axes), h), axis=(1, 2, 3))
+                           * g.dx**3).real
 
     def cross_density(f):
         return -1j * kgrid.cross(np.conj(f), f)
@@ -137,17 +154,17 @@ def whole_array_maxwell(state: PhotonState) -> tuple[float, float]:
     block_scale = np.sqrt(2.0)
     stencil = psi * np.exp(-1j * g.kmag * dt) - psi * np.exp(1j * g.kmag * dt)
     stencil *= block_scale / (2.0 * dt)
-    d_dt = to_position(Field(stencil, MOMENTUM, g, state.time)).values
+    d_dt = to_position(Field(stencil, MOMENTUM, g)).values
 
     curls = np.empty_like(d_dt)
     kgrid.cross(g.k_axes, psi[3:], out=curls[:3])
     kgrid.cross(g.k_axes, psi[:3], out=curls[3:])
     np.negative(curls[3:], out=curls[3:])
     curls *= 1j * block_scale
-    curls = to_position(Field(curls, MOMENTUM, g, state.time)).values
+    curls = to_position(Field(curls, MOMENTUM, g)).values
     scale = float(np.abs(curls).max())
     div = max(float(np.abs(to_position(Field(1j * block_scale * kgrid.dot(g.k_axes, f)[None],
-                                                   MOMENTUM, g, state.time)).values).max())
+                                                   MOMENTUM, g)).values).max())
               for f in (psi[:3], psi[3:]))
     return float(np.abs(d_dt - curls).max()) / scale, div / scale
 
@@ -161,8 +178,8 @@ def spectral_gradient(field: Field) -> tuple[Field, Field, Field]:
     g = field.grid
     out = []
     for axis in range(3):
-        mult = 1j * g.kvec[axis]
-        out.append(to_position(Field(mult * f.values, MOMENTUM, g, field.time)))
+        mult = 1j * g.k_axes[axis]
+        out.append(to_position(Field(mult * f.values, MOMENTUM, g)))
     return out[0], out[1], out[2]
 
 
@@ -172,8 +189,8 @@ def spectral_divergence(field: Field) -> Field:
     if field.ncomp != 3:
         raise ValueError("divergence requires a 3-component field")
     f = to_momentum(field)
-    div = 1j * kgrid.dot(field.grid.kvec, f.values)
-    return to_position(Field(div[None], MOMENTUM, field.grid, field.time))
+    div = 1j * kgrid.dot(field.grid.k_axes, f.values)
+    return to_position(Field(div[None], MOMENTUM, field.grid))
 
 
 # -- fieldbridge: classical data in, wavefunction blocks out
@@ -182,8 +199,8 @@ def classical_from_kspace(eps_k, eta_k, grid: KGrid, time: float = 0.0) -> Class
     """Assemble a ClassicalField from Fourier data, checking its invariants."""
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    E_real = to_position(momentum_field(eps_k, grid, time)).values.real
-    H_real = to_position(momentum_field(eta_k, grid, time)).values.real
+    E_real = to_position(momentum_field(eps_k, grid)).values.real
+    H_real = to_position(momentum_field(eta_k, grid)).values.real
     cf = ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
     _validate_classical(cf)
     return cf
@@ -198,7 +215,6 @@ class ComplexFieldPair:
     E: np.ndarray  # position-space complex E
     H: np.ndarray  # position-space complex H
     grid: KGrid
-    time: float = 0.0
 
 
 def complex_pair(state: PhotonState) -> ComplexFieldPair:
@@ -208,9 +224,9 @@ def complex_pair(state: PhotonState) -> ComplexFieldPair:
     sqrt_k = np.sqrt(g.kmag)
     e = sqrt_k * state.f_upper()
     h = sqrt_k * state.f_lower()
-    E = to_position(momentum_field(e, g, state.time)).values
-    H = to_position(momentum_field(h, g, state.time)).values
-    return ComplexFieldPair(e=e, h=h, E=E, H=H, grid=g, time=state.time)
+    E = to_position(momentum_field(e, g)).values
+    H = to_position(momentum_field(h, g)).values
+    return ComplexFieldPair(e=e, h=h, E=E, H=H, grid=g)
 
 
 def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
@@ -222,8 +238,8 @@ def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
     """
     g = pair.grid
     inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
-    F_u = to_position(momentum_field(inv_sqrt_k * pair.e, g, pair.time))
-    F_l = to_position(momentum_field(inv_sqrt_k * pair.h, g, pair.time))
+    F_u = to_position(momentum_field(inv_sqrt_k * pair.e, g))
+    F_l = to_position(momentum_field(inv_sqrt_k * pair.h, g))
     return F_u, F_l
 
 
@@ -242,7 +258,6 @@ class CurrentField:
     j0: np.ndarray   # (n, n, n) real, >= 0
     j: np.ndarray    # (3, n, n, n) real
     grid: KGrid
-    time: float
 
 
 def four_current(state: PhotonState) -> CurrentField:
@@ -256,13 +271,13 @@ def four_current(state: PhotonState) -> CurrentField:
     lower = pos[3:]
     j0 = np.sum(np.abs(pos) ** 2, axis=0)
     j = 2.0 * np.real(kgrid.cross(np.conj(upper), lower))
-    return CurrentField(j0=j0, j=j, grid=state.grid, time=state.time)
+    return CurrentField(j0=j0, j=j, grid=state.grid)
 
 
 def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
     g = state.grid
-    psi = momentum_field(state.psi.values * np.exp(-1j * g.kmag * t), g, state.time + t)
-    return PhotonState(psi, scale_factor=state.scale_factor)
+    psi = momentum_field(state.psi.values * np.exp(-1j * g.kmag * t), g)
+    return PhotonState(psi, state.time + t, state.scale_factor)
 
 
 def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
@@ -282,7 +297,7 @@ def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
     now = four_current(state)
     drho_dt = (after.j0 - before.j0) / (2.0 * dt)
     div_j = spectral_divergence(
-        kgrid.position_field(now.j.astype(np.complex128), g, state.time)
+        kgrid.position_field(now.j.astype(np.complex128), g)
     ).values[0].real
     scale = float(np.abs(div_j).max())
     if scale == 0.0:

@@ -93,6 +93,9 @@ class TestBuild:
         pytest.param({"grid": {"n": True, "dk": 1.0}}, "$.grid.n", id="grid_n_boolean"),
         pytest.param({"grid": {"n": 16, "dk": "1.0"}}, "$.grid.dk", id="grid_dk_string"),
         pytest.param({"grid": {"n": 16, "dk": True}}, "$.grid.dk", id="grid_dk_boolean"),
+        # a spacing whose bin volume dx^3 (or dk^3) leaves floating-point range
+        pytest.param({"grid": {"n": 16, "dk": 1e-200}}, "$.grid", id="grid_dk_tiny"),
+        pytest.param({"grid": {"n": 16, "dk": 1e103}}, "$.grid", id="grid_dk_huge"),
     ])
     def test_value_that_is_not_a_number_exits_2(self, tmp_path, capsys, change, path):
         config = tmp_path / "cfg.json"
@@ -342,10 +345,12 @@ NATURAL_UNITS = {"hbar": 1.0, "c": 1.0, "eps0": 1.0, "label": "natural"}
 SI_UNITS = {"hbar": 1.054571817e-34, "c": 2.99792458e8, "eps0": 8.8541878128e-12, "label": "si"}
 
 
-def _nan_payload(path):
-    values = read_state(path)[0].psi.values.copy()
-    values[1, 2, 3, 4] = complex("nan")
-    rewrite_payload(path, values.astype("<c16").tobytes())
+def _payload_with(entry):
+    def rewrite(path):
+        values = read_state(path)[0].psi.values.copy()
+        values[1, 2, 3, 4] = entry
+        rewrite_payload(path, values.astype("<c16").tobytes())
+    return rewrite
 
 
 INVALID_FILES = {
@@ -353,7 +358,11 @@ INVALID_FILES = {
                            rewrite_payload(p, bytes(4**3 * 6 * 16))),
     "negative_dk": lambda p: rewrite_header(p, grid={"n": 16, "dk": -1}),
     "infinite_dk": lambda p: rewrite_header(p, grid={"n": 16, "dk": float("inf")}),
-    "nan_in_payload": _nan_payload,
+    # dx^3 overflows, or dk^3 is zero and dx infinite: once a traceback (exit 1)
+    "dk_tiny": lambda p: rewrite_header(p, grid={"n": 16, "dk": 1e-200}),
+    "dk_subnormal": lambda p: rewrite_header(p, grid={"n": 16, "dk": 1e-320}),
+    "nan_in_payload": _payload_with(complex("nan")),
+    "inf_in_payload": _payload_with(complex("inf")),
     "time_not_a_number": lambda p: rewrite_header(p, time="abc"),
     "crc_not_a_number": lambda p: rewrite_header(p, payload_crc32="x"),
     "scale_factor_not_a_number": lambda p: rewrite_header(p, scale_factor="big"),

@@ -15,7 +15,7 @@ from darwinlab.fieldbridge import (
 from darwinlab.dynamics import maxwell_residual
 from darwinlab.kgrid import to_position
 from darwinlab.suites import run_suites
-from reference import classical_from_kspace, complex_pair, landau_peierls_transform
+from reference import classical_from_kspace, complex_pair, full_grid, landau_peierls_transform
 
 
 class TestClassicalFromState:
@@ -78,9 +78,10 @@ class TestStateFromClassical:
         # real solenoidal snapshot built in k-space: x-polarized gaussians at
         # +/- 8 z with no magnetic data; extraction keeps the forward halves
         k0 = np.array([0.0, 0.0, 8.0])
+        kvec = full_grid(g32.k_axes)
         env = (
-            np.exp(-np.sum((g32.kvec - k0[:, None, None, None]) ** 2, axis=0) / 2.0)
-            + np.exp(-np.sum((g32.kvec + k0[:, None, None, None]) ** 2, axis=0) / 2.0)
+            np.exp(-np.sum((kvec - k0[:, None, None, None]) ** 2, axis=0) / 2.0)
+            + np.exp(-np.sum((kvec + k0[:, None, None, None]) ** 2, axis=0) / 2.0)
         )
         eps = env * np.array([1.0, 0, 0])[:, None, None, None]
         eps -= np.sum(g32.khat * eps, axis=0) * g32.khat

@@ -29,7 +29,7 @@ from darwinlab.kgrid import (
     to_momentum,
     to_position,
 )
-from reference import spectral_divergence, spectral_gradient
+from reference import full_grid, spectral_divergence, spectral_gradient
 
 
 def random_field(grid, rng, ncomp=3):
@@ -46,13 +46,16 @@ class TestGridGeometry:
     @pytest.mark.parametrize("n, dk", [(8, 0.7), (16, 1.0)])
     def test_axes_are_the_full_grids(self, n, dk):
         g = KGrid(n, dk)
-        for axes, full in ((g.k_axes, g.kvec), (g.x_axes, g.xvec)):
-            assert np.array_equal(np.stack(np.broadcast_arrays(*axes)), full)
-        # kmag and khat come from the axes, bitwise as from kvec
-        kmag = norm(g.kvec)
-        khat = g.kvec / np.where(kmag > 0.0, kmag, 1.0)
+        for axes, line in ((g.k_axes, g.k1d), (g.x_axes, g.x1d)):
+            meshed = np.stack(np.meshgrid(line, line, line, indexing="ij"))
+            assert np.array_equal(full_grid(axes), meshed)
+        # kmag, khat and rmag come from the axes, bitwise as from the full grids
+        kvec = full_grid(g.k_axes)
+        kmag = norm(kvec)
+        khat = kvec / np.where(kmag > 0.0, kmag, 1.0)
         khat[:, 0, 0, 0] = 0.0
         assert g.kmag.tobytes() == kmag.tobytes() and g.khat.tobytes() == khat.tobytes()
+        assert g.rmag.tobytes() == norm(full_grid(g.x_axes)).tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_time_in_range_iff_the_phase_is_finite(self, g16):
@@ -63,7 +66,7 @@ class TestGridGeometry:
             assert not g16.time_in_range(t)
 
     def test_dc_bin_is_origin(self, g16):
-        assert np.abs(g16.kvec[:, 0, 0, 0]).max() == 0.0
+        assert np.abs(full_grid(g16.k_axes)[:, 0, 0, 0]).max() == 0.0
         assert np.count_nonzero(g16.kmag == 0.0) == 1
 
     def test_index_negation_symmetry(self, g16):
@@ -98,7 +101,8 @@ class TestGridGeometry:
         keep[g16.n // 2] = False
         idx = np.flatnonzero(keep)
         sub = np.ix_(range(3), idx, idx, idx)
-        assert np.abs((reverse_bins(g16.kvec) + g16.kvec)[sub]).max() == 0.0
+        kvec = full_grid(g16.k_axes)
+        assert np.abs((reverse_bins(kvec) + kvec)[sub]).max() == 0.0
 
 
 class TestTransforms:
@@ -118,8 +122,8 @@ class TestTransforms:
         idx = (1, 0, 2)
         vals[0][idx] = 1.0
         F = to_position(momentum_field(vals, g16))
-        k0 = g16.kvec[:, 1, 0, 2]
-        phase = np.exp(1j * np.einsum("axyz,a->xyz", g16.xvec, k0))
+        k0 = full_grid(g16.k_axes)[:, 1, 0, 2]
+        phase = np.exp(1j * np.einsum("axyz,a->xyz", full_grid(g16.x_axes), k0))
         expect = phase * g16.dk**3 / (2 * np.pi) ** 1.5
         assert np.abs(F.values[0] - expect).max() < 1e-13
 
@@ -131,9 +135,10 @@ class TestTransforms:
         g = KGrid(64, 0.5)
         s = 1.6
         k0 = np.array([0.0, 0.0, 3.0])
-        f = np.exp(-np.sum((g.kvec - k0[:, None, None, None]) ** 2, axis=0) / (2 * s**2)).astype(complex)
+        kvec, xvec = full_grid(g.k_axes), full_grid(g.x_axes)
+        f = np.exp(-np.sum((kvec - k0[:, None, None, None]) ** 2, axis=0) / (2 * s**2)).astype(complex)
         F = to_position(momentum_field(f[None], g))
-        expect = s**3 * np.exp(1j * np.einsum("axyz,a->xyz", g.xvec, k0)) * np.exp(-s**2 * g.rmag**2 / 2)
+        expect = s**3 * np.exp(1j * np.einsum("axyz,a->xyz", xvec, k0)) * np.exp(-s**2 * g.rmag**2 / 2)
         assert np.abs(F.values[0] - expect).max() < 1e-10
 
     def test_hermitian_symmetry_of_real_field(self, g16, rng):
@@ -181,7 +186,8 @@ class TestTransforms:
 class TestKGradient:
     def gaussian(self, g, s=1.5, k0=(0.0, 0.0, 5.0)):
         k0 = np.asarray(k0)
-        f = np.exp(-np.sum((g.kvec - k0[:, None, None, None]) ** 2, axis=0) / (2 * s**2))
+        offset = full_grid(g.k_axes) - k0[:, None, None, None]
+        f = np.exp(-np.sum(offset**2, axis=0) / (2 * s**2))
         return f.astype(complex), k0, s
 
     def test_gaussian_derivative(self, g32):
@@ -191,7 +197,7 @@ class TestKGradient:
         assert grad.boundary_ratio <= 1e-8
         scale = np.abs(f).max() / s
         for a in range(3):
-            exact = -(g32.kvec[a] - k0[a]) / s**2 * f
+            exact = -(g32.k_axes[a] - k0[a]) / s**2 * f
             err = np.abs(grad.along(a).values[0] - exact).max()
             assert err < 0.2 * scale
 
@@ -203,7 +209,7 @@ class TestKGradient:
             grad = k_gradient(momentum_field(f[None], g))
             worst = 0.0
             for a in range(3):
-                exact = -(g.kvec[a] - k0[a]) / s**2 * f
+                exact = -(g.k_axes[a] - k0[a]) / s**2 * f
                 worst = max(worst, np.abs(grad.along(a).values[0] - exact).max())
             return worst
 
@@ -232,7 +238,7 @@ class TestKGradient:
         assert np.abs(interior).max() < 1e-14
 
     def test_linear_field_exact(self, g16):
-        f = momentum_field(g16.kvec[0:1].astype(complex), g16)
+        f = momentum_field(full_grid(g16.k_axes)[0:1].astype(complex), g16)
         grad = k_gradient(f)
         assert np.abs(grad.along(0).values - 1.0).max() < 1e-13
         assert np.abs(grad.along(1).values).max() < 1e-13
@@ -250,7 +256,7 @@ class TestSpectralDerivatives:
         # oracle: curl of (sin k0 z, 0, 0) is (0, k0 cos k0 z, 0)
         g = KGrid(32, 1.0)
         k0 = 3.0  # multiple of dk so the mode is exactly on-grid
-        z = g.xvec[2]
+        z = full_grid(g.x_axes)[2]
         F = np.zeros((3,) + g.shape, dtype=complex)
         F[0] = np.sin(k0 * z)
         curl = spectral_curl(position_field(F, g))
@@ -287,7 +293,8 @@ class TestInnerProduct:
         assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
     def test_boundary_ratio_of_centered_packet(self, g32):
-        f = np.exp(-np.sum((g32.kvec - np.array([0, 0, 5.0])[:, None, None, None]) ** 2, axis=0) / 2.0)
+        kvec = full_grid(g32.k_axes)
+        f = np.exp(-np.sum((kvec - np.array([0, 0, 5.0])[:, None, None, None]) ** 2, axis=0) / 2.0)
         ratio = boundary_amplitude_ratio(momentum_field(f[None], g32))
         assert ratio < 1e-8
 
@@ -333,13 +340,14 @@ class TestVectorKernels:
             assert dot(a, b, out=out) is out and self.same(out, numpy_dot), name
 
     def test_axes_and_component_sequences(self, rng):
-        # broadcasting axes in place of kvec or xvec, a list of components in
-        # place of a (3, n, n, n) array: bitwise the whole-array results
+        # broadcasting axes in place of the full coordinate grids, a list of
+        # components in place of a (3, n, n, n) array: bitwise the whole-array results
         g = KGrid(8, 0.7)
+        kvec, xvec = full_grid(g.k_axes), full_grid(g.x_axes)
         block = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(size=(3,) + g.shape)
-        assert self.same(cross(g.k_axes, block), cross(g.kvec, block))
-        assert self.same(cross(block, g.x_axes), cross(block, g.xvec))
-        assert self.same(dot(g.k_axes, block), dot(g.kvec, block))
+        assert self.same(cross(g.k_axes, block), cross(kvec, block))
+        assert self.same(cross(block, g.x_axes), cross(block, xvec))
+        assert self.same(dot(g.k_axes, block), dot(kvec, block))
         assert self.same(dot(g.khat, list(block)), dot(g.khat, block))
 
     def test_norm(self, operands):

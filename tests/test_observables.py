@@ -30,6 +30,7 @@ from darwinlab.observables import (
 )
 from darwinlab.state import PhotonState
 from reference import (
+    full_grid,
     spectral_gradient,
     spin_cross,
     spin_position,
@@ -191,7 +192,7 @@ class TestOam:
         st = self.ring(g32, 2)
         F = to_position(momentum_field(st.f_upper(), g32))
         grad = np.stack([d.values for d in spectral_gradient(F)])  # (axis, component, x, y, z)
-        xg = np.cross(g32.xvec[:, None], grad, axis=0)
+        xg = np.cross(full_grid(g32.x_axes)[:, None], grad, axis=0)
         ref = (-1j * np.sum(np.conj(F.values) * xg, axis=(1, 2, 3, 4))
                * g32.dx**3).real
         assert np.abs(oam_position(st) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())

@@ -14,6 +14,7 @@ from darwinlab.state import (
     normalize,
     transversality_residual,
 )
+from reference import full_grid
 
 
 def manual_state(grid, f_upper, f_lower):
@@ -24,7 +25,8 @@ def manual_state(grid, f_upper, f_lower):
 def branch_state(grid, sign, k0=(0, 0, 8), sigma=1.2):
     """Gaussian helicity state placed by hand on either energy branch."""
     k0 = np.asarray(k0, dtype=float)
-    env = np.exp(-np.sum((grid.kvec - k0[:, None, None, None]) ** 2, axis=0) / (2 * sigma**2))
+    env = np.exp(-np.sum((full_grid(grid.k_axes) - k0[:, None, None, None]) ** 2, axis=0)
+                 / (2 * sigma**2))
     pol = helicity_vectors(k0 / np.linalg.norm(k0))[0]
     f_u = env * pol[:, None, None, None]
     f_u -= np.sum(grid.khat * f_u, axis=0) * grid.khat
@@ -39,8 +41,7 @@ def longitudinal_state(state, fraction=0.3):
     g = state.grid
     values = state.psi.values.copy()
     values[:3] += fraction * np.linalg.norm(values[:3], axis=0) * g.khat
-    psi = momentum_field(values, g, state.time)
-    return PhotonState(psi)
+    return PhotonState(momentum_field(values, g), state.time)
 
 
 class TestDerivedValues:
@@ -65,7 +66,7 @@ class TestDerivedValues:
     def test_construction_computes_nothing(self, counted, helicity_state):
         st = PhotonState(helicity_state.psi)
         assert counted == {"norm_squared": 0, "transversality_residual": 0}
-        assert [f.name for f in dataclasses.fields(st)] == ["psi", "scale_factor"]
+        assert [f.name for f in dataclasses.fields(st)] == ["psi", "time", "scale_factor"]
 
     def test_only_payload_scalars_are_cached(self):
         # arrays derived from the payload belong to the observables memo
@@ -80,6 +81,14 @@ class TestDerivedValues:
             assert st.rqc_residual == transversality_residual(helicity_state.psi)
         # the reference values above come from this module's unpatched bindings
         assert counted == {"norm_squared": 1, "transversality_residual": 1}
+
+    @pytest.mark.parametrize("entry", [complex("nan"), complex("inf")])
+    def test_state_checks_its_payload_and_a_field_does_not(self, helicity_state, entry):
+        values = helicity_state.psi.values.copy()
+        values[1, 2, 3, 4] = entry
+        field = momentum_field(values, helicity_state.grid)  # accepted: fields are not scanned
+        with pytest.raises(ValueError, match="non-finite"):
+            PhotonState(field, 1.5)
 
     def test_payload_is_read_only(self, g16):
         # an in-place transform handed the payload would leave every cached

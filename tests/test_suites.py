@@ -6,7 +6,7 @@ import pytest
 from darwinlab import KGrid, ModeSpec, algebra, dynamics, observables, suites, synthesize
 from darwinlab.state import transversality_residual
 from make_golden import golden_path
-from reference import spin_cross, spin_position
+from reference import README_MODES, spin_cross, spin_position
 
 
 class TestSuiteMachinery:
@@ -155,6 +155,24 @@ class TestPerStateEvaluation:
             result = dynamics.evolve(state, 7.25)
             assert result.dirac_residual < 1e-12 and result.maxwell_residual.curl_residual < 1e-6
         assert len(calls) <= budget
+
+    def test_finiteness_scanned_once_per_made_state(self, monkeypatch):
+        # a payload is scanned when its state is made, here the two evolved
+        # conservation samples (t = 1, 10) and the field-bridge round trip;
+        # no field computed from a state is scanned
+        state = synthesize(README_MODES, KGrid(32, 1.0))
+        scans = []
+        original = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            if np.size(x) >= state.grid.n**3:
+                scans.append(1)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        reports = suites.run_suites(suites.SUITE_NAMES, state)
+        assert all(r.passed for r in reports)
+        assert len(scans) == 3
 
     def test_block_cross_densities_once_per_state(self, monkeypatch):
         # the checked state's two momentum- and two position-block densities,
