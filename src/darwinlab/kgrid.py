@@ -18,10 +18,9 @@ derivatives are exact spectral multiplications by i k.
 Every grid array is component-first: a c-component field is (c, n, n, n),
 so each component is one contiguous block of bins.  Per-bin 3-vector algebra
 goes through :func:`cross`, :func:`dot` and :func:`norm`, which work
-component by component on a first axis of length 3, or on the coordinate
-axes :attr:`KGrid.k_axes` and :attr:`KGrid.x_axes`, the grid's one coordinate
-form.  A :class:`Field` is values, representation and grid: the time and the
-finiteness check live on :class:`darwinlab.state.PhotonState`.
+component by component on a first axis of length 3, or on the grid's one
+coordinate form, the axes :attr:`KGrid.k_axes` and :attr:`KGrid.x_axes`.  A
+:class:`Field` is values, representation and grid, never scanned for finiteness.
 """
 
 from __future__ import annotations
@@ -135,15 +134,13 @@ class KGrid:
     def __post_init__(self) -> None:
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
-        if not (0.0 < self.dk < np.inf):
-            raise ValueError(f"grid spacing must be positive and finite, got {self.dk}")
-        try:  # the cube of a Python float raises where it overflows
-            in_range = 0.0 < self.dk**3 < math.inf and 0.0 < self.dx**3 < math.inf
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            raise ValueError(f"grid spacing {self.dk} puts a bin volume out of "
-                             "floating-point range")
+        try:  # the bin volumes and the box volume n^3 dk^3, which scales to_position
+            volumes = (self.dk**3, self.dx**3, self.n**3 * self.dk**3)
+        except (OverflowError, ZeroDivisionError):  # a float's cube raises on overflow
+            volumes = (math.nan,)
+        if not all(0.0 < v < math.inf for v in volumes):
+            raise ValueError(f"grid spacing {self.dk} is not positive or puts a bin or box "
+                             "volume out of floating-point range")
 
     @property
     def box_length(self) -> float:
@@ -231,9 +228,9 @@ class Field:
     so each component (and each 3-block of a six-component field, ``[:3]``
     and ``[3:]``) is contiguous over the bins.  ``rep`` tags the
     representation the bins live in.  Fields are immutable values: every
-    operation returns a new Field.  The time and the finiteness check
-    belong to :class:`darwinlab.state.PhotonState`, from which every other
-    field is computed.
+    operation returns a new Field.  None is scanned for finiteness: the time
+    and the payload check belong to :class:`darwinlab.state.PhotonState`,
+    :class:`KGrid` bounds the spacing, and a transform raises on overflow.
     """
 
     values: ArrayC
@@ -243,12 +240,10 @@ class Field:
     def __post_init__(self) -> None:
         if self.rep not in (MOMENTUM, POSITION):
             raise ValueError(f"unknown representation {self.rep!r}")
-        expect = self.grid.shape
         v = self.values
-        if v.ndim != 4 or v.shape[1:] != expect or v.shape[0] not in (1, 3, 6):
-            raise ValueError(
-                f"field values must have shape (c, n, n, n) with c in (1, 3, 6); got {v.shape}"
-            )
+        if v.ndim != 4 or v.shape[1:] != self.grid.shape or v.shape[0] not in (1, 3, 6):
+            raise ValueError("field values must have shape (c, n, n, n) with c in (1, 3, 6); "
+                             f"got {v.shape}")
 
     @property
     def ncomp(self) -> int:
@@ -276,8 +271,12 @@ def _transform(field: Field, fft, rep: str, scale: float, overwrite: bool) -> Fi
     # all three axes write into one output; without out= numpy allocates one
     # per axis, which costs time and a third field-sized array at the peak
     out = field.values if overwrite else np.empty(field.values.shape, dtype=np.complex128)
-    values = fft(field.values, axes=(1, 2, 3), out=out)
-    values *= scale
+    try:
+        with np.errstate(over="raise"):  # no Field is scanned: an overflow raises here
+            values = fft(field.values, axes=(1, 2, 3), out=out)
+            values *= scale
+    except FloatingPointError:
+        raise ValueError(f"{rep}-representation transform overflows floating-point range") from None
     return Field(values, rep, field.grid)
 
 

@@ -93,9 +93,11 @@ class TestBuild:
         pytest.param({"grid": {"n": True, "dk": 1.0}}, "$.grid.n", id="grid_n_boolean"),
         pytest.param({"grid": {"n": 16, "dk": "1.0"}}, "$.grid.dk", id="grid_dk_string"),
         pytest.param({"grid": {"n": 16, "dk": True}}, "$.grid.dk", id="grid_dk_boolean"),
-        # a spacing whose bin volume dx^3 (or dk^3) leaves floating-point range
+        # a spacing whose bin volume dx^3 or dk^3, or box volume n^3 dk^3,
+        # leaves floating-point range
         pytest.param({"grid": {"n": 16, "dk": 1e-200}}, "$.grid", id="grid_dk_tiny"),
         pytest.param({"grid": {"n": 16, "dk": 1e103}}, "$.grid", id="grid_dk_huge"),
+        pytest.param({"grid": {"n": 16, "dk": 1e102}}, "$.grid", id="grid_dk_large"),
     ])
     def test_value_that_is_not_a_number_exits_2(self, tmp_path, capsys, change, path):
         config = tmp_path / "cfg.json"
@@ -358,9 +360,11 @@ INVALID_FILES = {
                            rewrite_payload(p, bytes(4**3 * 6 * 16))),
     "negative_dk": lambda p: rewrite_header(p, grid={"n": 16, "dk": -1}),
     "infinite_dk": lambda p: rewrite_header(p, grid={"n": 16, "dk": float("inf")}),
-    # dx^3 overflows, or dk^3 is zero and dx infinite: once a traceback (exit 1)
+    # dx^3 overflows, dk^3 is zero and dx infinite, or the box volume n^3 dk^3
+    # overflows while dk^3 and dx^3 are in range
     "dk_tiny": lambda p: rewrite_header(p, grid={"n": 16, "dk": 1e-200}),
     "dk_subnormal": lambda p: rewrite_header(p, grid={"n": 16, "dk": 1e-320}),
+    "dk_large": lambda p: rewrite_header(p, grid={"n": 16, "dk": 1e102}),
     "nan_in_payload": _payload_with(complex("nan")),
     "inf_in_payload": _payload_with(complex("inf")),
     "time_not_a_number": lambda p: rewrite_header(p, time="abc"),

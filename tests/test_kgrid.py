@@ -86,6 +86,13 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             KGrid(16, 0.0)
 
+    # dx^3 overflows, dk^3 underflows to zero, dk^3 overflows, and (at n=16)
+    # the box volume n^3 dk^3 that scales the position transform overflows
+    @pytest.mark.parametrize("dk", [1e-200, 1e-320, 1e103, 1e102])
+    def test_rejects_dk_whose_volumes_leave_range(self, dk):
+        with pytest.raises(ValueError, match="bin or box volume out of floating-point range"):
+            KGrid(16, dk)
+
     def test_reverse_bins_is_the_per_axis_loop(self, g16, rng):
         arr = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
         expect = arr
@@ -110,6 +117,16 @@ class TestTransforms:
         f = random_field(g16, rng)
         back = to_momentum(to_position(f))
         assert np.abs(back.values - f.values).max() < 1e-12 * np.abs(f.values).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_transform_that_overflows_raises(self):
+        # a finite field on a grid whose box volume is in range: the scaled
+        # transform of the DC bin, 1e80 n^3 dk^3 / (2 pi)^1.5 / n^3, overflows
+        grid = KGrid(16, 1e80)
+        vals = np.zeros((1,) + grid.shape, dtype=complex)
+        vals[0, 0, 0, 0] = 1e80
+        with pytest.raises(ValueError, match="transform overflows floating-point range"):
+            to_position(momentum_field(vals, grid))
 
     def test_parseval(self, g16, rng):
         f = random_field(g16, rng)

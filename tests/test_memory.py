@@ -29,8 +29,7 @@ the peak of a full check, and the same calls peak at 3.17 fields (all
 suites), 2.26 (``observable_report``), 2.77 and 2.92 (the two groups), 2.92
 (fieldbridge), 2.52 (conservation), 2.67 (``evolve``) and 1.67
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
-peaks at 3.73 fields at both n=32 and n=64 (11.7 and 93.9 MB); it peaked at
-3.98 while its envelopes read a cached (3, n, n, n) momentum grid.
+peaks at 3.73 fields at both n=32 and n=64 (11.7 and 93.9 MB).
 """
 
 import tracemalloc

@@ -212,7 +212,7 @@ def test_overflowing_bin_volume_is_an_integrity_error(tmp_path, helicity_state):
     header, payload = _split(path.read_bytes())
     header["grid"]["dk"] = 1e103
     path.write_bytes(_join(header, payload))
-    with pytest.raises(StateFileError, match="bin volume out of floating-point range"):
+    with pytest.raises(StateFileError, match="bin or box volume out of floating-point range"):
         read_state(path)
 
 
