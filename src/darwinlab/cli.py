@@ -175,8 +175,9 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def _precision(value: int) -> int:
-    if value < 0:
-        raise ConfigError(f"--precision {value}: must be a non-negative integer")
+    # 17 significant digits round-trip every float64, so more would only print noise
+    if not 0 <= value <= 17:
+        raise ConfigError(f"--precision {value}: must be an integer from 0 to 17")
     return value
 
 
@@ -420,12 +421,13 @@ def cmd_evolve(args) -> int:
     state, header = stateio.read_state(args.statefile)
     _check_time_range(state, f"t={args.t}", t, state.time + t)
     result = dynamics.evolve(state, t)
-    del state  # the certificate, computed on first read below, reads only the evolved state
+    del state  # the certificate, computed on first read, reads only the evolved state
+    # read before writing, so a state whose certificate overflows leaves no file
+    certificate = (f"norm_drift={result.norm_drift:.3e} "
+                   f"dirac_residual={result.dirac_residual:.3e} "
+                   f"maxwell_residual={result.maxwell_residual.curl_residual:.3e}")
     stateio.write_state(args.out, result.state_t, metadata=header.get("metadata", {}))
-    print(f"wrote {args.out}: time={result.state_t.time:.6g} "
-          f"norm_drift={result.norm_drift:.3e} "
-          f"dirac_residual={result.dirac_residual:.3e} "
-          f"maxwell_residual={result.maxwell_residual.curl_residual:.3e}")
+    print(f"wrote {args.out}: time={result.state_t.time:.6g} {certificate}")
     return EXIT_OK
 
 
@@ -484,17 +486,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _apply_thread_cap()
+    import numpy as np
+
     from .stateio import StateFileError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # no derived value is scanned for finiteness: one that overflows raises
+        with np.errstate(over="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
+    except FloatingPointError:
+        source = getattr(args, "statefile", None) or args.config
+        print(f"error: {source}: a value derived from the state leaves floating-point range",
+              file=sys.stderr)
         return EXIT_INTEGRITY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

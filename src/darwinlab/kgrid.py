@@ -271,12 +271,9 @@ def _transform(field: Field, fft, rep: str, scale: float, overwrite: bool) -> Fi
     # all three axes write into one output; without out= numpy allocates one
     # per axis, which costs time and a third field-sized array at the peak
     out = field.values if overwrite else np.empty(field.values.shape, dtype=np.complex128)
-    try:
-        with np.errstate(over="raise"):  # no Field is scanned: an overflow raises here
-            values = fft(field.values, axes=(1, 2, 3), out=out)
-            values *= scale
-    except FloatingPointError:
-        raise ValueError(f"{rep}-representation transform overflows floating-point range") from None
+    with np.errstate(over="raise"):  # no Field is scanned: an overflow raises FloatingPointError
+        values = fft(field.values, axes=(1, 2, 3), out=out)
+        values *= scale
     return Field(values, rep, field.grid)
 
 
@@ -325,72 +322,44 @@ def boundary_amplitude_ratio(field: Field) -> float:
     return edge / peak
 
 
-@dataclass(frozen=True)
-class KGradient:
-    """Finite-difference k-gradient of a field, handed out one axis at a time.
+def k_gradient(field: Field, axis: int) -> Field:
+    """d(field)/d(k_axis) for axis in (0, 1, 2), in standard FFT bin order.
 
-    Only the field itself is held, not a copy; :meth:`along` differences it
-    along one k-axis when asked, so a caller that contracts each derivative
-    before asking for the next holds one derivative at a time.  The field's
-    values must not change while the gradient is in use.
-    """
-
-    field: Field
-    boundary_ratio: float
-
-    def along(self, axis: int, component: int | None = None) -> Field:
-        """d(field)/d(k_axis) for axis in (0, 1, 2), in standard FFT bin order;
-        with ``component``, of that one component only (a one-component field,
-        bitwise that component of the whole derivative).
-
-        The stencils follow the signed frequencies, not the array index: a
-        centered difference pairs each bin with its frequency neighbours
-        (across the FFT wrap between index n - 1 and 0), and the one-sided
-        second-order stencils sit at the most negative (index n/2) and most
-        positive (index n/2 - 1) frequency.  The values are bitwise those of
-        ``np.gradient(..., edge_order=2)`` on the fftshifted array, shifted
-        back, without either shifted copy.
-        """
-        f = self.field.values
-        if component is not None:
-            f = f[component:component + 1]
-        dk = self.field.grid.dk
-        n = f.shape[axis + 1]
-        h = n // 2
-
-        def at(array: np.ndarray, index) -> np.ndarray:
-            where = [slice(None)] * 4
-            where[axis + 1] = index
-            return array[tuple(where)]
-
-        out = np.empty_like(f)
-        # (f(k + dk) - f(k - dk)) / (2 dk): two runs of index neighbours, and
-        # the two bins whose frequency neighbour sits across the wrap
-        for target, ahead, behind in ((slice(1, h - 1), slice(2, h), slice(0, h - 2)),
-                                      (slice(h + 1, n - 1), slice(h + 2, n), slice(h, n - 2)),
-                                      (0, 1, n - 1),
-                                      (n - 1, 0, n - 2)):
-            d = np.subtract(at(f, ahead), at(f, behind), out=at(out, target))
-            d /= 2.0 * dk
-        # one-sided second-order stencils at the most negative and most positive frequency
-        at(out, h)[:] = ((-1.5 / dk) * at(f, h) + (2.0 / dk) * at(f, h + 1)
-                         + (-0.5 / dk) * at(f, h + 2))
-        at(out, h - 1)[:] = ((0.5 / dk) * at(f, h - 3) + (-2.0 / dk) * at(f, h - 2)
-                             + (1.5 / dk) * at(f, h - 1))
-        return Field(out, MOMENTUM, self.field.grid)
-
-
-def k_gradient(field: Field) -> KGradient:
-    """Centered finite-difference gradient along the three k-axes.
-
-    The stencils run in monotonic frequency order, so they never straddle
-    the Nyquist wrap; the boundary bins use one-sided second-order
-    differences.  The result records how well the amplitude has decayed at
-    the grid boundary, where the one-sided stencils (and the
-    non-periodicity of the data) make the derivative unreliable.
+    The stencils follow the signed frequencies, not the array index: a
+    centered difference pairs each bin with its frequency neighbours (across
+    the FFT wrap between index n - 1 and 0), and the one-sided second-order
+    stencils sit at the most negative (index n/2) and most positive (index
+    n/2 - 1) frequency, where the derivative is only as good as the
+    amplitude's decay (:func:`boundary_amplitude_ratio`).  The values are
+    bitwise those of ``np.gradient(..., edge_order=2)`` on the fftshifted
+    array, shifted back, without either shifted copy.
     """
     _require(field, MOMENTUM)
-    return KGradient(field=field, boundary_ratio=boundary_amplitude_ratio(field))
+    f = field.values
+    dk = field.grid.dk
+    n = f.shape[axis + 1]
+    h = n // 2
+
+    def at(array: np.ndarray, index) -> np.ndarray:
+        where = [slice(None)] * 4
+        where[axis + 1] = index
+        return array[tuple(where)]
+
+    out = np.empty_like(f)
+    # (f(k + dk) - f(k - dk)) / (2 dk): two runs of index neighbours, and
+    # the two bins whose frequency neighbour sits across the wrap
+    for target, ahead, behind in ((slice(1, h - 1), slice(2, h), slice(0, h - 2)),
+                                  (slice(h + 1, n - 1), slice(h + 2, n), slice(h, n - 2)),
+                                  (0, 1, n - 1),
+                                  (n - 1, 0, n - 2)):
+        d = np.subtract(at(f, ahead), at(f, behind), out=at(out, target))
+        d /= 2.0 * dk
+    # one-sided second-order stencils at the most negative and most positive frequency
+    at(out, h)[:] = ((-1.5 / dk) * at(f, h) + (2.0 / dk) * at(f, h + 1)
+                     + (-0.5 / dk) * at(f, h + 2))
+    at(out, h - 1)[:] = ((0.5 / dk) * at(f, h - 3) + (-2.0 / dk) * at(f, h - 2)
+                         + (1.5 / dk) * at(f, h - 1))
+    return Field(out, MOMENTUM, field.grid)
 
 
 def spectral_curl(field: Field) -> Field:

@@ -275,7 +275,7 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
 
 @_per_state
 def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
-    """<L> by the momentum route, and the boundary ratio of its k-gradient.
+    """<L> by the momentum route, and the boundary ratio of the block it differentiates.
 
     The k-gradient is taken one component and one axis at a time and
     contracted at once, so a single derivative component and a single
@@ -284,19 +284,19 @@ def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
     """
     g = state.grid
     f = _peeled_block(state)
-    grad = k_gradient(momentum_field(f, g))
+    ratio = kgrid.boundary_amplitude_ratio(momentum_field(f, g))
     f_conj = np.empty(g.shape, dtype=np.complex128)
     h = np.empty_like(f)
     for c in range(3):
         np.conj(f[c], out=f_conj)
+        component = momentum_field(f[c:c + 1], g)
         for a in range(3):
-            d = grad.along(a, component=c).values[0]
+            d = k_gradient(component, a).values[0]
             if c == 0:
                 np.multiply(f_conj, d, out=h[a])
             else:
                 h[a] += np.multiply(f_conj, d, out=d)
-    ratio = grad.boundary_ratio
-    del f, f_conj, grad, d
+    del f, f_conj, component, d
     total = -1j * np.sum(kgrid.cross(g.k_axes, h), axis=(1, 2, 3)) * g.dk**3
     return total.real, ratio
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from darwinlab import KGrid, ModeSpec, synthesize
+from darwinlab.kgrid import KGrid
+from darwinlab.state import ModeSpec, synthesize
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from darwinlab import ModeSpec, kgrid, observables
+from darwinlab import kgrid, observables
 from darwinlab.algebra import _check_wavevector, helicity_vectors
 from darwinlab.dynamics import default_maxwell_dt
 from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical
@@ -31,7 +31,7 @@ from darwinlab.kgrid import (
     to_momentum,
     to_position,
 )
-from darwinlab.state import PhotonState
+from darwinlab.state import ModeSpec, PhotonState
 
 
 # the modes of the README example config
@@ -122,8 +122,8 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
 
     f = np.sqrt(2.0) * psi[:3]
     peeled = f * np.exp(1j * g.kmag * state.time) if state.time != 0.0 else f
-    grad = kgrid.k_gradient(Field(peeled, MOMENTUM, g))
-    h = np.stack([kgrid.dot(np.conj(peeled), grad.along(a).values) for a in range(3)])
+    block = Field(peeled, MOMENTUM, g)
+    h = np.stack([kgrid.dot(np.conj(peeled), kgrid.k_gradient(block, a).values) for a in range(3)])
     kvec = full_grid(g.k_axes)
     out["oam_momentum"] = (-1j * np.sum(kgrid.cross(kvec, h), axis=(1, 2, 3)) * g.dk**3).real
     F_conj = np.conj(np.sqrt(2.0) * pos[:3])

@@ -9,28 +9,32 @@ inline.
 import numpy as np
 import pytest
 
-from darwinlab import (
-    KGrid,
-    ModeSpec,
+from darwinlab.algebra import (
     build_gamma_set,
     commutator_h_spin_residual,
-    continuity_and_conservation,
-    density_candidates,
     hamiltonian_matrix,
-    kernel_pair_check,
-    maxwell_residual,
-    nonlocal_relation_check,
-    observable_report,
     projected_spin_matrices,
-    spin_canonical,
     spin_direction_spectrum,
-    synthesize,
     transverse_projector,
     verify_matrix_identities,
 )
-from darwinlab.fieldbridge import classical_from_state, hermitian_symmetry_residual, state_from_classical
-from darwinlab.observables import oam_momentum, oam_position
-from darwinlab.state import branch_residual
+from darwinlab.dynamics import continuity_and_conservation, maxwell_residual
+from darwinlab.fieldbridge import (
+    classical_from_state,
+    hermitian_symmetry_residual,
+    kernel_pair_check,
+    nonlocal_relation_check,
+    state_from_classical,
+)
+from darwinlab.kgrid import KGrid
+from darwinlab.observables import (
+    density_candidates,
+    oam_momentum,
+    oam_position,
+    observable_report,
+    spin_canonical,
+)
+from darwinlab.state import ModeSpec, branch_residual, synthesize
 
 SEED = 7041
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from darwinlab.cli import ConfigError, main, parse_config
 from darwinlab.kgrid import momentum_field
-from darwinlab.state import PhotonState
+from darwinlab.state import ModeSpec, PhotonState, synthesize
 from darwinlab.stateio import read_state, write_state
 from darwinlab.suites import DEFAULT_TIMES, SUITE_NAMES
 from test_state import longitudinal_state
@@ -547,6 +547,39 @@ def test_overflowing_payload_exits_3(overflowing_file, tmp_path, capsys, command
     assert captured.err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def derived_overflow_files(tmp_path_factory, g16):
+    """A valid n=16 gaussian file under two header spacings whose every amplitude
+    and grid volume is finite, but a derived value is not: at dk=1e80 the
+    position transform overflows, at dk=1e50 a product in the position OAM route."""
+    directory = tmp_path_factory.mktemp("derived")
+    state = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=1.0, helicity=1)], g16)
+    paths = {}
+    for dk in ("1e80", "1e50"):
+        paths[dk] = directory / f"dk{dk}.dpst"
+        write_state(paths[dk], state)
+        rewrite_header(paths[dk], grid={"n": 16, "dk": float(dk)})
+    return paths
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dk, command", [
+    # each once ended in a traceback, NaN rows or slices, or RuntimeWarnings
+    ("1e80", "check"), ("1e80", "observe"), ("1e80", "evolve"), ("1e80", "densities"),
+    ("1e50", "check"), ("1e50", "observe"),
+])
+def test_derived_value_out_of_range_exits_3(derived_overflow_files, tmp_path, capsys, dk, command):
+    out = tmp_path / "out"
+    extra = {"evolve": ["1.0", "--out", str(out)], "densities": ["--out", str(out)]}
+    path = str(derived_overflow_files[dk])
+    capsys.readouterr()
+    assert main([command, path, *extra.get(command, [])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: a value derived from the state leaves floating-point range\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     pytest.param(["densities", "--offset", "nan"], "error: plane z=nan outside the box",
                  id="densities_offset_nan"),
@@ -554,6 +587,15 @@ def test_overflowing_payload_exits_3(overflowing_file, tmp_path, capsys, command
                  id="densities_precision_negative"),
     pytest.param(["observe", "--precision", "-1"], "config error: --precision -1:",
                  id="observe_precision_negative"),
+    # float64 round-trips at 17 digits; 100000000000 was once a ValueError traceback
+    pytest.param(["densities", "--precision", "18"], "config error: --precision 18:",
+                 id="densities_precision_18"),
+    pytest.param(["observe", "--precision", "18"], "config error: --precision 18:",
+                 id="observe_precision_18"),
+    pytest.param(["densities", "--precision", "100000000000"],
+                 "config error: --precision 100000000000:", id="densities_precision_huge"),
+    pytest.param(["observe", "--precision", "100000000000"],
+                 "config error: --precision 100000000000:", id="observe_precision_huge"),
 ])
 def test_offset_or_precision_it_cannot_honour_exits_2(built_state, tmp_path, capsys, args, message):
     out = tmp_path / "slices"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darwinlab import KGrid, ModeSpec, observables, synthesize
+from darwinlab import observables
 from darwinlab.dynamics import (
     continuity_and_conservation,
     default_maxwell_dt,
@@ -10,12 +10,13 @@ from darwinlab.dynamics import (
     maxwell_residual,
 )
 from darwinlab.kgrid import (
+    KGrid,
     momentum_field,
     position_field,
     spectral_curl,
     to_position,
 )
-from darwinlab.state import PhotonState
+from darwinlab.state import ModeSpec, PhotonState, synthesize
 from reference import continuity_residual, four_current, spectral_divergence
 from test_state import branch_state, longitudinal_state
 

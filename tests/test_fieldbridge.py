@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from darwinlab import KGrid, ModeSpec, fieldbridge, synthesize
+from darwinlab import fieldbridge
 from darwinlab.fieldbridge import (
     classical_from_state,
     extract_positive_frequency,
@@ -13,7 +13,8 @@ from darwinlab.fieldbridge import (
     state_from_classical,
 )
 from darwinlab.dynamics import maxwell_residual
-from darwinlab.kgrid import to_position
+from darwinlab.kgrid import KGrid, to_position
+from darwinlab.state import ModeSpec, synthesize
 from darwinlab.suites import run_suites
 from reference import classical_from_kspace, complex_pair, full_grid, landau_peierls_transform
 

@@ -8,27 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darwinlab
-from darwinlab import (
-    KGrid,
-    ModeSpec,
-    PhotonState,
-    k_gradient,
-    momentum_field,
-    observables,
-    position_field,
-    synthesize,
-)
+from darwinlab import observables
 from darwinlab.kgrid import (
+    KGrid,
     boundary_amplitude_ratio,
     cross,
     dot,
+    k_gradient,
+    momentum_field,
     norm,
     norm_squared,
+    position_field,
     reverse_bins,
     spectral_curl,
     to_momentum,
     to_position,
 )
+from darwinlab.state import ModeSpec, PhotonState, synthesize
 from reference import full_grid, spectral_divergence, spectral_gradient
 
 
@@ -125,7 +121,7 @@ class TestTransforms:
         grid = KGrid(16, 1e80)
         vals = np.zeros((1,) + grid.shape, dtype=complex)
         vals[0, 0, 0, 0] = 1e80
-        with pytest.raises(ValueError, match="transform overflows floating-point range"):
+        with pytest.raises(FloatingPointError, match="overflow"):
             to_position(momentum_field(vals, grid))
 
     def test_parseval(self, g16, rng):
@@ -210,12 +206,12 @@ class TestKGradient:
     def test_gaussian_derivative(self, g32):
         # oracle: analytic gradient -(k - k0)/s^2 * f
         f, k0, s = self.gaussian(g32)
-        grad = k_gradient(momentum_field(f[None], g32))
-        assert grad.boundary_ratio <= 1e-8
+        field = momentum_field(f[None], g32)
+        assert boundary_amplitude_ratio(field) <= 1e-8
         scale = np.abs(f).max() / s
         for a in range(3):
             exact = -(g32.k_axes[a] - k0[a]) / s**2 * f
-            err = np.abs(grad.along(a).values[0] - exact).max()
+            err = np.abs(k_gradient(field, a).values[0] - exact).max()
             assert err < 0.2 * scale
 
     def test_convergence_factor(self):
@@ -223,11 +219,11 @@ class TestKGradient:
         def err(n, dk):
             g = KGrid(n, dk)
             f, k0, s = self.gaussian(g)
-            grad = k_gradient(momentum_field(f[None], g))
+            field = momentum_field(f[None], g)
             worst = 0.0
             for a in range(3):
                 exact = -(g.k_axes[a] - k0[a]) / s**2 * f
-                worst = max(worst, np.abs(grad.along(a).values[0] - exact).max())
+                worst = max(worst, np.abs(k_gradient(field, a).values[0] - exact).max())
             return worst
 
         factor = err(32, 1.0) / err(64, 0.5)
@@ -239,33 +235,28 @@ class TestKGradient:
         g = KGrid(n, dk)
         f = random_field(g, rng, ncomp)
         unwrapped = np.fft.fftshift(f.values, axes=(1, 2, 3))
-        grad = k_gradient(f)
         for a in range(3):
             d = np.gradient(unwrapped, dk, axis=a + 1, edge_order=2)
             expect = np.fft.ifftshift(d, axes=(1, 2, 3))
-            assert grad.along(a).values.tobytes() == expect.tobytes(), a
-            for c in range(ncomp):
-                assert grad.along(a, component=c).values.tobytes() == expect[c:c + 1].tobytes()
-        assert grad.field is f  # no copy of the field is held
+            assert k_gradient(f, a).values.tobytes() == expect.tobytes(), a
+            for c in range(ncomp):  # one component at a time, as the OAM route takes it
+                one = momentum_field(f.values[c:c + 1], g)
+                assert k_gradient(one, a).values.tobytes() == expect[c:c + 1].tobytes()
 
     def test_constant_field(self, g16):
         f = momentum_field(np.ones((1,) + g16.shape, dtype=complex), g16)
-        grad = k_gradient(f)
-        interior = np.fft.fftshift(grad.along(0).values[0])[1:-1, 1:-1, 1:-1]
+        interior = np.fft.fftshift(k_gradient(f, 0).values[0])[1:-1, 1:-1, 1:-1]
         assert np.abs(interior).max() < 1e-14
 
     def test_linear_field_exact(self, g16):
         f = momentum_field(full_grid(g16.k_axes)[0:1].astype(complex), g16)
-        grad = k_gradient(f)
-        assert np.abs(grad.along(0).values - 1.0).max() < 1e-13
-        assert np.abs(grad.along(1).values).max() < 1e-13
-        assert np.abs(grad.along(2).values).max() < 1e-13
+        assert np.abs(k_gradient(f, 0).values - 1.0).max() < 1e-13
+        assert np.abs(k_gradient(f, 1).values).max() < 1e-13
+        assert np.abs(k_gradient(f, 2).values).max() < 1e-13
 
     def test_boundary_warning(self, g16):
         f = momentum_field(np.ones((1,) + g16.shape, dtype=complex), g16)
-        grad = k_gradient(f)
-        assert grad.boundary_ratio == 1.0
-        assert grad.boundary_ratio > 1e-8
+        assert boundary_amplitude_ratio(f) == 1.0  # far above 1e-8, where the stencils hold
 
 
 class TestSpectralDerivatives:

@@ -36,7 +36,9 @@ import tracemalloc
 
 import pytest
 
-from darwinlab import KGrid, dynamics, observables, suites, synthesize
+from darwinlab import dynamics, observables, suites
+from darwinlab.kgrid import KGrid
+from darwinlab.state import synthesize
 from reference import README_MODES
 
 

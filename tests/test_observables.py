@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from darwinlab import ModeSpec, kgrid, observables, synthesize
+from darwinlab import kgrid, observables
 from darwinlab.algebra import build_gamma_set
 from darwinlab.dynamics import evolve, maxwell_residual
 from darwinlab.kgrid import (
@@ -28,7 +28,7 @@ from darwinlab.observables import (
     spin_canonical,
     spin_projected,
 )
-from darwinlab.state import PhotonState
+from darwinlab.state import ModeSpec, PhotonState, synthesize
 from reference import (
     full_grid,
     spectral_gradient,

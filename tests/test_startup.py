@@ -1,4 +1,4 @@
-"""Start-up of the package and of ``dpl``: lazy exports and the BLAS thread cap.
+"""Start-up of the package and of ``dpl``: imports that load no numpy, and the BLAS thread cap.
 
 The cap only works if it is set before numpy loads, so these tests run fresh
 interpreters: the test process has loaded numpy long before they start.
@@ -14,33 +14,12 @@ from pathlib import Path
 import pytest
 
 import darwinlab
-from darwinlab import ModeSpec, synthesize
 from darwinlab.cli import main
+from darwinlab.state import ModeSpec, synthesize
 from darwinlab.stateio import write_state
 
 SRC = Path(darwinlab.__file__).parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-# the package's public names, module by module; adding or dropping one is an API change
-EXPORTS = {
-    "algebra": ["GammaSet", "build_gamma_set", "build_sigma", "commutator_h_spin_residual",
-                "hamiltonian_matrix", "helicity_frame", "helicity_vectors",
-                "projected_spin_matrices", "spin_direction_spectrum", "transverse_projector",
-                "verify_matrix_identities"],
-    "dynamics": ["ConservationReport", "EvolutionResult", "MaxwellReport",
-                 "continuity_and_conservation", "dirac_residual", "evolve",
-                 "maxwell_residual"],
-    "fieldbridge": ["ClassicalField", "KernelCheckReport", "classical_from_state",
-                    "extract_positive_frequency", "kernel_pair_check", "nonlocal_relation_check",
-                    "state_from_classical"],
-    "kgrid": ["Field", "KGrid", "k_gradient", "momentum_field", "position_field",
-              "spectral_curl", "to_momentum", "to_position"],
-    "observables": ["DensityCandidates", "ObservableReport", "density_candidates",
-                    "nonlocal_spin_density", "oam_momentum", "oam_position",
-                    "observable_report", "probability", "spin_canonical", "spin_projected"],
-    "state": ["ModeSpec", "PhotonState", "branch_residual", "normalize", "synthesize",
-              "transversality_residual"],
-}
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -61,19 +40,6 @@ class TestLazyImport:
         res = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
-
-    def test_exports_are_the_module_attributes(self):
-        listed = dir(darwinlab)
-        for module, names in EXPORTS.items():
-            owner = getattr(darwinlab, module)
-            for name in names:
-                assert getattr(darwinlab, name) is getattr(owner, name), name
-                assert name in listed, name
-        assert sorted(darwinlab.__all__) == sorted(n for names in EXPORTS.values() for n in names)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            darwinlab.no_such_name  # noqa: B018
 
     def test_submodule_import_still_works(self):
         res = run_python("import json, darwinlab; from darwinlab import suites; "

@@ -4,14 +4,16 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from darwinlab import ModeSpec, kgrid, observables, synthesize
+from darwinlab import kgrid, observables
 from darwinlab import state as state_module
 from darwinlab.algebra import helicity_vectors
 from darwinlab.kgrid import momentum_field, norm_squared, to_position
 from darwinlab.state import (
+    ModeSpec,
     PhotonState,
     branch_residual,
     normalize,
+    synthesize,
     transversality_residual,
 )
 from reference import full_grid

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darwinlab import ModeSpec, kgrid, synthesize
-from darwinlab.state import PhotonState, transversality_residual
+from darwinlab import kgrid
+from darwinlab.state import ModeSpec, PhotonState, synthesize, transversality_residual
 from darwinlab.stateio import MAGIC, StateFileError, read_state, write_state
 from test_state import longitudinal_state
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from darwinlab import KGrid, ModeSpec, algebra, dynamics, observables, suites, synthesize
-from darwinlab.state import transversality_residual
+from darwinlab import algebra, dynamics, observables, suites
+from darwinlab.kgrid import KGrid
+from darwinlab.state import ModeSpec, synthesize, transversality_residual
 from make_golden import golden_path
 from reference import README_MODES, spin_cross, spin_position
 
