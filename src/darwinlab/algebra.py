@@ -1,16 +1,15 @@
 """Exact matrix layer of the photon wave equation.
 
-Builds the spin-1 generators, the 6x6 block matrices (beta-like ``gamma0``,
-the three off-diagonal ``gamma`` matrices and the block-diagonal spin
-matrices), the Hamiltonian matrix at a given wavevector, the projector onto
-the transverse subspace and the momentum-projected spin matrices.
+Holds the constants of Darwin's equations as read-only module arrays (the
+spin-1 generators ``SIGMA`` and the 6x6 block matrices ``GAMMA0``, ``GAMMA``
+and ``SPIN``) and builds from them the Hamiltonian matrix at a given
+wavevector, the projector onto the transverse subspace and the
+momentum-projected spin matrices.
 Everything in this module is plain finite-dimensional linear algebra in
 natural units (hbar = c = eps0 = 1); no grids are involved.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,44 +24,21 @@ LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
 
 I3 = np.eye(3, dtype=np.complex128)
 I6 = np.eye(6, dtype=np.complex128)
+_ZERO3 = np.zeros((3, 3), dtype=np.complex128)
 
+# spin-1 generators, (SIGMA_k)_{ij} = -i eps_{ijk}; shape (3, 3, 3)
+SIGMA = np.stack([-1j * LEVI_CIVITA[:, :, k] for k in range(3)])
+# beta-like matrix diag(I3, -I3)
+GAMMA0 = np.block([[I3, _ZERO3], [_ZERO3, -I3]])
+# three Hermitian matrices with the spin-1 generators on the off-diagonal blocks; (3, 6, 6)
+GAMMA = np.stack([np.block([[_ZERO3, s], [s, _ZERO3]]) for s in SIGMA])
+# block-diagonal doubling of the spin-1 generators, the canonical spin matrices; (3, 6, 6)
+SPIN = np.stack([np.block([[s, _ZERO3], [_ZERO3, s]]) for s in SIGMA])
 
-def build_sigma() -> ArrayC:
-    """Spin-1 generators, (sigma_k)_{ij} = -i eps_{ijk}.  Shape (3, 3, 3)."""
-    sigma = np.zeros((3, 3, 3), dtype=np.complex128)
-    for k in range(3):
-        sigma[k] = -1j * LEVI_CIVITA[:, :, k]
-    return sigma
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    """The constant matrices of the six-component wave equation.
-
-    gamma0 : diag(I3, -I3)
-    gamma  : three Hermitian matrices with the spin-1 generators on the
-             off-diagonal blocks
-    spin   : block-diagonal doubling of the spin-1 generators; the canonical
-             (unconstrained) spin matrices
-    sigma  : the 3x3 spin-1 generators themselves
-    """
-
-    gamma0: ArrayC
-    gamma: ArrayC   # (3, 6, 6)
-    spin: ArrayC    # (3, 6, 6)
-    sigma: ArrayC   # (3, 3, 3)
-
-
-def build_gamma_set() -> GammaSet:
-    sigma = build_sigma()
-    zero = np.zeros((3, 3), dtype=np.complex128)
-    gamma0 = np.block([[I3, zero], [zero, -I3]])
-    gamma = np.stack([np.block([[zero, s], [s, zero]]) for s in sigma])
-    spin = np.stack([np.block([[s, zero], [zero, s]]) for s in sigma])
-    return GammaSet(gamma0=gamma0, gamma=gamma, spin=spin, sigma=sigma)
-
-
-_DEFAULT = build_gamma_set()
+# every caller shares these arrays, so none may write to them
+for _constant in (LEVI_CIVITA, I3, I6, SIGMA, GAMMA0, GAMMA, SPIN):
+    _constant.flags.writeable = False
+del _constant
 
 
 def _commutator(a: ArrayC, b: ArrayC) -> ArrayC:
@@ -71,13 +47,12 @@ def _commutator(a: ArrayC, b: ArrayC) -> ArrayC:
 
 def verify_matrix_identities() -> dict[str, float]:
     """Max absolute entry of the residual for each constant-matrix identity."""
-    g = _DEFAULT
     res: dict[str, float] = {}
 
-    res["gamma0_squared"] = float(np.abs(g.gamma0 @ g.gamma0 - I6).max())
+    res["gamma0_squared"] = float(np.abs(GAMMA0 @ GAMMA0 - I6).max())
 
     anti = max(
-        float(np.abs(g.gamma0 @ g.gamma[k] + g.gamma[k] @ g.gamma0).max())
+        float(np.abs(GAMMA0 @ GAMMA[k] + GAMMA[k] @ GAMMA0).max())
         for k in range(3)
     )
     res["gamma0_gamma_anticommute"] = anti
@@ -86,8 +61,8 @@ def verify_matrix_identities() -> dict[str, float]:
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                lhs = g.gamma[i] @ g.gamma[j] @ g.gamma[k] + g.gamma[k] @ g.gamma[j] @ g.gamma[i]
-                rhs = g.gamma[i] * (1.0 if j == k else 0.0) + g.gamma[k] * (1.0 if i == j else 0.0)
+                lhs = GAMMA[i] @ GAMMA[j] @ GAMMA[k] + GAMMA[k] @ GAMMA[j] @ GAMMA[i]
+                rhs = GAMMA[i] * (1.0 if j == k else 0.0) + GAMMA[k] * (1.0 if i == j else 0.0)
                 triple = max(triple, float(np.abs(lhs - rhs).max()))
     res["gamma_triple_product"] = triple
 
@@ -95,10 +70,10 @@ def verify_matrix_identities() -> dict[str, float]:
     spin_cr = 0.0
     for i in range(3):
         for j in range(3):
-            expect3 = sum(1j * LEVI_CIVITA[i, j, k] * g.sigma[k] for k in range(3))
-            expect6 = sum(1j * LEVI_CIVITA[i, j, k] * g.spin[k] for k in range(3))
-            sigma_cr = max(sigma_cr, float(np.abs(_commutator(g.sigma[i], g.sigma[j]) - expect3).max()))
-            spin_cr = max(spin_cr, float(np.abs(_commutator(g.spin[i], g.spin[j]) - expect6).max()))
+            expect3 = sum(1j * LEVI_CIVITA[i, j, k] * SIGMA[k] for k in range(3))
+            expect6 = sum(1j * LEVI_CIVITA[i, j, k] * SPIN[k] for k in range(3))
+            sigma_cr = max(sigma_cr, float(np.abs(_commutator(SIGMA[i], SIGMA[j]) - expect3).max()))
+            spin_cr = max(spin_cr, float(np.abs(_commutator(SPIN[i], SPIN[j]) - expect6).max()))
     res["sigma_commutation"] = sigma_cr
     res["spin_commutation"] = spin_cr
 
@@ -108,11 +83,11 @@ def verify_matrix_identities() -> dict[str, float]:
         acc = np.zeros((6, 6), dtype=np.complex128)
         for i in range(3):
             for j in range(3):
-                acc += LEVI_CIVITA[k, i, j] * (g.gamma[i] @ g.gamma[j])
-        cross = max(cross, float(np.abs(-1j * acc - g.spin[k]).max()))
+                acc += LEVI_CIVITA[k, i, j] * (GAMMA[i] @ GAMMA[j])
+        cross = max(cross, float(np.abs(-1j * acc - SPIN[k]).max()))
     res["gamma_cross_gamma"] = cross
 
-    spin_sq = sum(g.spin[k] @ g.spin[k] for k in range(3))
+    spin_sq = sum(SPIN[k] @ SPIN[k] for k in range(3))
     res["spin_squared"] = float(np.abs(spin_sq - 2.0 * I6).max())
 
     return res
@@ -131,8 +106,8 @@ def _check_wavevector(k: np.ndarray) -> tuple[np.ndarray, float]:
 def hamiltonian_matrix(k) -> ArrayC:
     """Hamiltonian matrix i*gamma0*(gamma . k) at wavevector k."""
     k, _ = _check_wavevector(k)
-    gk = np.einsum("a,aij->ij", k, _DEFAULT.gamma)
-    return 1j * (_DEFAULT.gamma0 @ gk)
+    gk = np.einsum("a,aij->ij", k, GAMMA)
+    return 1j * (GAMMA0 @ gk)
 
 
 def transverse_projector(k) -> ArrayC:
@@ -180,7 +155,7 @@ def projected_spin_matrices(k) -> ArrayC:
     """
     k, kmag = _check_wavevector(k)
     w = k / kmag
-    spin_w = np.einsum("a,aij->ij", w, _DEFAULT.spin)
+    spin_w = np.einsum("a,aij->ij", w, SPIN)
     return np.stack([spin_w * w[i] for i in range(3)])
 
 
@@ -191,14 +166,13 @@ def spin_direction_spectrum(n) -> ArrayR:
         raise ValueError("direction must be a 3-vector")
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
-    spin_n = np.einsum("a,aij->ij", n, _DEFAULT.spin)
+    spin_n = np.einsum("a,aij->ij", n, SPIN)
     return np.linalg.eigvalsh(spin_n)
 
 
 def commutator_h_spin_residual(k) -> float:
     """Residual of [H(k), spin_i] = -(gamma0 gamma x k)_i, max over i."""
     k, _ = _check_wavevector(k)
-    g = _DEFAULT
     h = hamiltonian_matrix(k)
     worst = 0.0
     for i in range(3):
@@ -206,6 +180,6 @@ def commutator_h_spin_residual(k) -> float:
         for a in range(3):
             for b in range(3):
                 if LEVI_CIVITA[i, a, b] != 0.0:
-                    rhs -= LEVI_CIVITA[i, a, b] * (g.gamma0 @ g.gamma[a]) * k[b]
-        worst = max(worst, float(np.abs(_commutator(h, g.spin[i]) - rhs).max()))
+                    rhs -= LEVI_CIVITA[i, a, b] * (GAMMA0 @ GAMMA[a]) * k[b]
+        worst = max(worst, float(np.abs(_commutator(h, SPIN[i]) - rhs).max()))
     return worst

@@ -20,7 +20,7 @@ import numpy as np
 from . import kgrid, observables
 from .kgrid import Field, to_position
 from .kgrid import spectral_curl  # noqa: F401  (re-export; perfbench/tests inspects it)
-from .state import PhotonState
+from .state import PhotonState, occupied_mask
 
 DEFAULT_DT_FRACTION = 1e-3
 
@@ -30,16 +30,11 @@ def default_maxwell_dt(grid: kgrid.KGrid) -> float:
     return DEFAULT_DT_FRACTION / grid.k_max
 
 
-def _phase(grid: kgrid.KGrid, t: float) -> np.ndarray:
-    """The free-evolution phase exp(-i |k| t) per bin."""
-    return np.exp(-1j * grid.kmag * t)
-
-
 def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
     if t == 0.0:
         return state
     g = state.grid
-    psi = Field(state.psi.values * _phase(g, t), kgrid.MOMENTUM, g)
+    psi = Field(state.psi.values * g.phase(t), kgrid.MOMENTUM, g)
     return PhotonState(psi, state.time + t, state.scale_factor)
 
 
@@ -66,10 +61,7 @@ def dirac_residual(state: PhotonState) -> float:
 
     residual = kgrid.norm(rows())
     amp = kgrid.norm(psi)
-    peak = float(amp.max())
-    if peak == 0.0:
-        return 0.0
-    mask = (amp > 1e-12 * peak) & (g.kmag > 0.0)
+    mask = occupied_mask(amp) & (g.kmag > 0.0)
     if not mask.any():
         return 0.0
     return float((residual[mask] / (omega[mask] * amp[mask])).max())
@@ -109,8 +101,8 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u);
     # the -dt copy is subtracted one component at a time, and each array is
     # built only to be transformed, so it is transformed in place
-    stencil = psi * _phase(g, +dt)
-    backward = _phase(g, -dt)
+    stencil = psi * g.phase(+dt)
+    backward = g.phase(-dt)
     for c in range(6):
         stencil[c] -= psi[c] * backward
     del backward

@@ -62,14 +62,10 @@ class ClassicalField:
 
 
 def hermitian_symmetry_residual(values: np.ndarray) -> float:
-    """Relative residual of conj(a(-k)) = a(k) at bin level."""
-    peak = max_abs(values)
-    if peak == 0.0:
-        return 0.0
-    gap = reverse_bins(values)
-    np.conj(gap, out=gap)
-    np.subtract(values, gap, out=gap)
-    return max_abs(gap) / peak
+    """Relative residual of conj(a(-k)) = a(k) at bin level; the mirror has
+    the same peak as a, so this is max |a - conj(a(-k))| / max |a|."""
+    mirror = reverse_bins(values)
+    return relative_gap(values, np.conj(mirror, out=mirror))
 
 
 def solenoidal_residual(values: np.ndarray, grid: KGrid) -> float:

@@ -159,6 +159,10 @@ class KGrid:
         """Largest |k| representable on the grid (box corner)."""
         return np.sqrt(3.0) * self.k_nyquist
 
+    def phase(self, t: float) -> ArrayC:
+        """The free-evolution phase exp(-i |k| t) per bin."""
+        return np.exp(-1j * self.kmag * t)
+
     def time_in_range(self, t: float) -> bool:
         """Whether the phase exp(-i |k| t) is finite on every bin: k_max |t| is."""
         return math.isfinite(float(self.k_max) * abs(float(t)))

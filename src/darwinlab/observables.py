@@ -172,7 +172,7 @@ def _peeled_block(state: PhotonState) -> np.ndarray:
     """
     f = state.f_upper()
     if state.time != 0.0:
-        f *= np.exp(1j * state.grid.kmag * state.time)
+        f *= state.grid.phase(-state.time)
     return f
 
 

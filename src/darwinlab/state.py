@@ -148,8 +148,8 @@ class PhotonState:
         return np.sqrt(2.0) * self.psi.values[3:]
 
 
-def _occupied_mask(amp: np.ndarray) -> np.ndarray:
-    """Bins whose summed block amplitude is above round-off of the peak."""
+def occupied_mask(amp: np.ndarray) -> np.ndarray:
+    """Bins whose amplitude is above round-off of the peak amplitude."""
     peak = amp.max()
     if peak == 0.0:
         return np.zeros(amp.shape, dtype=bool)
@@ -161,7 +161,7 @@ def transversality_residual(psi: Field) -> float:
     g = psi.grid
     blocks = (psi.values[:3], psi.values[3:])
     amps = [kgrid.norm(f) for f in blocks]
-    mask = _occupied_mask(amps[0] + amps[1]) & (g.kmag > 0.0)
+    mask = occupied_mask(amps[0] + amps[1]) & (g.kmag > 0.0)
     if not mask.any():
         return 0.0
     worst = 0.0
@@ -180,7 +180,7 @@ def branch_residual(state: PhotonState) -> float:
     f_u = state.f_upper()
     f_l = state.f_lower()
     scale = kgrid.norm(f_u) + kgrid.norm(f_l)
-    mask = _occupied_mask(scale) & (g.kmag > 0.0)
+    mask = occupied_mask(scale) & (g.kmag > 0.0)
     if not mask.any():
         return 0.0
     r1 = kgrid.norm(kgrid.cross(g.khat, f_u) - f_l)
@@ -269,8 +269,6 @@ def synthesize(specs, grid: KGrid) -> PhotonState:
     total norm that does (named by the mode of the largest sum).  So no
     state it returns holds a non-finite value or a norm that is not finite.
     """
-    if isinstance(specs, ModeSpec):
-        specs = [specs]
     if not specs:
         raise ValueError("need at least one mode spec")
 

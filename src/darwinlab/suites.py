@@ -147,10 +147,9 @@ def suite_algebra(state: PhotonState, times) -> list:
 
 def suite_constraint(state: PhotonState, times) -> list:
     rng = np.random.default_rng(DEFAULT_SEED)
-    gamma = algebra.build_gamma_set().gamma
     worst = 0.0
     for k in _random_wavevectors(rng, N_RANDOM_WAVEVECTORS):
-        gk = np.einsum("a,aij->ij", k, gamma)
+        gk = np.einsum("a,aij->ij", k, algebra.GAMMA)
         proj = algebra.transverse_projector(k)
         k2 = float(k @ k)
         worst = max(worst, float(np.abs((gk @ gk - k2 * np.eye(6)) @ proj).max()) / k2)

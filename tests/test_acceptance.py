@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from darwinlab.algebra import (
-    build_gamma_set,
+    GAMMA,
     commutator_h_spin_residual,
     hamiltonian_matrix,
     projected_spin_matrices,
@@ -110,9 +110,8 @@ def test_criterion_2_constraints(g32, two_direction):
         if br >= 1e-12:
             failures.append(f"{name}: branch coupling {br:.2e}")
 
-    gamma = build_gamma_set()
     for k in random_wavevectors(100):
-        gk = np.einsum("a,aij->ij", k, gamma.gamma)
+        gk = np.einsum("a,aij->ij", k, GAMMA)
         res = np.abs((gk @ gk - (k @ k) * np.eye(6)) @ transverse_projector(k)).max()
         if res / max(1.0, k @ k) >= 1e-13:
             failures.append(f"projector identity residual {res:.2e} at k={k}")

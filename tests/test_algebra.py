@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darwinlab.algebra import (
-    build_gamma_set,
-    build_sigma,
+    GAMMA,
+    GAMMA0,
+    I3,
+    I6,
+    LEVI_CIVITA,
+    SIGMA,
+    SPIN,
     commutator_h_spin_residual,
     hamiltonian_matrix,
     helicity_frame,
@@ -28,59 +33,52 @@ def random_k(rng):
 
 class TestSigma:
     def test_entries_match_definition(self):
-        sigma = build_sigma()
         # sigma_z: (1,2) entry -i, (2,1) entry +i, everything else zero
         expect = np.zeros((3, 3), dtype=complex)
         expect[0, 1] = -1j
         expect[1, 0] = 1j
-        assert np.array_equal(sigma[2], expect)
+        assert np.array_equal(SIGMA[2], expect)
 
     def test_casimir(self):
         # oracle: direct matrix multiplication
-        sigma = build_sigma()
-        total = sum(s @ s for s in sigma)
+        total = sum(s @ s for s in SIGMA)
         assert np.abs(total - 2.0 * np.eye(3)).max() < TOL
 
     def test_cross_product_action(self):
         # (sigma . a) b = i (a x b) for a = x, b = y gives i z
-        sigma = build_sigma()
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
-        sa = np.einsum("a,aij->ij", a, sigma)
+        sa = np.einsum("a,aij->ij", a, SIGMA)
         assert np.abs(sa @ b - 1j * np.array([0, 0, 1.0])).max() < TOL
 
     def test_hermitian(self):
-        for s in build_sigma():
+        for s in SIGMA:
             assert np.abs(s - s.conj().T).max() < TOL
 
 
 class TestGammaSet:
     def test_block_structure(self):
-        g = build_gamma_set()
-        assert np.array_equal(g.gamma0[:3, :3], np.eye(3))
-        assert np.array_equal(g.gamma0[3:, 3:], -np.eye(3))
+        assert np.array_equal(GAMMA0[:3, :3], np.eye(3))
+        assert np.array_equal(GAMMA0[3:, 3:], -np.eye(3))
         for k in range(3):
-            assert np.abs(g.gamma[k][:3, :3]).max() == 0.0
-            assert np.array_equal(g.gamma[k][:3, 3:], g.sigma[k])
-            assert np.array_equal(g.spin[k][:3, :3], g.sigma[k])
-            assert np.array_equal(g.spin[k][3:, 3:], g.sigma[k])
+            assert np.abs(GAMMA[k][:3, :3]).max() == 0.0
+            assert np.array_equal(GAMMA[k][:3, 3:], SIGMA[k])
+            assert np.array_equal(SPIN[k][:3, :3], SIGMA[k])
+            assert np.array_equal(SPIN[k][3:, 3:], SIGMA[k])
 
     def test_gamma0_squared(self):
-        g = build_gamma_set()
-        assert np.abs(g.gamma0 @ g.gamma0 - np.eye(6)).max() < TOL
+        assert np.abs(GAMMA0 @ GAMMA0 - np.eye(6)).max() < TOL
 
     def test_anticommutation(self):
-        g = build_gamma_set()
         for k in range(3):
-            assert np.abs(g.gamma0 @ g.gamma[k] + g.gamma[k] @ g.gamma0).max() < TOL
+            assert np.abs(GAMMA0 @ GAMMA[k] + GAMMA[k] @ GAMMA0).max() < TOL
 
     def test_triple_product_all_indices(self):
-        g = build_gamma_set()
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    lhs = g.gamma[i] @ g.gamma[j] @ g.gamma[k] + g.gamma[k] @ g.gamma[j] @ g.gamma[i]
-                    rhs = g.gamma[i] * (j == k) + g.gamma[k] * (i == j)
+                    lhs = GAMMA[i] @ GAMMA[j] @ GAMMA[k] + GAMMA[k] @ GAMMA[j] @ GAMMA[i]
+                    rhs = GAMMA[i] * (j == k) + GAMMA[k] * (i == j)
                     assert np.abs(lhs - rhs).max() < TOL
 
     def test_identity_table(self):
@@ -98,9 +96,14 @@ class TestGammaSet:
 
     def test_gamma_cross_gamma_z_component(self):
         # oracle: direct multiply of the z component
-        g = build_gamma_set()
-        acc = -1j * (g.gamma[0] @ g.gamma[1] - g.gamma[1] @ g.gamma[0])
-        assert np.abs(acc - g.spin[2]).max() < TOL
+        acc = -1j * (GAMMA[0] @ GAMMA[1] - GAMMA[1] @ GAMMA[0])
+        assert np.abs(acc - SPIN[2]).max() < TOL
+
+    @pytest.mark.parametrize("constant", [LEVI_CIVITA, I3, I6, SIGMA, GAMMA0, GAMMA, SPIN])
+    def test_constants_are_read_only(self, constant):
+        # every caller shares the module arrays: a write must raise, not leak
+        with pytest.raises(ValueError, match="read-only"):
+            constant[(0,) * constant.ndim] = 2.0
 
 
 class TestHamiltonian:
@@ -142,10 +145,9 @@ class TestProjectors:
             assert abs(np.trace(p).real - 4.0) < TOL
 
     def test_rqc_identity_random_k(self, rng):
-        g = build_gamma_set()
         for _ in range(25):
             k = random_k(rng)
-            gk = np.einsum("a,aij->ij", k, g.gamma)
+            gk = np.einsum("a,aij->ij", k, GAMMA)
             p = transverse_projector(k)
             assert np.abs((gk @ gk - (k @ k) * np.eye(6)) @ p).max() < 1e-13 * max(1.0, k @ k)
 

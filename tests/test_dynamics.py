@@ -139,14 +139,13 @@ class TestFourCurrent:
 
     def test_spatial_current_is_real_by_construction(self, two_direction_state):
         # cross-check against the dense matrix sandwich i c Psi^dag g0 g_a Psi
-        from darwinlab.algebra import build_gamma_set
+        from darwinlab.algebra import GAMMA, GAMMA0
         from darwinlab.kgrid import to_position
 
-        gam = build_gamma_set()
         pos = to_position(two_direction_state.psi)
         sandwich = np.einsum(
             "cxyz,acd,dxyz->axyz", np.conj(pos.values),
-            np.stack([gam.gamma0 @ gam.gamma[a] for a in range(3)]), pos.values,
+            np.stack([GAMMA0 @ GAMMA[a] for a in range(3)]), pos.values,
         )
         oracle = 1j * sandwich
         cur = four_current(two_direction_state)

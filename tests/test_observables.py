@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from darwinlab import kgrid, observables
-from darwinlab.algebra import build_gamma_set
+from darwinlab.algebra import SPIN
 from darwinlab.dynamics import evolve, maxwell_residual
 from darwinlab.kgrid import (
     boundary_amplitude_ratio,
@@ -38,13 +38,11 @@ from reference import (
     whole_array_routes,
 )
 
-GAMMA = build_gamma_set()
-
 
 def matrix_spin_oracle(state):
     """Independent route: sandwich the dense 6x6 spin matrices per bin."""
     psi = state.psi.values
-    out = np.einsum("cxyz,icd,dxyz->i", np.conj(psi), GAMMA.spin, psi) * state.psi.measure
+    out = np.einsum("cxyz,icd,dxyz->i", np.conj(psi), SPIN, psi) * state.psi.measure
     assert np.abs(out.imag).max() < 1e-12
     return out.real
 
@@ -53,7 +51,7 @@ def matrix_projected_oracle(state):
     """Independent route for the momentum-projected operator (spin . w) w_i."""
     psi = state.psi.values
     g = state.grid
-    spin_w = np.einsum("axyz,acd->xyzcd", g.khat, GAMMA.spin)
+    spin_w = np.einsum("axyz,acd->xyzcd", g.khat, SPIN)
     scalar = np.einsum("cxyz,xyzcd,dxyz->xyz", np.conj(psi), spin_w, psi)
     out = np.einsum("xyz,axyz->a", scalar, g.khat) * state.psi.measure
     assert np.abs(out.imag).max() < 1e-12
