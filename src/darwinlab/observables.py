@@ -354,6 +354,19 @@ def oam_position(state: PhotonState) -> np.ndarray:
     return total.real
 
 
+def oam_position_shell(state: PhotonState) -> float:
+    """Share of the probability on the outermost bin shell of the position
+    box (a coordinate at -L/2 or L/2 - dx), where the x-weighted
+    :func:`oam_position` sees a packet wrap round the box.  Each shell bin
+    is counted once, from the shell planes of the memoized transform."""
+    n, p_psi, values = state.grid.n, probability(state)[0], psi_position(state)
+    edge, inner, every = [n // 2 - 1, n // 2], np.r_[:n // 2 - 1, n // 2 + 1:n], range(n)
+    slabs = ((edge, every, every), (inner, edge, every), (inner, inner, edge))
+    shell = sum(float(np.sum(_summed_squares(values[np.ix_(range(6), *bins)])))
+                for bins in slabs)
+    return shell * state.grid.dx**3 / p_psi if p_psi > 0.0 else 0.0
+
+
 @_per_state
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""

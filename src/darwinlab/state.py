@@ -257,7 +257,7 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
     return env
 
 
-def synthesize(specs, grid: KGrid) -> PhotonState:
+def synthesize(specs: list[ModeSpec], grid: KGrid) -> PhotonState:
     """Build a normalized positive-energy state from a list of mode specs.
 
     Per bin: accumulate envelope x polarization into the upper block, project

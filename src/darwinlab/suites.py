@@ -172,7 +172,9 @@ def suite_oam(state: PhotonState, times) -> list:
     return [("oam_formula_gap", gap, f"momentum={np.array2string(l_mom, precision=6)} "
                                      f"position={np.array2string(l_pos, precision=6)}"),
             ("oam_boundary_ratio", observables.oam_boundary_ratio(state),
-             "warning only; gradients unreliable above 1e-8")]
+             "warning only; gradients unreliable above 1e-8"),
+            ("oam_position_shell", observables.oam_position_shell(state),
+             "info only; the position route wraps where the packet reaches the box edge")]
 
 
 def suite_probability(state: PhotonState, times) -> list:

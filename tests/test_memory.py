@@ -7,26 +7,21 @@ six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
 check runs first, so caches that the process fills once are not counted.
 
 Measured at n=32: ``run_suites`` over all ten suites peaks at 3.22 fields,
-``observable_report`` at 2.29 and the fieldbridge suite at 2.96 (they were
-5.47, 3.81 and 3.96 before the routes worked one block or one component at
-a time; 9.58 and 6.75 for the first two before the in-place transforms).
-``observable_report`` peaked at 2.92 while its momentum spin routes ran on
-top of the position transform, the block cross densities took a scaled
-copy of each block, and the nonlocal density kept all three of its complex
-rows.  ``dpl check`` runs the two suite groups of ``suites.MEMO_SUITES`` and
-``suites.OWN_TRANSFORM_SUITES`` in two processes, one ``run_suites`` call
-each; those calls peak at 2.88 and 2.96 fields (4.82 and 4.11 before; the
-kernels suite set the own-transforms peak and the full ``run_suites`` at
-4.11 and 4.36 before it sub-sampled its singular core a block of cells at a
-time).  Conservation alone peaks at 2.63 fields: with no position suite
-requested, the position transform is released before it runs (3.67 when
-it was kept through the evolved samples).  An order with a position suite
-after conservation still keeps the one transform through it, so its peak is
-unchanged.  ``evolve`` by 7.25 with both values of its certificate peaks at
-2.71 fields and ``maxwell_residual`` alone at 1.71 (3.21 and 2.21 while the
-certificate held both curls at once).  At n=64 the fieldbridge suite sets
-the peak of a full check, and the same calls peak at 3.17 fields (all
-suites), 2.26 (``observable_report``), 2.77 and 2.92 (the two groups), 2.92
+``observable_report`` at 2.29 and the fieldbridge suite at 2.96, with every
+route working one block or one component at a time and transforming in
+place the arrays it builds only to transform.  ``dpl check`` runs the two
+suite groups of ``suites.MEMO_SUITES`` and ``suites.OWN_TRANSFORM_SUITES``
+in two processes, one ``run_suites`` call each; those calls peak at 2.88
+and 2.96 fields, with the kernels suite sub-sampling its singular core a
+block of cells at a time.  Conservation alone peaks at 2.63 fields: with no
+position suite requested, the position transform is released before it
+runs.  An order with a position suite after conservation keeps the one
+transform through it, so its peak is unchanged.  ``evolve`` by 7.25 with
+both values of its certificate peaks at 2.71 fields and
+``maxwell_residual`` alone at 1.71, the certificate computing one curl
+block at a time.  At n=64 the fieldbridge suite sets the peak of a full
+check, and the same calls peak at 3.17 fields (all suites), 2.26
+(``observable_report``), 2.77 and 2.92 (the two groups), 2.92
 (fieldbridge), 2.52 (conservation), 2.67 (``evolve``) and 1.67
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
 peaks at 3.73 fields at both n=32 and n=64 (11.7 and 93.9 MB).
@@ -65,7 +60,7 @@ BUDGETS = {
 @pytest.fixture(scope="module", autouse=True)
 def warm_caches():
     """One full check first, so that the process-wide caches it fills once
-    (the gamma matrices, numpy's FFT plans) count in no measured peak, and a
+    (numpy's FFT plans) count in no measured peak, and a
     budget reads the same whether its test runs alone or after others."""
     suites.run_suites(suites.SUITE_NAMES, synthesize(README_MODES, KGrid(32, 1.0)))
 

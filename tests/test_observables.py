@@ -21,6 +21,7 @@ from darwinlab.observables import (
     oam_boundary_ratio,
     oam_momentum,
     oam_position,
+    oam_position_shell,
     observable_report,
     position_densities,
     probability,
@@ -211,6 +212,18 @@ class TestOam:
         oam_momentum(st)
         assert oam_boundary_ratio(st) == expect
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("time", [0.0, 7.25])
+    def test_position_shell_share_against_a_shell_mask(self, g32, time):
+        # reference: the whole-grid density summed under a mask of the bins
+        # with any coordinate at -L/2 or L/2 - dx (index n/2 or n/2 - 1)
+        st = evolve(self.ring(g32, 1), time).state_t if time else self.ring(g32, 1)
+        x = full_grid(g32.x_axes)
+        on_shell = np.any((x == -g32.box_length / 2) | (x == g32.box_length / 2 - g32.dx), axis=0)
+        density = np.sum(np.abs(to_position(st.psi).values) ** 2, axis=0)
+        expect = np.sum(density[on_shell]) / np.sum(density)
+        assert on_shell.sum() == g32.n**3 - (g32.n - 2) ** 3
+        assert oam_position_shell(st) == pytest.approx(expect, rel=1e-12)
 
     def test_repeated_evaluation_is_shared_and_read_only(self, g32):
         st = self.ring(g32, 1)

@@ -49,7 +49,7 @@ def fixture_outputs(fixture_state):
 
 def test_fixture_is_inside_the_grid(fixture_outputs):
     rows, _ = fixture_outputs
-    assert len(rows) == 33
+    assert len(rows) == 34
     assert rows["oam_boundary_ratio"] < 1e-8
 
 
@@ -77,6 +77,24 @@ def test_global_phase(fixture_state, fixture_outputs):
                           time=fixture_state.time)
     rows, vectors = _outputs(rotated, TIMES)
     expect_rows, expect_vectors = fixture_outputs
+    assert rows.keys() == expect_rows.keys()
+    bound = {"maxwell_residual": np.finfo(float).eps / dynamics.DEFAULT_DT_FRACTION}
+    for name, value in rows.items():
+        assert abs(value - expect_rows[name]) <= bound.get(name, 1e-14), name
+    for name, value in vectors.items():
+        assert np.abs(value - expect_vectors[name]).max() <= 1e-14, name
+
+
+def test_time_composition(fixture_state):
+    # evolving by 0.5 and then by 0.75 lands where one step of 1.25 does: the
+    # phases compose, so no row or vector moves beyond rounding
+    # (maxwell_residual bounded as in test_global_phase)
+    base = fixture_state
+    composed = dynamics.evolve(dynamics.evolve(base, 0.5).state_t, 0.75).state_t
+    direct = dynamics.evolve(base, 1.25).state_t
+    assert composed.time == direct.time == base.time + 1.25
+    rows, vectors = _outputs(composed, TIMES)
+    expect_rows, expect_vectors = _outputs(direct, TIMES)
     assert rows.keys() == expect_rows.keys()
     bound = {"maxwell_residual": np.finfo(float).eps / dynamics.DEFAULT_DT_FRACTION}
     for name, value in rows.items():
