@@ -8,10 +8,13 @@ state file at a later time).
 Exit codes: 0 success, 1 check failure or runtime error, 2 configuration or
 usage error, 3 state-file integrity error.
 
-``check`` runs its two suite groups (``suites.MEMO_SUITES`` and
-``suites.OWN_TRANSFORM_SUITES``) in two processes when it may use two CPUs.
-Whenever the worker hands back no complete reports, its suites run here as
-on one CPU, so the report, exit code and error are the same either way.
+When it may use two CPUs, a command splits its work with a forked worker
+(:func:`_forked`): ``check`` runs its own-transform suite group
+(``suites.OWN_TRANSFORM_SUITES``) there and its memo group
+(``suites.MEMO_SUITES``) here, and ``observe`` runs the kernel spin route
+there and every other route here.  Whenever the worker hands back no
+complete value, its part runs here as on one CPU, so the output, exit code
+and error are the same either way.
 
 The BLAS/OpenMP thread pools get one thread unless a ``*_NUM_THREADS``
 variable is set.  The cap is applied before the numerical modules load, so
@@ -23,6 +26,8 @@ Once numpy has loaded the pools are sized, so an in-process call of
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import numbers
@@ -278,30 +283,26 @@ def _cpu_count() -> int:
         return 1
 
 
-def _run_suite_groups(names, state, tolerances, times):
-    """The reports of ``suites.run_suites(names, ...)``, from up to two processes.
+def _two_cpus() -> bool:
+    """Whether a forked worker can run beside this process."""
+    return hasattr(os, "fork") and _cpu_count() >= 2
 
-    When the names hold suites of both ``suites.MEMO_SUITES`` and
-    ``suites.OWN_TRANSFORM_SUITES`` and this process may use two CPUs, a
-    forked worker runs the own-transform suites while this process runs the
-    memo suites, each with one ``run_suites`` call, and the reports are
-    merged back into the requested order.  Whenever no complete pickle of
-    the worker's reports comes back (the fork failed, a suite raised there,
-    the worker died or its pickle was cut off), the own-transform suites run
-    here as on one CPU, so a suite that raised there raises again here.
-    Every value is computed as the serial run computes it, so the reports
-    are the same.  Otherwise the one serial call runs here.
+
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work()`` in a forked worker while the with-block runs here.
+
+    Yields a function of no arguments that returns work()'s value.  It
+    waits for the worker's pickle of the value, and whenever no complete
+    pickle comes back (the fork failed, work raised there, the worker died
+    or its pickle was cut off) it computes work() here, as one process
+    would, so work that raised there raises again here.  If the block
+    raises, the worker is killed and the block's error wins.  In every case
+    the worker is reaped, so its rusage counts toward this process.
     """
-    from . import suites
-
-    memo = [n for n in names if n in suites.MEMO_SUITES]
-    own = [n for n in names if n in suites.OWN_TRANSFORM_SUITES]
-    if not (memo and own and hasattr(os, "fork") and _cpu_count() >= 2):
-        return suites.run_suites(names, state, tolerances=tolerances, times=times)
     import pickle
     import signal
 
-    state.grid.khat  # with kmag: both groups use them, so both share one copy
     sys.stdout.flush()
     sys.stderr.flush()  # so the worker inherits no unwritten output
     read_fd, write_fd = os.pipe()
@@ -314,38 +315,91 @@ def _run_suite_groups(names, state, tolerances, times):
         # buffer is flushed a second time, no traceback is printed
         try:
             os.close(read_fd)
-            data = pickle.dumps(suites.run_suites(own, state, tolerances=tolerances, times=times))
+            data = pickle.dumps(work())
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(data)
         finally:
             os._exit(0)
     os.close(write_fd)
+
+    def result():
+        nonlocal pid
+        data = pipe.read()
+        if pid:
+            os.waitpid(pid, 0)
+            pid = None
+        try:
+            return pickle.loads(data)
+        except Exception:  # nothing, or a cut-off pickle
+            pass
+        return work()  # after the handler, so work that raises leaves one traceback
+
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            memo_reports = iter(suites.run_suites(memo, state, tolerances=tolerances, times=times))
-            data = pipe.read()
-        except BaseException:  # the worker is killed and this error wins
+            yield result
+        except BaseException:
             if pid:
                 os.kill(pid, signal.SIGKILL)
             raise
         finally:
             if pid:
-                os.waitpid(pid, 0)  # reaped, so its rusage counts toward this process
-    try:
-        own_reports = iter(pickle.loads(data))
-    except Exception:  # nothing, or a cut-off pickle
-        own_reports = None
-    if own_reports is None:  # run after the handler, so a raising suite leaves one traceback
-        own_reports = iter(suites.run_suites(own, state, tolerances=tolerances, times=times))
+                os.waitpid(pid, 0)
+
+
+def _run_suite_groups(names, state, tolerances, times):
+    """The reports of ``suites.run_suites(names, ...)``, from up to two processes.
+
+    When the names hold suites of both ``suites.MEMO_SUITES`` and
+    ``suites.OWN_TRANSFORM_SUITES`` and this process may use two CPUs, a
+    forked worker (:func:`_forked`) runs the own-transform suites while this
+    process runs the memo suites, each with one ``run_suites`` call, and the
+    reports are merged back into the requested order.  Whenever the worker
+    hands back no reports, the own-transform suites run here as on one CPU,
+    so a suite that raised there raises again here.  Every value is
+    computed as the serial run computes it, so the reports are the same.
+    Otherwise the one serial call runs here.
+    """
+    from . import suites
+
+    memo = [n for n in names if n in suites.MEMO_SUITES]
+    own = [n for n in names if n in suites.OWN_TRANSFORM_SUITES]
+    if not (memo and own and _two_cpus()):
+        return suites.run_suites(names, state, tolerances=tolerances, times=times)
+    state.grid.khat  # with kmag: both groups use them, so both share one copy
+    with _forked(lambda: suites.run_suites(own, state, tolerances=tolerances, times=times)) as result:
+        memo_reports = iter(suites.run_suites(memo, state, tolerances=tolerances, times=times))
+        own_reports = iter(result())
     return [next(memo_reports if n in suites.MEMO_SUITES else own_reports) for n in names]
 
 
+def _observe_report(state):
+    """``observables.observable_report(state)`` as ``dpl observe`` computes it.
+
+    The kernel spin route is the integral-only
+    ``observables.nonlocal_spin_integral``, so no kernel density is kept.
+    When this process may use two CPUs, a forked worker (:func:`_forked`)
+    computes it while this process runs the other routes; whenever the
+    worker hands back no value, it is computed here as on one CPU.  Either
+    way it is the same value, so the report is the same.
+    """
+    from . import observables
+
+    kernel = functools.partial(observables.nonlocal_spin_integral, state)
+    if not _two_cpus():
+        return observables.observable_report(state, kernel)
+    # made before the fork, so the worker inherits them and neither is made twice
+    observables.psi_position(state)
+    state.grid.khat
+    with _forked(kernel) as result:
+        return observables.observable_report(state, result)
+
+
 def cmd_observe(args) -> int:
-    from . import observables, stateio
+    from . import stateio
 
     p = _precision(args.precision)
     state, _ = stateio.read_state(args.statefile)
-    rep = observables.observable_report(state)
+    rep = _observe_report(state)
     rows = [("name", "x", "y", "z")]
     for name, vec in rep.spin.items():
         rows.append((f"spin_{name}",) + tuple(_fmt(v, p) for v in vec))

@@ -101,11 +101,12 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u);
     # the -dt copy is subtracted one component at a time, and each array is
     # built only to be transformed, so it is transformed in place
-    stencil = psi * g.phase(+dt)
-    backward = g.phase(-dt)
+    phase = g.phase(dt)
+    stencil = psi * phase
+    np.conj(phase, out=phase)  # the backward phase: bitwise g.phase(-dt), one exponential fewer
     for c in range(6):
-        stencil[c] -= psi[c] * backward
-    del backward
+        stencil[c] -= psi[c] * phase
+    del phase
     stencil *= block_scale / (2.0 * dt)
     d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g), overwrite=True).values
     del stencil

@@ -219,32 +219,21 @@ def spin_projected(state: PhotonState) -> np.ndarray:
     return _momentum_spin_routes(state)["projected"][0]
 
 
-@_per_state
-def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
-    """Spin density built from the nonlocal momentum-projected operator.
+def _kernel_density_rows(state: PhotonState):
+    """The rows Psi^dag Phi_i of the nonlocal kernel spin density, complex,
+    handed out one at a time in one reused buffer.
 
-    s_i(x) = Re[ Psi(x)^dag  Phi_i(x) ] with Phi_i the position transform of
-    (spin . w) w_i psi.  This realizes the convolution with the singular
-    direction-dyadic kernel spectrally, which is exact on the grid.  Its
-    integral reproduces the projected-spin expectation; pointwise it is not
-    the canonical density (:func:`density_candidates` measures the gap).
-
-    One density row at a time: for each i, each block's w_i chi, with
+    Phi_i is the position transform of (spin . w) w_i psi, which realizes
+    the convolution with the singular direction-dyadic kernel spectrally,
+    exactly on the grid.  For each i, each block's w_i chi, with
     chi = (spin . w) f, is formed in one reused three-component buffer and
-    transformed there, and Psi^dag Phi_i gains the block's components, in
-    component order, in one complex row.  So six three-component transforms
-    replace three of six components, the sums run in the same order, and
-    of the complex density only one row is held.
+    transformed there, and the row gains the block's components in
+    component order.  So six three-component transforms replace three of
+    six components, and one complex row is held.  A caller reads each row
+    before it asks for the next, which overwrites it.
     """
     g = state.grid
-    # before the buffers below exist: the projected spin makes its own densities
-    projected = spin_projected(state)
     psi, psi_pos = state.psi.values, psi_position(state)
-    # the density itself is complex away from the single-mode limit; only
-    # its integral is a Hermitian form, so only that must be real
-    s = np.empty((3,) + g.shape)
-    integral = np.empty(3)
-    integral_imag = 0.0
     phi = np.empty((3,) + g.shape, dtype=np.complex128)
     dens, psi_conj = np.empty((2,) + g.shape, dtype=np.complex128)
     for i in range(3):
@@ -260,17 +249,34 @@ def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, dict]:
                     np.multiply(psi_conj, phi[c], out=dens)
                 else:
                     dens += np.multiply(psi_conj, phi[c], out=phi[c])
-        s[i] = dens.real
-        total = np.sum(dens) * state.grid.dx**3
-        integral[i] = total.real
-        integral_imag = max(integral_imag, abs(total.imag))
+        yield dens
 
-    diagnostics = {
-        "integral": integral,
-        "integral_vs_projected": float(np.abs(integral - projected).max()),
-        "imag_residue": integral_imag,
-    }
-    return s, diagnostics
+
+@_per_state
+def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
+    """Spin density built from the nonlocal momentum-projected operator, and
+    the (value, imaginary residue) of its integral.
+
+    s_i(x) = Re[ Psi(x)^dag  Phi_i(x) ] with Phi_i the position transform of
+    (spin . w) w_i psi (:func:`_kernel_density_rows`).  Its integral
+    reproduces the projected-spin expectation; pointwise it is not the
+    canonical density (:func:`density_candidates` measures the gap).  The
+    density itself is complex away from the single-mode limit; only its
+    integral is a Hermitian form, so only that must be real.
+    """
+    s = np.empty((3,) + state.grid.shape)
+    sums = []
+    for row in _kernel_density_rows(state):
+        s[len(sums)] = row.real
+        sums.append(np.sum(row))
+    return s, _integrated(np.array(sums), state.grid.dx**3)
+
+
+def nonlocal_spin_integral(state: PhotonState) -> tuple[np.ndarray, float]:
+    """(value, imaginary residue) of the kernel density's integral, the
+    kernel spin route, from its rows; unlike :func:`nonlocal_spin_density`
+    it keeps no density."""
+    return _integrated(_row_sums(_kernel_density_rows(state)), state.grid.dx**3)
 
 
 @_per_state
@@ -296,7 +302,8 @@ def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
                 np.multiply(f_conj, d, out=h[a])
             else:
                 h[a] += np.multiply(f_conj, d, out=d)
-    del f, f_conj, component, d
+            del d  # before the next derivative is made
+    del f, f_conj, component
     total = -1j * np.sum(kgrid.cross(g.k_axes, h), axis=(1, 2, 3)) * g.dk**3
     return total.real, ratio
 
@@ -409,7 +416,7 @@ class ObservableReport:
     max_imag_residue: float
 
 
-def observable_report(state: PhotonState) -> ObservableReport:
+def observable_report(state: PhotonState, kernel=None) -> ObservableReport:
     """Every spin, OAM and probability route of one state, side by side.
 
     The block cross densities (f_u, f_l in momentum space, F_u, F_l in
@@ -421,11 +428,18 @@ def observable_report(state: PhotonState) -> ObservableReport:
     memory; and the OAM routes run before the nonlocal one, so theirs never
     sits over its kept density.  The momentum routes (spin and OAM) come
     first, before the position transform exists.
+
+    ``kernel``, when given, is a function of no arguments that returns the
+    kernel route's (value, imaginary residue), as
+    :func:`nonlocal_spin_integral` does, which keeps no density; it is
+    called where the route runs, after the OAM routes.  By default the
+    route is :func:`nonlocal_spin_density`, whose density
+    :func:`density_candidates` reuses.
     """
     momentum_spin = _momentum_spin_routes(state)
     L_mom = oam_momentum(state)
     L_pos = oam_position(state)
-    _, nl_diag = nonlocal_spin_density(state)
+    kernel_integral = nonlocal_spin_density(state)[1] if kernel is None else kernel()
     p_psi, p_up, p_low = probability(state)
     (_, sums_u), (_, sums_l) = position_densities(state)
     m_x = state.grid.dx**3
@@ -433,7 +447,7 @@ def observable_report(state: PhotonState) -> ObservableReport:
         **momentum_spin,
         "position_upper": _integrated(sums_u, m_x),
         "position_lower": _integrated(sums_l, m_x),
-        "kernel_integral": (nl_diag["integral"], nl_diag["imag_residue"]),
+        "kernel_integral": kernel_integral,
     }
     spin = {name: value for name, (value, _) in pairs.items()}
     imag_residue = max(res for _, res in pairs.values())

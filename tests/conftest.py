@@ -1,8 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
 from darwinlab.kgrid import KGrid
 from darwinlab.state import ModeSpec, synthesize
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Counts the os.fork calls made in this process."""
+    calls = []
+    original = os.fork
+
+    def counted():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -37,20 +37,6 @@ def readme_state(tmp_path_factory):
     return state
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """Counts the os.fork calls made in this process."""
-    calls = []
-    original = os.fork
-
-    def counted():
-        calls.append(1)
-        return original()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 def run_check(monkeypatch, capsys, tmp_path, cpus, args):
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     out = tmp_path / f"report-{cpus}.json"

@@ -24,6 +24,7 @@ from darwinlab.kgrid import (
     to_momentum,
     to_position,
 )
+from darwinlab.dynamics import default_maxwell_dt
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from reference import full_grid, spectral_divergence, spectral_gradient
 
@@ -60,6 +61,20 @@ class TestGridGeometry:
             assert g16.time_in_range(t) and np.isfinite(g16.kmag * t).all()
         for t in (1.01 * limit, -1.01 * limit, np.inf, np.nan):
             assert not g16.time_in_range(t)
+
+    @pytest.mark.parametrize("t", ["maxwell_dt", 0.37, 1.0, 7.25, 10.0, 1e5])
+    def test_backward_phase_is_the_conjugate_forward_phase(self, g16, g32, t):
+        # dynamics.maxwell_residual forms phase(-dt) as conj(phase(dt)); this
+        # rests on the libm's exp(i x) giving cos and sin with cos(-x) = cos(x)
+        # and sin(-x) = -sin(x) exactly.  Only the zero imaginary part of the
+        # DC bin differs, in its sign: it changes only signed zeros, which the
+        # residuals, maxima of moduli, do not see.
+        for g in (g16, g32):
+            time = default_maxwell_dt(g) if t == "maxwell_dt" else t
+            conj, backward = np.conj(g.phase(time)), g.phase(-time)
+            assert np.array_equal(conj, backward)
+            backward[0, 0, 0] = conj[0, 0, 0]
+            assert conj.tobytes() == backward.tobytes()
 
     def test_dc_bin_is_origin(self, g16):
         assert np.abs(full_grid(g16.k_axes)[:, 0, 0, 0]).max() == 0.0

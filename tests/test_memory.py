@@ -11,18 +11,23 @@ Measured at n=32: ``run_suites`` over all ten suites peaks at 3.22 fields,
 route working one block or one component at a time and transforming in
 place the arrays it builds only to transform.  ``dpl check`` runs the two
 suite groups of ``suites.MEMO_SUITES`` and ``suites.OWN_TRANSFORM_SUITES``
-in two processes, one ``run_suites`` call each; those calls peak at 2.88
+in two processes, one ``run_suites`` call each; those calls peak at 2.71
 and 2.96 fields, with the kernels suite sub-sampling its singular core a
-block of cells at a time.  Conservation alone peaks at 2.63 fields: with no
-position suite requested, the position transform is released before it
-runs.  An order with a position suite after conservation keeps the one
+block of cells at a time.  ``dpl observe`` computes the report with the
+integral-only kernel route, which keeps no density: on one CPU it peaks at
+2.21 fields, and on two the process that runs every other route, with the
+position transform made before the fork, at 2.47.  The momentum OAM route
+frees each k-derivative before it takes the next.  Conservation alone peaks
+at 2.46 fields: with no position suite requested, the position transform is
+released before it runs.  An order with a position suite after conservation keeps the one
 transform through it, so its peak is unchanged.  ``evolve`` by 7.25 with
 both values of its certificate peaks at 2.71 fields and
 ``maxwell_residual`` alone at 1.71, the certificate computing one curl
 block at a time.  At n=64 the fieldbridge suite sets the peak of a full
 check, and the same calls peak at 3.17 fields (all suites), 2.26
-(``observable_report``), 2.77 and 2.92 (the two groups), 2.92
-(fieldbridge), 2.52 (conservation), 2.67 (``evolve``) and 1.67
+(``observable_report``), 2.17 and 2.35 (``dpl observe`` on one and on two
+CPUs), 2.60 and 2.92 (the two groups), 2.92
+(fieldbridge), 2.35 (conservation), 2.67 (``evolve``) and 1.67
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
 peaks at 3.73 fields at both n=32 and n=64 (11.7 and 93.9 MB).
 """
@@ -31,7 +36,7 @@ import tracemalloc
 
 import pytest
 
-from darwinlab import dynamics, observables, suites
+from darwinlab import cli, dynamics, observables, suites
 from darwinlab.kgrid import KGrid
 from darwinlab.state import synthesize
 from reference import README_MODES
@@ -42,10 +47,22 @@ def _certified(result):
     return result.dirac_residual, result.maxwell_residual
 
 
+def _observe_on(cpus):
+    """The report as `dpl observe` computes it where it may use `cpus` CPUs;
+    on two, the peak is that of this process, beside the worker."""
+    def run(state):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_cpu_count", lambda: cpus)
+            cli._observe_report(state)
+    return run
+
+
 # budgets in six-component fields: the measured peaks above, plus about 5%
 BUDGETS = {
     "run_suites": (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 3.38),
     "observable_report": (observables.observable_report, 2.41),
+    "observe_one_cpu": (_observe_on(1), 2.32),
+    "observe_two_cpus": (_observe_on(2), 2.59),
     "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 3.02),
     "own_transform_group": (lambda state: suites.run_suites(suites.OWN_TRANSFORM_SUITES, state), 3.11),
     "fieldbridge": (lambda state: suites.run_suites(["fieldbridge"], state), 3.1),

@@ -18,6 +18,7 @@ from darwinlab.observables import (
     _peeled_block,
     density_candidates,
     nonlocal_spin_density,
+    nonlocal_spin_integral,
     oam_boundary_ratio,
     oam_momentum,
     oam_position,
@@ -342,9 +343,18 @@ class TestDensities:
 
 class TestNonlocalDensity:
     def test_integral_matches_projected_spin(self, two_direction_state):
-        s, diag = nonlocal_spin_density(two_direction_state)
-        assert diag["integral_vs_projected"] < 1e-10
-        assert diag["imag_residue"] < 1e-10
+        _, (integral, imag_residue) = nonlocal_spin_density(two_direction_state)
+        assert np.abs(integral - spin_projected(two_direction_state)).max() < 1e-10
+        assert imag_residue < 1e-10
+
+    def test_integral_only_route_is_the_density_route(self, two_direction_state):
+        # the same rows, summed in the same order; the integral-only route keeps no density
+        st = evolve(two_direction_state, 7.25).state_t
+        integral, imag_residue = nonlocal_spin_integral(st)
+        assert vars(st)["_observables_memo"].keys() == {"psi_position"}
+        expect_integral, expect_residue = nonlocal_spin_density(st)[1]
+        assert integral.tobytes() == expect_integral.tobytes()
+        assert imag_residue == expect_residue
 
     def test_two_mode_kernel_density_deviates(self, two_direction_state):
         assert density_candidates(two_direction_state).spin_gap_kernel > 0.05

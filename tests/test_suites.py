@@ -230,7 +230,7 @@ class TestPerStateEvaluation:
             spin_cross(fresh(), "lower"),
             spin_position(fresh(), "upper"),
             spin_position(fresh(), "lower"),
-            observables.nonlocal_spin_density(fresh())[1]["integral"],
+            observables.nonlocal_spin_density(fresh())[1][0],
         ]
         l_mom = observables.oam_momentum(fresh())
         l_pos = observables.oam_position(fresh())
@@ -250,7 +250,8 @@ class TestPerStateEvaluation:
             ("densities", "density_integral_spread"):
                 max(dc.max_spin_integral_spread, dc.max_prob_integral_spread),
             ("densities", "kernel_density_integral"):
-                observables.nonlocal_spin_density(fresh())[1]["integral_vs_projected"],
+                float(np.abs(observables.nonlocal_spin_density(fresh())[1][0]
+                             - observables.spin_projected(fresh())).max()),
             ("densities", "spin_density_gap_upper"): dc.spin_gap_upper,
             ("densities", "spin_density_gap_lower"): dc.spin_gap_lower,
             ("densities", "spin_density_gap_kernel"): dc.spin_gap_kernel,
