@@ -13,7 +13,6 @@ evolution path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +29,10 @@ def default_maxwell_dt(grid: kgrid.KGrid) -> float:
     return DEFAULT_DT_FRACTION / grid.k_max
 
 
-def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
+def evolve(state: PhotonState, t: float) -> PhotonState:
+    """The state a time increment t later: each bin times exp(-i |k| t).
+
+    At t == 0 the state itself is returned, memo and all."""
     if t == 0.0:
         return state
     g = state.grid
@@ -143,34 +145,6 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
 
 
 @dataclass(frozen=True)
-class EvolutionResult:
-    """An evolved state and its certificate.
-
-    ``norm_drift`` compares the evolved norm with the input's and is taken
-    by :func:`evolve`.  ``dirac_residual`` and ``maxwell_residual`` read the
-    evolved state only and are computed on first read (and then kept), so a
-    caller can release the input state before their temporaries exist.
-    """
-
-    state_t: PhotonState
-    norm_drift: float
-
-    @cached_property
-    def dirac_residual(self) -> float:
-        return dirac_residual(self.state_t)
-
-    @cached_property
-    def maxwell_residual(self) -> MaxwellReport:
-        return maxwell_residual(self.state_t)
-
-
-def evolve(state: PhotonState, t: float) -> EvolutionResult:
-    """Evolve by a time increment t; the result certifies the evolved state."""
-    evolved = _phase_evolved(state, t)
-    return EvolutionResult(state_t=evolved, norm_drift=abs(evolved.norm - state.norm))
-
-
-@dataclass(frozen=True)
 class ConservationReport:
     """Drifts of the constants of motion across the sampled times."""
 
@@ -202,7 +176,7 @@ def continuity_and_conservation(state: PhotonState, times) -> ConservationReport
     oams: list[np.ndarray] = []
     totals: list[np.ndarray] = []
     for t in times:
-        st = _phase_evolved(state, t - state.time)
+        st = evolve(state, t - state.time)
         norms.append(st.norm)
         l = observables.oam_momentum(st)
         s = observables.spin_canonical(st)

@@ -19,7 +19,7 @@ import numpy as np
 
 from darwinlab import kgrid, observables
 from darwinlab.algebra import _check_wavevector, helicity_vectors
-from darwinlab.dynamics import default_maxwell_dt
+from darwinlab.dynamics import default_maxwell_dt, evolve
 from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical
 from darwinlab.kgrid import (
     MOMENTUM,
@@ -274,12 +274,6 @@ def four_current(state: PhotonState) -> CurrentField:
     return CurrentField(j0=j0, j=j, grid=state.grid)
 
 
-def _phase_evolved(state: PhotonState, t: float) -> PhotonState:
-    g = state.grid
-    psi = momentum_field(state.psi.values * np.exp(-1j * g.kmag * t), g)
-    return PhotonState(psi, state.time + t, state.scale_factor)
-
-
 def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
     """Pointwise residual of d(j0)/dt + div j = 0, via a centered stencil.
 
@@ -292,8 +286,8 @@ def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
     g = state.grid
     if dt is None:
         dt = default_maxwell_dt(g)
-    before = four_current(_phase_evolved(state, -dt))
-    after = four_current(_phase_evolved(state, +dt))
+    before = four_current(evolve(state, -dt))
+    after = four_current(evolve(state, +dt))
     now = four_current(state)
     drho_dt = (after.j0 - before.j0) / (2.0 * dt)
     div_j = spectral_divergence(

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darwinlab import dynamics
 from darwinlab.cli import ConfigError, main, parse_config
 from darwinlab.kgrid import momentum_field
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from darwinlab.stateio import read_state, write_state
 from darwinlab.suites import DEFAULT_TIMES, SUITE_NAMES
+from make_golden import README_N32
 from test_state import longitudinal_state
 from test_stateio import OLD_HEADER_CLAIMS, rewrite_header, rewrite_payload
 
@@ -163,6 +165,19 @@ class TestCheck:
         assert code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "available" in captured.err
+
+    @pytest.mark.parametrize("grid", [None, {"n": 16, "dk": 1, "note": "hand-edited"}])
+    def test_grid_is_reported_from_the_state(self, built_state, capsys, grid):
+        # a written header gives its own record back; an edited one gives the
+        # grid the state was read on, without the integer dk or the extra key
+        if grid is not None:
+            rewrite_header(built_state, grid=grid)
+        capsys.readouterr()
+        main(["check", str(built_state), "--suites", "constraint"])
+        report = json.loads(capsys.readouterr().out)
+        assert json.dumps(report["grid"]) == '{"n": 16, "dk": 1.0}'
+        if grid is None:
+            assert report["grid"] == read_state(built_state)[1]["grid"]
 
     def test_corrupted_file_exits_3(self, built_state, capsys):
         raw = bytearray(built_state.read_bytes())
@@ -634,6 +649,22 @@ class TestEvolve:
         assert main(["evolve", str(built_state), "4.2", "--out", str(out)]) == 0
         state, _ = read_state(out)
         assert state.norm == pytest.approx(1.0, abs=1e-13)
+
+    def test_certificate_is_the_library_values(self, tmp_path, capsys):
+        # on the README n=32 state: the norm drift between the input file and
+        # the written one (0.000e+00 here; a sum in place of the difference
+        # prints 2.000e+00), and the two residuals of the written one
+        config, built, out = tmp_path / "config.json", tmp_path / "built.dpst", tmp_path / "t.dpst"
+        config.write_text(json.dumps(README_N32))
+        assert main(["build", "--config", str(config), "--out", str(built)]) == 0
+        capsys.readouterr()
+        assert main(["evolve", str(built), "7.25", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split()
+        before, after = read_state(built)[0], read_state(out)[0]
+        expect = {"norm_drift": abs(after.norm - before.norm),
+                  "dirac_residual": dynamics.dirac_residual(after),
+                  "maxwell_residual": dynamics.maxwell_residual(after).curl_residual}
+        assert printed[-3:] == [f"{name}={value:.3e}" for name, value in expect.items()]
 
 
 # Finite times whose phase exp(-i |k| t) overflows: on the n=16 grid,

@@ -48,7 +48,7 @@ class TestClassicalFromState:
         dt = default_maxwell_dt(g)
         snapshots = {}
         for offset in (-dt, 0.0, dt):
-            cf = classical_from_state(evolve(helicity_state, offset).state_t)
+            cf = classical_from_state(evolve(helicity_state, offset))
             snapshots[offset] = cf
         dE_dt = (snapshots[dt].E_real - snapshots[-dt].E_real) / (2 * dt)
         curl_h = spectral_curl(

@@ -200,7 +200,7 @@ class TestOam:
     def test_boundary_ratio_comes_from_the_oam_gradient(self, g32, monkeypatch):
         # the phase-peeled block of an evolved state is differentiated once,
         # and its boundary ratio is the one that differentiation measured
-        st = evolve(self.ring(g32, 1), 2.0).state_t
+        st = evolve(self.ring(g32, 1), 2.0)
         expect = boundary_amplitude_ratio(momentum_field(_peeled_block(st), g32))
         calls = []
         original = kgrid.boundary_amplitude_ratio
@@ -218,7 +218,7 @@ class TestOam:
     def test_position_shell_share_against_a_shell_mask(self, g32, time):
         # reference: the whole-grid density summed under a mask of the bins
         # with any coordinate at -L/2 or L/2 - dx (index n/2 or n/2 - 1)
-        st = evolve(self.ring(g32, 1), time).state_t if time else self.ring(g32, 1)
+        st = evolve(self.ring(g32, 1), time) if time else self.ring(g32, 1)
         x = full_grid(g32.x_axes)
         on_shell = np.any((x == -g32.box_length / 2) | (x == g32.box_length / 2 - g32.dx), axis=0)
         density = np.sum(np.abs(to_position(st.psi).values) ** 2, axis=0)
@@ -241,7 +241,7 @@ class TestOam:
 def test_routes_are_bitwise_their_whole_array_forms(two_direction_state, time):
     # the routes work one block, one row or one component at a time; every
     # sum runs in the same order, so every value is the whole-array value
-    st = evolve(two_direction_state, time).state_t if time else two_direction_state
+    st = evolve(two_direction_state, time) if time else two_direction_state
     ref = whole_array_routes(st)
     s, diag = nonlocal_spin_density(st)
     assert s.tobytes() == ref["nonlocal"].tobytes()
@@ -258,7 +258,7 @@ def test_routes_are_bitwise_their_whole_array_forms(two_direction_state, time):
 def test_maxwell_residual_is_bitwise_its_whole_array_form(two_direction_state, time):
     # the curls are formed, transformed and compared one block at a time;
     # maxima are exact, so both residuals are the whole-array ones
-    st = evolve(two_direction_state, time).state_t if time else two_direction_state
+    st = evolve(two_direction_state, time) if time else two_direction_state
     report = maxwell_residual(st)
     curl, div = whole_array_maxwell(st)
     assert report.curl_residual.hex() == curl.hex()
@@ -349,7 +349,7 @@ class TestNonlocalDensity:
 
     def test_integral_only_route_is_the_density_route(self, two_direction_state):
         # the same rows, summed in the same order; the integral-only route keeps no density
-        st = evolve(two_direction_state, 7.25).state_t
+        st = evolve(two_direction_state, 7.25)
         integral, imag_residue = nonlocal_spin_integral(st)
         assert vars(st)["_observables_memo"].keys() == {"psi_position"}
         expect_integral, expect_residue = nonlocal_spin_density(st)[1]

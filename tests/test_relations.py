@@ -39,7 +39,7 @@ def fixture_state():
     modes = [ModeSpec(kind="gaussian", k0=(0, 0, 1.5), sigma_k=0.3, helicity=1),
              ModeSpec(kind="vortex", k0=(0, 0, 1.25), sigma_k=0.3, polarization=(1, 0, 0),
                       vortex_charge=1, ring_radius=1.25, amplitude=0.5)]
-    return dynamics.evolve(synthesize(modes, KGrid(32, 0.25)), 1.25).state_t
+    return dynamics.evolve(synthesize(modes, KGrid(32, 0.25)), 1.25)
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +90,8 @@ def test_time_composition(fixture_state):
     # phases compose, so no row or vector moves beyond rounding
     # (maxwell_residual bounded as in test_global_phase)
     base = fixture_state
-    composed = dynamics.evolve(dynamics.evolve(base, 0.5).state_t, 0.75).state_t
-    direct = dynamics.evolve(base, 1.25).state_t
+    composed = dynamics.evolve(dynamics.evolve(base, 0.5), 0.75)
+    direct = dynamics.evolve(base, 1.25)
     assert composed.time == direct.time == base.time + 1.25
     rows, vectors = _outputs(composed, TIMES)
     expect_rows, expect_vectors = _outputs(direct, TIMES)

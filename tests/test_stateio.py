@@ -34,7 +34,7 @@ class TestRoundtrip:
     def test_evolved_time_stamp(self, tmp_path, helicity_state):
         from darwinlab.dynamics import evolve
 
-        st = evolve(helicity_state, 1.5).state_t
+        st = evolve(helicity_state, 1.5)
         path = tmp_path / "evolved.dpst"
         write_state(path, st)
         back, _ = read_state(path)

@@ -12,12 +12,16 @@ Self-tests: the five ``conservation`` rows (``probability_drift``,
 each conserved quantity is conserved whatever that phase is, and the rows
 measure rounding only: with the phase's sign flipped they still pass, while
 ``maxwell_residual``, which compares the evolution with the curl, FAILs.
+``hermitian_symmetry``: ``classical_from_state`` builds each Fourier block as
+(a + conj(R a))/sqrt 2 with R the exact bin reversal, an involution, so the
+residual is 0.0 bitwise on any payload, on the constraint or off it.
 """
 
 import numpy as np
 import pytest
 
-from darwinlab import algebra, suites
+from darwinlab import algebra, dynamics, suites
+from darwinlab.fieldbridge import classical_from_state
 from darwinlab.kgrid import KGrid, momentum_field
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from test_state import longitudinal_state
@@ -58,6 +62,18 @@ def _longitudinal(monkeypatch, state):
     return longitudinal_state(state)
 
 
+def _lower_block_scaled_1_01(monkeypatch, state):
+    # f_l -> 1.01 f_l: the two blocks no longer carry equal weight
+    values = state.psi.values.copy()
+    values[3:] *= 1.01
+    return PhotonState(momentum_field(values, state.grid), state.time)
+
+
+def _evolved_by_10(monkeypatch, state):
+    # the packet crosses the 2 pi/dk position box, which the position OAM route sees
+    return dynamics.evolve(state, 10.0)
+
+
 # breakage: (suites run, {row that must FAIL: the value it reaches})
 CASES = {
     "gamma_off_by_1e-9": (_gamma_off_by_1e_9, ("algebra", "constraint"),
@@ -71,6 +87,11 @@ CASES = {
                            {"maxwell_residual": 2.0}),
     "longitudinal_part": (_longitudinal, ("constraint", "maxwell"),
                           {"transversality": 0.29, "maxwell_divergence": 0.44}),
+    "lower_block_scaled_1.01": (_lower_block_scaled_1_01,
+                                ("spin-equalities", "probability", "densities"),
+                                {"spin_equalities": 0.0194, "probability_equality": 0.0201,
+                                 "density_integral_spread": 0.0201}),
+    "evolved_by_10": (_evolved_by_10, ("oam",), {"oam_formula_gap": 0.81}),
 }
 
 
@@ -95,3 +116,20 @@ def test_conservation_rows_are_self_tests(base_state, monkeypatch):
     assert [c.name for c in report.checks] == ["probability_drift", "spin_drift", "oam_drift",
                                                "total_angular_momentum_drift", "norm_drift"]
     assert report.passed
+
+
+def test_position_shell_names_the_wrap_of_the_evolved_case(base_state, monkeypatch):
+    # the info-only row reads the weight in the outer shell of the position box
+    base = _rows(base_state, ["oam"])["oam_position_shell"]
+    evolved = _rows(_evolved_by_10(monkeypatch, base_state), ["oam"])["oam_position_shell"]
+    assert base.value == pytest.approx(0.0133, rel=0.02)
+    assert evolved.value == pytest.approx(0.50, rel=0.02)
+
+
+def test_hermitian_symmetry_is_a_self_test():
+    # a random payload, far off the constraint, still builds exactly symmetric blocks
+    rng = np.random.default_rng(23)
+    g = KGrid(16, 1.0)
+    values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
+    cf = classical_from_state(PhotonState(momentum_field(values, g)))
+    assert cf.hermitian_residuals == (0.0, 0.0)
