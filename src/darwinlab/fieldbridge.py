@@ -135,10 +135,10 @@ def classical_from_state(state: PhotonState) -> ClassicalField:
                           grid=g, time=state.time)
 
 
-def _over_k_cross(partner: np.ndarray, grid: KGrid, out=None) -> np.ndarray:
+def _over_k_cross(partner: np.ndarray, grid: KGrid) -> np.ndarray:
     """(1/k) k x partner per bin, zero at the DC bin: the partner's share of a
-    positive-frequency amplitude; written into out when given."""
-    out = cross(grid.k_axes, partner, out=out)
+    positive-frequency amplitude, in a new array."""
+    out = cross(grid.k_axes, partner)
     out *= _safe_inverse(grid.kmag)
     return out
 
@@ -152,7 +152,7 @@ def _positive_frequency(own: np.ndarray, term: np.ndarray, sign: int, out=None) 
     return a
 
 
-def extract_positive_frequency(eps_k, eta_k, grid: KGrid, out=None) -> Iterator[np.ndarray]:
+def extract_positive_frequency(eps_k, eta_k, grid: KGrid) -> Iterator[np.ndarray]:
     """Positive-frequency amplitudes from real-field Fourier data.
 
     e = (eps - (1 / k) k x eta) / sqrt(2)
@@ -162,31 +162,30 @@ def extract_positive_frequency(eps_k, eta_k, grid: KGrid, out=None) -> Iterator[
     already coupled as h = w x e pass through (up to the sqrt(2)
     bookkeeping), while the reversed pairing is annihilated.  The blocks are
     handed out one at a time, e and then h (``e, h = ...`` takes both); h is
-    computed only when asked for.  Each block is a new array, or the block
-    ``out[:3]`` or ``out[3:]`` of a given six-component array.
+    computed only when asked for.  Each block is a new array.
     """
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    blocks = (None, None) if out is None else (out[:3], out[3:])
-    for own, partner, sign, block in ((eps_k, eta_k, -1, blocks[0]), (eta_k, eps_k, +1, blocks[1])):
-        cross_term = _over_k_cross(partner, grid, out=block)
+    for own, partner, sign in ((eps_k, eta_k, -1), (eta_k, eps_k, +1)):
+        cross_term = _over_k_cross(partner, grid)
         yield _positive_frequency(own, cross_term, sign, out=cross_term)
         del cross_term  # the block handed out, released before the next one is made
 
 
-def state_from_classical(cf: ClassicalField) -> PhotonState:
-    """Extract the positive-frequency content and weight it into a state.
+def state_blocks(cf: ClassicalField) -> Iterator[np.ndarray]:
+    """The upper and then the lower block of the state a classical snapshot
+    carries: its positive-frequency content, weighted by 1/sqrt(k).
 
-    The returned state keeps the physical scale of the classical input (its
-    norm records the conversion); callers wanting unit probability normalize
-    explicitly.  The six components are built in one array, one extracted
-    block at a time, each extracted and weighted in place in its block.
+    The state keeps the physical scale of the classical input (its norm
+    records the conversion); callers wanting unit probability normalize
+    explicitly.  The snapshot is validated before the first block is made.
+    Each block is a new array, extracted and weighted in place; a caller
+    that drops each block before asking for the next holds one at a time.
     """
     _validate_classical(cf)
     g = cf.grid
     inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
-    psi = np.empty((6,) + g.shape, dtype=np.complex128)
-    for f in extract_positive_frequency(cf.eps_k, cf.eta_k, g, out=psi):
+    for f in extract_positive_frequency(cf.eps_k, cf.eta_k, g):
         np.multiply(inv_sqrt_k, f, out=f)
         # extraction preserves transversality analytically; enforcing it per
         # bin removes the absolute round-off debris that would otherwise
@@ -195,8 +194,32 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
         for c in range(3):
             f[c] -= longitudinal * g.khat[c]
         del longitudinal
-    psi /= np.sqrt(2.0)
-    return PhotonState(momentum_field(psi, g), cf.time)
+        f /= np.sqrt(2.0)
+        yield f
+        del f  # the caller's reference is the only one while the next block is made
+
+
+def roundtrip_gap(cf: ClassicalField, state: PhotonState) -> float:
+    """``relative_gap`` of the state that ``cf`` carries against ``state``.
+
+    Each block of :func:`state_blocks` is scanned for non-finite entries, as
+    a state's payload is, and compared with its half of the payload as it is
+    made, so no six-component round-trip state is built.  Raises ValueError
+    when the snapshot fails its validation or a block is not finite.
+    """
+    reference = state.psi.values
+    peak = max_abs(reference)
+    worst, start = 0.0, 0
+    # no zip or enumerate: their reused result tuple would keep the previous
+    # block alive while the next one is made
+    for block in state_blocks(cf):
+        if not np.isfinite(block).all():
+            raise ValueError("the round-trip state contains non-finite entries")
+        worst = max(worst, max(float(np.abs(b - r).max())
+                               for b, r in zip(block, reference[start:start + 3])))
+        start += 3
+        del block
+    return worst / peak if peak != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -238,7 +261,13 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
         route_two = to_position(momentum_field(cross_term, g), overwrite=True).values
         route_two += real
         route_two /= np.sqrt(2.0)
-        return relative_gap(route_two, route_one), relative_gap(np.sqrt(2.0) * route_one.real, real)
+        # relative_gap(route_two, route_one), the difference formed in place
+        peak = max_abs(route_one)
+        route_two -= route_one
+        route_gap = max_abs(route_two) / peak if peak != 0.0 else 0.0
+        del cross_term, route_two  # one array, released before the real part is compared
+        real_part = (np.sqrt(2.0) * component.real for component in route_one)
+        return route_gap, relative_gap(real_part, real)
 
     # one chain's arrays at a time: the E chain runs to the end, then the H chain
     e_gap, e_real = gaps(cf.eps_k, cf.eta_k, cf.E_real, -1)

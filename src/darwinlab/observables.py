@@ -68,11 +68,12 @@ def psi_position(state: PhotonState) -> np.ndarray:
 
 
 def drop_position(state: PhotonState) -> None:
-    """Release the state's position transform (25 MB at n = 64) and its
-    position cross-density pair once nothing more reads them; a later use
-    computes them again.  The routes that integrate them keep their values."""
+    """Release the state's position transform (25 MB at n = 64), its
+    position cross-density pair and its nonlocal kernel density once nothing
+    more reads them; a later use computes them again.  The routes that
+    integrate them keep their values."""
     memo = vars(state).get("_observables_memo", {})
-    for name in ("psi_position", "position_densities"):
+    for name in ("psi_position", "position_densities", "nonlocal_spin_density"):
         memo.pop(name, None)
 
 
@@ -510,8 +511,10 @@ def density_candidates(state: PhotonState) -> DensityCandidates:
     spin_full = 0.5 * (spin_upper + spin_lower)
 
     values = psi_position(state)
-    prob_upper = _summed_squares(np.sqrt(2.0) * v for v in values[:3])
-    prob_lower = _summed_squares(np.sqrt(2.0) * v for v in values[3:])
+    scaled = np.empty(state.grid.shape, dtype=np.complex128)  # each sqrt(2)-scaled component in turn
+    prob_upper = _summed_squares(np.multiply(np.sqrt(2.0), v, out=scaled) for v in values[:3])
+    prob_lower = _summed_squares(np.multiply(np.sqrt(2.0), v, out=scaled) for v in values[3:])
+    del scaled
     prob_psi = 0.5 * (prob_upper + prob_lower)
 
     m = state.grid.dx**3

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, dynamics, fieldbridge, kgrid, observables
+from . import algebra, dynamics, fieldbridge, observables
 from .state import PhotonState, branch_residual
 
 DEFAULT_SEED = 20320
@@ -223,16 +223,14 @@ def suite_conservation(state: PhotonState, times) -> list:
 def suite_fieldbridge(state: PhotonState, times) -> list:
     cf = fieldbridge.classical_from_state(state)
     try:
-        back = fieldbridge.state_from_classical(cf)
-    except ValueError as exc:
-        # a state off the constraint has classical data the bridge rejects
-        # (not solenoidal, or a DC part): the roundtrip has no value and fails
-        rows = [("classical_roundtrip", None, str(exc))]
-    else:
         # an all-zero payload comes back as zeros: no error, the zero-peak rule
         # of dirac_residual and maxwell_residual
-        rows = [("classical_roundtrip", kgrid.relative_gap(back.psi.values, state.psi.values))]
-        del back  # freed before the nonlocal relation check allocates its routes
+        rows = [("classical_roundtrip", fieldbridge.roundtrip_gap(cf, state))]
+    except ValueError as exc:
+        # a state off the constraint has classical data the bridge rejects
+        # (not solenoidal, or a DC part), and a round trip that is not finite
+        # has no gap: the row has no value and fails
+        rows = [("classical_roundtrip", None, str(exc))]
 
     # computed once, by the bridge's validation
     rows.append(("hermitian_symmetry", max(cf.hermitian_residuals)))
@@ -277,14 +275,15 @@ _POSITION_SUITES = ("spin-equalities", "oam", "probability", "densities")
 def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) -> list[SuiteReport]:
     """Run the named suites in order.
 
-    The position transform and the position cross-density pair live in the
-    observables memo, so each is made once, when a suite first reads it.
-    After the last suite that reads position space (or before the first
-    suite, when none is requested) both are released, having first taken
-    the probability that conservation reads at the state's own time, so
-    the suites after it (conservation, in the default order) never hold
-    them.  An order with a position suite after conservation keeps the
-    transform through conservation, as one transform serves both.
+    The position transform, the position cross-density pair and the
+    nonlocal kernel density live in the observables memo, so each is made
+    once, when a suite first reads it.  After the last suite that reads
+    position space (or before the first suite, when none is requested) all
+    three are released, having first taken the probability that
+    conservation reads at the state's own time, so the suites after it
+    (conservation, in the default order) never hold them.  An order with a
+    position suite after conservation keeps the transform through
+    conservation, as one transform serves both.
     """
     # the module's bindings at call time, so a rebound suite_<name> runs
     runners = {"algebra": suite_algebra, "constraint": suite_constraint,

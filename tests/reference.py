@@ -5,9 +5,9 @@ computes, or a way to build an input for one of its checks: the
 positive-energy projectors from the helicity basis, the single-block spin
 integrals, the spectral gradient and divergence of position fields, the
 complex positive-frequency field pair with its Landau-Peierls weighting, a
-classical field assembled from Fourier data, the four-current with its
-continuity residual, the full (3, n, n, n) coordinate grids and the README
-example's modes.  ``dpl`` runs none of them, so they live with the tests;
+classical field assembled from Fourier data, the whole state a classical
+field carries, the four-current with its continuity residual, the full
+(3, n, n, n) coordinate grids and the README example's modes.  ``dpl`` runs none of them, so they live with the tests;
 nothing under ``src/`` imports this module.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from darwinlab import kgrid, observables
 from darwinlab.algebra import _check_wavevector, helicity_vectors
 from darwinlab.dynamics import default_maxwell_dt, evolve
-from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical
+from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical, state_blocks
 from darwinlab.kgrid import (
     MOMENTUM,
     POSITION,
@@ -204,6 +204,14 @@ def classical_from_kspace(eps_k, eta_k, grid: KGrid, time: float = 0.0) -> Class
     cf = ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
     _validate_classical(cf)
     return cf
+
+
+def state_from_classical(cf: ClassicalField) -> PhotonState:
+    """The state a classical snapshot carries, whole: the two blocks of
+    ``fieldbridge.state_blocks`` in one payload, scanned as any state's is.
+    ``dpl`` compares each block with the checked state as it is made and
+    never builds this state."""
+    return PhotonState(momentum_field(np.concatenate(list(state_blocks(cf))), cf.grid), cf.time)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from darwinlab.fieldbridge import (
     hermitian_symmetry_residual,
     kernel_pair_check,
     nonlocal_relation_check,
-    state_from_classical,
 )
 from darwinlab.kgrid import KGrid
 from darwinlab.observables import (
@@ -35,6 +34,7 @@ from darwinlab.observables import (
     spin_canonical,
 )
 from darwinlab.state import ModeSpec, branch_residual, synthesize
+from reference import state_from_classical
 
 SEED = 7041
 

@@ -9,14 +9,20 @@ from darwinlab.fieldbridge import (
     hermitian_symmetry_residual,
     kernel_pair_check,
     nonlocal_relation_check,
+    roundtrip_gap,
     solenoidal_residual,
-    state_from_classical,
 )
 from darwinlab.dynamics import maxwell_residual
-from darwinlab.kgrid import KGrid, to_position
+from darwinlab.kgrid import KGrid, relative_gap, to_position
 from darwinlab.state import ModeSpec, synthesize
 from darwinlab.suites import run_suites
-from reference import classical_from_kspace, complex_pair, full_grid, landau_peierls_transform
+from reference import (
+    classical_from_kspace,
+    complex_pair,
+    full_grid,
+    landau_peierls_transform,
+    state_from_classical,
+)
 
 
 class TestClassicalFromState:
@@ -120,6 +126,33 @@ class TestStateFromClassical:
         pair = complex_pair(helicity_state)
         e1, h1 = extract_positive_frequency(pair.e, pair.h, helicity_state.grid)
         assert np.abs(e1 - np.sqrt(2.0) * pair.e).max() < 1e-12 * np.abs(pair.e).max()
+
+
+class TestRoundtripGap:
+    def test_equals_gap_of_the_whole_state(self, two_direction_state):
+        cf = classical_from_state(two_direction_state)
+        whole = state_from_classical(cf).psi.values
+        assert roundtrip_gap(cf, two_direction_state) == relative_gap(
+            whole, two_direction_state.psi.values)
+
+    @pytest.mark.parametrize("poisoned", [0, 1])
+    def test_non_finite_block_fails_the_row(self, two_direction_state, monkeypatch, poisoned):
+        # a NaN in either block, the second one too: the builtin max(0.0, nan)
+        # is 0.0, so a gap folded block by block could lose it
+        original = fieldbridge.extract_positive_frequency
+
+        def with_nan(*args, **kwargs):
+            for i, block in enumerate(original(*args, **kwargs)):
+                if i == poisoned:
+                    block[1, 2, 3, 4] = np.nan
+                yield block
+                del block
+
+        monkeypatch.setattr(fieldbridge, "extract_positive_frequency", with_nan)
+        (rep,) = run_suites(["fieldbridge"], two_direction_state)
+        row = {c.name: c for c in rep.checks}["classical_roundtrip"]
+        assert not row.passed and np.isnan(row.value)
+        assert "non-finite" in row.info
 
 
 class TestNonlocalRelation:

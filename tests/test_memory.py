@@ -6,14 +6,17 @@ above what the state already holds, and expressed in units of one
 six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
 check runs first, so caches that the process fills once are not counted.
 
-Measured at n=32: ``run_suites`` over all ten suites peaks at 3.22 fields,
-``observable_report`` at 2.29 and the fieldbridge suite at 2.96, with every
+Measured at n=32: ``run_suites`` over all ten suites peaks at 2.59 fields,
+``observable_report`` at 2.29 and the fieldbridge suite at 2.59, with every
 route working one block or one component at a time and transforming in
-place the arrays it builds only to transform.  ``dpl check`` runs the two
+place the arrays it builds only to transform.  The fieldbridge suite
+compares each round-trip block with its half of the payload as the block
+is made, and forms its route gap in place.  ``dpl check`` runs the two
 suite groups of ``suites.MEMO_SUITES`` and ``suites.OWN_TRANSFORM_SUITES``
-in two processes, one ``run_suites`` call each; those calls peak at 2.71
-and 2.96 fields, with the kernels suite sub-sampling its singular core a
-block of cells at a time.  ``dpl observe`` computes the report with the
+in two processes, one ``run_suites`` call each; those calls peak at 2.50
+and 2.59 fields, with the kernels suite sub-sampling its singular core a
+block of cells at a time, and conservation running after the position
+transform, the position pair and the kernel density are released.  ``dpl observe`` computes the report with the
 integral-only kernel route, which keeps no density: on one CPU it peaks at
 2.21 fields, and on two the process that runs every other route, with the
 position transform made before the fork, at 2.47.  The momentum OAM route
@@ -24,9 +27,9 @@ transform through it, so its peak is unchanged.  ``evolve`` by 7.25, with
 the norm drift and both residuals of its certificate, peaks at 2.71 fields and
 ``maxwell_residual`` alone at 1.71, the certificate computing one curl
 block at a time.  At n=64 the fieldbridge suite sets the peak of a full
-check, and the same calls peak at 3.17 fields (all suites), 2.26
+check, and the same calls peak at 2.58 fields (all suites), 2.26
 (``observable_report``), 2.17 and 2.35 (``dpl observe`` on one and on two
-CPUs), 2.60 and 2.92 (the two groups), 2.92
+CPUs), 2.50 and 2.58 (the two groups), 2.58
 (fieldbridge), 2.35 (conservation), 2.67 (``evolve``) and 1.67
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
 peaks at 3.73 fields at both n=32 and n=64 (11.7 and 93.9 MB).
@@ -61,13 +64,13 @@ def _observe_on(cpus):
 
 # budgets in six-component fields: the measured peaks above, plus about 5%
 BUDGETS = {
-    "run_suites": (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 3.38),
+    "run_suites": (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 2.72),
     "observable_report": (observables.observable_report, 2.41),
     "observe_one_cpu": (_observe_on(1), 2.32),
     "observe_two_cpus": (_observe_on(2), 2.59),
-    "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 3.02),
-    "own_transform_group": (lambda state: suites.run_suites(suites.OWN_TRANSFORM_SUITES, state), 3.11),
-    "fieldbridge": (lambda state: suites.run_suites(["fieldbridge"], state), 3.1),
+    "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 2.63),
+    "own_transform_group": (lambda state: suites.run_suites(suites.OWN_TRANSFORM_SUITES, state), 2.72),
+    "fieldbridge": (lambda state: suites.run_suites(["fieldbridge"], state), 2.72),
     "conservation": (lambda state: suites.run_suites(["conservation"], state), 2.76),
     "evolve": (_evolve_certified, 2.85),
     "maxwell": (dynamics.maxwell_residual, 1.8),

@@ -290,13 +290,20 @@ class TestPositionOwnership:
                 wrapper = functools.wraps(fn)(lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
                 monkeypatch.setattr(observables, name, wrapper)
         st = PhotonState(two_direction_state.psi)
-        observables.observable_report(st)
+        report = observables.observable_report(st)
         pos, pair = observables.psi_position(st), observables.position_densities(st)
+        kernel = observables.nonlocal_spin_density(st)
         observables.drop_position(st)
         kept = vars(st)["_observables_memo"].values()
-        assert not any(value is pos or value is pair for value in kept)
+        assert not any(value is pos or value is pair or value is kernel for value in kept)
         assert observables.psi_position(st) is not pos
         assert observables.position_densities(st) is not pair
+        assert observables.nonlocal_spin_density(st) is not kernel
+        # the integrals read from the released arrays come back bitwise
+        again = observables.observable_report(st)
+        for name in ("position_upper", "position_lower", "kernel_integral"):
+            np.testing.assert_array_equal(again.spin[name], report.spin[name])
+        assert again.max_imag_residue == report.max_imag_residue
 
 
 class TestProbability:

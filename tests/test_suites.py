@@ -160,8 +160,10 @@ class TestPerStateEvaluation:
 
     def test_finiteness_scanned_once_per_made_state(self, monkeypatch):
         # a payload is scanned when its state is made, here the two evolved
-        # conservation samples (t = 1, 10) and the field-bridge round trip;
-        # no field computed from a state is scanned
+        # conservation samples (t = 1, 10), and the field-bridge round trip,
+        # which makes no state, is scanned one block at a time as each block
+        # is compared (two scans); no other field computed from a state is
+        # scanned
         state = synthesize(README_MODES, KGrid(32, 1.0))
         scans = []
         original = np.isfinite
@@ -174,7 +176,7 @@ class TestPerStateEvaluation:
         monkeypatch.setattr(np, "isfinite", counted)
         reports = suites.run_suites(suites.SUITE_NAMES, state)
         assert all(r.passed for r in reports)
-        assert len(scans) == 3
+        assert len(scans) == 4
 
     def test_block_cross_densities_once_per_state(self, monkeypatch):
         # the checked state's two momentum- and two position-block densities,

@@ -15,12 +15,18 @@ measure rounding only: with the phase's sign flipped they still pass, while
 ``hermitian_symmetry``: ``classical_from_state`` builds each Fourier block as
 (a + conj(R a))/sqrt 2 with R the exact bin reversal, an involution, so the
 residual is 0.0 bitwise on any payload, on the constraint or off it.
+
+``nonlocal_route_gap`` compares two factorizations of the same complex field,
+so on any state it reads rounding only while ``E_real`` is the transform of
+``eps_k``: its case breaks the code that makes ``E_real`` instead.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from darwinlab import algebra, dynamics, suites
+from darwinlab import algebra, dynamics, fieldbridge, suites
 from darwinlab.fieldbridge import classical_from_state
 from darwinlab.kgrid import KGrid, momentum_field
 from darwinlab.state import ModeSpec, PhotonState, synthesize
@@ -69,6 +75,27 @@ def _lower_block_scaled_1_01(monkeypatch, state):
     return PhotonState(momentum_field(values, state.grid), state.time)
 
 
+def _nyquist_plane_weight(monkeypatch, state):
+    # a plane wave of amplitude 1e-3 at k = (-8, 0, 3), on the kx Nyquist
+    # plane: the bin reversal maps kx = -8 to itself, not to +8, so the
+    # symmetrized Fourier data is not that of the complex field's real part
+    g = state.grid
+    plane = synthesize([ModeSpec(kind="plane", k0=(-g.n // 2, 0, 3), helicity=1)], g)
+    return PhotonState(momentum_field(state.psi.values + 1e-3 * plane.psi.values, g), state.time)
+
+
+def _e_real_scaled_1_01(monkeypatch, state):
+    # the classical snapshot's E_real comes out 1% too large
+    original = fieldbridge.classical_from_state
+
+    def broken(state):
+        cf = original(state)
+        return dataclasses.replace(cf, E_real=1.01 * cf.E_real)
+
+    monkeypatch.setattr(fieldbridge, "classical_from_state", broken)
+    return state
+
+
 def _evolved_by_10(monkeypatch, state):
     # the packet crosses the 2 pi/dk position box, which the position OAM route sees
     return dynamics.evolve(state, 10.0)
@@ -88,9 +115,14 @@ CASES = {
     "longitudinal_part": (_longitudinal, ("constraint", "maxwell"),
                           {"transversality": 0.29, "maxwell_divergence": 0.44}),
     "lower_block_scaled_1.01": (_lower_block_scaled_1_01,
-                                ("spin-equalities", "probability", "densities"),
+                                ("spin-equalities", "probability", "densities", "fieldbridge"),
                                 {"spin_equalities": 0.0194, "probability_equality": 0.0201,
-                                 "density_integral_spread": 0.0201}),
+                                 "density_integral_spread": 0.0201,
+                                 "classical_roundtrip": 0.00495}),
+    "nyquist_plane_weight": (_nyquist_plane_weight, ("fieldbridge",),
+                             {"real_part_identity": 3.42e-4}),
+    "E_real_scaled_1.01": (_e_real_scaled_1_01, ("fieldbridge",),
+                           {"real_part_identity": 0.0099, "nonlocal_route_gap": 0.01}),
     "evolved_by_10": (_evolved_by_10, ("oam",), {"oam_formula_gap": 0.81}),
 }
 
