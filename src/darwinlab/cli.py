@@ -240,9 +240,8 @@ def cmd_check(args) -> int:
     tolerances = {**cfg_tols, **flag_tols}
     try:
         suites.check_suite_names(names)
-    except suites.UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError(f"{'--suites' if args.suites else '$.checks'}: {exc}") from exc
     reports = _run_suite_groups(names, state, tolerances, times)
 
     payload = {

@@ -52,7 +52,6 @@ class ClassicalField:
     E_real: np.ndarray  # (3, n, n, n) real
     H_real: np.ndarray  # (3, n, n, n) real
     grid: KGrid
-    time: float = 0.0
 
     @cached_property
     def hermitian_residuals(self) -> tuple[float, float]:
@@ -131,8 +130,7 @@ def classical_from_state(state: PhotonState) -> ClassicalField:
 
     eps_k, E_real = chain(state.f_upper())
     eta_k, H_real = chain(state.f_lower())
-    return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real,
-                          grid=g, time=state.time)
+    return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=g)
 
 
 def _over_k_cross(partner: np.ndarray, grid: KGrid) -> np.ndarray:

@@ -111,8 +111,9 @@ def norm(a) -> np.ndarray:
 def max_abs(a) -> float:
     """max |a| over the components a[0], a[1], ... (or any sequence of
     arrays), one component at a time: no array of all the moduli.  Maxima
-    are exact, so this is bitwise ``np.abs(a).max()``."""
-    return max(float(np.abs(component).max()) for component in a)
+    are exact, so this is bitwise ``np.abs(a).max()``, NaN in any component
+    included."""
+    return float(np.max([np.abs(component).max() for component in a]))
 
 
 def relative_gap(a, reference) -> float:
@@ -121,7 +122,7 @@ def relative_gap(a, reference) -> float:
     peak = max_abs(reference)
     if peak == 0.0:
         return 0.0
-    return max(float(np.abs(x - r).max()) for x, r in zip(a, reference)) / peak
+    return float(np.max([np.abs(x - r).max() for x, r in zip(a, reference)])) / peak
 
 
 @dataclass(frozen=True)
@@ -317,12 +318,11 @@ def boundary_amplitude_ratio(field: Field) -> float:
     peak = float(mags.max())
     if peak == 0.0:
         return 0.0
-    shifted = np.fft.fftshift(mags)
-    edge = 0.0
-    for axis in range(3):
-        lead = np.take(shifted, 0, axis=axis)
-        trail = np.take(shifted, -1, axis=axis)
-        edge = max(edge, float(lead.max()), float(trail.max()))
+    # the outermost shell: the most negative (index n/2) and most positive
+    # (index n/2 - 1) frequency faces of each axis
+    half = field.grid.n // 2
+    edge = max(float(np.take(mags, i, axis=axis).max())
+               for axis in range(3) for i in (half, half - 1))
     return edge / peak
 
 

@@ -15,6 +15,7 @@ angular momentum come out in units of hbar.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,17 +389,6 @@ def probability(state: PhotonState) -> tuple[float, float, float]:
     return p_psi, p_upper, p_lower
 
 
-_SPIN_FORMULAS = (
-    "canonical",
-    "projected",
-    "cross_upper",
-    "cross_lower",
-    "position_upper",
-    "position_lower",
-    "kernel_integral",
-)
-
-
 @dataclass(frozen=True)
 class ObservableReport:
     """All alternative evaluations side by side, plus their disagreements."""
@@ -452,10 +442,8 @@ def observable_report(state: PhotonState, kernel=None) -> ObservableReport:
     }
     spin = {name: value for name, (value, _) in pairs.items()}
     imag_residue = max(res for _, res in pairs.values())
-    discrepancies: dict[str, float] = {}
-    for i, a in enumerate(_SPIN_FORMULAS):
-        for b in _SPIN_FORMULAS[i + 1:]:
-            discrepancies[f"{a}|{b}"] = float(np.abs(spin[a] - spin[b]).max())
+    discrepancies = {f"{a}|{b}": float(np.abs(spin[a] - spin[b]).max())
+                     for a, b in itertools.combinations(spin, 2)}
 
     probs = (p_psi, p_up, p_low)
     prob_gap = max(abs(x - y) for x in probs for y in probs)

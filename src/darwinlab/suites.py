@@ -254,36 +254,28 @@ def suite_kernels(state: PhotonState, times) -> list:
     return rows
 
 
-class UnknownSuiteError(ValueError):
-    """A requested suite name is not one of SUITE_NAMES."""
-
-
 def check_suite_names(names) -> None:
-    """Raise UnknownSuiteError unless every name is one of SUITE_NAMES."""
+    """Raise ValueError unless every name is one of SUITE_NAMES."""
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
-        raise UnknownSuiteError(
-            f"unknown suite(s) {unknown}; available: {', '.join(SUITE_NAMES)}"
-        )
+        raise ValueError(f"unknown suite(s) {unknown}; available: {', '.join(SUITE_NAMES)}")
 
 
 # suites that read the state's position transform, directly or through the
-# position-block cross densities
+# position-block cross densities, in SUITE_NAMES order
 _POSITION_SUITES = ("spin-equalities", "oam", "probability", "densities")
 
 
 def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) -> list[SuiteReport]:
-    """Run the named suites in order.
+    """Run each named suite once, in SUITE_NAMES order, and return the
+    reports in the order of `names` (a name given twice, twice).
 
     The position transform, the position cross-density pair and the
     nonlocal kernel density live in the observables memo, so each is made
-    once, when a suite first reads it.  After the last suite that reads
-    position space (or before the first suite, when none is requested) all
-    three are released, having first taken the probability that
-    conservation reads at the state's own time, so the suites after it
-    (conservation, in the default order) never hold them.  An order with a
-    position suite after conservation keeps the transform through
-    conservation, as one transform serves both.
+    once, when a suite first reads it.  All three are released at one
+    point, right after `densities`, the last position suite, having first
+    taken the probability that conservation reads at the state's own time,
+    so the suites after it never hold them.
     """
     # the module's bindings at call time, so a rebound suite_<name> runs
     runners = {"algebra": suite_algebra, "constraint": suite_constraint,
@@ -292,15 +284,13 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
                "maxwell": suite_maxwell, "conservation": suite_conservation,
                "fieldbridge": suite_fieldbridge, "kernels": suite_kernels}
     check_suite_names(names)
-    last_position_suite = max((i for i, n in enumerate(names) if n in _POSITION_SUITES),
-                              default=-1)
-    reports = []
-    for i in range(-1, len(names)):  # -1: before the first suite
-        if i >= 0:
-            rows = runners[names[i]](state, times)
-            reports.append(SuiteReport(names[i], [_check(tolerances, *row) for row in rows]))
-        if i == last_position_suite:
-            if "conservation" in names[i + 1:] and any(float(t) == state.time for t in times):
+    reports = {}
+    for name in SUITE_NAMES:
+        if name in names:
+            rows = runners[name](state, times)
+            reports[name] = SuiteReport(name, [_check(tolerances, *row) for row in rows])
+        if name == _POSITION_SUITES[-1]:
+            if "conservation" in names and any(float(t) == state.time for t in times):
                 observables.probability(state)  # read by its sample at the state's own time
             observables.drop_position(state)
-    return reports
+    return [reports[name] for name in names]

@@ -195,23 +195,23 @@ def spectral_divergence(field: Field) -> Field:
 
 # -- fieldbridge: classical data in, wavefunction blocks out
 
-def classical_from_kspace(eps_k, eta_k, grid: KGrid, time: float = 0.0) -> ClassicalField:
+def classical_from_kspace(eps_k, eta_k, grid: KGrid) -> ClassicalField:
     """Assemble a ClassicalField from Fourier data, checking its invariants."""
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
     E_real = to_position(momentum_field(eps_k, grid)).values.real
     H_real = to_position(momentum_field(eta_k, grid)).values.real
-    cf = ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid, time=time)
+    cf = ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid)
     _validate_classical(cf)
     return cf
 
 
 def state_from_classical(cf: ClassicalField) -> PhotonState:
-    """The state a classical snapshot carries, whole: the two blocks of
-    ``fieldbridge.state_blocks`` in one payload, scanned as any state's is.
-    ``dpl`` compares each block with the checked state as it is made and
-    never builds this state."""
-    return PhotonState(momentum_field(np.concatenate(list(state_blocks(cf))), cf.grid), cf.time)
+    """The state a classical snapshot carries, whole, at time 0 (a snapshot
+    records no time): the two blocks of ``fieldbridge.state_blocks`` in one
+    payload, scanned as any state's is.  ``dpl`` compares each block with the
+    checked state as it is made and never builds this state."""
+    return PhotonState(momentum_field(np.concatenate(list(state_blocks(cf))), cf.grid))
 
 
 @dataclass(frozen=True)

@@ -152,11 +152,17 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["suites"][0]["checks"][0]["info"] == f"times={list(DEFAULT_TIMES)}"
 
-    def test_unknown_suite_lists_available(self, built_state, capsys):
-        code = main(["check", str(built_state), "--suites", "spectral"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "available" in err and "algebra" in err
+    def test_unknown_suite_lists_available(self, built_state, tmp_path, capsys):
+        # a config error naming where the names came from: the flag, or the config
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, checks=["algebra", "spectral"])))
+        for argv, where in [(["--suites", "spectral"], "--suites"), (["--config", str(path)], "$.checks")]:
+            code = main(["check", str(built_state), *argv])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"config error: {where}: unknown suite(s) ['spectral']; "
+                                    f"available: {', '.join(SUITE_NAMES)}\n")
 
     @pytest.mark.parametrize("value", [",", " , "])
     def test_suites_naming_no_suite_exits_2(self, built_state, capsys, value):

@@ -15,10 +15,12 @@ from darwinlab.kgrid import (
     cross,
     dot,
     k_gradient,
+    max_abs,
     momentum_field,
     norm,
     norm_squared,
     position_field,
+    relative_gap,
     reverse_bins,
     spectral_curl,
     to_momentum,
@@ -273,6 +275,14 @@ class TestKGradient:
         f = momentum_field(np.ones((1,) + g16.shape, dtype=complex), g16)
         assert boundary_amplitude_ratio(f) == 1.0  # far above 1e-8, where the stencils hold
 
+    def test_boundary_ratio_reads_the_shifted_outer_faces(self, g16, rng):
+        # the outermost shell is the first and last face of each axis of the
+        # fftshifted moduli: FFT indices n/2 and n/2 - 1
+        f = random_field(g16, rng)
+        shifted = np.fft.fftshift(norm(f.values))
+        edge = max(np.take(shifted, i, axis=axis).max() for axis in range(3) for i in (0, -1))
+        assert boundary_amplitude_ratio(f) == edge / shifted.max()
+
 
 class TestSpectralDerivatives:
     def test_curl_single_mode(self):
@@ -385,6 +395,17 @@ class TestVectorKernels:
         assert self.same(norm(x), expect)
         assert self.same(norm(c for c in x), expect)  # components handed out one at a time
 
+    def test_maxima_keep_a_nan_in_any_component(self, operands):
+        # finite: bitwise the whole-array forms; a NaN in a later component
+        # than the largest value comes back as NaN, as np.abs(a).max() gives it
+        a, b = operands["complex_complex"]
+        assert max_abs(a) == np.abs(a).max()
+        assert relative_gap(a, b) == np.abs(a - b).max() / np.abs(b).max()
+        rows = np.array([[1.0, 2.0], [np.nan, 0.0]])
+        for order in (rows, rows[::-1]):
+            assert np.isnan(max_abs(order))
+            assert np.isnan(relative_gap(order, np.ones((2, 2))))
+
     def test_np_cross_only_in_algebra(self):
         # grid-sized cross products go through kgrid.cross; np.cross copies
         # and promotes both inputs, so only algebra's single vectors use it
@@ -441,7 +462,10 @@ class TestMetamorphic:
         values = np.transpose(state.psi.values, (0, 3, 1, 2))[[2, 0, 1, 5, 3, 4]]
         rotated = PhotonState(momentum_field(values, g16))
         before, after = _spin_and_oam(state), _spin_and_oam(rotated)
-        assert set(after) == set(observables._SPIN_FORMULAS) | {"oam_momentum", "oam_position"}
+        # the seven spin routes of report.spin and the two OAM routes
+        assert set(before) == set(after) == {
+            "canonical", "projected", "cross_upper", "cross_lower", "position_upper",
+            "position_lower", "kernel_integral", "oam_momentum", "oam_position"}
         for name, vec in before.items():
             assert np.abs(vec).max() > 0.01, name  # every route carries a signal
             assert np.abs(after[name] - vec[[2, 0, 1]]).max() < 1e-12, name

@@ -107,6 +107,24 @@ def test_run_suites_runs_the_module_bindings(g16, monkeypatch):
         [(name, 0.5)] for name in suites.SUITE_NAMES]
 
 
+def test_run_suites_runs_each_suite_once_in_suite_order(g16, monkeypatch):
+    # the request orders only the report: a reversed request with a duplicate
+    # runs each suite once, in SUITE_NAMES order, and reports the duplicate twice
+    state = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8, helicity=1)], g16)
+    ran = []
+    for name in suites.SUITE_NAMES:
+        def recorded(state, times, _name=name):
+            ran.append(_name)
+            return [(_name, 0.5)]
+
+        monkeypatch.setattr(suites, f"suite_{name.replace('-', '_')}", recorded)
+    names = ["oam", *suites.SUITE_NAMES[::-1]]
+    reports = suites.run_suites(names, state)
+    assert ran == list(suites.SUITE_NAMES)
+    assert [r.suite for r in reports] == names
+    assert [[c.name for c in r.checks] for r in reports] == [[name] for name in names]
+
+
 def _two_mode_state():
     """A freshly built n=32 two-mode state; nothing has been evaluated on it yet."""
     return synthesize(
