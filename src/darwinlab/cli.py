@@ -374,23 +374,37 @@ def _run_suite_groups(names, state, tolerances, times):
 def _observe_report(state):
     """``observables.observable_report(state)`` as ``dpl observe`` computes it.
 
-    The kernel spin route is the integral-only
-    ``observables.nonlocal_spin_integral``, so no kernel density is kept.
-    When this process may use two CPUs, a forked worker (:func:`_forked`)
-    computes it while this process runs the other routes; whenever the
-    worker hands back no value, it is computed here as on one CPU.  Either
-    way it is the same value, so the report is the same.
+    Every route here is integral-only: the kernel spin route is
+    ``observables.nonlocal_spin_integral`` and the position spin routes are
+    ``observables.position_spin_integrals``, so no density is kept.  The
+    routes that read the position transform run first (the position OAM,
+    the probabilities and the position spin routes), and the transform is
+    released before the momentum spin and OAM routes, so their temporaries
+    never sit beside it.  When this process may use two CPUs, a forked
+    worker (:func:`_forked`) computes the kernel route, from the transform
+    made before the fork, while this process runs the other routes, and its
+    value is collected last; whenever the worker hands back no value, it is
+    computed here as on one CPU.  On one CPU the kernel route runs first,
+    with the position routes.  Either way every value is the same, so the
+    report is the same.
     """
     from . import observables
 
     kernel = functools.partial(observables.nonlocal_spin_integral, state)
-    if not _two_cpus():
-        return observables.observable_report(state, kernel)
-    # made before the fork, so the worker inherits them and neither is made twice
-    observables.psi_position(state)
-    state.grid.khat
-    with _forked(kernel) as result:
-        return observables.observable_report(state, result)
+    if _two_cpus():
+        # made before the fork, so the worker inherits them and neither is made twice
+        observables.psi_position(state)
+        state.grid.khat
+        split = _forked(kernel)
+    else:
+        value = kernel()
+        split = contextlib.nullcontext(lambda: value)
+    with split as kernel_integral:
+        observables.oam_position(state)
+        observables.probability(state)
+        position = observables.position_spin_integrals(state)
+        observables.drop_position(state)
+        return observables.observable_report(state, kernel_integral, position)
 
 
 def cmd_observe(args) -> int:

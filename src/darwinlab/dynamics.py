@@ -114,8 +114,9 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
     del stencil
 
     # the curls (curl F_l, -curl F_u) one block at a time, each compared with
-    # its half of d_dt; maxima are exact, so the residual is the whole-array one
-    scale = curl_res = 0.0
+    # its half of d_dt; maxima are exact, so the residual is the whole-array
+    # one, and the block maxima are folded by np.max, which keeps a NaN
+    scales, gaps = [], []
     curl = np.empty((3,) + g.shape, dtype=np.complex128)
     for half, partner, sign in ((d_dt[:3], f_l, 1), (d_dt[3:], f_u, -1)):
         kgrid.cross(g.k_axes, partner, out=curl)
@@ -123,19 +124,21 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
             np.negative(curl, out=curl)
         curl *= 1j * block_scale
         to_position(Field(curl, kgrid.MOMENTUM, g), overwrite=True)
-        scale = max(scale, kgrid.max_abs(curl))
+        scales.append(kgrid.max_abs(curl))
         half -= curl
-        curl_res = max(curl_res, kgrid.max_abs(half))
+        gaps.append(kgrid.max_abs(half))
     del d_dt, half, curl  # half is a view of d_dt
+    scale = float(np.max(scales))
     if scale == 0.0:
         return MaxwellReport(0.0, 0.0, dt)
-    curl_res /= scale
+    curl_res = float(np.max(gaps)) / scale
 
-    div = 0.0
+    divs = []
     for f in (f_u, f_l):
         div_k = 1j * block_scale * kgrid.dot(g.k_axes, f)
         div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g), overwrite=True)
-        div = max(div, float(np.abs(div_x.values).max()))
+        divs.append(kgrid.max_abs(div_x.values))
+    div = float(np.max(divs))
 
     return MaxwellReport(
         curl_residual=curl_res,

@@ -164,6 +164,19 @@ def position_densities(state: PhotonState) -> tuple[tuple[np.ndarray, np.ndarray
     return tuple(pair)
 
 
+def position_spin_integrals(state: PhotonState) -> dict[str, tuple[np.ndarray, float]]:
+    """(value, imaginary residue) of the two position-block spin routes,
+    ``position_upper`` and ``position_lower``.
+
+    Each row of a position cross density is summed as it is made, so unlike
+    :func:`position_densities` no density is kept; the sums are bitwise
+    those of the memoized pair.
+    """
+    values, m = psi_position(state), state.grid.dx**3
+    return {"position_upper": _integrated(_row_sums(_cross_density(values[:3])), m),
+            "position_lower": _integrated(_row_sums(_cross_density(values[3:])), m)}
+
+
 def _peeled_block(state: PhotonState) -> np.ndarray:
     """Upper block amplitude with the free-evolution phase removed.
 
@@ -231,13 +244,16 @@ def _kernel_density_rows(state: PhotonState):
     chi = (spin . w) f, is formed in one reused three-component buffer and
     transformed there, and the row gains the block's components in
     component order.  So six three-component transforms replace three of
-    six components, and one complex row is held.  A caller reads each row
-    before it asks for the next, which overwrites it.
+    six components, and one complex row is held.  The row is built
+    conjugated, as the sum of Psi_c conj(Phi_ic) with each conj(Phi_ic)
+    formed in place, and conjugated back at the end: bitwise the sum of
+    conj(Psi_c) Phi_ic, with no conjugate of Psi held.  A caller reads each
+    row before it asks for the next, which overwrites it.
     """
     g = state.grid
     psi, psi_pos = state.psi.values, psi_position(state)
     phi = np.empty((3,) + g.shape, dtype=np.complex128)
-    dens, psi_conj = np.empty((2,) + g.shape, dtype=np.complex128)
+    dens = np.empty(g.shape, dtype=np.complex128)
     for i in range(3):
         for start in (0, 3):
             # w_i (sigma . w) f = w_i (i w x f)
@@ -245,12 +261,13 @@ def _kernel_density_rows(state: PhotonState):
             phi *= 1j
             phi *= g.khat[i]
             to_position(momentum_field(phi, g), overwrite=True)
+            np.conj(phi, out=phi)
             for c in range(3):
-                np.conj(psi_pos[start + c], out=psi_conj)
                 if start + c == 0:
-                    np.multiply(psi_conj, phi[c], out=dens)
+                    np.multiply(psi_pos[start + c], phi[c], out=dens)
                 else:
-                    dens += np.multiply(psi_conj, phi[c], out=phi[c])
+                    dens += np.multiply(psi_pos[start + c], phi[c], out=phi[c])
+        np.conj(dens, out=dens)
         yield dens
 
 
@@ -333,33 +350,37 @@ def oam_position(state: PhotonState) -> np.ndarray:
     F is the upper block.  The gradient component d_a F is the position
     transform of i k_a f, taken straight from the momentum block.  x is real,
     so the sum over components is taken first: with h_a = sum_c F_c* d_a F_c
-    per bin, <L> = -i integral x x h d3x.
+    per bin, <L> = -i integral x x h d3x, whose components are differences
+    of the moments M[a, b] = sum over the bins of x_b h_a.
 
-    One component at a time: the three derivatives (d_0 F_c, d_1 F_c,
-    d_2 F_c) are one three-component transform, and F_c* is formed once and
-    added into each h_a, so each h_a sums its components in order and no
-    whole copy of f or of F* is made.
+    One axis at a time: d_a F is one three-component transform, h_a sums
+    its components in order in the place of d_a F_0, and the two moments
+    M[a, b], b != a, are summed from it through the place of d_a F_1.  So
+    no whole h, x x h or copy of f is made, and each F_c* is formed in one
+    buffer.
     """
     g = state.grid
     psi = state.psi.values
     F = psi_position(state)
-    ik = [1j * k for k in g.k_axes]
     d_F = np.empty((3,) + g.shape, dtype=np.complex128)
-    h = np.empty_like(d_F)
     F_conj = np.empty(g.shape, dtype=np.complex128)
-    for c in range(3):
-        f_c = np.multiply(np.sqrt(2.0), psi[c], out=d_F[2])  # d_F[2] is its last use
-        for a in range(3):
-            np.multiply(ik[a], f_c, out=d_F[a])
+    M = np.zeros((3, 3), dtype=np.complex128)
+    for a in range(3):
+        ik = 1j * g.k_axes[a]
+        for c in range(3):
+            np.multiply(ik, np.multiply(np.sqrt(2.0), psi[c], out=d_F[c]), out=d_F[c])
         to_position(momentum_field(d_F, g), overwrite=True)
-        np.conj(np.multiply(np.sqrt(2.0), F[c], out=F_conj), out=F_conj)
-        for a in range(3):
+        h = d_F[0]
+        for c in range(3):
+            np.conj(np.multiply(np.sqrt(2.0), F[c], out=F_conj), out=F_conj)
             if c == 0:
-                np.multiply(F_conj, d_F[a], out=h[a])
+                np.multiply(F_conj, d_F[0], out=h)
             else:
-                h[a] += np.multiply(F_conj, d_F[a], out=d_F[a])
-    del ik, f_c, d_F, F_conj  # f_c is a view of d_F: both go, or neither
-    total = -1j * np.sum(kgrid.cross(g.x_axes, h), axis=(1, 2, 3)) * g.dx**3
+                h += np.multiply(F_conj, d_F[c], out=d_F[c])
+        for b in range(3):
+            if b != a:
+                M[a, b] = np.sum(np.multiply(g.x_axes[b], h, out=d_F[1]))
+    total = -1j * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]]) * g.dx**3
     return total.real
 
 
@@ -407,18 +428,25 @@ class ObservableReport:
     max_imag_residue: float
 
 
-def observable_report(state: PhotonState, kernel=None) -> ObservableReport:
+def observable_report(state: PhotonState, kernel=None, position=None) -> ObservableReport:
     """Every spin, OAM and probability route of one state, side by side.
 
     The block cross densities (f_u, f_l in momentum space, F_u, F_l in
     position space) are shared by the spin routes that integrate them; each
-    route still applies its own formula.  The position pair of
-    :func:`position_densities` is memoized, so :func:`density_candidates`
-    on the same state reuses it.  It comes last, after the OAM and nonlocal
-    routes have freed their buffers, so it never sits under their peak
-    memory; and the OAM routes run before the nonlocal one, so theirs never
-    sits over its kept density.  The momentum routes (spin and OAM) come
-    first, before the position transform exists.
+    route still applies its own formula.  By default the position spin
+    routes integrate the memoized pair of :func:`position_densities`, so
+    :func:`density_candidates` on the same state reuses it.  It comes last,
+    after the OAM and nonlocal routes have freed their buffers, so it never
+    sits under their peak memory; and the OAM routes run before the
+    nonlocal one, so theirs never sits over its kept density.  The momentum
+    routes (spin and OAM) come first, before the position transform exists.
+
+    ``position``, when given, is the value of the position spin routes as
+    :func:`position_spin_integrals` returns it.  A caller that has also
+    taken :func:`oam_position` and :func:`probability` (memoized) can then
+    release the position transform with :func:`drop_position` before this
+    call, whose momentum routes then run without it, as ``dpl observe``
+    does.
 
     ``kernel``, when given, is a function of no arguments that returns the
     kernel route's (value, imaginary residue), as
@@ -432,14 +460,12 @@ def observable_report(state: PhotonState, kernel=None) -> ObservableReport:
     L_pos = oam_position(state)
     kernel_integral = nonlocal_spin_density(state)[1] if kernel is None else kernel()
     p_psi, p_up, p_low = probability(state)
-    (_, sums_u), (_, sums_l) = position_densities(state)
-    m_x = state.grid.dx**3
-    pairs = {
-        **momentum_spin,
-        "position_upper": _integrated(sums_u, m_x),
-        "position_lower": _integrated(sums_l, m_x),
-        "kernel_integral": kernel_integral,
-    }
+    if position is None:
+        (_, sums_u), (_, sums_l) = position_densities(state)
+        m_x = state.grid.dx**3
+        position = {"position_upper": _integrated(sums_u, m_x),
+                    "position_lower": _integrated(sums_l, m_x)}
+    pairs = {**momentum_spin, **position, "kernel_integral": kernel_integral}
     spin = {name: value for name, (value, _) in pairs.items()}
     imag_residue = max(res for _, res in pairs.values())
     discrepancies = {f"{a}|{b}": float(np.abs(spin[a] - spin[b]).max())

@@ -104,7 +104,8 @@ def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
 
 def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     """The nonlocal density (three six-component transforms), both OAM routes
-    (whole conjugate and derivative blocks), the canonical momentum density
+    (whole conjugate and derivative blocks; the position route both as the
+    integral of x x h and as its moments), the canonical momentum density
     and the position-block cross densities, each over whole arrays."""
     g = state.grid
     psi, pos = state.psi.values, observables.psi_position(state)
@@ -131,6 +132,11 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
                   for a in range(3)])
     out["oam_position"] = (-1j * np.sum(kgrid.cross(full_grid(g.x_axes), h), axis=(1, 2, 3))
                            * g.dx**3).real
+    # the same integral as differences of the moments M[a, b] = sum x_b h_a
+    x = full_grid(g.x_axes)
+    m = np.array([[np.sum(x[b] * h[a]) if b != a else 0.0 for b in range(3)] for a in range(3)])
+    out["oam_position_moments"] = (-1j * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0],
+                                                   m[1, 0] - m[0, 1]]) * g.dx**3).real
 
     def cross_density(f):
         return -1j * kgrid.cross(np.conj(f), f)

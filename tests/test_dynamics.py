@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from darwinlab import observables
+from darwinlab import dynamics, observables, stateio
+from darwinlab.cli import main
 from darwinlab.dynamics import (
     continuity_and_conservation,
     default_maxwell_dt,
@@ -91,6 +94,31 @@ class TestMaxwellResidual:
         with pytest.raises(ValueError):
             maxwell_residual(helicity_state, dt=0.0)
         assert np.array_equal(helicity_state.psi.values, before)
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_nan_in_one_curl_block_fails_the_row(self, helicity_state, monkeypatch, tmp_path,
+                                                 capsys, block):
+        # the block maxima are folded so that a NaN is kept: the builtin
+        # max(0.0, nan) is 0.0, and max(x, nan) is x
+        path = tmp_path / "state.dpst"
+        stateio.write_state(path, helicity_state)
+        real, curls = dynamics.to_position, []
+
+        def poisoned(field, **kwargs):
+            out = real(field, **kwargs)
+            if out.values.shape[0] == 3:  # a curl block; the stencil has 6 components, a divergence 1
+                if len(curls) == block:
+                    out.values[1, 2, 3, 4] = np.nan
+                curls.append(1)
+            return out
+
+        monkeypatch.setattr(dynamics, "to_position", poisoned)
+        capsys.readouterr()
+        code = main(["check", str(path), "--suites", "maxwell"])
+        (report,) = json.loads(capsys.readouterr().out)["suites"]
+        row = next(c for c in report["checks"] if c["name"] == "maxwell_residual")
+        assert (code, len(curls)) == (1, 2)
+        assert row["value"] is None and row["passed"] is False
 
     def test_residual_at_later_time(self, helicity_state):
         evolved = evolve(helicity_state, 2.0)

@@ -7,7 +7,7 @@ six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
 check runs first, so caches that the process fills once are not counted.
 
 Measured at n=32: ``run_suites`` over all ten suites peaks at 2.59 fields,
-``observable_report`` at 2.29 and the fieldbridge suite at 2.59, with every
+``observable_report`` at 2.25 and the fieldbridge suite at 2.59, with every
 route working one block or one component at a time and transforming in
 place the arrays it builds only to transform.  The fieldbridge suite
 compares each round-trip block with its half of the payload as the block
@@ -16,11 +16,17 @@ suite groups of ``suites.MEMO_SUITES`` and ``suites.OWN_TRANSFORM_SUITES``
 in two processes, one ``run_suites`` call each; those calls peak at 2.50
 and 2.59 fields, with the kernels suite sub-sampling its singular core a
 block of cells at a time, and conservation running after the position
-transform, the position pair and the kernel density are released.  ``dpl observe`` computes the report with the
-integral-only kernel route, which keeps no density: on one CPU it peaks at
-2.21 fields, and on two the process that runs every other route, with the
-position transform made before the fork, at 2.47.  The momentum OAM route
-frees each k-derivative before it takes the next.  Conservation alone peaks
+transform, the position pair and the kernel density are released.
+``dpl observe`` computes the report with integral-only kernel and position
+spin routes, which keep no density, and runs every route that reads the
+position transform before the momentum routes, releasing the transform in
+between: on one CPU it peaks at 1.88 fields, and on two the process that
+runs every route but the kernel one at 1.71, in its position stage; the
+worker, with the position transform and khat made before the fork, peaks
+at 1.88.  The position OAM route sums the moments of one h_a at a time,
+and the kernel route builds each row conjugated, so neither holds a whole
+h or a conjugate of the transform.  The momentum OAM route frees each
+k-derivative before it takes the next.  Conservation alone peaks
 at 2.46 fields: the position transform is released before it runs.
 ``run_suites`` runs the requested suites in ``suites.SUITE_NAMES`` order
 whatever order they are asked in, and releases the position arrays at one
@@ -30,9 +36,9 @@ point, right after ``densities``: the ten suites in reverse order peak at
 the norm drift and both residuals of its certificate, peaks at 2.71 fields and
 ``maxwell_residual`` alone at 1.71, the certificate computing one curl
 block at a time.  At n=64 the fieldbridge suite sets the peak of a full
-check, and the same calls peak at 2.58 fields (all suites), 2.26
-(``observable_report``), 2.17 and 2.35 (``dpl observe`` on one and on two
-CPUs), 2.50 and 2.58 (the two groups), 2.58
+check, and the same calls peak at 2.58 fields (all suites), 2.25
+(``observable_report``), 1.84 and 1.67 (``dpl observe`` on one and on two
+CPUs), 1.84 (its worker), 2.50 and 2.58 (the two groups), 2.58
 (fieldbridge), 2.35 (conservation), 2.67 (``evolve``) and 1.67
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
 peaks at 3.73 fields at both n=32 and n=64 (11.7 and 93.9 MB).
@@ -73,8 +79,12 @@ BUDGETS = {
     "conservation_before_spin": (
         lambda state: suites.run_suites(["conservation", "spin-equalities"], state), 2.63),
     "observable_report": (observables.observable_report, 2.41),
-    "observe_one_cpu": (_observe_on(1), 2.32),
-    "observe_two_cpus": (_observe_on(2), 2.59),
+    "observe_one_cpu": (_observe_on(1), 1.97),
+    "observe_two_cpus": (_observe_on(2), 1.8),
+    # the forked worker of `dpl observe`: the kernel route, beside the
+    # position transform and khat that it inherits
+    "observe_worker": (lambda state: (observables.psi_position(state), state.grid.khat,
+                                      observables.nonlocal_spin_integral(state)), 1.97),
     "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 2.63),
     "own_transform_group": (lambda state: suites.run_suites(suites.OWN_TRANSFORM_SUITES, state), 2.72),
     "fieldbridge": (lambda state: suites.run_suites(["fieldbridge"], state), 2.72),

@@ -32,6 +32,7 @@ from darwinlab.observables import (
 )
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from reference import (
+    README_MODES,
     full_grid,
     spectral_gradient,
     spin_cross,
@@ -246,12 +247,26 @@ def test_routes_are_bitwise_their_whole_array_forms(two_direction_state, time):
     s, diag = nonlocal_spin_density(st)
     assert s.tobytes() == ref["nonlocal"].tobytes()
     assert oam_momentum(st).tobytes() == ref["oam_momentum"].tobytes()
-    assert oam_position(st).tobytes() == ref["oam_position"].tobytes()
+    assert oam_position(st).tobytes() == ref["oam_position_moments"].tobytes()
     assert np.stack(_canonical_density(st)[0]).tobytes() == ref["canonical"].tobytes()
     (real_u, sums_u), (real_l, sums_l) = position_densities(st)
     for real, sums, name in ((real_u, sums_u, "position_upper"), (real_l, sums_l, "position_lower")):
         assert real.tobytes() == ref[name].real.tobytes()
         assert sums.tobytes() == np.sum(ref[name], axis=(1, 2, 3)).tobytes()
+
+
+@pytest.mark.parametrize("which, time", [("two_direction", 0.0), ("two_direction", 7.25),
+                                         ("readme", 0.0)])
+def test_oam_position_moments_are_the_cross_integral(two_direction_state, g32, which, time):
+    # the moment form sums x_b h_a over the bins before it takes the
+    # differences of x x h, so it differs from the integral of x x h by
+    # round-off only
+    st = two_direction_state if which == "two_direction" else synthesize(README_MODES, g32)
+    st = evolve(st, time) if time else st
+    ref = whole_array_routes(st)
+    cross, moments = ref["oam_position"], ref["oam_position_moments"]
+    assert np.abs(moments - cross).max() <= 1e-13 * np.abs(cross).max()
+    assert np.abs(oam_position(st) - cross).max() <= 1e-13 * np.abs(cross).max()
 
 
 @pytest.mark.parametrize("time", [0.0, 7.25])

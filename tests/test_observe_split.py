@@ -73,6 +73,44 @@ def test_observe_keeps_no_kernel_density(monkeypatch, two_direction_state, cpus)
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_observe_transforms_once_and_releases_before_the_momentum_routes(
+        monkeypatch, two_direction_state, cpus):
+    # the position routes run first, then the transform is released, so the
+    # momentum routes never sit beside it; nothing transforms the payload again
+    state = PhotonState(two_direction_state.psi, two_direction_state.time)  # nothing memoized
+    transforms, memo_at_momentum, densities = [], [], []
+    to_position, momentum_routes = observables.to_position, observables._momentum_spin_routes
+    cross_density = observables._cross_density
+
+    def counted_transform(field, **kwargs):
+        transforms.append(field is state.psi)
+        return to_position(field, **kwargs)
+
+    def spied_momentum_routes(st):
+        memo_at_momentum.append(set(vars(st).get("_observables_memo", {})))
+        return momentum_routes(st)
+
+    def counted_density(block):
+        densities.append(1)
+        return cross_density(block)
+
+    monkeypatch.setattr(observables, "to_position", counted_transform)
+    monkeypatch.setattr(observables, "_momentum_spin_routes", spied_momentum_routes)
+    monkeypatch.setattr(observables, "_cross_density", counted_density)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    report = cli._observe_report(state)
+    # this process: the payload once and the position OAM's three derivative
+    # transforms; on two CPUs the kernel route's six run in the worker
+    assert sum(transforms) == 1
+    assert len(transforms) == (4 if cpus == 2 else 10)
+    assert memo_at_momentum and all(
+        not {"psi_position", "position_densities"} & memo for memo in memo_at_momentum)
+    assert len(densities) == 4  # two momentum blocks and two position blocks
+    assert bits(report) == bits(observables.observable_report(two_direction_state))
+    assert_no_child_left()
+
+
 def count_kernel_routes_here(monkeypatch, in_worker=lambda: None):
     """Counts the kernel routes run in the test process; in the worker the
     route first calls `in_worker`."""
@@ -137,7 +175,8 @@ def test_derived_value_out_of_range_exits_3_on_two_cpus(derived_overflow_files, 
 @pytest.mark.parametrize("route, worker_sleeps", [
     # the worker is still busy when this process raises: it is killed, not waited for
     pytest.param("oam_position", 60, id="before_the_kernel_route_is_collected"),
-    pytest.param("position_densities", 0, id="after_the_kernel_route_is_collected"),
+    # read at the end of the report, after the worker's value: the worker is reaped
+    pytest.param("oam_boundary_ratio", 0, id="after_the_kernel_route_is_collected"),
 ])
 def test_raise_here_leaves_no_child(states, monkeypatch, tmp_path, forks, route, worker_sleeps):
     def boom(state):
