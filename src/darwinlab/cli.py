@@ -493,7 +493,7 @@ def cmd_evolve(args) -> int:
     # read before writing, so a state whose certificate overflows leaves no file
     certificate = (f"norm_drift={norm_drift:.3e} "
                    f"dirac_residual={dynamics.dirac_residual(evolved):.3e} "
-                   f"maxwell_residual={dynamics.maxwell_residual(evolved).curl_residual:.3e}")
+                   f"maxwell_residual={dynamics.maxwell_curl_residual(evolved):.3e}")
     stateio.write_state(args.out, evolved, metadata=header.get("metadata", {}))
     print(f"wrote {args.out}: time={evolved.time:.6g} {certificate}")
     return EXIT_OK

@@ -244,13 +244,17 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
     c2 = kgrid.dot(grid.k_axes, e2)
     rho = np.hypot(c1, c2)
     dist = np.hypot(rho - spec.ring_radius, height)
+    del rho, height  # each bins-sized array is freed once read for the last time
     with _blame("ring_radius"):
         dist2 = dist**2
     with _blame("sigma_k"):
         env = np.exp(-dist2 / (2.0 * spec.sigma_k**2)).astype(np.complex128)
+        del dist2
         lo, hi = 2.5 * spec.sigma_k, 5.0 * spec.sigma_k
         taper = np.clip((dist - lo) / (hi - lo), 0.0, 1.0)
+    del dist
     env = env * (0.5 * (1.0 + np.cos(np.pi * taper)))
+    del taper
     if spec.vortex_charge != 0:
         with _blame("vortex_charge"):
             env = env * np.exp(1j * spec.vortex_charge * np.arctan2(c2, c1))
@@ -268,11 +272,17 @@ def synthesize(specs: list[ModeSpec], grid: KGrid) -> PhotonState:
     envelope or a mode's sum |amplitude x envelope|^2 that overflows, or a
     total norm that does (named by the mode of the largest sum).  So no
     state it returns holds a non-finite value or a norm that is not finite.
+
+    Both blocks are written into the one six-component array that becomes
+    the payload, one component at a time through one bins-sized scratch
+    array, and scaled in place; the state is made once, at the end.
     """
     if not specs:
         raise ValueError("need at least one mode spec")
 
-    f_u = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    psi = np.zeros((6,) + grid.shape, dtype=np.complex128)
+    f_u = psi[:3]
+    scratch = np.empty(grid.shape, dtype=np.complex128)
     powers = []
     try:
         with np.errstate(all="raise", under="ignore"):
@@ -283,36 +293,36 @@ def synthesize(specs: list[ModeSpec], grid: KGrid) -> PhotonState:
                         raise OverflowError
                 with _blame("amplitude"):
                     term = complex(spec.amplitude) * env
+                    del env
                     powers.append(np.vdot(term, term).real)  # the polarization is a unit vector
                     if not math.isfinite(powers[-1]):
                         raise OverflowError
-                    f_u += term * _mode_polarization(spec)[:, None, None, None]
+                    for f, p in zip(f_u, _mode_polarization(spec)):
+                        f += np.multiply(term, p, out=scratch)
+                    del term
 
             mode = int(np.argmax(powers))  # a sum that overflows names its largest mode
             with _blame("amplitude"):
                 # transverse projection of the upper block; the lower block inherits it
-                f_u -= kgrid.dot(grid.khat, f_u) * grid.khat
+                longitudinal = kgrid.dot(grid.khat, f_u)
+                for f, w in zip(f_u, grid.khat):
+                    f -= np.multiply(longitudinal, w, out=scratch)
+                del longitudinal, scratch
                 f_u[:, 0, 0, 0] = 0.0  # the DC bin
-                f_l = kgrid.cross(grid.khat, f_u)
-                psi = momentum_field(np.concatenate([f_u, f_l]) / np.sqrt(2.0), grid)
-                state = PhotonState(psi)
-                if not math.isfinite(state.norm):  # the bin volume is applied in Python floats
+                kgrid.cross(grid.khat, f_u, out=psi[3:])
+                psi /= np.sqrt(2.0)
+                norm = kgrid.norm_squared(momentum_field(psi, grid))
+                if not math.isfinite(norm):  # the bin volume is applied in Python floats
                     raise OverflowError
     except ModeOverflow as exc:
         exc.mode = mode
         raise
-    if state.norm <= 0.0:
+    if norm <= 0.0:
         raise ValueError(
             "synthesized state is identically zero: mode spectrum falls outside "
             "the grid band or the polarization is purely longitudinal"
         )
-    return normalize(state)
+    scale = np.sqrt(norm)
+    psi /= scale
+    return PhotonState(momentum_field(psi, grid), scale_factor=scale)
 
-
-def normalize(state: PhotonState) -> PhotonState:
-    """Rescale to unit total probability; the removed scale is recorded."""
-    if state.norm <= 0.0:
-        raise ValueError("cannot normalize a zero-norm state")
-    scale = np.sqrt(state.norm)
-    psi = Field(state.psi.values / scale, kgrid.MOMENTUM, state.grid)
-    return PhotonState(psi, state.time, state.scale_factor * scale)

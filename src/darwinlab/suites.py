@@ -64,7 +64,9 @@ SUITE_NAMES = ("algebra", "constraint", "spin-equalities", "oam", "probability",
 # those once.  The other suites read none of them; each makes its own
 # transforms, so running them apart computes nothing twice.
 MEMO_SUITES = ("spin-equalities", "oam", "probability", "densities", "conservation")
-OWN_TRANSFORM_SUITES = ("algebra", "constraint", "maxwell", "fieldbridge", "kernels")
+# fieldbridge, which sets a check's peak working set, runs first: algebra and
+# constraint load numpy.random (and LAPACK), whose pages would sit under it
+OWN_TRANSFORM_SUITES = ("fieldbridge", "maxwell", "constraint", "kernels", "algebra")
 
 
 @dataclass(frozen=True)
@@ -262,20 +264,21 @@ def check_suite_names(names) -> None:
 
 
 # suites that read the state's position transform, directly or through the
-# position-block cross densities, in SUITE_NAMES order
+# position-block cross densities, in run order
 _POSITION_SUITES = ("spin-equalities", "oam", "probability", "densities")
 
 
 def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) -> list[SuiteReport]:
-    """Run each named suite once, in SUITE_NAMES order, and return the
-    reports in the order of `names` (a name given twice, twice).
+    """Run each named suite once, in one fixed order, and return the reports
+    in the order of `names` (a name given twice, twice).
 
-    The position transform, the position cross-density pair and the
-    nonlocal kernel density live in the observables memo, so each is made
-    once, when a suite first reads it.  All three are released at one
-    point, right after `densities`, the last position suite, having first
-    taken the probability that conservation reads at the state's own time,
-    so the suites after it never hold them.
+    The run order is the memo group, then the own-transforms group, each in
+    its declared order.  The position transform, the position cross-density
+    pair and the nonlocal kernel density live in the observables memo, so
+    each is made once, when a suite first reads it.  All three are released
+    at one point, right after `densities`, the last position suite, having
+    first taken the probability that conservation reads at the state's own
+    time, so the suites after it never hold them.
     """
     # the module's bindings at call time, so a rebound suite_<name> runs
     runners = {"algebra": suite_algebra, "constraint": suite_constraint,
@@ -285,7 +288,7 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
                "fieldbridge": suite_fieldbridge, "kernels": suite_kernels}
     check_suite_names(names)
     reports = {}
-    for name in SUITE_NAMES:
+    for name in MEMO_SUITES + OWN_TRANSFORM_SUITES:
         if name in names:
             rows = runners[name](state, times)
             reports[name] = SuiteReport(name, [_check(tolerances, *row) for row in rows])

@@ -10,6 +10,7 @@ from darwinlab.dynamics import (
     default_maxwell_dt,
     dirac_residual,
     evolve,
+    maxwell_curl_residual,
     maxwell_residual,
 )
 from darwinlab.kgrid import (
@@ -91,9 +92,19 @@ class TestMaxwellResidual:
 
     def test_zero_dt_rejected_and_state_untouched(self, helicity_state):
         before = helicity_state.psi.values.copy()
-        with pytest.raises(ValueError):
-            maxwell_residual(helicity_state, dt=0.0)
+        for residual in (maxwell_residual, maxwell_curl_residual):
+            with pytest.raises(ValueError):
+                residual(helicity_state, dt=0.0)
         assert np.array_equal(helicity_state.psi.values, before)
+
+    def test_curl_residual_is_the_report_value(self, two_direction_state, helicity_state):
+        # `dpl evolve` prints maxwell_curl_residual, `dpl check` the report's row
+        dt = default_maxwell_dt(two_direction_state.grid)
+        for st, step in ((two_direction_state, None), (two_direction_state, dt / 2),
+                         (evolve(helicity_state, 2.0), None),
+                         (PhotonState(momentum_field(np.zeros((6,) + helicity_state.grid.shape),
+                                                     helicity_state.grid)), None)):
+            assert maxwell_curl_residual(st, step) == maxwell_residual(st, step).curl_residual
 
     @pytest.mark.parametrize("block", [0, 1])
     def test_nan_in_one_curl_block_fails_the_row(self, helicity_state, monkeypatch, tmp_path,

@@ -78,6 +78,15 @@ class TestGridGeometry:
             backward[0, 0, 0] = conj[0, 0, 0]
             assert conj.tobytes() == backward.tobytes()
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("dk", [1e-3, 0.37, 1.0, 37.0])
+    def test_phase_is_the_whole_grid_exponential(self, n, dk):
+        # the phase is exponentiated on one octant and gathered by |signed
+        # index|; compared as bytes, so the signed zeros count too
+        g = KGrid(n, dk)
+        for t in (0.0, -0.0, default_maxwell_dt(g), -0.37, 7.25, 1e5, -1e5):
+            assert g.phase(t).tobytes() == np.exp(-1j * g.kmag * t).tobytes(), t
+
     def test_dc_bin_is_origin(self, g16):
         assert np.abs(full_grid(g16.k_axes)[:, 0, 0, 0]).max() == 0.0
         assert np.count_nonzero(g16.kmag == 0.0) == 1

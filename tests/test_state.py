@@ -12,7 +12,6 @@ from darwinlab.state import (
     ModeSpec,
     PhotonState,
     branch_residual,
-    normalize,
     synthesize,
     transversality_residual,
 )
@@ -202,20 +201,22 @@ class TestProjectPositiveEnergy:
 
 
 class TestNormalize:
-    def test_scaling_invariance(self, helicity_state):
-        scaled_vals = 3.0 * helicity_state.psi.values
-        psi = momentum_field(scaled_vals, helicity_state.grid)
-        st = PhotonState(psi)
-        back = normalize(st)
-        assert np.abs(back.psi.values - helicity_state.psi.values).max() < 1e-14
-        assert back.scale_factor == pytest.approx(3.0, rel=1e-12)
+    # synthesize normalizes the state it builds and records the scale it divided out
+    def test_scaling_invariance(self, g16):
+        def built(amplitude):
+            return synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8,
+                                        amplitude=amplitude)], g16)
+
+        unit, scaled = built(1.0), built(3.0)
+        assert np.abs(scaled.psi.values - unit.psi.values).max() < 1e-14
+        assert scaled.scale_factor / unit.scale_factor == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_state_rejected(self, g16):
-        zero = np.zeros((3,) + g16.shape, dtype=complex)
-        st = manual_state(g16, zero, zero)
-        assert st.norm == 0.0
-        with pytest.raises(ValueError, match="zero-norm"):
-            normalize(st)
+        # a linear polarization along k0 is wholly longitudinal on the plane
+        # wave's one bin, so the transverse projection leaves nothing
+        with pytest.raises(ValueError, match="identically zero"):
+            synthesize([ModeSpec(kind="plane", k0=(0, 0, 4), helicity=None,
+                                 polarization=(0, 0, 1))], g16)
 
     def test_unit_norm(self, two_direction_state):
         assert two_direction_state.norm == pytest.approx(1.0, abs=1e-13)
