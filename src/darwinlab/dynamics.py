@@ -37,7 +37,7 @@ def evolve(state: PhotonState, t: float) -> PhotonState:
         return state
     g = state.grid
     psi = Field(state.psi.values * g.phase(t), kgrid.MOMENTUM, g)
-    return PhotonState(psi, state.time + t, state.scale_factor)
+    return PhotonState(psi, state.time + t)
 
 
 def dirac_residual(state: PhotonState) -> float:

@@ -497,7 +497,9 @@ class DensityCandidates:
     Three spin-density candidates (full, upper-block weighted, lower-block
     weighted) plus the nonlocal kernel density; three probability densities.
     Each integrates to the same number; the pointwise gaps are normalized by
-    the peak of the reference candidate.
+    the peak of the reference candidate.  The full densities are the means
+    of the block densities, so upper - full = -(lower - full): a lower-block
+    gap would repeat the upper one, and only the upper one is kept.
     """
 
     spin_density_full: np.ndarray      # Psi^dag spin Psi
@@ -510,10 +512,8 @@ class DensityCandidates:
     max_spin_integral_spread: float
     max_prob_integral_spread: float
     spin_gap_upper: float
-    spin_gap_lower: float
     spin_gap_kernel: float
     prob_gap_upper: float
-    prob_gap_lower: float
 
 
 def density_candidates(state: PhotonState) -> DensityCandidates:
@@ -551,8 +551,6 @@ def density_candidates(state: PhotonState) -> DensityCandidates:
         max_spin_integral_spread=spin_spread,
         max_prob_integral_spread=prob_spread,
         spin_gap_upper=kgrid.relative_gap(spin_upper, spin_full),
-        spin_gap_lower=kgrid.relative_gap(spin_lower, spin_full),
         spin_gap_kernel=kgrid.relative_gap(spin_kernel, spin_full),
         prob_gap_upper=kgrid.relative_gap([prob_upper], [prob_psi]),
-        prob_gap_lower=kgrid.relative_gap([prob_lower], [prob_psi]),
     )

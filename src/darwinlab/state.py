@@ -102,14 +102,13 @@ def _blame(key: str):
 class PhotonState:
     """Normalized (or deliberately unnormalized) positive-energy photon state.
 
-    A state holds only what the amplitudes cannot give back: ``psi``, the
-    ``time`` it stands at and the ``scale_factor`` that normalization divided
-    out.  The payload is checked finite here, once per state, and the fields
-    computed from it are not scanned again.  The payload scalars
-    ``norm`` and ``rqc_residual`` are derived from ``psi`` on first use and
-    cached for as long as the state lives, so building a state computes
-    nothing and no stored copy can disagree with the payload.  Arrays derived
-    from it, such as the position transform, are kept by the memo of
+    A state holds only what the amplitudes cannot give back: ``psi`` and the
+    ``time`` it stands at.  The payload is checked finite here, once per
+    state, and the fields computed from it are not scanned again.  The
+    payload scalars ``norm`` and ``rqc_residual`` are derived from ``psi`` on
+    first use and cached for as long as the state lives, so building a state
+    computes nothing and no stored copy can disagree with the payload.  Arrays
+    derived from it, such as the position transform, are kept by the memo of
     :mod:`darwinlab.observables`, which also decides when they are released.
     The payload is made read-only here, so no in-place operation can change
     it under those cached values.
@@ -117,7 +116,6 @@ class PhotonState:
 
     psi: Field
     time: float = 0.0
-    scale_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.psi.rep != kgrid.MOMENTUM or self.psi.ncomp != 6:
@@ -322,7 +320,6 @@ def synthesize(specs: list[ModeSpec], grid: KGrid) -> PhotonState:
             "synthesized state is identically zero: mode spectrum falls outside "
             "the grid band or the polarization is purely longitudinal"
         )
-    scale = np.sqrt(norm)
-    psi /= scale
-    return PhotonState(momentum_field(psi, grid), scale_factor=scale)
+    psi /= np.sqrt(norm)
+    return PhotonState(momentum_field(psi, grid))
 

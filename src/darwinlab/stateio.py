@@ -8,13 +8,14 @@ bin (x, y, z), i.e. ``psi.values[c, x, y, z]``: the payload is the Fortran
 order of the component-first (6, n, n, n) array, so reading and writing
 transpose only here, at the file boundary.  The header carries only what the
 payload cannot give back: the format version (:data:`FORMAT_VERSION`; a file
-of any other version, or of none, is rejected), the grid, time stamp, scale
-factor, unit record, a CRC32 of the payload (so corruption is detected before
-any physics runs) and free metadata.  The code computes in natural units
-only, so the unit record is always :data:`NATURAL_UNITS` and any other record
-is rejected.  Physics values such as the norm or the constraint residual are
-derived from the payload when needed; older files that still carry them in
-the header load unchanged and those keys are ignored.  Writes go through a temp file and rename.
+of any other version, or of none, is rejected), the grid, time stamp, unit
+record, a CRC32 of the payload (so corruption is detected before any physics
+runs) and free metadata.  The code computes in natural units only, so the
+unit record is always :data:`NATURAL_UNITS` and any other record is
+rejected.  Physics values such as the norm or the constraint residual are
+derived from the payload when needed; older files that still carry them, or
+the scale factor of their synthesis, in the header load unchanged and those
+keys are ignored.  Writes go through a temp file and rename.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ def write_state(path, state: PhotonState, metadata: dict | None = None) -> None:
         "format": FORMAT_VERSION,
         "grid": {"n": state.grid.n, "dk": state.grid.dk},
         "time": state.time,
-        "scale_factor": state.scale_factor,
         "units": NATURAL_UNITS,
         "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
         "metadata": metadata or {},
@@ -111,12 +111,11 @@ def read_state(path) -> tuple[PhotonState, dict]:
     Raises StateFileError for every malformed, truncated or corrupted file,
     for a format other than FORMAT_VERSION, for invalid or non-finite header
     values (the format, grid size and checksum must be integers, the grid
-    spacing, time and scale factor numbers, and none of them a boolean), for
-    a time t with k_max |t| not finite (KGrid.time_in_range),
-    for a unit record other than natural units and for a payload
-    whose total probability is not finite (finite amplitudes can overflow it).
-    The payload is read through a view of the file's bytes, never sliced out
-    as a copy.
+    spacing and time numbers, and none of them a boolean), for a time t
+    with k_max |t| not finite (KGrid.time_in_range), for a unit record
+    other than natural units and for a payload whose total probability is
+    not finite (finite amplitudes can overflow it).  The payload is read
+    through a view of the file's bytes, never sliced out as a copy.
     """
     with open(path, "rb") as fh:
         raw = memoryview(fh.read())
@@ -150,15 +149,12 @@ def read_state(path) -> tuple[PhotonState, dict]:
             raise StateFileError(f"{path}: payload checksum mismatch")
         _check_units(header["units"], path)
         time = _header_real(header.get("time", 0.0), "time", path)
-        scale_factor = _header_real(header.get("scale_factor", 1.0), "scale_factor", path)
-        if not math.isfinite(scale_factor):
-            raise StateFileError(f"{path}: non-finite scale factor {scale_factor}")
         if not grid.time_in_range(time):
             raise StateFileError(f"{path}: time {time} out of range: k_max |t| is not finite "
                                  f"on this grid (k_max={grid.k_max:.6g})")
         values = np.frombuffer(payload, dtype="<c16").reshape((6,) + grid.shape, order="F")
         values = values.copy()  # C order, and no view of the file's bytes
-        state = PhotonState(kgrid.momentum_field(values, grid), time, scale_factor)
+        state = PhotonState(kgrid.momentum_field(values, grid), time)
     except KeyError as exc:
         raise StateFileError(f"{path}: header lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -194,10 +194,8 @@ def suite_densities(state: PhotonState, times) -> list:
             ("kernel_density_integral", float(np.abs(kernel_integral - projected).max())),
             ("spin_density_gap_upper", dc.spin_gap_upper,
              "normalized pointwise gap; nonzero certifies candidate inequality"),
-            ("spin_density_gap_lower", dc.spin_gap_lower),
             ("spin_density_gap_kernel", dc.spin_gap_kernel),
-            ("prob_density_gap_upper", dc.prob_gap_upper),
-            ("prob_density_gap_lower", dc.prob_gap_lower)]
+            ("prob_density_gap_upper", dc.prob_gap_upper)]
 
 
 def suite_maxwell(state: PhotonState, times) -> list:
@@ -280,17 +278,12 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     first taken the probability that conservation reads at the state's own
     time, so the suites after it never hold them.
     """
-    # the module's bindings at call time, so a rebound suite_<name> runs
-    runners = {"algebra": suite_algebra, "constraint": suite_constraint,
-               "spin-equalities": suite_spin_equalities, "oam": suite_oam,
-               "probability": suite_probability, "densities": suite_densities,
-               "maxwell": suite_maxwell, "conservation": suite_conservation,
-               "fieldbridge": suite_fieldbridge, "kernels": suite_kernels}
     check_suite_names(names)
     reports = {}
     for name in MEMO_SUITES + OWN_TRANSFORM_SUITES:
         if name in names:
-            rows = runners[name](state, times)
+            # the module's binding at call time, so a rebound suite_<name> runs
+            rows = globals()[f"suite_{name.replace('-', '_')}"](state, times)
             reports[name] = SuiteReport(name, [_check(tolerances, *row) for row in rows])
         if name == _POSITION_SUITES[-1]:
             if "conservation" in names and any(float(t) == state.time for t in times):

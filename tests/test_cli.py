@@ -390,10 +390,8 @@ INVALID_FILES = {
     "inf_in_payload": _payload_with(complex("inf")),
     "time_not_a_number": lambda p: rewrite_header(p, time="abc"),
     "crc_not_a_number": lambda p: rewrite_header(p, payload_crc32="x"),
-    "scale_factor_not_a_number": lambda p: rewrite_header(p, scale_factor="big"),
     "time_nan": lambda p: rewrite_header(p, time=float("nan")),
     "time_inf": lambda p: rewrite_header(p, time=float("inf")),
-    "scale_factor_nan": lambda p: rewrite_header(p, scale_factor=float("nan")),
     "format_99": lambda p: rewrite_header(p, format=99),
     "format_string": lambda p: rewrite_header(p, format="1"),
     "format_missing": lambda p: rewrite_header(p, format=None),

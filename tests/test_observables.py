@@ -343,11 +343,25 @@ class TestDensities:
     def test_two_mode_candidates_disagree_pointwise(self, two_direction_state):
         dc = density_candidates(two_direction_state)
         assert dc.spin_gap_upper > 0.05
-        assert dc.spin_gap_lower > 0.05
         assert dc.prob_gap_upper > 0.05
-        assert dc.prob_gap_lower > 0.05
         assert dc.max_spin_integral_spread < 1e-10
         assert dc.max_prob_integral_spread < 1e-10
+
+    @pytest.mark.parametrize("modes", ["two_direction", "readme", "linear_gaussian"])
+    def test_lower_block_gap_repeats_the_upper(self, modes, two_direction_state, g16, g32):
+        # the full densities are the block means, so upper - full = -(lower - full)
+        st = {"two_direction": lambda: two_direction_state,
+              "readme": lambda: synthesize(README_MODES, g32),
+              "linear_gaussian": lambda: synthesize(
+                  [ModeSpec(kind="gaussian", k0=(1, 2, 3), sigma_k=0.8, helicity=None,
+                            polarization=(1, 0, 0))], g16)}[modes]()
+        dc = density_candidates(st)
+        for lower, upper, full in (
+                (dc.spin_density_lower, dc.spin_density_upper, dc.spin_density_full),
+                ([dc.prob_density_lower], [dc.prob_density_upper], [dc.prob_density_psi])):
+            gap = kgrid.relative_gap(upper, full)
+            assert gap > 0.0
+            assert abs(kgrid.relative_gap(lower, full) - gap) <= 4 * np.spacing(gap)
 
     def test_single_mode_candidates_nearly_agree(self, helicity_state):
         # single-beam limit: upper and lower densities become proportional

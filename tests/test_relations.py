@@ -49,7 +49,7 @@ def fixture_outputs(fixture_state):
 
 def test_fixture_is_inside_the_grid(fixture_outputs):
     rows, _ = fixture_outputs
-    assert len(rows) == 34
+    assert len(rows) == 32
     assert rows["oam_boundary_ratio"] < 1e-8
 
 

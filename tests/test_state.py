@@ -67,7 +67,7 @@ class TestDerivedValues:
     def test_construction_computes_nothing(self, counted, helicity_state):
         st = PhotonState(helicity_state.psi)
         assert counted == {"norm_squared": 0, "transversality_residual": 0}
-        assert [f.name for f in dataclasses.fields(st)] == ["psi", "time", "scale_factor"]
+        assert [f.name for f in dataclasses.fields(st)] == ["psi", "time"]
 
     def test_only_payload_scalars_are_cached(self):
         # arrays derived from the payload belong to the observables memo
@@ -201,7 +201,7 @@ class TestProjectPositiveEnergy:
 
 
 class TestNormalize:
-    # synthesize normalizes the state it builds and records the scale it divided out
+    # synthesize normalizes the state it builds
     def test_scaling_invariance(self, g16):
         def built(amplitude):
             return synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8,
@@ -209,7 +209,6 @@ class TestNormalize:
 
         unit, scaled = built(1.0), built(3.0)
         assert np.abs(scaled.psi.values - unit.psi.values).max() < 1e-14
-        assert scaled.scale_factor / unit.scale_factor == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_state_rejected(self, g16):
         # a linear polarization along k0 is wholly longitudinal on the plane

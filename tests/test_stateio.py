@@ -153,7 +153,6 @@ WRONG_TYPED_HEADERS = {
     "grid_dk_true": lambda h: {"grid": dict(h["grid"], dk=True)},
     "time_true": lambda h: {"time": True},
     "time_string": lambda h: {"time": "0.5"},
-    "scale_factor_string": lambda h: {"scale_factor": "2"},
     "units_true": lambda h: {"units": {"hbar": True, "c": True, "eps0": True, "label": "natural"}},
     "units_string": lambda h: {"units": dict(h["units"], hbar="1")},
 }
@@ -168,15 +167,15 @@ def test_header_number_of_the_wrong_type_is_an_integrity_error(state_file, case)
         read_state(state_file)
 
 
-# physics keys that files written before they were derived still carry
-OLD_HEADER_CLAIMS = {"norm": 7, "rqc_residual": 0, "energy_sign": -1}
+# physics keys that files written before they were derived still carry, and
+# the scale factor that synthesis divided out, which no value reads
+OLD_HEADER_CLAIMS = {"norm": 7, "rqc_residual": 0, "energy_sign": -1, "scale_factor": 3.0}
 
 
 class TestHeaderValues:
     def test_header_carries_no_physics_values(self, state_file):
         _, header = read_state(state_file)
-        assert set(header) == {"format", "grid", "time", "scale_factor", "units",
-                               "payload_crc32", "metadata"}
+        assert set(header) == {"format", "grid", "time", "units", "payload_crc32", "metadata"}
 
     def test_integer_unit_record_loads(self, state_file, helicity_state):
         rewrite_header(state_file, units={"hbar": 1, "c": 1, "eps0": 1, "label": "natural"})
@@ -252,9 +251,9 @@ WRONG_VALUES = st.one_of(
     st.lists(st.integers(), max_size=3),
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
 )
-HEADER_KEYS = [("format",), ("grid",), ("grid", "n"), ("grid", "dk"), ("time",),
-               ("scale_factor",), ("units",), ("units", "hbar"), ("units", "c"),
-               ("units", "eps0"), ("units", "label"), ("payload_crc32",), ("metadata",)]
+HEADER_KEYS = [("format",), ("grid",), ("grid", "n"), ("grid", "dk"), ("time",), ("units",),
+               ("units", "hbar"), ("units", "c"), ("units", "eps0"), ("units", "label"),
+               ("payload_crc32",), ("metadata",)]
 FUZZ = settings(max_examples=100, deadline=None)
 
 

@@ -44,13 +44,20 @@ def _definitions():
 def _used_names(node):
     """Names and attribute names that `node` uses.
 
-    Imports are not a use, and annotations name types but run nothing.
+    Imports are not a use, and annotations name types but run nothing.  A
+    module-level lookup by a built name, ``globals()[f"prefix{...}"]``, uses
+    the pattern ``prefix*``.
     """
     stack = [node]
     while stack:
         current = stack.pop()
         if isinstance(current, (ast.Import, ast.ImportFrom)):
             continue
+        if (isinstance(current, ast.Subscript) and isinstance(current.value, ast.Call)
+                and getattr(current.value.func, "id", None) == "globals"
+                and isinstance(current.slice, ast.JoinedStr)
+                and isinstance(current.slice.values[0], ast.Constant)):
+            yield current.slice.values[0].value + "*"
         if isinstance(current, ast.Name):
             yield current.id
         elif isinstance(current, ast.Attribute):
@@ -69,6 +76,8 @@ def reached_definitions():
     reached code reaches every definition of that name: the walk errs toward
     reaching too much.  Two definitions that share a name (a method on two
     classes, say) are therefore only as reached as the more used of them.
+    A pattern ``prefix*`` reaches every module-level definition of the same
+    module whose name starts with the prefix.
     """
     defs = list(_definitions())
     by_name: dict[str, list] = {}
@@ -91,7 +100,11 @@ def reached_definitions():
         else:
             names = set(_used_names(node))
         for name in names:
-            todo.extend(by_name.get(name, ()))
+            if name.endswith("*"):
+                todo.extend(d for d in defs if d[0] == module and "." not in d[1]
+                            and d[1].startswith(name[:-1]))
+            else:
+                todo.extend(by_name.get(name, ()))
     return reached
 
 

@@ -3,8 +3,10 @@ some small input.
 
 Every case is the valid n=16 gaussian below plus one named breakage, of the
 state or of the code it runs through, and names the rows that must FAIL on
-it with the value they reach.  The base state passes every row of the same
-suites, so a FAIL here comes from the breakage alone.
+it with the value they reach.  The kernel check needs n >= 32, so its case
+breaks the same gaussian at n=32.  Each base state passes every row of the
+same suites, so a FAIL here comes from the breakage alone.  With the
+kernel case, every tolerance key has a case here or is a self-test below.
 
 Self-tests: the five ``conservation`` rows (``probability_drift``,
 ``spin_drift``, ``oam_drift``, ``total_angular_momentum_drift`` and
@@ -18,7 +20,12 @@ residual is 0.0 bitwise on any payload, on the constraint or off it.
 
 ``nonlocal_route_gap`` compares two factorizations of the same complex field,
 so on any state it reads rounding only while ``E_real`` is the transform of
-``eps_k``: its case breaks the code that makes ``E_real`` instead.
+``eps_k``: its case breaks the code that makes ``E_real`` instead.  So do
+``spin_imag_residue``, the imaginary part of Hermitian forms, and
+``kernel_density_integral``, a Parseval identity, which read rounding on
+any payload, on the constraint or off it: their case multiplies the kernel
+density's rows by i.  ``spin_spectrum`` reads the spin matrices only, so
+its case perturbs ``algebra.SPIN``, as another perturbs γ.
 """
 
 import dataclasses
@@ -26,17 +33,27 @@ import dataclasses
 import numpy as np
 import pytest
 
-from darwinlab import algebra, dynamics, fieldbridge, suites
+from darwinlab import algebra, dynamics, fieldbridge, observables, suites
 from darwinlab.fieldbridge import classical_from_state
 from darwinlab.kgrid import KGrid, momentum_field
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from test_state import longitudinal_state
 
 
+def _base(n):
+    return synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 3), sigma_k=0.8, helicity=1)],
+                      KGrid(n, 1.0))
+
+
 @pytest.fixture(scope="module")
 def base_state():
-    return synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 3), sigma_k=0.8, helicity=1)],
-                      KGrid(16, 1.0))
+    return _base(16)
+
+
+@pytest.fixture(scope="module")
+def base_state_n32():
+    # the kernel check needs n >= 32
+    return _base(32)
 
 
 def _rows(state, names):
@@ -49,6 +66,36 @@ def _gamma_off_by_1e_9(monkeypatch, state):
     gamma[0, 0, 4] += 1e-9
     gamma[0, 4, 0] += 1e-9
     monkeypatch.setattr(algebra, "GAMMA", gamma)
+    return state
+
+
+def _spin_z_off_by_1e_9(monkeypatch, state):
+    # S_z gains a Hermitian 1e-9 at [0, 1] and [1, 0]
+    spin = algebra.SPIN.copy()
+    spin[2, 0, 1] += 1e-9
+    spin[2, 1, 0] += 1e-9
+    monkeypatch.setattr(algebra, "SPIN", spin)
+    return state
+
+
+def _kernel_rows_times_i(monkeypatch, state):
+    # each row Psi^dag Phi_i of the kernel spin density comes out times i
+    original = observables._kernel_density_rows
+
+    def broken(state):
+        for row in original(state):
+            row *= 1j
+            yield row
+
+    monkeypatch.setattr(observables, "_kernel_density_rows", broken)
+    return PhotonState(state.psi, state.time)  # a fresh observables memo
+
+
+def _kernel_scaled_1_1(monkeypatch, state):
+    # the regularized position-space kernel comes out 10% too large
+    original = fieldbridge._regularized_kernel
+    monkeypatch.setattr(fieldbridge, "_regularized_kernel",
+                        lambda kind, grid: 1.1 * original(kind, grid))
     return state
 
 
@@ -103,6 +150,15 @@ def _evolved_by_10(monkeypatch, state):
 
 # breakage: (suites run, {row that must FAIL: the value it reaches})
 CASES = {
+    "spin_z_off_by_1e-9": (_spin_z_off_by_1e_9, ("algebra",),
+                           {"spin_spectrum": 3.65e-10, "matrix_identities": 1.0e-9,
+                            "h_spin_commutator": 2.0e-9,
+                            "projected_spin_commutators": 1.73e-9}),
+    "kernel_rows_times_i": (_kernel_rows_times_i, ("spin-equalities", "densities"),
+                            {"spin_imag_residue": 0.967, "kernel_density_integral": 0.967,
+                             "spin_equalities": 0.967, "density_integral_spread": 0.967}),
+    "kernel_scaled_1.1": (_kernel_scaled_1_1, ("kernels",),
+                          {"kernel_half_power": 0.0708, "kernel_inverse_k": 0.0722}),
     "gamma_off_by_1e-9": (_gamma_off_by_1e_9, ("algebra", "constraint"),
                           {"matrix_identities": 2.0e-9, "h_spin_commutator": 2.0e-9,
                            "projected_spin_commutators": 1.65e-9,
@@ -125,21 +181,26 @@ CASES = {
                            {"real_part_identity": 0.0099, "nonlocal_route_gap": 0.01}),
     "evolved_by_10": (_evolved_by_10, ("oam",), {"oam_formula_gap": 0.81}),
 }
+# cases that break the n=32 base instead
+N32_CASES = ("kernel_scaled_1.1",)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_breakage_fails_its_rows(case, base_state, monkeypatch):
+def test_breakage_fails_its_rows(case, base_state, base_state_n32, monkeypatch):
     breakage, names, expect = CASES[case]
-    rows = _rows(breakage(monkeypatch, base_state), names)
+    base = base_state_n32 if case in N32_CASES else base_state
+    rows = _rows(breakage(monkeypatch, base), names)
     for name, value in expect.items():
         assert not rows[name].passed, name
         assert rows[name].value == pytest.approx(value, rel=0.02), name
 
 
-def test_base_state_passes_every_row_of_the_cases(base_state):
-    names = [n for n in suites.SUITE_NAMES if any(n in case[1] for case in CASES.values())]
-    failing = [c.name for c in _rows(base_state, names).values() if not c.passed]
-    assert failing == []
+def test_base_state_passes_every_row_of_the_cases(base_state, base_state_n32):
+    for base, n32 in ((base_state, False), (base_state_n32, True)):
+        cases = [case for name, case in CASES.items() if (name in N32_CASES) == n32]
+        names = [n for n in suites.SUITE_NAMES if any(n in case[1] for case in cases)]
+        failing = [c.name for c in _rows(base, names).values() if not c.passed]
+        assert failing == [], base.grid.n
 
 
 def test_conservation_rows_are_self_tests(base_state, monkeypatch):
@@ -165,3 +226,10 @@ def test_hermitian_symmetry_is_a_self_test():
     values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
     cf = classical_from_state(PhotonState(momentum_field(values, g)))
     assert cf.hermitian_residuals == (0.0, 0.0)
+
+
+def test_every_tolerance_key_has_a_case_or_is_a_self_test():
+    failed = {suites._ROW_KEYS.get(row, row) for case in CASES.values() for row in case[2]}
+    assert set(suites.DEFAULT_TOLERANCES) - failed == {
+        "probability_drift", "spin_drift", "oam_drift", "total_angular_momentum_drift",
+        "norm_drift", "hermitian_symmetry"}
