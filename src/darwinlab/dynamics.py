@@ -1,4 +1,4 @@
-"""Time evolution and the residual/conservation suite.
+"""Time evolution and its residuals: the eigenvalue equation and the curl form.
 
 Everything is in natural units (hbar = c = eps0 = 1).  Free evolution is
 diagonal in momentum space, so it is applied as an exact per-bin phase
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kgrid, observables
+from . import kgrid
 from .kgrid import Field, to_position
 from .kgrid import spectral_curl  # noqa: F401  (re-export; perfbench/tests inspects it)
 from .state import PhotonState, occupied_mask
@@ -166,63 +166,3 @@ def _curl_gap_and_scale(state: PhotonState, dt: float) -> tuple[float, float]:
         half -= curl
         gaps.append(kgrid.max_abs(half))
     return float(np.max(gaps)), float(np.max(scales))
-
-
-@dataclass(frozen=True)
-class ConservationReport:
-    """Drifts of the constants of motion across the sampled times."""
-
-    times: tuple[float, ...]
-    probability_drift: float
-    norm_drift: float
-    spin_drift: float
-    oam_drift: float
-    total_drift: float
-
-
-def continuity_and_conservation(state: PhotonState, times) -> ConservationReport:
-    """Track P, the momentum-space norm, <spin>, <L> and <L> + <spin> across
-    a list of times.
-
-    All five are exact constants for positive-energy states; the report
-    returns the maximum drift of each relative to the first sampled time.
-
-    Each sampled state reads the same memoized routes: the norm and the
-    momentum routes come before the probability makes its position
-    transform, so their temporaries never sit on that transform, and an
-    evolved copy is freed, with everything its memo holds, before the next
-    one is built.
-    """
-    times = tuple(float(t) for t in times)
-    probs: list[float] = []
-    norms: list[float] = []
-    spins: list[np.ndarray] = []
-    oams: list[np.ndarray] = []
-    totals: list[np.ndarray] = []
-    for t in times:
-        st = evolve(state, t - state.time)
-        norms.append(st.norm)
-        l = observables.oam_momentum(st)
-        s = observables.spin_canonical(st)
-        p_psi, _, _ = observables.probability(st)
-        probs.append(p_psi)
-        spins.append(s)
-        oams.append(l)
-        totals.append(l + s)
-        # free st and its cached position transform before the next one is built
-        del st
-
-    def drift_scalar(values: list[float]) -> float:
-        return max(abs(v - values[0]) for v in values)
-
-    def drift_vector(values: list[np.ndarray]) -> float:
-        return max(float(np.abs(v - values[0]).max()) for v in values)
-
-    return ConservationReport(
-        times=times,
-        probability_drift=drift_scalar(probs),
-        norm_drift=drift_scalar(norms),
-        spin_drift=drift_vector(spins),
-        oam_drift=drift_vector(oams),
-        total_drift=drift_vector(totals),
-    )

@@ -27,7 +27,8 @@ _OCCUPANCY_CUT = 1e-12
 class ModeSpec:
     """One synthesizable mode; a state config may hold several (superposition).
 
-    kind           'plane' (single excited bin nearest k0), 'gaussian'
+    kind           'plane' (single excited bin nearest k0, which must lie in
+                   the grid's band), 'gaussian'
                    (isotropic spectral envelope of width sigma_k), or 'vortex'
                    (envelope times an azimuthal phase of charge vortex_charge
                    about the k0 axis)
@@ -80,10 +81,12 @@ def _length(v: np.ndarray) -> float:
 
 class ModeOverflow(ValueError):
     """A mode value drives the synthesized amplitudes out of floating-point
-    range; ``key`` names the value and ``mode`` is the mode's index."""
+    range, or a plane mode out of the grid's band; ``key`` names the value
+    and ``mode`` is the mode's index."""
 
-    def __init__(self, key: str):
-        super().__init__("drives the synthesized amplitudes out of floating-point range")
+    def __init__(self, key: str,
+                 message: str = "drives the synthesized amplitudes out of floating-point range"):
+        super().__init__(message)
         self.key = key
         self.mode = -1  # set by synthesize
 
@@ -204,7 +207,12 @@ def _mode_envelope(spec: ModeSpec, grid: KGrid) -> np.ndarray:
     if spec.kind == "plane":
         env = np.zeros(grid.shape, dtype=np.complex128)
         with _blame("k0"):
-            idx = tuple(int(np.rint(c / grid.dk)) % grid.n for c in k0)
+            idx = tuple(int(np.rint(c / grid.dk)) for c in k0)
+        # a bin beyond the band would alias onto another momentum
+        h = grid.n // 2
+        if not all(-h <= i < h for i in idx):
+            raise ModeOverflow("k0", f"nearest bin {list(idx)} lies outside the grid band "
+                                     f"[{-h}, {h - 1}]")
         env[idx] = 1.0
         return env
     if spec.kind == "gaussian" or (spec.kind == "vortex" and spec.ring_radius == 0.0):

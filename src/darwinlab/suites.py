@@ -206,18 +206,43 @@ def suite_maxwell(state: PhotonState, times) -> list:
 
 
 def suite_conservation(state: PhotonState, times) -> list:
-    cons = dynamics.continuity_and_conservation(state, times)
+    """P, the momentum-space norm, <spin>, <L> and <L> + <spin> at each
+    sampled time; each row is the largest drift from the first sample.
+
+    All five are exact constants for positive-energy states.  Each sample
+    reads the norm and the momentum routes before the probability makes its
+    position transform, so their temporaries never sit on that transform,
+    and then releases its position arrays: the state's own, for the sample
+    at the state's own time.
+    An evolved copy is freed, with everything its memo holds, before the
+    next one is built.
+    """
+    times = [float(t) for t in times]
+    norms, oams, spins, probs = [], [], [], []
+    for t in times:
+        st = dynamics.evolve(state, t - state.time)
+        norms.append(st.norm)
+        oams.append(observables.oam_momentum(st))
+        spins.append(observables.spin_canonical(st))
+        probs.append(observables.probability(st)[0])
+        observables.drop_position(st)
+        del st
+    totals = [l + s for l, s in zip(oams, spins)]
+
+    def drift(values) -> float:
+        return max(float(np.max(np.abs(v - values[0]))) for v in values)
+
     # the OAM route peels the phase off before its k-gradient, which fails
     # where the phase has lost its precision: those rows name the times
     k_max = float(state.grid.k_max)
     lost = "; ".join(
         f"t={t:.6g}: k_max|t|={k_max * abs(t):.3g} >= 2^53, so the phase exp(-i|k|t) "
-        "has lost its precision" for t in cons.times if k_max * abs(t) >= PHASE_PRECISION_LIMIT)
-    return [("probability_drift", cons.probability_drift, f"times={list(cons.times)}"),
-            ("spin_drift", cons.spin_drift),
-            ("oam_drift", cons.oam_drift, lost),
-            ("total_angular_momentum_drift", cons.total_drift, lost),
-            ("norm_drift", cons.norm_drift)]
+        "has lost its precision" for t in times if k_max * abs(t) >= PHASE_PRECISION_LIMIT)
+    return [("probability_drift", drift(probs), f"times={times}"),
+            ("spin_drift", drift(spins)),
+            ("oam_drift", drift(oams), lost),
+            ("total_angular_momentum_drift", drift(totals), lost),
+            ("norm_drift", drift(norms))]
 
 
 def suite_fieldbridge(state: PhotonState, times) -> list:
@@ -261,11 +286,6 @@ def check_suite_names(names) -> None:
         raise ValueError(f"unknown suite(s) {unknown}; available: {', '.join(SUITE_NAMES)}")
 
 
-# suites that read the state's position transform, directly or through the
-# position-block cross densities, in run order
-_POSITION_SUITES = ("spin-equalities", "oam", "probability", "densities")
-
-
 def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) -> list[SuiteReport]:
     """Run each named suite once, in one fixed order, and return the reports
     in the order of `names` (a name given twice, twice).
@@ -274,9 +294,8 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     its declared order.  The position transform, the position cross-density
     pair and the nonlocal kernel density live in the observables memo, so
     each is made once, when a suite first reads it.  All three are released
-    at one point, right after `densities`, the last position suite, having
-    first taken the probability that conservation reads at the state's own
-    time, so the suites after it never hold them.
+    right after `densities`, the last suite that reads them, so the suites
+    after it never hold them; conservation releases what its samples make.
     """
     check_suite_names(names)
     reports = {}
@@ -285,8 +304,6 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
             # the module's binding at call time, so a rebound suite_<name> runs
             rows = globals()[f"suite_{name.replace('-', '_')}"](state, times)
             reports[name] = SuiteReport(name, [_check(tolerances, *row) for row in rows])
-        if name == _POSITION_SUITES[-1]:
-            if "conservation" in names and any(float(t) == state.time for t in times):
-                observables.probability(state)  # read by its sample at the state's own time
+        if name == "densities":
             observables.drop_position(state)
     return [reports[name] for name in names]

@@ -18,7 +18,7 @@ from darwinlab.algebra import (
     transverse_projector,
     verify_matrix_identities,
 )
-from darwinlab.dynamics import continuity_and_conservation, maxwell_residual
+from darwinlab.dynamics import maxwell_residual
 from darwinlab.fieldbridge import (
     classical_from_state,
     hermitian_symmetry_residual,
@@ -34,6 +34,7 @@ from darwinlab.observables import (
     spin_canonical,
 )
 from darwinlab.state import ModeSpec, branch_residual, synthesize
+from darwinlab.suites import run_suites
 from reference import state_from_classical
 
 SEED = 7041
@@ -233,9 +234,11 @@ def test_criterion_6_density_non_uniqueness(two_direction):
 
 def test_criterion_7_conservation(two_direction):
     failures = []
-    rep = continuity_and_conservation(two_direction, [0.0, 1.0, 10.0])
-    for name, drift in (("P", rep.probability_drift), ("spin", rep.spin_drift),
-                        ("L", rep.oam_drift), ("L+spin", rep.total_drift)):
+    [report] = run_suites(["conservation"], two_direction, times=[0.0, 1.0, 10.0])
+    drifts = {c.name: c.value for c in report.checks}
+    for name, key in (("P", "probability_drift"), ("spin", "spin_drift"),
+                      ("L", "oam_drift"), ("L+spin", "total_angular_momentum_drift")):
+        drift = drifts[key]
         if drift >= 1e-10:
             failures.append(f"{name} drift {drift:.2e}")
 

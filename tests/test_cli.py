@@ -502,6 +502,32 @@ def test_synthesis_out_of_floating_point_range_exits_2(tmp_path, capsys, change,
     assert not (tmp_path / "x.dpst").exists()
 
 
+@pytest.mark.parametrize("k0, accepted", [
+    # each once wrote a plane wave on an aliased bin and exited 0: (0, 0, 12)
+    # landed on k_z = -4, with canonical spin +z, so the wave travelled
+    # along -z with the opposite helicity
+    pytest.param([0, 0, 100], False, id="kz_100"),
+    pytest.param([0, 0, 12], False, id="kz_12"),
+    pytest.param([0, 0, 8], False, id="kz_8"),
+    pytest.param([-8.6, 0, 3], False, id="kx_rounds_to_-9"),
+    pytest.param([-8, 0, 3], True, id="kx_-8"),
+    pytest.param([0, 7.4, 0], True, id="ky_rounds_to_7"),
+])
+def test_plane_mode_beyond_the_band_exits_2(tmp_path, capsys, k0, accepted):
+    # the band of n=16, dk=1 is the signed index range [-8, 7] on each axis
+    config = _config_file(tmp_path, modes=[{"kind": "plane", "k0": k0, "helicity": 1}])
+    code = main(["build", "--config", config, "--out", str(tmp_path / "x.dpst")])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0 and (tmp_path / "x.dpst").exists()
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"config error: $.modes[0].k0: nearest bin "
+                            f"{[int(round(c)) for c in k0]} lies outside the grid band [-8, 7]\n")
+    assert not (tmp_path / "x.dpst").exists()
+
+
 def _extreme(sign):
     """A magnitude anywhere from 1e-300 to 1e300, with the given sign."""
     return st.integers(-300, 300).map(lambda e: sign * 10.0**e)

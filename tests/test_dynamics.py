@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from darwinlab import dynamics, observables, stateio
+from darwinlab import dynamics, observables, stateio, suites
 from darwinlab.cli import main
 from darwinlab.dynamics import (
-    continuity_and_conservation,
     default_maxwell_dt,
     dirac_residual,
     evolve,
@@ -211,13 +210,19 @@ class TestFourCurrent:
         assert 3.5 < coarse / fine < 4.5
 
 
+def _conservation_rows(state, times):
+    """The conservation suite's rows, by name."""
+    [report] = suites.run_suites(["conservation"], state, times=times)
+    return {c.name: c for c in report.checks}
+
+
 class TestConservation:
     def test_drifts(self, two_direction_state):
-        rep = continuity_and_conservation(two_direction_state, [0.0, 1.0, 10.0])
-        assert rep.probability_drift < 1e-13
-        assert rep.spin_drift < 1e-12
-        assert rep.oam_drift < 1e-10
-        assert rep.total_drift < 1e-10
+        rows = _conservation_rows(two_direction_state, [0.0, 1.0, 10.0])
+        assert rows["probability_drift"].value < 1e-13
+        assert rows["spin_drift"].value < 1e-12
+        assert rows["oam_drift"].value < 1e-10
+        assert rows["total_angular_momentum_drift"].value < 1e-10
 
     def test_vortex_oam_conserved(self, g32):
         st = synthesize(
@@ -225,11 +230,11 @@ class TestConservation:
                       vortex_charge=2, ring_radius=7.0)],
             g32,
         )
-        rep = continuity_and_conservation(st, [0.0, 2.5, 10.0])
-        assert rep.oam_drift < 1e-10
-        assert rep.total_drift < 1e-10
+        rows = _conservation_rows(st, [0.0, 2.5, 10.0])
+        assert rows["oam_drift"].value < 1e-10
+        assert rows["total_angular_momentum_drift"].value < 1e-10
 
     def test_report_samples_all_times(self, helicity_state):
-        rep = continuity_and_conservation(helicity_state, [0.0, 0.5])
-        assert rep.times == (0.0, 0.5)
+        rows = _conservation_rows(helicity_state, [0.0, 0.5])
+        assert rows["probability_drift"].info == "times=[0.0, 0.5]"
         assert observables.probability(helicity_state)[0] == pytest.approx(1.0, abs=1e-12)

@@ -27,7 +27,11 @@ at 1.88.  The position OAM route sums the moments of one h_a at a time,
 and the kernel route builds each row conjugated, so neither holds a whole
 h or a conjugate of the transform.  The momentum OAM route frees each
 k-derivative before it takes the next.  Conservation alone peaks
-at 2.46 fields: the position transform is released before it runs.
+at 2.46 fields: each sample, the state itself at its own time included,
+reads its norm and momentum routes before its probability makes the
+position transform, and releases that transform before the next sample
+(``test_suites.py`` holds that order; reading the norm after the
+probability moved this peak only to 2.50, inside the budget).
 ``run_suites`` runs the requested suites in one fixed order whatever order
 they are asked in, the memo group and then the own-transforms group, and
 releases the position arrays at one point, right after ``densities``: the

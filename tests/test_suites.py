@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from darwinlab import algebra, dynamics, observables, suites
+from darwinlab import algebra, dynamics, kgrid, observables, suites
 from darwinlab.kgrid import KGrid
 from darwinlab.state import ModeSpec, synthesize, transversality_residual
 from make_golden import golden_path
@@ -269,8 +269,9 @@ class TestPerStateEvaluation:
         ["conservation"],
     ])
     def test_position_transform_once_and_dropped_after_use(self, monkeypatch, names):
-        # conservation's sample at the state's own time reads the probability,
-        # so it is taken before the transform is dropped, never after
+        # the suites before conservation memoize the probability, which its
+        # sample at the state's own time reads; alone, that sample makes the
+        # transform and releases it
         state = _two_mode_state()
         calls = []
         original = observables.to_position
@@ -286,6 +287,42 @@ class TestPerStateEvaluation:
         assert not {"psi_position", "position_densities"} & set(memo)
         observables.psi_position(state)  # released: a later use transforms again
         assert calls.count(True) == 2
+
+    def test_conservation_samples_read_momentum_before_position(self, monkeypatch):
+        # each sample reads its norm and its momentum routes before its
+        # position transform is made, and releases the transform before the
+        # next sample begins; the sample at the state's own time included
+        events = []  # (kind, payload): holding each payload keeps its id unique
+
+        def recorded(kind, module, name, payload):
+            original = getattr(module, name)
+
+            def wrapper(arg, *args, **kwargs):
+                events.append((kind, payload(arg)))
+                return original(arg, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recorded("norm", kgrid, "norm_squared", lambda field: field.values)
+        for name in ("oam_momentum", "spin_canonical"):
+            recorded("momentum", observables, name, lambda st: st.psi.values)
+        recorded("position", observables, "psi_position", lambda st: st.psi.values)
+        recorded("drop", observables, "drop_position", lambda st: st.psi.values)
+        state = _two_mode_state()
+        suites.run_suites(["conservation"], state)
+
+        samples = []
+        for kind, payload in events:
+            if not samples or samples[-1][0] is not payload:
+                assert all(p is not payload for p, _ in samples), "samples interleave"
+                samples.append((payload, []))
+            samples[-1][1].append(kind)
+        assert len(samples) == len(suites.DEFAULT_TIMES)
+        assert samples[0][0] is state.psi.values
+        for _, kinds in samples:
+            first = kinds.index("position")
+            assert {"norm", "momentum"} <= set(kinds[:first])
+            assert set(kinds[first:-1]) == {"position"} and kinds[-1] == "drop"
 
     def test_shared_values_equal_standalone_functions(self):
         reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
@@ -307,7 +344,15 @@ class TestPerStateEvaluation:
         probs = observables.probability(fresh())
         dc = observables.density_candidates(fresh())
         mr = dynamics.maxwell_residual(fresh())
-        cons = dynamics.continuity_and_conservation(fresh(), (0.0, 1.0, 10.0))
+
+        # each conservation route at each default time, on its own evolved fresh state
+        def drift(route):
+            values = [route(dynamics.evolve(fresh(), t)) for t in (0.0, 1.0, 10.0)]
+            return max(float(np.max(np.abs(v - values[0]))) for v in values)
+
+        def total(st):
+            return observables.oam_momentum(st) + observables.spin_canonical(st)
+
         expected = {
             ("constraint", "transversality"): transversality_residual(fresh().psi),
             ("spin-equalities", "spin_equalities"):
@@ -328,11 +373,11 @@ class TestPerStateEvaluation:
             ("maxwell", "dirac_residual"): dynamics.dirac_residual(fresh()),
             ("maxwell", "maxwell_residual"): mr.curl_residual,
             ("maxwell", "maxwell_divergence"): mr.divergence_residual,
-            ("conservation", "probability_drift"): cons.probability_drift,
-            ("conservation", "norm_drift"): cons.norm_drift,
-            ("conservation", "spin_drift"): cons.spin_drift,
-            ("conservation", "oam_drift"): cons.oam_drift,
-            ("conservation", "total_angular_momentum_drift"): cons.total_drift,
+            ("conservation", "probability_drift"): drift(lambda st: observables.probability(st)[0]),
+            ("conservation", "norm_drift"): drift(lambda st: st.norm),
+            ("conservation", "spin_drift"): drift(observables.spin_canonical),
+            ("conservation", "oam_drift"): drift(observables.oam_momentum),
+            ("conservation", "total_angular_momentum_drift"): drift(total),
         }
         for key, value in expected.items():
             row = rows[key]
