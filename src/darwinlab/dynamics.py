@@ -100,11 +100,7 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
         divs.append(kgrid.max_abs(div_x.values))
     div = float(np.max(divs))
 
-    return MaxwellReport(
-        curl_residual=gap / scale,
-        divergence_residual=div / scale,
-        dt=dt,
-    )
+    return MaxwellReport(gap / scale, div / scale, dt)
 
 
 def maxwell_curl_residual(state: PhotonState, dt: float | None = None) -> float:

@@ -1,15 +1,17 @@
 """Named verification suites run by the command-line ``check`` command.
 
-Each suite returns its rows as (name, value) or (name, value, info) tuples,
-and `run_suites` holds every row to its tolerance (`_check`), giving a
-CheckResult: the measured number, its tolerance and the verdict.  Matrix-level
+Each suite returns the rows that `ROWS` declares for it, in order, as (name,
+value[, info]) tuples, and `run_suites` holds every row to its tolerance
+(`_check`), giving a CheckResult: the measured number, its tolerance and the
+verdict, with a FAIL's precondition rows named in its info.  Matrix-level
 suites draw their random wavevectors from a seeded generator so reports are
 reproducible; the seed is recorded in the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,8 +56,46 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "kernel_transform": 0.05,
 }
 
-SUITE_NAMES = ("algebra", "constraint", "spin-equalities", "oam", "probability", "densities",
-               "maxwell", "conservation", "fieldbridge", "kernels")
+# Every report row in report order: its suite, tolerance key (None: info only),
+# kind ("state": some payload FAILs it; "code": only broken code does;
+# "self-test": nothing does; "info") and the rows of its suite that it needs.
+Row = namedtuple("Row", ["suite", "key", "kind", "preconditions"], defaults=[()])
+ROWS: dict[str, Row] = {
+    "matrix_identities": Row("algebra", "matrix_identities", "code"),
+    "spin_spectrum": Row("algebra", "spin_spectrum", "code"),
+    "h_spin_commutator": Row("algebra", "h_spin_commutator", "code"),
+    "projected_spin_commutators": Row("algebra", "projected_spin_commutators", "code"),
+    "transversality": Row("constraint", "transversality", "state"),
+    "branch_coupling": Row("constraint", "branch_coupling", "state"),
+    "rqc_projector_identity": Row("constraint", "rqc_projector_identity", "code"),
+    "spin_equalities": Row("spin-equalities", "spin_equalities", "state"),
+    "spin_imag_residue": Row("spin-equalities", "spin_imag_residue", "code"),
+    "oam_formula_gap": Row("oam", "oam_formula_gap", "state", ("oam_boundary_ratio", "oam_position_shell")),
+    "oam_boundary_ratio": Row("oam", None, "info"),
+    "oam_position_shell": Row("oam", None, "info"),
+    "probability_equality": Row("probability", "probability_equality", "state"),
+    "density_integral_spread": Row("densities", "density_integral_spread", "state"),
+    "kernel_density_integral": Row("densities", "kernel_density_integral", "code"),
+    "spin_density_gap_upper": Row("densities", None, "info"),
+    "spin_density_gap_kernel": Row("densities", None, "info"),
+    "prob_density_gap_upper": Row("densities", None, "info"),
+    "dirac_residual": Row("maxwell", "dirac_residual", "state"),
+    "maxwell_residual": Row("maxwell", "maxwell_residual", "state"),
+    "maxwell_divergence": Row("maxwell", "maxwell_divergence", "state"),
+    "probability_drift": Row("conservation", "probability_drift", "self-test"),
+    "spin_drift": Row("conservation", "spin_drift", "self-test"),
+    "oam_drift": Row("conservation", "oam_drift", "self-test"),
+    "total_angular_momentum_drift": Row("conservation", "total_angular_momentum_drift", "self-test"),
+    "norm_drift": Row("conservation", "norm_drift", "self-test"),
+    "classical_roundtrip": Row("fieldbridge", "classical_roundtrip", "state"),
+    "hermitian_symmetry": Row("fieldbridge", "hermitian_symmetry", "self-test"),
+    "real_part_identity": Row("fieldbridge", "real_part_identity", "state"),
+    "nonlocal_route_gap": Row("fieldbridge", "nonlocal_route_gap", "code"),
+    "kernel_half_power": Row("kernels", "kernel_transform", "code"),
+    "kernel_inverse_k": Row("kernels", "kernel_transform", "code"),
+}
+
+SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in ROWS.values()))
 
 # `dpl check` runs these two groups in two processes (cli._run_suite_groups).
 # The split follows what one state caches: the memo suites share the
@@ -88,20 +128,15 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
 
-# rows whose tolerance key is not their own name
-_ROW_KEYS = {"kernel_half_power": "kernel_transform", "kernel_inverse_k": "kernel_transform"}
-
-
 def _check(tolerances, name: str, value, info: str = "") -> CheckResult:
     """A suite's row (name, value[, info]) with its tolerance and verdict.
 
-    The row's tolerance key is its name, or its `_ROW_KEYS` entry, and its
-    tolerance is the override for that key, else the key's default.  A name
-    with no key is an info-only row.  A value of None, which the suite could
-    not compute, is NaN with no tolerance.  A NaN fails whatever its tolerance.
+    The tolerance is the override for the row's `ROWS` key, else the key's
+    default; an info-only row and a value of None, which the suite could not
+    compute (NaN), have none.  A NaN fails whatever its tolerance.
     """
-    key = _ROW_KEYS.get(name, name)
-    if value is None or key not in DEFAULT_TOLERANCES:
+    key = ROWS[name].key
+    if value is None or key is None:
         tolerance = None
     else:
         tolerance = float((tolerances or {}).get(key, DEFAULT_TOLERANCES[key]))
@@ -188,6 +223,7 @@ def suite_probability(state: PhotonState, times) -> list:
 
 def suite_densities(state: PhotonState, times) -> list:
     projected = observables.spin_projected(state)  # before the densities exist
+    observables.probability(state)  # memoized for conservation before run_suites drops the transform
     dc = observables.density_candidates(state)
     _, (kernel_integral, _) = observables.nonlocal_spin_density(state)
     return [("density_integral_spread", max(dc.max_spin_integral_spread, dc.max_prob_integral_spread)),
@@ -296,6 +332,7 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     each is made once, when a suite first reads it.  All three are released
     right after `densities`, the last suite that reads them, so the suites
     after it never hold them; conservation releases what its samples make.
+    A suite that returns other rows than its `ROWS`, in order, raises.
     """
     check_suite_names(names)
     reports = {}
@@ -303,7 +340,13 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
         if name in names:
             # the module's binding at call time, so a rebound suite_<name> runs
             rows = globals()[f"suite_{name.replace('-', '_')}"](state, times)
-            reports[name] = SuiteReport(name, [_check(tolerances, *row) for row in rows])
+            if [row[0] for row in rows] != [row for row, d in ROWS.items() if d.suite == name]:
+                raise RuntimeError(f"suite {name} returned {[row[0] for row in rows]}, not its ROWS")
+            checks = {row[0]: _check(tolerances, *row) for row in rows}
+            for c in [c for c in checks.values() if not c.passed and ROWS[c.name].preconditions]:
+                held = ", ".join(f"{p}={checks[p].value:.3g}" for p in ROWS[c.name].preconditions)
+                checks[c.name] = replace(c, info=f"{c.info}; preconditions: {held}")
+            reports[name] = SuiteReport(name, list(checks.values()))
         if name == "densities":
             observables.drop_position(state)
     return [reports[name] for name in names]

@@ -1,5 +1,6 @@
 """The README's "Library sketch" runs as written, and the README's lists of
-suites and info-only rows name what the code has."""
+suites and rows name what the code has: its rows as `suites.ROWS` declares
+them."""
 
 import contextlib
 import fnmatch
@@ -8,9 +9,6 @@ import re
 from pathlib import Path
 
 from darwinlab import suites
-from darwinlab.kgrid import KGrid
-from darwinlab.state import synthesize
-from reference import README_MODES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,11 +47,25 @@ def test_two_process_bullets_list_the_groups():
 
 
 def test_info_only_sentence_names_the_rows_without_tolerance():
-    patterns = _quoted(r"is info only\n\((.*?)\)")
-    reports = suites.run_suites(suites.SUITE_NAMES, synthesize(README_MODES, KGrid(32, 1.0)))
-    info_only = [c.name for r in reports for c in r.checks if c.tolerance is None]
+    patterns = _quoted(r"is info only\s+\((.*?)\)")
+    info_only = [name for name, row in suites.ROWS.items() if row.key is None]
     for pattern in patterns:
         assert fnmatch.filter(info_only, pattern), f"{pattern} names no info-only row"
     unnamed = [name for name in info_only
                if not any(fnmatch.fnmatchcase(name, p) for p in patterns)]
     assert unnamed == []
+
+
+def test_key_and_precondition_sentences_match_rows():
+    shared = {name: row.key for name, row in suites.ROWS.items() if row.key not in (None, name)}
+    keys = set(shared.values())
+    assert _quoted(r"The key is the row\s+name, except that (.*?);") == [*shared, *keys]
+    needs = {name: list(row.preconditions) for name, row in suites.ROWS.items() if row.preconditions}
+    (named, *rest) = _quoted(r"One row has any:\s+(.*?)\.\n")
+    assert {named: rest} == needs
+
+
+def test_acceptance_list_names_declared_rows():
+    names = _quoted(r"per criterion, each named\s+here (.*?)\.\n\n")
+    rows = [n for n in names if n not in ("dpl check", "suites.ROWS", *suites.SUITE_NAMES)]
+    assert rows and set(rows) <= set(suites.ROWS)

@@ -80,10 +80,59 @@ def test_every_tolerance_key_governs_a_pinned_row():
     governing = set()
     for _, name, _, tolerance, _ in json.loads(golden_path("readme_n32").read_text())["check"]:
         if tolerance is not None:
-            key = suites._ROW_KEYS.get(name, name)
+            key = suites.ROWS[name].key
             assert tolerance == suites.DEFAULT_TOLERANCES[key], name
             governing.add(key)
     assert governing == set(suites.DEFAULT_TOLERANCES)
+
+
+def test_rows_keys_are_the_tolerance_keys():
+    keys = {row.key for row in suites.ROWS.values()} - {None}
+    assert keys == set(suites.DEFAULT_TOLERANCES)
+
+
+def test_rows_declare_kinds_and_preconditions_of_their_suite():
+    for name, row in suites.ROWS.items():
+        assert row.suite in suites.SUITE_NAMES, name
+        assert row.kind in ("state", "code", "self-test", "info"), name
+        assert (row.kind == "info") == (row.key is None), name
+        assert all(suites.ROWS[p].suite == row.suite for p in row.preconditions), name
+
+
+def _declared(suite):
+    return [name for name, row in suites.ROWS.items() if row.suite == suite]
+
+
+def test_every_declared_row_comes_back_from_its_suite_in_order():
+    reports = suites.run_suites(suites.SUITE_NAMES, synthesize(README_MODES, KGrid(32, 1.0)))
+    assert [(r.suite, c.name) for r in reports for c in r.checks] == [
+        (row.suite, name) for name, row in suites.ROWS.items()]
+
+
+@pytest.mark.parametrize("returned", [
+    pytest.param(["oam_formula_gap", "oam_boundary_ratio", "oam_position_shell", "oam_z"],
+                 id="undeclared"),
+    pytest.param(["oam_formula_gap", "oam_boundary_ratio", "oam_position_shell", "spin_drift"],
+                 id="another_suites_row"),
+    pytest.param(["oam_boundary_ratio", "oam_formula_gap", "oam_position_shell"], id="reordered"),
+    pytest.param(["oam_formula_gap", "oam_boundary_ratio"], id="one_missing"),
+])
+def test_run_suites_raises_on_rows_other_than_declared(g16, monkeypatch, returned):
+    state = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8, helicity=1)], g16)
+    monkeypatch.setattr(suites, "suite_oam", lambda state, times: [(name, 0.5) for name in returned])
+    with pytest.raises(RuntimeError, match="suite oam returned"):
+        suites.run_suites(["oam"], state)
+
+
+def test_a_fail_names_its_precondition_rows_and_a_pass_does_not(g16, monkeypatch):
+    state = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8, helicity=1)], g16)
+    named = "gap; preconditions: oam_boundary_ratio=2.5e-09, oam_position_shell=0.123"
+    for gap, info in ((0.01, "gap"), (0.5, named)):
+        monkeypatch.setattr(suites, "suite_oam", lambda state, times, _gap=gap: [
+            ("oam_formula_gap", _gap, "gap"), ("oam_boundary_ratio", 2.5e-9),
+            ("oam_position_shell", 0.123456)])
+        (report,) = suites.run_suites(["oam"], state)
+        assert [c.info for c in report.checks] == [info, "", ""]
 
 
 def test_suite_functions_are_the_suite_names():
@@ -111,10 +160,10 @@ def test_run_suites_runs_the_module_bindings(g16, monkeypatch):
 
     for name in suites.SUITE_NAMES:
         monkeypatch.setattr(suites, f"suite_{name.replace('-', '_')}",
-                            lambda state, times, _name=name: [(_name, 0.5)])
+                            lambda state, times, _name=name: [(row, 0.5) for row in _declared(_name)])
     reports = suites.run_suites(suites.SUITE_NAMES, state)
     assert [[(c.name, c.value) for c in r.checks] for r in reports] == [
-        [(name, 0.5)] for name in suites.SUITE_NAMES]
+        [(row, 0.5) for row in _declared(name)] for name in suites.SUITE_NAMES]
 
 
 @pytest.mark.parametrize("order", ["in_order", "reversed"])
@@ -127,7 +176,7 @@ def test_run_suites_runs_each_suite_once_memo_group_first(g16, monkeypatch, orde
     for name in suites.SUITE_NAMES:
         def recorded(state, times, _name=name):
             ran.append(_name)
-            return [(_name, 0.5)]
+            return [(row, 0.5) for row in _declared(_name)]
 
         monkeypatch.setattr(suites, f"suite_{name.replace('-', '_')}", recorded)
     requested = list(suites.SUITE_NAMES if order == "in_order" else suites.SUITE_NAMES[::-1])
@@ -136,7 +185,7 @@ def test_run_suites_runs_each_suite_once_memo_group_first(g16, monkeypatch, orde
     assert ran == ["spin-equalities", "oam", "probability", "densities", "conservation",
                    "fieldbridge", "maxwell", "constraint", "kernels", "algebra"]
     assert [r.suite for r in reports] == names
-    assert [[c.name for c in r.checks] for r in reports] == [[name] for name in names]
+    assert [[c.name for c in r.checks] for r in reports] == [_declared(name) for name in names]
 
 
 _FIELDBRIDGE_FIRST = """
@@ -267,11 +316,13 @@ class TestPerStateEvaluation:
         ["densities", "conservation", "probability"],
         ["conservation", "spin-equalities"],
         ["conservation"],
+        ["densities", "conservation"],
     ])
     def test_position_transform_once_and_dropped_after_use(self, monkeypatch, names):
-        # the suites before conservation memoize the probability, which its
-        # sample at the state's own time reads; alone, that sample makes the
-        # transform and releases it
+        # the suites before conservation memoize the probability (densities
+        # too, though no row of its own reads it), which its sample at the
+        # state's own time reads; alone, that sample makes the transform and
+        # releases it
         state = _two_mode_state()
         calls = []
         original = observables.to_position

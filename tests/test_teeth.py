@@ -1,31 +1,33 @@
 """Negative controls: each row that reads the state or the matrices FAILs on
-some small input.
+some small input, as the kinds of ``suites.ROWS`` say.
 
 Every case is the valid n=16 gaussian below plus one named breakage, of the
 state or of the code it runs through, and names the rows that must FAIL on
 it with the value they reach.  The kernel check needs n >= 32, so its case
 breaks the same gaussian at n=32.  Each base state passes every row of the
 same suites, so a FAIL here comes from the breakage alone.  With the
-kernel case, every tolerance key has a case here or is a self-test below.
+kernel case, every tolerance key has a case here or is a self-test.
 
-Self-tests: the five ``conservation`` rows (``probability_drift``,
-``spin_drift``, ``oam_drift``, ``total_angular_momentum_drift`` and
-``norm_drift``).  Evolution multiplies each bin by a unimodular phase, so
-each conserved quantity is conserved whatever that phase is, and the rows
-measure rounding only: with the phase's sign flipped they still pass, while
-``maxwell_residual``, which compares the evolution with the curl, FAILs.
-``hermitian_symmetry``: ``classical_from_state`` builds each Fourier block as
-(a + conj(R a))/sqrt 2 with R the exact bin reversal, an involution, so the
-residual is 0.0 bitwise on any payload, on the constraint or off it.
+Why the self-tests can never FAIL: evolution multiplies each bin by a
+unimodular phase, so each quantity the ``conservation`` suite tracks is
+conserved whatever that phase is, and its rows measure rounding only: with
+the phase's sign flipped they still pass, while ``maxwell_residual``, which
+compares the evolution with the curl, FAILs.  ``classical_from_state``
+builds each Fourier block as (a + conj(R a))/sqrt 2 with R the exact bin
+reversal, an involution, so ``hermitian_symmetry`` is 0.0 bitwise on any
+payload, on the constraint or off it.
 
-``nonlocal_route_gap`` compares two factorizations of the same complex field,
-so on any state it reads rounding only while ``E_real`` is the transform of
-``eps_k``: its case breaks the code that makes ``E_real`` instead.  So do
-``spin_imag_residue``, the imaginary part of Hermitian forms, and
-``kernel_density_integral``, a Parseval identity, which read rounding on
-any payload, on the constraint or off it: their case multiplies the kernel
-density's rows by i.  ``spin_spectrum`` reads the spin matrices only, so
-its case perturbs ``algebra.SPIN``, as another perturbs γ.
+Why the code rows need broken code: ``nonlocal_route_gap`` compares two
+factorizations of the same complex field, so on any state it reads rounding
+only while ``E_real`` is the transform of ``eps_k``: its case breaks the
+code that makes ``E_real`` instead.  So do ``spin_imag_residue``, the
+imaginary part of Hermitian forms, and ``kernel_density_integral``, a
+Parseval identity, which read rounding on any payload, on the constraint or
+off it: their case multiplies the kernel density's rows by i.  The matrix
+rows read no state, so their cases perturb ``algebra.SPIN`` and γ, and the
+kernel rows read only the grid, so their case scales the kernel.  On
+seeded random payloads off the constraint every code and self-test row
+passes while every state row FAILs.
 """
 
 import dataclasses
@@ -58,6 +60,10 @@ def base_state_n32():
 
 def _rows(state, names):
     return {c.name: c for report in suites.run_suites(names, state) for c in report.checks}
+
+
+def _of_kind(kind):
+    return {name for name, row in suites.ROWS.items() if row.kind == kind}
 
 
 def _gamma_off_by_1e_9(monkeypatch, state):
@@ -206,9 +212,17 @@ def test_base_state_passes_every_row_of_the_cases(base_state, base_state_n32):
 def test_conservation_rows_are_self_tests(base_state, monkeypatch):
     # a wrong-signed evolution still conserves every constant of motion
     (report,) = suites.run_suites(["conservation"], _phase_sign_flipped(monkeypatch, base_state))
-    assert [c.name for c in report.checks] == ["probability_drift", "spin_drift", "oam_drift",
-                                               "total_angular_momentum_drift", "norm_drift"]
+    assert {c.name for c in report.checks} <= _of_kind("self-test")
     assert report.passed
+
+
+def test_evolved_case_fail_names_its_position_shell(base_state, monkeypatch):
+    # the FAIL carries the values of the rows it needs to hold, read from its report
+    rows = _rows(_evolved_by_10(monkeypatch, base_state), ["oam"])
+    gap, ratio = rows["oam_formula_gap"], rows["oam_boundary_ratio"]
+    assert not gap.passed
+    assert gap.info.endswith(f"; preconditions: oam_boundary_ratio={ratio.value:.3g}, "
+                             "oam_position_shell=0.497")
 
 
 def test_position_shell_names_the_wrap_of_the_evolved_case(base_state, monkeypatch):
@@ -229,7 +243,20 @@ def test_hermitian_symmetry_is_a_self_test():
 
 
 def test_every_tolerance_key_has_a_case_or_is_a_self_test():
-    failed = {suites._ROW_KEYS.get(row, row) for case in CASES.values() for row in case[2]}
+    failed = {suites.ROWS[row].key for case in CASES.values() for row in case[2]}
     assert set(suites.DEFAULT_TOLERANCES) - failed == {
-        "probability_drift", "spin_drift", "oam_drift", "total_angular_momentum_drift",
-        "norm_drift", "hermitian_symmetry"}
+        suites.ROWS[row].key for row in _of_kind("self-test")}
+
+
+@pytest.mark.parametrize("n, seed", [(8, 31), (16, 32)])
+def test_random_payloads_fail_only_state_rows(n, seed):
+    # far off the constraint and off the positive-energy branch: the code rows
+    # and the self-tests read rounding, while every state row FAILs; the
+    # kernels suite reads only the grid, and needs n >= 32
+    rng = np.random.default_rng(seed)
+    g = KGrid(n, 1.0)
+    values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
+    values = values / np.sqrt(PhotonState(momentum_field(values, g)).norm)
+    rows = _rows(PhotonState(momentum_field(values, g)),
+                 [name for name in suites.SUITE_NAMES if name != "kernels"])
+    assert {name for name, c in rows.items() if not c.passed} == _of_kind("state")
