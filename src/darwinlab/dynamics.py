@@ -7,7 +7,8 @@ residual deliberately goes the other way -- a centered
 finite-difference time stencil of the exactly evolved position field against
 the spectral curl, taken as i k x f on the momentum blocks and transformed to
 position space -- to provide an error signal that is independent of the
-evolution path.
+evolution path.  Every residual here is a ratio, so it is taken on the
+blocks as stored, psi = (f_u, f_l)/sqrt(2), without undoing their scale.
 """
 
 from __future__ import annotations
@@ -92,10 +93,9 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
         return MaxwellReport(0.0, 0.0, dt)
 
     g = state.grid
-    block_scale = np.sqrt(2.0)
     divs = []
     for f in (state.psi.values[:3], state.psi.values[3:]):
-        div_k = 1j * block_scale * kgrid.dot(g.k_axes, f)
+        div_k = 1j * kgrid.dot(g.k_axes, f)
         div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g), overwrite=True)
         divs.append(kgrid.max_abs(div_x.values))
     div = float(np.max(divs))
@@ -132,7 +132,6 @@ def _curl_gap_and_scale(state: PhotonState, dt: float) -> tuple[float, float]:
     """
     g = state.grid
     psi = state.psi.values
-    block_scale = np.sqrt(2.0)
 
     # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u);
     # the -dt copy is subtracted one component at a time, and each array is
@@ -143,7 +142,7 @@ def _curl_gap_and_scale(state: PhotonState, dt: float) -> tuple[float, float]:
     for c in range(6):
         stencil[c] -= psi[c] * phase
     del phase
-    stencil *= block_scale / (2.0 * dt)
+    stencil *= 1.0 / (2.0 * dt)
     d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g), overwrite=True).values
     del stencil
 
@@ -156,7 +155,7 @@ def _curl_gap_and_scale(state: PhotonState, dt: float) -> tuple[float, float]:
         kgrid.cross(g.k_axes, partner, out=curl)
         if sign < 0:
             np.negative(curl, out=curl)
-        curl *= 1j * block_scale
+        curl *= 1j
         to_position(Field(curl, kgrid.MOMENTUM, g), overwrite=True)
         scales.append(kgrid.max_abs(curl))
         half -= curl

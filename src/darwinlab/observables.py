@@ -10,6 +10,10 @@ so the disagreement can be quantified.
 
 Everything is in natural units (hbar = c = eps0 = 1), so spin and orbital
 angular momentum come out in units of hbar.
+
+The routes read the blocks as the payload stores them, psi = (f_u, f_l)/sqrt(2),
+and never rescale them: a route bilinear in one block applies the exact
+factor 2 once, to its result, and a ratio needs no factor at all.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ def psi_position(state: PhotonState) -> np.ndarray:
     """The (6, n, n, n) position transform of the six-component psi, read-only.
 
     Every position-space route of one state shares this one transform; its
-    sqrt(2)-scaled slices [:3] and [3:] are the block transforms.  It is
-    kept until :func:`drop_position`.
+    slices [:3] and [3:] are the block transforms F_u/sqrt(2) and
+    F_l/sqrt(2), as stored.  It is kept until :func:`drop_position`.
     """
     return to_position(state.psi).values
 
@@ -79,27 +83,21 @@ def drop_position(state: PhotonState) -> None:
 
 
 def _cross_density(block: np.ndarray):
-    """The rows of -i f* x f per bin for f = sqrt(2) block (Hermitian form,
-    real up to round-off), handed out one at a time.
+    """The rows of -i f* x f per bin for f = sqrt(2) block, computed as
+    -2i block* x block (Hermitian form, real up to round-off), handed out
+    one at a time.
 
     Each row is a new array, bitwise the row of
-    ``-1j * kgrid.cross(np.conj(f), f)``.  A caller that drops each row
-    before asking for the next holds one row at a time (``enumerate`` and
-    ``zip`` keep the previous row while the next is made).  No scaled copy
-    of the block is made: each factor sqrt(2) block_c is formed where a
-    product reads it, in one of two component buffers, so one conjugate is
-    alive at a time.
+    ``-2j * kgrid.cross(np.conj(block), block)``.  A caller that drops each
+    row before asking for the next holds one row at a time (``enumerate``
+    and ``zip`` keep the previous row while the next is made).  Each
+    conjugate component is formed where a product reads it, in one buffer.
     """
-    scale = np.sqrt(2.0)
-    f_conj = np.empty(block.shape[1:], dtype=np.complex128)
-    f = np.empty_like(f_conj)
+    conj = np.empty(block.shape[1:], dtype=np.complex128)
     for p, q in ((1, 2), (2, 0), (0, 1)):
-        np.conj(np.multiply(scale, block[p], out=f_conj), out=f_conj)
-        row = np.multiply(f_conj, np.multiply(scale, block[q], out=f))
-        np.conj(np.multiply(scale, block[q], out=f_conj), out=f_conj)
-        np.multiply(f_conj, np.multiply(scale, block[p], out=f), out=f_conj)
-        np.subtract(row, f_conj, out=row)
-        row *= -1j
+        row = np.multiply(np.conj(block[p], out=conj), block[q])
+        row -= np.multiply(np.conj(block[q], out=conj), block[p], out=conj)
+        row *= -2j
         yield row
         del row  # the caller's reference is the only one while the next row is made
 
@@ -177,20 +175,6 @@ def position_spin_integrals(state: PhotonState) -> dict[str, tuple[np.ndarray, f
             "position_lower": _integrated(_row_sums(_cross_density(values[3:])), m)}
 
 
-def _peeled_block(state: PhotonState) -> np.ndarray:
-    """Upper block amplitude with the free-evolution phase removed.
-
-    Finite differences in k assume a slowly varying amplitude; the dynamical
-    phase exp(-i |k| t) oscillates arbitrarily fast at late times while
-    contributing nothing to k x grad_k (its gradient is parallel to k).  It is
-    therefore peeled off analytically before any k-derivative is taken.
-    """
-    f = state.f_upper()
-    if state.time != 0.0:
-        f *= state.grid.phase(-state.time)
-    return f
-
-
 def _summed_squares(components) -> np.ndarray:
     """sum_c |v_c|^2 per bin, one component at a time; bitwise
     ``np.sum(np.abs(v) ** 2, axis=0)``."""
@@ -240,15 +224,16 @@ def _kernel_density_rows(state: PhotonState):
 
     Phi_i is the position transform of (spin . w) w_i psi, which realizes
     the convolution with the singular direction-dyadic kernel spectrally,
-    exactly on the grid.  For each i, each block's w_i chi, with
-    chi = (spin . w) f, is formed in one reused three-component buffer and
-    transformed there, and the row gains the block's components in
-    component order.  So six three-component transforms replace three of
-    six components, and one complex row is held.  The row is built
-    conjugated, as the sum of Psi_c conj(Phi_ic) with each conj(Phi_ic)
-    formed in place, and conjugated back at the end: bitwise the sum of
-    conj(Psi_c) Phi_ic, with no conjugate of Psi held.  A caller reads each
-    row before it asks for the next, which overwrites it.
+    exactly on the grid.  For each i, each block's w_i (w x f) is formed in
+    one reused three-component buffer and transformed there, and the row
+    gains the block's components in component order.  So six
+    three-component transforms replace three of six components, and one
+    complex row is held.  The row is built conjugated, as the sum of
+    Psi_c conj(Phi_ic) with each conj(Phi_ic) formed in place, and
+    conjugated back at the end: bitwise the sum of conj(Psi_c) Phi_ic, with
+    no conjugate of Psi held.  The factor i of (spin . w) f = i w x f is
+    applied once, to the finished row.  A caller reads each row before it
+    asks for the next, which overwrites it.
     """
     g = state.grid
     psi, psi_pos = state.psi.values, psi_position(state)
@@ -256,9 +241,8 @@ def _kernel_density_rows(state: PhotonState):
     dens = np.empty(g.shape, dtype=np.complex128)
     for i in range(3):
         for start in (0, 3):
-            # w_i (sigma . w) f = w_i (i w x f)
+            # w_i (sigma . w) f = w_i (i w x f), with the i applied to the finished row
             kgrid.cross(g.khat, psi[start:start + 3], out=phi)
-            phi *= 1j
             phi *= g.khat[i]
             to_position(momentum_field(phi, g), overwrite=True)
             np.conj(phi, out=phi)
@@ -268,6 +252,7 @@ def _kernel_density_rows(state: PhotonState):
                 else:
                     dens += np.multiply(psi_pos[start + c], phi[c], out=phi[c])
         np.conj(dens, out=dens)
+        dens *= 1j
         yield dens
 
 
@@ -299,19 +284,28 @@ def nonlocal_spin_integral(state: PhotonState) -> tuple[np.ndarray, float]:
 
 
 @_per_state
-def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
-    """<L> by the momentum route, and the boundary ratio of the block it differentiates.
+def oam_momentum(state: PhotonState) -> np.ndarray:
+    """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar.
 
-    The k-gradient is taken one component and one axis at a time and
-    contracted at once, so a single derivative component and a single
-    conjugate component are alive at any moment; each h_a still sums its
-    components in order.
+    f = sqrt(2) psi[:3] is the upper block.  k is real, so the sum over
+    components is taken first: with h_a = sum_c psi_c* d(psi_c)/d(k_a) per
+    bin of the stored block, <L> = -2i integral k x h d3k.
+
+    Finite differences in k assume a slowly varying amplitude; the dynamical
+    phase exp(-i |k| t) oscillates arbitrarily fast at late times while
+    contributing nothing to k x grad_k (its gradient is parallel to k), so
+    it is peeled off analytically first.  At t = 0 the payload's own block
+    is differentiated, not a copy.  The k-gradient is taken one component
+    and one axis at a time and contracted at once, so a single derivative
+    component and a single conjugate component are alive at any moment;
+    each h_a still sums its components in order.
     """
     g = state.grid
-    f = _peeled_block(state)
-    ratio = kgrid.boundary_amplitude_ratio(momentum_field(f, g))
+    f = state.psi.values[:3]
+    if state.time != 0.0:
+        f = f * g.phase(-state.time)
     f_conj = np.empty(g.shape, dtype=np.complex128)
-    h = np.empty_like(f)
+    h = np.empty((3,) + g.shape, dtype=np.complex128)
     for c in range(3):
         np.conj(f[c], out=f_conj)
         component = momentum_field(f[c:c + 1], g)
@@ -323,41 +317,34 @@ def _oam_momentum_route(state: PhotonState) -> tuple[np.ndarray, float]:
                 h[a] += np.multiply(f_conj, d, out=d)
             del d  # before the next derivative is made
     del f, f_conj, component
-    total = -1j * np.sum(kgrid.cross(g.k_axes, h), axis=(1, 2, 3)) * g.dk**3
-    return total.real, ratio
+    total = -2j * np.sum(kgrid.cross(g.k_axes, h), axis=(1, 2, 3)) * g.dk**3
+    return total.real
 
 
-def oam_momentum(state: PhotonState) -> np.ndarray:
-    """<L> = -i integral f^dag (k x grad_k) f d3k, in units of hbar.
-
-    f is the upper block.  k is real, so the sum over components is taken
-    first: with h_a = sum_c f_c* d(f_c)/d(k_a) per bin,
-    <L> = -i integral k x h d3k.
-    """
-    return _oam_momentum_route(state)[0]
-
-
+@_per_state
 def oam_boundary_ratio(state: PhotonState) -> float:
-    """Boundary amplitude ratio of the phase-peeled block that oam_momentum
-    differentiates; above 1e-8 its k-gradient is unreliable."""
-    return _oam_momentum_route(state)[1]
+    """Boundary amplitude ratio of the upper block that :func:`oam_momentum`
+    differentiates, whose moduli see neither the sqrt(2) nor the peeled
+    phase; above 1e-8 its k-gradient is unreliable."""
+    return kgrid.boundary_amplitude_ratio(momentum_field(state.psi.values[:3], state.grid))
 
 
 @_per_state
 def oam_position(state: PhotonState) -> np.ndarray:
     """<L> = -i integral F^dag (x x grad) F d3x with an exact spectral gradient.
 
-    F is the upper block.  The gradient component d_a F is the position
-    transform of i k_a f, taken straight from the momentum block.  x is real,
-    so the sum over components is taken first: with h_a = sum_c F_c* d_a F_c
-    per bin, <L> = -i integral x x h d3x, whose components are differences
-    of the moments M[a, b] = sum over the bins of x_b h_a.
+    F = sqrt(2) Psi is the upper block, with Psi = psi_position[:3] stored.
+    The gradient d_a Psi is the position transform of i k_a psi[:3], taken
+    straight from the momentum block.  x is real, so the sum over components
+    is taken first: with h_a = sum_c Psi_c* d_a Psi_c per bin,
+    <L> = -2i integral x x h d3x, whose components are differences of the
+    moments M[a, b] = sum over the bins of x_b h_a.
 
-    One axis at a time: d_a F is one three-component transform, h_a sums
-    its components in order in the place of d_a F_0, and the two moments
-    M[a, b], b != a, are summed from it through the place of d_a F_1.  So
-    no whole h, x x h or copy of f is made, and each F_c* is formed in one
-    buffer.
+    One axis at a time: d_a Psi is one three-component transform, h_a sums
+    its components in order in the place of d_a Psi_0, and the two moments
+    M[a, b], b != a, are summed from it through the place of d_a Psi_1.  So
+    no whole h, x x h or copy of a block is made, and each conjugate
+    component is formed in one buffer.
     """
     g = state.grid
     psi = state.psi.values
@@ -368,11 +355,11 @@ def oam_position(state: PhotonState) -> np.ndarray:
     for a in range(3):
         ik = 1j * g.k_axes[a]
         for c in range(3):
-            np.multiply(ik, np.multiply(np.sqrt(2.0), psi[c], out=d_F[c]), out=d_F[c])
+            np.multiply(ik, psi[c], out=d_F[c])
         to_position(momentum_field(d_F, g), overwrite=True)
         h = d_F[0]
         for c in range(3):
-            np.conj(np.multiply(np.sqrt(2.0), F[c], out=F_conj), out=F_conj)
+            np.conj(F[c], out=F_conj)
             if c == 0:
                 np.multiply(F_conj, d_F[0], out=h)
             else:
@@ -380,7 +367,7 @@ def oam_position(state: PhotonState) -> np.ndarray:
         for b in range(3):
             if b != a:
                 M[a, b] = np.sum(np.multiply(g.x_axes[b], h, out=d_F[1]))
-    total = -1j * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]]) * g.dx**3
+    total = -2j * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]]) * g.dx**3
     return total.real
 
 
@@ -524,11 +511,12 @@ def density_candidates(state: PhotonState) -> DensityCandidates:
     # the real part of a complex sum is the sum of the real parts
     spin_full = 0.5 * (spin_upper + spin_lower)
 
+    # |F|^2 = 2 sum_c |Psi_c|^2 over the stored block transforms
     values = psi_position(state)
-    scaled = np.empty(state.grid.shape, dtype=np.complex128)  # each sqrt(2)-scaled component in turn
-    prob_upper = _summed_squares(np.multiply(np.sqrt(2.0), v, out=scaled) for v in values[:3])
-    prob_lower = _summed_squares(np.multiply(np.sqrt(2.0), v, out=scaled) for v in values[3:])
-    del scaled
+    prob_upper = _summed_squares(values[:3])
+    prob_upper *= 2.0
+    prob_lower = _summed_squares(values[3:])
+    prob_lower *= 2.0
     prob_psi = 0.5 * (prob_upper + prob_lower)
 
     m = state.grid.dx**3

@@ -115,6 +115,10 @@ class PhotonState:
     :mod:`darwinlab.observables`, which also decides when they are released.
     The payload is made read-only here, so no in-place operation can change
     it under those cached values.
+
+    The payload stores the blocks as psi = (f_u, f_l)/sqrt(2); only this
+    module and :mod:`darwinlab.fieldbridge` apply or undo that scale, and
+    every other route reads the views ``psi[:3]`` and ``psi[3:]`` as stored.
     """
 
     psi: Field
@@ -142,7 +146,7 @@ class PhotonState:
         return transversality_residual(self.psi)
 
     def f_upper(self) -> np.ndarray:
-        """Upper 3-block amplitude (the sqrt(2) block split is undone)."""
+        """A new array of f_u: the upper 3-block, its sqrt(2) scale undone."""
         return np.sqrt(2.0) * self.psi.values[:3]
 
     def f_lower(self) -> np.ndarray:
@@ -178,8 +182,7 @@ def transversality_residual(psi: Field) -> float:
 def branch_residual(state: PhotonState) -> float:
     """Residual of the positive-energy coupling k x f_u = k f_l (and its twin)."""
     g = state.grid
-    f_u = state.f_upper()
-    f_l = state.f_lower()
+    f_u, f_l = state.psi.values[:3], state.psi.values[3:]  # a ratio: the sqrt(2) cancels
     scale = kgrid.norm(f_u) + kgrid.norm(f_l)
     mask = occupied_mask(scale) & (g.kmag > 0.0)
     if not mask.any():

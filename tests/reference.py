@@ -100,7 +100,9 @@ def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
 
 
 # -- observables: the routes on whole arrays, as they were before they worked
-# one block or one component at a time; the library must match them bitwise
+# one block or one component at a time; the library must match them bitwise.
+# Like the library, they read the stored blocks psi = (f_u, f_l)/sqrt(2) and
+# apply the exact factor 2 of a one-block bilinear form once, to its result
 
 def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     """The nonlocal density (three six-component transforms), both OAM routes
@@ -121,29 +123,29 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
         s[i] = np.sum(np.conj(pos) * phi, axis=0).real
     out["nonlocal"] = s
 
-    f = np.sqrt(2.0) * psi[:3]
+    f = psi[:3]
     peeled = f * np.exp(1j * g.kmag * state.time) if state.time != 0.0 else f
     block = Field(peeled, MOMENTUM, g)
     h = np.stack([kgrid.dot(np.conj(peeled), kgrid.k_gradient(block, a).values) for a in range(3)])
     kvec = full_grid(g.k_axes)
-    out["oam_momentum"] = (-1j * np.sum(kgrid.cross(kvec, h), axis=(1, 2, 3)) * g.dk**3).real
-    F_conj = np.conj(np.sqrt(2.0) * pos[:3])
+    out["oam_momentum"] = (-2j * np.sum(kgrid.cross(kvec, h), axis=(1, 2, 3)) * g.dk**3).real
+    F_conj = np.conj(pos[:3])
     h = np.stack([kgrid.dot(F_conj, to_position(Field(1j * kvec[a] * f, MOMENTUM, g)).values)
                   for a in range(3)])
-    out["oam_position"] = (-1j * np.sum(kgrid.cross(full_grid(g.x_axes), h), axis=(1, 2, 3))
+    out["oam_position"] = (-2j * np.sum(kgrid.cross(full_grid(g.x_axes), h), axis=(1, 2, 3))
                            * g.dx**3).real
     # the same integral as differences of the moments M[a, b] = sum x_b h_a
     x = full_grid(g.x_axes)
     m = np.array([[np.sum(x[b] * h[a]) if b != a else 0.0 for b in range(3)] for a in range(3)])
-    out["oam_position_moments"] = (-1j * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0],
+    out["oam_position_moments"] = (-2j * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0],
                                                    m[1, 0] - m[0, 1]]) * g.dx**3).real
 
-    def cross_density(f):
-        return -1j * kgrid.cross(np.conj(f), f)
+    def cross_density(block):
+        return -2j * kgrid.cross(np.conj(block), block)
 
-    out["canonical"] = 0.5 * (cross_density(f) + cross_density(np.sqrt(2.0) * psi[3:]))
-    out["position_upper"] = cross_density(np.sqrt(2.0) * pos[:3])
-    out["position_lower"] = cross_density(np.sqrt(2.0) * pos[3:])
+    out["canonical"] = 0.5 * (cross_density(psi[:3]) + cross_density(psi[3:]))
+    out["position_upper"] = cross_density(pos[:3])
+    out["position_lower"] = cross_density(pos[3:])
     return out
 
 
@@ -153,23 +155,23 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
 def whole_array_maxwell(state: PhotonState) -> tuple[float, float]:
     """(curl residual, divergence residual) of ``dynamics.maxwell_residual``
     at its default dt, with one six-component stencil transform and one
-    six-component transform of both curls, compared as whole arrays."""
+    six-component transform of both curls, compared as whole arrays.  Both
+    residuals are ratios to the curl scale, so the stored blocks are used."""
     g = state.grid
     dt = default_maxwell_dt(g)
     psi = state.psi.values
-    block_scale = np.sqrt(2.0)
     stencil = psi * np.exp(-1j * g.kmag * dt) - psi * np.exp(1j * g.kmag * dt)
-    stencil *= block_scale / (2.0 * dt)
+    stencil *= 1.0 / (2.0 * dt)
     d_dt = to_position(Field(stencil, MOMENTUM, g)).values
 
     curls = np.empty_like(d_dt)
     kgrid.cross(g.k_axes, psi[3:], out=curls[:3])
     kgrid.cross(g.k_axes, psi[:3], out=curls[3:])
     np.negative(curls[3:], out=curls[3:])
-    curls *= 1j * block_scale
+    curls *= 1j
     curls = to_position(Field(curls, MOMENTUM, g)).values
     scale = float(np.abs(curls).max())
-    div = max(float(np.abs(to_position(Field(1j * block_scale * kgrid.dot(g.k_axes, f)[None],
+    div = max(float(np.abs(to_position(Field(1j * kgrid.dot(g.k_axes, f)[None],
                                                    MOMENTUM, g)).values).max())
               for f in (psi[:3], psi[3:]))
     return float(np.abs(d_dt - curls).max()) / scale, div / scale

@@ -528,6 +528,24 @@ def test_plane_mode_beyond_the_band_exits_2(tmp_path, capsys, k0, accepted):
     assert not (tmp_path / "x.dpst").exists()
 
 
+def test_running_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # a grid too large for the machine (n = 4096) once ended in numpy's
+    # _ArrayMemoryError traceback; the failing allocation is simulated, so
+    # the outcome does not depend on how the machine overcommits memory
+    message = "Unable to allocate 12.0 TiB for an array with shape (6, 4096, 4096, 4096)"
+
+    def synthesize(specs, grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("darwinlab.state.synthesize", synthesize)
+    config = _config_file(tmp_path, grid={"n": 4096, "dk": 1.0})
+    assert main(["build", "--config", config, "--out", str(tmp_path / "x.dpst")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not enough memory: {message}\n"
+    assert not (tmp_path / "x.dpst").exists()
+
+
 def _extreme(sign):
     """A magnitude anywhere from 1e-300 to 1e300, with the given sign."""
     return st.integers(-300, 300).map(lambda e: sign * 10.0**e)

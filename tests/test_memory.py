@@ -7,13 +7,13 @@ six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
 check runs first, so caches that the process fills once are not counted.
 
 Measured at n=32: ``run_suites`` over all ten suites peaks at 2.59 fields,
-``observable_report`` at 2.25 and the fieldbridge suite at 2.59, with every
+``observable_report`` at 2.17 and the fieldbridge suite at 2.59, with every
 route working one block or one component at a time and transforming in
 place the arrays it builds only to transform.  The fieldbridge suite
 compares each round-trip block with its half of the payload as the block
 is made, and forms its route gap in place.  ``dpl check`` runs the two
 suite groups of ``suites.MEMO_SUITES`` and ``suites.OWN_TRANSFORM_SUITES``
-in two processes, one ``run_suites`` call each; those calls peak at 2.50
+in two processes, one ``run_suites`` call each; those calls peak at 2.46
 and 2.59 fields, with the kernels suite sub-sampling its singular core a
 block of cells at a time, and conservation running after the position
 transform, the position pair and the kernel density are released.
@@ -26,7 +26,8 @@ worker, with the position transform and khat made before the fork, peaks
 at 1.88.  The position OAM route sums the moments of one h_a at a time,
 and the kernel route builds each row conjugated, so neither holds a whole
 h or a conjugate of the transform.  The momentum OAM route frees each
-k-derivative before it takes the next.  Conservation alone peaks
+k-derivative before it takes the next, and at t = 0 differentiates the
+payload's upper block itself, not a copy of it.  Conservation alone peaks
 at 2.46 fields: each sample, the state itself at its own time included,
 reads its norm and momentum routes before its probability makes the
 position transform, and releases that transform before the next sample
@@ -41,9 +42,9 @@ ten suites in reverse order peak at 2.59 fields, as in order, and
 Maxwell one without its divergence), peaks at 2.71 fields and
 ``maxwell_residual`` alone at 1.71, the certificate computing one curl
 block at a time.  At n=64 the fieldbridge suite sets the peak of a full
-check, and the same calls peak at 2.58 fields (all suites), 2.25
+check, and the same calls peak at 2.58 fields (all suites), 2.17
 (``observable_report``), 1.84 and 1.67 (``dpl observe`` on one and on two
-CPUs), 1.84 (its worker), 2.50 and 2.58 (the two groups), 2.58
+CPUs), 1.84 (its worker), 2.42 and 2.58 (the two groups), 2.58
 (fieldbridge), 2.35 (conservation), 2.67 (``evolve``) and 1.67
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
 writes both blocks into the one array that becomes the payload and peaks at

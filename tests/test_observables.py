@@ -4,18 +4,16 @@ import inspect
 import numpy as np
 import pytest
 
-from darwinlab import kgrid, observables
+from darwinlab import kgrid, observables, suites
 from darwinlab.algebra import SPIN
 from darwinlab.dynamics import evolve, maxwell_residual
 from darwinlab.kgrid import (
-    boundary_amplitude_ratio,
     momentum_field,
     norm_squared,
     to_position,
 )
 from darwinlab.observables import (
     _canonical_density,
-    _peeled_block,
     density_candidates,
     nonlocal_spin_density,
     nonlocal_spin_integral,
@@ -198,11 +196,10 @@ class TestOam:
                * g32.dx**3).real
         assert np.abs(oam_position(st) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
 
-    def test_boundary_ratio_comes_from_the_oam_gradient(self, g32, monkeypatch):
-        # the phase-peeled block of an evolved state is differentiated once,
-        # and its boundary ratio is the one that differentiation measured
-        st = evolve(self.ring(g32, 1), 2.0)
-        expect = boundary_amplitude_ratio(momentum_field(_peeled_block(st), g32))
+    def test_boundary_ratio_is_computed_once_per_state_and_only_for_itself(
+            self, g16, g32, monkeypatch):
+        # the ratio is a route of its own, read from the stored upper block:
+        # the momentum OAM route and the conservation samples never compute it
         calls = []
         original = kgrid.boundary_amplitude_ratio
 
@@ -211,9 +208,17 @@ class TestOam:
             return original(field)
 
         monkeypatch.setattr(kgrid, "boundary_amplitude_ratio", counted)
-        oam_momentum(st)
-        assert oam_boundary_ratio(st) == expect
+        suites.run_suites(["conservation"], synthesize(README_MODES, g16))
+        assert len(calls) == 0
+        suites.run_suites(suites.SUITE_NAMES, synthesize(README_MODES, g16))
         assert len(calls) == 1
+        oam_momentum(self.ring(g16, 1))
+        assert len(calls) == 1
+        # moduli see neither the block scale nor the peeled phase
+        st = evolve(self.ring(g32, 1), 2.0)
+        peeled = st.f_upper() * g32.phase(-st.time)
+        expect = original(momentum_field(peeled, g32))
+        assert oam_boundary_ratio(st) == pytest.approx(expect, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("time", [0.0, 7.25])
     def test_position_shell_share_against_a_shell_mask(self, g32, time):
