@@ -12,9 +12,9 @@ When it may use two CPUs, a command splits its work with a forked worker
 (:func:`_forked`): ``check`` runs its own-transform suite group
 (``suites.OWN_TRANSFORM_SUITES``) there and its memo group
 (``suites.MEMO_SUITES``) here, and ``observe`` runs the kernel spin route
-there and every other route here.  Whenever the worker hands back no
-complete value, its part runs here as on one CPU, so the output, exit code
-and error are the same either way.
+there and every other route here.  Where no worker can run, its part runs
+here first; where the worker hands back no complete value, its part runs
+here last.  So the output, exit code and error are the same either way.
 
 The BLAS/OpenMP thread pools get one thread unless a ``*_NUM_THREADS``
 variable is set.  The cap is applied before the numerical modules load, so
@@ -282,44 +282,47 @@ def _cpu_count() -> int:
         return 1
 
 
-def _two_cpus() -> bool:
-    """Whether a forked worker can run beside this process."""
-    return hasattr(os, "fork") and _cpu_count() >= 2
-
-
 @contextlib.contextmanager
 def _forked(work):
     """Run ``work()`` in a forked worker while the with-block runs here.
 
-    Yields a function of no arguments that returns work()'s value.  It
-    waits for the worker's pickle of the value, and whenever no complete
-    pickle comes back (the fork failed, work raised there, the worker died
-    or its pickle was cut off) it computes work() here, as one process
-    would, so work that raised there raises again here.  If the block
-    raises, the worker is killed and the block's error wins.  In every case
-    the worker is reaped, so its rusage counts toward this process.
+    Yields a function of no arguments that returns work()'s value.  When no
+    worker can run (one CPU, no ``os.fork``, or the fork fails), work() is
+    computed here at once, before the block, as one process would.
+    Otherwise the function waits for the worker's pickle of the value, and
+    whenever no complete pickle comes back (work raised there, the worker
+    died or its pickle was cut off) it computes work() here, so work that
+    raised there raises again here.  If the block raises, the worker is
+    killed and the block's error wins.  In every case the worker is reaped,
+    so its rusage counts toward this process.
     """
     import pickle
     import signal
 
-    sys.stdout.flush()
-    sys.stderr.flush()  # so the worker inherits no unwritten output
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        pid = None  # no worker: once write_fd is closed the pipe reads empty
-    if pid == 0:
-        # the worker ends in os._exit: no atexit handler runs, no inherited
-        # buffer is flushed a second time, no traceback is printed
+    pid = None
+    if hasattr(os, "fork") and _cpu_count() >= 2:
+        sys.stdout.flush()
+        sys.stderr.flush()  # so the worker inherits no unwritten output
+        read_fd, write_fd = os.pipe()
         try:
+            pid = os.fork()
+        except OSError:
             os.close(read_fd)
-            data = pickle.dumps(work())
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
+        if pid == 0:
+            # the worker ends in os._exit: no atexit handler runs, no inherited
+            # buffer is flushed a second time, no traceback is printed
+            try:
+                os.close(read_fd)
+                data = pickle.dumps(work())
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(data)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+    if pid is None:
+        value = work()
+        yield lambda: value
+        return
 
     def result():
         nonlocal pid
@@ -349,20 +352,19 @@ def _run_suite_groups(names, state, tolerances, times):
     """The reports of ``suites.run_suites(names, ...)``, from up to two processes.
 
     When the names hold suites of both ``suites.MEMO_SUITES`` and
-    ``suites.OWN_TRANSFORM_SUITES`` and this process may use two CPUs, a
-    forked worker (:func:`_forked`) runs the own-transform suites while this
-    process runs the memo suites, each with one ``run_suites`` call, and the
-    reports are merged back into the requested order.  Whenever the worker
-    hands back no reports, the own-transform suites run here as on one CPU,
-    so a suite that raised there raises again here.  Every value is
-    computed as the serial run computes it, so the reports are the same.
-    Otherwise the one serial call runs here.
+    ``suites.OWN_TRANSFORM_SUITES``, a forked worker (:func:`_forked`) runs
+    the own-transform suites while this process runs the memo suites, each
+    with one ``run_suites`` call, and the reports are merged back into the
+    requested order; where no worker can run, or it hands back no reports,
+    the own-transform suites run here, so a suite that raised there raises
+    again here.  Every value is computed as the serial run computes it, so
+    the reports are the same.  Otherwise the one serial call runs here.
     """
     from . import suites
 
     memo = [n for n in names if n in suites.MEMO_SUITES]
     own = [n for n in names if n in suites.OWN_TRANSFORM_SUITES]
-    if not (memo and own and _two_cpus()):
+    if not (memo and own):
         return suites.run_suites(names, state, tolerances=tolerances, times=times)
     state.grid.khat  # with kmag: both groups use them, so both share one copy
     with _forked(lambda: suites.run_suites(own, state, tolerances=tolerances, times=times)) as result:
@@ -372,7 +374,9 @@ def _run_suite_groups(names, state, tolerances, times):
 
 
 def _observe_report(state):
-    """``observables.observable_report(state)`` as ``dpl observe`` computes it.
+    """What ``dpl observe`` prints: the seven spin routes of
+    ``observables.spin_routes``, the momentum and position OAM, the three
+    probabilities and the boundary ratio.
 
     Every route here is integral-only: the kernel spin route is
     ``observables.nonlocal_spin_integral`` and the position spin routes are
@@ -380,51 +384,44 @@ def _observe_report(state):
     routes that read the position transform run first (the position OAM,
     the probabilities and the position spin routes), and the transform is
     released before the momentum spin and OAM routes, so their temporaries
-    never sit beside it.  When this process may use two CPUs, a forked
-    worker (:func:`_forked`) computes the kernel route, from the transform
-    made before the fork, while this process runs the other routes, and its
-    value is collected last; whenever the worker hands back no value, it is
-    computed here as on one CPU.  On one CPU the kernel route runs first,
-    with the position routes.  Either way every value is the same, so the
-    report is the same.
+    never sit beside it.  A forked worker (:func:`_forked`) computes the
+    kernel route, from the transform made before the fork, while this
+    process runs the other routes, and its value is collected last; where
+    no worker can run, the kernel route runs first, with the position
+    routes.  Either way every value is the same.
     """
     from . import observables
 
-    kernel = functools.partial(observables.nonlocal_spin_integral, state)
-    if _two_cpus():
-        # made before the fork, so the worker inherits them and neither is made twice
-        observables.psi_position(state)
-        state.grid.khat
-        split = _forked(kernel)
-    else:
-        value = kernel()
-        split = contextlib.nullcontext(lambda: value)
-    with split as kernel_integral:
-        observables.oam_position(state)
-        observables.probability(state)
+    # made before the fork, so the worker inherits them and neither is made twice
+    observables.psi_position(state)
+    state.grid.khat
+    with _forked(functools.partial(observables.nonlocal_spin_integral, state)) as kernel:
+        l_pos = observables.oam_position(state)
+        probabilities = observables.probability(state)
         position = observables.position_spin_integrals(state)
         observables.drop_position(state)
-        return observables.observable_report(state, kernel_integral, position)
+        l_mom = observables.oam_momentum(state)
+        routes = observables.spin_routes(state, kernel, position)
+    return routes, l_mom, l_pos, probabilities, observables.oam_boundary_ratio(state)
 
 
 def cmd_observe(args) -> int:
-    from . import stateio
+    from . import observables, stateio
 
     p = _precision(args.precision)
     state, _ = stateio.read_state(args.statefile)
-    rep = _observe_report(state)
+    routes, l_mom, l_pos, probabilities, boundary_ratio = _observe_report(state)
+    spin = {name: value for name, (value, _) in routes.items()}
+    vectors = {**{f"spin_{name}": value for name, value in spin.items()},
+               "oam_momentum": l_mom, "oam_position": l_pos,
+               "total_angular_momentum": l_mom + spin["canonical"], "probability": probabilities}
     rows = [("name", "x", "y", "z")]
-    for name, vec in rep.spin.items():
-        rows.append((f"spin_{name}",) + tuple(_fmt(v, p) for v in vec))
-    rows.append(("oam_momentum",) + tuple(_fmt(v, p) for v in rep.oam_momentum))
-    rows.append(("oam_position",) + tuple(_fmt(v, p) for v in rep.oam_position))
-    rows.append(("total_angular_momentum",) + tuple(_fmt(v, p) for v in rep.total_angular_momentum))
-    rows.append(("probability", _fmt(rep.probability_psi, p),
-                 _fmt(rep.probability_upper, p), _fmt(rep.probability_lower, p)))
-    for pair, gap in rep.spin_discrepancies.items():
-        rows.append((f"discrepancy:{pair}", _fmt(gap, p), "", ""))
-    rows.append(("discrepancy:probability", _fmt(rep.max_probability_discrepancy, p), "", ""))
-    rows.append(("boundary_ratio", _fmt(rep.boundary_ratio, p), "", ""))
+    rows += [(name,) + tuple(_fmt(v, p) for v in vec) for name, vec in vectors.items()]
+    rows += [(f"discrepancy:{pair}", _fmt(gap, p), "", "")
+             for pair, gap in observables.spin_discrepancies(spin).items()]
+    prob_gap = max(abs(x - y) for x in probabilities for y in probabilities)
+    rows.append(("discrepancy:probability", _fmt(prob_gap, p), "", ""))
+    rows.append(("boundary_ratio", _fmt(boundary_ratio, p), "", ""))
 
     text = "\n".join(",".join(r) for r in rows) + "\n"
     if args.out:

@@ -397,84 +397,36 @@ def probability(state: PhotonState) -> tuple[float, float, float]:
     return p_psi, p_upper, p_lower
 
 
-@dataclass(frozen=True)
-class ObservableReport:
-    """All alternative evaluations side by side, plus their disagreements."""
+def spin_routes(state: PhotonState, kernel=None, position=None) -> dict[str, tuple[np.ndarray, float]]:
+    """(value, imaginary residue) of the seven spin routes of one state:
+    canonical, projected, cross_upper, cross_lower, position_upper,
+    position_lower and kernel_integral, in that order.
 
-    spin: dict[str, np.ndarray]
-    oam_momentum: np.ndarray
-    oam_position: np.ndarray
-    total_angular_momentum: np.ndarray
-    probability_psi: float
-    probability_upper: float
-    probability_lower: float
-    spin_discrepancies: dict[str, float]
-    max_spin_discrepancy: float
-    max_probability_discrepancy: float
-    boundary_ratio: float
-    max_imag_residue: float
-
-
-def observable_report(state: PhotonState, kernel=None, position=None) -> ObservableReport:
-    """Every spin, OAM and probability route of one state, side by side.
-
-    The block cross densities (f_u, f_l in momentum space, F_u, F_l in
-    position space) are shared by the spin routes that integrate them; each
-    route still applies its own formula.  By default the position spin
-    routes integrate the memoized pair of :func:`position_densities`, so
-    :func:`density_candidates` on the same state reuses it.  It comes last,
-    after the OAM and nonlocal routes have freed their buffers, so it never
-    sits under their peak memory; and the OAM routes run before the
-    nonlocal one, so theirs never sits over its kept density.  The momentum
-    routes (spin and OAM) come first, before the position transform exists.
-
-    ``position``, when given, is the value of the position spin routes as
-    :func:`position_spin_integrals` returns it.  A caller that has also
-    taken :func:`oam_position` and :func:`probability` (memoized) can then
-    release the position transform with :func:`drop_position` before this
-    call, whose momentum routes then run without it, as ``dpl observe``
-    does.
-
-    ``kernel``, when given, is a function of no arguments that returns the
-    kernel route's (value, imaginary residue), as
-    :func:`nonlocal_spin_integral` does, which keeps no density; it is
-    called where the route runs, after the OAM routes.  By default the
-    route is :func:`nonlocal_spin_density`, whose density
-    :func:`density_candidates` reuses.
+    The momentum routes run first, before the position transform exists,
+    then the kernel route and last the position routes.  By default the
+    kernel route is :func:`nonlocal_spin_density` and the position routes
+    integrate the memoized pair of :func:`position_densities`, both of which
+    :func:`density_candidates` on the same state reuses; the pair comes
+    after the kernel route has freed its buffers.  ``kernel``, when given,
+    is a function of no arguments that returns the kernel route, as
+    :func:`nonlocal_spin_integral` does, and ``position`` the position
+    routes, as :func:`position_spin_integrals` returns them; neither keeps
+    a density.
     """
-    momentum_spin = _momentum_spin_routes(state)
-    L_mom = oam_momentum(state)
-    L_pos = oam_position(state)
+    momentum = _momentum_spin_routes(state)
     kernel_integral = nonlocal_spin_density(state)[1] if kernel is None else kernel()
-    p_psi, p_up, p_low = probability(state)
     if position is None:
         (_, sums_u), (_, sums_l) = position_densities(state)
         m_x = state.grid.dx**3
         position = {"position_upper": _integrated(sums_u, m_x),
                     "position_lower": _integrated(sums_l, m_x)}
-    pairs = {**momentum_spin, **position, "kernel_integral": kernel_integral}
-    spin = {name: value for name, (value, _) in pairs.items()}
-    imag_residue = max(res for _, res in pairs.values())
-    discrepancies = {f"{a}|{b}": float(np.abs(spin[a] - spin[b]).max())
-                     for a, b in itertools.combinations(spin, 2)}
+    return {**momentum, **position, "kernel_integral": kernel_integral}
 
-    probs = (p_psi, p_up, p_low)
-    prob_gap = max(abs(x - y) for x in probs for y in probs)
 
-    return ObservableReport(
-        spin=spin,
-        oam_momentum=L_mom,
-        oam_position=L_pos,
-        total_angular_momentum=L_mom + spin["canonical"],
-        probability_psi=p_psi,
-        probability_upper=p_up,
-        probability_lower=p_low,
-        spin_discrepancies=discrepancies,
-        max_spin_discrepancy=max(discrepancies.values()),
-        max_probability_discrepancy=prob_gap,
-        boundary_ratio=oam_boundary_ratio(state),
-        max_imag_residue=imag_residue,
-    )
+def spin_discrepancies(spin: dict[str, np.ndarray]) -> dict[str, float]:
+    """The largest component gap of each pair of spin values, keyed "a|b"."""
+    return {f"{a}|{b}": float(np.abs(spin[a] - spin[b]).max())
+            for a, b in itertools.combinations(spin, 2)}
 
 
 @dataclass(frozen=True)

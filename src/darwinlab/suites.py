@@ -102,8 +102,11 @@ SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in ROWS.values()))
 # observables memo (the position transform, the position cross-density pair
 # and the routes built on them), so they stay together and compute each of
 # those once.  The other suites read none of them; each makes its own
-# transforms, so running them apart computes nothing twice.
-MEMO_SUITES = ("spin-equalities", "oam", "probability", "densities", "conservation")
+# transforms, so running them apart computes nothing twice.  oam runs first:
+# its two routes then work beside the position transform alone, not also
+# beside the kernel density and the position pair that spin-equalities keeps
+# for densities.
+MEMO_SUITES = ("oam", "spin-equalities", "probability", "densities", "conservation")
 # fieldbridge, which sets a check's peak working set, runs first: algebra and
 # constraint load numpy.random (and LAPACK), whose pages would sit under it
 OWN_TRANSFORM_SUITES = ("fieldbridge", "maxwell", "constraint", "kernels", "algebra")
@@ -195,19 +198,25 @@ def suite_constraint(state: PhotonState, times) -> list:
             ("rqc_projector_identity", worst)]
 
 
+def _vector(v) -> str:
+    """A vector as text whose every component is printed on its own, so a
+    round-off component changes the text of no other."""
+    return "[" + " ".join(f"{x:.6g}" for x in v) + "]"
+
+
 def suite_spin_equalities(state: PhotonState, times) -> list:
-    report = observables.observable_report(state)
-    return [("spin_equalities", report.max_spin_discrepancy,
-             "; ".join(f"{k}={np.array2string(v, precision=6)}" for k, v in report.spin.items())),
-            ("spin_imag_residue", report.max_imag_residue)]
+    routes = observables.spin_routes(state)
+    spin = {name: value for name, (value, _) in routes.items()}
+    return [("spin_equalities", max(observables.spin_discrepancies(spin).values()),
+             "; ".join(f"{k}={_vector(v)}" for k, v in spin.items())),
+            ("spin_imag_residue", max(res for _, res in routes.values()))]
 
 
 def suite_oam(state: PhotonState, times) -> list:
     l_mom = observables.oam_momentum(state)
     l_pos = observables.oam_position(state)
     gap = float(np.abs(l_mom - l_pos).max()) / max(1.0, float(np.abs(l_mom).max()))
-    return [("oam_formula_gap", gap, f"momentum={np.array2string(l_mom, precision=6)} "
-                                     f"position={np.array2string(l_pos, precision=6)}"),
+    return [("oam_formula_gap", gap, f"momentum={_vector(l_mom)} position={_vector(l_pos)}"),
             ("oam_boundary_ratio", observables.oam_boundary_ratio(state),
              "warning only; gradients unreliable above 1e-8"),
             ("oam_position_shell", observables.oam_position_shell(state),
@@ -223,7 +232,6 @@ def suite_probability(state: PhotonState, times) -> list:
 
 def suite_densities(state: PhotonState, times) -> list:
     projected = observables.spin_projected(state)  # before the densities exist
-    observables.probability(state)  # memoized for conservation before run_suites drops the transform
     dc = observables.density_candidates(state)
     _, (kernel_integral, _) = observables.nonlocal_spin_density(state)
     return [("density_integral_spread", max(dc.max_spin_integral_spread, dc.max_prob_integral_spread)),
@@ -331,7 +339,9 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     pair and the nonlocal kernel density live in the observables memo, so
     each is made once, when a suite first reads it.  All three are released
     right after `densities`, the last suite that reads them, so the suites
-    after it never hold them; conservation releases what its samples make.
+    after it never hold them; if conservation is asked for, the probability
+    that its sample at the state's own time reads is memoized first, so no
+    transform is made again.  Conservation releases what its samples make.
     A suite that returns other rows than its `ROWS`, in order, raises.
     """
     check_suite_names(names)
@@ -348,5 +358,7 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
                 checks[c.name] = replace(c, info=f"{c.info}; preconditions: {held}")
             reports[name] = SuiteReport(name, list(checks.values()))
         if name == "densities":
+            if "conservation" in names:
+                observables.probability(state)  # its sample at the state's own time reads it
             observables.drop_position(state)
     return [reports[name] for name in names]

@@ -30,8 +30,9 @@ from darwinlab.observables import (
     density_candidates,
     oam_momentum,
     oam_position,
-    observable_report,
     spin_canonical,
+    spin_discrepancies,
+    spin_routes,
 )
 from darwinlab.state import ModeSpec, branch_residual, synthesize
 from darwinlab.suites import run_suites
@@ -149,20 +150,24 @@ def test_criterion_4_spin_equalities(g32, two_direction):
         st = synthesize(
             [ModeSpec(kind="gaussian", k0=(0, 0, 8), sigma_k=8e-3, helicity=hel)], g32
         )
-        rep = observable_report(st)
-        if rep.max_spin_discrepancy >= 1e-10:
-            failures.append(f"hel={hel}: seven-way spread {rep.max_spin_discrepancy:.2e}")
+        routes = spin_routes(st)
+        spin = {name: value for name, (value, _) in routes.items()}
+        spread = max(spin_discrepancies(spin).values())
+        if spread >= 1e-10:
+            failures.append(f"hel={hel}: seven-way spread {spread:.2e}")
         target = np.array([0.0, 0.0, float(hel)])
-        dev = np.abs(rep.spin["canonical"] - target).max()
+        dev = np.abs(spin["canonical"] - target).max()
         if dev >= 1e-6:
             failures.append(f"hel={hel}: <S> off axis value by {dev:.2e}")
-        if rep.max_imag_residue >= 1e-10:
-            failures.append(f"hel={hel}: imaginary residue {rep.max_imag_residue:.2e}")
+        residue = max(res for _, res in routes.values())
+        if residue >= 1e-10:
+            failures.append(f"hel={hel}: imaginary residue {residue:.2e}")
 
     # (b) two-direction superposition
-    rep = observable_report(two_direction)
-    if rep.max_spin_discrepancy >= 1e-10:
-        failures.append(f"two-direction: seven-way spread {rep.max_spin_discrepancy:.2e}")
+    spin = {name: value for name, (value, _) in spin_routes(two_direction).items()}
+    spread = max(spin_discrepancies(spin).values())
+    if spread >= 1e-10:
+        failures.append(f"two-direction: seven-way spread {spread:.2e}")
     conclude(4, "spin-formula equality", failures)
 
 

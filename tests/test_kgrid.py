@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darwinlab
-from darwinlab import observables
+from darwinlab import cli, observables
 from darwinlab.kgrid import (
     KGrid,
     boundary_amplitude_ratio,
@@ -448,10 +448,13 @@ class TestVectorKernels:
 
 
 def _spin_and_oam(state):
-    rep = observables.observable_report(state)
-    routes = dict(rep.spin)
-    routes["oam_momentum"] = rep.oam_momentum
-    routes["oam_position"] = rep.oam_position
+    """The spin and OAM vectors that `dpl observe` prints, computed on one CPU."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_cpu_count", lambda: 1)
+        spin, l_mom, l_pos, _, _ = cli._observe_report(state)
+    routes = {name: value for name, (value, _) in spin.items()}
+    routes["oam_momentum"] = l_mom
+    routes["oam_position"] = l_pos
     return routes
 
 
@@ -471,7 +474,7 @@ class TestMetamorphic:
         values = np.transpose(state.psi.values, (0, 3, 1, 2))[[2, 0, 1, 5, 3, 4]]
         rotated = PhotonState(momentum_field(values, g16))
         before, after = _spin_and_oam(state), _spin_and_oam(rotated)
-        # the seven spin routes of report.spin and the two OAM routes
+        # the seven spin routes and the two OAM routes
         assert set(before) == set(after) == {
             "canonical", "projected", "cross_upper", "cross_lower", "position_upper",
             "position_lower", "kernel_integral", "oam_momentum", "oam_position"}

@@ -7,32 +7,36 @@ six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
 check runs first, so caches that the process fills once are not counted.
 
 Measured at n=32: ``run_suites`` over all ten suites peaks at 2.59 fields,
-``observable_report`` at 2.17 and the fieldbridge suite at 2.59, with every
-route working one block or one component at a time and transforming in
-place the arrays it builds only to transform.  The fieldbridge suite
+the check-path ``spin_routes`` at 2.13 and the fieldbridge suite at 2.59,
+with every route working one block or one component at a time and
+transforming in place the arrays it builds only to transform.  The fieldbridge suite
 compares each round-trip block with its half of the payload as the block
 is made, and forms its route gap in place.  ``dpl check`` runs the two
 suite groups of ``suites.MEMO_SUITES`` and ``suites.OWN_TRANSFORM_SUITES``
 in two processes, one ``run_suites`` call each; those calls peak at 2.46
 and 2.59 fields, with the kernels suite sub-sampling its singular core a
-block of cells at a time, and conservation running after the position
-transform, the position pair and the kernel density are released.
+block of cells at a time, conservation running after the position
+transform, the position pair and the kernel density are released, and
+``oam`` running first in its group (after ``spin-equalities``, its routes
+would sit on the kernel density and the position pair: 2.96 fields).
 ``dpl observe`` computes the report with integral-only kernel and position
 spin routes, which keep no density, and runs every route that reads the
 position transform before the momentum routes, releasing the transform in
 between: on one CPU it peaks at 1.88 fields, and on two the process that
 runs every route but the kernel one at 1.71, in its position stage; the
 worker, with the position transform and khat made before the fork, peaks
-at 1.88.  The position OAM route sums the moments of one h_a at a time,
-and the kernel route builds each row conjugated, so neither holds a whole
-h or a conjugate of the transform.  The momentum OAM route frees each
+at 1.88; where no worker runs, the kernel route runs first, beside the
+position transform made for it.  The position OAM route sums the moments
+of one h_a at a time, and the kernel route builds each row conjugated, so
+neither holds a whole h or a conjugate of the transform.  The momentum OAM route frees each
 k-derivative before it takes the next, and at t = 0 differentiates the
 payload's upper block itself, not a copy of it.  Conservation alone peaks
-at 2.46 fields: each sample, the state itself at its own time included,
-reads its norm and momentum routes before its probability makes the
-position transform, and releases that transform before the next sample
-(``test_suites.py`` holds that order; reading the norm after the
-probability moved this peak only to 2.50, inside the budget).
+at 2.46 fields: ``run_suites`` memoizes the state's own probability and
+releases its transform first, and each other sample reads its norm and
+momentum routes before its probability makes the position transform, and
+releases that transform before the next sample (``test_suites.py`` holds
+that order; reading the norm after the probability moved this peak only
+to 2.50, inside the budget).
 ``run_suites`` runs the requested suites in one fixed order whatever order
 they are asked in, the memo group and then the own-transforms group, and
 releases the position arrays at one point, right after ``densities``: the
@@ -42,8 +46,8 @@ ten suites in reverse order peak at 2.59 fields, as in order, and
 Maxwell one without its divergence), peaks at 2.71 fields and
 ``maxwell_residual`` alone at 1.71, the certificate computing one curl
 block at a time.  At n=64 the fieldbridge suite sets the peak of a full
-check, and the same calls peak at 2.58 fields (all suites), 2.17
-(``observable_report``), 1.84 and 1.67 (``dpl observe`` on one and on two
+check, and the same calls peak at 2.58 fields (all suites), 2.09
+(``spin_routes``), 1.84 and 1.67 (``dpl observe`` on one and on two
 CPUs), 1.84 (its worker), 2.42 and 2.58 (the two groups), 2.58
 (fieldbridge), 2.35 (conservation), 2.67 (``evolve``) and 1.67
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
@@ -86,7 +90,8 @@ BUDGETS = {
     "run_suites_reversed": (lambda state: suites.run_suites(suites.SUITE_NAMES[::-1], state), 2.72),
     "conservation_before_spin": (
         lambda state: suites.run_suites(["conservation", "spin-equalities"], state), 2.63),
-    "observable_report": (observables.observable_report, 2.41),
+    # the seven spin routes as the spin-equalities suite reads them
+    "spin_routes": (observables.spin_routes, 2.41),
     "observe_one_cpu": (_observe_on(1), 1.97),
     "observe_two_cpus": (_observe_on(2), 1.8),
     # the forked worker of `dpl observe`: the kernel route, beside the

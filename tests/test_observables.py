@@ -21,12 +21,13 @@ from darwinlab.observables import (
     oam_momentum,
     oam_position,
     oam_position_shell,
-    observable_report,
     position_densities,
     probability,
     psi_position,
     spin_canonical,
+    spin_discrepancies,
     spin_projected,
+    spin_routes,
 )
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from reference import (
@@ -136,16 +137,17 @@ class TestSpinFormulas:
             g16,
         )
         expect = np.array([-0.5, 0.0, 0.5])
-        rep = observable_report(st)
-        for name, value in rep.spin.items():
+        for name, (value, _) in spin_routes(st).items():
             assert np.abs(value - expect).max() < 1e-12, name
         # isolated bins have vanishing finite-difference gradients
-        assert np.abs(rep.oam_momentum).max() < 1e-12
+        assert np.abs(oam_momentum(st)).max() < 1e-12
 
     def test_seven_way_equality(self, two_direction_state):
-        rep = observable_report(two_direction_state)
-        assert rep.max_spin_discrepancy < 1e-10
-        assert rep.max_imag_residue < 1e-10
+        routes = spin_routes(two_direction_state)
+        gaps = spin_discrepancies({name: value for name, (value, _) in routes.items()})
+        assert len(gaps) == 21
+        assert max(gaps.values()) < 1e-10
+        assert max(res for _, res in routes.values()) < 1e-10
 
 
 class TestOam:
@@ -238,7 +240,7 @@ class TestOam:
         assert oam_position(st) is oam_position(st)
         assert oam_momentum(st) is oam_momentum(st)
         assert nonlocal_spin_density(st) is nonlocal_spin_density(st)
-        assert probability(st) is probability(st)  # observable_report, its suite, conservation at t=0
+        assert probability(st) is probability(st)  # its suite, the release step, conservation at t=0
         for shared in (psi_position(st), oam_position(st), nonlocal_spin_density(st)[0]):
             assert not shared.flags.writeable
 
@@ -287,7 +289,7 @@ def test_maxwell_residual_is_bitwise_its_whole_array_form(two_direction_state, t
 class TestPositionOwnership:
     def test_report_and_candidates_share_one_position_pair(self, two_direction_state, monkeypatch):
         # two momentum- and two position-block densities; the candidates reuse
-        # the report's position pair instead of making their own
+        # the spin routes' position pair instead of making their own
         calls = []
         original = observables._cross_density
 
@@ -297,7 +299,7 @@ class TestPositionOwnership:
 
         monkeypatch.setattr(observables, "_cross_density", counted)
         st = PhotonState(two_direction_state.psi)  # a fresh memo
-        observable_report(st)
+        spin_routes(st)
         density_candidates(st)
         assert len(calls) == 4
 
@@ -310,7 +312,7 @@ class TestPositionOwnership:
                 wrapper = functools.wraps(fn)(lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
                 monkeypatch.setattr(observables, name, wrapper)
         st = PhotonState(two_direction_state.psi)
-        report = observables.observable_report(st)
+        routes = observables.spin_routes(st)
         pos, pair = observables.psi_position(st), observables.position_densities(st)
         kernel = observables.nonlocal_spin_density(st)
         observables.drop_position(st)
@@ -320,10 +322,10 @@ class TestPositionOwnership:
         assert observables.position_densities(st) is not pair
         assert observables.nonlocal_spin_density(st) is not kernel
         # the integrals read from the released arrays come back bitwise
-        again = observables.observable_report(st)
+        again = observables.spin_routes(st)
         for name in ("position_upper", "position_lower", "kernel_integral"):
-            np.testing.assert_array_equal(again.spin[name], report.spin[name])
-        assert again.max_imag_residue == report.max_imag_residue
+            np.testing.assert_array_equal(again[name][0], routes[name][0])
+            assert again[name][1] == routes[name][1]
 
 
 class TestProbability:

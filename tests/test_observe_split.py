@@ -57,10 +57,19 @@ def test_split_csv_is_the_serial_csv(states, monkeypatch, capsys, tmp_path, fork
 
 
 def bits(report):
-    """Every value of an ObservableReport, as bytes."""
-    return {name: ({k: np.asarray(v).tobytes() for k, v in value.items()}
-                   if isinstance(value, dict) else np.asarray(value).tobytes())
-            for name, value in vars(report).items()}
+    """Every value of what `dpl observe` prints, as bytes."""
+    routes, *rest = report
+    return ({name: (value.tobytes(), residue) for name, (value, residue) in routes.items()},
+            [np.asarray(value).tobytes() for value in rest])
+
+
+def check_path(state):
+    """The values of `cli._observe_report` as the check suites compute them,
+    on a state of its own."""
+    state = PhotonState(state.psi, state.time)
+    return (observables.spin_routes(state), observables.oam_momentum(state),
+            observables.oam_position(state), observables.probability(state),
+            observables.oam_boundary_ratio(state))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -69,7 +78,7 @@ def test_observe_keeps_no_kernel_density(monkeypatch, two_direction_state, cpus)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     report = cli._observe_report(state)
     assert "nonlocal_spin_density" not in vars(state)["_observables_memo"]
-    assert bits(report) == bits(observables.observable_report(two_direction_state))
+    assert bits(report) == bits(check_path(two_direction_state))
     assert_no_child_left()
 
 
@@ -107,7 +116,7 @@ def test_observe_transforms_once_and_releases_before_the_momentum_routes(
     assert memo_at_momentum and all(
         not {"psi_position", "position_densities"} & memo for memo in memo_at_momentum)
     assert len(densities) == 4  # two momentum blocks and two position blocks
-    assert bits(report) == bits(observables.observable_report(two_direction_state))
+    assert bits(report) == bits(check_path(two_direction_state))
     assert_no_child_left()
 
 
@@ -127,16 +136,35 @@ def count_kernel_routes_here(monkeypatch, in_worker=lambda: None):
     return ran_here
 
 
-def test_failed_fork_gives_the_serial_csv(states, monkeypatch, capsys, tmp_path):
-    def no_process():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+def no_process():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+
+def test_failed_fork_gives_the_serial_csv(states, monkeypatch, capsys, tmp_path):
     ran_here = count_kernel_routes_here(monkeypatch)
     serial = run_observe(monkeypatch, capsys, tmp_path, 1, states["built"])
     monkeypatch.setattr(os, "fork", no_process)
     split = run_observe(monkeypatch, capsys, tmp_path, 2, states["built"])
     assert len(ran_here) == 2  # once per run: the fork failed, so the route ran here
     assert split == serial and split[1].err == ""
+
+
+def test_failed_fork_transforms_the_payload_once(states, monkeypatch, capsys, tmp_path):
+    # with no worker the kernel route runs before the block, beside the
+    # position transform made for it, not after the block has released it:
+    # the FFT calls of the one-CPU run
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    monkeypatch.setattr(os, "fork", no_process)
+    code, captured, _ = run_observe(monkeypatch, capsys, tmp_path, 2, states["built"])
+    assert (code, captured.err, len(calls)) == (0, "", 10)
 
 
 def test_killed_worker_gives_the_serial_csv(states, monkeypatch, capsys, tmp_path, forks):

@@ -1,34 +1,35 @@
 """Metamorphic relations: maps of a state whose check output is known in advance.
 
 Each relation maps the fixture to a second state and compares every row of
-all ten suites and the spin, OAM and probability vectors of
-``observable_report``.  The fixture has dk != 1 and t != 0, so a scaling by
-dk or an offset by the state's time that the README state cannot show
-breaks a relation.  Its boundary ratio is 6e-13; its ``oam_formula_gap``
-FAILs (stencil truncation at sigma_k = 1.2 bins), which does not matter
-here: the relations compare values, not verdicts.
+all ten suites and every value that ``dpl observe`` prints.  The fixture
+has dk != 1 and t != 0, so a scaling by dk or an offset by the state's time
+that the README state cannot show breaks a relation.  Its boundary ratio is
+6e-13; its ``oam_formula_gap`` FAILs (stencil truncation at sigma_k = 1.2
+bins), which does not matter here: the relations compare values, not
+verdicts.
 """
 
 import numpy as np
 import pytest
 
-from darwinlab import dynamics, observables, suites
+from darwinlab import cli, dynamics, suites
 from darwinlab.kgrid import KGrid, momentum_field
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 
 TIMES = (0.0, 1.25, 4.0)  # conservation samples, exact under the scaling by 4
-VECTORS = ("oam_momentum", "oam_position", "total_angular_momentum")
-SCALARS = ("probability_psi", "probability_upper", "probability_lower")
 
 
 def _outputs(state, times):
     rows = {c.name: c.value
             for report in suites.run_suites(list(suites.SUITE_NAMES), state, times=times)
             for c in report.checks}
-    report = observables.observable_report(state)
-    vectors = {f"spin_{name}": v for name, v in report.spin.items()}
-    vectors.update({name: getattr(report, name) for name in VECTORS})
-    vectors.update({name: np.array([getattr(report, name)]) for name in SCALARS})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_cpu_count", lambda: 1)
+        routes, l_mom, l_pos, probabilities, boundary_ratio = cli._observe_report(state)
+    vectors = {f"spin_{name}": value for name, (value, _) in routes.items()}
+    vectors.update(oam_momentum=l_mom, oam_position=l_pos,
+                   total_angular_momentum=l_mom + vectors["spin_canonical"],
+                   probability=np.array(probabilities), boundary_ratio=np.array([boundary_ratio]))
     return rows, vectors
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -182,10 +183,25 @@ def test_run_suites_runs_each_suite_once_memo_group_first(g16, monkeypatch, orde
     requested = list(suites.SUITE_NAMES if order == "in_order" else suites.SUITE_NAMES[::-1])
     names = ["oam", *requested]
     reports = suites.run_suites(names, state)
-    assert ran == ["spin-equalities", "oam", "probability", "densities", "conservation",
-                   "fieldbridge", "maxwell", "constraint", "kernels", "algebra"]
+    assert ran == list(suites.MEMO_SUITES + suites.OWN_TRANSFORM_SUITES)
+    assert ran[0] == "oam"  # its routes never sit beside the kernel density and the position pair
     assert [r.suite for r in reports] == names
     assert [[c.name for c in r.checks] for r in reports] == [_declared(name) for name in names]
+
+
+def test_info_vectors_print_each_component_on_its_own(g16, monkeypatch):
+    # the same vector with exact zeros and with round-off in their place:
+    # the round-off changes the text of its own components and no other's
+    exact, noisy = np.array([0.0, 0.0, 0.2378796]), np.array([-1.68e-18, -1.68e-18, 0.2378796])
+    monkeypatch.setattr(observables, "oam_momentum", lambda st: exact)
+    monkeypatch.setattr(observables, "oam_position", lambda st: noisy)
+    monkeypatch.setattr(observables, "spin_routes",
+                        lambda st: {"canonical": (exact, 0.0), "projected": (noisy, 0.0)})
+    state = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8, helicity=1)], g16)
+    (_, _, oam_info), *_ = suites.suite_oam(state, suites.DEFAULT_TIMES)
+    (_, _, spin_info), _ = suites.suite_spin_equalities(state, suites.DEFAULT_TIMES)
+    assert oam_info == "momentum=[0 0 0.23788] position=[-1.68e-18 -1.68e-18 0.23788]"
+    assert spin_info == "canonical=[0 0 0.23788]; projected=[-1.68e-18 -1.68e-18 0.23788]"
 
 
 _FIELDBRIDGE_FIRST = """
@@ -250,12 +266,13 @@ class TestPerStateEvaluation:
         assert all(r.passed for r in reports)
         assert len(calls) <= 25
 
-    @pytest.mark.parametrize("path, budget", [("observable_report", 10), ("evolve", 3)])
+    @pytest.mark.parametrize("path, budget", [("spin_routes", 7), ("evolve", 3)])
     def test_observe_and_evolve_fft_budgets(self, monkeypatch, path, budget):
-        # counted as for the full check: the report makes one six-component
-        # transform, three for the position OAM and six for the nonlocal
-        # density; evolve makes none, its certificate one for the stencil
-        # and one per block for the curls, and no divergence
+        # counted as for the full check: the check-path spin routes make one
+        # six-component transform and six for the nonlocal density, and no
+        # OAM route (`dpl observe`'s ten: test_observe_split.py); evolve
+        # makes none, its certificate one for the stencil and one per block
+        # for the curls, and no divergence
         calls = []
         for name in ("fftn", "ifftn"):
             original = getattr(np.fft, name)
@@ -266,8 +283,8 @@ class TestPerStateEvaluation:
 
             monkeypatch.setattr(np.fft, name, counted)
         state = _two_mode_state()
-        if path == "observable_report":
-            observables.observable_report(state)
+        if path == "spin_routes":
+            observables.spin_routes(state)
         else:
             evolved = dynamics.evolve(state, 7.25)
             assert dynamics.dirac_residual(evolved) < 1e-12
@@ -311,19 +328,15 @@ class TestPerStateEvaluation:
         assert len(calls) == 8
 
     @pytest.mark.parametrize("names", [
-        list(suites.SUITE_NAMES),
-        ["oam", "conservation"],
-        ["densities", "conservation", "probability"],
-        ["conservation", "spin-equalities"],
-        ["conservation"],
-        ["densities", "conservation"],
-    ])
-    def test_position_transform_once_and_dropped_after_use(self, monkeypatch, names):
-        # the suites before conservation memoize the probability (densities
-        # too, though no row of its own reads it), which its sample at the
-        # state's own time reads; alone, that sample makes the transform and
-        # releases it
-        state = _two_mode_state()
+        *(list(names) for size in range(1, len(suites.MEMO_SUITES) + 1)
+          for names in itertools.combinations(suites.MEMO_SUITES, size)),
+        list(suites.SUITE_NAMES)])
+    def test_position_transform_once_and_dropped_after_use(self, g16, monkeypatch, names):
+        # every request of memo suites, and all ten: the release step of
+        # run_suites memoizes the probability that conservation's sample at
+        # the state's own time reads before it drops the position arrays, so
+        # no suite transforms the payload again and none is left behind
+        state = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8, helicity=1)], g16)
         calls = []
         original = observables.to_position
 
@@ -359,8 +372,10 @@ class TestPerStateEvaluation:
             recorded("momentum", observables, name, lambda st: st.psi.values)
         recorded("position", observables, "psi_position", lambda st: st.psi.values)
         recorded("drop", observables, "drop_position", lambda st: st.psi.values)
+        # called directly: run_suites memoizes the state's own probability
+        # before conservation runs, so its first sample would make no transform
         state = _two_mode_state()
-        suites.run_suites(["conservation"], state)
+        suites.suite_conservation(state, suites.DEFAULT_TIMES)
 
         samples = []
         for kind, payload in events:
