@@ -12,9 +12,10 @@ When it may use two CPUs, a command splits its work with a forked worker
 (:func:`_forked`): ``check`` runs its own-transform suite group
 (``suites.OWN_TRANSFORM_SUITES``) there and its memo group
 (``suites.MEMO_SUITES``) here, and ``observe`` runs the kernel spin route
-there and every other route here.  Where no worker can run, its part runs
-here first; where the worker hands back no complete value, its part runs
-here last.  So the output, exit code and error are the same either way.
+there and every other route here.  On one CPU ``check`` makes one serial
+``suites.run_suites`` call.  Otherwise, where no worker can run, its part
+runs here first; where the worker hands back no complete value, its part
+runs here last.  So the output, exit code and error are the same either way.
 
 The BLAS/OpenMP thread pools get one thread unless a ``*_NUM_THREADS``
 variable is set.  The cap is applied before the numerical modules load, so
@@ -352,21 +353,26 @@ def _run_suite_groups(names, state, tolerances, times):
     """The reports of ``suites.run_suites(names, ...)``, from up to two processes.
 
     When the names hold suites of both ``suites.MEMO_SUITES`` and
-    ``suites.OWN_TRANSFORM_SUITES``, a forked worker (:func:`_forked`) runs
-    the own-transform suites while this process runs the memo suites, each
-    with one ``run_suites`` call, and the reports are merged back into the
-    requested order; where no worker can run, or it hands back no reports,
-    the own-transform suites run here, so a suite that raised there raises
-    again here.  Every value is computed as the serial run computes it, so
-    the reports are the same.  Otherwise the one serial call runs here.
+    ``suites.OWN_TRANSFORM_SUITES`` and this process may use two CPUs, a
+    forked worker (:func:`_forked`) runs the own-transform suites while this
+    process runs the memo suites, each with one ``run_suites`` call, and the
+    reports are merged back into the requested order; where no worker can
+    run, or it hands back no reports, the own-transform suites run here, so
+    a suite that raised there raises again here.  Every value is computed as
+    the serial run computes it, so the reports are the same.  Otherwise
+    (one group, or one CPU) the one serial call runs here.
     """
     from . import suites
 
     memo = [n for n in names if n in suites.MEMO_SUITES]
     own = [n for n in names if n in suites.OWN_TRANSFORM_SUITES]
-    if not (memo and own):
+    if memo and own:
+        # with kmag: both groups read them, so a worker shares this copy; in
+        # one process, made among the memo group's arrays, they would keep
+        # its freed pages from going back to the system
+        state.grid.khat
+    if not (memo and own) or _cpu_count() < 2:
         return suites.run_suites(names, state, tolerances=tolerances, times=times)
-    state.grid.khat  # with kmag: both groups use them, so both share one copy
     with _forked(lambda: suites.run_suites(own, state, tolerances=tolerances, times=times)) as result:
         memo_reports = iter(suites.run_suites(memo, state, tolerances=tolerances, times=times))
         own_reports = iter(result())
@@ -392,9 +398,8 @@ def _observe_report(state):
     """
     from . import observables
 
-    # made before the fork, so the worker inherits them and neither is made twice
+    # made before the fork, so the worker inherits it and it is not made twice
     observables.psi_position(state)
-    state.grid.khat
     with _forked(functools.partial(observables.nonlocal_spin_integral, state)) as kernel:
         l_pos = observables.oam_position(state)
         probabilities = observables.probability(state)
@@ -484,9 +489,10 @@ def cmd_evolve(args) -> int:
     t = _finite(args.t, f"t={args.t}")
     state, header = stateio.read_state(args.statefile)
     _check_time_range(state, f"t={args.t}", t, state.time + t)
+    norm = state.norm
     evolved = dynamics.evolve(state, t)
-    norm_drift = abs(evolved.norm - state.norm)
-    del state  # the residuals read only the evolved state
+    del state  # the evolved norm and the residuals read only the evolved state
+    norm_drift = abs(evolved.norm - norm)
     # read before writing, so a state whose certificate overflows leaves no file
     certificate = (f"norm_drift={norm_drift:.3e} "
                    f"dirac_residual={dynamics.dirac_residual(evolved):.3e} "

@@ -110,7 +110,7 @@ def maxwell_curl_residual(state: PhotonState, dt: float | None = None) -> float:
     evolved position field at t +- dt, so the residual is O(dt^2) and must
     shrink fourfold when dt is halved.  The curl is the exact spectral
     derivative i k x f on the momentum blocks, transformed to position
-    space.  Three transforms, against the five of the full report.
+    space.  Two transforms, against the four of the full report.
     """
     gap, scale = _curl_gap_and_scale(state, _stencil_dt(state.grid, dt))
     return 0.0 if scale == 0.0 else gap / scale
@@ -133,31 +133,29 @@ def _curl_gap_and_scale(state: PhotonState, dt: float) -> tuple[float, float]:
     g = state.grid
     psi = state.psi.values
 
-    # both blocks at once: (dF_u/dt, dF_l/dt), compared with (curl F_l, -curl F_u);
-    # the -dt copy is subtracted one component at a time, and each array is
-    # built only to be transformed, so it is transformed in place
+    # per block, one six-component array: its stencil dF/dt in [:3] beside
+    # the curl it must equal in [3:], (dF_u/dt, curl F_l) then (dF_l/dt,
+    # -curl F_u), transformed in one call (each component's transform is
+    # that of the component alone); the -dt copy is formed in the curl's
+    # place before the curl is written there.  Maxima are exact, so the
+    # residual is the whole-array one; np.max folds them and keeps a NaN
     phase = g.phase(dt)
-    stencil = psi * phase
-    np.conj(phase, out=phase)  # the backward phase: bitwise g.phase(-dt), one exponential fewer
-    for c in range(6):
-        stencil[c] -= psi[c] * phase
-    del phase
-    stencil *= 1.0 / (2.0 * dt)
-    d_dt = to_position(Field(stencil, kgrid.MOMENTUM, g), overwrite=True).values
-    del stencil
-
-    # the curls (curl F_l, -curl F_u) one block at a time, each compared with
-    # its half of d_dt; maxima are exact, so the residual is the whole-array
-    # one, and the block maxima are folded by np.max, which keeps a NaN
+    pair = np.empty((6,) + g.shape, dtype=np.complex128)
+    d_dt, curl = pair[:3], pair[3:]
     scales, gaps = [], []
-    curl = np.empty((3,) + g.shape, dtype=np.complex128)
-    for half, partner, sign in ((d_dt[:3], psi[3:], 1), (d_dt[3:], psi[:3], -1)):
+    for block, partner, sign in ((psi[:3], psi[3:], 1), (psi[3:], psi[:3], -1)):
+        np.multiply(block, phase, out=d_dt)
+        np.conj(phase, out=phase)  # the backward phase: bitwise g.phase(-dt)
+        for c in range(3):
+            d_dt[c] -= np.multiply(block[c], phase, out=curl[0])
+        np.conj(phase, out=phase)  # forward again, exactly
+        d_dt *= 1.0 / (2.0 * dt)
         kgrid.cross(g.k_axes, partner, out=curl)
         if sign < 0:
             np.negative(curl, out=curl)
         curl *= 1j
-        to_position(Field(curl, kgrid.MOMENTUM, g), overwrite=True)
+        to_position(Field(pair, kgrid.MOMENTUM, g), overwrite=True)
         scales.append(kgrid.max_abs(curl))
-        half -= curl
-        gaps.append(kgrid.max_abs(half))
+        d_dt -= curl
+        gaps.append(kgrid.max_abs(d_dt))
     return float(np.max(gaps)), float(np.max(scales))

@@ -55,18 +55,26 @@ def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nda
     :attr:`KGrid.k_axes`).  Bitwise equal to ``np.cross(a, b, axis=0)``,
     which copies and promotes both inputs as a whole; here each component is
     written into ``out`` (allocated when not given; it must not overlap a or
-    b) with one bins-sized scratch array for the second product.
+    b).  The first two rows take their second product in the last row,
+    before it is written, and the last row takes its own one slab of the
+    first bin axis at a time, so no bins-sized scratch array is made.
     """
     a0, a1, a2 = a
     b0, b1, b2 = b
     bins, dtype = _bins_and_dtype(a, b)
     if out is None:
         out = np.empty((3,) + bins, dtype=dtype)
-    scratch = np.empty(bins, dtype=dtype)
-    for row, (p, q, r, s) in zip(out, ((a1, b2, a2, b1), (a2, b0, a0, b2), (a0, b1, a1, b0))):
+    x, y, last = out
+    for row, (p, q, r, s) in ((x, (a1, b2, a2, b1)), (y, (a2, b0, a0, b2))):
         np.multiply(p, q, out=row)
-        np.multiply(r, s, out=scratch)
-        np.subtract(row, scratch, out=row)
+        np.multiply(r, s, out=last)
+        np.subtract(row, last, out=row)
+    np.multiply(a0, b1, out=last)
+    a1, b0 = np.broadcast_to(a1, bins), np.broadcast_to(b0, bins)
+    scratch = np.empty(bins[1:], dtype=dtype)
+    for j, slab in enumerate(last):
+        np.multiply(a1[j], b0[j], out=scratch)
+        np.subtract(slab, scratch, out=slab)
     return out
 
 

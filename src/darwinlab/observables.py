@@ -224,9 +224,11 @@ def _kernel_density_rows(state: PhotonState):
 
     Phi_i is the position transform of (spin . w) w_i psi, which realizes
     the convolution with the singular direction-dyadic kernel spectrally,
-    exactly on the grid.  For each i, each block's w_i (w x f) is formed in
-    one reused three-component buffer and transformed there, and the row
-    gains the block's components in component order.  So six
+    exactly on the grid.  For each i, each block's w_i (w x f) is formed as
+    k_i (k x f) / |k|^2, from the grid's momentum axes and one 1/|k|^2
+    array that is 0 at the DC bin, so no unit-direction array is made; it
+    is formed in one reused three-component buffer and transformed there,
+    and the row gains the block's components in component order.  So six
     three-component transforms replace three of six components, and one
     complex row is held.  The row is built conjugated, as the sum of
     Psi_c conj(Phi_ic) with each conj(Phi_ic) formed in place, and
@@ -237,13 +239,18 @@ def _kernel_density_rows(state: PhotonState):
     """
     g = state.grid
     psi, psi_pos = state.psi.values, psi_position(state)
+    inverse_k2 = kgrid.dot(g.k_axes, g.k_axes)
+    inverse_k2[0, 0, 0] = 1.0
+    np.reciprocal(inverse_k2, out=inverse_k2)
+    inverse_k2[0, 0, 0] = 0.0
     phi = np.empty((3,) + g.shape, dtype=np.complex128)
     dens = np.empty(g.shape, dtype=np.complex128)
     for i in range(3):
         for start in (0, 3):
-            # w_i (sigma . w) f = w_i (i w x f), with the i applied to the finished row
-            kgrid.cross(g.khat, psi[start:start + 3], out=phi)
-            phi *= g.khat[i]
+            # w_i (sigma . w) f = k_i (i k x f) / |k|^2, with the i applied to the finished row
+            kgrid.cross(g.k_axes, psi[start:start + 3], out=phi)
+            phi *= g.k_axes[i]
+            phi *= inverse_k2
             to_position(momentum_field(phi, g), overwrite=True)
             np.conj(phi, out=phi)
             for c in range(3):
@@ -343,27 +350,29 @@ def oam_position(state: PhotonState) -> np.ndarray:
     One axis at a time: d_a Psi is one three-component transform, h_a sums
     its components in order in the place of d_a Psi_0, and the two moments
     M[a, b], b != a, are summed from it through the place of d_a Psi_1.  So
-    no whole h, x x h or copy of a block is made, and each conjugate
-    component is formed in one buffer.
+    no whole h, x x h or copy of a block is made.  h_a is built conjugated,
+    as the sum of Psi_c conj(d_a Psi_c) with each conjugate formed in place,
+    and conjugated once at the end: bitwise the sum of conj(Psi_c) d_a Psi_c,
+    with no conjugate of Psi held, as the kernel route builds its rows.
     """
     g = state.grid
     psi = state.psi.values
     F = psi_position(state)
     d_F = np.empty((3,) + g.shape, dtype=np.complex128)
-    F_conj = np.empty(g.shape, dtype=np.complex128)
     M = np.zeros((3, 3), dtype=np.complex128)
     for a in range(3):
         ik = 1j * g.k_axes[a]
         for c in range(3):
             np.multiply(ik, psi[c], out=d_F[c])
         to_position(momentum_field(d_F, g), overwrite=True)
+        np.conj(d_F, out=d_F)
         h = d_F[0]
         for c in range(3):
-            np.conj(F[c], out=F_conj)
             if c == 0:
-                np.multiply(F_conj, d_F[0], out=h)
+                np.multiply(F[0], d_F[0], out=h)
             else:
-                h += np.multiply(F_conj, d_F[c], out=d_F[c])
+                h += np.multiply(F[c], d_F[c], out=d_F[c])
+        np.conj(h, out=h)
         for b in range(3):
             if b != a:
                 M[a, b] = np.sum(np.multiply(g.x_axes[b], h, out=d_F[1]))

@@ -113,13 +113,18 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     psi, pos = state.psi.values, observables.psi_position(state)
     out = {}
 
+    # w_i (w x f) as the library places its factors: k_i (k x f) / |k|^2,
+    # with 1/|k|^2 set to 0 at the DC bin
+    kvec = full_grid(g.k_axes)
+    k2 = np.sum(kvec**2, axis=0)
+    inverse_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
     chi = np.empty_like(psi)
-    kgrid.cross(g.khat, psi[:3], out=chi[:3])
-    kgrid.cross(g.khat, psi[3:], out=chi[3:])
+    kgrid.cross(kvec, psi[:3], out=chi[:3])
+    kgrid.cross(kvec, psi[3:], out=chi[3:])
     chi *= 1j
     s = np.empty((3,) + g.shape)
     for i in range(3):
-        phi = to_position(Field(g.khat[i] * chi, MOMENTUM, g), overwrite=True).values
+        phi = to_position(Field(kvec[i] * chi * inverse_k2, MOMENTUM, g), overwrite=True).values
         s[i] = np.sum(np.conj(pos) * phi, axis=0).real
     out["nonlocal"] = s
 
@@ -127,7 +132,6 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     peeled = f * np.exp(1j * g.kmag * state.time) if state.time != 0.0 else f
     block = Field(peeled, MOMENTUM, g)
     h = np.stack([kgrid.dot(np.conj(peeled), kgrid.k_gradient(block, a).values) for a in range(3)])
-    kvec = full_grid(g.k_axes)
     out["oam_momentum"] = (-2j * np.sum(kgrid.cross(kvec, h), axis=(1, 2, 3)) * g.dk**3).real
     F_conj = np.conj(pos[:3])
     h = np.stack([kgrid.dot(F_conj, to_position(Field(1j * kvec[a] * f, MOMENTUM, g)).values)

@@ -116,9 +116,11 @@ class TestMaxwellResidual:
 
         def poisoned(field, **kwargs):
             out = real(field, **kwargs)
-            if out.values.shape[0] == 3:  # a curl block; the stencil has 6 components, a divergence 1
+            # a block's stencil and curl are transformed together, the curl
+            # in components 3:; a divergence has 1 component
+            if out.values.shape[0] == 6:
                 if len(curls) == block:
-                    out.values[1, 2, 3, 4] = np.nan
+                    out.values[3 + 1, 2, 3, 4] = np.nan
                 curls.append(1)
             return out
 

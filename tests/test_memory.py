@@ -7,7 +7,7 @@ six-component complex128 field (3.1 MB at n=32, 25 MB at n=64).  One full
 check runs first, so caches that the process fills once are not counted.
 
 Measured at n=32: ``run_suites`` over all ten suites peaks at 2.59 fields,
-the check-path ``spin_routes`` at 2.13 and the fieldbridge suite at 2.59,
+the check-path ``spin_routes`` at 2.09 and the fieldbridge suite at 2.59,
 with every route working one block or one component at a time and
 transforming in place the arrays it builds only to transform.  The fieldbridge suite
 compares each round-trip block with its half of the payload as the block
@@ -22,13 +22,15 @@ would sit on the kernel density and the position pair: 2.96 fields).
 ``dpl observe`` computes the report with integral-only kernel and position
 spin routes, which keep no density, and runs every route that reads the
 position transform before the momentum routes, releasing the transform in
-between: on one CPU it peaks at 1.88 fields, and on two the process that
-runs every route but the kernel one at 1.71, in its position stage; the
-worker, with the position transform and khat made before the fork, peaks
-at 1.88; where no worker runs, the kernel route runs first, beside the
+between: on one CPU it peaks at 1.79 fields, and on two the process that
+runs every route but the kernel one at 1.54, in its position stage; the
+worker, with the position transform made before the fork and no khat (the
+kernel route reads the momentum axes and one 1/|k|^2 array), peaks at
+1.79; where no worker runs, the kernel route runs first, beside the
 position transform made for it.  The position OAM route sums the moments
-of one h_a at a time, and the kernel route builds each row conjugated, so
-neither holds a whole h or a conjugate of the transform.  The momentum OAM route frees each
+of one h_a at a time, and it builds each h_a conjugated, as the kernel
+route builds each row, so neither holds a whole h or a conjugate of the
+transform.  The momentum OAM route frees each
 k-derivative before it takes the next, and at t = 0 differentiates the
 payload's upper block itself, not a copy of it.  Conservation alone peaks
 at 2.46 fields: ``run_suites`` memoizes the state's own probability and
@@ -43,13 +45,14 @@ releases the position arrays at one point, right after ``densities``: the
 ten suites in reverse order peak at 2.59 fields, as in order, and
 ``conservation`` asked before ``spin-equalities`` at 2.46.  ``evolve`` by
 7.25, with the norm drift and the two residuals of its certificate (the
-Maxwell one without its divergence), peaks at 2.71 fields and
-``maxwell_residual`` alone at 1.71, the certificate computing one curl
-block at a time.  At n=64 the fieldbridge suite sets the peak of a full
-check, and the same calls peak at 2.58 fields (all suites), 2.09
-(``spin_routes``), 1.84 and 1.67 (``dpl observe`` on one and on two
-CPUs), 1.84 (its worker), 2.42 and 2.58 (the two groups), 2.58
-(fieldbridge), 2.35 (conservation), 2.67 (``evolve``) and 1.67
+Maxwell one without its divergence), peaks at 2.25 fields and
+``maxwell_residual`` alone at 1.25, the certificate transforming each
+block's stencil beside its curl in one six-component array, and
+``kgrid.cross`` making no bins-sized scratch array.  At n=64 the
+fieldbridge suite sets the peak of a full check, and the same calls peak at 2.58 fields (all suites), 2.08
+(``spin_routes``), 1.76 and 1.51 (``dpl observe`` on one and on two
+CPUs), 1.76 (its worker), 2.42 and 2.58 (the two groups), 2.58
+(fieldbridge), 2.35 (conservation), 2.25 (``evolve``) and 1.25
 (``maxwell_residual``).  ``synthesize`` of the README modes on a fresh grid
 writes both blocks into the one array that becomes the payload and peaks at
 1.88 fields at n=32 and 1.84 at n=64 (5.9 and 46.3 MB), in the annular
@@ -68,8 +71,9 @@ from reference import README_MODES
 
 def _evolve_certified(state):
     """Evolve by 7.25 and compute the certificate's three values, as `dpl evolve` does."""
+    norm = state.norm
     evolved = dynamics.evolve(state, 7.25)
-    return (abs(evolved.norm - state.norm), dynamics.dirac_residual(evolved),
+    return (abs(evolved.norm - norm), dynamics.dirac_residual(evolved),
             dynamics.maxwell_curl_residual(evolved))
 
 
@@ -92,18 +96,18 @@ BUDGETS = {
         lambda state: suites.run_suites(["conservation", "spin-equalities"], state), 2.63),
     # the seven spin routes as the spin-equalities suite reads them
     "spin_routes": (observables.spin_routes, 2.41),
-    "observe_one_cpu": (_observe_on(1), 1.97),
-    "observe_two_cpus": (_observe_on(2), 1.8),
+    "observe_one_cpu": (_observe_on(1), 1.88),
+    "observe_two_cpus": (_observe_on(2), 1.62),
     # the forked worker of `dpl observe`: the kernel route, beside the
-    # position transform and khat that it inherits
-    "observe_worker": (lambda state: (observables.psi_position(state), state.grid.khat,
-                                      observables.nonlocal_spin_integral(state)), 1.97),
+    # position transform that it inherits
+    "observe_worker": (lambda state: (observables.psi_position(state),
+                                      observables.nonlocal_spin_integral(state)), 1.88),
     "memo_group": (lambda state: suites.run_suites(suites.MEMO_SUITES, state), 2.63),
     "own_transform_group": (lambda state: suites.run_suites(suites.OWN_TRANSFORM_SUITES, state), 2.72),
     "fieldbridge": (lambda state: suites.run_suites(["fieldbridge"], state), 2.72),
     "conservation": (lambda state: suites.run_suites(["conservation"], state), 2.76),
-    "evolve": (_evolve_certified, 2.85),
-    "maxwell": (dynamics.maxwell_residual, 1.8),
+    "evolve": (_evolve_certified, 2.36),
+    "maxwell": (dynamics.maxwell_residual, 1.31),
     # on a fresh grid, whose kmag and khat synthesis computes, as dpl build does
     "synthesize": (lambda state: synthesize(README_MODES, KGrid(32, 1.0)), 1.97),
 }

@@ -13,6 +13,7 @@ from darwinlab.kgrid import KGrid
 from darwinlab.state import ModeSpec, synthesize, transversality_residual
 from make_golden import golden_path
 from reference import README_MODES, spin_cross, spin_position
+from test_memory import _evolve_certified, _observe_on
 
 
 class TestSuiteMachinery:
@@ -251,45 +252,52 @@ def _two_mode_state():
     )
 
 
+@pytest.fixture()
+def transforms(monkeypatch):
+    """The component count of each FFT call made in this process."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(values, *args, _original=original, **kwargs):
+            calls.append(len(values))
+            return _original(values, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestPerStateEvaluation:
-    def test_full_check_fft_budget(self, monkeypatch):
-        calls = []
-        for name in ("fftn", "ifftn"):
-            original = getattr(np.fft, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+    def test_full_check_fft_budget(self, transforms):
         reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
         assert all(r.passed for r in reports)
-        assert len(calls) <= 25
+        assert len(transforms) <= 24
 
-    @pytest.mark.parametrize("path, budget", [("spin_routes", 7), ("evolve", 3)])
-    def test_observe_and_evolve_fft_budgets(self, monkeypatch, path, budget):
+    @pytest.mark.parametrize("path, budget", [("spin_routes", 7), ("evolve", 2)])
+    def test_observe_and_evolve_fft_budgets(self, transforms, path, budget):
         # counted as for the full check: the check-path spin routes make one
         # six-component transform and six for the nonlocal density, and no
         # OAM route (`dpl observe`'s ten: test_observe_split.py); evolve
-        # makes none, its certificate one for the stencil and one per block
-        # for the curls, and no divergence
-        calls = []
-        for name in ("fftn", "ifftn"):
-            original = getattr(np.fft, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        # makes none, its certificate one per block for its stencil beside
+        # its curl, and no divergence
         state = _two_mode_state()
         if path == "spin_routes":
             observables.spin_routes(state)
         else:
-            evolved = dynamics.evolve(state, 7.25)
-            assert dynamics.dirac_residual(evolved) < 1e-12
-            assert dynamics.maxwell_curl_residual(evolved) < 1e-6
-        assert len(calls) <= budget
+            _, dirac, maxwell = _evolve_certified(state)
+            assert dirac < 1e-12 and maxwell < 1e-6
+        assert len(transforms) <= budget
+
+    @pytest.mark.parametrize("run, components", [
+        (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 79),
+        (_observe_on(1), 33),
+        (_evolve_certified, 12),
+    ], ids=["check", "observe", "evolve"])
+    def test_transformed_components(self, transforms, run, components):
+        # pairing transforms into fewer calls must not hide added work: the
+        # components transformed, summed over the calls, are pinned
+        run(_two_mode_state())
+        assert sum(transforms) == components
 
     def test_finiteness_scanned_once_per_made_state(self, monkeypatch):
         # a payload is scanned when its state is made, here the two evolved
