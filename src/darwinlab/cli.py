@@ -11,9 +11,9 @@ usage error, 3 state-file integrity error.
 When it may use two CPUs, a command splits its work with a forked worker
 (:func:`_forked`): ``check`` runs its own-transform suite group
 (``suites.OWN_TRANSFORM_SUITES``) there and its memo group
-(``suites.MEMO_SUITES``) here, and ``observe`` runs the kernel spin route
-there and every other route here.  On one CPU ``check`` makes one serial
-``suites.run_suites`` call.  Otherwise, where no worker can run, its part
+(``suites.MEMO_SUITES``) here, and ``observe`` runs the position spin
+routes there (``observables.position_spin``) and every other route here.
+On one CPU ``check`` makes one serial ``suites.run_suites`` call.  Otherwise, where no worker can run, its part
 runs here first; where the worker hands back no complete value, its part
 runs here last.  So the output, exit code and error are the same either way.
 
@@ -384,29 +384,26 @@ def _observe_report(state):
     ``observables.spin_routes``, the momentum and position OAM, the three
     probabilities and the boundary ratio.
 
-    Every route here is integral-only: the kernel spin route is
-    ``observables.nonlocal_spin_integral`` and the position spin routes are
-    ``observables.position_spin_integrals``, so no density is kept.  The
-    routes that read the position transform run first (the position OAM,
-    the probabilities and the position spin routes), and the transform is
-    released before the momentum spin and OAM routes, so their temporaries
-    never sit beside it.  A forked worker (:func:`_forked`) computes the
-    kernel route, from the transform made before the fork, while this
-    process runs the other routes, and its value is collected last; where
-    no worker can run, the kernel route runs first, with the position
-    routes.  Either way every value is the same.
+    A forked worker (:func:`_forked`) runs ``observables.position_spin``,
+    the one pass over the position spin densities that gives the kernel and
+    the two position spin routes and keeps no density, from the transform
+    made before the fork.  Meanwhile this process runs the other routes
+    that read the transform (the position OAM and the probabilities) and
+    then releases it, so the momentum spin and OAM routes' temporaries never
+    sit beside it; the worker's routes are collected last.  Where no worker
+    can run, the pass runs first, beside the transform made for it.  Either
+    way every value is the same.
     """
     from . import observables
 
     # made before the fork, so the worker inherits it and it is not made twice
     observables.psi_position(state)
-    with _forked(functools.partial(observables.nonlocal_spin_integral, state)) as kernel:
+    with _forked(functools.partial(observables.position_spin, state)) as position:
         l_pos = observables.oam_position(state)
         probabilities = observables.probability(state)
-        position = observables.position_spin_integrals(state)
         observables.drop_position(state)
         l_mom = observables.oam_momentum(state)
-        routes = observables.spin_routes(state, kernel, position)
+        routes = {**observables.momentum_spin_routes(state), **position()[0]}
     return routes, l_mom, l_pos, probabilities, observables.oam_boundary_ratio(state)
 
 
@@ -456,22 +453,13 @@ def cmd_densities(args) -> int:
         print("warning: state has zero norm; slices will be identically zero",
               file=sys.stderr)
 
-    dc = observables.density_candidates(state)
     comp = {"x": 0, "y": 1, "z": 2}[args.component]
-    fields = {
-        "prob_psi": dc.prob_density_psi,
-        "prob_upper": dc.prob_density_upper,
-        "prob_lower": dc.prob_density_lower,
-        f"spin_full_{args.component}": dc.spin_density_full[comp],
-        f"spin_upper_{args.component}": dc.spin_density_upper[comp],
-        f"spin_lower_{args.component}": dc.spin_density_lower[comp],
-        f"spin_kernel_{args.component}": dc.spin_density_kernel[comp],
-    }
+    fields = {name if name.startswith("prob") else f"{name}_{args.component}": plane
+              for name, plane in observables.density_planes(state, axis, idx, comp).items()}
 
     os.makedirs(args.out, exist_ok=True)
     coords = grid.x1d
-    for name, data in fields.items():
-        sl = np.take(data, idx, axis=axis)
+    for name, sl in fields.items():
         path = os.path.join(args.out, f"{name}_{args.axis}{idx}.csv")
         lines = ["x1,x2,value"]
         for i in range(grid.n):

@@ -5,8 +5,8 @@ many inequivalent-looking expressions (canonical momentum-space form,
 momentum-projected form, cross products of either block in either
 representation, and the integral of the nonlocal kernel density).  For states
 satisfying the transversality constraint all of them must agree; the local
-*densities* behind them do not, and the candidates are computed side by side
-so the disagreement can be quantified.
+*densities* behind them do not, and one pass over the position densities
+(:func:`position_spin`) measures how far apart they sit.
 
 Everything is in natural units (hbar = c = eps0 = 1), so spin and orbital
 angular momentum come out in units of hbar.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,29 +72,28 @@ def psi_position(state: PhotonState) -> np.ndarray:
 
 
 def drop_position(state: PhotonState) -> None:
-    """Release the state's position transform (25 MB at n = 64), its
-    position cross-density pair and its nonlocal kernel density once nothing
-    more reads them; a later use computes them again.  The routes that
-    integrate them keep their values."""
-    memo = vars(state).get("_observables_memo", {})
-    for name in ("psi_position", "position_densities", "nonlocal_spin_density"):
-        memo.pop(name, None)
+    """Release the state's position transform (25 MB at n = 64) once
+    nothing more reads it; a later use computes it again.  The routes that
+    read it keep their values."""
+    vars(state).get("_observables_memo", {}).pop("psi_position", None)
 
 
-def _cross_density(block: np.ndarray):
+def _cross_density(block: np.ndarray, out=None, scratch=None):
     """The rows of -i f* x f per bin for f = sqrt(2) block, computed as
     -2i block* x block (Hermitian form, real up to round-off), handed out
     one at a time.
 
-    Each row is a new array, bitwise the row of
-    ``-2j * kgrid.cross(np.conj(block), block)``.  A caller that drops each
-    row before asking for the next holds one row at a time (``enumerate``
-    and ``zip`` keep the previous row while the next is made).  Each
-    conjugate component is formed where a product reads it, in one buffer.
+    Each row is bitwise the row of ``-2j * kgrid.cross(np.conj(block),
+    block)``.  Each conjugate component is formed where a product reads it,
+    in one buffer, ``scratch`` when given.  Given ``out``, every row is
+    formed there and overwritten by the next; otherwise each row is a new
+    array, and a caller that drops each row before asking for the next
+    holds one row at a time (``enumerate`` and ``zip`` keep the previous row
+    while the next is made).
     """
-    conj = np.empty(block.shape[1:], dtype=np.complex128)
+    conj = np.empty(block.shape[1:], dtype=np.complex128) if scratch is None else scratch
     for p, q in ((1, 2), (2, 0), (0, 1)):
-        row = np.multiply(np.conj(block[p], out=conj), block[q])
+        row = np.multiply(np.conj(block[p], out=conj), block[q], out=out)
         row -= np.multiply(np.conj(block[q], out=conj), block[p], out=conj)
         row *= -2j
         yield row
@@ -138,41 +136,14 @@ def _canonical_density(state: PhotonState) -> tuple[list[np.ndarray], np.ndarray
     return density, upper, np.array(lower)
 
 
-@_per_state
-def position_densities(state: PhotonState) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The cross densities -i F* x F of the upper and lower position blocks,
-    as ``((real_u, sums_u), (real_l, sums_l))``.
-
-    The densities enter the candidates through their real parts only, and the
-    spin routes through their integrals, so each row is summed (complex) and
-    its real part kept: the pair holds 12.6 MB at n = 64, not the 25 MB of
-    the complex densities.  The spin routes and the candidates share it
-    until :func:`drop_position`.
-    """
-    pair = []
-    values = psi_position(state)
-    for block in (values[:3], values[3:]):
-        real = np.empty((3,) + state.grid.shape)
-        sums = []
-        for row in _cross_density(block):
-            real[len(sums)] = row.real
-            sums.append(np.sum(row))
-            del row
-        pair.append((real, np.array(sums)))
-    return tuple(pair)
-
-
-def position_spin_integrals(state: PhotonState) -> dict[str, tuple[np.ndarray, float]]:
-    """(value, imaginary residue) of the two position-block spin routes,
-    ``position_upper`` and ``position_lower``.
-
-    Each row of a position cross density is summed as it is made, so unlike
-    :func:`position_densities` no density is kept; the sums are bitwise
-    those of the memoized pair.
-    """
-    values, m = psi_position(state), state.grid.dx**3
-    return {"position_upper": _integrated(_row_sums(_cross_density(values[:3])), m),
-            "position_lower": _integrated(_row_sums(_cross_density(values[3:])), m)}
+def _probability_densities(values) -> tuple[np.ndarray, np.ndarray]:
+    """|F_u|^2 = 2 sum_c |Psi_c|^2 and |F_l|^2 per bin, from the stored
+    block transforms ``values[:3]`` and ``values[3:]``; the doubling is
+    exact, so their integrals are twice those of the summed squares."""
+    upper, lower = _summed_squares(values[:3]), _summed_squares(values[3:])
+    upper *= 2.0
+    lower *= 2.0
+    return upper, lower
 
 
 def _summed_squares(components) -> np.ndarray:
@@ -189,7 +160,7 @@ def _summed_squares(components) -> np.ndarray:
 
 
 @_per_state
-def _momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, float]]:
+def momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, float]]:
     """(value, imaginary residue) of the four momentum-space spin routes.
 
     They integrate the same two block densities, computed here once, and the
@@ -210,32 +181,36 @@ def _momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, flo
 
 def spin_canonical(state: PhotonState) -> np.ndarray:
     """<spin> from the constant block-diagonal spin matrices, momentum space."""
-    return _momentum_spin_routes(state)["canonical"][0]
+    return momentum_spin_routes(state)["canonical"][0]
 
 
 def spin_projected(state: PhotonState) -> np.ndarray:
     """<spin> from the momentum-projected operator (spin . w) w."""
-    return _momentum_spin_routes(state)["projected"][0]
+    return momentum_spin_routes(state)["projected"][0]
 
 
-def _kernel_density_rows(state: PhotonState):
-    """The rows Psi^dag Phi_i of the nonlocal kernel spin density, complex,
-    handed out one at a time in one reused buffer.
+def _spin_density_rows(state: PhotonState):
+    """Row i = 0, 1, 2 of the upper, lower and kernel position spin
+    densities, complex, handed out together as ``(upper, lower, kernel)``
+    in buffers that the next row overwrites.
 
-    Phi_i is the position transform of (spin . w) w_i psi, which realizes
-    the convolution with the singular direction-dyadic kernel spectrally,
+    The block rows are those of -i F* x F of the upper and lower position
+    blocks (:func:`_cross_density`).  The kernel row is Psi^dag Phi_i, with
+    Phi_i the position transform of (spin . w) w_i psi, which realizes the
+    convolution with the singular direction-dyadic kernel spectrally,
     exactly on the grid.  For each i, each block's w_i (w x f) is formed as
     k_i (k x f) / |k|^2, from the grid's momentum axes and one 1/|k|^2
     array that is 0 at the DC bin, so no unit-direction array is made; it
     is formed in one reused three-component buffer and transformed there,
     and the row gains the block's components in component order.  So six
-    three-component transforms replace three of six components, and one
-    complex row is held.  The row is built conjugated, as the sum of
-    Psi_c conj(Phi_ic) with each conj(Phi_ic) formed in place, and
-    conjugated back at the end: bitwise the sum of conj(Psi_c) Phi_ic, with
-    no conjugate of Psi held.  The factor i of (spin . w) f = i w x f is
-    applied once, to the finished row.  A caller reads each row before it
-    asks for the next, which overwrites it.
+    three-component transforms replace three of six components.  The row
+    is built conjugated, as the sum of Psi_c conj(Phi_ic) with each
+    conj(Phi_ic) formed in place, and conjugated back at the end: bitwise
+    the sum of conj(Psi_c) Phi_ic, with no conjugate of Psi held.  The
+    factor i of (spin . w) f = i w x f is applied once, to the finished
+    row.  Once kernel row i is finished the three-component buffer is free,
+    and the two block rows are formed there, so the three rows take no
+    array beyond the kernel route's.
     """
     g = state.grid
     psi, psi_pos = state.psi.values, psi_position(state)
@@ -245,6 +220,8 @@ def _kernel_density_rows(state: PhotonState):
     inverse_k2[0, 0, 0] = 0.0
     phi = np.empty((3,) + g.shape, dtype=np.complex128)
     dens = np.empty(g.shape, dtype=np.complex128)
+    upper = _cross_density(psi_pos[:3], out=phi[0], scratch=phi[2])
+    lower = _cross_density(psi_pos[3:], out=phi[1], scratch=phi[2])
     for i in range(3):
         for start in (0, 3):
             # w_i (sigma . w) f = k_i (i k x f) / |k|^2, with the i applied to the finished row
@@ -260,34 +237,86 @@ def _kernel_density_rows(state: PhotonState):
                     dens += np.multiply(psi_pos[start + c], phi[c], out=phi[c])
         np.conj(dens, out=dens)
         dens *= 1j
-        yield dens
+        yield next(upper), next(lower), dens
+
+
+def _full_density(upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarray:
+    """The density of Psi from those of its blocks, their mean 0.5 (upper +
+    lower), in ``out`` when given: Psi^dag spin Psi from the block spin
+    densities, |Psi|^2 from |F_u|^2 and |F_l|^2."""
+    full = np.add(upper, lower, out=out)
+    full *= 0.5
+    return full
 
 
 @_per_state
-def nonlocal_spin_density(state: PhotonState) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
-    """Spin density built from the nonlocal momentum-projected operator, and
-    the (value, imaginary residue) of its integral.
+def position_spin(state: PhotonState) -> tuple[dict[str, tuple[np.ndarray, float]], float, float, float]:
+    """The three position spin routes and how far apart the densities
+    behind them sit, from one pass over :func:`_spin_density_rows`:
+    ``(routes, spread, gap_upper, gap_kernel)``.
 
-    s_i(x) = Re[ Psi(x)^dag  Phi_i(x) ] with Phi_i the position transform of
-    (spin . w) w_i psi (:func:`_kernel_density_rows`).  Its integral
-    reproduces the projected-spin expectation; pointwise it is not the
-    canonical density (:func:`density_candidates` measures the gap).  The
-    density itself is complex away from the single-mode limit; only its
-    integral is a Hermitian form, so only that must be real.
+    ``routes`` holds the (value, imaginary residue) of ``position_upper``,
+    ``position_lower`` and ``kernel_integral``, from the complex row sums.
+    The densities enter the rest through their real parts: ``spread`` is
+    the largest gap between the integrals of the full, upper, lower and
+    kernel densities, and ``gap_upper`` and ``gap_kernel`` are max |upper -
+    full| and max |kernel - full| over max |full|.  The full densities are
+    the means of the block densities, so upper - full = -(lower - full): a
+    lower-block gap would repeat the upper one.  Pointwise the kernel density
+    is not the canonical one; only its integral is a Hermitian form, so only
+    that must be real.
+
+    No density is kept.  Each row's sums are taken first; its imaginary
+    halves are then free, so the full row is formed in the upper row's and
+    each difference in the lower row's, and no array is made.
     """
-    s = np.empty((3,) + state.grid.shape)
-    sums = []
-    for row in _kernel_density_rows(state):
-        s[len(sums)] = row.real
-        sums.append(np.sum(row))
-    return s, _integrated(np.array(sums), state.grid.dx**3)
+    sums = ([], [], [])                 # complex: upper, lower, kernel
+    real_sums = ([], [], [], [])        # full, upper, lower, kernel
+    peaks, gaps_upper, gaps_kernel = [], [], []
+    for rows in _spin_density_rows(state):
+        upper, lower, kernel = rows
+        for total, row in zip(sums, rows):
+            total.append(np.sum(row))
+        full = _full_density(upper.real, lower.real, out=upper.imag)
+        for total, row in zip(real_sums, (full, upper.real, lower.real, kernel.real)):
+            total.append(np.sum(row))
+        scratch = lower.imag
+        peaks.append(np.abs(full, out=scratch).max())
+        gaps_upper.append(np.abs(np.subtract(upper.real, full, out=scratch), out=scratch).max())
+        gaps_kernel.append(np.abs(np.subtract(kernel.real, full, out=scratch), out=scratch).max())
+    m = state.grid.dx**3
+    routes = dict(zip(("position_upper", "position_lower", "kernel_integral"),
+                      (_integrated(np.array(s), m) for s in sums)))
+    integrals = [np.array(s) * m for s in real_sums]
+    spread = max(float(np.abs(a - b).max()) for a in integrals for b in integrals)
+    # maxima are exact, so these are kgrid.relative_gap of the whole densities
+    peak = float(np.max(peaks))
+    gap_upper, gap_kernel = (float(np.max(g)) / peak if peak != 0.0 else 0.0
+                             for g in (gaps_upper, gaps_kernel))
+    return routes, spread, gap_upper, gap_kernel
 
 
-def nonlocal_spin_integral(state: PhotonState) -> tuple[np.ndarray, float]:
-    """(value, imaginary residue) of the kernel density's integral, the
-    kernel spin route, from its rows; unlike :func:`nonlocal_spin_density`
-    it keeps no density."""
-    return _integrated(_row_sums(_kernel_density_rows(state)), state.grid.dx**3)
+def density_planes(state: PhotonState, axis: int, index: int, component: int) -> dict[str, np.ndarray]:
+    """The seven position densities on the plane ``index`` along ``axis``:
+    ``prob_psi``, ``prob_upper`` and ``prob_lower``, and the ``component``
+    row of ``spin_full``, ``spin_upper``, ``spin_lower`` and ``spin_kernel``.
+
+    The probability densities are formed on the plane only; the spin
+    density rows are made up to ``component`` and no further, and each is
+    cut to the plane.  Every value is per bin, so each plane is bitwise
+    that of the whole density.
+    """
+    prob_upper, prob_lower = _probability_densities(
+        np.take(psi_position(state), index, axis=axis + 1))
+    planes = {"prob_psi": _full_density(prob_upper, prob_lower),
+              "prob_upper": prob_upper, "prob_lower": prob_lower}
+    for i, rows in enumerate(_spin_density_rows(state)):
+        if i == component:
+            upper, lower, kernel = (np.take(row.real, index, axis=axis) for row in rows)
+            planes.update(spin_full=_full_density(upper, lower), spin_upper=upper,
+                          spin_lower=lower, spin_kernel=kernel)
+            break
+    return planes
 
 
 @_per_state
@@ -396,110 +425,34 @@ def oam_position_shell(state: PhotonState) -> float:
 @_per_state
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""
-    values = psi_position(state)
-    dens_u = _summed_squares(values[:3])
-    dens_l = _summed_squares(values[3:])
+    upper, lower = _probability_densities(psi_position(state))
     m = state.grid.dx**3
-    p_upper = 2.0 * float(np.sum(dens_u)) * m
-    p_lower = 2.0 * float(np.sum(dens_l)) * m
-    p_psi = float(np.sum(dens_u + dens_l)) * m
+    p_upper = float(np.sum(upper)) * m
+    p_lower = float(np.sum(lower)) * m
+    p_psi = float(np.sum(_full_density(upper, lower, out=lower))) * m
     return p_psi, p_upper, p_lower
 
 
-def spin_routes(state: PhotonState, kernel=None, position=None) -> dict[str, tuple[np.ndarray, float]]:
+def probability_gap(state: PhotonState) -> float:
+    """max |P_u - P| / max |P| of the upper-block probability density
+    P_u = |F_u|^2 against P = |Psi|^2, the densities that
+    :func:`probability` integrates."""
+    upper, lower = _probability_densities(psi_position(state))
+    return kgrid.relative_gap([upper], [_full_density(upper, lower, out=lower)])
+
+
+def spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, float]]:
     """(value, imaginary residue) of the seven spin routes of one state:
     canonical, projected, cross_upper, cross_lower, position_upper,
     position_lower and kernel_integral, in that order.
 
     The momentum routes run first, before the position transform exists,
-    then the kernel route and last the position routes.  By default the
-    kernel route is :func:`nonlocal_spin_density` and the position routes
-    integrate the memoized pair of :func:`position_densities`, both of which
-    :func:`density_candidates` on the same state reuses; the pair comes
-    after the kernel route has freed its buffers.  ``kernel``, when given,
-    is a function of no arguments that returns the kernel route, as
-    :func:`nonlocal_spin_integral` does, and ``position`` the position
-    routes, as :func:`position_spin_integrals` returns them; neither keeps
-    a density.
+    then the one pass of :func:`position_spin` over the position densities.
     """
-    momentum = _momentum_spin_routes(state)
-    kernel_integral = nonlocal_spin_density(state)[1] if kernel is None else kernel()
-    if position is None:
-        (_, sums_u), (_, sums_l) = position_densities(state)
-        m_x = state.grid.dx**3
-        position = {"position_upper": _integrated(sums_u, m_x),
-                    "position_lower": _integrated(sums_l, m_x)}
-    return {**momentum, **position, "kernel_integral": kernel_integral}
+    return {**momentum_spin_routes(state), **position_spin(state)[0]}
 
 
 def spin_discrepancies(spin: dict[str, np.ndarray]) -> dict[str, float]:
     """The largest component gap of each pair of spin values, keyed "a|b"."""
     return {f"{a}|{b}": float(np.abs(spin[a] - spin[b]).max())
             for a, b in itertools.combinations(spin, 2)}
-
-
-@dataclass(frozen=True)
-class DensityCandidates:
-    """Competing position-space densities and how far apart they sit.
-
-    Three spin-density candidates (full, upper-block weighted, lower-block
-    weighted) plus the nonlocal kernel density; three probability densities.
-    Each integrates to the same number; the pointwise gaps are normalized by
-    the peak of the reference candidate.  The full densities are the means
-    of the block densities, so upper - full = -(lower - full): a lower-block
-    gap would repeat the upper one, and only the upper one is kept.
-    """
-
-    spin_density_full: np.ndarray      # Psi^dag spin Psi
-    spin_density_upper: np.ndarray     # upper-block (1 + gamma0) weighting
-    spin_density_lower: np.ndarray     # lower-block (1 - gamma0) weighting
-    spin_density_kernel: np.ndarray    # nonlocal kernel density
-    prob_density_psi: np.ndarray
-    prob_density_upper: np.ndarray
-    prob_density_lower: np.ndarray
-    max_spin_integral_spread: float
-    max_prob_integral_spread: float
-    spin_gap_upper: float
-    spin_gap_kernel: float
-    prob_gap_upper: float
-
-
-def density_candidates(state: PhotonState) -> DensityCandidates:
-    """The competing densities of one state; the position pair comes after
-    the nonlocal route has freed its buffers."""
-    spin_kernel, _ = nonlocal_spin_density(state)
-    (spin_upper, _), (spin_lower, _) = position_densities(state)
-    # the real part of a complex sum is the sum of the real parts
-    spin_full = 0.5 * (spin_upper + spin_lower)
-
-    # |F|^2 = 2 sum_c |Psi_c|^2 over the stored block transforms
-    values = psi_position(state)
-    prob_upper = _summed_squares(values[:3])
-    prob_upper *= 2.0
-    prob_lower = _summed_squares(values[3:])
-    prob_lower *= 2.0
-    prob_psi = 0.5 * (prob_upper + prob_lower)
-
-    m = state.grid.dx**3
-    spin_integrals = [np.sum(d, axis=(1, 2, 3)) * m
-                      for d in (spin_full, spin_upper, spin_lower, spin_kernel)]
-    prob_integrals = [float(np.sum(d)) * m for d in (prob_psi, prob_upper, prob_lower)]
-    spin_spread = max(
-        float(np.abs(a - b).max()) for a in spin_integrals for b in spin_integrals
-    )
-    prob_spread = max(abs(a - b) for a in prob_integrals for b in prob_integrals)
-
-    return DensityCandidates(
-        spin_density_full=spin_full,
-        spin_density_upper=spin_upper,
-        spin_density_lower=spin_lower,
-        spin_density_kernel=spin_kernel,
-        prob_density_psi=prob_psi,
-        prob_density_upper=prob_upper,
-        prob_density_lower=prob_lower,
-        max_spin_integral_spread=spin_spread,
-        max_prob_integral_spread=prob_spread,
-        spin_gap_upper=kgrid.relative_gap(spin_upper, spin_full),
-        spin_gap_kernel=kgrid.relative_gap(spin_kernel, spin_full),
-        prob_gap_upper=kgrid.relative_gap([prob_upper], [prob_psi]),
-    )

@@ -99,13 +99,13 @@ SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in ROWS.values()))
 
 # `dpl check` runs these two groups in two processes (cli._run_suite_groups).
 # The split follows what one state caches: the memo suites share the
-# observables memo (the position transform, the position cross-density pair
-# and the routes built on them), so they stay together and compute each of
-# those once.  The other suites read none of them; each makes its own
-# transforms, so running them apart computes nothing twice.  oam runs first:
-# its two routes then work beside the position transform alone, not also
-# beside the kernel density and the position pair that spin-equalities keeps
-# for densities.
+# observables memo (the position transform and the routes built on it), so
+# they stay together and compute each of those once.  The other suites read
+# none of them; each makes its own transforms, so running them apart
+# computes nothing twice.  oam runs first: on the README n=32 state the first
+# four suites peak at 1.88 fields with oam first and at 2.04 with
+# spin-equalities first; the group peaks at 2.46 either way, set by
+# conservation.
 MEMO_SUITES = ("oam", "spin-equalities", "probability", "densities", "conservation")
 # fieldbridge, which sets a check's peak working set, runs first: algebra and
 # constraint load numpy.random (and LAPACK), whose pages would sit under it
@@ -231,15 +231,17 @@ def suite_probability(state: PhotonState, times) -> list:
 
 
 def suite_densities(state: PhotonState, times) -> list:
-    projected = observables.spin_projected(state)  # before the densities exist
-    dc = observables.density_candidates(state)
-    _, (kernel_integral, _) = observables.nonlocal_spin_density(state)
-    return [("density_integral_spread", max(dc.max_spin_integral_spread, dc.max_prob_integral_spread)),
-            ("kernel_density_integral", float(np.abs(kernel_integral - projected).max())),
-            ("spin_density_gap_upper", dc.spin_gap_upper,
+    projected = observables.spin_projected(state)  # before the position transform exists
+    routes, spin_spread, gap_upper, gap_kernel = observables.position_spin(state)
+    probabilities = observables.probability(state)
+    prob_spread = max(abs(a - b) for a in probabilities for b in probabilities)
+    return [("density_integral_spread", max(spin_spread, prob_spread)),
+            ("kernel_density_integral",
+             float(np.abs(routes["kernel_integral"][0] - projected).max())),
+            ("spin_density_gap_upper", gap_upper,
              "normalized pointwise gap; nonzero certifies candidate inequality"),
-            ("spin_density_gap_kernel", dc.spin_gap_kernel),
-            ("prob_density_gap_upper", dc.prob_gap_upper)]
+            ("spin_density_gap_kernel", gap_kernel),
+            ("prob_density_gap_upper", observables.probability_gap(state))]
 
 
 def suite_maxwell(state: PhotonState, times) -> list:
@@ -335,11 +337,10 @@ def run_suites(names, state: PhotonState, tolerances=None, times=DEFAULT_TIMES) 
     in the order of `names` (a name given twice, twice).
 
     The run order is the memo group, then the own-transforms group, each in
-    its declared order.  The position transform, the position cross-density
-    pair and the nonlocal kernel density live in the observables memo, so
-    each is made once, when a suite first reads it.  All three are released
-    right after `densities`, the last suite that reads them, so the suites
-    after it never hold them; if conservation is asked for, the probability
+    its declared order.  The position transform lives in the observables
+    memo, so it is made once, when a suite first reads it.  It is released
+    right after `densities`, the last suite that reads it, so the suites
+    after it never hold it; if conservation is asked for, the probability
     that its sample at the state's own time reads is memoized first, so no
     transform is made again.  Conservation releases what its samples make.
     A suite that returns other rows than its `ROWS`, in order, raises.

@@ -6,9 +6,10 @@ positive-energy projectors from the helicity basis, the single-block spin
 integrals, the spectral gradient and divergence of position fields, the
 complex positive-frequency field pair with its Landau-Peierls weighting, a
 classical field assembled from Fourier data, the whole state a classical
-field carries, the four-current with its continuity residual, the full
-(3, n, n, n) coordinate grids and the README example's modes.  ``dpl`` runs none of them, so they live with the tests;
-nothing under ``src/`` imports this module.
+field carries, the position densities as whole arrays, the four-current
+with its continuity residual, the full (3, n, n, n) coordinate grids and
+the README example's modes.  ``dpl`` runs none of them, so they live with
+the tests; nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -104,17 +105,12 @@ def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
 # Like the library, they read the stored blocks psi = (f_u, f_l)/sqrt(2) and
 # apply the exact factor 2 of a one-block bilinear form once, to its result
 
-def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
-    """The nonlocal density (three six-component transforms), both OAM routes
-    (whole conjugate and derivative blocks; the position route both as the
-    integral of x x h and as its moments), the canonical momentum density
-    and the position-block cross densities, each over whole arrays."""
+def _whole_array_kernel_density(state: PhotonState) -> np.ndarray:
+    """The real nonlocal kernel spin density, from three six-component
+    transforms.  w_i (w x f) is formed as the library places its factors:
+    k_i (k x f) / |k|^2, with 1/|k|^2 set to 0 at the DC bin."""
     g = state.grid
     psi, pos = state.psi.values, observables.psi_position(state)
-    out = {}
-
-    # w_i (w x f) as the library places its factors: k_i (k x f) / |k|^2,
-    # with 1/|k|^2 set to 0 at the DC bin
     kvec = full_grid(g.k_axes)
     k2 = np.sum(kvec**2, axis=0)
     inverse_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
@@ -126,7 +122,23 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     for i in range(3):
         phi = to_position(Field(kvec[i] * chi * inverse_k2, MOMENTUM, g), overwrite=True).values
         s[i] = np.sum(np.conj(pos) * phi, axis=0).real
-    out["nonlocal"] = s
+    return s
+
+
+def _whole_array_cross_density(block: np.ndarray) -> np.ndarray:
+    """-i f* x f for f = sqrt(2) block, over the whole block."""
+    return -2j * kgrid.cross(np.conj(block), block)
+
+
+def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
+    """The nonlocal density (three six-component transforms), both OAM routes
+    (whole conjugate and derivative blocks; the position route both as the
+    integral of x x h and as its moments), the canonical momentum density
+    and the position-block cross densities, each over whole arrays."""
+    g = state.grid
+    psi, pos = state.psi.values, observables.psi_position(state)
+    out = {"nonlocal": _whole_array_kernel_density(state)}
+    kvec = full_grid(g.k_axes)
 
     f = psi[:3]
     peeled = f * np.exp(1j * g.kmag * state.time) if state.time != 0.0 else f
@@ -144,13 +156,28 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     out["oam_position_moments"] = (-2j * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0],
                                                    m[1, 0] - m[0, 1]]) * g.dx**3).real
 
-    def cross_density(block):
-        return -2j * kgrid.cross(np.conj(block), block)
-
-    out["canonical"] = 0.5 * (cross_density(psi[:3]) + cross_density(psi[3:]))
-    out["position_upper"] = cross_density(pos[:3])
-    out["position_lower"] = cross_density(pos[3:])
+    out["canonical"] = 0.5 * (_whole_array_cross_density(psi[:3])
+                              + _whole_array_cross_density(psi[3:]))
+    out["position_upper"] = _whole_array_cross_density(pos[:3])
+    out["position_lower"] = _whole_array_cross_density(pos[3:])
     return out
+
+
+def whole_array_densities(state: PhotonState) -> dict[str, np.ndarray]:
+    """The seven position densities that ``dpl densities`` cuts planes from,
+    each over the whole grid: the real spin densities ``spin_full``,
+    ``spin_upper``, ``spin_lower`` and ``spin_kernel`` (3, n, n, n) and the
+    probability densities ``prob_psi``, ``prob_upper`` and ``prob_lower``
+    (n, n, n).  The full densities are the means of the block densities."""
+    pos = observables.psi_position(state)
+    upper = _whole_array_cross_density(pos[:3]).real
+    lower = _whole_array_cross_density(pos[3:]).real
+    prob_upper = 2.0 * np.sum(np.abs(pos[:3]) ** 2, axis=0)
+    prob_lower = 2.0 * np.sum(np.abs(pos[3:]) ** 2, axis=0)
+    return {"spin_full": 0.5 * (upper + lower), "spin_upper": upper, "spin_lower": lower,
+            "spin_kernel": _whole_array_kernel_density(state),
+            "prob_psi": 0.5 * (prob_upper + prob_lower),
+            "prob_upper": prob_upper, "prob_lower": prob_lower}
 
 
 # -- dynamics: the curl form on whole arrays, as it was before the curls were

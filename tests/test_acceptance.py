@@ -27,9 +27,11 @@ from darwinlab.fieldbridge import (
 )
 from darwinlab.kgrid import KGrid
 from darwinlab.observables import (
-    density_candidates,
     oam_momentum,
     oam_position,
+    position_spin,
+    probability,
+    probability_gap,
     spin_canonical,
     spin_discrepancies,
     spin_routes,
@@ -225,15 +227,17 @@ def test_criterion_5_oam(g64):
 
 def test_criterion_6_density_non_uniqueness(two_direction):
     failures = []
-    dc = density_candidates(two_direction)
+    _, spin_spread, spin_gap, _ = position_spin(two_direction)
+    p = probability(two_direction)
+    prob_spread = max(abs(a - b) for a in p for b in p)
     # the lower-block gaps equal these (test_observables, TestDensities)
-    for name, gap in (("spin upper", dc.spin_gap_upper), ("prob upper", dc.prob_gap_upper)):
+    for name, gap in (("spin upper", spin_gap), ("prob upper", probability_gap(two_direction))):
         if gap <= 0.05:
             failures.append(f"{name} pointwise gap {gap:.3f} not > 0.05")
-    if dc.max_spin_integral_spread >= 1e-10:
-        failures.append(f"spin integrals spread {dc.max_spin_integral_spread:.2e}")
-    if dc.max_prob_integral_spread >= 1e-10:
-        failures.append(f"probability integrals spread {dc.max_prob_integral_spread:.2e}")
+    if spin_spread >= 1e-10:
+        failures.append(f"spin integrals spread {spin_spread:.2e}")
+    if prob_spread >= 1e-10:
+        failures.append(f"probability integrals spread {prob_spread:.2e}")
     conclude(6, "density non-uniqueness", failures)
 
 

@@ -8,21 +8,22 @@ from darwinlab import kgrid, observables, suites
 from darwinlab.algebra import SPIN
 from darwinlab.dynamics import evolve, maxwell_residual
 from darwinlab.kgrid import (
+    KGrid,
     momentum_field,
     norm_squared,
     to_position,
 )
 from darwinlab.observables import (
     _canonical_density,
-    density_candidates,
-    nonlocal_spin_density,
-    nonlocal_spin_integral,
+    _spin_density_rows,
+    density_planes,
     oam_boundary_ratio,
     oam_momentum,
     oam_position,
     oam_position_shell,
-    position_densities,
+    position_spin,
     probability,
+    probability_gap,
     psi_position,
     spin_canonical,
     spin_discrepancies,
@@ -36,9 +37,11 @@ from reference import (
     spectral_gradient,
     spin_cross,
     spin_position,
+    whole_array_densities,
     whole_array_maxwell,
     whole_array_routes,
 )
+from test_golden import allowed
 
 
 def matrix_spin_oracle(state):
@@ -239,9 +242,9 @@ class TestOam:
         assert psi_position(st) is psi_position(st)
         assert oam_position(st) is oam_position(st)
         assert oam_momentum(st) is oam_momentum(st)
-        assert nonlocal_spin_density(st) is nonlocal_spin_density(st)
+        assert position_spin(st) is position_spin(st)
         assert probability(st) is probability(st)  # its suite, the release step, conservation at t=0
-        for shared in (psi_position(st), oam_position(st), nonlocal_spin_density(st)[0]):
+        for shared in (psi_position(st), oam_position(st), position_spin(st)[0]["kernel_integral"][0]):
             assert not shared.flags.writeable
 
 
@@ -251,15 +254,59 @@ def test_routes_are_bitwise_their_whole_array_forms(two_direction_state, time):
     # sum runs in the same order, so every value is the whole-array value
     st = evolve(two_direction_state, time) if time else two_direction_state
     ref = whole_array_routes(st)
-    s, diag = nonlocal_spin_density(st)
-    assert s.tobytes() == ref["nonlocal"].tobytes()
+    upper, lower, kernel = (np.stack(rows) for rows in zip(
+        *([row.copy() for row in rows] for rows in _spin_density_rows(st))))
+    assert kernel.real.tobytes() == ref["nonlocal"].tobytes()
     assert oam_momentum(st).tobytes() == ref["oam_momentum"].tobytes()
     assert oam_position(st).tobytes() == ref["oam_position_moments"].tobytes()
     assert np.stack(_canonical_density(st)[0]).tobytes() == ref["canonical"].tobytes()
-    (real_u, sums_u), (real_l, sums_l) = position_densities(st)
-    for real, sums, name in ((real_u, sums_u, "position_upper"), (real_l, sums_l, "position_lower")):
-        assert real.tobytes() == ref[name].real.tobytes()
-        assert sums.tobytes() == np.sum(ref[name], axis=(1, 2, 3)).tobytes()
+    routes = position_spin(st)[0]
+    for density, name in ((upper, "position_upper"), (lower, "position_lower")):
+        assert density.tobytes() == ref[name].tobytes()
+        integral = (np.sum(ref[name], axis=(1, 2, 3)) * st.grid.dx**3).real
+        assert routes[name][0].tobytes() == integral.tobytes()
+
+
+def _dk_08_state():
+    return synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=0.8, helicity=1),
+                       ModeSpec(kind="gaussian", k0=(4, 0, 0), sigma_k=0.8, helicity=-1)],
+                      KGrid(16, 0.8))
+
+
+@pytest.mark.parametrize("which, time", [("two_direction", 0.0), ("two_direction", 7.25),
+                                         ("readme", 0.0), ("dk_0.8", 0.0)])
+def test_fold_and_planes_are_the_whole_array_densities(two_direction_state, g32, which, time):
+    # one pass over the rows against the seven densities as whole arrays:
+    # bitwise for the upper, lower and full densities and the probabilities,
+    # and within the goldens' rule wherever the kernel density enters
+    st = {"two_direction": lambda: two_direction_state,
+          "readme": lambda: synthesize(README_MODES, g32), "dk_0.8": _dk_08_state}[which]()
+    st = evolve(st, time) if time else PhotonState(st.psi)  # a fresh memo
+    ref = whole_array_densities(st)
+    m = st.grid.dx**3
+    _, spread, gap_upper, gap_kernel = position_spin(st)
+    integrals = [np.sum(ref[name], axis=(1, 2, 3)) * m
+                 for name in ("spin_full", "spin_upper", "spin_lower", "spin_kernel")]
+    expect_spread = max(float(np.abs(a - b).max()) for a in integrals for b in integrals)
+    assert abs(spread - expect_spread) <= allowed(expect_spread, 1e-10)
+    assert gap_upper.hex() == kgrid.relative_gap(ref["spin_upper"], ref["spin_full"]).hex()
+    expect_gap = kgrid.relative_gap(ref["spin_kernel"], ref["spin_full"])
+    assert abs(gap_kernel - expect_gap) <= allowed(expect_gap, None)
+    probs = [float(np.sum(ref[name])) * m for name in ("prob_psi", "prob_upper", "prob_lower")]
+    assert probability(st) == tuple(probs)
+    assert probability_gap(st).hex() == kgrid.relative_gap(
+        [ref["prob_upper"]], [ref["prob_psi"]]).hex()
+    for axis, component, index in ((0, 0, 3), (1, 2, st.grid.n // 2), (2, 1, st.grid.n - 1)):
+        planes = density_planes(st, axis, index, component)
+        assert len(planes) == 7
+        for name, plane in planes.items():
+            expect = np.take(ref[name] if name.startswith("prob") else ref[name][component],
+                             index, axis=axis)
+            if name == "spin_kernel":
+                bound = np.maximum(1e-13 * np.abs(expect), allowed(0.0, None))
+                assert np.all(np.abs(plane - expect) <= bound), name
+            else:
+                assert plane.tobytes() == expect.tobytes(), name
 
 
 @pytest.mark.parametrize("which, time", [("two_direction", 0.0), ("two_direction", 7.25),
@@ -288,24 +335,24 @@ def test_maxwell_residual_is_bitwise_its_whole_array_form(two_direction_state, t
 
 class TestPositionOwnership:
     def test_report_and_candidates_share_one_position_pair(self, two_direction_state, monkeypatch):
-        # two momentum- and two position-block densities; the candidates reuse
-        # the spin routes' position pair instead of making their own
+        # two momentum- and two position-block densities; the densities
+        # suite reads the spin routes' one pass instead of making its own
         calls = []
         original = observables._cross_density
 
-        def counted(f):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return original(f)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(observables, "_cross_density", counted)
         st = PhotonState(two_direction_state.psi)  # a fresh memo
         spin_routes(st)
-        density_candidates(st)
+        suites.suite_densities(st, suites.DEFAULT_TIMES)
         assert len(calls) == 4
 
     def test_release_survives_rebound_routes(self, two_direction_state, monkeypatch):
         # a tracer rebinds every public route of the module with a
-        # functools.wraps wrapper; the release must find the entries anyway
+        # functools.wraps wrapper; the release must find the entry anyway
         for name, fn in list(vars(observables).items()):
             if (not name.startswith("_") and inspect.isfunction(fn)
                     and fn.__module__ == observables.__name__):
@@ -313,15 +360,13 @@ class TestPositionOwnership:
                 monkeypatch.setattr(observables, name, wrapper)
         st = PhotonState(two_direction_state.psi)
         routes = observables.spin_routes(st)
-        pos, pair = observables.psi_position(st), observables.position_densities(st)
-        kernel = observables.nonlocal_spin_density(st)
+        pos = observables.psi_position(st)
         observables.drop_position(st)
-        kept = vars(st)["_observables_memo"].values()
-        assert not any(value is pos or value is pair or value is kernel for value in kept)
+        memo = vars(st)["_observables_memo"]
+        assert not any(value is pos for value in memo.values())
         assert observables.psi_position(st) is not pos
-        assert observables.position_densities(st) is not pair
-        assert observables.nonlocal_spin_density(st) is not kernel
-        # the integrals read from the released arrays come back bitwise
+        # the routes read from a transform made again come back bitwise
+        del memo["position_spin"]
         again = observables.spin_routes(st)
         for name in ("position_upper", "position_lower", "kernel_integral"):
             np.testing.assert_array_equal(again[name][0], routes[name][0])
@@ -348,11 +393,12 @@ class TestProbability:
 
 class TestDensities:
     def test_two_mode_candidates_disagree_pointwise(self, two_direction_state):
-        dc = density_candidates(two_direction_state)
-        assert dc.spin_gap_upper > 0.05
-        assert dc.prob_gap_upper > 0.05
-        assert dc.max_spin_integral_spread < 1e-10
-        assert dc.max_prob_integral_spread < 1e-10
+        _, spin_spread, gap_upper, _ = position_spin(two_direction_state)
+        p = probability(two_direction_state)
+        assert gap_upper > 0.05
+        assert probability_gap(two_direction_state) > 0.05
+        assert spin_spread < 1e-10
+        assert max(abs(a - b) for a in p for b in p) < 1e-10
 
     @pytest.mark.parametrize("modes", ["two_direction", "readme", "linear_gaussian"])
     def test_lower_block_gap_repeats_the_upper(self, modes, two_direction_state, g16, g32):
@@ -362,51 +408,44 @@ class TestDensities:
               "linear_gaussian": lambda: synthesize(
                   [ModeSpec(kind="gaussian", k0=(1, 2, 3), sigma_k=0.8, helicity=None,
                             polarization=(1, 0, 0))], g16)}[modes]()
-        dc = density_candidates(st)
+        d = whole_array_densities(st)
         for lower, upper, full in (
-                (dc.spin_density_lower, dc.spin_density_upper, dc.spin_density_full),
-                ([dc.prob_density_lower], [dc.prob_density_upper], [dc.prob_density_psi])):
+                (d["spin_lower"], d["spin_upper"], d["spin_full"]),
+                ([d["prob_lower"]], [d["prob_upper"]], [d["prob_psi"]])):
             gap = kgrid.relative_gap(upper, full)
             assert gap > 0.0
             assert abs(kgrid.relative_gap(lower, full) - gap) <= 4 * np.spacing(gap)
 
     def test_single_mode_candidates_nearly_agree(self, helicity_state):
         # single-beam limit: upper and lower densities become proportional
-        dc = density_candidates(helicity_state)
-        assert dc.spin_gap_upper < 0.02
-        assert dc.prob_gap_upper < 0.02
+        assert position_spin(helicity_state)[2] < 0.02
+        assert probability_gap(helicity_state) < 0.02
 
     def test_probability_density_identities(self, two_direction_state):
-        dc = density_candidates(two_direction_state)
-        # psi-density is the mean of the block densities by construction
-        mean = 0.5 * (dc.prob_density_upper + dc.prob_density_lower)
-        assert np.abs(dc.prob_density_psi - mean).max() < 1e-14
-        assert dc.prob_density_psi.min() >= 0.0
+        n = two_direction_state.grid.n
+        planes = density_planes(two_direction_state, 2, n // 2, 2)
+        # psi-density is the mean of the block densities, and |Psi|^2
+        mean = 0.5 * (planes["prob_upper"] + planes["prob_lower"])
+        assert np.abs(planes["prob_psi"] - mean).max() < 1e-14
+        squares = np.sum(np.abs(psi_position(two_direction_state)[:, :, :, n // 2]) ** 2, axis=0)
+        assert np.abs(planes["prob_psi"] - squares).max() < 1e-14
+        assert planes["prob_psi"].min() >= 0.0
 
 
 class TestNonlocalDensity:
     def test_integral_matches_projected_spin(self, two_direction_state):
-        _, (integral, imag_residue) = nonlocal_spin_density(two_direction_state)
+        integral, imag_residue = position_spin(two_direction_state)[0]["kernel_integral"]
         assert np.abs(integral - spin_projected(two_direction_state)).max() < 1e-10
         assert imag_residue < 1e-10
 
-    def test_integral_only_route_is_the_density_route(self, two_direction_state):
-        # the same rows, summed in the same order; the integral-only route keeps no density
-        st = evolve(two_direction_state, 7.25)
-        integral, imag_residue = nonlocal_spin_integral(st)
-        assert vars(st)["_observables_memo"].keys() == {"psi_position"}
-        expect_integral, expect_residue = nonlocal_spin_density(st)[1]
-        assert integral.tobytes() == expect_integral.tobytes()
-        assert imag_residue == expect_residue
-
     def test_two_mode_kernel_density_deviates(self, two_direction_state):
-        assert density_candidates(two_direction_state).spin_gap_kernel > 0.05
+        assert position_spin(two_direction_state)[3] > 0.05
 
     def test_single_mode_kernel_density_close(self, g32):
         # narrow single mode: kernel density approaches helicity * |Psi|^2
         st = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 8), sigma_k=0.5, helicity=1)], g32)
-        dc = density_candidates(st)
-        assert dc.spin_gap_kernel < 0.05
-        dens = dc.spin_density_full
-        prob = dc.prob_density_psi
+        assert position_spin(st)[3] < 0.05
+        d = whole_array_densities(st)
+        dens = d["spin_full"]
+        prob = d["prob_psi"]
         assert np.abs(dens[2] - prob).max() < 0.05 * prob.max()

@@ -1,5 +1,5 @@
-"""`dpl observe` in two processes: the kernel spin route in a forked worker,
-every other route here.  Whatever the split does, the CSV is the one the
+"""`dpl observe` in two processes: the position spin routes in a forked
+worker, every other route here.  Whatever the split does, the CSV is the one the
 serial run writes, and no worker outlives the command."""
 
 import errno
@@ -77,7 +77,16 @@ def test_observe_keeps_no_kernel_density(monkeypatch, two_direction_state, cpus)
     state = PhotonState(two_direction_state.psi, two_direction_state.time)  # nothing memoized
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     report = cli._observe_report(state)
-    assert "nonlocal_spin_density" not in vars(state)["_observables_memo"]
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, dict)):
+            for part in value.values() if isinstance(value, dict) else value:
+                yield from arrays(part)
+
+    kept = [a.size for a in arrays(vars(state)["_observables_memo"])]
+    assert kept and max(kept) < state.grid.n**3  # no density, no transform
     assert bits(report) == bits(check_path(two_direction_state))
     assert_no_child_left()
 
@@ -89,7 +98,7 @@ def test_observe_transforms_once_and_releases_before_the_momentum_routes(
     # momentum routes never sit beside it; nothing transforms the payload again
     state = PhotonState(two_direction_state.psi, two_direction_state.time)  # nothing memoized
     transforms, memo_at_momentum, densities = [], [], []
-    to_position, momentum_routes = observables.to_position, observables._momentum_spin_routes
+    to_position, momentum_routes = observables.to_position, observables.momentum_spin_routes
     cross_density = observables._cross_density
 
     def counted_transform(field, **kwargs):
@@ -100,39 +109,40 @@ def test_observe_transforms_once_and_releases_before_the_momentum_routes(
         memo_at_momentum.append(set(vars(st).get("_observables_memo", {})))
         return momentum_routes(st)
 
-    def counted_density(block):
+    def counted_density(*args, **kwargs):
         densities.append(1)
-        return cross_density(block)
+        return cross_density(*args, **kwargs)
 
     monkeypatch.setattr(observables, "to_position", counted_transform)
-    monkeypatch.setattr(observables, "_momentum_spin_routes", spied_momentum_routes)
+    monkeypatch.setattr(observables, "momentum_spin_routes", spied_momentum_routes)
     monkeypatch.setattr(observables, "_cross_density", counted_density)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     report = cli._observe_report(state)
     # this process: the payload once and the position OAM's three derivative
-    # transforms; on two CPUs the kernel route's six run in the worker
+    # transforms; on two CPUs the kernel route's six run in the worker, and
+    # with them the two position-block densities
     assert sum(transforms) == 1
     assert len(transforms) == (4 if cpus == 2 else 10)
-    assert memo_at_momentum and all(
-        not {"psi_position", "position_densities"} & memo for memo in memo_at_momentum)
-    assert len(densities) == 4  # two momentum blocks and two position blocks
+    assert memo_at_momentum and all("psi_position" not in memo for memo in memo_at_momentum)
+    assert len(densities) == (2 if cpus == 2 else 4)  # the momentum and position blocks
     assert bits(report) == bits(check_path(two_direction_state))
     assert_no_child_left()
 
 
 def count_kernel_routes_here(monkeypatch, in_worker=lambda: None):
-    """Counts the kernel routes run in the test process; in the worker the
-    route first calls `in_worker`."""
-    parent, real, ran_here = os.getpid(), observables.nonlocal_spin_integral, []
+    """Counts the passes of `observables.position_spin` run in the test
+    process, which make the kernel route; in the worker the pass first
+    calls `in_worker`."""
+    parent, real, ran_here = os.getpid(), observables.position_spin, []
 
-    def nonlocal_spin_integral(state):
+    def position_spin(state):
         if os.getpid() == parent:
             ran_here.append(1)
         else:
             in_worker()
         return real(state)
 
-    monkeypatch.setattr(observables, "nonlocal_spin_integral", nonlocal_spin_integral)
+    monkeypatch.setattr(observables, "position_spin", position_spin)
     return ran_here
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from darwinlab import algebra, dynamics, kgrid, observables, suites
+from darwinlab import algebra, cli, dynamics, kgrid, observables, suites
 from darwinlab.kgrid import KGrid
 from darwinlab.state import ModeSpec, synthesize, transversality_residual
+from darwinlab.stateio import write_state
 from make_golden import golden_path
 from reference import README_MODES, spin_cross, spin_position
 from test_memory import _evolve_certified, _observe_on
@@ -185,7 +186,7 @@ def test_run_suites_runs_each_suite_once_memo_group_first(g16, monkeypatch, orde
     names = ["oam", *requested]
     reports = suites.run_suites(names, state)
     assert ran == list(suites.MEMO_SUITES + suites.OWN_TRANSFORM_SUITES)
-    assert ran[0] == "oam"  # its routes never sit beside the kernel density and the position pair
+    assert ran[0] == "oam"  # its routes never sit beside the spin routes' temporaries
     assert [r.suite for r in reports] == names
     assert [[c.name for c in r.checks] for r in reports] == [_declared(name) for name in names]
 
@@ -299,6 +300,17 @@ class TestPerStateEvaluation:
         run(_two_mode_state())
         assert sum(transforms) == components
 
+    @pytest.mark.parametrize("component, calls", [("x", 3), ("y", 5), ("z", 7)])
+    def test_densities_transforms_up_to_its_component(self, transforms, tmp_path, component, calls):
+        # `dpl densities` makes the payload's transform and the kernel rows
+        # up to its component's, two transforms a row, and stops there
+        path = tmp_path / "state.dpst"
+        write_state(path, _two_mode_state())
+        transforms.clear()
+        assert cli.main(["densities", str(path), "--out", str(tmp_path / "slices"),
+                         "--component", component]) == 0
+        assert len(transforms) == calls
+
     def test_finiteness_scanned_once_per_made_state(self, monkeypatch):
         # a payload is scanned when its state is made, here the two evolved
         # conservation samples (t = 1, 10), and the field-bridge round trip,
@@ -326,9 +338,9 @@ class TestPerStateEvaluation:
         calls = []
         original = observables._cross_density
 
-        def counted(f):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return original(f)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(observables, "_cross_density", counted)
         reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
@@ -356,7 +368,7 @@ class TestPerStateEvaluation:
         suites.run_suites(names, state)
         assert calls.count(True) == 1
         memo = vars(state).get("_observables_memo", {})
-        assert not {"psi_position", "position_densities"} & set(memo)
+        assert "psi_position" not in memo
         observables.psi_position(state)  # released: a later use transforms again
         assert calls.count(True) == 2
 
@@ -411,12 +423,12 @@ class TestPerStateEvaluation:
             spin_cross(fresh(), "lower"),
             spin_position(fresh(), "upper"),
             spin_position(fresh(), "lower"),
-            observables.nonlocal_spin_density(fresh())[1][0],
+            observables.position_spin(fresh())[0]["kernel_integral"][0],
         ]
         l_mom = observables.oam_momentum(fresh())
         l_pos = observables.oam_position(fresh())
         probs = observables.probability(fresh())
-        dc = observables.density_candidates(fresh())
+        _, spin_spread, gap_upper, gap_kernel = observables.position_spin(fresh())
         mr = dynamics.maxwell_residual(fresh())
 
         # each conservation route at each default time, on its own evolved fresh state
@@ -437,13 +449,12 @@ class TestPerStateEvaluation:
             ("probability", "probability_equality"):
                 max(abs(a - b) for a in probs for b in probs),
             ("densities", "density_integral_spread"):
-                max(dc.max_spin_integral_spread, dc.max_prob_integral_spread),
+                max(spin_spread, max(abs(a - b) for a in probs for b in probs)),
             ("densities", "kernel_density_integral"):
-                float(np.abs(observables.nonlocal_spin_density(fresh())[1][0]
-                             - observables.spin_projected(fresh())).max()),
-            ("densities", "spin_density_gap_upper"): dc.spin_gap_upper,
-            ("densities", "spin_density_gap_kernel"): dc.spin_gap_kernel,
-            ("densities", "prob_density_gap_upper"): dc.prob_gap_upper,
+                float(np.abs(spins[-1] - observables.spin_projected(fresh())).max()),
+            ("densities", "spin_density_gap_upper"): gap_upper,
+            ("densities", "spin_density_gap_kernel"): gap_kernel,
+            ("densities", "prob_density_gap_upper"): observables.probability_gap(fresh()),
             ("maxwell", "dirac_residual"): dynamics.dirac_residual(fresh()),
             ("maxwell", "maxwell_residual"): mr.curl_residual,
             ("maxwell", "maxwell_divergence"): mr.divergence_residual,

@@ -25,7 +25,9 @@ imaginary part of Hermitian forms, and ``kernel_density_integral``, a
 Parseval identity, which read rounding on any payload, on the constraint or
 off it: their case multiplies the kernel density's rows by i.  The matrix
 rows read no state, so their cases perturb ``algebra.SPIN`` and γ, and the
-kernel rows read only the grid, so their case scales the kernel.  On
+kernel rows read only the grid, so their case scales the kernel.  One
+state row has a code case too: a full spin density formed without its ½
+FAILs ``density_integral_spread``.  On
 seeded random payloads off the constraint every code and self-test row
 passes while every state row FAILs.
 """
@@ -86,15 +88,26 @@ def _spin_z_off_by_1e_9(monkeypatch, state):
 
 def _kernel_rows_times_i(monkeypatch, state):
     # each row Psi^dag Phi_i of the kernel spin density comes out times i
-    original = observables._kernel_density_rows
+    original = observables._spin_density_rows
 
     def broken(state):
-        for row in original(state):
-            row *= 1j
-            yield row
+        for upper, lower, kernel in original(state):
+            kernel *= 1j
+            yield upper, lower, kernel
 
-    monkeypatch.setattr(observables, "_kernel_density_rows", broken)
+    monkeypatch.setattr(observables, "_spin_density_rows", broken)
     return PhotonState(state.psi, state.time)  # a fresh observables memo
+
+
+def _full_density_without_half(monkeypatch, state):
+    # the pass over the spin densities forms the full density as the sum of
+    # the block densities, not their mean; the probabilities, memoized
+    # first, keep theirs, so the spin integrals alone move the row
+    fresh = PhotonState(state.psi, state.time)  # a fresh observables memo
+    observables.probability(fresh)
+    monkeypatch.setattr(observables, "_full_density",
+                        lambda upper, lower, out=None: np.add(upper, lower, out=out))
+    return fresh
 
 
 def _kernel_scaled_1_1(monkeypatch, state):
@@ -163,6 +176,8 @@ CASES = {
     "kernel_rows_times_i": (_kernel_rows_times_i, ("spin-equalities", "densities"),
                             {"spin_imag_residue": 0.967, "kernel_density_integral": 0.967,
                              "spin_equalities": 0.967, "density_integral_spread": 0.967}),
+    "full_density_without_half": (_full_density_without_half, ("densities",),
+                                  {"density_integral_spread": 0.967}),
     "kernel_scaled_1.1": (_kernel_scaled_1_1, ("kernels",),
                           {"kernel_half_power": 0.0708, "kernel_inverse_k": 0.0722}),
     "gamma_off_by_1e-9": (_gamma_off_by_1e_9, ("algebra", "constraint"),
