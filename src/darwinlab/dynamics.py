@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kgrid
-from .kgrid import Field, to_position
+from .kgrid import momentum_field, to_position
 from .kgrid import spectral_curl  # noqa: F401  (re-export; perfbench/tests inspects it)
 from .state import PhotonState, occupied_mask
 
@@ -37,8 +37,7 @@ def evolve(state: PhotonState, t: float) -> PhotonState:
     if t == 0.0:
         return state
     g = state.grid
-    psi = Field(state.psi.values * g.phase(t), kgrid.MOMENTUM, g)
-    return PhotonState(psi, state.time + t)
+    return PhotonState(state.psi * g.phase(t), g, state.time + t)
 
 
 def dirac_residual(state: PhotonState) -> float:
@@ -49,7 +48,7 @@ def dirac_residual(state: PhotonState) -> float:
     negative branch.
     """
     g = state.grid
-    psi = state.psi.values
+    psi = state.psi
     omega = g.kmag
 
     def rows():
@@ -94,10 +93,9 @@ def maxwell_residual(state: PhotonState, dt: float | None = None) -> MaxwellRepo
 
     g = state.grid
     divs = []
-    for f in (state.psi.values[:3], state.psi.values[3:]):
+    for f in (state.psi[:3], state.psi[3:]):
         div_k = 1j * kgrid.dot(g.k_axes, f)
-        div_x = to_position(Field(div_k[None], kgrid.MOMENTUM, g), overwrite=True)
-        divs.append(kgrid.max_abs(div_x.values))
+        divs.append(kgrid.max_abs(to_position(momentum_field(div_k[None], g), overwrite=True)))
     div = float(np.max(divs))
 
     return MaxwellReport(gap / scale, div / scale, dt)
@@ -131,7 +129,7 @@ def _curl_gap_and_scale(state: PhotonState, dt: float) -> tuple[float, float]:
     evolved momentum amplitudes, and then transformed.
     """
     g = state.grid
-    psi = state.psi.values
+    psi = state.psi
 
     # per block, one six-component array: its stencil dF/dt in [:3] beside
     # the curl it must equal in [3:], (dF_u/dt, curl F_l) then (dF_l/dt,
@@ -154,7 +152,7 @@ def _curl_gap_and_scale(state: PhotonState, dt: float) -> tuple[float, float]:
         if sign < 0:
             np.negative(curl, out=curl)
         curl *= 1j
-        to_position(Field(pair, kgrid.MOMENTUM, g), overwrite=True)
+        to_position(momentum_field(pair, g), overwrite=True)
         scales.append(kgrid.max_abs(curl))
         d_dt -= curl
         gaps.append(kgrid.max_abs(d_dt))

@@ -27,6 +27,7 @@ import numpy as np
 from .kgrid import (
     KGrid,
     cross,
+    dc_safe_reciprocal,
     dot,
     max_abs,
     momentum_field,
@@ -92,16 +93,6 @@ def _validate_classical(cf: ClassicalField) -> None:
             raise ValueError(f"{name} is not solenoidal (residual {sol:.2e})")
 
 
-def _safe_inverse(values: np.ndarray) -> np.ndarray:
-    """1/x with zeros mapped to zero (the DC bin never carries amplitude),
-    formed in one array."""
-    positive = values > 0.0
-    inverse = np.where(positive, values, 1.0)
-    np.divide(1.0, inverse, out=inverse)
-    inverse[~positive] = 0.0
-    return inverse
-
-
 def classical_from_state(state: PhotonState) -> ClassicalField:
     """Invert the amplitude weighting: e = sqrt(k) f_u and h = sqrt(k) f_l.
 
@@ -119,7 +110,7 @@ def classical_from_state(state: PhotonState) -> ClassicalField:
         np.conj(a_k, out=a_k)
         np.add(a, a_k, out=a_k)
         a_k /= np.sqrt(2.0)
-        A = to_position(momentum_field(a, g), overwrite=True).values
+        A = to_position(momentum_field(a, g), overwrite=True)
         A_real = np.empty(A.shape)
         term = np.empty(g.shape, dtype=np.complex128)
         for c in range(3):
@@ -137,7 +128,7 @@ def _over_k_cross(partner: np.ndarray, grid: KGrid) -> np.ndarray:
     """(1/k) k x partner per bin, zero at the DC bin: the partner's share of a
     positive-frequency amplitude, in a new array."""
     out = cross(grid.k_axes, partner)
-    out *= _safe_inverse(grid.kmag)
+    out *= dc_safe_reciprocal(grid.kmag.copy())
     return out
 
 
@@ -182,7 +173,7 @@ def state_blocks(cf: ClassicalField) -> Iterator[np.ndarray]:
     """
     _validate_classical(cf)
     g = cf.grid
-    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
+    inv_sqrt_k = dc_safe_reciprocal(np.sqrt(g.kmag))
     for f in extract_positive_frequency(cf.eps_k, cf.eta_k, g):
         np.multiply(inv_sqrt_k, f, out=f)
         # extraction preserves transversality analytically; enforcing it per
@@ -205,7 +196,7 @@ def roundtrip_gap(cf: ClassicalField, state: PhotonState) -> float:
     made, so no six-component round-trip state is built.  Raises ValueError
     when the snapshot fails its validation or a block is not finite.
     """
-    reference = state.psi.values
+    reference = state.psi
     peak = max_abs(reference)
     worst, start = 0.0, 0
     # no zip or enumerate: their reused result tuple would keep the previous
@@ -253,10 +244,10 @@ def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
         # d(eta)/dt = -i k x eps: one cross product serves both routes
         cross_term = _over_k_cross(partner, g)
         a = _positive_frequency(own, cross_term, sign)
-        route_one = to_position(momentum_field(a, g), overwrite=True).values
+        route_one = to_position(momentum_field(a, g), overwrite=True)
         if sign < 0:
             np.negative(cross_term, out=cross_term)
-        route_two = to_position(momentum_field(cross_term, g), overwrite=True).values
+        route_two = to_position(momentum_field(cross_term, g), overwrite=True)
         route_two += real
         route_two /= np.sqrt(2.0)
         # relative_gap(route_two, route_one), the difference formed in place
@@ -394,7 +385,7 @@ def kernel_pair_check(kind: str, grid: KGrid, shell: tuple[float, float] | None 
         raise ValueError("kernel check needs n >= 32 (n >= 64 recommended)")
 
     kern = _regularized_kernel(kind, grid)
-    transformed = to_momentum(position_field(kern[None], grid), overwrite=True).values[0].real
+    transformed = to_momentum(position_field(kern[None], grid), overwrite=True)[0].real
 
     k_low, k_high = shell if shell is not None else (4.0 * grid.dk, grid.k_nyquist / 4.0)
     mask = (grid.kmag >= k_low) & (grid.kmag <= k_high)

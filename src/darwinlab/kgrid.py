@@ -19,8 +19,10 @@ Every grid array is component-first: a c-component field is (c, n, n, n),
 so each component is one contiguous block of bins.  Per-bin 3-vector algebra
 goes through :func:`cross`, :func:`dot` and :func:`norm`, which work
 component by component on a first axis of length 3, or on the grid's one
-coordinate form, the axes :attr:`KGrid.k_axes` and :attr:`KGrid.x_axes`.  A
-:class:`Field` is values, representation and grid, never scanned for finiteness.
+coordinate form, the axes :attr:`KGrid.k_axes` and :attr:`KGrid.x_axes`.
+Every kernel takes and returns plain arrays with the grid beside them; a
+:class:`Field` (values, representation tag and grid) is only the input of
+the two transforms, which refuse the wrong representation.
 """
 
 from __future__ import annotations
@@ -243,15 +245,13 @@ def reverse_bins(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex multi-component amplitude field over a grid.
+    """The input of a transform: values over a grid, tagged with the
+    representation their bins live in.
 
-    ``values`` has shape (c, n, n, n) with c in {1, 3, 6}: component first,
-    so each component (and each 3-block of a six-component field, ``[:3]``
-    and ``[3:]``) is contiguous over the bins.  ``rep`` tags the
-    representation the bins live in.  Fields are immutable values: every
-    operation returns a new Field.  None is scanned for finiteness: the time
-    and the payload check belong to :class:`darwinlab.state.PhotonState`,
-    :class:`KGrid` bounds the spacing, and a transform raises on overflow.
+    ``values`` has shape (c, n, n, n) with c in {1, 3, 6}, component first.
+    A Field is never scanned for finiteness: the payload check belongs to
+    :class:`darwinlab.state.PhotonState`, :class:`KGrid` bounds the spacing,
+    and a transform raises on overflow.
     """
 
     values: ArrayC
@@ -265,14 +265,6 @@ class Field:
         if v.ndim != 4 or v.shape[1:] != self.grid.shape or v.shape[0] not in (1, 3, 6):
             raise ValueError("field values must have shape (c, n, n, n) with c in (1, 3, 6); "
                              f"got {v.shape}")
-
-    @property
-    def ncomp(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def measure(self) -> float:
-        return self.grid.dk**3 if self.rep == MOMENTUM else self.grid.dx**3
 
 
 def momentum_field(values, grid: KGrid) -> Field:
@@ -288,62 +280,73 @@ def _require(field: Field, rep: str) -> None:
         raise ValueError(f"expected a {rep}-representation field, got {field.rep}")
 
 
-def _transform(field: Field, fft, rep: str, scale: float, overwrite: bool) -> Field:
+def _transform(field: Field, fft, scale: float, overwrite: bool) -> ArrayC:
     # all three axes write into one output; without out= numpy allocates one
     # per axis, which costs time and a third field-sized array at the peak
     out = field.values if overwrite else np.empty(field.values.shape, dtype=np.complex128)
-    with np.errstate(over="raise"):  # no Field is scanned: an overflow raises FloatingPointError
+    with np.errstate(over="raise"):  # nothing is scanned: an overflow raises FloatingPointError
         values = fft(field.values, axes=(1, 2, 3), out=out)
         values *= scale
-    return Field(values, rep, field.grid)
+    return values
 
 
-def to_position(field: Field, *, overwrite: bool = False) -> Field:
-    """Transform momentum amplitudes to the position representation.
+def to_position(field: Field, *, overwrite: bool = False) -> ArrayC:
+    """The position amplitudes of a momentum field, as a new array.
 
-    With ``overwrite`` the transform runs in place on ``field.values``: a
-    caller that built the array only to transform it hands it over and must
-    not use ``field`` afterwards.  The result is bitwise the same either way.
+    With ``overwrite`` the transform runs in place on ``field.values``, and
+    that array is returned: a caller that built the array only to transform
+    it hands it over.  The result is bitwise the same either way.
     """
     _require(field, MOMENTUM)
     g = field.grid
-    return _transform(field, np.fft.ifftn, POSITION, g.n**3 * g.dk**3 / _FT_NORM, overwrite)
+    return _transform(field, np.fft.ifftn, g.n**3 * g.dk**3 / _FT_NORM, overwrite)
 
 
-def to_momentum(field: Field, *, overwrite: bool = False) -> Field:
+def to_momentum(field: Field, *, overwrite: bool = False) -> ArrayC:
     """Inverse of :func:`to_position` (the -i k.x kernel); ``overwrite`` as there."""
     _require(field, POSITION)
-    return _transform(field, np.fft.fftn, MOMENTUM, field.grid.dx**3 / _FT_NORM, overwrite)
+    return _transform(field, np.fft.fftn, field.grid.dx**3 / _FT_NORM, overwrite)
 
 
-def norm_squared(field: Field) -> float:
+def norm_squared(values: np.ndarray, measure: float) -> float:
+    """sum |values|^2 times the bin volume ``measure``."""
     # summed bin by bin with the components innermost, the order of the former
     # (n, n, n, c) layout: normalization divides by this sum, so a built state
     # stays bit-identical to one built before the component-first layout; the
     # moduli are written straight into that order and squared in place
-    values = field.values
     density = np.empty(values.shape[1:] + values.shape[:1])
     np.abs(values, out=np.moveaxis(density, -1, 0))
     np.square(density, out=density)
-    return float(np.sum(density)) * field.measure
+    return float(np.sum(density)) * measure
 
 
-def boundary_amplitude_ratio(field: Field) -> float:
-    """Max |field| on the outermost bin shell divided by the global max."""
-    mags = norm(field.values)
+def dc_safe_reciprocal(values: ArrayR) -> ArrayR:
+    """1/x per bin in place on ``values``, a fresh bins-sized array that is
+    zero at the DC bin and nowhere else (such as |k|, |k|^2 or sqrt|k|); the
+    DC bin gets 0.  Returns ``values``."""
+    values[0, 0, 0] = 1.0
+    np.reciprocal(values, out=values)
+    values[0, 0, 0] = 0.0
+    return values
+
+
+def boundary_amplitude_ratio(values: np.ndarray, grid: KGrid) -> float:
+    """Max |values| on the outermost bin shell divided by the global max."""
+    mags = norm(values)
     peak = float(mags.max())
     if peak == 0.0:
         return 0.0
     # the outermost shell: the most negative (index n/2) and most positive
     # (index n/2 - 1) frequency faces of each axis
-    half = field.grid.n // 2
+    half = grid.n // 2
     edge = max(float(np.take(mags, i, axis=axis).max())
                for axis in range(3) for i in (half, half - 1))
     return edge / peak
 
 
-def k_gradient(field: Field, axis: int) -> Field:
-    """d(field)/d(k_axis) for axis in (0, 1, 2), in standard FFT bin order.
+def k_gradient(values: np.ndarray, grid: KGrid, axis: int) -> ArrayC:
+    """d(values)/d(k_axis) for axis in (0, 1, 2) of momentum amplitudes
+    (c, n, n, n) in standard FFT bin order, as a new array.
 
     The stencils follow the signed frequencies, not the array index: a
     centered difference pairs each bin with its frequency neighbours (across
@@ -354,9 +357,8 @@ def k_gradient(field: Field, axis: int) -> Field:
     bitwise those of ``np.gradient(..., edge_order=2)`` on the fftshifted
     array, shifted back, without either shifted copy.
     """
-    _require(field, MOMENTUM)
-    f = field.values
-    dk = field.grid.dk
+    f = values
+    dk = grid.dk
     n = f.shape[axis + 1]
     h = n // 2
 
@@ -379,14 +381,12 @@ def k_gradient(field: Field, axis: int) -> Field:
                      + (-0.5 / dk) * at(f, h + 2))
     at(out, h - 1)[:] = ((0.5 / dk) * at(f, h - 3) + (-2.0 / dk) * at(f, h - 2)
                          + (1.5 / dk) * at(f, h - 1))
-    return Field(out, MOMENTUM, field.grid)
+    return out
 
 
-def spectral_curl(field: Field) -> Field:
+def spectral_curl(field: Field) -> ArrayC:
     """Curl of a 3-component position field via i k x (.) in momentum space."""
-    _require(field, POSITION)
-    if field.ncomp != 3:
+    if field.values.shape[0] != 3:
         raise ValueError("curl requires a 3-component field")
-    f = to_momentum(field)
-    curled = 1j * cross(field.grid.k_axes, f.values)
-    return to_position(Field(curled, MOMENTUM, field.grid), overwrite=True)
+    curled = 1j * cross(field.grid.k_axes, to_momentum(field))
+    return to_position(momentum_field(curled, field.grid), overwrite=True)

@@ -68,7 +68,7 @@ def psi_position(state: PhotonState) -> np.ndarray:
     slices [:3] and [3:] are the block transforms F_u/sqrt(2) and
     F_l/sqrt(2), as stored.  It is kept until :func:`drop_position`.
     """
-    return to_position(state.psi).values
+    return to_position(momentum_field(state.psi, state.grid))
 
 
 def drop_position(state: PhotonState) -> None:
@@ -123,7 +123,7 @@ def _canonical_density(state: PhotonState) -> tuple[list[np.ndarray], np.ndarray
     d_u is kept and d_l is added into it one row at a time, so four rows
     are alive at once.
     """
-    psi = state.psi.values
+    psi = state.psi
     density = list(_cross_density(psi[:3]))
     upper = _row_sums(density)
     lower = []
@@ -168,7 +168,7 @@ def momentum_spin_routes(state: PhotonState) -> dict[str, tuple[np.ndarray, floa
     3-vectors are kept on the state.
     """
     g = state.grid
-    m = state.psi.measure
+    m = g.dk**3
     canonical, sums_u, sums_l = _canonical_density(state)
     helicity_density = kgrid.dot(g.khat, canonical)
     return {
@@ -213,11 +213,8 @@ def _spin_density_rows(state: PhotonState):
     array beyond the kernel route's.
     """
     g = state.grid
-    psi, psi_pos = state.psi.values, psi_position(state)
-    inverse_k2 = kgrid.dot(g.k_axes, g.k_axes)
-    inverse_k2[0, 0, 0] = 1.0
-    np.reciprocal(inverse_k2, out=inverse_k2)
-    inverse_k2[0, 0, 0] = 0.0
+    psi, psi_pos = state.psi, psi_position(state)
+    inverse_k2 = kgrid.dc_safe_reciprocal(kgrid.dot(g.k_axes, g.k_axes))
     phi = np.empty((3,) + g.shape, dtype=np.complex128)
     dens = np.empty(g.shape, dtype=np.complex128)
     upper = _cross_density(psi_pos[:3], out=phi[0], scratch=phi[2])
@@ -337,22 +334,21 @@ def oam_momentum(state: PhotonState) -> np.ndarray:
     each h_a still sums its components in order.
     """
     g = state.grid
-    f = state.psi.values[:3]
+    f = state.psi[:3]
     if state.time != 0.0:
         f = f * g.phase(-state.time)
     f_conj = np.empty(g.shape, dtype=np.complex128)
     h = np.empty((3,) + g.shape, dtype=np.complex128)
     for c in range(3):
         np.conj(f[c], out=f_conj)
-        component = momentum_field(f[c:c + 1], g)
         for a in range(3):
-            d = k_gradient(component, a).values[0]
+            d = k_gradient(f[c:c + 1], g, a)[0]
             if c == 0:
                 np.multiply(f_conj, d, out=h[a])
             else:
                 h[a] += np.multiply(f_conj, d, out=d)
             del d  # before the next derivative is made
-    del f, f_conj, component
+    del f, f_conj
     total = -2j * np.sum(kgrid.cross(g.k_axes, h), axis=(1, 2, 3)) * g.dk**3
     return total.real
 
@@ -362,7 +358,7 @@ def oam_boundary_ratio(state: PhotonState) -> float:
     """Boundary amplitude ratio of the upper block that :func:`oam_momentum`
     differentiates, whose moduli see neither the sqrt(2) nor the peeled
     phase; above 1e-8 its k-gradient is unreliable."""
-    return kgrid.boundary_amplitude_ratio(momentum_field(state.psi.values[:3], state.grid))
+    return kgrid.boundary_amplitude_ratio(state.psi[:3], state.grid)
 
 
 @_per_state
@@ -385,7 +381,7 @@ def oam_position(state: PhotonState) -> np.ndarray:
     with no conjugate of Psi held, as the kernel route builds its rows.
     """
     g = state.grid
-    psi = state.psi.values
+    psi = state.psi
     F = psi_position(state)
     d_F = np.empty((3,) + g.shape, dtype=np.complex128)
     M = np.zeros((3, 3), dtype=np.complex128)

@@ -1,10 +1,11 @@
 """Physical photon states on a momentum grid.
 
 A state is a normalized six-component momentum amplitude split into upper and
-lower 3-blocks (f_u, f_l)/sqrt(2).  Synthesis builds the upper block from an
-envelope times a polarization vector and sets the lower block to w x f_u per
-bin, which places the state exactly on the positive-energy branch and makes
-the transversality constraint hold by construction.
+lower 3-blocks (f_u, f_l)/sqrt(2): one (6, n, n, n) array beside its grid.
+Synthesis builds the upper block from an envelope times a polarization vector
+and sets the lower block to w x f_u per bin, which places the state exactly on
+the positive-energy branch and makes the transversality constraint hold by
+construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import kgrid
 from .algebra import helicity_frame, helicity_vectors
-from .kgrid import Field, KGrid, momentum_field
+from .kgrid import KGrid
 
 _OCCUPANCY_CUT = 1e-12
 
@@ -105,9 +106,11 @@ def _blame(key: str):
 class PhotonState:
     """Normalized (or deliberately unnormalized) positive-energy photon state.
 
-    A state holds only what the amplitudes cannot give back: ``psi`` and the
-    ``time`` it stands at.  The payload is checked finite here, once per
-    state, and the fields computed from it are not scanned again.  The
+    A state holds only what the amplitudes cannot give back: ``psi``, the
+    (6, n, n, n) complex128 payload, the ``grid`` its bins live on and the
+    ``time`` it stands at.  The payload's shape and finiteness are checked
+    here, once per state, and the fields computed from it are not scanned
+    again; no dtype cast is made.  The
     payload scalars ``norm`` and ``rqc_residual`` are derived from ``psi`` on
     first use and cached for as long as the state lives, so building a state
     computes nothing and no stored copy can disagree with the payload.  Arrays
@@ -121,36 +124,34 @@ class PhotonState:
     every other route reads the views ``psi[:3]`` and ``psi[3:]`` as stored.
     """
 
-    psi: Field
+    psi: np.ndarray
+    grid: KGrid
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.psi.rep != kgrid.MOMENTUM or self.psi.ncomp != 6:
-            raise ValueError("state wavefunction must be a 6-component momentum field")
-        if not np.isfinite(self.psi.values).all():
+        if self.psi.shape != (6,) + self.grid.shape:
+            raise ValueError(f"state payload must have shape {(6,) + self.grid.shape}, "
+                             f"got {self.psi.shape}")
+        if not np.isfinite(self.psi).all():
             raise ValueError("field contains non-finite entries")
-        self.psi.values.flags.writeable = False
-
-    @property
-    def grid(self) -> KGrid:
-        return self.psi.grid
+        self.psi.flags.writeable = False
 
     @cached_property
     def norm(self) -> float:
         """Total probability of the payload, sum |psi|^2 dk^3."""
-        return kgrid.norm_squared(self.psi)
+        return kgrid.norm_squared(self.psi, self.grid.dk**3)
 
     @cached_property
     def rqc_residual(self) -> float:
         """Transversality residual of the payload; see transversality_residual."""
-        return transversality_residual(self.psi)
+        return transversality_residual(self.psi, self.grid)
 
     def f_upper(self) -> np.ndarray:
         """A new array of f_u: the upper 3-block, its sqrt(2) scale undone."""
-        return np.sqrt(2.0) * self.psi.values[:3]
+        return np.sqrt(2.0) * self.psi[:3]
 
     def f_lower(self) -> np.ndarray:
-        return np.sqrt(2.0) * self.psi.values[3:]
+        return np.sqrt(2.0) * self.psi[3:]
 
 
 def occupied_mask(amp: np.ndarray) -> np.ndarray:
@@ -161,12 +162,11 @@ def occupied_mask(amp: np.ndarray) -> np.ndarray:
     return amp > _OCCUPANCY_CUT * peak
 
 
-def transversality_residual(psi: Field) -> float:
+def transversality_residual(psi: np.ndarray, grid: KGrid) -> float:
     """max over occupied bins of |k.f| / (|k| |f|), both blocks."""
-    g = psi.grid
-    blocks = (psi.values[:3], psi.values[3:])
+    blocks = (psi[:3], psi[3:])
     amps = [kgrid.norm(f) for f in blocks]
-    mask = occupied_mask(amps[0] + amps[1]) & (g.kmag > 0.0)
+    mask = occupied_mask(amps[0] + amps[1]) & (grid.kmag > 0.0)
     if not mask.any():
         return 0.0
     worst = 0.0
@@ -174,7 +174,7 @@ def transversality_residual(psi: Field) -> float:
         sub = mask & (amp > 0.0)
         if not sub.any():
             continue
-        longi = np.abs(kgrid.dot(g.khat, f))
+        longi = np.abs(kgrid.dot(grid.khat, f))
         worst = max(worst, float((longi[sub] / amp[sub]).max()))
     return worst
 
@@ -182,7 +182,7 @@ def transversality_residual(psi: Field) -> float:
 def branch_residual(state: PhotonState) -> float:
     """Residual of the positive-energy coupling k x f_u = k f_l (and its twin)."""
     g = state.grid
-    f_u, f_l = state.psi.values[:3], state.psi.values[3:]  # a ratio: the sqrt(2) cancels
+    f_u, f_l = state.psi[:3], state.psi[3:]  # a ratio: the sqrt(2) cancels
     scale = kgrid.norm(f_u) + kgrid.norm(f_l)
     mask = occupied_mask(scale) & (g.kmag > 0.0)
     if not mask.any():
@@ -320,7 +320,7 @@ def synthesize(specs: list[ModeSpec], grid: KGrid) -> PhotonState:
                 f_u[:, 0, 0, 0] = 0.0  # the DC bin
                 kgrid.cross(grid.khat, f_u, out=psi[3:])
                 psi /= np.sqrt(2.0)
-                norm = kgrid.norm_squared(momentum_field(psi, grid))
+                norm = kgrid.norm_squared(psi, grid.dk**3)
                 if not math.isfinite(norm):  # the bin volume is applied in Python floats
                     raise OverflowError
     except ModeOverflow as exc:
@@ -332,5 +332,5 @@ def synthesize(specs: list[ModeSpec], grid: KGrid) -> PhotonState:
             "the grid band or the polarization is purely longitudinal"
         )
     psi /= np.sqrt(norm)
-    return PhotonState(momentum_field(psi, grid))
+    return PhotonState(psi, grid)
 

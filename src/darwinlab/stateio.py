@@ -4,7 +4,7 @@ Layout: 5-byte magic ``DPST1``, little-endian uint32 header length, UTF-8
 JSON header, then the payload: one little-endian complex128 (interleaved
 re, im float64) per component, six components per bin, bins ordered with the
 x index fastest.  Payload element ((z n + y) n + x) 6 + c is component c of
-bin (x, y, z), i.e. ``psi.values[c, x, y, z]``: the payload is the Fortran
+bin (x, y, z), i.e. ``psi[c, x, y, z]``: the payload is the Fortran
 order of the component-first (6, n, n, n) array, so reading and writing
 transpose only here, at the file boundary.  The header carries only what the
 payload cannot give back: the format version (:data:`FORMAT_VERSION`; a file
@@ -30,7 +30,6 @@ import zlib
 
 import numpy as np
 
-from . import kgrid
 from .kgrid import KGrid
 from .state import PhotonState
 
@@ -45,7 +44,7 @@ class StateFileError(Exception):
 
 def _payload_bytes(state: PhotonState) -> bytes:
     # (c, x, y, z) in Fortran order is component fastest, then x, y, z
-    return state.psi.values.astype("<c16", copy=False).tobytes(order="F")
+    return state.psi.astype("<c16", copy=False).tobytes(order="F")
 
 
 def _header_int(value, key: str, path) -> int:
@@ -154,7 +153,7 @@ def read_state(path) -> tuple[PhotonState, dict]:
                                  f"on this grid (k_max={grid.k_max:.6g})")
         values = np.frombuffer(payload, dtype="<c16").reshape((6,) + grid.shape, order="F")
         values = values.copy()  # C order, and no view of the file's bytes
-        state = PhotonState(kgrid.momentum_field(values, grid), time)
+        state = PhotonState(values, grid, time)
     except KeyError as exc:
         raise StateFileError(f"{path}: header lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -21,13 +21,13 @@ import numpy as np
 from darwinlab import kgrid, observables
 from darwinlab.algebra import _check_wavevector, helicity_vectors
 from darwinlab.dynamics import default_maxwell_dt, evolve
-from darwinlab.fieldbridge import ClassicalField, _safe_inverse, _validate_classical, state_blocks
+from darwinlab.fieldbridge import ClassicalField, _validate_classical, state_blocks
 from darwinlab.kgrid import (
-    MOMENTUM,
     POSITION,
     Field,
     KGrid,
     _require,
+    dc_safe_reciprocal,
     momentum_field,
     to_momentum,
     to_position,
@@ -90,7 +90,7 @@ def _block_spin(f: np.ndarray, measure: float) -> np.ndarray:
 def spin_cross(state: PhotonState, block: str = "upper") -> np.ndarray:
     """<spin> = -i integral f* x f d3k over a single block."""
     f = state.f_upper() if block == "upper" else state.f_lower()
-    return _block_spin(f, state.psi.measure)
+    return _block_spin(f, state.grid.dk**3)
 
 
 def spin_position(state: PhotonState, block: str = "upper") -> np.ndarray:
@@ -110,7 +110,7 @@ def _whole_array_kernel_density(state: PhotonState) -> np.ndarray:
     transforms.  w_i (w x f) is formed as the library places its factors:
     k_i (k x f) / |k|^2, with 1/|k|^2 set to 0 at the DC bin."""
     g = state.grid
-    psi, pos = state.psi.values, observables.psi_position(state)
+    psi, pos = state.psi, observables.psi_position(state)
     kvec = full_grid(g.k_axes)
     k2 = np.sum(kvec**2, axis=0)
     inverse_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
@@ -120,7 +120,7 @@ def _whole_array_kernel_density(state: PhotonState) -> np.ndarray:
     chi *= 1j
     s = np.empty((3,) + g.shape)
     for i in range(3):
-        phi = to_position(Field(kvec[i] * chi * inverse_k2, MOMENTUM, g), overwrite=True).values
+        phi = to_position(momentum_field(kvec[i] * chi * inverse_k2, g), overwrite=True)
         s[i] = np.sum(np.conj(pos) * phi, axis=0).real
     return s
 
@@ -136,17 +136,16 @@ def whole_array_routes(state: PhotonState) -> dict[str, np.ndarray]:
     integral of x x h and as its moments), the canonical momentum density
     and the position-block cross densities, each over whole arrays."""
     g = state.grid
-    psi, pos = state.psi.values, observables.psi_position(state)
+    psi, pos = state.psi, observables.psi_position(state)
     out = {"nonlocal": _whole_array_kernel_density(state)}
     kvec = full_grid(g.k_axes)
 
     f = psi[:3]
     peeled = f * np.exp(1j * g.kmag * state.time) if state.time != 0.0 else f
-    block = Field(peeled, MOMENTUM, g)
-    h = np.stack([kgrid.dot(np.conj(peeled), kgrid.k_gradient(block, a).values) for a in range(3)])
+    h = np.stack([kgrid.dot(np.conj(peeled), kgrid.k_gradient(peeled, g, a)) for a in range(3)])
     out["oam_momentum"] = (-2j * np.sum(kgrid.cross(kvec, h), axis=(1, 2, 3)) * g.dk**3).real
     F_conj = np.conj(pos[:3])
-    h = np.stack([kgrid.dot(F_conj, to_position(Field(1j * kvec[a] * f, MOMENTUM, g)).values)
+    h = np.stack([kgrid.dot(F_conj, to_position(momentum_field(1j * kvec[a] * f, g)))
                   for a in range(3)])
     out["oam_position"] = (-2j * np.sum(kgrid.cross(full_grid(g.x_axes), h), axis=(1, 2, 3))
                            * g.dx**3).real
@@ -190,46 +189,46 @@ def whole_array_maxwell(state: PhotonState) -> tuple[float, float]:
     residuals are ratios to the curl scale, so the stored blocks are used."""
     g = state.grid
     dt = default_maxwell_dt(g)
-    psi = state.psi.values
+    psi = state.psi
     stencil = psi * np.exp(-1j * g.kmag * dt) - psi * np.exp(1j * g.kmag * dt)
     stencil *= 1.0 / (2.0 * dt)
-    d_dt = to_position(Field(stencil, MOMENTUM, g)).values
+    d_dt = to_position(momentum_field(stencil, g))
 
     curls = np.empty_like(d_dt)
     kgrid.cross(g.k_axes, psi[3:], out=curls[:3])
     kgrid.cross(g.k_axes, psi[:3], out=curls[3:])
     np.negative(curls[3:], out=curls[3:])
     curls *= 1j
-    curls = to_position(Field(curls, MOMENTUM, g)).values
+    curls = to_position(momentum_field(curls, g))
     scale = float(np.abs(curls).max())
-    div = max(float(np.abs(to_position(Field(1j * kgrid.dot(g.k_axes, f)[None],
-                                                   MOMENTUM, g)).values).max())
+    div = max(float(np.abs(to_position(momentum_field(1j * kgrid.dot(g.k_axes, f)[None],
+                                                      g))).max())
               for f in (psi[:3], psi[3:]))
     return float(np.abs(d_dt - curls).max()) / scale, div / scale
 
 
 # -- kgrid: spatial derivatives of position fields, through momentum space
 
-def spectral_gradient(field: Field) -> tuple[Field, Field, Field]:
-    """Exact spatial gradient of a position field, one Field per axis."""
+def spectral_gradient(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact spatial gradient of a position field, one position array per axis."""
     _require(field, POSITION)
     f = to_momentum(field)
     g = field.grid
     out = []
     for axis in range(3):
         mult = 1j * g.k_axes[axis]
-        out.append(to_position(Field(mult * f.values, MOMENTUM, g)))
+        out.append(to_position(momentum_field(mult * f, g)))
     return out[0], out[1], out[2]
 
 
-def spectral_divergence(field: Field) -> Field:
-    """Divergence of a 3-component position field, returned as a scalar field."""
+def spectral_divergence(field: Field) -> np.ndarray:
+    """Divergence of a 3-component position field, as a one-component position array."""
     _require(field, POSITION)
-    if field.ncomp != 3:
+    if field.values.shape[0] != 3:
         raise ValueError("divergence requires a 3-component field")
     f = to_momentum(field)
-    div = 1j * kgrid.dot(field.grid.k_axes, f.values)
-    return to_position(Field(div[None], MOMENTUM, field.grid))
+    div = 1j * kgrid.dot(field.grid.k_axes, f)
+    return to_position(momentum_field(div[None], field.grid))
 
 
 # -- fieldbridge: classical data in, wavefunction blocks out
@@ -238,8 +237,8 @@ def classical_from_kspace(eps_k, eta_k, grid: KGrid) -> ClassicalField:
     """Assemble a ClassicalField from Fourier data, checking its invariants."""
     eps_k = np.asarray(eps_k, dtype=np.complex128)
     eta_k = np.asarray(eta_k, dtype=np.complex128)
-    E_real = to_position(momentum_field(eps_k, grid)).values.real
-    H_real = to_position(momentum_field(eta_k, grid)).values.real
+    E_real = to_position(momentum_field(eps_k, grid)).real
+    H_real = to_position(momentum_field(eta_k, grid)).real
     cf = ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid)
     _validate_classical(cf)
     return cf
@@ -250,7 +249,7 @@ def state_from_classical(cf: ClassicalField) -> PhotonState:
     records no time): the two blocks of ``fieldbridge.state_blocks`` in one
     payload, scanned as any state's is.  ``dpl`` compares each block with the
     checked state as it is made and never builds this state."""
-    return PhotonState(momentum_field(np.concatenate(list(state_blocks(cf))), cf.grid))
+    return PhotonState(np.concatenate(list(state_blocks(cf))), cf.grid)
 
 
 @dataclass(frozen=True)
@@ -271,12 +270,12 @@ def complex_pair(state: PhotonState) -> ComplexFieldPair:
     sqrt_k = np.sqrt(g.kmag)
     e = sqrt_k * state.f_upper()
     h = sqrt_k * state.f_lower()
-    E = to_position(momentum_field(e, g)).values
-    H = to_position(momentum_field(h, g)).values
+    E = to_position(momentum_field(e, g))
+    H = to_position(momentum_field(h, g))
     return ComplexFieldPair(e=e, h=h, E=E, H=H, grid=g)
 
 
-def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
+def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[np.ndarray, np.ndarray]:
     """Position-space wavefunction blocks from the complex field pair.
 
     The 1/sqrt(k) weighting is the spectral realization of the
@@ -284,7 +283,7 @@ def landau_peierls_transform(pair: ComplexFieldPair) -> tuple[Field, Field]:
     transforming yields (F_u, F_l).
     """
     g = pair.grid
-    inv_sqrt_k = _safe_inverse(np.sqrt(g.kmag))
+    inv_sqrt_k = dc_safe_reciprocal(np.sqrt(g.kmag))
     F_u = to_position(momentum_field(inv_sqrt_k * pair.e, g))
     F_l = to_position(momentum_field(inv_sqrt_k * pair.h, g))
     return F_u, F_l
@@ -337,9 +336,7 @@ def continuity_residual(state: PhotonState, dt: float | None = None) -> float:
     after = four_current(evolve(state, +dt))
     now = four_current(state)
     drho_dt = (after.j0 - before.j0) / (2.0 * dt)
-    div_j = spectral_divergence(
-        kgrid.position_field(now.j.astype(np.complex128), g)
-    ).values[0].real
+    div_j = spectral_divergence(kgrid.position_field(now.j, g))[0].real
     scale = float(np.abs(div_j).max())
     if scale == 0.0:
         return 0.0

@@ -262,8 +262,8 @@ def test_criterion_8_field_bridge(two_direction):
     failures = []
     cf = classical_from_state(two_direction)
     back = state_from_classical(cf)
-    peak = np.abs(two_direction.psi.values).max()
-    roundtrip = np.abs(back.psi.values - two_direction.psi.values).max() / peak
+    peak = np.abs(two_direction.psi).max()
+    roundtrip = np.abs(back.psi - two_direction.psi).max() / peak
     if roundtrip >= 1e-10:
         failures.append(f"roundtrip {roundtrip:.2e}")
 

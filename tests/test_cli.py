@@ -117,7 +117,7 @@ class TestBuild:
         grid, modes, *_ = parse_config(json.loads(config_path.read_text()))
         direct = synthesize(modes, grid)
         loaded, _ = read_state(built_state)
-        assert np.array_equal(loaded.psi.values, direct.psi.values)
+        assert np.array_equal(loaded.psi, direct.psi)
 
 
 class TestCheck:
@@ -303,10 +303,9 @@ class TestDensities:
         assert code == 2
 
     def test_zero_state_warns(self, tmp_path, capsys, g16):
-        from darwinlab.kgrid import momentum_field
         from darwinlab.state import PhotonState
 
-        zero = PhotonState(momentum_field(np.zeros((6,) + g16.shape, dtype=complex), g16))
+        zero = PhotonState(np.zeros((6,) + g16.shape, dtype=complex), g16)
         path = tmp_path / "zero.dpst"
         write_state(path, zero)
         out = tmp_path / "slices"
@@ -370,7 +369,7 @@ SI_UNITS = {"hbar": 1.054571817e-34, "c": 2.99792458e8, "eps0": 8.8541878128e-12
 
 def _payload_with(entry):
     def rewrite(path):
-        values = read_state(path)[0].psi.values.copy()
+        values = read_state(path)[0].psi.copy()
         values[1, 2, 3, 4] = entry
         rewrite_payload(path, values.astype("<c16").tobytes())
     return rewrite
@@ -593,8 +592,7 @@ def overflowing_file(tmp_path, helicity_state):
     """The n=32 fixture state times 1e300: every amplitude is finite, but the
     total probability overflows."""
     path = tmp_path / "huge.dpst"
-    write_state(path, PhotonState(momentum_field(1e300 * helicity_state.psi.values,
-                                                 helicity_state.grid)))
+    write_state(path, PhotonState(1e300 * helicity_state.psi, helicity_state.grid))
     return path
 
 
@@ -678,7 +676,7 @@ class TestEvolve:
         assert main(["evolve", str(built_state), "0", "--out", str(out)]) == 0
         a, _ = read_state(built_state)
         b, _ = read_state(out)
-        assert np.array_equal(a.psi.values, b.psi.values)
+        assert np.array_equal(a.psi, b.psi)
 
     def test_composition(self, built_state, tmp_path):
         mid = tmp_path / "mid.dpst"
@@ -689,7 +687,7 @@ class TestEvolve:
         assert main(["evolve", str(built_state), "3.0", "--out", str(once)]) == 0
         a, _ = read_state(twice)
         b, _ = read_state(once)
-        assert np.abs(a.psi.values - b.psi.values).max() < 1e-13
+        assert np.abs(a.psi - b.psi).max() < 1e-13
         assert a.time == pytest.approx(b.time)
 
     def test_norm_preserved(self, built_state, tmp_path):
@@ -796,7 +794,7 @@ def test_lost_phase_precision_is_named(time_range_files, capsys):
 def test_all_zero_payload_gets_a_full_report(tmp_path, capsys, g32):
     # norm 0 is finite, so the file is valid; every suite reports on it
     path = tmp_path / "zero.dpst"
-    write_state(path, PhotonState(momentum_field(np.zeros((6,) + g32.shape), g32)))
+    write_state(path, PhotonState(np.zeros((6,) + g32.shape, dtype=complex), g32))
     capsys.readouterr()
     code = main(["check", str(path)])
     captured = capsys.readouterr()

@@ -36,7 +36,7 @@ class TestEvolve:
         assert abs(evolved.norm - two_direction_state.norm) < 1e-13
         # pure phase: per-bin modulus unchanged to one multiply's round-off
         assert np.abs(
-            np.abs(evolved.psi.values) - np.abs(two_direction_state.psi.values)
+            np.abs(evolved.psi) - np.abs(two_direction_state.psi)
         ).max() < 1e-15
 
     def test_single_bin_phase(self):
@@ -44,12 +44,12 @@ class TestEvolve:
         g = KGrid(8, 1.0)
         st = synthesize([ModeSpec(kind="plane", k0=(0, 0, 2), helicity=1)], g)
         evolved = evolve(st, np.pi / 2)
-        assert np.abs(evolved.psi.values + st.psi.values).max() < 1e-13
+        assert np.abs(evolved.psi + st.psi).max() < 1e-13
 
     def test_composition(self, helicity_state):
         once = evolve(evolve(helicity_state, 1.3), 2.1)
         direct = evolve(helicity_state, 3.4)
-        assert np.abs(once.psi.values - direct.psi.values).max() < 1e-13
+        assert np.abs(once.psi - direct.psi).max() < 1e-13
         assert once.time == pytest.approx(direct.time)
 
     def test_constraint_residuals_invariant(self, two_direction_state):
@@ -70,8 +70,7 @@ class TestDiracResidual:
     def test_non_transverse_flagged(self, g16, rng):
         vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
         vals[:, 0, 0, 0] = 0.0
-        psi = momentum_field(vals, g16)
-        st = PhotonState(psi)
+        st = PhotonState(vals, g16)
         assert dirac_residual(st) > 0.1
 
 
@@ -90,19 +89,19 @@ class TestMaxwellResidual:
         assert 3.5 < factor < 4.5
 
     def test_zero_dt_rejected_and_state_untouched(self, helicity_state):
-        before = helicity_state.psi.values.copy()
+        before = helicity_state.psi.copy()
         for residual in (maxwell_residual, maxwell_curl_residual):
             with pytest.raises(ValueError):
                 residual(helicity_state, dt=0.0)
-        assert np.array_equal(helicity_state.psi.values, before)
+        assert np.array_equal(helicity_state.psi, before)
 
     def test_curl_residual_is_the_report_value(self, two_direction_state, helicity_state):
         # `dpl evolve` prints maxwell_curl_residual, `dpl check` the report's row
         dt = default_maxwell_dt(two_direction_state.grid)
         for st, step in ((two_direction_state, None), (two_direction_state, dt / 2),
                          (evolve(helicity_state, 2.0), None),
-                         (PhotonState(momentum_field(np.zeros((6,) + helicity_state.grid.shape),
-                                                     helicity_state.grid)), None)):
+                         (PhotonState(np.zeros((6,) + helicity_state.grid.shape, dtype=complex),
+                                      helicity_state.grid), None)):
             assert maxwell_curl_residual(st, step) == maxwell_residual(st, step).curl_residual
 
     @pytest.mark.parametrize("block", [0, 1])
@@ -118,9 +117,9 @@ class TestMaxwellResidual:
             out = real(field, **kwargs)
             # a block's stencil and curl are transformed together, the curl
             # in components 3:; a divergence has 1 component
-            if out.values.shape[0] == 6:
+            if out.shape[0] == 6:
                 if len(curls) == block:
-                    out.values[3 + 1, 2, 3, 4] = np.nan
+                    out[3 + 1, 2, 3, 4] = np.nan
                 curls.append(1)
             return out
 
@@ -145,19 +144,19 @@ class TestMaxwellResidual:
 
         def blocks(t):
             phase = np.exp(-1j * g.kmag * t)
-            pos = np.sqrt(2.0) * to_position(momentum_field(st.psi.values * phase, g)).values
+            pos = np.sqrt(2.0) * to_position(momentum_field(st.psi * phase, g))
             return pos[:3], pos[3:]
 
         (u_minus, l_minus), (u_plus, l_plus), (u, l) = blocks(-dt), blocks(dt), blocks(0.0)
-        curl_u = spectral_curl(position_field(u, g)).values
-        curl_l = spectral_curl(position_field(l, g)).values
+        curl_u = spectral_curl(position_field(u, g))
+        curl_l = spectral_curl(position_field(l, g))
         scale = max(np.abs(curl_u).max(), np.abs(curl_l).max())
         curl_res = max(
             np.abs((u_plus - u_minus) / (2 * dt) - curl_l).max(),
             np.abs((l_plus - l_minus) / (2 * dt) + curl_u).max(),
         ) / scale
         div_res = max(
-            np.abs(spectral_divergence(position_field(f, g)).values).max() for f in (u, l)
+            np.abs(spectral_divergence(position_field(f, g))).max() for f in (u, l)
         ) / scale
 
         report = maxwell_residual(st)
@@ -180,12 +179,10 @@ class TestFourCurrent:
     def test_spatial_current_is_real_by_construction(self, two_direction_state):
         # cross-check against the dense matrix sandwich i c Psi^dag g0 g_a Psi
         from darwinlab.algebra import GAMMA, GAMMA0
-        from darwinlab.kgrid import to_position
-
-        pos = to_position(two_direction_state.psi)
+        pos = to_position(momentum_field(two_direction_state.psi, two_direction_state.grid))
         sandwich = np.einsum(
-            "cxyz,acd,dxyz->axyz", np.conj(pos.values),
-            np.stack([GAMMA0 @ GAMMA[a] for a in range(3)]), pos.values,
+            "cxyz,acd,dxyz->axyz", np.conj(pos),
+            np.stack([GAMMA0 @ GAMMA[a] for a in range(3)]), pos,
         )
         oracle = 1j * sandwich
         cur = four_current(two_direction_state)

@@ -13,7 +13,7 @@ from darwinlab.fieldbridge import (
     solenoidal_residual,
 )
 from darwinlab.dynamics import maxwell_residual
-from darwinlab.kgrid import KGrid, relative_gap, to_position
+from darwinlab.kgrid import KGrid, momentum_field, relative_gap, to_position
 from darwinlab.state import ModeSpec, synthesize
 from darwinlab.suites import run_suites
 from reference import (
@@ -57,17 +57,15 @@ class TestClassicalFromState:
             cf = classical_from_state(evolve(helicity_state, offset))
             snapshots[offset] = cf
         dE_dt = (snapshots[dt].E_real - snapshots[-dt].E_real) / (2 * dt)
-        curl_h = spectral_curl(
-            position_field(snapshots[0.0].H_real.astype(complex), g)
-        ).values.real
+        curl_h = spectral_curl(position_field(snapshots[0.0].H_real, g)).real
         scale = np.abs(curl_h).max()
         assert np.abs(dE_dt - curl_h).max() < 1e-6 * scale
 
     def test_roundtrip_identity(self, two_direction_state):
         cf = classical_from_state(two_direction_state)
         back = state_from_classical(cf)
-        dev = np.abs(back.psi.values - two_direction_state.psi.values).max()
-        assert dev < 1e-10 * np.abs(two_direction_state.psi.values).max()
+        dev = np.abs(back.psi - two_direction_state.psi).max()
+        assert dev < 1e-10 * np.abs(two_direction_state.psi).max()
         assert back.norm == pytest.approx(1.0, abs=1e-10)
         assert back.rqc_residual < 1e-12
 
@@ -76,8 +74,8 @@ class TestClassicalFromState:
         st1 = state_from_classical(cf1)
         cf2 = classical_from_state(st1)
         st2 = state_from_classical(cf2)
-        dev = np.abs(st2.psi.values - st1.psi.values).max()
-        assert dev < 1e-10 * np.abs(st1.psi.values).max()
+        dev = np.abs(st2.psi - st1.psi).max()
+        assert dev < 1e-10 * np.abs(st1.psi).max()
 
 
 class TestStateFromClassical:
@@ -98,8 +96,8 @@ class TestStateFromClassical:
         assert st.norm > 0.0
         assert st.rqc_residual < 1e-12
         # the forward-z and backward-z halves carry equal weight
-        weight_fwd = np.sum(np.abs(st.psi.values[:, :, :, 8]) ** 2)
-        weight_bwd = np.sum(np.abs(st.psi.values[:, :, :, -8]) ** 2)
+        weight_fwd = np.sum(np.abs(st.psi[:, :, :, 8]) ** 2)
+        weight_bwd = np.sum(np.abs(st.psi[:, :, :, -8]) ** 2)
         assert weight_fwd == pytest.approx(weight_bwd, rel=1e-10)
 
     def test_rejects_non_hermitian(self, g32, helicity_state):
@@ -131,9 +129,9 @@ class TestStateFromClassical:
 class TestRoundtripGap:
     def test_equals_gap_of_the_whole_state(self, two_direction_state):
         cf = classical_from_state(two_direction_state)
-        whole = state_from_classical(cf).psi.values
+        whole = state_from_classical(cf).psi
         assert roundtrip_gap(cf, two_direction_state) == relative_gap(
-            whole, two_direction_state.psi.values)
+            whole, two_direction_state.psi)
 
     @pytest.mark.parametrize("poisoned", [0, 1])
     def test_non_finite_block_fails_the_row(self, two_direction_state, monkeypatch, poisoned):
@@ -173,10 +171,10 @@ class TestLandauPeierls:
     def test_matches_state_blocks(self, two_direction_state):
         pair = complex_pair(two_direction_state)
         F_u, F_l = landau_peierls_transform(pair)
-        pos = to_position(two_direction_state.psi)
-        dev_u = np.abs(F_u.values - np.sqrt(2.0) * pos.values[:3]).max()
-        dev_l = np.abs(F_l.values - np.sqrt(2.0) * pos.values[3:]).max()
-        scale = np.abs(pos.values).max()
+        pos = to_position(momentum_field(two_direction_state.psi, two_direction_state.grid))
+        dev_u = np.abs(F_u - np.sqrt(2.0) * pos[:3]).max()
+        dev_l = np.abs(F_l - np.sqrt(2.0) * pos[3:]).max()
+        scale = np.abs(pos).max()
         assert dev_u < 1e-12 * scale and dev_l < 1e-12 * scale
 
     def test_wavefunction_broader_than_field(self, g32):
@@ -189,7 +187,7 @@ class TestLandauPeierls:
             dens = np.sum(np.abs(values) ** 2, axis=0)
             return float(np.sum(dens * g32.rmag**2) / np.sum(dens))
 
-        assert second_moment(F_u.values) / second_moment(pair.E) > 1.0
+        assert second_moment(F_u) / second_moment(pair.E) > 1.0
 
     def test_not_proportional_for_two_shell_spectrum(self, g32):
         # two different |k| shells: no single constant relates F_u and E
@@ -203,7 +201,7 @@ class TestLandauPeierls:
         pair = complex_pair(st)
         F_u, _ = landau_peierls_transform(pair)
         E = pair.E.ravel()
-        F = F_u.values.ravel()
+        F = F_u.ravel()
         beta = np.vdot(E, F) / np.vdot(E, E)  # least-squares scalar fit
         gap = np.abs(F - beta * E).max() / np.abs(F).max()
         assert gap > 1e-3

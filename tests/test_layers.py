@@ -11,6 +11,10 @@ The sqrt(2) block scale of a payload, psi = (f_u, f_l)/sqrt(2), lives in
 classical fields; every other route reads the stored blocks and applies a
 constant factor once, to its result.  `algebra` also calls sqrt(2), for
 unit polarization vectors.  No other module calls it.
+
+Outside `kgrid` a payload is a plain array beside its grid: no module reads a
+`.values` attribute, and a `kgrid.Field` is built only as the first argument
+of a transform, whose representation guard reads its tag.
 """
 
 import ast
@@ -106,3 +110,47 @@ def test_the_walk_sees_every_sqrt2_call_form():
               "def f():\n"
               "    return sqrt(2 * k)\n")
     assert sorted(sqrt2_calls(source)) == [1, 2, 3, 6]
+
+
+# Outside kgrid a payload is a plain array: a kgrid.Field is built only as
+# the input of a transform, where the representation guard reads its tag
+TRANSFORMS = {"to_position", "to_momentum"}
+FIELD_NAMES = {"Field", "momentum_field", "position_field"}
+
+
+def field_uses(source: str):
+    """The lines of a module's `.values` attribute reads (a `.values()` call
+    aside) and of its uses of FIELD_NAMES outside the first argument of a
+    transform call."""
+    tree = ast.parse(source)
+    allowed, calls = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            calls.add(id(node.func))
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in TRANSFORMS and node.args:
+                allowed.update(id(inner) for inner in ast.walk(node.args[0]))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "values" and id(node) not in calls:
+            yield node.lineno
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in FIELD_NAMES and id(node) not in allowed:
+            yield node.lineno
+
+
+def test_a_field_is_only_a_transform_input():
+    found = [f"{name}.py:{line}" for name in sorted(set(LAYERS) - {"kgrid"})
+             for line in field_uses((PACKAGE / f"{name}.py").read_text())]
+    assert found == []
+
+
+def test_the_walk_sees_every_field_use():
+    source = ("a = to_position(momentum_field(psi, g), overwrite=True)\n"
+              "b = kgrid.to_momentum(kgrid.position_field(x, g))\n"
+              "c = {}.values()\n"
+              "d = field.values\n"
+              "e = momentum_field(psi, g)\n"
+              "f = to_position(p, kgrid.Field(v, rep, g))\n"
+              "g = PhotonState(Field(v, rep, g), 0.0)\n")
+    assert sorted(field_uses(source)) == [4, 5, 6, 7]

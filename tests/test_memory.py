@@ -98,7 +98,7 @@ def peak_in_fields(run) -> float:
     finally:
         if not already_tracing:
             tracemalloc.stop()
-    return peak / state.psi.values.nbytes
+    return peak / state.psi.nbytes
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))

@@ -11,6 +11,7 @@ from darwinlab.kgrid import (
     KGrid,
     momentum_field,
     norm_squared,
+    position_field,
     to_position,
 )
 from darwinlab.observables import (
@@ -46,19 +47,19 @@ from test_golden import allowed
 
 def matrix_spin_oracle(state):
     """Independent route: sandwich the dense 6x6 spin matrices per bin."""
-    psi = state.psi.values
-    out = np.einsum("cxyz,icd,dxyz->i", np.conj(psi), SPIN, psi) * state.psi.measure
+    psi = state.psi
+    out = np.einsum("cxyz,icd,dxyz->i", np.conj(psi), SPIN, psi) * state.grid.dk**3
     assert np.abs(out.imag).max() < 1e-12
     return out.real
 
 
 def matrix_projected_oracle(state):
     """Independent route for the momentum-projected operator (spin . w) w_i."""
-    psi = state.psi.values
+    psi = state.psi
     g = state.grid
     spin_w = np.einsum("axyz,acd->xyzcd", g.khat, SPIN)
     scalar = np.einsum("cxyz,xyzcd,dxyz->xyz", np.conj(psi), spin_w, psi)
-    out = np.einsum("xyz,axyz->a", scalar, g.khat) * state.psi.measure
+    out = np.einsum("xyz,axyz->a", scalar, g.khat) * g.dk**3
     assert np.abs(out.imag).max() < 1e-12
     return out.real
 
@@ -94,8 +95,7 @@ class TestSpinFormulas:
     def test_unprojected_state_shows_discrepancy(self, g16, rng):
         vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
         vals[:, 0, 0, 0] = 0.0
-        psi = momentum_field(vals / np.sqrt(norm_squared(momentum_field(vals, g16))), g16)
-        st = PhotonState(psi)
+        st = PhotonState(vals / np.sqrt(norm_squared(vals, g16.dk**3)), g16)
         gap = np.abs(spin_projected(st) - spin_canonical(st)).max()
         assert gap > 1e-3
 
@@ -119,8 +119,7 @@ class TestSpinFormulas:
     def test_real_amplitudes_have_no_spin(self, g16):
         vals = np.zeros((6,) + g16.shape, dtype=complex)
         vals[1, 2, 3, 4] = 0.7  # single real entry
-        psi = momentum_field(vals, g16)
-        st = PhotonState(psi)
+        st = PhotonState(vals, g16)
         assert np.abs(spin_cross(st, "upper")).max() == 0.0
 
     def test_position_space_formulas(self, two_direction_state):
@@ -195,9 +194,9 @@ class TestOam:
         position -> momentum -> position spectral gradient."""
         st = self.ring(g32, 2)
         F = to_position(momentum_field(st.f_upper(), g32))
-        grad = np.stack([d.values for d in spectral_gradient(F)])  # (axis, component, x, y, z)
+        grad = np.stack(spectral_gradient(position_field(F, g32)))  # (axis, component, x, y, z)
         xg = np.cross(full_grid(g32.x_axes)[:, None], grad, axis=0)
-        ref = (-1j * np.sum(np.conj(F.values) * xg, axis=(1, 2, 3, 4))
+        ref = (-1j * np.sum(np.conj(F) * xg, axis=(1, 2, 3, 4))
                * g32.dx**3).real
         assert np.abs(oam_position(st) - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -208,9 +207,9 @@ class TestOam:
         calls = []
         original = kgrid.boundary_amplitude_ratio
 
-        def counted(field):
+        def counted(values, grid):
             calls.append(1)
-            return original(field)
+            return original(values, grid)
 
         monkeypatch.setattr(kgrid, "boundary_amplitude_ratio", counted)
         suites.run_suites(["conservation"], synthesize(README_MODES, g16))
@@ -222,7 +221,7 @@ class TestOam:
         # moduli see neither the block scale nor the peeled phase
         st = evolve(self.ring(g32, 1), 2.0)
         peeled = st.f_upper() * g32.phase(-st.time)
-        expect = original(momentum_field(peeled, g32))
+        expect = original(peeled, g32)
         assert oam_boundary_ratio(st) == pytest.approx(expect, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("time", [0.0, 7.25])
@@ -232,7 +231,7 @@ class TestOam:
         st = evolve(self.ring(g32, 1), time) if time else self.ring(g32, 1)
         x = full_grid(g32.x_axes)
         on_shell = np.any((x == -g32.box_length / 2) | (x == g32.box_length / 2 - g32.dx), axis=0)
-        density = np.sum(np.abs(to_position(st.psi).values) ** 2, axis=0)
+        density = np.sum(np.abs(to_position(momentum_field(st.psi, g32))) ** 2, axis=0)
         expect = np.sum(density[on_shell]) / np.sum(density)
         assert on_shell.sum() == g32.n**3 - (g32.n - 2) ** 3
         assert oam_position_shell(st) == pytest.approx(expect, rel=1e-12)
@@ -281,7 +280,7 @@ def test_fold_and_planes_are_the_whole_array_densities(two_direction_state, g32,
     # and within the goldens' rule wherever the kernel density enters
     st = {"two_direction": lambda: two_direction_state,
           "readme": lambda: synthesize(README_MODES, g32), "dk_0.8": _dk_08_state}[which]()
-    st = evolve(st, time) if time else PhotonState(st.psi)  # a fresh memo
+    st = evolve(st, time) if time else PhotonState(st.psi, st.grid)  # a fresh memo
     ref = whole_array_densities(st)
     m = st.grid.dx**3
     _, spread, gap_upper, gap_kernel = position_spin(st)
@@ -345,7 +344,7 @@ class TestPositionOwnership:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(observables, "_cross_density", counted)
-        st = PhotonState(two_direction_state.psi)  # a fresh memo
+        st = PhotonState(two_direction_state.psi, two_direction_state.grid)  # a fresh memo
         spin_routes(st)
         suites.suite_densities(st, suites.DEFAULT_TIMES)
         assert len(calls) == 4
@@ -358,7 +357,7 @@ class TestPositionOwnership:
                     and fn.__module__ == observables.__name__):
                 wrapper = functools.wraps(fn)(lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
                 monkeypatch.setattr(observables, name, wrapper)
-        st = PhotonState(two_direction_state.psi)
+        st = PhotonState(two_direction_state.psi, two_direction_state.grid)
         routes = observables.spin_routes(st)
         pos = observables.psi_position(st)
         observables.drop_position(st)
@@ -379,14 +378,13 @@ class TestProbability:
         assert np.abs(np.array(p) - 1.0).max() < 1e-10
 
     def test_momentum_block_norm_equality(self, two_direction_state):
-        dk3 = two_direction_state.psi.measure
+        dk3 = two_direction_state.grid.dk**3
         nu = np.sum(np.abs(two_direction_state.f_upper()) ** 2) * dk3
         nl = np.sum(np.abs(two_direction_state.f_lower()) ** 2) * dk3
         assert abs(nu - nl) < 1e-12
 
     def test_quadratic_scaling(self, helicity_state):
-        psi = momentum_field(2.0 * helicity_state.psi.values, helicity_state.grid)
-        st = PhotonState(psi)
+        st = PhotonState(2.0 * helicity_state.psi, helicity_state.grid)
         p = probability(st)
         assert np.abs(np.array(p) - 4.0).max() < 1e-9
 

@@ -17,6 +17,7 @@ from darwinlab.cli import main
 from darwinlab.state import PhotonState
 from make_golden import README_N32
 from test_cli import derived_overflow_files  # noqa: F401  (a fixture)
+from test_suites import FFT_PINS
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
 
@@ -66,7 +67,7 @@ def bits(report):
 def check_path(state):
     """The values of `cli._observe_report` as the check suites compute them,
     on a state of its own."""
-    state = PhotonState(state.psi, state.time)
+    state = PhotonState(state.psi, state.grid, state.time)
     return (observables.spin_routes(state), observables.oam_momentum(state),
             observables.oam_position(state), observables.probability(state),
             observables.oam_boundary_ratio(state))
@@ -74,7 +75,8 @@ def check_path(state):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_observe_keeps_no_kernel_density(monkeypatch, two_direction_state, cpus):
-    state = PhotonState(two_direction_state.psi, two_direction_state.time)  # nothing memoized
+    fixture = two_direction_state
+    state = PhotonState(fixture.psi, fixture.grid, fixture.time)  # nothing memoized
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     report = cli._observe_report(state)
 
@@ -96,13 +98,14 @@ def test_observe_transforms_once_and_releases_before_the_momentum_routes(
         monkeypatch, two_direction_state, cpus):
     # the position routes run first, then the transform is released, so the
     # momentum routes never sit beside it; nothing transforms the payload again
-    state = PhotonState(two_direction_state.psi, two_direction_state.time)  # nothing memoized
+    fixture = two_direction_state
+    state = PhotonState(fixture.psi, fixture.grid, fixture.time)  # nothing memoized
     transforms, memo_at_momentum, densities = [], [], []
     to_position, momentum_routes = observables.to_position, observables.momentum_spin_routes
     cross_density = observables._cross_density
 
     def counted_transform(field, **kwargs):
-        transforms.append(field is state.psi)
+        transforms.append(field.values is state.psi)
         return to_position(field, **kwargs)
 
     def spied_momentum_routes(st):
@@ -174,7 +177,7 @@ def test_failed_fork_transforms_the_payload_once(states, monkeypatch, capsys, tm
         monkeypatch.setattr(np.fft, name, counted)
     monkeypatch.setattr(os, "fork", no_process)
     code, captured, _ = run_observe(monkeypatch, capsys, tmp_path, 2, states["built"])
-    assert (code, captured.err, len(calls)) == (0, "", 10)
+    assert (code, captured.err, len(calls)) == (0, "", FFT_PINS["observe"][0])
 
 
 def test_killed_worker_gives_the_serial_csv(states, monkeypatch, capsys, tmp_path, forks):

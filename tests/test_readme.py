@@ -1,6 +1,6 @@
 """The README's "Library sketch" runs as written, and the README's lists of
 suites and rows name what the code has: its rows as `suites.ROWS` declares
-them."""
+them, and the FFT counts it quotes are those that tests/test_suites.py pins."""
 
 import contextlib
 import fnmatch
@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 from darwinlab import suites
+from test_suites import CHECK_GROUP_CALLS, FFT_PINS, OBSERVE_WORKER_PINS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,3 +70,22 @@ def test_acceptance_list_names_declared_rows():
     names = _quoted(r"per criterion, each named\s+here (.*?)\.\n\n")
     rows = [n for n in names if n not in ("dpl check", "suites.ROWS", *suites.SUITE_NAMES)]
     assert rows and set(rows) <= set(suites.ROWS)
+
+
+def _numbers(pattern: str) -> tuple[int, ...]:
+    """The integers that pattern's groups match in the one README passage."""
+    (match,) = re.finditer(pattern, _text(), flags=re.S)
+    return tuple(int(n) for n in match.groups())
+
+
+def test_quoted_fft_counts_are_the_pinned_ones():
+    assert _numbers(r"full check makes (\d+) FFT calls over (\d+) components: "
+                    r"(\d+) calls and (\d+)\)") == (*FFT_PINS["check"], *CHECK_GROUP_CALLS)
+    assert _numbers(r"\((\d+) of the\s+command's (\d+) FFT calls, (\d+) of its (\d+) "
+                    r"transformed\s+components\)") == (
+        OBSERVE_WORKER_PINS[0], FFT_PINS["observe"][0],
+        OBSERVE_WORKER_PINS[1], FFT_PINS["observe"][1])
+    assert _numbers(r"transform is made once \((\d+) FFT calls, as with the worker\)") == (
+        FFT_PINS["observe"][0],)
+    assert _numbers(r"\(`dynamics\.maxwell_curl_residual`, (\d+) FFT calls:") == (
+        FFT_PINS["evolve"][0],)

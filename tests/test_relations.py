@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from darwinlab import cli, dynamics, suites
-from darwinlab.kgrid import KGrid, momentum_field
+from darwinlab.kgrid import KGrid
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 
 TIMES = (0.0, 1.25, 4.0)  # conservation samples, exact under the scaling by 4
@@ -60,7 +60,7 @@ def test_grid_scale(fixture_state, fixture_outputs):
     # every row and every vector is bitwise the same
     lam = 4.0
     g = fixture_state.grid
-    scaled = PhotonState(momentum_field(fixture_state.psi.values / lam**1.5, KGrid(g.n, lam * g.dk)),
+    scaled = PhotonState(fixture_state.psi / lam**1.5, KGrid(g.n, lam * g.dk),
                          time=fixture_state.time / lam)
     rows, vectors = _outputs(scaled, tuple(t / lam for t in TIMES))
     expect_rows, expect_vectors = fixture_outputs
@@ -74,7 +74,7 @@ def test_global_phase(fixture_state, fixture_outputs):
     # rounding.  maxwell_residual divides a difference of the state at t +- dt
     # by 2 dt, dt = DEFAULT_DT_FRACTION / k_max, which lifts its rounding to
     # about eps / DEFAULT_DT_FRACTION (it moves by 2.5e-14 here)
-    rotated = PhotonState(momentum_field(fixture_state.psi.values * np.exp(0.7j), fixture_state.grid),
+    rotated = PhotonState(fixture_state.psi * np.exp(0.7j), fixture_state.grid,
                           time=fixture_state.time)
     rows, vectors = _outputs(rotated, TIMES)
     expect_rows, expect_vectors = fixture_outputs

@@ -19,8 +19,7 @@ from reference import full_grid
 
 
 def manual_state(grid, f_upper, f_lower):
-    psi = momentum_field(np.concatenate([f_upper, f_lower]) / np.sqrt(2.0), grid)
-    return PhotonState(psi)
+    return PhotonState(np.concatenate([f_upper, f_lower]) / np.sqrt(2.0), grid)
 
 
 def branch_state(grid, sign, k0=(0, 0, 8), sigma=1.2):
@@ -40,9 +39,9 @@ def longitudinal_state(state, fraction=0.3):
     """Copy of state whose upper block gains a longitudinal part, per bin
     ``fraction`` of the block's amplitude along the momentum direction."""
     g = state.grid
-    values = state.psi.values.copy()
+    values = state.psi.copy()
     values[:3] += fraction * np.linalg.norm(values[:3], axis=0) * g.khat
-    return PhotonState(momentum_field(values, g), state.time)
+    return PhotonState(values, g, state.time)
 
 
 class TestDerivedValues:
@@ -65,9 +64,9 @@ class TestDerivedValues:
         return calls
 
     def test_construction_computes_nothing(self, counted, helicity_state):
-        st = PhotonState(helicity_state.psi)
+        st = PhotonState(helicity_state.psi, helicity_state.grid)
         assert counted == {"norm_squared": 0, "transversality_residual": 0}
-        assert [f.name for f in dataclasses.fields(st)] == ["psi", "time"]
+        assert [f.name for f in dataclasses.fields(st)] == ["psi", "grid", "time"]
 
     def test_only_payload_scalars_are_cached(self):
         # arrays derived from the payload belong to the observables memo
@@ -76,33 +75,42 @@ class TestDerivedValues:
         assert cached == ["norm", "rqc_residual"]
 
     def test_each_value_computed_once(self, counted, helicity_state):
-        st = PhotonState(helicity_state.psi)
+        g = helicity_state.grid
+        st = PhotonState(helicity_state.psi, g)
         for _ in range(3):
-            assert st.norm == norm_squared(helicity_state.psi)
-            assert st.rqc_residual == transversality_residual(helicity_state.psi)
+            assert st.norm == norm_squared(helicity_state.psi, g.dk**3)
+            assert st.rqc_residual == transversality_residual(helicity_state.psi, g)
         # the reference values above come from this module's unpatched bindings
         assert counted == {"norm_squared": 1, "transversality_residual": 1}
 
     @pytest.mark.parametrize("entry", [complex("nan"), complex("inf")])
     def test_state_checks_its_payload_and_a_field_does_not(self, helicity_state, entry):
-        values = helicity_state.psi.values.copy()
+        values = helicity_state.psi.copy()
         values[1, 2, 3, 4] = entry
-        field = momentum_field(values, helicity_state.grid)  # accepted: fields are not scanned
+        momentum_field(values, helicity_state.grid)  # accepted: fields are not scanned
         with pytest.raises(ValueError, match="non-finite"):
-            PhotonState(field, 1.5)
+            PhotonState(values, helicity_state.grid, 1.5)
+
+    def test_state_refuses_a_payload_of_another_shape(self, helicity_state, g16):
+        # six components on the state's own grid, nothing else
+        values, grid = helicity_state.psi, helicity_state.grid
+        assert grid != g16
+        for payload, on in ((values[:3], grid), (values, g16)):
+            with pytest.raises(ValueError, match="shape"):
+                PhotonState(payload, on)
 
     def test_payload_is_read_only(self, g16):
         # an in-place transform handed the payload would leave every cached
         # value describing amplitudes the state no longer holds
         st = synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 4), sigma_k=1.0, helicity=1)], g16)
         norm, pos = st.norm, observables.psi_position(st)
-        before = st.psi.values.copy()
+        before = st.psi.copy()
         with pytest.raises(ValueError, match="read-only"):
-            to_position(st.psi, overwrite=True)
-        assert np.array_equal(st.psi.values, before)
-        assert norm_squared(st.psi) == norm == st.norm
+            to_position(momentum_field(st.psi, st.grid), overwrite=True)
+        assert np.array_equal(st.psi, before)
+        assert norm_squared(st.psi, g16.dk**3) == norm == st.norm
         assert observables.psi_position(st) is pos
-        assert np.array_equal(pos, to_position(st.psi).values)
+        assert np.array_equal(pos, to_position(momentum_field(st.psi, st.grid)))
 
 
 class TestModeSpec:
@@ -152,7 +160,7 @@ class TestSynthesize:
 
     def test_plane_mode_single_bin(self, g16):
         st = synthesize([ModeSpec(kind="plane", k0=(0, 0, 3), helicity=1)], g16)
-        amp = np.linalg.norm(st.psi.values, axis=0)
+        amp = np.linalg.norm(st.psi, axis=0)
         assert np.count_nonzero(amp) == 1
         assert amp[0, 0, 3] > 0.0
 
@@ -162,7 +170,7 @@ class TestSynthesize:
             synthesize([ModeSpec(kind="gaussian", k0=(0, 0, 500.0), sigma_k=1.0, helicity=1)], g16)
 
     def test_dc_bin_zero(self, two_direction_state):
-        assert np.abs(two_direction_state.psi.values[:, 0, 0, 0]).max() == 0.0
+        assert np.abs(two_direction_state.psi[:, 0, 0, 0]).max() == 0.0
 
     def test_block_moduli_match(self, two_direction_state):
         # |f_u| = |f_l| per bin follows from the unit-norm coupling direction
@@ -177,11 +185,11 @@ class TestProjectTransverse:
 
     def test_removes_longitudinal(self, g16, rng):
         vals = rng.normal(size=(6,) + g16.shape) + 1j * rng.normal(size=(6,) + g16.shape)
-        st = PhotonState(momentum_field(vals, g16))
+        st = PhotonState(vals, g16)
         assert st.rqc_residual > 0.1  # random data is far from transverse
         w = g16.khat
         projected = np.concatenate([f - kgrid.dot(w, f) * w for f in (vals[:3], vals[3:])])
-        assert PhotonState(momentum_field(projected, g16)).rqc_residual < 1e-13
+        assert PhotonState(projected, g16).rqc_residual < 1e-13
 
 
 class TestProjectPositiveEnergy:
@@ -195,7 +203,7 @@ class TestProjectPositiveEnergy:
         f_u, f_l = vals[:3], vals[3:]
         new_u = 0.5 * (f_u - kgrid.dot(w, f_u) * w - kgrid.cross(w, f_l))
         new_l = 0.5 * (f_l - kgrid.dot(w, f_l) * w + kgrid.cross(w, f_u))
-        proj = PhotonState(momentum_field(np.concatenate([new_u, new_l]), g16))
+        proj = PhotonState(np.concatenate([new_u, new_l]), g16)
         assert branch_residual(proj) < 1e-12
         assert proj.rqc_residual < 1e-12
 
@@ -208,7 +216,7 @@ class TestNormalize:
                                         amplitude=amplitude)], g16)
 
         unit, scaled = built(1.0), built(3.0)
-        assert np.abs(scaled.psi.values - unit.psi.values).max() < 1e-14
+        assert np.abs(scaled.psi - unit.psi).max() < 1e-14
 
     def test_zero_state_rejected(self, g16):
         # a linear polarization along k0 is wholly longitudinal on the plane
@@ -222,5 +230,6 @@ class TestNormalize:
 
     def test_position_space_norm_matches(self, helicity_state):
         # oracle: Parseval ties both representations together
-        pos = to_position(helicity_state.psi)
-        assert norm_squared(pos) == pytest.approx(1.0, abs=1e-12)
+        g = helicity_state.grid
+        pos = to_position(momentum_field(helicity_state.psi, g))
+        assert norm_squared(pos, g.dx**3) == pytest.approx(1.0, abs=1e-12)

@@ -23,7 +23,7 @@ def state_file(tmp_path, helicity_state):
 class TestRoundtrip:
     def test_bit_for_bit(self, state_file, helicity_state):
         state, header = read_state(state_file)
-        assert np.array_equal(state.psi.values, helicity_state.psi.values)
+        assert np.array_equal(state.psi, helicity_state.psi)
         assert state.norm == helicity_state.norm
         assert state.rqc_residual == helicity_state.rqc_residual
         assert state.time == helicity_state.time
@@ -39,7 +39,7 @@ class TestRoundtrip:
         write_state(path, st)
         back, _ = read_state(path)
         assert back.time == pytest.approx(1.5)
-        assert np.array_equal(back.psi.values, st.psi.values)
+        assert np.array_equal(back.psi, st.psi)
 
 
 class TestIntegrity:
@@ -88,11 +88,11 @@ class TestLayout:
         assert np.count_nonzero(np.abs(flat).sum(axis=1)) == 1
 
     def test_payload_element_is_component_of_bin(self, tmp_path, rng):
-        # element ((z n + y) n + x) 6 + c of the payload is psi.values[c, x, y, z]
+        # element ((z n + y) n + x) 6 + c of the payload is psi[c, x, y, z]
         g = kgrid.KGrid(8, 1.0)
         values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
         path = tmp_path / "random.dpst"
-        write_state(path, PhotonState(kgrid.momentum_field(values, g)))
+        write_state(path, PhotonState(values, g))
         _, payload = _split(path.read_bytes())
         flat = np.frombuffer(payload, dtype="<c16")
         n = g.n
@@ -180,7 +180,7 @@ class TestHeaderValues:
     def test_integer_unit_record_loads(self, state_file, helicity_state):
         rewrite_header(state_file, units={"hbar": 1, "c": 1, "eps0": 1, "label": "natural"})
         state, _ = read_state(state_file)
-        assert np.array_equal(state.psi.values, helicity_state.psi.values)
+        assert np.array_equal(state.psi, helicity_state.psi)
 
     def test_claimed_values_are_ignored(self, tmp_path, helicity_state):
         # a 30% longitudinal payload under a header that claims a perfect state
@@ -189,8 +189,9 @@ class TestHeaderValues:
         write_state(path, payload_state)
         rewrite_header(path, **OLD_HEADER_CLAIMS)
         state, _ = read_state(path)
-        assert state.norm == kgrid.norm_squared(payload_state.psi)
-        assert state.rqc_residual == transversality_residual(payload_state.psi) > 0.1
+        g = payload_state.grid
+        assert state.norm == kgrid.norm_squared(payload_state.psi, g.dk**3)
+        assert state.rqc_residual == transversality_residual(payload_state.psi, g) > 0.1
 
 
 @pytest.mark.filterwarnings("error")
@@ -198,8 +199,7 @@ def test_overflowing_norm_is_an_integrity_error(tmp_path, helicity_state):
     # finite amplitudes, but sum |psi|^2 dk^3 overflows: nothing downstream
     # can normalize or compare such a state
     path = tmp_path / "huge.dpst"
-    write_state(path, PhotonState(kgrid.momentum_field(1e300 * helicity_state.psi.values,
-                                                       helicity_state.grid)))
+    write_state(path, PhotonState(1e300 * helicity_state.psi, helicity_state.grid))
     with pytest.raises(StateFileError, match="norm inf is not finite"):
         read_state(path)
 

@@ -253,6 +253,16 @@ def _two_mode_state():
     )
 
 
+# FFT calls and transformed components, pinned exactly, of a full check,
+# `dpl observe` and `dpl evolve` (with its certificate) on the two-mode n=32
+# state; the check's calls split between its two groups, memo then own
+# transforms, and six of observe's calls are the worker's one pass over the
+# position spin densities.  tests/test_readme.py holds the README to them.
+FFT_PINS = {"check": (24, 79), "observe": (10, 33), "evolve": (2, 12)}
+CHECK_GROUP_CALLS = (12, 12)
+OBSERVE_WORKER_PINS = (6, 18)
+
+
 @pytest.fixture()
 def transforms(monkeypatch):
     """The component count of each FFT call made in this process."""
@@ -272,9 +282,10 @@ class TestPerStateEvaluation:
     def test_full_check_fft_budget(self, transforms):
         reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())
         assert all(r.passed for r in reports)
-        assert len(transforms) <= 24
+        assert len(transforms) == FFT_PINS["check"][0]
 
-    @pytest.mark.parametrize("path, budget", [("spin_routes", 7), ("evolve", 2)])
+    @pytest.mark.parametrize("path, budget", [("spin_routes", 1 + OBSERVE_WORKER_PINS[0]),
+                                              ("evolve", FFT_PINS["evolve"][0])])
     def test_observe_and_evolve_fft_budgets(self, transforms, path, budget):
         # counted as for the full check: the check-path spin routes make one
         # six-component transform and six for the nonlocal density, and no
@@ -287,18 +298,32 @@ class TestPerStateEvaluation:
         else:
             _, dirac, maxwell = _evolve_certified(state)
             assert dirac < 1e-12 and maxwell < 1e-6
-        assert len(transforms) <= budget
+        assert len(transforms) == budget
 
-    @pytest.mark.parametrize("run, components", [
-        (lambda state: suites.run_suites(suites.SUITE_NAMES, state), 79),
-        (_observe_on(1), 33),
-        (_evolve_certified, 12),
+    @pytest.mark.parametrize("run, pin", [
+        (lambda state: suites.run_suites(suites.SUITE_NAMES, state), FFT_PINS["check"]),
+        (_observe_on(1), FFT_PINS["observe"]),
+        (_evolve_certified, FFT_PINS["evolve"]),
     ], ids=["check", "observe", "evolve"])
-    def test_transformed_components(self, transforms, run, components):
+    def test_transformed_components(self, transforms, run, pin):
         # pairing transforms into fewer calls must not hide added work: the
         # components transformed, summed over the calls, are pinned
         run(_two_mode_state())
-        assert sum(transforms) == components
+        assert (len(transforms), sum(transforms)) == pin
+
+    def test_check_groups_and_observe_worker_share_the_calls(self, transforms):
+        # what each process of a split check and of a split observe transforms
+        calls = []
+        for group in (suites.MEMO_SUITES, suites.OWN_TRANSFORM_SUITES):
+            transforms.clear()
+            suites.run_suites(group, _two_mode_state())
+            calls.append(len(transforms))
+        assert tuple(calls) == CHECK_GROUP_CALLS
+        state = _two_mode_state()
+        observables.psi_position(state)  # made before the fork; the worker inherits it
+        transforms.clear()
+        observables.position_spin(state)
+        assert (len(transforms), sum(transforms)) == OBSERVE_WORKER_PINS
 
     @pytest.mark.parametrize("component, calls", [("x", 3), ("y", 5), ("z", 7)])
     def test_densities_transforms_up_to_its_component(self, transforms, tmp_path, component, calls):
@@ -361,7 +386,7 @@ class TestPerStateEvaluation:
         original = observables.to_position
 
         def counted(field, **kwargs):
-            calls.append(field is state.psi)
+            calls.append(field.values is state.psi)
             return original(field, **kwargs)
 
         monkeypatch.setattr(observables, "to_position", counted)
@@ -387,11 +412,11 @@ class TestPerStateEvaluation:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        recorded("norm", kgrid, "norm_squared", lambda field: field.values)
+        recorded("norm", kgrid, "norm_squared", lambda values: values)
         for name in ("oam_momentum", "spin_canonical"):
-            recorded("momentum", observables, name, lambda st: st.psi.values)
-        recorded("position", observables, "psi_position", lambda st: st.psi.values)
-        recorded("drop", observables, "drop_position", lambda st: st.psi.values)
+            recorded("momentum", observables, name, lambda st: st.psi)
+        recorded("position", observables, "psi_position", lambda st: st.psi)
+        recorded("drop", observables, "drop_position", lambda st: st.psi)
         # called directly: run_suites memoizes the state's own probability
         # before conservation runs, so its first sample would make no transform
         state = _two_mode_state()
@@ -404,7 +429,7 @@ class TestPerStateEvaluation:
                 samples.append((payload, []))
             samples[-1][1].append(kind)
         assert len(samples) == len(suites.DEFAULT_TIMES)
-        assert samples[0][0] is state.psi.values
+        assert samples[0][0] is state.psi
         for _, kinds in samples:
             first = kinds.index("position")
             assert {"norm", "momentum"} <= set(kinds[:first])
@@ -440,7 +465,7 @@ class TestPerStateEvaluation:
             return observables.oam_momentum(st) + observables.spin_canonical(st)
 
         expected = {
-            ("constraint", "transversality"): transversality_residual(fresh().psi),
+            ("constraint", "transversality"): transversality_residual(fresh().psi, fresh().grid),
             ("spin-equalities", "spin_equalities"):
                 max(float(np.abs(a - b).max()) for a in spins for b in spins),
             ("oam", "oam_formula_gap"):

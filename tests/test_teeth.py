@@ -39,7 +39,7 @@ import pytest
 
 from darwinlab import algebra, dynamics, fieldbridge, observables, suites
 from darwinlab.fieldbridge import classical_from_state
-from darwinlab.kgrid import KGrid, momentum_field
+from darwinlab.kgrid import KGrid
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from test_state import longitudinal_state
 
@@ -96,14 +96,14 @@ def _kernel_rows_times_i(monkeypatch, state):
             yield upper, lower, kernel
 
     monkeypatch.setattr(observables, "_spin_density_rows", broken)
-    return PhotonState(state.psi, state.time)  # a fresh observables memo
+    return PhotonState(state.psi, state.grid, state.time)  # a fresh observables memo
 
 
 def _full_density_without_half(monkeypatch, state):
     # the pass over the spin densities forms the full density as the sum of
     # the block densities, not their mean; the probabilities, memoized
     # first, keep theirs, so the spin integrals alone move the row
-    fresh = PhotonState(state.psi, state.time)  # a fresh observables memo
+    fresh = PhotonState(state.psi, state.grid, state.time)  # a fresh observables memo
     observables.probability(fresh)
     monkeypatch.setattr(observables, "_full_density",
                         lambda upper, lower, out=None: np.add(upper, lower, out=out))
@@ -120,9 +120,9 @@ def _kernel_scaled_1_1(monkeypatch, state):
 
 def _negated_lower_block(monkeypatch, state):
     # the negative-energy partner of the state: f_l -> -f_l
-    values = state.psi.values.copy()
+    values = state.psi.copy()
     values[3:] *= -1.0
-    return PhotonState(momentum_field(values, state.grid), state.time)
+    return PhotonState(values, state.grid, state.time)
 
 
 def _phase_sign_flipped(monkeypatch, state):
@@ -136,9 +136,9 @@ def _longitudinal(monkeypatch, state):
 
 def _lower_block_scaled_1_01(monkeypatch, state):
     # f_l -> 1.01 f_l: the two blocks no longer carry equal weight
-    values = state.psi.values.copy()
+    values = state.psi.copy()
     values[3:] *= 1.01
-    return PhotonState(momentum_field(values, state.grid), state.time)
+    return PhotonState(values, state.grid, state.time)
 
 
 def _nyquist_plane_weight(monkeypatch, state):
@@ -147,7 +147,7 @@ def _nyquist_plane_weight(monkeypatch, state):
     # symmetrized Fourier data is not that of the complex field's real part
     g = state.grid
     plane = synthesize([ModeSpec(kind="plane", k0=(-g.n // 2, 0, 3), helicity=1)], g)
-    return PhotonState(momentum_field(state.psi.values + 1e-3 * plane.psi.values, g), state.time)
+    return PhotonState(state.psi + 1e-3 * plane.psi, g, state.time)
 
 
 def _e_real_scaled_1_01(monkeypatch, state):
@@ -253,7 +253,7 @@ def test_hermitian_symmetry_is_a_self_test():
     rng = np.random.default_rng(23)
     g = KGrid(16, 1.0)
     values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
-    cf = classical_from_state(PhotonState(momentum_field(values, g)))
+    cf = classical_from_state(PhotonState(values, g))
     assert cf.hermitian_residuals == (0.0, 0.0)
 
 
@@ -271,7 +271,7 @@ def test_random_payloads_fail_only_state_rows(n, seed):
     rng = np.random.default_rng(seed)
     g = KGrid(n, 1.0)
     values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
-    values = values / np.sqrt(PhotonState(momentum_field(values, g)).norm)
-    rows = _rows(PhotonState(momentum_field(values, g)),
+    values = values / np.sqrt(PhotonState(values, g).norm)
+    rows = _rows(PhotonState(values, g),
                  [name for name in suites.SUITE_NAMES if name != "kernels"])
     assert {name for name, c in rows.items() if not c.passed} == _of_kind("state")
