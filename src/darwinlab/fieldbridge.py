@@ -46,12 +46,10 @@ DC_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class ClassicalField:
-    """Real free-field snapshot with its Fourier data."""
+    """Fourier data of a real free-field snapshot."""
 
     eps_k: np.ndarray   # (3, n, n, n) Fourier data of E_real
     eta_k: np.ndarray   # (3, n, n, n) Fourier data of H_real
-    E_real: np.ndarray  # (3, n, n, n) real
-    H_real: np.ndarray  # (3, n, n, n) real
     grid: KGrid
 
     @cached_property
@@ -93,35 +91,43 @@ def _validate_classical(cf: ClassicalField) -> None:
             raise ValueError(f"{name} is not solenoidal (residual {sol:.2e})")
 
 
-def classical_from_state(state: PhotonState) -> ClassicalField:
-    """Invert the amplitude weighting: e = sqrt(k) f_u and h = sqrt(k) f_l.
+def fourier_data(block: np.ndarray, grid: KGrid) -> np.ndarray:
+    """eps_k (or eta_k) of a state block f_u (or f_l), with no transform:
+    the Fourier data (a + conj(a(-k)))/sqrt(2) of the real field whose
+    complex positive-frequency amplitude is a = sqrt(k) f.  ``block`` is a
+    fresh copy, which this consumes: a is formed in its place."""
+    a = np.multiply(np.sqrt(grid.kmag), block, out=block)
+    a_k = reverse_bins(a)
+    np.conj(a_k, out=a_k)
+    np.add(a, a_k, out=a_k)
+    a_k /= np.sqrt(2.0)
+    return a_k
 
-    Returns the real classical snapshot of the complex positive-frequency pair
-    (E, H): E_real = (E + E*)/sqrt(2) and its magnetic twin.  The E chain runs
-    to the end before the H chain starts, and e is transformed in place once
-    its Fourier data is formed.
-    """
+
+def classical_fourier_data(state: PhotonState) -> ClassicalField:
+    """Invert the amplitude weighting, e = sqrt(k) f_u and h = sqrt(k) f_l,
+    and return the Fourier data of the real classical snapshot of the
+    complex pair (E, H): E_real = (E + E*)/sqrt(2) and its magnetic twin.
+    Nothing is transformed; :func:`real_field` makes either real field."""
     g = state.grid
-    sqrt_k = np.sqrt(g.kmag)
+    return ClassicalField(eps_k=fourier_data(state.f_upper(), g),
+                          eta_k=fourier_data(state.f_lower(), g), grid=g)
 
-    def chain(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = np.multiply(sqrt_k, block, out=block)  # e (or h); block is a fresh copy
-        a_k = reverse_bins(a)
-        np.conj(a_k, out=a_k)
-        np.add(a, a_k, out=a_k)
-        a_k /= np.sqrt(2.0)
-        A = to_position(momentum_field(a, g), overwrite=True)
-        A_real = np.empty(A.shape)
-        term = np.empty(g.shape, dtype=np.complex128)
-        for c in range(3):
-            np.add(A[c], np.conj(A[c], out=term), out=term)
-            term /= np.sqrt(2.0)
-            A_real[c] = term.real
-        return a_k, A_real
 
-    eps_k, E_real = chain(state.f_upper())
-    eta_k, H_real = chain(state.f_lower())
-    return ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=g)
+def real_field(block: np.ndarray, grid: KGrid) -> np.ndarray:
+    """E_real (or H_real) of a state block f_u (or f_l): the real part of
+    (A + A*)/sqrt(2), with A the position transform of a = sqrt(k) f, whose
+    Fourier data :func:`fourier_data` forms.  ``block`` is a fresh copy,
+    which this consumes: a is formed and transformed in its place."""
+    a = np.multiply(np.sqrt(grid.kmag), block, out=block)
+    A = to_position(momentum_field(a, grid), overwrite=True)
+    A_real = np.empty(A.shape)
+    term = np.empty(grid.shape, dtype=np.complex128)
+    for c in range(3):
+        np.add(A[c], np.conj(A[c], out=term), out=term)
+        term /= np.sqrt(2.0)
+        A_real[c] = term.real
+    return A_real
 
 
 def _over_k_cross(partner: np.ndarray, grid: KGrid) -> np.ndarray:
@@ -134,7 +140,7 @@ def _over_k_cross(partner: np.ndarray, grid: KGrid) -> np.ndarray:
 
 def _positive_frequency(own: np.ndarray, term: np.ndarray, sign: int, out=None) -> np.ndarray:
     """(own + sign * term) / sqrt(2) with the DC bin zeroed, written into out
-    (which may be term itself) or into a new array."""
+    (which may be own or term itself) or into a new array."""
     a = np.add(own, term, out=out) if sign > 0 else np.subtract(own, term, out=out)
     a /= np.sqrt(2.0)
     a[:, 0, 0, 0] = 0.0  # the DC bin
@@ -211,62 +217,40 @@ def roundtrip_gap(cf: ClassicalField, state: PhotonState) -> float:
     return worst / peak if peak != 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class NonlocalRelationReport:
-    """Agreement of the two routes from real fields to the complex pair."""
+def nonlocal_gaps(own: np.ndarray, partner: np.ndarray, real: np.ndarray, sign: int,
+                  grid: KGrid) -> tuple[float, float]:
+    """(route gap, real-part residual) of one field of a classical snapshot:
+    its Fourier data ``own`` (eps_k, or eta_k), the partner's (eta_k, or
+    eps_k), its real field ``real`` (E_real, or H_real) and the sign of the
+    partner in its extraction (-1 for E, +1 for H).
 
-    e_route_gap: float
-    h_route_gap: float
-    e_real_part_residual: float
-    h_real_part_residual: float
-
-    @property
-    def combined(self) -> float:
-        return max(self.e_route_gap, self.h_route_gap)
-
-
-def nonlocal_relation_check(cf: ClassicalField) -> NonlocalRelationReport:
-    """Compare spectral extraction against the real-part + nonlocal-imaginary-part route.
-
-    Route one builds E from the Fourier-space extraction; route two assembles
-    (E_real + i * time-derivative of the 1/|x|^2 convolution of E_real) /
-    sqrt(2), with the convolution realized as the analytic 1/k multiplier and
-    the time derivative taken per bin from the curl of the partner field.
-    The two factorizations are algebraically identical, so any gap measures
-    implementation error only.  The real part of sqrt(2) E must reproduce
-    E_real exactly.
+    Route one is the spectral extraction of the complex field; route two
+    assembles (real + i * time-derivative of the 1/|x|^2 convolution of
+    real) / sqrt(2), with the convolution realized as the analytic 1/k
+    multiplier and the time derivative taken per bin from the curl of the
+    partner field.  The two factorizations are algebraically identical, so
+    the gap measures implementation error only, and the real part of
+    sqrt(2) times route one must reproduce ``real`` exactly.  ``own`` is
+    consumed: the extraction is formed, and transformed, in its place.
     """
-    g = cf.grid
-
-    def gaps(own, partner, real, sign) -> tuple[float, float]:
-        # (1/k) k x partner enters the extraction, and sign times it is the
-        # imaginary part i (1/k) d(own)/dt, as d(eps)/dt = i k x eta and
-        # d(eta)/dt = -i k x eps: one cross product serves both routes
-        cross_term = _over_k_cross(partner, g)
-        a = _positive_frequency(own, cross_term, sign)
-        route_one = to_position(momentum_field(a, g), overwrite=True)
-        if sign < 0:
-            np.negative(cross_term, out=cross_term)
-        route_two = to_position(momentum_field(cross_term, g), overwrite=True)
-        route_two += real
-        route_two /= np.sqrt(2.0)
-        # relative_gap(route_two, route_one), the difference formed in place
-        peak = max_abs(route_one)
-        route_two -= route_one
-        route_gap = max_abs(route_two) / peak if peak != 0.0 else 0.0
-        del cross_term, route_two  # one array, released before the real part is compared
-        real_part = (np.sqrt(2.0) * component.real for component in route_one)
-        return route_gap, relative_gap(real_part, real)
-
-    # one chain's arrays at a time: the E chain runs to the end, then the H chain
-    e_gap, e_real = gaps(cf.eps_k, cf.eta_k, cf.E_real, -1)
-    h_gap, h_real = gaps(cf.eta_k, cf.eps_k, cf.H_real, +1)
-    return NonlocalRelationReport(
-        e_route_gap=e_gap,
-        h_route_gap=h_gap,
-        e_real_part_residual=e_real,
-        h_real_part_residual=h_real,
-    )
+    # (1/k) k x partner enters the extraction, and sign times it is the
+    # imaginary part i (1/k) d(own)/dt, as d(eps)/dt = i k x eta and
+    # d(eta)/dt = -i k x eps: one cross product serves both routes
+    cross_term = _over_k_cross(partner, grid)
+    a = _positive_frequency(own, cross_term, sign, out=own)
+    route_one = to_position(momentum_field(a, grid), overwrite=True)
+    if sign < 0:
+        np.negative(cross_term, out=cross_term)
+    route_two = to_position(momentum_field(cross_term, grid), overwrite=True)
+    route_two += real
+    route_two /= np.sqrt(2.0)
+    # relative_gap(route_two, route_one), the difference formed in place
+    peak = max_abs(route_one)
+    route_two -= route_one
+    route_gap = max_abs(route_two) / peak if peak != 0.0 else 0.0
+    del cross_term, route_two  # one array, released before the real part is compared
+    real_part = (np.sqrt(2.0) * component.real for component in route_one)
+    return route_gap, relative_gap(real_part, real)
 
 
 KERNEL_KINDS = ("half_power", "inverse_k")

@@ -327,29 +327,41 @@ def oam_momentum(state: PhotonState) -> np.ndarray:
     Finite differences in k assume a slowly varying amplitude; the dynamical
     phase exp(-i |k| t) oscillates arbitrarily fast at late times while
     contributing nothing to k x grad_k (its gradient is parallel to k), so
-    it is peeled off analytically first.  At t = 0 the payload's own block
-    is differentiated, not a copy.  The k-gradient is taken one component
-    and one axis at a time and contracted at once, so a single derivative
-    component and a single conjugate component are alive at any moment;
-    each h_a still sums its components in order.
+    it is peeled off analytically first, one component at a time into one
+    buffer.  At t = 0 the payload's own components are differentiated, not
+    copies.  The k-gradient is taken one component and one axis at a time
+    and contracted at once, so a single derivative component and a single
+    conjugate component are alive at any moment; each h_a is formed in the
+    first component's derivative and still sums its components in order.
+    k x h is then formed and summed one row at a time in the conjugate's
+    buffer, with the peel buffer as scratch.
     """
     g = state.grid
-    f = state.psi[:3]
-    if state.time != 0.0:
-        f = f * g.phase(-state.time)
+    psi = state.psi
+    peeled = None if state.time == 0.0 else np.empty((1,) + g.shape, dtype=np.complex128)
     f_conj = np.empty(g.shape, dtype=np.complex128)
-    h = np.empty((3,) + g.shape, dtype=np.complex128)
+    h = []
     for c in range(3):
-        np.conj(f[c], out=f_conj)
+        f = psi[c:c + 1]
+        if peeled is not None:  # the phase is made again for each component, not held
+            f = np.multiply(f, g.phase(-state.time), out=peeled)
+        np.conj(f[0], out=f_conj)
         for a in range(3):
-            d = k_gradient(f[c:c + 1], g, a)[0]
+            d = k_gradient(f, g, a)[0]
             if c == 0:
-                np.multiply(f_conj, d, out=h[a])
+                h.append(np.multiply(f_conj, d, out=d))
             else:
                 h[a] += np.multiply(f_conj, d, out=d)
             del d  # before the next derivative is made
-    del f, f_conj
-    total = -2j * np.sum(kgrid.cross(g.k_axes, h), axis=(1, 2, 3)) * g.dk**3
+    # row p x q of k x h is k_p h_q - k_q h_p, as kgrid.cross forms it
+    row = f_conj
+    scratch = np.empty(g.shape, dtype=np.complex128) if peeled is None else peeled[0]
+    sums = []
+    for p, q in ((1, 2), (2, 0), (0, 1)):
+        np.multiply(g.k_axes[p], h[q], out=row)
+        row -= np.multiply(g.k_axes[q], h[p], out=scratch)
+        sums.append(np.sum(row))
+    total = -2j * np.array(sums) * g.dk**3
     return total.real
 
 
@@ -421,8 +433,14 @@ def oam_position_shell(state: PhotonState) -> float:
 @_per_state
 def probability(state: PhotonState) -> tuple[float, float, float]:
     """Total probability three ways: |Psi|^2, |F_u|^2 and |F_l|^2 integrals."""
-    upper, lower = _probability_densities(psi_position(state))
-    m = state.grid.dx**3
+    return position_probability(psi_position(state), state.grid)
+
+
+def position_probability(values: np.ndarray, grid: kgrid.KGrid) -> tuple[float, float, float]:
+    """:func:`probability` of the (6, n, n, n) position amplitudes ``values``
+    of a payload on ``grid``, which need not belong to a state."""
+    upper, lower = _probability_densities(values)
+    m = grid.dx**3
     p_upper = float(np.sum(upper)) * m
     p_lower = float(np.sum(lower)) * m
     p_psi = float(np.sum(_full_density(upper, lower, out=lower))) * m

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebra, dynamics, fieldbridge, observables
+from .kgrid import momentum_field, to_position
 from .state import PhotonState, branch_residual
 
 DEFAULT_SEED = 20320
@@ -103,12 +104,12 @@ SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in ROWS.values()))
 # they stay together and compute each of those once.  The other suites read
 # none of them; each makes its own transforms, so running them apart
 # computes nothing twice.  oam runs first: on the README n=32 state the first
-# four suites peak at 1.88 fields with oam first and at 2.04 with
-# spin-equalities first; the group peaks at 2.46 either way, set by
+# four suites peak at 1.88 fields with oam first and at 1.96 with
+# spin-equalities first; the group peaks at 2.13 either way, set by
 # conservation.
 MEMO_SUITES = ("oam", "spin-equalities", "probability", "densities", "conservation")
-# fieldbridge, which sets a check's peak working set, runs first: algebra and
-# constraint load numpy.random (and LAPACK), whose pages would sit under it
+# fieldbridge, which sets this group's peak working set, runs first: algebra
+# and constraint load numpy.random (and LAPACK), whose pages would sit under it
 OWN_TRANSFORM_SUITES = ("fieldbridge", "maxwell", "constraint", "kernels", "algebra")
 
 
@@ -256,23 +257,31 @@ def suite_conservation(state: PhotonState, times) -> list:
     sampled time; each row is the largest drift from the first sample.
 
     All five are exact constants for positive-energy states.  Each sample
-    reads the norm and the momentum routes before the probability makes its
-    position transform, so their temporaries never sit on that transform,
-    and then releases its position arrays: the state's own, for the sample
-    at the state's own time.
-    An evolved copy is freed, with everything its memo holds, before the
-    next one is built.
+    reads the norm and the momentum routes on its state first.  At the
+    state's own time the probability is then read from the state, whose
+    position transform is released.  An evolved sample state is freed
+    instead, with everything its memo holds, and its probability is taken
+    from one new array, the evolved payload formed again and transformed in
+    place: bitwise the probability of that state, with no copy of its
+    payload beside the transform.
     """
     times = [float(t) for t in times]
+    g = state.grid
     norms, oams, spins, probs = [], [], [], []
     for t in times:
         st = dynamics.evolve(state, t - state.time)
         norms.append(st.norm)
         oams.append(observables.oam_momentum(st))
         spins.append(observables.spin_canonical(st))
-        probs.append(observables.probability(st)[0])
-        observables.drop_position(st)
+        if st is state:
+            probs.append(observables.probability(state)[0])
+            observables.drop_position(state)
+            continue
         del st
+        # the payload of dynamics.evolve(state, t - state.time), made again
+        values = to_position(momentum_field(state.psi * g.phase(t - state.time), g), overwrite=True)
+        probs.append(observables.position_probability(values, g)[0])
+        del values
     totals = [l + s for l, s in zip(oams, spins)]
 
     def drift(values) -> float:
@@ -292,7 +301,17 @@ def suite_conservation(state: PhotonState, times) -> list:
 
 
 def suite_fieldbridge(state: PhotonState, times) -> list:
-    cf = fieldbridge.classical_from_state(state)
+    """The classical round trip, Hermitian symmetry, real-part identity and
+    nonlocal route gap of the state's classical snapshot.
+
+    The snapshot's Fourier data is made first, in k space, and the round
+    trip and the Hermitian rows read only it.  Then one chain at a time
+    makes its real field and reads its nonlocal gaps, consuming its own
+    Fourier data: the E chain keeps eta_k for the H chain, which forms
+    eps_k again as its partner.
+    """
+    g = state.grid
+    cf = fieldbridge.classical_fourier_data(state)
     try:
         # an all-zero payload comes back as zeros: no error, the zero-peak rule
         # of dirac_residual and maxwell_residual
@@ -306,9 +325,18 @@ def suite_fieldbridge(state: PhotonState, times) -> list:
     # computed once, by the bridge's validation
     rows.append(("hermitian_symmetry", max(cf.hermitian_residuals)))
 
-    nl = fieldbridge.nonlocal_relation_check(cf)
-    return rows + [("real_part_identity", max(nl.e_real_part_residual, nl.h_real_part_residual)),
-                   ("nonlocal_route_gap", nl.combined)]
+    eps_k, eta_k = cf.eps_k, cf.eta_k
+    del cf
+    e_gap, e_residual = fieldbridge.nonlocal_gaps(
+        eps_k, eta_k, fieldbridge.real_field(state.f_upper(), g), -1, g)
+    del eps_k
+    # H_real before eps_k is formed again: the other order leaves a heap
+    # that peaks higher (dpl check's worker at n=64: 116.4 against 109.4 MB)
+    H_real = fieldbridge.real_field(state.f_lower(), g)
+    h_gap, h_residual = fieldbridge.nonlocal_gaps(
+        eta_k, fieldbridge.fourier_data(state.f_upper(), g), H_real, +1, g)
+    return rows + [("real_part_identity", max(e_residual, h_residual)),
+                   ("nonlocal_route_gap", max(e_gap, h_gap))]
 
 
 def suite_kernels(state: PhotonState, times) -> list:

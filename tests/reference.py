@@ -4,7 +4,8 @@ Each function here is an independent way to compute something the library
 computes, or a way to build an input for one of its checks: the
 positive-energy projectors from the helicity basis, the single-block spin
 integrals, the spectral gradient and divergence of position fields, the
-complex positive-frequency field pair with its Landau-Peierls weighting, a
+complex positive-frequency field pair with its Landau-Peierls weighting, the
+whole classical snapshot of a state with its nonlocal relation check, a
 classical field assembled from Fourier data, the whole state a classical
 field carries, the position densities as whole arrays, the four-current
 with its continuity residual, the full (3, n, n, n) coordinate grids and
@@ -21,14 +22,23 @@ import numpy as np
 from darwinlab import kgrid, observables
 from darwinlab.algebra import _check_wavevector, helicity_vectors
 from darwinlab.dynamics import default_maxwell_dt, evolve
-from darwinlab.fieldbridge import ClassicalField, _validate_classical, state_blocks
+from darwinlab.fieldbridge import (
+    ClassicalField,
+    _over_k_cross,
+    _positive_frequency,
+    _validate_classical,
+    state_blocks,
+)
 from darwinlab.kgrid import (
     POSITION,
     Field,
     KGrid,
     _require,
     dc_safe_reciprocal,
+    max_abs,
     momentum_field,
+    relative_gap,
+    reverse_bins,
     to_momentum,
     to_position,
 )
@@ -231,15 +241,95 @@ def spectral_divergence(field: Field) -> np.ndarray:
     return to_position(momentum_field(div[None], field.grid))
 
 
+# -- fieldbridge: the whole classical snapshot, with both real fields beside
+# their Fourier data, as it was before the fieldbridge suite made its Fourier
+# data first and one real field at a time; the suite must match it bitwise
+
+@dataclass(frozen=True)
+class ClassicalSnapshot(ClassicalField):
+    """Real free-field snapshot: its Fourier data and both real fields."""
+
+    E_real: np.ndarray  # (3, n, n, n) real
+    H_real: np.ndarray  # (3, n, n, n) real
+
+
+def classical_from_state(state: PhotonState) -> ClassicalSnapshot:
+    """Invert the amplitude weighting: e = sqrt(k) f_u and h = sqrt(k) f_l.
+
+    Returns the real classical snapshot of the complex positive-frequency pair
+    (E, H): E_real = (E + E*)/sqrt(2) and its magnetic twin.  Each chain forms
+    its amplitude once, for both its Fourier data and its real field.
+    """
+    g = state.grid
+    sqrt_k = np.sqrt(g.kmag)
+
+    def chain(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = np.multiply(sqrt_k, block, out=block)  # e (or h); block is a fresh copy
+        a_k = reverse_bins(a)
+        np.conj(a_k, out=a_k)
+        np.add(a, a_k, out=a_k)
+        a_k /= np.sqrt(2.0)
+        A = to_position(momentum_field(a, g), overwrite=True)
+        A_real = np.empty(A.shape)
+        term = np.empty(g.shape, dtype=np.complex128)
+        for c in range(3):
+            np.add(A[c], np.conj(A[c], out=term), out=term)
+            term /= np.sqrt(2.0)
+            A_real[c] = term.real
+        return a_k, A_real
+
+    eps_k, E_real = chain(state.f_upper())
+    eta_k, H_real = chain(state.f_lower())
+    return ClassicalSnapshot(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=g)
+
+
+@dataclass(frozen=True)
+class NonlocalRelationReport:
+    """Agreement of the two routes from real fields to the complex pair."""
+
+    e_route_gap: float
+    h_route_gap: float
+    e_real_part_residual: float
+    h_real_part_residual: float
+
+    @property
+    def combined(self) -> float:
+        return max(self.e_route_gap, self.h_route_gap)
+
+
+def nonlocal_relation_check(cf: ClassicalSnapshot) -> NonlocalRelationReport:
+    """Compare spectral extraction against the real-part + nonlocal-imaginary-part
+    route on a whole snapshot, which it leaves as it is (the extraction is a
+    new array).  The routes are those of ``fieldbridge.nonlocal_gaps``."""
+    g = cf.grid
+
+    def gaps(own, partner, real, sign) -> tuple[float, float]:
+        cross_term = _over_k_cross(partner, g)
+        a = _positive_frequency(own, cross_term, sign)
+        route_one = to_position(momentum_field(a, g), overwrite=True)
+        if sign < 0:
+            np.negative(cross_term, out=cross_term)
+        route_two = to_position(momentum_field(cross_term, g), overwrite=True)
+        route_two += real
+        route_two /= np.sqrt(2.0)
+        peak = max_abs(route_one)
+        route_two -= route_one
+        route_gap = max_abs(route_two) / peak if peak != 0.0 else 0.0
+        real_part = (np.sqrt(2.0) * component.real for component in route_one)
+        return route_gap, relative_gap(real_part, real)
+
+    e_gap, e_real = gaps(cf.eps_k, cf.eta_k, cf.E_real, -1)
+    h_gap, h_real = gaps(cf.eta_k, cf.eps_k, cf.H_real, +1)
+    return NonlocalRelationReport(e_route_gap=e_gap, h_route_gap=h_gap,
+                                  e_real_part_residual=e_real, h_real_part_residual=h_real)
+
+
 # -- fieldbridge: classical data in, wavefunction blocks out
 
 def classical_from_kspace(eps_k, eta_k, grid: KGrid) -> ClassicalField:
     """Assemble a ClassicalField from Fourier data, checking its invariants."""
-    eps_k = np.asarray(eps_k, dtype=np.complex128)
-    eta_k = np.asarray(eta_k, dtype=np.complex128)
-    E_real = to_position(momentum_field(eps_k, grid)).real
-    H_real = to_position(momentum_field(eta_k, grid)).real
-    cf = ClassicalField(eps_k=eps_k, eta_k=eta_k, E_real=E_real, H_real=H_real, grid=grid)
+    cf = ClassicalField(eps_k=np.asarray(eps_k, dtype=np.complex128),
+                        eta_k=np.asarray(eta_k, dtype=np.complex128), grid=grid)
     _validate_classical(cf)
     return cf
 
@@ -265,7 +355,7 @@ class ComplexFieldPair:
 
 def complex_pair(state: PhotonState) -> ComplexFieldPair:
     """e = sqrt(k) f_u and h = sqrt(k) f_l, with their position transforms;
-    the pair whose real part ``fieldbridge.classical_from_state`` returns."""
+    the pair whose real part :func:`classical_from_state` returns."""
     g = state.grid
     sqrt_k = np.sqrt(g.kmag)
     e = sqrt_k * state.f_upper()

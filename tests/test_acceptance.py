@@ -19,12 +19,7 @@ from darwinlab.algebra import (
     verify_matrix_identities,
 )
 from darwinlab.dynamics import maxwell_residual
-from darwinlab.fieldbridge import (
-    classical_from_state,
-    hermitian_symmetry_residual,
-    kernel_pair_check,
-    nonlocal_relation_check,
-)
+from darwinlab.fieldbridge import hermitian_symmetry_residual, kernel_pair_check
 from darwinlab.kgrid import KGrid
 from darwinlab.observables import (
     oam_momentum,
@@ -38,7 +33,7 @@ from darwinlab.observables import (
 )
 from darwinlab.state import ModeSpec, branch_residual, synthesize
 from darwinlab.suites import run_suites
-from reference import state_from_classical
+from reference import classical_from_state, nonlocal_relation_check, state_from_classical
 
 SEED = 7041
 

@@ -4,11 +4,9 @@ from scipy.integrate import quad
 
 from darwinlab import fieldbridge
 from darwinlab.fieldbridge import (
-    classical_from_state,
     extract_positive_frequency,
     hermitian_symmetry_residual,
     kernel_pair_check,
-    nonlocal_relation_check,
     roundtrip_gap,
     solenoidal_residual,
 )
@@ -18,9 +16,11 @@ from darwinlab.state import ModeSpec, synthesize
 from darwinlab.suites import run_suites
 from reference import (
     classical_from_kspace,
+    classical_from_state,
     complex_pair,
     full_grid,
     landau_peierls_transform,
+    nonlocal_relation_check,
     state_from_classical,
 )
 
@@ -34,8 +34,10 @@ class TestClassicalFromState:
         assert dev < 1e-12 * np.abs(pair.h).max()
 
     def test_real_fields_are_real(self, two_direction_state):
-        cf = classical_from_state(two_direction_state)
-        assert np.isrealobj(cf.E_real) and np.isrealobj(cf.H_real)
+        state, g = two_direction_state, two_direction_state.grid
+        cf = fieldbridge.classical_fourier_data(state)
+        for block in (state.f_upper(), state.f_lower()):
+            assert np.isrealobj(fieldbridge.real_field(block, g))
         assert hermitian_symmetry_residual(cf.eps_k) < 1e-12
         assert hermitian_symmetry_residual(cf.eta_k) < 1e-12
         assert solenoidal_residual(cf.eps_k, cf.grid) < 1e-12
@@ -52,17 +54,16 @@ class TestClassicalFromState:
 
         g = helicity_state.grid
         dt = default_maxwell_dt(g)
-        snapshots = {}
-        for offset in (-dt, 0.0, dt):
-            cf = classical_from_state(evolve(helicity_state, offset))
-            snapshots[offset] = cf
-        dE_dt = (snapshots[dt].E_real - snapshots[-dt].E_real) / (2 * dt)
-        curl_h = spectral_curl(position_field(snapshots[0.0].H_real, g)).real
+        E_real = {offset: fieldbridge.real_field(evolve(helicity_state, offset).f_upper(), g)
+                  for offset in (-dt, dt)}
+        dE_dt = (E_real[dt] - E_real[-dt]) / (2 * dt)
+        H_real = fieldbridge.real_field(helicity_state.f_lower(), g)
+        curl_h = spectral_curl(position_field(H_real, g)).real
         scale = np.abs(curl_h).max()
         assert np.abs(dE_dt - curl_h).max() < 1e-6 * scale
 
     def test_roundtrip_identity(self, two_direction_state):
-        cf = classical_from_state(two_direction_state)
+        cf = fieldbridge.classical_fourier_data(two_direction_state)
         back = state_from_classical(cf)
         dev = np.abs(back.psi - two_direction_state.psi).max()
         assert dev < 1e-10 * np.abs(two_direction_state.psi).max()
@@ -70,9 +71,9 @@ class TestClassicalFromState:
         assert back.rqc_residual < 1e-12
 
     def test_double_roundtrip_idempotent(self, helicity_state):
-        cf1 = classical_from_state(helicity_state)
+        cf1 = fieldbridge.classical_fourier_data(helicity_state)
         st1 = state_from_classical(cf1)
-        cf2 = classical_from_state(st1)
+        cf2 = fieldbridge.classical_fourier_data(st1)
         st2 = state_from_classical(cf2)
         dev = np.abs(st2.psi - st1.psi).max()
         assert dev < 1e-10 * np.abs(st1.psi).max()
@@ -128,7 +129,7 @@ class TestStateFromClassical:
 
 class TestRoundtripGap:
     def test_equals_gap_of_the_whole_state(self, two_direction_state):
-        cf = classical_from_state(two_direction_state)
+        cf = fieldbridge.classical_fourier_data(two_direction_state)
         whole = state_from_classical(cf).psi
         assert roundtrip_gap(cf, two_direction_state) == relative_gap(
             whole, two_direction_state.psi)
@@ -165,6 +166,26 @@ class TestNonlocalRelation:
         rep = nonlocal_relation_check(cf)
         assert rep.e_real_part_residual < 1e-12
         assert rep.h_real_part_residual < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["two_direction_state", "helicity_state"])
+def test_suite_rows_are_bitwise_the_whole_snapshot_route(request, fixture):
+    # the suite makes the Fourier data first and one real field at a time,
+    # forming eps_k again for the H chain; each row is still the value of the
+    # whole snapshot, with both real fields beside their Fourier data
+    state = request.getfixturevalue(fixture)
+    cf = classical_from_state(state)
+    nl = nonlocal_relation_check(cf)
+    expected = {
+        "classical_roundtrip": relative_gap(state_from_classical(cf).psi, state.psi),
+        "hermitian_symmetry": max(hermitian_symmetry_residual(cf.eps_k),
+                                  hermitian_symmetry_residual(cf.eta_k)),
+        "real_part_identity": max(nl.e_real_part_residual, nl.h_real_part_residual),
+        "nonlocal_route_gap": nl.combined,
+    }
+    (rep,) = run_suites(["fieldbridge"], state)
+    assert {c.name: c.value.hex() for c in rep.checks} == {
+        name: float(value).hex() for name, value in expected.items()}
 
 
 class TestLandauPeierls:
@@ -281,9 +302,13 @@ class TestComputedOnce:
 
     def test_relation_check_makes_one_cross_product_per_block(self, two_direction_state,
                                                               monkeypatch):
-        cf = classical_from_state(two_direction_state)
+        state, g = two_direction_state, two_direction_state.grid
+        cf = fieldbridge.classical_fourier_data(state)
+        E_real, H_real = (fieldbridge.real_field(f, g) for f in (state.f_upper(), state.f_lower()))
+        eps_k = cf.eps_k.copy()  # the E chain consumes its own Fourier data
         calls = self.counted(monkeypatch, "cross")
-        report = nonlocal_relation_check(cf)
+        e_gap, _ = fieldbridge.nonlocal_gaps(cf.eps_k, cf.eta_k, E_real, -1, g)
+        h_gap, _ = fieldbridge.nonlocal_gaps(cf.eta_k, eps_k, H_real, +1, g)
         # (1/k) k x partner serves both the extraction and the imaginary part
         assert len(calls) == 2
-        assert report.combined < 1e-10
+        assert max(e_gap, h_gap) < 1e-10

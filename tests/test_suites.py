@@ -398,16 +398,22 @@ class TestPerStateEvaluation:
         assert calls.count(True) == 2
 
     def test_conservation_samples_read_momentum_before_position(self, monkeypatch):
-        # each sample reads its norm and its momentum routes before its
-        # position transform is made, and releases the transform before the
-        # next sample begins; the sample at the state's own time included
-        events = []  # (kind, payload): holding each payload keeps its id unique
+        # each sample reads its norm and its momentum routes before its one
+        # position transform, of its own payload: the state's, at the state's
+        # own time, and otherwise the evolved payload formed again once the
+        # sample's state is freed; samples never interleave, the state's
+        # transform is released, and each sample's probability is bitwise
+        # that of the state evolved to its time
+        expected = [observables.probability(dynamics.evolve(_two_mode_state(), t))[0]
+                    for t in suites.DEFAULT_TIMES]
+        state = _two_mode_state()  # built before the recording: synthesis reads a norm
+        events = []  # (kind, hash of the payload read, or None)
 
         def recorded(kind, module, name, payload):
             original = getattr(module, name)
 
             def wrapper(arg, *args, **kwargs):
-                events.append((kind, payload(arg)))
+                events.append((kind, hash(payload(arg).tobytes())))
                 return original(arg, *args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -415,25 +421,35 @@ class TestPerStateEvaluation:
         recorded("norm", kgrid, "norm_squared", lambda values: values)
         for name in ("oam_momentum", "spin_canonical"):
             recorded("momentum", observables, name, lambda st: st.psi)
-        recorded("position", observables, "psi_position", lambda st: st.psi)
-        recorded("drop", observables, "drop_position", lambda st: st.psi)
+        recorded("position", np.fft, "ifftn", lambda values: values)  # before it transforms in place
+        probabilities = []
+        original = observables.position_probability
+
+        def probability(values, grid):
+            values = original(values, grid)
+            probabilities.append(values[0])
+            events.append(("probability", None))
+            return values
+
+        monkeypatch.setattr(observables, "position_probability", probability)
         # called directly: run_suites memoizes the state's own probability
         # before conservation runs, so its first sample would make no transform
-        state = _two_mode_state()
         suites.suite_conservation(state, suites.DEFAULT_TIMES)
 
         samples = []
         for kind, payload in events:
-            if not samples or samples[-1][0] is not payload:
-                assert all(p is not payload for p, _ in samples), "samples interleave"
+            if payload is not None and (not samples or samples[-1][0] != payload):
+                assert all(p != payload for p, _ in samples), "samples interleave"
                 samples.append((payload, []))
             samples[-1][1].append(kind)
         assert len(samples) == len(suites.DEFAULT_TIMES)
-        assert samples[0][0] is state.psi
+        assert samples[0][0] == hash(state.psi.tobytes())
         for _, kinds in samples:
             first = kinds.index("position")
             assert {"norm", "momentum"} <= set(kinds[:first])
-            assert set(kinds[first:-1]) == {"position"} and kinds[-1] == "drop"
+            assert kinds[first:] == ["position", "probability"]
+        assert "psi_position" not in vars(state)["_observables_memo"]
+        assert [p.hex() for p in probabilities] == [p.hex() for p in expected]
 
     def test_shared_values_equal_standalone_functions(self):
         reports = suites.run_suites(suites.SUITE_NAMES, _two_mode_state())

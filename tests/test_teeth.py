@@ -12,18 +12,19 @@ Why the self-tests can never FAIL: evolution multiplies each bin by a
 unimodular phase, so each quantity the ``conservation`` suite tracks is
 conserved whatever that phase is, and its rows measure rounding only: with
 the phase's sign flipped they still pass, while ``maxwell_residual``, which
-compares the evolution with the curl, FAILs.  ``classical_from_state``
+compares the evolution with the curl, FAILs.  ``fieldbridge.fourier_data``
 builds each Fourier block as (a + conj(R a))/sqrt 2 with R the exact bin
 reversal, an involution, so ``hermitian_symmetry`` is 0.0 bitwise on any
 payload, on the constraint or off it.
 
 Why the code rows need broken code: ``nonlocal_route_gap`` compares two
 factorizations of the same complex field, so on any state it reads rounding
-only while ``E_real`` is the transform of ``eps_k``: its case breaks the
-code that makes ``E_real`` instead.  So do ``spin_imag_residue``, the
-imaginary part of Hermitian forms, and ``kernel_density_integral``, a
-Parseval identity, which read rounding on any payload, on the constraint or
-off it: their case multiplies the kernel density's rows by i.  The matrix
+only while ``E_real`` is the transform of ``eps_k``: its case breaks
+``fieldbridge.real_field``, the code that makes ``E_real``, instead.  So do
+``spin_imag_residue``, the imaginary part of Hermitian forms, and
+``kernel_density_integral``, a Parseval identity, which read rounding on any
+payload, on the constraint or off it: their case multiplies the kernel
+density's rows by i.  The matrix
 rows read no state, so their cases perturb ``algebra.SPIN`` and γ, and the
 kernel rows read only the grid, so their case scales the kernel.  One
 state row has a code case too: a full spin density formed without its ½
@@ -32,13 +33,10 @@ seeded random payloads off the constraint every code and self-test row
 passes while every state row FAILs.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from darwinlab import algebra, dynamics, fieldbridge, observables, suites
-from darwinlab.fieldbridge import classical_from_state
 from darwinlab.kgrid import KGrid
 from darwinlab.state import ModeSpec, PhotonState, synthesize
 from test_state import longitudinal_state
@@ -151,14 +149,16 @@ def _nyquist_plane_weight(monkeypatch, state):
 
 
 def _e_real_scaled_1_01(monkeypatch, state):
-    # the classical snapshot's E_real comes out 1% too large
-    original = fieldbridge.classical_from_state
+    # the classical snapshot's E_real, the real field of the upper block,
+    # comes out 1% too large; H_real is left as it is
+    original = fieldbridge.real_field
 
-    def broken(state):
-        cf = original(state)
-        return dataclasses.replace(cf, E_real=1.01 * cf.E_real)
+    def broken(block, grid):
+        electric = np.array_equal(block, state.f_upper())
+        real = original(block, grid)
+        return 1.01 * real if electric else real
 
-    monkeypatch.setattr(fieldbridge, "classical_from_state", broken)
+    monkeypatch.setattr(fieldbridge, "real_field", broken)
     return state
 
 
@@ -253,7 +253,7 @@ def test_hermitian_symmetry_is_a_self_test():
     rng = np.random.default_rng(23)
     g = KGrid(16, 1.0)
     values = rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)
-    cf = classical_from_state(PhotonState(values, g))
+    cf = fieldbridge.classical_fourier_data(PhotonState(values, g))
     assert cf.hermitian_residuals == (0.0, 0.0)
 
 
